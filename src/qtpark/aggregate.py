@@ -3,9 +3,29 @@
 The identity checks repeatedly need sums of t^area q^dinv (optionally
 refined by the ides set) over structured families: all preference
 functions with a fixed diagword and deviation, or all parking functions
-with a fixed touch.  One kernel sweep of the n^n functions produces every
-such table at once; the counts are integers, so the tables are exact and
-the generating polynomials built from them are too.
+with a fixed touch.  One kernel sweep of the n^n functions builds one such
+table; the counts are integers, so the tables are exact and the generating
+polynomials built from them are too.
+
+Every table comes from the same fold.  A view names some kernel columns;
+each row of a block becomes one int64 key, the mixed-radix number whose
+digits are those columns in order.  Each radix is an exclusive bound that
+follows from n:
+
+    column     radix       why
+    DWORD      n^n         base-n code of a permutation of 1..n
+    DEV        n           deviation < n
+    TOUCH      n + 1       1 <= touch <= n
+    PARK       2           0 or 1
+    AREA       n^2 + 1     area <= n^2
+    DINV       n^2 + 1     dinv <= n^2
+    IDES       2^(n-1)     a subset of 1..n-1 as a bit mask
+
+Keys are counted per block with ``np.unique``, the counts are merged, and
+the keys are split back into columns with the same radices.  The fold
+raises ``ValueError`` before any block is computed when the product of the
+radices does not fit in an int64 (``qsym_by_diagword`` for n >= 11), and
+while folding when a block value falls outside its radix.
 
 Tables are cached per (kind, n).  Worker count never changes a table:
 chunks are deterministic and integer counts commute.
@@ -13,8 +33,9 @@ chunks are deterministic and integer counts commute.
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -25,107 +46,96 @@ QTTable = Dict[Tuple[Tuple[int, ...], int], Dict[Tuple[int, int], int]]
 QSymTable = Dict[Tuple[Tuple[int, ...], int], Dict[Tuple[int, int, int], int]]
 TouchTable = Dict[Tuple[int, bool], Dict[Tuple[int, int, int], int]]
 
+# Exclusive upper bound of each kernel column, as a function of n.
+_RADIX: Dict[int, Callable[[int], int]] = {
+    kernels.DWORD: lambda n: n ** n,
+    kernels.DEV: lambda n: n,
+    kernels.TOUCH: lambda n: n + 1,
+    kernels.PARK: lambda n: 2,
+    kernels.AREA: lambda n: n * n + 1,
+    kernels.DINV: lambda n: n * n + 1,
+    kernels.IDES: lambda n: 2 ** (n - 1),
+}
+_KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
+
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _accumulate(n: int, threads: int, backend: Optional[str], packer, widths):
-    """Fold one kernel sweep into a Counter keyed by packed integers."""
+def _fold(n: int, threads: int,
+          columns: Tuple[int, ...]) -> Tuple[List[List[int]], List[int]]:
+    """Count the distinct rows of ``columns`` over all n^n functions.
+
+    Returns one list of values per column and the list of counts, aligned,
+    in order of first appearance in the block stream.
+    """
+    radices = [_RADIX[c](n) for c in columns]
+    size = math.prod(radices)
+    if size > _KEY_LIMIT:
+        raise ValueError(f"n = {n}: keys over columns {columns} reach "
+                         f"{size - 1} > 2^63 - 1")
     counts: Dict[int, int] = {}
-    for _, blk in kernels.iter_stat_chunks(n, threads=threads, backend=backend):
-        keys = packer(blk)
-        uniq, cnt = np.unique(keys, return_counts=True)
-        for k, c in zip(uniq.tolist(), cnt.tolist()):
-            counts[k] = counts.get(k, 0) + c
-    return counts
+    for _, blk in kernels.iter_stat_chunks(n, threads=threads):
+        key = 0
+        for c, r in zip(columns, radices):
+            col = blk[:, c]
+            lo, hi = int(col.min()), int(col.max())
+            if lo < 0 or hi >= r:
+                raise ValueError(f"n = {n}: column {c} holds {lo}..{hi}, "
+                                 f"outside 0..{r - 1}")
+            key = key * r + col
+        uniq, cnt = np.unique(key, return_counts=True)
+        for k, m in zip(uniq.tolist(), cnt.tolist()):
+            counts[k] = counts.get(k, 0) + m
+    rest = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    digits = []
+    for r in reversed(radices):
+        rest, d = np.divmod(rest, r)
+        digits.append(d.tolist())
+    return digits[::-1], list(counts.values())
 
 
-def _check_widths(blk: np.ndarray, n: int) -> None:
-    if n >= 8:  # packing uses 8-bit fields for area/dinv and 24 bits for perms
-        assert int(blk[:, kernels.AREA].max()) < 256
-        assert int(blk[:, kernels.DINV].max()) < 256
+def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
+           value_cols: Tuple[int, ...], decode: Callable[..., tuple]) -> dict:
+    """decode(n, *key values) -> {value columns: count}, cached per (kind, n)."""
+    with _cache_lock:
+        if (kind, n) in _cache:
+            return _cache[(kind, n)]
+    cols, counts = _fold(n, threads, key_cols + value_cols)
+    nk = len(key_cols)
+    groups: Dict[tuple, Dict[tuple, int]] = {}
+    for k, v, c in zip(zip(*cols[:nk]), zip(*cols[nk:]), counts):
+        groups.setdefault(k, {})[v] = c
+    table = {decode(n, *k): d for k, d in groups.items()}
+    with _cache_lock:
+        _cache[(kind, n)] = table
+    return table
 
 
-def qt_by_diagword(n: int, threads: int = 1,
-                   backend: Optional[str] = None) -> QTTable:
+def _perm_dev(n: int, dword: int, dev: int) -> Tuple[Tuple[int, ...], int]:
+    return kernels.decode_perm(dword, n), dev
+
+
+def _touch_park(n: int, touch: int, park: int) -> Tuple[int, bool]:
+    return touch, bool(park)
+
+
+def qt_by_diagword(n: int, threads: int = 1) -> QTTable:
     """(diagword, deviation) -> {(area, dinv): count} over all n^n functions."""
-    key = ("qt_dw", n)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-
-    def pack(blk):
-        _check_widths(blk, n)
-        return (((blk[:, kernels.DWORD] << 4 | blk[:, kernels.DEV]) << 8
-                 | blk[:, kernels.AREA]) << 8) | blk[:, kernels.DINV]
-
-    raw = _accumulate(n, threads, backend, pack, None)
-    table: QTTable = {}
-    for packed, c in raw.items():
-        dinv = packed & 0xFF
-        area = packed >> 8 & 0xFF
-        dev = packed >> 16 & 0xF
-        perm = kernels.decode_perm(packed >> 20, n)
-        table.setdefault((perm, dev), {})[(area, dinv)] = c
-    with _cache_lock:
-        _cache[key] = table
-    return table
+    return _table("qt_dw", n, threads, (kernels.DWORD, kernels.DEV),
+                  (kernels.AREA, kernels.DINV), _perm_dev)
 
 
-def qsym_by_diagword(n: int, threads: int = 1,
-                     backend: Optional[str] = None) -> QSymTable:
+def qsym_by_diagword(n: int, threads: int = 1) -> QSymTable:
     """(diagword, deviation) -> {(area, dinv, ides mask): count}."""
-    key = ("qsym_dw", n)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-
-    def pack(blk):
-        _check_widths(blk, n)
-        return ((((blk[:, kernels.DWORD] << 4 | blk[:, kernels.DEV]) << 8
-                  | blk[:, kernels.AREA]) << 8 | blk[:, kernels.DINV]) << 8
-                | blk[:, kernels.IDES])
-
-    raw = _accumulate(n, threads, backend, pack, None)
-    table: QSymTable = {}
-    for packed, c in raw.items():
-        ides = packed & 0xFF
-        dinv = packed >> 8 & 0xFF
-        area = packed >> 16 & 0xFF
-        dev = packed >> 24 & 0xF
-        perm = kernels.decode_perm(packed >> 28, n)
-        table.setdefault((perm, dev), {})[(area, dinv, ides)] = c
-    with _cache_lock:
-        _cache[key] = table
-    return table
+    return _table("qsym_dw", n, threads, (kernels.DWORD, kernels.DEV),
+                  (kernels.AREA, kernels.DINV, kernels.IDES), _perm_dev)
 
 
-def qsym_by_touch(n: int, threads: int = 1,
-                  backend: Optional[str] = None) -> TouchTable:
+def qsym_by_touch(n: int, threads: int = 1) -> TouchTable:
     """(touch, is parking) -> {(area, dinv, ides mask): count}."""
-    key = ("qsym_touch", n)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-
-    def pack(blk):
-        _check_widths(blk, n)
-        return ((((blk[:, kernels.TOUCH] << 1 | blk[:, kernels.PARK]) << 8
-                  | blk[:, kernels.AREA]) << 8 | blk[:, kernels.DINV]) << 8
-                | blk[:, kernels.IDES])
-
-    raw = _accumulate(n, threads, backend, pack, None)
-    table: TouchTable = {}
-    for packed, c in raw.items():
-        ides = packed & 0xFF
-        dinv = packed >> 8 & 0xFF
-        area = packed >> 16 & 0xFF
-        park = bool(packed >> 24 & 1)
-        touch = packed >> 25
-        table.setdefault((touch, park), {})[(area, dinv, ides)] = c
-    with _cache_lock:
-        _cache[key] = table
-    return table
+    return _table("qsym_touch", n, threads, (kernels.TOUCH, kernels.PARK),
+                  (kernels.AREA, kernels.DINV, kernels.IDES), _touch_park)
 
 
 def clear_cache() -> None:

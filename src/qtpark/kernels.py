@@ -22,8 +22,9 @@ invert the packing.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Optional, Tuple
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Deque, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -252,19 +253,27 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
 
     Chunk boundaries depend only on n and ``chunk``, never on ``threads``,
     so the stream of blocks (and anything folded over it in order) is
-    identical for any worker count.
+    identical for any worker count.  With several workers at most
+    ``2 * threads`` blocks are submitted but not yet yielded, which bounds
+    memory whatever n is.
     """
     total = n ** n
-    starts = list(range(0, total, chunk))
+    starts = range(0, total, chunk)
     if threads <= 1 or len(starts) <= 1:
         for s in starts:
             yield s, stats_block(n, s, min(s + chunk, total), backend)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(stats_block, n, s, min(s + chunk, total), backend)
-                   for s in starts]
-        for s, fut in zip(starts, futures):
-            yield s, fut.result()
+        pending: Deque[Tuple[int, Future]] = deque()
+        for s in starts:
+            if len(pending) == 2 * threads:
+                head, fut = pending.popleft()
+                yield head, fut.result()
+            pending.append((s, pool.submit(stats_block, n, s,
+                                           min(s + chunk, total), backend)))
+        while pending:
+            head, fut = pending.popleft()
+            yield head, fut.result()
 
 
 def decode_perm(code: int, n: int) -> Tuple[int, ...]:

@@ -259,14 +259,6 @@ class QTPoly:
         res._terms = quot
         return res
 
-    def divides(self, other: "QTPoly") -> bool:
-        """True when self divides other exactly."""
-        try:
-            other.divexact(self)
-            return True
-        except ValueError:
-            return False
-
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
@@ -439,13 +431,6 @@ class QTRatio:
         if not d:
             raise ZeroDivisionError("denominator vanishes at this point")
         return self.num.evaluate(qv, tv) / d
-
-    def is_polynomial(self) -> bool:
-        try:
-            self.num.divexact(self.den)
-            return True
-        except ValueError:
-            return False
 
     def to_poly(self) -> QTPoly:
         """The quotient as a QTPoly; raises ValueError if it is not one."""
@@ -680,16 +665,6 @@ class ZPoly:
 
     def __hash__(self) -> int:  # pragma: no cover
         raise TypeError("ZPoly is not hashable")
-
-    def evaluate_z(self, zv: Union[int, Fraction]) -> QTRatio:
-        """Substitute a nonzero rational for z, collapsing to a QTRatio."""
-        zv = Fraction(zv)
-        if not zv and self.min_exp() < 0:
-            raise ZeroDivisionError("negative z exponent at z = 0")
-        total = QTRatio.zero()
-        for k, v in self._coeffs.items():
-            total = total + v * QTRatio(QTPoly.const(zv ** k))
-        return total
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -256,12 +256,10 @@ def qsym_for_diagword(n: int, tau: Sequence[int],
     tau = tuple(tau)
     table = aggregate.qsym_by_diagword(n, threads=threads)
     out = QSymF.zero(n)
-    for (perm, dev), counts in table.items():
-        if perm != tau:
-            continue
-        if deviation is not None and dev != deviation:
-            continue
-        out = out + _qsym_from_counts(n, counts)
+    for dev in range(n) if deviation is None else (deviation,):
+        counts = table.get((tau, dev))
+        if counts:
+            out = out + _qsym_from_counts(n, counts)
     return out
 
 
@@ -365,5 +363,7 @@ def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:
         qpow = QTPoly.q(invs) if invs else ONE
         enumerated = enumerated + qpow
         rhs = rhs + QSymF.fundamental(base_ides | extra, n, qpow)
-    assert enumerated == scalar, rd.tau
+    if enumerated != scalar:
+        raise RuntimeError(f"Young subgroup of {rd.tau}: q-count {enumerated} "
+                           f"differs from block q-factorials {scalar}")
     return lhs * scalar == rhs * pref_closed_form(rd.tau, l)

@@ -1,0 +1,132 @@
+"""Count tables against a pure-Python fold, key bounds and refused inputs."""
+
+import os
+import subprocess
+import sys
+import textwrap
+
+import numpy as np
+import pytest
+
+import qtpark
+from qtpark import aggregate, kernels
+from qtpark.paths import enumerate_all, stats
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    aggregate.clear_cache()
+    yield
+    aggregate.clear_cache()
+
+
+def reference_tables(n):
+    """The three tables folded one function at a time from paths.stats."""
+    qt, qsym, touch = {}, {}, {}
+    for pf in enumerate_all(n):
+        s = stats(pf)
+        mask = sum(1 << (i - 1) for i in s.ides)
+        for table, key, value in (
+                (qt, (s.diagword, s.deviation), (s.area, s.dinv)),
+                (qsym, (s.diagword, s.deviation), (s.area, s.dinv, mask)),
+                (touch, (s.touch, s.deviation == 0), (s.area, s.dinv, mask))):
+            counts = table.setdefault(key, {})
+            counts[value] = counts.get(value, 0) + 1
+    return qt, qsym, touch
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_views_match_reference_fold(n):
+    qt, qsym, touch = reference_tables(n)
+    assert aggregate.qt_by_diagword(n, threads=2) == qt
+    assert aggregate.qsym_by_diagword(n, threads=2) == qsym
+    assert aggregate.qsym_by_touch(n, threads=2) == touch
+    if n >= 2:  # the comparison covers the non-parking keys
+        assert any(dev > 0 for _, dev in qsym)
+        assert any(not park for _, park in touch)
+
+
+def fake_stream(rows):
+    """A stand-in for kernels.iter_stat_chunks yielding one block of rows."""
+    def stream(n, threads=1, **kwargs):
+        blk = np.zeros((len(rows), kernels.NCOL), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for col, value in row.items():
+                blk[i, col] = value
+        yield 0, blk
+    return stream
+
+
+def test_ides_mask_round_trips_at_n10(monkeypatch):
+    n = 10
+    tau = (3, 1, 4, 10, 5, 9, 2, 6, 8, 7)
+    code = sum((v - 1) * n ** (n - 1 - i) for i, v in enumerate(tau))
+    row = {kernels.DWORD: code, kernels.DEV: 2, kernels.AREA: 40,
+           kernels.DINV: 18, kernels.IDES: 0b111111111}
+    monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([row] * 3))
+    table = aggregate.qsym_by_diagword(n)
+    assert table == {(tau, 2): {(40, 18, 0b111111111): 3}}
+
+
+def test_key_too_wide_is_refused_before_any_block(monkeypatch):
+    calls = []
+
+    def stream(*args, **kwargs):
+        calls.append(args)
+        return iter(())
+
+    monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
+    monkeypatch.setattr(kernels, "stats_block", stream)
+    with pytest.raises(ValueError):
+        aggregate.qsym_by_diagword(11)
+    assert calls == []
+
+
+@pytest.mark.parametrize("col,value", [
+    (kernels.DEV, 4), (kernels.DEV, -1), (kernels.IDES, 8),
+    (kernels.AREA, 17), (kernels.DWORD, 4 ** 4),
+], ids=["dev-high", "dev-negative", "ides", "area", "diagword"])
+def test_out_of_range_block_is_refused(monkeypatch, col, value):
+    monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([{col: value}]))
+    with pytest.raises(ValueError):
+        aggregate.qsym_by_diagword(4)
+    assert ("qsym_dw", 4) not in aggregate._cache
+
+
+GUARDS = textwrap.dedent("""
+    import numpy as np
+    from qtpark import aggregate, kernels, quasisym
+    from qtpark.qt import ONE
+
+    real_stream = kernels.iter_stat_chunks
+
+    def bad_stream(n, threads=1, **kwargs):
+        blk = np.zeros((1, kernels.NCOL), dtype=np.int64)
+        blk[0, kernels.DEV] = n
+        yield 0, blk
+
+    kernels.iter_stat_chunks = bad_stream
+    try:
+        aggregate.qt_by_diagword(3)
+    except ValueError:
+        print("fold guard fired")
+    kernels.iter_stat_chunks = real_stream
+
+    quasisym.yconsec_inv_sum = lambda cb: ONE + ONE
+    try:
+        quasisym.factor_check((1, 2, 3), 0)
+    except RuntimeError:
+        print("factor_check guard fired")
+""")
+
+
+def test_guards_fire_under_python_O():
+    src = os.path.dirname(os.path.dirname(qtpark.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", GUARDS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["fold guard fired",
+                                        "factor_check guard fired"]

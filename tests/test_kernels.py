@@ -1,5 +1,8 @@
 """Batch kernels against the per-function reference, across backends."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,28 @@ def test_chunk_stream_thread_invariant(threads):
                                                  chunk=500)]
     whole = np.concatenate(blocks)
     assert np.array_equal(whole, stats_block(n, 0, n ** n))
+
+
+def test_chunk_stream_bounds_outstanding_blocks(monkeypatch):
+    lock = threading.Lock()
+    started, yielded, peak = [0], [0], [0]
+    real = kernels.stats_block
+
+    def counting(*args, **kwargs):
+        with lock:
+            started[0] += 1
+            peak[0] = max(peak[0], started[0] - yielded[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "stats_block", counting)
+    starts = []
+    for s, _ in iter_stat_chunks(5, threads=2, chunk=100):
+        time.sleep(0.005)  # a slow consumer lets eager workers run ahead
+        starts.append(s)
+        with lock:
+            yielded[0] += 1
+    assert starts == list(range(0, 5 ** 5, 100))
+    assert peak[0] <= 4
 
 
 def test_chunk_starts_cover_range():
