@@ -16,6 +16,7 @@ from itertools import combinations_with_replacement, permutations
 from typing import Callable, Dict, Optional, Tuple
 
 from . import aggregate
+from .paths import DEFAULT_MAX_N
 from .qt import QTPoly, q_factorial, q_int
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
 from .quasisym import qsym_total
@@ -35,6 +36,10 @@ DEFAULT_N: Dict[str, Tuple[int, int]] = {
     "thm-enk-sum": (1, 6),
     "main-square-paths": (1, 6),
 }
+
+# Checks that sweep all n^n functions for every n in their range.
+SWEPT = frozenset({"thm-schedule-closed-form", "lemma-factorlemma",
+                   "cor-withides", "main-square-paths"})
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,9 @@ class CheckSpec:
             object.__setattr__(self, "n_hi", hi)
         if not 1 <= self.n_lo <= self.n_hi:
             raise ValueError(f"bad n range {self.n_lo}..{self.n_hi}")
+        if self.id in SWEPT and self.n_hi > DEFAULT_MAX_N:
+            raise ValueError(f"{self.id} sweeps n^n functions; n must lie "
+                             f"in 1..{DEFAULT_MAX_N}")
         if self.tau is not None:
             object.__setattr__(self, "tau", tuple(self.tau))
         if self.threads < 1:

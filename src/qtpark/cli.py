@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--diagword", help="keep one diagonal word")
     p_enum.add_argument("--deviation", type=int)
     p_enum.add_argument("--touch", type=int)
-    p_enum.add_argument("--threads", type=int, default=1)
     p_enum.add_argument("--allow-large", action="store_true",
                         help=f"permit n = {ENUM_HARD_MAX}")
     p_enum.set_defaults(func=cmd_enumerate)

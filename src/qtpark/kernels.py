@@ -12,11 +12,19 @@ The active default is chosen by the ``QTPARK_KERNEL`` environment variable:
 function also takes an explicit ``backend`` argument that overrides the
 environment, which is what the benchmark and the cross-checking tests use.
 
-Each output row describes one preference function by integers only; the
-permutation-valued and composition-valued statistics are packed into
-base-n / base-(n+1) codes (big-endian, car labels minus one as digits) so a
-row fits in twelve int64 columns.  ``decode_perm`` and ``decode_comp``
-invert the packing.
+Each output row describes one preference function in seven int64 columns,
+exactly the ones the count tables in ``aggregate`` fold:
+
+    AREA, DINV   value columns of every table (the t and q exponents)
+    IDES         value column of ``qsym_by_diagword`` and ``qsym_by_touch``,
+                 the ides set as a bit mask (``decode_ides``)
+    DWORD, DEV   key of ``qt_by_diagword`` and ``qsym_by_diagword``; the
+                 diagword is a base-n code, big-endian, car labels minus one
+                 as digits (``decode_perm``)
+    TOUCH, PARK  key of ``qsym_by_touch``
+
+The reading word, the composition and the three dinv parts are computed
+per function by ``paths.stats`` alone.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ except ImportError:  # pragma: no cover
 
 
 # Column layout of a statistics block.
-AREA, DINV, DPRIM, DSEC, DTERT, DEV, TOUCH, IDES, DWORD, WORD, COMP, PARK = range(12)
-NCOL = 12
+AREA, DINV, DEV, TOUCH, IDES, DWORD, PARK = range(7)
+NCOL = 7
 
 CHUNK = 1 << 16
 
@@ -71,7 +79,6 @@ def _fill_block_numba(n, start, out):  # pragma: no cover - measured via results
     diag = np.empty(n, np.int64)
     order = np.empty(n, np.int64)
     key = np.empty(n, np.int64)
-    mcols = np.empty(n, np.int64)
     pw = np.empty(n, np.int64)
     p = 1
     for j in range(n - 1, -1, -1):
@@ -116,9 +123,8 @@ def _fill_block_numba(n, start, out):  # pragma: no cover - measured via results
         for i in range(1, n):
             if diag[i] > diag[i - 1] or (diag[i] == diag[i - 1] and f[i] > f[i - 1]):
                 ides |= 1 << (i - 1)
-        # diagword: ascending (n - diag, car); word: ascending (n - diag, n - col)
+        # diagword: cars in ascending (n - diag, car) order
         dword = 0
-        word = 0
         for c in range(n):
             key[c] = (n - diag[c]) * n + c
         for pos in range(n):
@@ -130,40 +136,13 @@ def _fill_block_numba(n, start, out):  # pragma: no cover - measured via results
             key[best] = -1
         for pos in range(n):
             dword += order[pos] * pw[pos]
-        for c in range(n):
-            key[c] = (n - diag[c]) * n + (n - f[c])
-        for pos in range(n):
-            best = -1
-            for c in range(n):
-                if key[c] >= 0 and (best < 0 or key[c] < key[best]):
-                    best = c
-            order[pos] = best
-            key[best] = -1
-        for pos in range(n):
-            word += order[pos] * pw[pos]
-        comp = 0
-        if dev == 0:
-            m = 0
-            for c in range(n):
-                if diag[c] == 0:
-                    mcols[m] = f[c]
-                    m += 1
-            mcols[:m].sort()
-            for j in range(m):
-                nxtc = mcols[j + 1] if j + 1 < m else n + 1
-                comp = comp * (n + 1) + (nxtc - mcols[j])
-        out[r, 0] = area
-        out[r, 1] = dp + ds + dt
-        out[r, 2] = dp
-        out[r, 3] = ds
-        out[r, 4] = dt
-        out[r, 5] = dev
-        out[r, 6] = touch
-        out[r, 7] = ides
-        out[r, 8] = dword
-        out[r, 9] = word
-        out[r, 10] = comp
-        out[r, 11] = 1 if dev == 0 else 0
+        out[r, AREA] = area
+        out[r, DINV] = dp + ds + dt
+        out[r, DEV] = dev
+        out[r, TOUCH] = touch
+        out[r, IDES] = ides
+        out[r, DWORD] = dword
+        out[r, PARK] = 1 if dev == 0 else 0
 
 
 def _fill_block_numpy(n: int, start: int, stop: int) -> np.ndarray:
@@ -196,34 +175,17 @@ def _fill_block_numpy(n: int, start: int, stop: int) -> np.ndarray:
 
     order_dw = np.argsort((n - diag) * n + cars[None, :], axis=1, kind="stable")
     dword = (order_dw * powers[None, :]).sum(axis=1)
-    order_w = np.argsort((n - diag) * n + (n - F), axis=1, kind="stable")
-    word = (order_w * powers[None, :]).sum(axis=1)
 
     touch = (diag == -dev[:, None]).sum(axis=1)
     park = dev == 0
 
-    mcols = np.sort(np.where(diag == 0, F, n + 1), axis=1)
-    nxt = np.concatenate(
-        [mcols[:, 1:], np.full((nrows, 1), n + 1, dtype=np.int64)], axis=1)
-    j = np.arange(n, dtype=np.int64)[None, :]
-    valid = j < touch[:, None]
-    parts = np.where(valid, nxt - mcols, 0)
-    mult = np.where(valid,
-                    (n + 1) ** np.maximum(touch[:, None] - 1 - j, 0), 0)
-    comp = np.where(park, (parts * mult).sum(axis=1), 0)
-
     out = np.empty((nrows, NCOL), dtype=np.int64)
     out[:, AREA] = area
     out[:, DINV] = dp + ds + dt
-    out[:, DPRIM] = dp
-    out[:, DSEC] = ds
-    out[:, DTERT] = dt
     out[:, DEV] = dev
     out[:, TOUCH] = touch
     out[:, IDES] = ides
     out[:, DWORD] = dword
-    out[:, WORD] = word
-    out[:, COMP] = comp
     out[:, PARK] = park.astype(np.int64)
     return out
 
@@ -283,15 +245,6 @@ def decode_perm(code: int, n: int) -> Tuple[int, ...]:
         digits.append(code % n)
         code //= n
     return tuple(d + 1 for d in reversed(digits))
-
-
-def decode_comp(code: int, parts: int, n: int) -> Tuple[int, ...]:
-    """Invert the base-(n+1) packing of a composition with given part count."""
-    out = []
-    for _ in range(parts):
-        out.append(code % (n + 1))
-        code //= n + 1
-    return tuple(reversed(out))
 
 
 def decode_ides(mask: int, n: int) -> frozenset:

@@ -107,17 +107,6 @@ class QTPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def has_negative_exponent(self) -> bool:
-        return any(qe < 0 or te < 0 for qe, te in self._terms)
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial; error if not constant."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) == {(0, 0)}:
-            return self._terms[(0, 0)]
-        raise ValueError(f"not a constant polynomial: {self}")
-
     # -- arithmetic ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

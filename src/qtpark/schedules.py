@@ -278,6 +278,12 @@ def insertion_order(tau: Sequence[int], l: int = 0) -> Tuple[int, ...]:
     return tuple(head + tail)
 
 
+def _require(ok: bool, *detail: object) -> None:
+    """The guard of one tree invariant in generate; holds under python -O."""
+    if not ok:
+        raise RuntimeError(f"insertion tree invariant broken: {detail!r}")
+
+
 def generate(tau: Sequence[int],
              l: int) -> List[Tuple[PrefFunc, Tuple[int, ...]]]:
     """All preference functions with diagonal word tau and deviation l,
@@ -324,13 +330,13 @@ def generate(tau: Sequence[int],
     def column(word: Sequence[int], p: int) -> int:
         return p + 1 - diag_of[word[p]]
 
-    def assert_valid(word: Sequence[int]) -> None:
+    def require_valid(word: Sequence[int]) -> None:
         cols = [column(word, p) for p in range(len(word))]
         for p, col in enumerate(cols):
-            assert 1 <= col <= n, (word, cols)
+            _require(1 <= col <= n, word, cols)
             if p:
-                assert col > cols[p - 1] or (
-                    col == cols[p - 1] and word[p] > word[p - 1]), (word, cols)
+                _require(col > cols[p - 1] or (
+                    col == cols[p - 1] and word[p] > word[p - 1]), word, cols)
 
     def pair_count(word: Sequence[int]) -> int:
         """Primary + secondary dinv pairs among the placed cars."""
@@ -355,9 +361,9 @@ def generate(tau: Sequence[int],
                 f[c - 1] = column(word, p)
             pf = PrefFunc(tuple(f))
             rec = stats(pf)
-            assert rec.diagword == rd.tau and rec.deviation == l, pf
-            assert rec.area == maj_tau, pf
-            assert rec.dinv == baseline + sum(trace), (pf, trace)
+            _require(rec.diagword == rd.tau and rec.deviation == l, pf)
+            _require(rec.area == maj_tau, pf)
+            _require(rec.dinv == baseline + sum(trace), pf, trace)
             out.append((pf, tuple(trace)))
             return
         c = order[i]
@@ -380,23 +386,23 @@ def generate(tau: Sequence[int],
             for j, y in enumerate(word):
                 if run_of[y] == ri or (y in prev and y > c):
                     slots.append(j)
-        assert len(slots) == weights[c], (c, slots, weights[c])
+        _require(len(slots) == weights[c], c, slots, weights[c])
         children = []
         for s in slots:
             child = word[:s] + [c] + word[s:]
-            assert_valid(child)
+            require_valid(child)
             gained = pair_count(child) - pairs
             children.append((column(child, s), gained, child))
         children.sort(key=lambda ch: -ch[0] if not in_second else ch[0])
-        assert [g for _, g, _ in children] == list(range(len(children))), \
-            (c, children)
+        _require([g for _, g, _ in children] == list(range(len(children))),
+                 c, children)
         for _, gained, child in children:
             trace.append(gained)
             expand(i + 1, child, trace, pairs + gained)
             trace.pop()
 
     expand(0, [], [], 0)
-    assert len(out) == prod(weights.values())
-    assert len({pf.f for pf, _ in out}) == len(out)
+    _require(len(out) == prod(weights.values()), rd.tau, l)
+    _require(len({pf.f for pf, _ in out}) == len(out), rd.tau, l)
     out.sort(key=lambda item: item[0].f)
     return out

@@ -333,8 +333,8 @@ def c_op(a: int, F: PExpansion) -> PExpansion:
     """(-1/q)^(a-1) [z^a] (F[X - (1-1/q)/z] * sum_m z^m h_m[X]).
 
     The h-sum is truncated at a + d where -d is the lowest z exponent the
-    shift introduced; lower terms cannot reach z^a, which the truncation
-    assertion re-derives rather than assumes.
+    shift introduced (d = 0 when none is negative): a term z^m h_m with
+    m > a + d would need a z exponent below -d to reach z^a.
     """
     if a < 1:
         raise ValueError(f"operator index must be positive: {a}")
@@ -343,7 +343,6 @@ def c_op(a: int, F: PExpansion) -> PExpansion:
             f"result degree {F.degree() + a} exceeds bound {DEGREE_BOUND}")
     shifted = pleth_apply(F, cop_alphabet_shift())
     depth = max(0, -shifted.min_z_exp())
-    assert shifted.min_z_exp() >= -depth
     hsum = PExpansion.one()
     for m in range(1, a + depth + 1):
         hsum = hsum + h_in_p(m) * ZPoly.z(m)
@@ -379,7 +378,8 @@ def e_nk(n: int) -> List[PExpansion]:
         k: {} for k in range(1, n + 1)}
     for lam in partitions(n):
         c = lhs.coefficient(lam)
-        assert c.min_exp() >= 0 and c.max_exp() <= n, lam
+        if c.min_exp() < 0 or c.max_exp() > n:
+            raise RuntimeError(f"e_nk({n}): z-degrees of {lam} outside 0..{n}")
         xs: Dict[int, QTRatio] = {}
         for j in range(n, 0, -1):
             residual = c.coefficient(j)
@@ -389,7 +389,8 @@ def e_nk(n: int) -> List[PExpansion]:
         constant = QTRatio.zero()
         for k in range(1, n + 1):
             constant = constant + basis[k].coefficient(0) * xs[k]
-        assert constant == c.coefficient(0), lam
+        if constant != c.coefficient(0):
+            raise RuntimeError(f"e_nk({n}): constant term of {lam} unsolved")
         for k, r in xs.items():
             if not r.is_zero():
                 solved[k][lam] = r
@@ -459,7 +460,8 @@ def sym_to_qsym(F: PExpansion, n: int) -> QSymF:
     for expv, r in mono.items():
         key = tuple(v for v in expv if v)
         lead = key + (0,) * (n - len(key))
-        assert mono.get(lead) == r, (expv, "not quasisymmetric")
+        if mono.get(lead) != r:
+            raise RuntimeError(f"monomial {expv} breaks quasisymmetry")
         packed[key] = mono[lead]
     coeffs = {alpha: r.to_poly() for alpha, r in packed.items()}
     return expand_in_fundamentals(MonomialForm(n, coeffs))

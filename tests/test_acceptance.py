@@ -150,8 +150,7 @@ def test_criterion_9_determinism():
                        aggregate.qsym_by_touch(n, threads=threads)))
         buf = io.StringIO()
         with redirect_stdout(buf):
-            code = cli.main(["enumerate", "--n", str(n),
-                             "--threads", str(threads)])
+            code = cli.main(["enumerate", "--n", str(n)])
         stdouts.append((code, buf.getvalue()))
     ok = all(np.array_equal(arrays[0], a) for a in arrays[1:])
     ok = ok and tables[0] == tables[1] == tables[2]

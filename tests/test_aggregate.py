@@ -95,7 +95,7 @@ def test_out_of_range_block_is_refused(monkeypatch, col, value):
 
 GUARDS = textwrap.dedent("""
     import numpy as np
-    from qtpark import aggregate, kernels, quasisym
+    from qtpark import aggregate, kernels, quasisym, symfunc
     from qtpark.qt import ONE
 
     real_stream = kernels.iter_stat_chunks
@@ -117,6 +117,12 @@ GUARDS = textwrap.dedent("""
         quasisym.factor_check((1, 2, 3), 0)
     except RuntimeError:
         print("factor_check guard fired")
+
+    symfunc.enk_alphabet_scale = symfunc.cop_alphabet_shift
+    try:
+        symfunc.e_nk(3)
+    except RuntimeError:
+        print("e_nk guard fired")
 """)
 
 
@@ -129,4 +135,5 @@ def test_guards_fire_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["fold guard fired",
-                                        "factor_check guard fired"]
+                                        "factor_check guard fired",
+                                        "e_nk guard fired"]

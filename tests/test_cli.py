@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from qtpark import aggregate
+from qtpark import aggregate, kernels
+from qtpark.checks import SWEPT
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, place, stats
 
@@ -132,6 +133,18 @@ def test_check_usage_errors(capsys):
     assert run(capsys, "check", "thm-hmz", "--n", "x")[0] == 2
 
 
+@pytest.mark.parametrize("check_id", sorted(SWEPT))
+def test_check_refuses_oversized_sweep(capsys, monkeypatch, check_id):
+    calls = []
+    monkeypatch.setattr(kernels, "stats_block",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "check", check_id, "--n", "10")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert calls == []
+
+
 def test_check_wall_time_not_in_stdout(capsys):
     _, out, _ = run(capsys, "check", "thm-hmz", "--n", "1..2")
     assert "wall" not in out
@@ -140,7 +153,7 @@ def test_check_wall_time_not_in_stdout(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("table", "polynomials", "--n", "4"),
-    ("enumerate", "--n", "4"),
+    ("check", "main-square-paths", "--n", "1..4"),
     ("check", "cor-withides", "--n", "1..4"),
 ])
 def test_output_bytes_thread_invariant(capsys, argv):
