@@ -21,11 +21,17 @@ follows from n:
     DINV       n^2 + 1     dinv <= n^2
     IDES       2^(n-1)     a subset of 1..n-1 as a bit mask
 
-Keys are counted per block with ``np.unique``, the counts are merged, and
-the keys are split back into columns with the same radices.  The fold
-raises ``ValueError`` before any block is computed when the product of the
-radices does not fit in an int64 (``qsym_by_diagword`` for n >= 11), and
-while folding when a block value falls outside its radix.
+Keys are counted per block with ``np.unique``.  Once ``_MERGE_BATCH``
+such (key, count) entries are pending, they are merged into the running
+totals in numpy: a stable sort of the sorted runs, then ``np.add.reduceat``
+over each run of equal keys, in integers only.  The keys are then split
+back into columns with the same radices.  The fold comes out in increasing
+key order, so each table key is one contiguous run of rows, and tables
+iterate in key order (diagword, then deviation; touch, then parking).  No
+output depends on that order.  The fold raises ``ValueError`` before any
+block is computed when the product of the radices does not fit in an int64
+(``qsym_by_diagword`` for n >= 11), and while folding when a block value
+falls outside its radix.
 
 Tables are cached per (kind, n).  Worker count never changes a table:
 chunks are deterministic and integer counts commute.
@@ -57,24 +63,56 @@ _RADIX: Dict[int, Callable[[int], int]] = {
     kernels.IDES: lambda n: 2 ** (n - 1),
 }
 _KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
+# Pending per-block (key, count) entries merged into the running totals at
+# once: about 16 MB of arrays, small next to the dicts of an n = 8 table.
+_MERGE_BATCH = 1 << 20
 
 _cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _fold(n: int, threads: int,
-          columns: Tuple[int, ...]) -> Tuple[List[List[int]], List[int]]:
+def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum the counts of equal keys over (keys, counts) pairs.
+
+    Each part holds distinct keys in increasing order, so the stable sort
+    merges runs.  Returns the distinct keys in increasing order and their
+    counts.
+    """
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    order = np.argsort(keys, kind="stable")
+    keys, counts = keys[order], counts[order]
+    starts = _run_starts(keys)
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal rows of the aligned columns begins."""
+    first = np.zeros(cols[0].size, dtype=bool)
+    first[:1] = True
+    for col in cols:
+        first[1:] |= col[1:] != col[:-1]
+    return np.flatnonzero(first)
+
+
+def _fold(n: int, threads: int, columns: Tuple[int, ...]
+          ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Count the distinct rows of ``columns`` over all n^n functions.
 
-    Returns one list of values per column and the list of counts, aligned,
-    in order of first appearance in the block stream.
+    Returns one array of values per column and the array of counts,
+    aligned, in increasing key order: the rows sorted by the first column,
+    then the second, and so on.
     """
     radices = [_RADIX[c](n) for c in columns]
     size = math.prod(radices)
     if size > _KEY_LIMIT:
         raise ValueError(f"n = {n}: keys over columns {columns} reach "
                          f"{size - 1} > 2^63 - 1")
-    counts: Dict[int, int] = {}
+    empty = np.zeros(0, dtype=np.int64)
+    merged = (empty, empty)
+    pending: List[Tuple[np.ndarray, np.ndarray]] = []
+    npending = 0
     for _, blk in kernels.iter_stat_chunks(n, threads=threads):
         key = 0
         for c, r in zip(columns, radices):
@@ -84,40 +122,54 @@ def _fold(n: int, threads: int,
                 raise ValueError(f"n = {n}: column {c} holds {lo}..{hi}, "
                                  f"outside 0..{r - 1}")
             key = key * r + col
-        uniq, cnt = np.unique(key, return_counts=True)
-        for k, m in zip(uniq.tolist(), cnt.tolist()):
-            counts[k] = counts.get(k, 0) + m
-    rest = np.fromiter(counts, dtype=np.int64, count=len(counts))
+        pending.append(np.unique(key, return_counts=True))
+        npending += pending[-1][0].size
+        if npending >= _MERGE_BATCH:
+            merged = _merge([merged, *pending])
+            pending, npending = [], 0
+    rest, counts = _merge([merged, *pending])
     digits = []
     for r in reversed(radices):
         rest, d = np.divmod(rest, r)
-        digits.append(d.tolist())
-    return digits[::-1], list(counts.values())
+        digits.append(d)
+    return digits[::-1], counts
 
 
 def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
-           value_cols: Tuple[int, ...], decode: Callable[..., tuple]) -> dict:
-    """decode(n, *key values) -> {value columns: count}, cached per (kind, n)."""
+           value_cols: Tuple[int, ...], decode: Callable[..., list]) -> dict:
+    """Key -> {value columns: count}, cached per (kind, n).
+
+    ``decode(n, *key columns)`` turns the key columns, one list each, into
+    the list of table keys.
+    """
     with _cache_lock:
         if (kind, n) in _cache:
             return _cache[(kind, n)]
     cols, counts = _fold(n, threads, key_cols + value_cols)
     nk = len(key_cols)
-    groups: Dict[tuple, Dict[tuple, int]] = {}
-    for k, v, c in zip(zip(*cols[:nk]), zip(*cols[nk:]), counts):
-        groups.setdefault(k, {})[v] = c
-    table = {decode(n, *k): d for k, d in groups.items()}
+    # Rows come sorted by key columns first, so each key is one run.
+    starts = _run_starts(*cols[:nk])
+    keys = decode(n, *(col[starts].tolist() for col in cols[:nk]))
+    values = list(zip(*(col.tolist() for col in cols[nk:])))
+    tally = counts.tolist()
+    bounds = starts.tolist() + [len(tally)]
+    table = {k: dict(zip(values[i:j], tally[i:j]))
+             for k, i, j in zip(keys, bounds, bounds[1:])}
     with _cache_lock:
         _cache[(kind, n)] = table
     return table
 
 
-def _perm_dev(n: int, dword: int, dev: int) -> Tuple[Tuple[int, ...], int]:
-    return kernels.decode_perm(dword, n), dev
+def _perm_dev(n: int, dwords: List[int], devs: List[int]
+              ) -> List[Tuple[Tuple[int, ...], int]]:
+    # A diagword recurs once per deviation; decode each one once.
+    perms = {code: kernels.decode_perm(code, n) for code in set(dwords)}
+    return [(perms[code], dev) for code, dev in zip(dwords, devs)]
 
 
-def _touch_park(n: int, touch: int, park: int) -> Tuple[int, bool]:
-    return touch, bool(park)
+def _touch_park(n: int, touches: List[int], parks: List[int]
+                ) -> List[Tuple[int, bool]]:
+    return [(touch, bool(park)) for touch, park in zip(touches, parks)]
 
 
 def qt_by_diagword(n: int, threads: int = 1) -> QTTable:

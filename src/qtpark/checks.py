@@ -69,6 +69,10 @@ class CheckSpec:
         if self.id in SWEPT and self.n_hi > DEFAULT_MAX_N:
             raise ValueError(f"{self.id} sweeps n^n functions; n must lie "
                              f"in 1..{DEFAULT_MAX_N}")
+        if (self.id == "thm-shift-multiset" and self.tau is None
+                and self.n_hi > DEFAULT_MAX_N):
+            raise ValueError(f"{self.id} without --tau walks all n! "
+                             f"permutations; n must lie in 1..{DEFAULT_MAX_N}")
         if self.tau is not None:
             object.__setattr__(self, "tau", tuple(self.tau))
         if self.threads < 1:
@@ -129,8 +133,11 @@ def _ls(spec: CheckSpec, nruns: int, lo: int = 0):
 def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
     examined = 0
     for n in spec.n_range:
+        taus = list(_taus(spec, n))
+        if not taus:  # --tau names another n: no table to build
+            continue
         table = aggregate.qt_by_diagword(n, threads=spec.threads)
-        for tau in _taus(spec, n):
+        for tau in taus:
             nruns = len(runs(tau).runs)
             for l in _ls(spec, nruns):
                 examined += 1

@@ -5,7 +5,16 @@ hot loop in the package.  Two interchangeable implementations compute the
 same integer table:
 
 * a numba ``@njit`` kernel (row-at-a-time integer loops, GIL released), and
-* a pure-numpy vectorized fallback.
+* a pure-numpy kernel, vectorized across the rows of a block.
+
+The numpy kernel works column-major, on (n, rows) int8 arrays, and needs no
+sort.  It splits each function into a path part and a labeling part, as in
+Loehr-Warrington, "Square q,t-lattice paths and nabla(p_n)" (Trans. AMS
+2007): each car's grid row, and then its place in the diagword, is a count
+of comparisons with the other cars.  One loop over the n(n-1)/2 pairs
+a < b of cars finds the rows; a second finds the diagword places and the
+dinv pair terms.  ``stats_block`` refuses any n above ``MAX_N``, where
+those small integer types could wrap.
 
 The active default is chosen by the ``QTPARK_KERNEL`` environment variable:
 ``numba``, ``numpy``, or ``auto`` (unset; numba when importable).  Every
@@ -55,6 +64,13 @@ AREA, DINV, DEV, TOUCH, IDES, DWORD, PARK = range(7)
 NCOL = 7
 
 CHUNK = 1 << 16
+
+# Largest n the kernels accept.  Indices and diagword codes run below
+# n^n <= 2^63, so they fit an int64.  The numpy kernel keeps every per-car
+# value and pair count in int8 (|diag| < n, rows and diagword places <= n,
+# dinv <= n(n-1)/2 + n <= 127) and sum(f) <= n^2 and ides < 2^(n-1) in
+# int16; all of this holds for n <= 15.
+MAX_N = 15
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
@@ -146,47 +162,66 @@ def _fill_block_numba(n, start, out):  # pragma: no cover - measured via results
 
 
 def _fill_block_numpy(n: int, start: int, stop: int) -> np.ndarray:
-    idx = np.arange(start, stop, dtype=np.int64)
-    nrows = idx.size
+    # Column-major: entry [c, r] is car c + 1 of the block's r-th function.
+    # Every rank below is a count over the pairs a < b of cars, so the
+    # block needs no sort and no (rows, n, n) cube.
+    nrows = stop - start
+    cars = np.arange(n, dtype=np.int8)
+    F = np.empty((n, nrows), dtype=np.int8)
+    rest = np.arange(start, stop, dtype=np.int64)
+    for c in range(n - 1, -1, -1):
+        quot = rest // n
+        F[c] = rest - quot * n + 1
+        rest = quot
+
+    # row[c] = 1 + #{c' : f[c'] < f[c]} + #{c' < c : f[c'] = f[c]}
+    row = np.repeat(cars[:, None] + 1, nrows, axis=1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            later_first = F[a] > F[b]
+            row[a] += later_first
+            row[b] -= later_first
+    diag = row - F
+
+    # pos[c] = #{c' : diag[c'] > diag[c]} + #{c' < c : diag[c'] = diag[c]}
+    # is the place of car c + 1 in the diagword; dinv counts the primary
+    # and secondary pairs here, the tertiary cars below.
+    pos = np.repeat(cars[:, None], nrows, axis=1)
+    dinv = np.zeros(nrows, dtype=np.int8)
+    for a in range(n):
+        for b in range(a + 1, n):
+            rise = diag[b] - diag[a]
+            higher = rise > 0
+            pos[a] += higher
+            pos[b] -= higher
+            dinv += (((rise == 0) & (F[a] < F[b]))
+                     | ((rise == 1) & (F[a] > F[b])))
+
+    mind = diag.min(axis=0)
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    F = (idx[:, None] // powers[None, :]) % n + 1
-    cars = np.arange(n, dtype=np.int64)
-
-    order = np.argsort(F * n + cars[None, :], axis=1, kind="stable")
-    rows = np.empty_like(order)
-    np.put_along_axis(rows, order,
-                      np.broadcast_to(np.arange(1, n + 1, dtype=np.int64),
-                                      order.shape), axis=1)
-    diag = rows - F
-    dev = -diag.min(axis=1)
-    area = diag.sum(axis=1) + n * dev
-
-    da, db = diag[:, :, None], diag[:, None, :]
-    ca, cb = F[:, :, None], F[:, None, :]
-    tri = (cars[:, None] < cars[None, :])[None, :, :]
-    dp = ((da == db) & (ca < cb) & tri).sum(axis=(1, 2))
-    ds = ((da == db - 1) & (ca > cb) & tri).sum(axis=(1, 2))
-    dt = (diag < 0).sum(axis=1)
-
-    bits = (diag[:, 1:] > diag[:, :-1]) | ((diag[:, 1:] == diag[:, :-1])
-                                           & (F[:, 1:] > F[:, :-1]))
-    ides = (bits * (1 << np.arange(n - 1, dtype=np.int64))[None, :]).sum(axis=1) \
-        if n > 1 else np.zeros(nrows, dtype=np.int64)
-
-    order_dw = np.argsort((n - diag) * n + cars[None, :], axis=1, kind="stable")
-    dword = (order_dw * powers[None, :]).sum(axis=1)
-
-    touch = (diag == -dev[:, None]).sum(axis=1)
-    park = dev == 0
+    fsum = np.zeros(nrows, dtype=np.int16)
+    touch = np.zeros(nrows, dtype=np.int8)
+    ides = np.zeros(nrows, dtype=np.int16)
+    dword = np.zeros(nrows, dtype=np.int64)
+    for c in range(n):
+        fsum += F[c]
+        touch += diag[c] == mind
+        dinv += diag[c] < 0
+        dword += np.take(powers, pos[c]) * c  # digit c at place pos[c]
+        if c:
+            up = (diag[c] > diag[c - 1]) | ((diag[c] == diag[c - 1])
+                                             & (F[c] > F[c - 1]))
+            ides |= up.astype(np.int16) << (c - 1)
 
     out = np.empty((nrows, NCOL), dtype=np.int64)
-    out[:, AREA] = area
-    out[:, DINV] = dp + ds + dt
-    out[:, DEV] = dev
+    # The rows 1..n sum to n(n+1)/2, so sum(diag) = n(n+1)/2 - sum(f).
+    out[:, AREA] = n * (n + 1) // 2 - fsum - n * mind.astype(np.int64)
+    out[:, DINV] = dinv
+    out[:, DEV] = -mind
     out[:, TOUCH] = touch
     out[:, IDES] = ides
     out[:, DWORD] = dword
-    out[:, PARK] = park.astype(np.int64)
+    out[:, PARK] = mind == 0
     return out
 
 
@@ -197,6 +232,8 @@ def stats_block(n: int, start: int, stop: int,
     The index is the rank of f in lexicographic order, i.e. the base-n
     number with digits f(1)-1, ..., f(n)-1.
     """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n = {n} outside the kernels' range 1..{MAX_N}")
     total = n ** n
     if not 0 <= start <= stop <= total:
         raise ValueError(f"index range [{start}, {stop}) outside [0, {total}]")

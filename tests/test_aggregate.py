@@ -46,6 +46,45 @@ def test_views_match_reference_fold(n):
         assert any(not park for _, park in touch)
 
 
+def use_small_chunks(monkeypatch, rows):
+    """Make the folds stream blocks of ``rows`` rows."""
+    real_stream = kernels.iter_stat_chunks
+
+    def stream(n, threads=1, **kwargs):
+        return real_stream(n, threads=threads, chunk=rows)
+
+    monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_batched_merges_match_reference_fold(monkeypatch, n):
+    real_merge = aggregate._merge
+    merges = []
+
+    def counting_merge(parts):
+        merges.append(len(parts))
+        return real_merge(parts)
+
+    use_small_chunks(monkeypatch, 97)
+    monkeypatch.setattr(aggregate, "_merge", counting_merge)
+    monkeypatch.setattr(aggregate, "_MERGE_BATCH", 50)
+    qt, qsym, touch = reference_tables(n)
+    assert aggregate.qt_by_diagword(n, threads=2) == qt
+    assert aggregate.qsym_by_diagword(n, threads=2) == qsym
+    assert aggregate.qsym_by_touch(n, threads=2) == touch
+    if n == 5:  # 33 blocks of 97 rows: many merges, each of a few blocks
+        assert len(merges) > 10
+        assert max(merges) < 33
+
+
+def test_table_iterates_in_key_order(monkeypatch):
+    use_small_chunks(monkeypatch, 7)  # key order is not block order
+    table = aggregate.qt_by_diagword(4)
+    assert list(table) == sorted(table)
+    for counts in table.values():
+        assert list(counts) == sorted(counts)
+
+
 def fake_stream(rows):
     """A stand-in for kernels.iter_stat_chunks yielding one block of rows."""
     def stream(n, threads=1, **kwargs):

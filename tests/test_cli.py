@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from qtpark import aggregate, kernels
+from qtpark import aggregate, checks, kernels
 from qtpark.checks import SWEPT
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, place, stats
@@ -143,6 +143,49 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, check_id):
     assert out == ""
     assert "error:" in err
     assert calls == []
+
+
+def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
+    calls = []
+    real = checks.shift_multiset
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checks, "shift_multiset", counting)
+    code, out, err = run(capsys, "check", "thm-shift-multiset", "--n", "11")
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert calls == []
+    # One named tau of that size is a single walk step, not a refusal.
+    code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "11",
+                       "--tau", "3,1,4,11,5,9,2,6,8,7,10")
+    assert code == 0
+    assert json.loads(out)["examined"] == len(calls) > 0
+
+
+def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):
+    sizes = []
+    real = kernels.stats_block
+
+    def counting(n, *args, **kwargs):
+        sizes.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "stats_block", counting)
+    aggregate.clear_cache()
+    try:
+        code, out, _ = run(capsys, "check", "thm-schedule-closed-form",
+                           "--tau", "3142")
+    finally:
+        aggregate.clear_cache()
+    assert code == 0
+    report = json.loads(out)
+    assert report["parameters"]["n"] == "1..6"
+    assert report["examined"] == 3
+    assert sizes == [4]
 
 
 def test_check_wall_time_not_in_stdout(capsys):

@@ -15,14 +15,9 @@ from qtpark.paths import PrefFunc, stats
 BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_block_matches_reference(backend, n):
-    block = stats_block(n, 0, n ** n, backend=backend)
-    for idx in range(n ** n):
-        f = decode_f(idx, n)
-        s = stats(PrefFunc(f))
-        row = block[idx]
+def assert_rows_match_reference(block, n, start):
+    for offset, row in enumerate(block):
+        s = stats(PrefFunc(decode_f(start + offset, n)))
         assert row[AREA] == s.area
         assert row[DINV] == s.dinv
         assert row[DEV] == s.deviation
@@ -30,6 +25,34 @@ def test_block_matches_reference(backend, n):
         assert decode_ides(int(row[IDES]), n) == s.ides
         assert decode_perm(int(row[DWORD]), n) == s.diagword
         assert bool(row[PARK]) == (s.deviation == 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_matches_reference(backend, n):
+    assert_rows_match_reference(stats_block(n, 0, n ** n, backend=backend),
+                                n, 0)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("n", [6, 7, 8, 15])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_block_window_matches_reference(backend, n, where):
+    rows = 300
+    start = {"start": 0, "middle": (n ** n - rows) // 2,
+             "end": n ** n - rows}[where]
+    block = stats_block(n, start, start + rows, backend=backend)
+    assert block.shape == (rows, NCOL)
+    assert_rows_match_reference(block, n, start)
+
+
+@pytest.mark.parametrize("n", [0, 16, 20])
+def test_kernel_refuses_n_outside_its_range(n):
+    # 16^16 overflows the int64 indices and diagword codes.
+    assert kernels.MAX_N == 15
+    for backend in BACKENDS:
+        with pytest.raises(ValueError):
+            stats_block(n, 0, 1, backend=backend)
 
 
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
