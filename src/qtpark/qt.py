@@ -159,18 +159,20 @@ class QTPoly:
             return res
         if not isinstance(other, QTPoly):
             return NotImplemented
-        out: Dict[Exponent, Fraction] = {}
+        # Scale both sides to integers, sum the products as ints and make
+        # one Fraction per term, not one per product.
+        da = lcm(*(c.denominator for c in self._terms.values()))
+        db = lcm(*(c.denominator for c in other._terms.values()))
+        right = [(qb, tb, cb.numerator * (db // cb.denominator))
+                 for (qb, tb), cb in other._terms.items()]
+        ints: Dict[Exponent, int] = {}
         for (qa, ta), ca in self._terms.items():
-            for (qb, tb), cb in other._terms.items():
+            na = ca.numerator * (da // ca.denominator)
+            for qb, tb, nb in right:
                 e = (qa + qb, ta + tb)
-                acc = out.get(e)
-                s = acc + ca * cb if acc is not None else ca * cb
-                if s:
-                    out[e] = s
-                elif acc is not None:
-                    del out[e]
+                ints[e] = ints.get(e, 0) + na * nb
         res = QTPoly.__new__(QTPoly)
-        res._terms = out
+        res._terms = {e: Fraction(v, da * db) for e, v in ints.items() if v}
         return res
 
     __rmul__ = __mul__

@@ -240,12 +240,13 @@ def weighted_sum(family: Callable[[PrefFunc, StatRecord], bool], n: int,
 
 
 def _qsym_from_counts(n: int, counts: Dict[Tuple[int, int, int], int]) -> QSymF:
-    acc: Dict[Subset, QTPoly] = {}
+    # Each (area, dinv, mask) key is distinct: one term per key, and one
+    # QTPoly per ides mask built at once.
+    by_mask: Dict[int, Dict[Tuple[int, int], int]] = {}
     for (area, dinv, mask), c in counts.items():
-        s = kernels.decode_ides(mask, n)
-        term = QTPoly.monomial(dinv, area, c)
-        acc[s] = acc.get(s, QTPoly.zero()) + term
-    return QSymF(n, acc)
+        by_mask.setdefault(mask, {})[dinv, area] = c
+    return QSymF(n, {kernels.decode_ides(mask, n): QTPoly(terms)
+                     for mask, terms in by_mask.items()})
 
 
 def qsym_for_diagword(n: int, tau: Sequence[int],

@@ -13,6 +13,8 @@ coeffs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
 exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(QTPoly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
+int_polys = st.dictionaries(exponents, st.integers(-40, 40),
+                            max_size=6).map(QTPoly)
 
 
 def qt(qe=0, te=0, c=1):
@@ -48,6 +50,33 @@ def test_ring_axioms(a, b, c):
     assert a + QTPoly.zero() == a
     assert a * QTPoly.one() == a
     assert a - a == QTPoly.zero()
+
+
+def schoolbook_product(a, b):
+    out = {}
+    for (qa, ta), ca in a.terms():
+        for (qb, tb), cb in b.terms():
+            e = (qa + qb, ta + tb)
+            out[e] = out.get(e, 0) + ca * cb
+    return QTPoly(out)
+
+
+@given(int_polys | polys, int_polys | polys)
+@settings(max_examples=100)
+def test_product_matches_schoolbook(a, b):
+    p = a * b
+    assert p == schoolbook_product(a, b)
+    assert all(type(c) is Fraction and c for _, c in p.terms())
+
+
+def test_product_drops_cancelled_terms():
+    p = (ONE - QTPoly.q()) * (ONE + QTPoly.q())
+    assert p == ONE - QTPoly.q(2)
+    assert len(p) == 2
+    half = QTPoly.const(Fraction(1, 2))
+    p = (half - QTPoly.q()) * (half + QTPoly.q())
+    assert p == QTPoly.const(Fraction(1, 4)) - QTPoly.q(2)
+    assert len(p) == 2
 
 
 @given(polys, nonzero_polys)
