@@ -3,7 +3,8 @@
 Each check compares a closed form or algebraic identity against brute
 force at desk scale and reports the first counterexample it finds.  The
 serialized report never includes the wall time (that goes to stderr in
-the CLI) so command output stays byte-identical across runs.
+the CLI) so command output stays byte-identical across runs.  SCOPES
+holds the size rule of every CLI command, checks and tables alike.
 """
 
 from __future__ import annotations
@@ -25,59 +26,115 @@ from .schedules import pref_closed_form, runs, schedule0, schedule_l
 from .schedules import shift_multiset
 from .symfunc import e_in_p, e_nk, hmz_check, pn_identity_check
 
-DEFAULT_N: Dict[str, Tuple[int, int]] = {
-    "thm-schedule-closed-form": (1, 6),
-    "thm-shift-multiset": (1, 8),
-    "lemma-parlem": (1, 6),
-    "lemma-factorlemma": (1, 6),
-    "cor-withides": (1, 6),
-    "thm-hmz": (1, 6),
-    "thm-pn-identity": (1, 6),
-    "thm-enk-sum": (1, 6),
-    "main-square-paths": (1, 6),
+
+@dataclass(frozen=True)
+class Scope:
+    """The size rule of one command; ``scope`` applies it."""
+
+    # The n range run when --n is absent (None: the command needs --n).  A
+    # command that reads allow_large accepts n above it only with that.
+    default: Optional[Tuple[int, int]]
+    cap: int  # the largest n accepted
+    # The options besides --n that set what the command covers, with their
+    # defaults (--threads and the enumerate filters set no scope).
+    reads: Dict[str, object] = field(default_factory=dict)
+    per_tau: bool = False  # the cap bounds an n! walk that one tau replaces
+    first_l: int = 0  # the smallest deviation l checked
+
+
+_TAU_L: Dict[str, object] = {"tau": None, "l": None}
+
+# Each cap keeps one run within about a minute on 2 vCPUs (thm-hmz took
+# 72 s at n = 8, lemma-parlem 65 s at n = 11); the n^n sweeps stop at
+# the enumeration bound.  Guards that protect data stay with the data:
+# kernels.MAX_N, the radix check in aggregate._fold, symfunc.DEGREE_BOUND.
+SCOPES: Dict[str, Scope] = {
+    "thm-schedule-closed-form": Scope((1, 6), DEFAULT_MAX_N, _TAU_L),
+    "thm-shift-multiset": Scope((1, 8), 8, _TAU_L, per_tau=True, first_l=1),
+    "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000}),
+    "lemma-factorlemma": Scope((1, 6), DEFAULT_MAX_N, _TAU_L),
+    "cor-withides": Scope((1, 6), DEFAULT_MAX_N, {"tau": None}),
+    "thm-hmz": Scope((1, 6), 8),
+    "thm-pn-identity": Scope((1, 6), 8),
+    "thm-enk-sum": Scope((1, 6), 8),
+    "main-square-paths": Scope((1, 6), DEFAULT_MAX_N),
+    "enumerate": Scope((1, 7), DEFAULT_MAX_N, {"allow_large": False}),
+    "table schedules": Scope(None, 7, {"tau": None}, per_tau=True),
+    "table polynomials": Scope(None, 7),
+    "table enk": Scope(None, 8),
 }
 
-# Checks that sweep all n^n functions for every n in their range.
-SWEPT = frozenset({"thm-schedule-closed-form", "lemma-factorlemma",
-                   "cor-withides", "main-square-paths"})
+
+def scope(command: str, n: Optional[Tuple[int, int]] = None,
+          **options: object) -> Optional[Tuple[int, int]]:
+    """The n range ``command`` runs, once ``n`` and ``options`` (None:
+    not given) pass its row of SCOPES; None for one --tau alone.
+
+    Raises ValueError for every input the row refuses, so callers refuse
+    it before any output or sweep.
+    """
+    row = SCOPES[command]
+    given = {k: v for k, v in options.items() if v is not None}
+    unread = sorted(given.keys() - row.reads.keys())
+    if unread:
+        raise ValueError(f"{command} does not read {', '.join(unread)}")
+    tau, l = given.get("tau"), given.get("l")
+    one_tau = row.per_tau and tau is not None
+    if n is None and row.default is None:
+        if one_tau:
+            return None
+        raise ValueError(f"{command} needs --n")
+    lo, hi = n or row.default
+    if not 1 <= lo <= hi:
+        raise ValueError(f"bad n range {lo}..{hi}")
+    if hi > row.cap and not one_tau:
+        raise ValueError(f"{command} accepts n up to {row.cap}, got {hi}")
+    if ("allow_large" in row.reads and hi > row.default[1]
+            and not options.get("allow_large")):
+        raise ValueError(f"n above {row.default[1]} needs --allow-large")
+    if tau is not None and not lo <= len(tau) <= hi:
+        raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
+    if "l" in row.reads and (tau is not None or l is not None):
+        usable = range(row.first_l, hi if tau is None else len(runs(tau)))
+        if not usable or (l is not None and l not in usable):
+            raise ValueError(f"no case in n range {lo}..{hi} can use "
+                             f"this tau and l")
+    return lo, hi
 
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Parameters of one check run."""
+    """Parameters of one check run; an option left None takes the
+    default of the id's row of SCOPES."""
 
     id: str
-    n_lo: int = 0
-    n_hi: int = 0
+    n_lo: Optional[int] = None
+    n_hi: Optional[int] = None
     tau: Optional[Tuple[int, ...]] = None
     l: Optional[int] = None
-    max_part: int = 12
-    samples: int = 1000
+    max_part: Optional[int] = None
+    samples: Optional[int] = None
     threads: int = 1
 
     def __post_init__(self):
-        if self.id not in DEFAULT_N:
+        if self.id not in REGISTRY:
             raise ValueError(f"unknown check id {self.id!r}; "
-                             f"known: {', '.join(sorted(DEFAULT_N))}")
-        lo, hi = DEFAULT_N[self.id]
-        if self.n_lo == 0:
-            object.__setattr__(self, "n_lo", lo)
-        if self.n_hi == 0:
-            object.__setattr__(self, "n_hi", hi)
-        if not 1 <= self.n_lo <= self.n_hi:
-            raise ValueError(f"bad n range {self.n_lo}..{self.n_hi}")
-        if self.id in SWEPT and self.n_hi > DEFAULT_MAX_N:
-            raise ValueError(f"{self.id} sweeps n^n functions; n must lie "
-                             f"in 1..{DEFAULT_MAX_N}")
-        if (self.id == "thm-shift-multiset" and self.tau is None
-                and self.n_hi > DEFAULT_MAX_N):
-            raise ValueError(f"{self.id} without --tau walks all n! "
-                             f"permutations; n must lie in 1..{DEFAULT_MAX_N}")
+                             f"known: {', '.join(sorted(REGISTRY))}")
         if self.tau is not None:
-            object.__setattr__(self, "tau", tuple(self.tau))
+            object.__setattr__(self, "tau", runs(self.tau).tau)
+        lo, hi = SCOPES[self.id].default
+        lo, hi = scope(self.id, (lo if self.n_lo is None else self.n_lo,
+                                 hi if self.n_hi is None else self.n_hi),
+                       tau=self.tau, l=self.l,
+                       max_part=self.max_part, samples=self.samples)
+        object.__setattr__(self, "n_lo", lo)
+        object.__setattr__(self, "n_hi", hi)
+        for opt, default in SCOPES[self.id].reads.items():
+            if getattr(self, opt) is None:
+                object.__setattr__(self, opt, default)
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        if self.samples < 0 or self.max_part < 1:
+        if (self.samples or 0) < 0 or (self.max_part or 1) < 1:
             raise ValueError("bad sampling parameters")
 
     @property
@@ -114,20 +171,14 @@ Outcome = Tuple[bool, Optional[Dict[str, object]], int]
 
 
 def _taus(spec: CheckSpec, n: int):
-    if spec.tau is not None:
-        if len(spec.tau) == n:
-            yield runs(spec.tau).tau
-        return
-    for p in permutations(range(1, n + 1)):
-        yield p
+    if spec.tau is None:
+        return permutations(range(1, n + 1))
+    return [spec.tau] if len(spec.tau) == n else []
 
 
-def _ls(spec: CheckSpec, nruns: int, lo: int = 0):
-    if spec.l is not None:
-        if lo <= spec.l < nruns:
-            yield spec.l
-        return
-    yield from range(lo, nruns)
+def _ls(spec: CheckSpec, nruns: int):
+    ls = range(SCOPES[spec.id].first_l, nruns)
+    return ls if spec.l is None else [l for l in ls if l == spec.l]
 
 
 def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
@@ -164,7 +215,7 @@ def _run_shift_multiset(spec: CheckSpec) -> Outcome:
     for n in spec.n_range:
         for tau in _taus(spec, n):
             nruns = len(runs(tau).runs)
-            for l in _ls(spec, nruns, lo=1):
+            for l in _ls(spec, nruns):
                 examined += 1
                 if not shift_multiset(tau, l):
                     return False, {
@@ -175,38 +226,30 @@ def _run_shift_multiset(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _box_partitions(a: int, b: int):
-    for asc in combinations_with_replacement(range(a + 1), b):
-        yield tuple(reversed(asc))
+def _parlem_cases(spec: CheckSpec):
+    """Every partition in an a x b box whose larger side lies in the n
+    range, then spec.samples random ones in a max_part x max_part box;
+    the seed is fixed so repeated runs examine the same partitions."""
+    for a in range(1, spec.n_hi + 1):
+        for b in range(1, spec.n_hi + 1):
+            if max(a, b) >= spec.n_lo:
+                for asc in combinations_with_replacement(range(a + 1), b):
+                    yield tuple(reversed(asc)), a, b
+    m = spec.max_part
+    rng = random.Random(20200521)
+    for _ in range(spec.samples):
+        yield tuple(sorted((rng.randint(0, m) for _ in range(m)),
+                           reverse=True)), m, m
 
 
 def _run_parlem(spec: CheckSpec) -> Outcome:
     examined = 0
-    hi = spec.n_hi
-    for a in range(1, hi + 1):
-        for b in range(1, hi + 1):
-            for lam in _box_partitions(a, b):
-                examined += 1
-                pb = PartitionBox(lam, a, b)
-                lhs, rhs = delta_merge(pb)
-                if lhs != rhs:
-                    return False, {
-                        "lam": list(lam), "a": a, "b": b,
-                        "left": list(lhs), "right": list(rhs),
-                    }, examined
-    # Randomized parts in a max_part x max_part box; the seed is fixed
-    # so repeated runs examine the same partitions.
-    m = spec.max_part
-    rng = random.Random(20200521)
-    for _ in range(spec.samples):
-        lam = tuple(sorted((rng.randint(0, m) for _ in range(m)),
-                           reverse=True))
+    for lam, a, b in _parlem_cases(spec):
         examined += 1
-        pb = PartitionBox(lam, m, m)
-        lhs, rhs = delta_merge(pb)
+        lhs, rhs = delta_merge(PartitionBox(lam, a, b))
         if lhs != rhs:
             return False, {
-                "lam": list(lam), "a": m, "b": m,
+                "lam": list(lam), "a": a, "b": b,
                 "left": list(lhs), "right": list(rhs),
             }, examined
     return True, None, examined
@@ -321,13 +364,9 @@ def run_check(spec: CheckSpec) -> CheckReport:
     # (thread count, like wall time) stay out so the serialized report is
     # byte-identical however the work was scheduled.
     params: Dict[str, object] = {"n": f"{spec.n_lo}..{spec.n_hi}"}
-    if spec.tau is not None:
-        params["tau"] = list(spec.tau)
-    if spec.l is not None:
-        params["l"] = spec.l
-    if spec.id == "lemma-parlem":
-        params["max_part"] = spec.max_part
-        params["samples"] = spec.samples
+    for opt in SCOPES[spec.id].reads:
+        if getattr(spec, opt) is not None:
+            params[opt] = getattr(spec, opt)
     start = time.perf_counter()
     passed, counterexample, examined = runner(spec)
     elapsed = time.perf_counter() - start

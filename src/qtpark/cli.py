@@ -13,31 +13,22 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from . import aggregate
-from .checks import DEFAULT_N, CheckSpec, run_check
+from .checks import REGISTRY, SCOPES, CheckSpec, run_check, scope
 from .paths import PrefFunc, enumerate_all, json_line, stats
 from .schedules import insertion_order, maj, pref_closed_form, runs
 from .schedules import schedule_l
 from .symfunc import e_nk
 
-ENUM_DEFAULT_MAX = 7
-ENUM_HARD_MAX = 8
-TABLE_MAX = 7
-ENK_MAX = 8
-
-
-class UsageError(Exception):
-    pass
-
 
 def _parse_vector(text: str) -> Tuple[int, ...]:
     text = text.strip()
     if not text:
-        raise UsageError("empty vector")
+        raise ValueError("empty vector")
     parts = text.split(",") if "," in text else list(text)
     try:
         values = tuple(int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"not a vector of integers: {text!r}")
+        raise ValueError(f"not a vector of integers: {text!r}")
     return values
 
 
@@ -55,35 +46,26 @@ def _parse_nrange(text: str) -> Tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise UsageError(f"bad n range {text!r}; expected N or LO..HI")
-    if lo < 1 or hi < lo:
-        raise UsageError(f"bad n range {text!r}")
+        raise ValueError(f"bad n range {text!r}; expected N or LO..HI")
     return lo, hi
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        p = PrefFunc(_parse_vector(args.vector))
-    except ValueError as e:
-        raise UsageError(str(e))
+    p = PrefFunc(_parse_vector(args.vector))
     sys.stdout.write(json_line(p) + "\n")
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1 or n > ENUM_HARD_MAX:
-        raise UsageError(f"n must lie in 1..{ENUM_HARD_MAX}")
-    if n > ENUM_DEFAULT_MAX and not args.allow_large:
-        raise UsageError(
-            f"n = {n} enumerates {n ** n} functions; pass --allow-large")
+    scope("enumerate", (n, n), allow_large=args.allow_large)
     diagword: Optional[Tuple[int, ...]] = None
     if args.diagword is not None:
         diagword = runs(_parse_vector(args.diagword)).tau
         if len(diagword) != n:
-            raise UsageError("--diagword length must equal n")
+            raise ValueError("--diagword length must equal n")
     out = sys.stdout
-    for p in enumerate_all(n, max_n=ENUM_HARD_MAX):
+    for p in enumerate_all(n):
         s = stats(p)
         if args.parking_only and s.deviation != 0:
             continue
@@ -98,21 +80,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    lo, hi = (0, 0) if args.n is None else _parse_nrange(args.n)
-    kwargs = dict(id=args.id, n_lo=lo, n_hi=hi, threads=args.threads)
-    if args.tau is not None:
-        kwargs["tau"] = _parse_vector(args.tau)
-    if args.l is not None:
-        kwargs["l"] = args.l
-    if args.max is not None:
-        kwargs["max_part"] = args.max
-    if args.samples is not None:
-        kwargs["samples"] = args.samples
-    try:
-        spec = CheckSpec(**kwargs)
-    except ValueError as e:
-        raise UsageError(str(e))
-    report = run_check(spec)
+    lo, hi = (None, None) if args.n is None else _parse_nrange(args.n)
+    tau = None if args.tau is None else _parse_vector(args.tau)
+    report = run_check(CheckSpec(
+        args.id, lo, hi, tau, args.l, max_part=args.max,
+        samples=args.samples, threads=args.threads))
     sys.stdout.write(report.json() + "\n")
     sys.stderr.write(f"wall time: {report.wall_time:.3f}s\n")
     return 0 if report.passed else 1
@@ -132,35 +104,19 @@ def _schedule_row(tau: Tuple[int, ...], l: int) -> List[str]:
     ]
 
 
-def _check_table_n(n: int) -> None:
-    # Raise before any output or aggregation happens; the sweep itself is a
-    # generator, so a guard inside it would fire only after the header (and,
-    # for polynomials, an n**n aggregation pass) already went out.
-    if not 1 <= n <= TABLE_MAX:
-        raise UsageError(f"tables support n in 1..{TABLE_MAX}")
-
-
 def cmd_table(args: argparse.Namespace) -> int:
+    # Refused before the header goes out: the sweeps below are generators.
+    tau = None if args.tau is None else runs(_parse_vector(args.tau)).tau
+    scope(f"table {args.kind}", None if args.n is None else (args.n, args.n),
+          tau=tau)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.kind == "schedules":
-        if args.tau is None and args.n is None:
-            raise UsageError("table schedules needs --tau or --n")
-        if args.n is not None:
-            _check_table_n(args.n)
         writer.writerow(["tau", "l", "maj", "rho",
                          "w_insertion", "w_by_car", "w_by_tau"])
-        if args.tau is not None:
-            tau = runs(_parse_vector(args.tau)).tau
-            for l in range(len(runs(tau).runs)):
-                writer.writerow(_schedule_row(tau, l))
-        else:
-            for tau, l in _tau_l_sweep(args.n):
-                writer.writerow(_schedule_row(tau, l))
+        for tau, l in _tau_l_sweep(args.n, tau):
+            writer.writerow(_schedule_row(tau, l))
         return 0
     if args.kind == "polynomials":
-        if args.n is None:
-            raise UsageError("table polynomials needs --n")
-        _check_table_n(args.n)
         writer.writerow(["tau", "l", "maj", "rho",
                          "w_insertion", "w_by_car", "w_by_tau",
                          "closed_form", "brute_force", "match"])
@@ -173,24 +129,29 @@ def cmd_table(args: argparse.Namespace) -> int:
                 "yes" if closed == brute else "no",
             ])
         return 0
-    if args.kind == "enk":
-        if args.n is None:
-            raise UsageError("table enk needs --n")
-        if not 1 <= args.n <= ENK_MAX:
-            raise UsageError(f"table enk supports n in 1..{ENK_MAX}")
-        writer.writerow(["n", "k", "expansion"])
-        for k, piece in enumerate(e_nk(args.n), start=1):
-            writer.writerow([str(args.n), str(k), piece.json()])
-        return 0
-    raise UsageError(f"unknown table kind {args.kind!r}")
+    # enk; argparse admits no other kind
+    writer.writerow(["n", "k", "expansion"])
+    for k, piece in enumerate(e_nk(args.n), start=1):
+        writer.writerow([str(args.n), str(k), piece.json()])
+    return 0
 
 
-def _tau_l_sweep(n: int):
+def _tau_l_sweep(n: Optional[int], tau: Optional[Tuple[int, ...]] = None):
+    """Every (tau, l) of size n, or of the one tau given."""
     from itertools import permutations
-    _check_table_n(n)
-    for tau in permutations(range(1, n + 1)):
-        for l in range(len(runs(tau).runs)):
-            yield tau, l
+    for t in permutations(range(1, n + 1)) if tau is None else [tau]:
+        for l in range(len(runs(t))):
+            yield t, l
+
+
+def _scope_help() -> str:
+    lines = ["default n range and largest n of each id:"]
+    for cid in sorted(REGISTRY):
+        row = SCOPES[cid]
+        lo, hi = row.default
+        lines.append(f"  {cid:26} {lo}..{hi}, up to {row.cap}"
+                     + (" (any n with --tau)" if row.per_tau else ""))
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,11 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--deviation", type=int)
     p_enum.add_argument("--touch", type=int)
     p_enum.add_argument("--allow-large", action="store_true",
-                        help=f"permit n = {ENUM_HARD_MAX}")
+                        help="permit n above "
+                        f"{SCOPES['enumerate'].default[1]}")
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_check = sub.add_parser("check", help="run one registered identity check")
-    p_check.add_argument("id", help=", ".join(sorted(DEFAULT_N)))
+    p_check = sub.add_parser(
+        "check", help="run one registered identity check",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_scope_help())
+    p_check.add_argument("id", help=", ".join(sorted(REGISTRY)))
     p_check.add_argument("--n", help="N or LO..HI")
     p_check.add_argument("--tau")
     p_check.add_argument("--l", type=int)
@@ -243,9 +208,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

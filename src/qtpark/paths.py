@@ -206,18 +206,16 @@ def _run_lengths(perm: Tuple[int, ...]) -> list:
     return out
 
 
-def enumerate_all(n: int, max_n: int = DEFAULT_MAX_N) -> Iterator[PrefFunc]:
+def enumerate_all(n: int) -> Iterator[PrefFunc]:
     """All n^n preference functions in lexicographic order of f.
 
-    Refuses n > max_n; the default bound 8 keeps accidental 16.7M-object
-    walks behind an explicit opt-in.
+    Refuses n > DEFAULT_MAX_N; n = 9 would create 387M objects.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n > max_n:
+    if n > DEFAULT_MAX_N:
         raise ValueError(
-            f"n={n} exceeds the enumeration bound {max_n}; "
-            f"pass max_n explicitly to allow it")
+            f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N}")
     f = [1] * n
     while True:
         yield PrefFunc(tuple(f))

@@ -27,7 +27,7 @@ from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
 from typing import Sequence, Tuple
 
 from . import aggregate, kernels
-from .paths import DEFAULT_MAX_N, PrefFunc, StatRecord, enumerate_all, stats
+from .paths import PrefFunc, StatRecord, enumerate_all, stats
 from .qt import ONE, QTPoly, q_factorial, q_int
 from .schedules import ides as perm_ides
 from .schedules import inv as perm_inv
@@ -221,8 +221,8 @@ def expand_in_fundamentals(m: MonomialForm) -> QSymF:
     return QSymF(n, out)
 
 
-def weighted_sum(family: Callable[[PrefFunc, StatRecord], bool], n: int,
-                 max_n: int = DEFAULT_MAX_N) -> QSymF:
+def weighted_sum(family: Callable[[PrefFunc, StatRecord], bool],
+                 n: int) -> QSymF:
     """Sum of t^area q^dinv Q_ides over the functions the predicate keeps.
 
     The predicate sees each preference function together with its
@@ -230,7 +230,7 @@ def weighted_sum(family: Callable[[PrefFunc, StatRecord], bool], n: int,
     builders below for the common diagword/touch families.
     """
     acc: Dict[Subset, QTPoly] = {}
-    for pf in enumerate_all(n, max_n=max_n):
+    for pf in enumerate_all(n):
         rec = stats(pf)
         if not family(pf, rec):
             continue

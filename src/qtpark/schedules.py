@@ -121,7 +121,10 @@ def ides(pi: Sequence[int]) -> frozenset:
 
 def schedule0(tau: Sequence[int]) -> Tuple[int, ...]:
     """(w_1, ..., w_n) with w_i the weight of car tau_{n+1-i}."""
-    rd = runs(tau)
+    return _schedule0(runs(tau))
+
+
+def _schedule0(rd: RunDecomposition) -> Tuple[int, ...]:
     t = rd.tau
     n = len(t)
     k = rd.last_run_length
@@ -140,7 +143,10 @@ def schedule0(tau: Sequence[int]) -> Tuple[int, ...]:
 
 def schedule_l(tau: Sequence[int], l: int) -> Dict[int, int]:
     """Mapping car -> w^(l)(car); needs at least l+1 runs."""
-    rd = runs(tau)
+    return _schedule_l(runs(tau), l)
+
+
+def _schedule_l(rd: RunDecomposition, l: int) -> Dict[int, int]:
     nruns = len(rd.runs)
     if not 0 <= l < nruns:
         raise ValueError(
@@ -168,7 +174,7 @@ def pf_closed_form(tau: Sequence[int]) -> QTPoly:
     functions with diagonal word tau."""
     rd = runs(tau)
     out = QTPoly.t(maj(rd.tau))
-    for wi in schedule0(rd.tau):
+    for wi in _schedule0(rd):
         out = out * q_int(wi)
     return out
 
@@ -177,7 +183,7 @@ def pref_closed_form(tau: Sequence[int], l: int) -> QTPoly:
     """t^maj q^(rho_0+...+rho_{l-1}) prod_c [w^(l)(c)]_q: the sum over
     preference functions with diagonal word tau and deviation l."""
     rd = runs(tau)
-    w = schedule_l(rd.tau, l)
+    w = _schedule_l(rd, l)
     shift = sum(rd.rho_from_last(j) for j in range(l))
     out = QTPoly.monomial(shift, maj(rd.tau), 1)
     for c in sorted(w):
@@ -194,7 +200,7 @@ def pref_all_l_closed_form(tau: Sequence[int]) -> QTRatio:
     rd = runs(tau)
     n = len(rd.tau)
     num = QTPoly.t(maj(rd.tau)) * q_int(n)
-    for wi in schedule0(rd.tau):
+    for wi in _schedule0(rd):
         num = num * q_int(wi)
     ratio = QTRatio(num, q_int(rd.last_run_length))
     total = QTPoly.zero()
@@ -212,13 +218,13 @@ def shift_multiset(tau: Sequence[int], l: int) -> bool:
     r = len(rd.runs) - 1
     if not 1 <= l <= r:
         raise ValueError(f"l must lie in 1..{r}, got {l}")
-    predicted = Counter(schedule0(rd.tau))
+    predicted = Counter(_schedule0(rd))
     predicted[rd.rho_from_last(l)] += 1
     rho0 = rd.rho_from_last(0)
     if predicted[rho0] == 0:
         return False
     predicted[rho0] -= 1
-    return +predicted == Counter(schedule_l(rd.tau, l).values())
+    return +predicted == Counter(_schedule_l(rd, l).values())
 
 
 @dataclass(frozen=True)
@@ -313,7 +319,7 @@ def generate(tau: Sequence[int],
         raise ValueError(
             f"deviation {l} needs at least {l + 1} runs; "
             f"{rd.tau} has {nruns}")
-    weights = schedule_l(rd.tau, l)
+    weights = _schedule_l(rd, l)
     maj_tau = maj(rd.tau)
     baseline = sum(rd.rho_from_last(j) for j in range(l))
 

@@ -1,12 +1,13 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
 import json
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
-from qtpark import aggregate, checks, kernels
-from qtpark.checks import SWEPT
+from qtpark import aggregate, checks, cli, kernels, schedules
+from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, place, stats
 
@@ -133,16 +134,92 @@ def test_check_usage_errors(capsys):
     assert run(capsys, "check", "thm-hmz", "--n", "x")[0] == 2
 
 
-@pytest.mark.parametrize("check_id", sorted(SWEPT))
-def test_check_refuses_oversized_sweep(capsys, monkeypatch, check_id):
+def assert_refused_up_front(capsys, monkeypatch, *argv):
+    """argv exits 2 with empty stdout, and no check runner, enumeration,
+    table sweep or kernel block ever starts."""
     calls = []
-    monkeypatch.setattr(kernels, "stats_block",
-                        lambda *args, **kwargs: calls.append(args))
-    code, out, err = run(capsys, "check", check_id, "--n", "10")
+
+    def record(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(kernels, "stats_block", record)
+    for check_id in checks.REGISTRY:
+        monkeypatch.setitem(checks.REGISTRY, check_id, record)
+    for name in ("enumerate_all", "_tau_l_sweep", "e_nk"):
+        monkeypatch.setattr(cli, name, record)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error:" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("command", sorted(SCOPES))
+def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
+    """Every row of the scope table refuses n = cap + 1."""
+    n = str(SCOPES[command].cap + 1)
+    if command in checks.REGISTRY:
+        argv = ["check", command, "--n", n]
+    else:
+        argv = command.split() + ["--n", n]
+    if command == "enumerate":
+        argv.append("--allow-large")  # refused by the cap, not the gate
+    assert_refused_up_front(capsys, monkeypatch, *argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # a --tau or --l that no case in the n range can use
+    ("check", "thm-schedule-closed-form", "--tau", "3142", "--n", "5..6"),
+    ("check", "thm-shift-multiset", "--tau", "3142", "--n", "1..2"),
+    ("check", "thm-schedule-closed-form", "--n", "4", "--l", "7"),
+    ("check", "thm-schedule-closed-form", "--n", "4", "--l", "-1"),
+    ("check", "thm-shift-multiset", "--tau", "3142", "--l", "0"),
+    ("check", "thm-shift-multiset", "--tau", "1234"),
+    ("check", "lemma-factorlemma", "--tau", "3142", "--l", "3"),
+    ("table", "schedules", "--tau", "3142", "--n", "5"),
+    # an option the id does not read
+    ("check", "thm-hmz", "--n", "3", "--tau", "123", "--l", "2"),
+    ("check", "cor-withides", "--n", "3", "--l", "1"),
+    ("check", "main-square-paths", "--n", "3", "--samples", "5"),
+    ("check", "lemma-parlem", "--n", "3", "--tau", "123"),
+    ("table", "enk", "--n", "2", "--tau", "12"),
+    # an n range that starts below 1
+    ("check", "thm-hmz", "--n", "0"),
+    ("check", "lemma-parlem", "--n", "0..3"),
+])
+def test_refuses_unusable_input(capsys, monkeypatch, argv):
+    assert_refused_up_front(capsys, monkeypatch, *argv)
+
+
+def test_parlem_honours_the_low_end(capsys):
+    code, out, _ = run(capsys, "check", "lemma-parlem", "--n", "2..3",
+                       "--samples", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["parameters"]["n"] == "2..3"
+    assert report["examined"] == sum(comb(a + b, b) for a in range(1, 4)
+                                     for b in range(1, 4) if max(a, b) >= 2)
+
+
+def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
+    counts = {"runs": 0, "shift_multiset": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    runs = counting("runs", schedules.runs)
+    monkeypatch.setattr(schedules, "runs", runs)
+    monkeypatch.setattr(checks, "runs", runs)
+    monkeypatch.setattr(checks, "shift_multiset",
+                        counting("shift_multiset", schedules.shift_multiset))
+    code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "1..6")
+    assert code == 0
+    taus = sum(factorial(n) for n in range(1, 7))
+    assert counts["shift_multiset"] == json.loads(out)["examined"]
+    assert counts["runs"] <= counts["shift_multiset"] + taus
 
 
 def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
