@@ -14,16 +14,20 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
-from typing import Callable, Dict, Optional, Tuple
+from math import prod
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from . import aggregate
 from .paths import DEFAULT_MAX_N
 from .qt import QTPoly, q_factorial, q_int
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
 from .quasisym import qsym_total
-from .schedules import PartitionBox, delta_merge, pf_closed_form
-from .schedules import pref_closed_form, runs, schedule0, schedule_l
-from .schedules import shift_multiset
+from .schedules import PartitionBox, ScheduleCounts, delta_merge
+from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
+from .schedules import runs, schedule0, schedule0_rows, schedule_counts
+from .schedules import schedule_l, schedule_l_rows
 from .symfunc import e_in_p, e_nk, hmz_check, pn_identity_check
 
 
@@ -40,44 +44,61 @@ class Scope:
     reads: Dict[str, object] = field(default_factory=dict)
     per_tau: bool = False  # the cap bounds an n! walk that one tau replaces
     first_l: int = 0  # the smallest deviation l checked
+    sweeps: bool = False  # builds an n^n table, so --threads means something
+    limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
 
 
 _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 
 # Each cap keeps one run within about a minute on 2 vCPUs (thm-hmz took
-# 72 s at n = 8, lemma-parlem 65 s at n = 11); the n^n sweeps stop at
-# the enumeration bound.  Guards that protect data stay with the data:
+# 72 s at n = 8, lemma-parlem 65 s at n = 11 and thm-shift-multiset
+# about 9 s at n = 10); the n^n sweeps stop at the enumeration bound.
+# lemma-parlem's random samples cost about max^2 each, so --max and
+# --samples are capped too.  Guards that protect data stay with the data:
 # kernels.MAX_N, the radix check in aggregate._fold, symfunc.DEGREE_BOUND.
 SCOPES: Dict[str, Scope] = {
-    "thm-schedule-closed-form": Scope((1, 6), DEFAULT_MAX_N, _TAU_L),
-    "thm-shift-multiset": Scope((1, 8), 8, _TAU_L, per_tau=True, first_l=1),
-    "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000}),
-    "lemma-factorlemma": Scope((1, 6), DEFAULT_MAX_N, _TAU_L),
-    "cor-withides": Scope((1, 6), DEFAULT_MAX_N, {"tau": None}),
+    "thm-schedule-closed-form": Scope((1, 6), DEFAULT_MAX_N, _TAU_L,
+                                      sweeps=True),
+    "thm-shift-multiset": Scope((1, 8), 10, _TAU_L, per_tau=True, first_l=1),
+    "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
+                          limits={"max_part": 400, "samples": 10000}),
+    "lemma-factorlemma": Scope((1, 6), DEFAULT_MAX_N, _TAU_L, sweeps=True),
+    "cor-withides": Scope((1, 6), DEFAULT_MAX_N, {"tau": None}, sweeps=True),
     "thm-hmz": Scope((1, 6), 8),
     "thm-pn-identity": Scope((1, 6), 8),
     "thm-enk-sum": Scope((1, 6), 8),
-    "main-square-paths": Scope((1, 6), DEFAULT_MAX_N),
+    "main-square-paths": Scope((1, 6), DEFAULT_MAX_N, sweeps=True),
     "enumerate": Scope((1, 7), DEFAULT_MAX_N, {"allow_large": False}),
     "table schedules": Scope(None, 7, {"tau": None}, per_tau=True),
-    "table polynomials": Scope(None, 7),
+    "table polynomials": Scope(None, 7, sweeps=True),
     "table enk": Scope(None, 8),
 }
 
 
 def scope(command: str, n: Optional[Tuple[int, int]] = None,
+          threads: Optional[int] = None,
           **options: object) -> Optional[Tuple[int, int]]:
-    """The n range ``command`` runs, once ``n`` and ``options`` (None:
-    not given) pass its row of SCOPES; None for one --tau alone.
+    """The n range ``command`` runs, once ``n``, ``threads`` and
+    ``options`` (None: not given) pass its row of SCOPES; None for one
+    --tau alone.
 
     Raises ValueError for every input the row refuses, so callers refuse
     it before any output or sweep.
     """
     row = SCOPES[command]
+    if threads is not None and not row.sweeps:
+        raise ValueError(f"{command} sweeps nothing, so --threads does "
+                         f"nothing")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be positive")
     given = {k: v for k, v in options.items() if v is not None}
     unread = sorted(given.keys() - row.reads.keys())
     if unread:
         raise ValueError(f"{command} does not read {', '.join(unread)}")
+    for opt, most in row.limits.items():
+        if given.get(opt, 0) > most:
+            raise ValueError(f"{command} accepts {opt} up to {most}, "
+                             f"got {given[opt]}")
     tau, l = given.get("tau"), given.get("l")
     one_tau = row.per_tau and tau is not None
     if n is None and row.default is None:
@@ -95,7 +116,10 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
     if tau is not None and not lo <= len(tau) <= hi:
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
     if "l" in row.reads and (tau is not None or l is not None):
-        usable = range(row.first_l, hi if tau is None else len(runs(tau)))
+        # A tau has one run more than it has descents.
+        nruns = hi if tau is None else 1 + sum(
+            a > b for a, b in zip(tau, tau[1:]))
+        usable = range(row.first_l, nruns)
         if not usable or (l is not None and l not in usable):
             raise ValueError(f"no case in n range {lo}..{hi} can use "
                              f"this tau and l")
@@ -114,7 +138,7 @@ class CheckSpec:
     l: Optional[int] = None
     max_part: Optional[int] = None
     samples: Optional[int] = None
-    threads: int = 1
+    threads: Optional[int] = None  # only for the ids that sweep; default 1
 
     def __post_init__(self):
         if self.id not in REGISTRY:
@@ -125,15 +149,15 @@ class CheckSpec:
         lo, hi = SCOPES[self.id].default
         lo, hi = scope(self.id, (lo if self.n_lo is None else self.n_lo,
                                  hi if self.n_hi is None else self.n_hi),
-                       tau=self.tau, l=self.l,
+                       threads=self.threads, tau=self.tau, l=self.l,
                        max_part=self.max_part, samples=self.samples)
         object.__setattr__(self, "n_lo", lo)
         object.__setattr__(self, "n_hi", hi)
         for opt, default in SCOPES[self.id].reads.items():
             if getattr(self, opt) is None:
                 object.__setattr__(self, opt, default)
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+        if self.threads is None:
+            object.__setattr__(self, "threads", 1)
         if (self.samples or 0) < 0 or (self.max_part or 1) < 1:
             raise ValueError("bad sampling parameters")
 
@@ -181,48 +205,133 @@ def _ls(spec: CheckSpec, nruns: int):
     return ls if spec.l is None else [l for l in ls if l == spec.l]
 
 
+def _tau_blocks(spec: CheckSpec, n: int) -> Iterable[np.ndarray]:
+    """The taus of size n as blocks of rows, in permutation order: the one
+    --tau, or all n! in blocks of (n-1)! that share their first car."""
+    if spec.tau is None:
+        return permutation_blocks(n)
+    return [np.array([spec.tau])] if len(spec.tau) == n else []
+
+
+def _cases(spec: CheckSpec, sc: ScheduleCounts) -> Tuple[List[int], np.ndarray]:
+    """The deviations l checked in a block, and which rows have each."""
+    nruns = sc.from_last[:, 0] + 1
+    ls = list(_ls(spec, int(nruns.max())))
+    return ls, nruns[:, None] > np.array(ls, dtype=int)
+
+
+Terms = Tuple[Tuple[int, int], ...]
+
+
+def _q_product(weights: Tuple[int, ...]) -> Terms:
+    """The (i, c) with c q^i a term of prod [w]_q; every c is an integer."""
+    poly = prod(map(q_int, weights), start=QTPoly.one())
+    return tuple((i, int(c)) for (i, _), c in poly.terms())
+
+
+def _counts(maj: int, shift: int, terms: Terms) -> Dict[Tuple[int, int], int]:
+    """t^maj q^shift times the terms, as table counts {(area, dinv): c}."""
+    return {(maj, shift + i): c for i, c in terms}
+
+
+def _first_failure(bad: np.ndarray, has: np.ndarray
+                   ) -> Optional[Tuple[int, int, int]]:
+    """Row and column of a block's first failing case in (tau, l) order,
+    and how many cases the block examines up to and including it."""
+    rows = np.flatnonzero(bad.any(axis=1))
+    if not len(rows):
+        return None
+    r = int(rows[0])
+    j = int(np.argmax(bad[r]))
+    return r, j, int(has[:r].sum() + has[r, :j + 1].sum())
+
+
 def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
+    # t^maj q^shift prod [w]_q has one power of t, so each table entry is
+    # compared in integers with the coefficients of prod [w]_q, which
+    # depend only on the sorted weights.
+    products: Dict[Tuple[int, ...], Terms] = {}
+
+    def product_rows(w: np.ndarray) -> List[Terms]:
+        keys = list(map(tuple, np.sort(w, axis=1).tolist()))
+        for key in set(keys) - products.keys():
+            products[key] = _q_product(key)
+        return [products[key] for key in keys]
+
     examined = 0
     for n in spec.n_range:
-        taus = list(_taus(spec, n))
-        if not taus:  # --tau names another n: no table to build
+        blocks = list(_tau_blocks(spec, n))
+        if not blocks:  # --tau names another n: no table to build
             continue
         table = aggregate.qt_by_diagword(n, threads=spec.threads)
-        for tau in taus:
-            nruns = len(runs(tau).runs)
-            for l in _ls(spec, nruns):
-                examined += 1
-                closed = pref_closed_form(tau, l)
-                counts = table.get((tau, l), {})
-                brute = aggregate.qt_poly_from_counts(counts)
-                if closed != brute:
-                    return False, {
-                        "n": n, "tau": list(tau), "l": l,
-                        "closed_form": str(closed),
-                        "brute_force": str(brute),
-                    }, examined
-                if l == 0 and pf_closed_form(tau) != brute:
-                    return False, {
-                        "n": n, "tau": list(tau), "l": 0,
-                        "closed_form": str(pf_closed_form(tau)),
-                        "brute_force": str(brute),
-                    }, examined
+        for block in blocks:
+            sc = schedule_counts(block)
+            ls, has = _cases(spec, sc)
+            taus = list(map(tuple, block.tolist()))
+            majs = ((block[:, :-1] > block[:, 1:]) @ np.arange(1, n)).tolist()
+
+            def misses(l, rows, w, shifts):
+                """Whether each row's table entry at l differs from
+                t^maj q^shift prod [w]_q."""
+                return [table.get((taus[r], l), {})
+                        != _counts(majs[r], shift, terms)
+                        for r, shift, terms in zip(rows.tolist(), shifts,
+                                                   product_rows(w[rows]))]
+
+            # Cases pref_closed_form misses, and pf_closed_form (l = 0).
+            bad, bad_pf = np.zeros_like(has), np.zeros_like(has)
+            for j, l in enumerate(ls):
+                rows = np.flatnonzero(has[:, j])
+                shifts = (sc.from_last[rows] < l).sum(axis=1).tolist()
+                bad[rows, j] = misses(l, rows, schedule_l_rows(sc, l), shifts)
+                if l == 0:
+                    bad_pf[rows, j] = misses(0, rows, schedule0_rows(sc),
+                                             shifts)
+            hit = _first_failure(bad | bad_pf, has)
+            if hit is not None:
+                r, j, before = hit
+                tau, l = taus[r], ls[j]
+                closed = (pref_closed_form(tau, l) if bad[r, j]
+                          else pf_closed_form(tau))
+                return False, {
+                    "n": n, "tau": list(tau), "l": l,
+                    "closed_form": str(closed),
+                    "brute_force": str(aggregate.qt_poly_from_counts(
+                        table.get((tau, l), {}))),
+                }, examined + before
+            examined += int(has.sum())
     return True, None, examined
 
 
 def _run_shift_multiset(spec: CheckSpec) -> Outcome:
     examined = 0
     for n in spec.n_range:
-        for tau in _taus(spec, n):
-            nruns = len(runs(tau).runs)
-            for l in _ls(spec, nruns):
-                examined += 1
-                if not shift_multiset(tau, l):
-                    return False, {
-                        "n": n, "tau": list(tau), "l": l,
-                        "schedule0": sorted(schedule0(tau)),
-                        "schedule_l": sorted(schedule_l(tau, l).values()),
-                    }, examined
+        for block in _tau_blocks(spec, n):
+            sc = schedule_counts(block)
+            ls, has = _cases(spec, sc)
+            w0 = schedule0_rows(sc)
+            rho0 = (sc.from_last == 0).sum(axis=1, dtype=w0.dtype)
+            bad = np.zeros_like(has)
+            for j, l in enumerate(ls):
+                # {w^(l)} = {w^0} - {rho_0} + {rho_l}, with rho_0 added to
+                # both sides; like the scalar shift_multiset this fails
+                # when w^0 has no rho_0 to give up (unless rho_l = rho_0).
+                rho_l = (sc.from_last == l).sum(axis=1, dtype=w0.dtype)
+                lhs = np.column_stack([schedule_l_rows(sc, l), rho0])
+                rhs = np.column_stack([w0, rho_l])
+                lhs.sort(axis=1)
+                rhs.sort(axis=1)
+                bad[:, j] = has[:, j] & (lhs != rhs).any(axis=1)
+            hit = _first_failure(bad, has)
+            if hit is not None:
+                r, j, before = hit
+                tau, l = tuple(block[r].tolist()), ls[j]
+                return False, {
+                    "n": n, "tau": list(tau), "l": l,
+                    "schedule0": sorted(schedule0(tau)),
+                    "schedule_l": sorted(schedule_l(tau, l).values()),
+                }, examined + before
+            examined += int(has.sum())
     return True, None, examined
 
 

@@ -108,7 +108,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     # Refused before the header goes out: the sweeps below are generators.
     tau = None if args.tau is None else runs(_parse_vector(args.tau)).tau
     scope(f"table {args.kind}", None if args.n is None else (args.n, args.n),
-          tau=tau)
+          threads=args.threads, tau=tau)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.kind == "schedules":
         writer.writerow(["tau", "l", "maj", "rho",
@@ -120,7 +120,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         writer.writerow(["tau", "l", "maj", "rho",
                          "w_insertion", "w_by_car", "w_by_tau",
                          "closed_form", "brute_force", "match"])
-        table = aggregate.qt_by_diagword(args.n, threads=args.threads)
+        table = aggregate.qt_by_diagword(args.n, threads=args.threads or 1)
         for tau, l in _tau_l_sweep(args.n):
             closed = pref_closed_form(tau, l)
             brute = aggregate.qt_poly_from_counts(table.get((tau, l), {}))
@@ -145,12 +145,16 @@ def _tau_l_sweep(n: Optional[int], tau: Optional[Tuple[int, ...]] = None):
 
 
 def _scope_help() -> str:
-    lines = ["default n range and largest n of each id:"]
+    lines = ["default n range and largest n of each id "
+             "(--threads only where marked):"]
     for cid in sorted(REGISTRY):
         row = SCOPES[cid]
         lo, hi = row.default
         lines.append(f"  {cid:26} {lo}..{hi}, up to {row.cap}"
-                     + (" (any n with --tau)" if row.per_tau else ""))
+                     + (" (any n with --tau)" if row.per_tau else "")
+                     + "".join(f", {opt} up to {most}"
+                               for opt, most in row.limits.items())
+                     + (" [--threads]" if row.sweeps else ""))
     return "\n".join(lines)
 
 
@@ -187,17 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tau")
     p_check.add_argument("--l", type=int)
     p_check.add_argument("--max", type=int,
-                         help="box side for randomized partitions")
+                         help="box side for randomized partitions "
+                         "(max_part in the report)")
     p_check.add_argument("--samples", type=int,
                          help="randomized partition count")
-    p_check.add_argument("--threads", type=int, default=1)
+    p_check.add_argument("--threads", type=int,
+                         help="sweep workers (only the ids that sweep n^n)")
     p_check.set_defaults(func=cmd_check)
 
     p_table = sub.add_parser("table", help="emit a CSV table")
     p_table.add_argument("kind", choices=["schedules", "polynomials", "enk"])
     p_table.add_argument("--tau")
     p_table.add_argument("--n", type=int)
-    p_table.add_argument("--threads", type=int, default=1)
+    p_table.add_argument("--threads", type=int,
+                         help="sweep workers (polynomials only)")
     p_table.set_defaults(func=cmd_table)
 
     return parser

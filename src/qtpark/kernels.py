@@ -286,12 +286,3 @@ def decode_perm(code: int, n: int) -> Tuple[int, ...]:
 
 def decode_ides(mask: int, n: int) -> frozenset:
     return frozenset(i for i in range(1, n) if mask >> (i - 1) & 1)
-
-
-def decode_f(index: int, n: int) -> Tuple[int, ...]:
-    """The preference vector at a lexicographic rank."""
-    digits = []
-    for _ in range(n):
-        digits.append(index % n + 1)
-        index //= n
-    return tuple(reversed(digits))

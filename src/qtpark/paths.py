@@ -121,20 +121,6 @@ def place(p: PrefFunc) -> Placement:
     return Placement(col=tuple(col), row=tuple(row), diag=tuple(diag))
 
 
-def is_parking(p: PrefFunc) -> bool:
-    """Prefix test: at least k cars prefer a spot <= k, for every k."""
-    n = p.n
-    counts = [0] * (n + 1)
-    for v in p.f:
-        counts[v] += 1
-    seen = 0
-    for k in range(1, n + 1):
-        seen += counts[k]
-        if seen < k:
-            return False
-    return True
-
-
 def stats(p: PrefFunc) -> StatRecord:
     """Compute every statistic of p from its placement."""
     n = p.n

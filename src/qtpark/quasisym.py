@@ -23,11 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional
+from typing import Dict, FrozenSet, Iterator, List, Optional
 from typing import Sequence, Tuple
 
 from . import aggregate, kernels
-from .paths import PrefFunc, StatRecord, enumerate_all, stats
 from .qt import ONE, QTPoly, q_factorial, q_int
 from .schedules import ides as perm_ides
 from .schedules import inv as perm_inv
@@ -187,20 +186,6 @@ class MonomialForm:
         return QTPoly.zero()
 
 
-def q_fundamental(s: Subset, n: int) -> MonomialForm:
-    """Q_S in monomial coordinates: coefficient 1 on every T containing S."""
-    s = frozenset(s)
-    if s and (min(s) < 1 or max(s) > n - 1):
-        raise ValueError(f"subset {sorted(s)} not within 1..{n - 1}")
-    rest = sorted(set(range(1, n)) - s)
-    coeffs = {}
-    for mask in range(1 << len(rest)):
-        t = set(s)
-        t.update(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        coeffs[subset_to_composition(frozenset(t), n)] = ONE
-    return MonomialForm(n, coeffs)
-
-
 def expand_in_fundamentals(m: MonomialForm) -> QSymF:
     """Unique c with m = sum c_S Q_S, by inclusion-exclusion over subsets."""
     n = m.n
@@ -219,24 +204,6 @@ def expand_in_fundamentals(m: MonomialForm) -> QSymF:
         if not acc.is_zero():
             out[t] = acc
     return QSymF(n, out)
-
-
-def weighted_sum(family: Callable[[PrefFunc, StatRecord], bool],
-                 n: int) -> QSymF:
-    """Sum of t^area q^dinv Q_ides over the functions the predicate keeps.
-
-    The predicate sees each preference function together with its
-    statistics record.  Streams the full enumeration; use the table-backed
-    builders below for the common diagword/touch families.
-    """
-    acc: Dict[Subset, QTPoly] = {}
-    for pf in enumerate_all(n):
-        rec = stats(pf)
-        if not family(pf, rec):
-            continue
-        term = QTPoly.monomial(rec.dinv, rec.area, 1)
-        acc[rec.ides] = acc.get(rec.ides, QTPoly.zero()) + term
-    return QSymF(n, acc)
 
 
 def _qsym_from_counts(n: int, counts: Dict[Tuple[int, int, int], int]) -> QSymF:

@@ -27,6 +27,13 @@ t^maj [n]_q / [k]_q times the 0-schedule product, k the last-run
 length.  generate() materializes the tree and re-derives every leaf's
 statistics as a self-check; the closed forms are computed directly from
 the weights.
+
+The checks need every weight of every permutation of 1..n at once, so
+the module also works on batches: permutation_rows/permutation_blocks
+build the permutations as int8 rows, schedule_counts takes each car's
+pair counts column-major (as kernels._fill_block_numpy does), and
+schedule0_rows/schedule_l_rows select the weights from those counts.
+The scalar functions above them stay the reference.
 """
 
 from __future__ import annotations
@@ -34,7 +41,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 from .paths import PrefFunc, stats
 from .qt import ONE, QTPoly, QTRatio, q_int, ratio_eq
@@ -225,6 +234,78 @@ def shift_multiset(tau: Sequence[int], l: int) -> bool:
         return False
     predicted[rho0] -= 1
     return +predicted == Counter(_schedule_l(rd, l).values())
+
+
+def permutation_blocks(n: int) -> Iterator[np.ndarray]:
+    """The n! permutations of 1..n as int8 rows in itertools.permutations
+    order, one (n-1)! x n block per first car."""
+    rest = permutation_rows(n - 1)
+    for first in range(1, n + 1):
+        block = np.empty((len(rest), n), dtype=np.int8)
+        block[:, 0] = first
+        block[:, 1:] = rest + (rest >= first)
+        yield block
+
+
+def permutation_rows(n: int) -> np.ndarray:
+    """All n! permutations of 1..n as one (n!, n) int8 array, in
+    itertools.permutations order."""
+    if n == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    return np.concatenate(list(permutation_blocks(n)))
+
+
+class ScheduleCounts(NamedTuple):
+    """Per-car counts of a batch of permutations; entry [r, p] is about
+    the car at position p of row r.  A run increases, so the larger cars
+    of a car's own run are the ones to its right."""
+
+    from_last: np.ndarray     # index of the car's run, counted from the right
+    own_larger: np.ndarray    # cars of its own run larger than it
+    own_smaller: np.ndarray   # cars of its own run smaller than it
+    next_smaller: np.ndarray  # cars of the next run smaller than it
+    prev_larger: np.ndarray   # cars of the previous run larger than it
+
+
+def schedule_counts(perms: np.ndarray) -> ScheduleCounts:
+    """The ScheduleCounts of an (N, n) array of permutations, in its
+    integer type."""
+    # Column-major: T[p] holds position p of every row, so each pair of
+    # positions a < b is a few whole-row operations and nothing is sorted.
+    T = np.ascontiguousarray(perms.T)
+    n = len(T)
+    run = np.zeros_like(T)  # run index from the left: descents before p
+    for p in range(1, n):
+        run[p] = run[p - 1] + (T[p - 1] > T[p])
+    larger, smaller, nxt, prev = (np.zeros_like(T) for _ in range(4))
+    for a in range(n):
+        for b in range(a + 1, n):
+            same = run[a] == run[b]
+            larger[a] += same
+            smaller[b] += same
+            drop = (run[b] == run[a] + 1) & (T[a] > T[b])
+            nxt[a] += drop
+            prev[b] += drop
+    from_last = run[-1] - run
+    return ScheduleCounts(*(np.ascontiguousarray(x.T) for x in
+                            (from_last, larger, smaller, nxt, prev)))
+
+
+def schedule0_rows(sc: ScheduleCounts) -> np.ndarray:
+    """w^0 of every car, by position: the i-th car from the right weighs
+    i in the last run, its own larger plus next smaller cars before it."""
+    n = sc.from_last.shape[1]
+    from_right = np.arange(n, 0, -1, dtype=sc.own_larger.dtype)
+    return np.where(sc.from_last == 0, from_right,
+                    sc.own_larger + sc.next_smaller)
+
+
+def schedule_l_rows(sc: ScheduleCounts, l: int) -> np.ndarray:
+    """w^(l) of every car, by position; meaningful in rows with more than
+    l runs."""
+    return np.where(sc.from_last < l, sc.own_smaller + sc.prev_larger,
+                    sc.own_larger + np.where(sc.from_last == l, 1,
+                                             sc.next_smaller))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
 import json
+from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
@@ -186,9 +187,41 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     # an n range that starts below 1
     ("check", "thm-hmz", "--n", "0"),
     ("check", "lemma-parlem", "--n", "0..3"),
+    # --threads where nothing is swept, or fewer than one
+    ("check", "thm-shift-multiset", "--threads", "2"),
+    ("check", "thm-hmz", "--n", "2", "--threads", "8"),
+    ("check", "thm-pn-identity", "--threads", "1"),
+    ("check", "thm-enk-sum", "--n", "2", "--threads", "2"),
+    ("check", "lemma-parlem", "--n", "2", "--threads", "2"),
+    ("table", "schedules", "--n", "3", "--threads", "2"),
+    ("table", "enk", "--n", "2", "--threads", "8"),
+    ("check", "cor-withides", "--n", "3", "--threads", "0"),
+    ("table", "polynomials", "--n", "3", "--threads", "0"),
+    # lemma-parlem's sampling box and sample count above their caps
+    ("check", "lemma-parlem", "--n", "2",
+     "--max", str(SCOPES["lemma-parlem"].limits["max_part"] + 1)),
+    ("check", "lemma-parlem", "--n", "2",
+     "--samples", str(SCOPES["lemma-parlem"].limits["samples"] + 1)),
 ])
 def test_refuses_unusable_input(capsys, monkeypatch, argv):
     assert_refused_up_front(capsys, monkeypatch, *argv)
+
+
+def test_threads_only_where_a_table_is_swept():
+    swept = sorted(c for c, row in SCOPES.items() if row.sweeps)
+    assert swept == ["cor-withides", "lemma-factorlemma", "main-square-paths",
+                     "table polynomials", "thm-schedule-closed-form"]
+    for command in SCOPES:
+        if command in swept:
+            assert checks.scope(command, (1, 2), threads=2) == (1, 2)
+        else:
+            with pytest.raises(ValueError, match="--threads"):
+                checks.scope(command, (1, 2), threads=2)
+
+
+def test_parlem_accepts_its_caps():
+    limits = SCOPES["lemma-parlem"].limits
+    assert checks.scope("lemma-parlem", (1, 2), **limits) == (1, 2)
 
 
 def test_parlem_honours_the_low_end(capsys):
@@ -201,46 +234,127 @@ def test_parlem_honours_the_low_end(capsys):
                                      for b in range(1, 4) if max(a, b) >= 2)
 
 
-def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
-    counts = {"runs": 0, "shift_multiset": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-
-    runs = counting("runs", schedules.runs)
-    monkeypatch.setattr(schedules, "runs", runs)
-    monkeypatch.setattr(checks, "runs", runs)
-    monkeypatch.setattr(checks, "shift_multiset",
-                        counting("shift_multiset", schedules.shift_multiset))
-    code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "1..6")
-    assert code == 0
-    taus = sum(factorial(n) for n in range(1, 7))
-    assert counts["shift_multiset"] == json.loads(out)["examined"]
-    assert counts["runs"] <= counts["shift_multiset"] + taus
-
-
-def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
+def count_calls(monkeypatch, modules, name):
+    """Record the arguments of every call of ``name`` in ``modules``."""
     calls = []
-    real = checks.shift_multiset
+    real = getattr(modules[0], name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(checks, "shift_multiset", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+ELEVEN = "3,1,4,11,5,9,2,6,8,7,10"
+
+
+def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
+    runs = count_calls(monkeypatch, (schedules, checks), "runs")
+    batch = count_calls(monkeypatch, (checks,), "schedule_counts")
+    code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "1..6")
+    assert code == 0
+    assert json.loads(out)["examined"] == sum(
+        factorial(n) * (n - 1) // 2 for n in range(1, 7))
+    assert runs == []  # the walk needs no run decomposition
+    # one block of (n-1)! rows per first car
+    assert [len(args[0]) for args in batch] == [
+        factorial(n - 1) for n in range(1, 7) for _ in range(n)]
+    code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "11",
+                       "--tau", ELEVEN)
+    assert code == 0
+    assert len(runs) <= 1
+
+
+def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
+    nruns = len(schedules.runs(cli._parse_vector(ELEVEN)))
+    batch = count_calls(monkeypatch, (checks,), "schedule_counts")
     code, out, err = run(capsys, "check", "thm-shift-multiset", "--n", "11")
     assert code == 2
     assert out == ""
     assert "error:" in err
-    assert calls == []
-    # One named tau of that size is a single walk step, not a refusal.
+    assert batch == []
+    # One named tau of that size is a single row, not a refusal.
     code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "11",
-                       "--tau", "3,1,4,11,5,9,2,6,8,7,10")
+                       "--tau", ELEVEN)
     assert code == 0
-    assert json.loads(out)["examined"] == len(calls) > 0
+    assert [args[0].shape for args in batch] == [(1, 11)]
+    assert json.loads(out)["examined"] == nruns - 1
+
+
+def test_shift_multiset_walks_n9_in_blocks(capsys, monkeypatch):
+    batch = count_calls(monkeypatch, (checks,), "schedule_counts")
+    code, out, _ = run(capsys, "check", "thm-shift-multiset", "--n", "9")
+    assert code == 0
+    assert json.loads(out)["examined"] == factorial(9) * 8 // 2
+    assert [args[0].shape for args in batch] == [(factorial(8), 9)] * 9
+
+
+def scalar_report(check_id, n_hi, fault, pf=False):
+    """The report of a runner that walks one (tau, l) at a time, in
+    (n, tau, l) order, and first fails at ``fault``; its counterexample
+    comes from the scalar schedule functions."""
+    first_l = SCOPES[check_id].first_l
+    cases = [(tau, l) for n in range(1, n_hi + 1)
+             for tau in permutations(range(1, n + 1))
+             for l in range(first_l, len(schedules.runs(tau)))]
+    tau, l = fault
+    ce = {"n": len(tau), "tau": list(tau), "l": l}
+    if check_id == "thm-shift-multiset":
+        ce.update(schedule0=sorted(schedules.schedule0(tau)),
+                  schedule_l=sorted(schedules.schedule_l(tau, l).values()))
+    else:
+        counts = aggregate.qt_by_diagword(len(tau)).get((tau, l), {})
+        closed = (schedules.pf_closed_form(tau) if pf
+                  else schedules.pref_closed_form(tau, l))
+        ce.update(closed_form=str(closed),
+                  brute_force=str(aggregate.qt_poly_from_counts(counts)))
+    return {"id": check_id, "parameters": {"n": f"1..{n_hi}"},
+            "passed": False, "counterexample": ce,
+            "examined": cases.index(fault) + 1}
+
+
+TAU5 = (3, 5, 1, 4, 2)  # runs 35 | 14 | 2
+
+
+@pytest.mark.parametrize("check_id,target,field,position,fault", [
+    # own_smaller of the second run's first car feeds only w^(2)
+    ("thm-shift-multiset", "schedule_counts", "own_smaller", 2, 2),
+    ("thm-shift-multiset", "schedule0_rows", None, 0, 1),
+    ("thm-schedule-closed-form", "schedule_counts", "own_smaller", 2, 2),
+    # own_larger of the last car feeds only w^(0)
+    ("thm-schedule-closed-form", "schedule_counts", "own_larger", 4, 0),
+    ("thm-schedule-closed-form", "schedule0_rows", None, 0, 0),
+])
+def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
+                                           target, field, position, fault):
+    """A batch function off by one for one car of TAU5 fails the check at
+    one (tau, l), with the report a one-at-a-time walk would print."""
+    block = {}
+    real_counts = checks.schedule_counts
+
+    def counts(perms):
+        block["perms"] = perms
+        return real_counts(perms)
+
+    real = counts if target == "schedule_counts" else getattr(checks, target)
+
+    def off_by_one(*args):
+        out = real(*args)
+        perms = block["perms"]
+        if perms.shape[1] == len(TAU5):
+            row = (perms == TAU5).all(axis=1)
+            (getattr(out, field) if field else out)[row, position] += 1
+        return out
+
+    monkeypatch.setattr(checks, "schedule_counts", counts)
+    monkeypatch.setattr(checks, target, off_by_one)
+    code, out, _ = run(capsys, "check", check_id, "--n", "1..5")
+    assert code == 1
+    assert json.loads(out) == scalar_report(
+        check_id, 5, (TAU5, fault), pf=target == "schedule0_rows")
 
 
 def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):

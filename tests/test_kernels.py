@@ -8,11 +8,21 @@ import pytest
 
 from qtpark import kernels
 from qtpark.kernels import (AREA, DEV, DINV, DWORD, HAS_NUMBA, IDES, NCOL,
-                            PARK, TOUCH, decode_f, decode_ides, decode_perm,
+                            PARK, TOUCH, decode_ides, decode_perm,
                             iter_stat_chunks, resolve_backend, stats_block)
 from qtpark.paths import PrefFunc, stats
 
 BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+
+
+def decode_f(index, n):
+    """The preference vector at a lexicographic rank: the kernels' row
+    index read as base-n digits f(1)-1, ..., f(n)-1."""
+    digits = []
+    for _ in range(n):
+        digits.append(index % n + 1)
+        index //= n
+    return tuple(reversed(digits))
 
 
 def assert_rows_match_reference(block, n, start):

@@ -10,11 +10,38 @@ from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_factorial, q_int
 from qtpark.quasisym import (MonomialForm, QSymF, composition_to_subset,
                              consecutive_blocks, expand_in_fundamentals,
-                             factor_check, q_fundamental, qsym_for_diagword,
-                             qsym_for_touch, qsym_total, subset_to_composition,
-                             subsets_of_range, weighted_sum, yconsec_elements,
+                             factor_check, qsym_for_diagword, qsym_for_touch,
+                             qsym_total, subset_to_composition,
+                             subsets_of_range, yconsec_elements,
                              yconsec_inv_sum)
 from qtpark.schedules import runs
+
+
+def q_fundamental(s, n):
+    """Q_S in monomial coordinates: coefficient 1 on every T containing S."""
+    s = frozenset(s)
+    if s and (min(s) < 1 or max(s) > n - 1):
+        raise ValueError(f"subset {sorted(s)} not within 1..{n - 1}")
+    rest = sorted(set(range(1, n)) - s)
+    coeffs = {}
+    for mask in range(1 << len(rest)):
+        t = set(s)
+        t.update(rest[i] for i in range(len(rest)) if mask >> i & 1)
+        coeffs[subset_to_composition(frozenset(t), n)] = ONE
+    return MonomialForm(n, coeffs)
+
+
+def weighted_sum(family, n):
+    """Sum of t^area q^dinv Q_ides over the functions the predicate keeps,
+    streamed from the full enumeration: the reference for the
+    table-backed sums."""
+    acc = {}
+    for pf in enumerate_all(n):
+        rec = stats(pf)
+        if family(pf, rec):
+            term = QTPoly.monomial(rec.dinv, rec.area, 1)
+            acc[rec.ides] = acc.get(rec.ides, QTPoly.zero()) + term
+    return QSymF(n, acc)
 
 
 def test_subset_composition_bijection():

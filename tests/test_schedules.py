@@ -3,6 +3,7 @@
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +12,11 @@ from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int, ratio_eq
 from qtpark.schedules import (PartitionBox, delta_merge, delta_merge_equal,
                               generate, ides, insertion_order, inv, maj,
+                              permutation_blocks, permutation_rows,
                               pf_closed_form, pref_all_l_closed_form,
-                              pref_closed_form, runs, schedule0, schedule_l,
-                              shift_multiset)
+                              pref_closed_form, runs, schedule0,
+                              schedule0_rows, schedule_counts, schedule_l,
+                              schedule_l_rows, shift_multiset)
 
 
 def brute_poly(n, tau, l):
@@ -181,6 +184,71 @@ def test_shift_multiset_bounds():
         shift_multiset((2, 3, 1, 4, 5), 0)
     with pytest.raises(ValueError):
         shift_multiset((1, 2, 3), 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_permutation_rows_in_itertools_order(n):
+    rows = permutation_rows(n)
+    assert rows.dtype == np.int8
+    assert list(map(tuple, rows.tolist())) == list(
+        permutations(range(1, n + 1)))
+    blocks = list(permutation_blocks(n))
+    assert [set(b[:, 0].tolist()) for b in blocks] == [
+        {first} for first in range(1, n + 1)]
+    assert np.array_equal(np.concatenate(blocks), rows)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_schedule_counts_match_definitions(n):
+    perms = permutation_rows(n)
+    sc = schedule_counts(perms)
+    for r, tau in enumerate(map(tuple, perms.tolist())):
+        rd = runs(tau)
+        for p, c in enumerate(tau):
+            ri = rd.run_index(c)
+            own = rd.runs[ri]
+            nxt = rd.runs[ri + 1] if ri + 1 < len(rd) else ()
+            prev = rd.runs[ri - 1] if ri else ()
+            assert sc.from_last[r, p] == len(rd) - 1 - ri
+            assert sc.own_larger[r, p] == sum(y > c for y in own)
+            assert sc.own_smaller[r, p] == sum(y < c for y in own)
+            assert sc.next_smaller[r, p] == sum(y < c for y in nxt)
+            assert sc.prev_larger[r, p] == sum(y > c for y in prev)
+
+
+def assert_batch_weights_match_scalar(perms):
+    """Every car's w^0 and w^(l), every l its tau has, as the scalar
+    schedule0 and schedule_l give them."""
+    sc = schedule_counts(perms)
+    w0 = schedule0_rows(sc)
+    wl = [schedule_l_rows(sc, l) for l in range(perms.shape[1])]
+    for r, tau in enumerate(map(tuple, perms.tolist())):
+        nruns = len(runs(tau))
+        assert sc.from_last[r, 0] + 1 == nruns
+        # w_i is the weight of the i-th car from the right
+        assert tuple(w0[r, ::-1].tolist()) == schedule0(tau)
+        for l in range(nruns):
+            w = schedule_l(tau, l)
+            assert wl[l][r].tolist() == [w[c] for c in tau], (tau, l)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batch_weights_match_scalar(n):
+    assert_batch_weights_match_scalar(permutation_rows(n))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_batch_weights_match_scalar_window(n, where):
+    perms = permutation_rows(n)
+    start = {"start": 0, "middle": len(perms) // 2 - 150,
+             "end": len(perms) - 300}[where]
+    assert_batch_weights_match_scalar(perms[start:start + 300])
+
+
+def test_batch_weights_of_one_long_tau():
+    tau = (3, 1, 4, 11, 5, 9, 2, 6, 8, 7, 10)
+    assert_batch_weights_match_scalar(np.array([tau]))
 
 
 def test_partition_box_validation():
