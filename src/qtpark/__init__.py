@@ -2,7 +2,7 @@
 function identities."""
 
 from .paths import PrefFunc, Placement, StatRecord, enumerate_all, place, stats
-from .qt import QTPoly, QTRatio, ZPoly, q_factorial, q_int, ratio_eq
+from .qt import QTPoly, QTRatio, q_factorial, q_int, ratio_eq
 from .schedules import (PartitionBox, RunDecomposition, delta_merge,
                         delta_merge_equal, generate, ides, inv, maj,
                         pf_closed_form, pref_all_l_closed_form,
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrefFunc", "Placement", "StatRecord", "enumerate_all", "place", "stats",
-    "QTPoly", "QTRatio", "ZPoly", "q_factorial", "q_int", "ratio_eq",
+    "QTPoly", "QTRatio", "q_factorial", "q_int", "ratio_eq",
     "PartitionBox", "RunDecomposition", "delta_merge", "delta_merge_equal",
     "generate", "ides", "inv", "maj", "pf_closed_form",
     "pref_all_l_closed_form", "pref_closed_form", "runs", "schedule0",

@@ -28,7 +28,8 @@ from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
 from .schedules import runs, schedule0, schedule0_rows, schedule_counts
 from .schedules import schedule_l, schedule_l_rows
-from .symfunc import e_in_p, e_nk, hmz_check, pn_identity_check
+from .symfunc import DEGREE_BOUND, e_in_p, e_nk, hmz_check
+from .symfunc import pn_identity_check
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,10 @@ class Scope:
 _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 
 # Each cap keeps one run within about a minute on 2 vCPUs (thm-hmz took
-# 72 s at n = 8, lemma-parlem 65 s at n = 11 and thm-shift-multiset
-# about 9 s at n = 10); the n^n sweeps stop at the enumeration bound.
+# 45 s at n = 10, lemma-parlem 65 s at n = 11 and thm-shift-multiset
+# about 9 s at n = 10; thm-pn-identity, thm-enk-sum and table enk reach
+# symfunc.DEGREE_BOUND in about 14 s); the n^n sweeps stop at the
+# enumeration bound.
 # lemma-parlem's random samples cost about max^2 each, so --max and
 # --samples are capped too.  Guards that protect data stay with the data:
 # kernels.MAX_N, the radix check in aggregate._fold, symfunc.DEGREE_BOUND.
@@ -64,14 +67,14 @@ SCOPES: Dict[str, Scope] = {
                           limits={"max_part": 400, "samples": 10000}),
     "lemma-factorlemma": Scope((1, 6), DEFAULT_MAX_N, _TAU_L, sweeps=True),
     "cor-withides": Scope((1, 6), DEFAULT_MAX_N, {"tau": None}, sweeps=True),
-    "thm-hmz": Scope((1, 6), 8),
-    "thm-pn-identity": Scope((1, 6), 8),
-    "thm-enk-sum": Scope((1, 6), 8),
+    "thm-hmz": Scope((1, 6), 10),
+    "thm-pn-identity": Scope((1, 6), DEGREE_BOUND),
+    "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
     "main-square-paths": Scope((1, 6), DEFAULT_MAX_N, sweeps=True),
     "enumerate": Scope((1, 7), DEFAULT_MAX_N, {"allow_large": False}),
     "table schedules": Scope(None, 7, {"tau": None}, per_tau=True),
     "table polynomials": Scope(None, 7, sweeps=True),
-    "table enk": Scope(None, 8),
+    "table enk": Scope(None, DEGREE_BOUND),
 }
 
 

@@ -15,8 +15,8 @@ from typing import List, Optional, Sequence, Tuple
 from . import aggregate
 from .checks import REGISTRY, SCOPES, CheckSpec, run_check, scope
 from .paths import PrefFunc, enumerate_all, json_line, stats
-from .schedules import insertion_order, maj, pref_closed_form, runs
-from .schedules import schedule_l
+from .schedules import RunDecomposition, insertion_order, maj
+from .schedules import pref_closed_form, runs, schedule_l
 from .symfunc import e_nk
 
 
@@ -90,15 +90,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _schedule_row(tau: Tuple[int, ...], l: int) -> List[str]:
-    rd = runs(tau)
-    w = schedule_l(tau, l)
+def _schedule_row(rd: RunDecomposition, l: int) -> List[str]:
+    tau = rd.tau
+    w = schedule_l(rd, l)
     return [
         _fmt_perm(tau),
         str(l),
         str(maj(tau)),
         " ".join(str(v) for v in rd.rho),
-        " ".join(str(w[c]) for c in insertion_order(tau, l)),
+        " ".join(str(w[c]) for c in insertion_order(rd, l)),
         " ".join(str(w[c]) for c in range(1, len(tau) + 1)),
         " ".join(str(w[c]) for c in tau),
     ]
@@ -106,25 +106,25 @@ def _schedule_row(tau: Tuple[int, ...], l: int) -> List[str]:
 
 def cmd_table(args: argparse.Namespace) -> int:
     # Refused before the header goes out: the sweeps below are generators.
-    tau = None if args.tau is None else runs(_parse_vector(args.tau)).tau
+    one = None if args.tau is None else runs(_parse_vector(args.tau))
     scope(f"table {args.kind}", None if args.n is None else (args.n, args.n),
-          threads=args.threads, tau=tau)
+          threads=args.threads, tau=None if one is None else one.tau)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.kind == "schedules":
         writer.writerow(["tau", "l", "maj", "rho",
                          "w_insertion", "w_by_car", "w_by_tau"])
-        for tau, l in _tau_l_sweep(args.n, tau):
-            writer.writerow(_schedule_row(tau, l))
+        for rd, l in _tau_l_sweep(args.n, one):
+            writer.writerow(_schedule_row(rd, l))
         return 0
     if args.kind == "polynomials":
         writer.writerow(["tau", "l", "maj", "rho",
                          "w_insertion", "w_by_car", "w_by_tau",
                          "closed_form", "brute_force", "match"])
         table = aggregate.qt_by_diagword(args.n, threads=args.threads or 1)
-        for tau, l in _tau_l_sweep(args.n):
-            closed = pref_closed_form(tau, l)
-            brute = aggregate.qt_poly_from_counts(table.get((tau, l), {}))
-            writer.writerow(_schedule_row(tau, l) + [
+        for rd, l in _tau_l_sweep(args.n):
+            closed = pref_closed_form(rd, l)
+            brute = aggregate.qt_poly_from_counts(table.get((rd.tau, l), {}))
+            writer.writerow(_schedule_row(rd, l) + [
                 str(closed), str(brute),
                 "yes" if closed == brute else "no",
             ])
@@ -136,12 +136,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tau_l_sweep(n: Optional[int], tau: Optional[Tuple[int, ...]] = None):
-    """Every (tau, l) of size n, or of the one tau given."""
+def _tau_l_sweep(n: Optional[int], one: Optional[RunDecomposition] = None):
+    """(run decomposition of tau, l) for every (tau, l) of size n, or of
+    the one tau given; each tau is decomposed once."""
     from itertools import permutations
-    for t in permutations(range(1, n + 1)) if tau is None else [tau]:
-        for l in range(len(runs(t))):
-            yield t, l
+    for rd in ((runs(t) for t in permutations(range(1, n + 1)))
+               if one is None else [one]):
+        for l in range(len(rd)):
+            yield rd, l
 
 
 def _scope_help() -> str:

@@ -1,6 +1,6 @@
-"""Exact sparse arithmetic in the variables q, t and an auxiliary variable z.
+"""Exact sparse arithmetic in the variables q and t.
 
-Three small rings cover everything the rest of the package needs:
+Two small rings cover everything the rest of the package needs:
 
 ``QTPoly``
     Laurent polynomials in q and t with ``fractions.Fraction`` coefficients,
@@ -12,11 +12,6 @@ Three small rings cover everything the rest of the package needs:
     unreduced; equality is decided by cross multiplication, which is exact
     and needs no multivariate gcd.
 
-``ZPoly``
-    Laurent polynomials in z whose coefficients are ``QTRatio`` values.
-    These carry the alphabet-substitution bookkeeping where z appears with
-    both positive and negative exponents.
-
 Canonical string form (used by every serializer in the package): terms are
 sorted lexicographically by (q exponent, t exponent), each term is rendered
 as ``coefficient*q^a*t^b`` with unit parts omitted, and terms are joined by
@@ -26,8 +21,8 @@ as ``coefficient*q^a*t^b`` with unit parts omitted, and terms are joined by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
+from math import lcm
+from typing import Dict, Iterator, Mapping, Tuple, Union
 
 Exponent = Tuple[int, int]
 Scalar = Union[int, Fraction]
@@ -339,163 +334,15 @@ class QTRatio:
         self.num = num
         self.den = den
 
-    @classmethod
-    def zero(cls) -> "QTRatio":
-        return cls(QTPoly.zero())
-
-    @classmethod
-    def one(cls) -> "QTRatio":
-        return cls(QTPoly.one())
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __add__(self, other) -> "QTRatio":
-        other = _as_ratio(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return QTRatio(self.num + other.num, self.den)
-        # When one denominator divides the other, keep the larger one as the
-        # common denominator instead of multiplying them.  Long chains of
-        # additions otherwise pile up unreduced denominator products fast
-        # enough to dominate the whole computation.
-        try:
-            f = other.den.divexact(self.den)
-        except ValueError:
-            pass
-        else:
-            return QTRatio(self.num * f + other.num, other.den)
-        try:
-            f = self.den.divexact(other.den)
-        except ValueError:
-            pass
-        else:
-            return QTRatio(self.num + other.num * f, self.den)
-        return QTRatio(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QTRatio":
-        return QTRatio(-self.num, self.den)
-
-    def __sub__(self, other) -> "QTRatio":
-        other = _as_ratio(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QTRatio":
-        return (-self) + other
-
-    def __mul__(self, other) -> "QTRatio":
-        other = _as_ratio(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QTRatio(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QTRatio":
-        other = _as_ratio(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero ratio")
-        return QTRatio(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other: object) -> bool:
         r = _as_ratio(other)
         if r is NotImplemented:
             return NotImplemented
-        return self.num * r.den == r.num * self.den
-
-    def __hash__(self) -> int:  # pragma: no cover - rarely needed
-        raise TypeError("QTRatio is not hashable (equality is semantic)")
-
-    def evaluate(self, qv, tv) -> Fraction:
-        d = self.den.evaluate(qv, tv)
-        if not d:
-            raise ZeroDivisionError("denominator vanishes at this point")
-        return self.num.evaluate(qv, tv) / d
+        return ratio_eq(self, r)
 
     def to_poly(self) -> QTPoly:
         """The quotient as a QTPoly; raises ValueError if it is not one."""
         return self.num.divexact(self.den)
-
-    def reduced(self) -> "QTRatio":
-        """An equal ratio in a normal form fit for printing.
-
-        Exact quotients collapse to polynomials; otherwise shared
-        binomial (1 - q^k, 1 - t^k) and q-integer factors are stripped
-        and the denominator is rescaled to coprime integer coefficients
-        with a positive leading term.  Without a multivariate gcd this
-        does not catch every common factor, but the denominators built
-        here are products of exactly these factors.
-        """
-        if self.is_zero():
-            return QTRatio.zero()
-        num, den = self.num, self.den
-        if den.is_one():
-            return self
-        try:
-            return QTRatio(num.divexact(den))
-        except ValueError:
-            pass
-
-        def spans(p: QTPoly) -> Tuple[int, int]:
-            qs = [e[0] for e in p._terms]
-            ts = [e[1] for e in p._terms]
-            return max(qs) - min(qs), max(ts) - min(ts)
-
-        stripped = True
-        while stripped:
-            stripped = False
-            qspan = min(spans(num)[0], spans(den)[0])
-            tspan = min(spans(num)[1], spans(den)[1])
-            cands = []
-            for k in range(1, qspan + 1):
-                cands.append(QTPoly.one() - QTPoly.q(k))
-                if k >= 2:
-                    cands.append(QTPoly({(j, 0): Fraction(1)
-                                         for j in range(k)}))
-            for k in range(1, tspan + 1):
-                cands.append(QTPoly.one() - QTPoly.t(k))
-                if k >= 2:
-                    cands.append(QTPoly({(0, j): Fraction(1)
-                                         for j in range(k)}))
-            for f in cands:
-                try:
-                    n2 = num.divexact(f)
-                    d2 = den.divexact(f)
-                except ValueError:
-                    continue
-                num, den = n2, d2
-                stripped = True
-                break
-            if den.is_one() or len(den) == 1:
-                return QTRatio(num, den)
-        qmin = min(e[0] for e in den._terms)
-        tmin = min(e[1] for e in den._terms)
-        coeffs = list(den._terms.values())
-        content = Fraction(gcd(*(abs(c.numerator) for c in coeffs)),
-                           lcm(*(c.denominator for c in coeffs)))
-        if den._terms[max(den._terms)] < 0:
-            content = -content
-        scale = QTPoly.monomial(-qmin, -tmin, 1 / content)
-        return QTRatio(num * scale, den * scale)
-
-    def __str__(self) -> str:
-        if self.den.is_one():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self) -> str:
-        return f"QTRatio({self})"
 
 
 def _as_ratio(x) -> "QTRatio":
@@ -513,172 +360,3 @@ def ratio_eq(a: Union[QTRatio, QTPoly, int, Fraction],
     if ra is NotImplemented or rb is NotImplemented:
         raise TypeError("ratio_eq expects ratios, polynomials, or scalars")
     return ra.num * rb.den == rb.num * ra.den
-
-
-class ZPoly:
-    """Laurent polynomial in z with QTRatio coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, Union[QTRatio, QTPoly, int, Fraction]] | None = None):
-        data: Dict[int, QTRatio] = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                r = _as_ratio(v)
-                if r is NotImplemented:
-                    raise TypeError("ZPoly coefficients must be ratio-like")
-                if not r.is_zero():
-                    if k in data:
-                        r = data[k] + r
-                        if r.is_zero():
-                            del data[int(k)]
-                            continue
-                    data[int(k)] = r
-        self._coeffs = data
-
-    @classmethod
-    def zero(cls) -> "ZPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "ZPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def z(cls, exp: int = 1) -> "ZPoly":
-        return cls({exp: 1})
-
-    @classmethod
-    def scalar(cls, value: Union[QTRatio, QTPoly, int, Fraction]) -> "ZPoly":
-        return cls({0: value})
-
-    def coefficient(self, k: int) -> QTRatio:
-        return self._coeffs.get(k, QTRatio.zero())
-
-    def items(self) -> Iterator[Tuple[int, QTRatio]]:
-        return iter(sorted(self._coeffs.items()))
-
-    def support(self) -> Iterable[int]:
-        return sorted(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def min_exp(self) -> int:
-        """Smallest z exponent present; 0 for the zero polynomial."""
-        return min(self._coeffs) if self._coeffs else 0
-
-    def max_exp(self) -> int:
-        return max(self._coeffs) if self._coeffs else 0
-
-    def is_z_free(self) -> bool:
-        return set(self._coeffs) <= {0}
-
-    def __add__(self, other) -> "ZPoly":
-        if not isinstance(other, ZPoly):
-            other = ZPoly.scalar(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            if k in out:
-                s = out[k] + v
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
-            else:
-                out[k] = v
-        res = ZPoly.__new__(ZPoly)
-        res._coeffs = out
-        return res
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZPoly":
-        res = ZPoly.__new__(ZPoly)
-        res._coeffs = {k: -v for k, v in self._coeffs.items()}
-        return res
-
-    def __sub__(self, other) -> "ZPoly":
-        if not isinstance(other, ZPoly):
-            other = ZPoly.scalar(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "ZPoly":
-        if isinstance(other, (QTRatio, QTPoly, int, Fraction)):
-            r = _as_ratio(other)
-            if r.is_zero():
-                return ZPoly.zero()
-            res = ZPoly.__new__(ZPoly)
-            res._coeffs = {k: v * r for k, v in self._coeffs.items()}
-            return res
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        out: Dict[int, QTRatio] = {}
-        for ka, va in self._coeffs.items():
-            for kb, vb in other._coeffs.items():
-                k = ka + kb
-                prod = va * vb
-                if k in out:
-                    s = out[k] + prod
-                    if s.is_zero():
-                        del out[k]
-                    else:
-                        out[k] = s
-                elif not prod.is_zero():
-                    out[k] = prod
-        res = ZPoly.__new__(ZPoly)
-        res._coeffs = out
-        return res
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "ZPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"exponent must be a nonnegative integer: {n!r}")
-        result = ZPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ZPoly):
-            if isinstance(other, (QTRatio, QTPoly, int, Fraction)):
-                other = ZPoly.scalar(other)
-            else:
-                return NotImplemented
-        keys = set(self._coeffs) | set(other._coeffs)
-        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        raise TypeError("ZPoly is not hashable")
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for k, v in sorted(self._coeffs.items()):
-            if k == 0:
-                parts.append(f"({v})")
-            elif k == 1:
-                parts.append(f"({v})*z")
-            else:
-                parts.append(f"({v})*z^{k}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"ZPoly({self})"
-
-
-def poch_zq(k: int) -> ZPoly:
-    """(z; q)_k = (1 - z)(1 - zq)...(1 - zq^(k-1)); requires k >= 0."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"poch_zq requires a nonnegative integer, got {k!r}")
-    out = ZPoly.one()
-    for i in range(k):
-        out = out * ZPoly({0: 1, 1: QTRatio(-QTPoly.q(i))})
-    return out

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,6 +108,14 @@ def runs(tau: Sequence[int]) -> RunDecomposition:
     return RunDecomposition(t, tuple(tuple(b) for b in blocks))
 
 
+Decomposable = Union[Sequence[int], RunDecomposition]
+
+
+def _decomposed(tau: Decomposable) -> RunDecomposition:
+    """The run decomposition of tau; one made before is used as it is."""
+    return tau if isinstance(tau, RunDecomposition) else runs(tau)
+
+
 def maj(tau: Sequence[int]) -> int:
     """Sum of the descent positions of tau."""
     t = _as_perm(tau)
@@ -150,9 +158,10 @@ def _schedule0(rd: RunDecomposition) -> Tuple[int, ...]:
     return tuple(w)
 
 
-def schedule_l(tau: Sequence[int], l: int) -> Dict[int, int]:
-    """Mapping car -> w^(l)(car); needs at least l+1 runs."""
-    return _schedule_l(runs(tau), l)
+def schedule_l(tau: Decomposable, l: int) -> Dict[int, int]:
+    """Mapping car -> w^(l)(car); needs at least l+1 runs.  tau may be
+    given as its RunDecomposition."""
+    return _schedule_l(_decomposed(tau), l)
 
 
 def _schedule_l(rd: RunDecomposition, l: int) -> Dict[int, int]:
@@ -188,10 +197,11 @@ def pf_closed_form(tau: Sequence[int]) -> QTPoly:
     return out
 
 
-def pref_closed_form(tau: Sequence[int], l: int) -> QTPoly:
+def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
     """t^maj q^(rho_0+...+rho_{l-1}) prod_c [w^(l)(c)]_q: the sum over
-    preference functions with diagonal word tau and deviation l."""
-    rd = runs(tau)
+    preference functions with diagonal word tau and deviation l.  tau
+    may be given as its RunDecomposition."""
+    rd = _decomposed(tau)
     w = _schedule_l(rd, l)
     shift = sum(rd.rho_from_last(j) for j in range(l))
     out = QTPoly.monomial(shift, maj(rd.tau), 1)
@@ -348,13 +358,14 @@ def delta_merge_equal(pb: PartitionBox) -> bool:
     return lhs == rhs
 
 
-def insertion_order(tau: Sequence[int], l: int = 0) -> Tuple[int, ...]:
+def insertion_order(tau: Decomposable, l: int = 0) -> Tuple[int, ...]:
     """Car order used by generate: the first (run count - l) runs
     flattened and reversed, then the last l runs left to right.
 
-    At l = 0 this is just tau read backwards.
+    At l = 0 this is just tau read backwards.  tau may be given as its
+    RunDecomposition.
     """
-    rd = runs(tau)
+    rd = _decomposed(tau)
     nruns = len(rd.runs)
     if not 0 <= l < nruns:
         raise ValueError(

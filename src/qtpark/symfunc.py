@@ -1,24 +1,36 @@
-"""Symmetric functions in the power-sum basis with a Laurent parameter.
+"""Symmetric functions in the power-sum basis with q-Laurent coefficients.
 
 Everything here is a finite linear combination of products of power
-sums p_1, p_2, ..., with coefficients rational in q, t and Laurent in an
-auxiliary variable z.  The power sums are algebraically independent, so
-a combination is stored as a mapping from partitions to coefficients and
-products merge partitions by concatenation.
+sums p_1, p_2, ..., with coefficients that are Laurent polynomials in q
+(``QTPoly`` values with no t).  The power sums are algebraically
+independent, so a combination is stored as a mapping from partitions to
+coefficients and products merge partitions by concatenation.
 
-Substituting a new alphabet is diagonal or additive on power sums,
-which is why this basis is the working one: scaling the alphabet by a
-symbol g sends p_k to g(k) p_k, while subtracting an alphabet A sends
-p_k to p_k - p_k[A].  Two specific substitutions drive the module: the
-shift by (1 - 1/q)/z used inside the creation operator
+Two alphabet substitutions drive the module, and both are applied in
+closed form, so no coefficient ever leaves the polynomial ring.
+
+The creation operator
 
     c_op(a, F) = (-1/q)^(a-1) [z^a] (F[X - (1-1/q)/z] * sum_m z^m h_m)
 
-and the scale X -> X (1-z)/(1-q) whose expansion
+shifts every p_k by (q^-k - 1) z^-k.  Expanding the shifted p_lambda
+binomially and reading off z^a gives
 
-    e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k / (q;q)_k) E_{n,k}
+    C_a p_lambda = (-1/q)^(a-1) sum_S prod_p C(m_p, j_p) (q^-p - 1)^j_p
+                   p_(lambda - S) h_(a + |S|)
 
-is triangular in z and defines the family E_{n,k} by back-substitution.
+over the sub-multisets S of lambda (j_p copies of the part p, out of the
+m_p that lambda has), with h_m = sum_mu p_mu / z_mu.
+
+The scale X -> X (1-z)/(1-q) defines the family E_{n,k} through
+
+    e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k / (q;q)_k) E_{n,k},
+
+a system triangular in z.  ``e_nk`` solves it with every denominator
+cleared by (q;q)_n: the leading coefficient of (z;q)_k in z is the unit
+monomial (-1)^k q^(k(k-1)/2), so back-substitution only divides by
+monomials, and one exact division per coefficient recovers E_{n,k}.
+
 The checks at the bottom verify that the E_{n,k} from that triangular
 system agree with sums of composition-indexed operator products, and
 that their [n]_q/[k]_q-weighted sum collapses to a single power sum.
@@ -27,20 +39,20 @@ that their [n]_q/[k]_q-weighted sum collapses to a single power sum.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple
-from typing import Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .qt import ONE, QTPoly, QTRatio, ZPoly, poch_zq, q_int, qq_poch
+from .qt import QTPoly, q_factorial, q_int, qq_poch
 from .quasisym import MonomialForm, QSymF, expand_in_fundamentals
 
 Partition = Tuple[int, ...]
 
 DEGREE_BOUND = 12
 
-Scalar = Union[ZPoly, QTRatio, QTPoly, int, Fraction]
+# A QTRatio whose value is a polynomial is accepted too, through to_poly.
+Scalar = Union[QTPoly, int, Fraction]
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -69,19 +81,29 @@ def compositions(n: int, length: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def z_lambda(lam: Sequence[int]) -> int:
-    """The centralizer size prod_i i^(m_i) m_i! for multiplicities m."""
+def _multiplicities(lam: Sequence[int]) -> Dict[int, int]:
     mult: Dict[int, int] = {}
     for part in lam:
         mult[part] = mult.get(part, 0) + 1
+    return mult
+
+
+def z_lambda(lam: Sequence[int]) -> int:
+    """The centralizer size prod_i i^(m_i) m_i! for multiplicities m."""
     out = 1
-    for part, m in mult.items():
+    for part, m in _multiplicities(lam).items():
         out *= part ** m * factorial(m)
     return out
 
 
-def _as_zpoly(value: Scalar) -> ZPoly:
-    return value if isinstance(value, ZPoly) else ZPoly.scalar(value)
+def _as_poly(value) -> QTPoly:
+    if isinstance(value, QTPoly):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return QTPoly.const(value)
+    if hasattr(value, "to_poly"):
+        return value.to_poly()
+    raise TypeError(f"not a polynomial scalar: {type(value).__name__}")
 
 
 def _normalize_partition(lam: Sequence[int]) -> Partition:
@@ -91,24 +113,36 @@ def _normalize_partition(lam: Sequence[int]) -> Partition:
     return parts
 
 
+def _merge(a: Partition, b: Partition) -> Partition:
+    return tuple(sorted(a + b, reverse=True))
+
+
+def _accumulate(out: Dict[Partition, QTPoly], key: Partition,
+                term: QTPoly) -> None:
+    s = out[key] + term if key in out else term
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
+
+
 class PExpansion:
-    """Linear combination of p_lambda with ZPoly coefficients."""
+    """Linear combination of p_lambda with QTPoly coefficients."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[Sequence[int], Scalar] | None = None):
-        data: Dict[Partition, ZPoly] = {}
-        if coeffs:
-            for lam, c in coeffs.items():
-                key = _normalize_partition(lam)
-                z = _as_zpoly(c)
-                if key in data:
-                    z = data[key] + z
-                if z.is_zero():
-                    data.pop(key, None)
-                else:
-                    data[key] = z
+        data: Dict[Partition, QTPoly] = {}
+        for lam, c in (coeffs or {}).items():
+            _accumulate(data, _normalize_partition(lam), _as_poly(c))
         self._coeffs = data
+
+    @classmethod
+    def _wrap(cls, data: Dict[Partition, QTPoly]) -> "PExpansion":
+        """Adopt a dict of sorted partitions to nonzero coefficients."""
+        res = cls.__new__(cls)
+        res._coeffs = data
+        return res
 
     @classmethod
     def zero(cls) -> "PExpansion":
@@ -124,10 +158,10 @@ class PExpansion:
             raise ValueError(f"power sum index must be positive: {k}")
         return cls({(k,): 1})
 
-    def coefficient(self, lam: Sequence[int]) -> ZPoly:
-        return self._coeffs.get(_normalize_partition(lam), ZPoly.zero())
+    def coefficient(self, lam: Sequence[int]) -> QTPoly:
+        return self._coeffs.get(_normalize_partition(lam), QTPoly.zero())
 
-    def items(self) -> Iterator[Tuple[Partition, ZPoly]]:
+    def items(self) -> Iterator[Tuple[Partition, QTPoly]]:
         return iter(sorted(self._coeffs.items(),
                            key=lambda kv: (sum(kv[0]), kv[0])))
 
@@ -141,176 +175,70 @@ class PExpansion:
     def is_homogeneous(self, d: int) -> bool:
         return all(sum(lam) == d for lam in self._coeffs)
 
-    def is_z_free(self) -> bool:
-        return all(c.is_z_free() for c in self._coeffs.values())
-
-    def min_z_exp(self) -> int:
-        return min((c.min_exp() for c in self._coeffs.values()), default=0)
-
-    def z_coefficient(self, a: int) -> "PExpansion":
-        """The (z-free) part multiplying z^a."""
-        out: Dict[Partition, ZPoly] = {}
-        for lam, c in self._coeffs.items():
-            r = c.coefficient(a)
-            if not r.is_zero():
-                out[lam] = ZPoly.scalar(r)
-        res = PExpansion.__new__(PExpansion)
-        res._coeffs = out
-        return res
-
     def __add__(self, other: "PExpansion") -> "PExpansion":
         if not isinstance(other, PExpansion):
             return NotImplemented
         out = dict(self._coeffs)
         for lam, c in other._coeffs.items():
-            s = out[lam] + c if lam in out else c
-            if s.is_zero():
-                out.pop(lam, None)
-            else:
-                out[lam] = s
-        res = PExpansion.__new__(PExpansion)
-        res._coeffs = out
-        return res
+            _accumulate(out, lam, c)
+        return PExpansion._wrap(out)
 
     def __neg__(self) -> "PExpansion":
-        res = PExpansion.__new__(PExpansion)
-        res._coeffs = {lam: -c for lam, c in self._coeffs.items()}
-        return res
+        return PExpansion._wrap({lam: -c for lam, c in self._coeffs.items()})
 
     def __sub__(self, other: "PExpansion") -> "PExpansion":
         return self + (-other)
 
     def __mul__(self, other) -> "PExpansion":
         if isinstance(other, PExpansion):
-            out: Dict[Partition, ZPoly] = {}
+            out: Dict[Partition, QTPoly] = {}
             for la, ca in self._coeffs.items():
                 for lb, cb in other._coeffs.items():
-                    key = tuple(sorted(la + lb, reverse=True))
-                    prod = ca * cb
-                    s = out[key] + prod if key in out else prod
-                    if s.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
-            res = PExpansion.__new__(PExpansion)
-            res._coeffs = out
-            return res
-        if isinstance(other, (ZPoly, QTRatio, QTPoly, int, Fraction)):
-            z = _as_zpoly(other)
-            out = {}
-            for lam, c in self._coeffs.items():
-                prod = c * z
-                if not prod.is_zero():
-                    out[lam] = prod
-            res = PExpansion.__new__(PExpansion)
-            res._coeffs = out
-            return res
-        return NotImplemented
+                    _accumulate(out, _merge(la, lb), ca * cb)
+            return PExpansion._wrap(out)
+        try:
+            c = _as_poly(other)
+        except TypeError:
+            return NotImplemented
+        out = {}
+        for lam, cl in self._coeffs.items():
+            prod = cl * c
+            if not prod.is_zero():
+                out[lam] = prod
+        return PExpansion._wrap(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PExpansion):
             return NotImplemented
-        keys = set(self._coeffs) | set(other._coeffs)
-        return all(self.coefficient(lam) == other.coefficient(lam)
-                   for lam in keys)
+        return self._coeffs == other._coeffs
 
     def __hash__(self):
         raise TypeError("PExpansion is not hashable")
 
     def json(self) -> str:
-        obj = {",".join(str(v) for v in lam): str(c)
+        obj = {",".join(str(v) for v in lam): f"({c})"
                for lam, c in self.items()}
         return json.dumps(obj, separators=(",", ":"))
 
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
-        bits = []
-        for lam, c in self.items():
-            label = "p[" + ",".join(str(v) for v in lam) + "]"
-            bits.append(f"({c})*{label}")
-        return " + ".join(bits)
+        return " + ".join(f"({c})*p[{','.join(str(v) for v in lam)}]"
+                          for lam, c in self.items())
 
     def __repr__(self) -> str:
         return f"PExpansion({self})"
 
 
-@dataclass(frozen=True)
-class AlphabetRule:
-    """Per-index data for an alphabet substitution on power sums.
-
-    kind "scale" sends p_k to term(k) * p_k; kind "shift" sends p_k to
-    p_k + term(k).
-    """
-
-    kind: str
-    term: Callable[[int], ZPoly]
-
-    def __post_init__(self):
-        if self.kind not in ("scale", "shift"):
-            raise ValueError(f"unknown rule kind {self.kind!r}")
-
-
-def scale_rule(term: Callable[[int], ZPoly]) -> AlphabetRule:
-    return AlphabetRule("scale", term)
-
-
-def shift_rule(term: Callable[[int], ZPoly]) -> AlphabetRule:
-    return AlphabetRule("shift", term)
-
-
-def cop_alphabet_shift() -> AlphabetRule:
-    """Subtracting (1 - 1/q)/z: p_k gains -(1 - q^-k) z^-k."""
-    def term(k: int) -> ZPoly:
-        return ZPoly({-k: QTRatio(ONE - QTPoly.q(k), QTPoly.q(k))})
-    return shift_rule(term)
-
-
-def enk_alphabet_scale() -> AlphabetRule:
-    """Scaling by (1-z)/(1-q): p_k is multiplied by (1-z^k)/(1-q^k)."""
-    def term(k: int) -> ZPoly:
-        inv = QTRatio(ONE, ONE - QTPoly.q(k))
-        return (ZPoly.one() - ZPoly.z(k)) * inv
-    return scale_rule(term)
-
-
-def pleth_apply(F: PExpansion, rule: AlphabetRule) -> PExpansion:
-    """Substitute the rule's alphabet change into every p_lambda."""
-    if rule.kind == "scale":
-        out: Dict[Partition, ZPoly] = {}
-        for lam, c in F.items():
-            for part in lam:
-                c = c * rule.term(part)
-            if not c.is_zero():
-                out[lam] = out[lam] + c if lam in out else c
-        return PExpansion(out)
-    result = PExpansion.zero()
-    for lam, c in F.items():
-        mult: Dict[int, int] = {}
-        for part in lam:
-            mult[part] = mult.get(part, 0) + 1
-        expanded = PExpansion.one()
-        for part, m in mult.items():
-            a = rule.term(part)
-            binomial = PExpansion.zero()
-            for j in range(m + 1):
-                term = PExpansion({(part,) * j: comb(m, j)}) * (a ** (m - j))
-                binomial = binomial + term
-            expanded = expanded * binomial
-        result = result + expanded * c
-    return result
-
-
 def _newton(n: int, signed: bool) -> PExpansion:
     if not 1 <= n <= DEGREE_BOUND:
         raise ValueError(f"degree must lie in 1..{DEGREE_BOUND}, got {n}")
-    coeffs: Dict[Partition, Scalar] = {}
-    for lam in partitions(n):
-        sign = -1 if signed and (n - len(lam)) % 2 else 1
-        coeffs[lam] = QTRatio(QTPoly.const(Fraction(sign, z_lambda(lam))))
-    return PExpansion(coeffs)
+    return PExpansion._wrap({
+        lam: QTPoly.const(Fraction(
+            -1 if signed and (n - len(lam)) % 2 else 1, z_lambda(lam)))
+        for lam in partitions(n)})
 
 
 def e_in_p(n: int) -> PExpansion:
@@ -329,30 +257,65 @@ def p_pure(n: int) -> PExpansion:
     return PExpansion.p(n)
 
 
+@lru_cache(maxsize=None)
+def _h_terms(m: int) -> Tuple[Tuple[Partition, Fraction], ...]:
+    """(mu, 1/z_mu) for every partition mu of m: the terms of h_m."""
+    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in partitions(m))
+
+
+def shift_factor(k: int) -> QTPoly:
+    """q^-k - 1: what subtracting (1 - 1/q)/z adds to p_k, per z^-k."""
+    return QTPoly.q(-k) - 1
+
+
+@lru_cache(maxsize=None)
+def shift_terms(
+        lam: Partition) -> Tuple[Tuple[Tuple[Partition, int], QTPoly], ...]:
+    """p_lambda[X - (1 - 1/q)/z] as ((lambda - S, |S|), coefficient) pairs.
+
+    Each p_p^m becomes sum_j C(m, j) shift_factor(p)^j z^(-p j) p_p^(m-j),
+    so the term that removes the sub-multiset S carries z^-|S|.  Cached:
+    at most one entry per partition of size below DEGREE_BOUND.
+    """
+    terms: Dict[Tuple[Partition, int], QTPoly] = {((), 0): QTPoly.one()}
+    for part, m in _multiplicities(lam).items():
+        a = shift_factor(part)
+        powers = [QTPoly.one()]
+        for _ in range(m):
+            powers.append(powers[-1] * a)
+        nxt: Dict[Tuple[Partition, int], QTPoly] = {}
+        for (rest, size), c in terms.items():
+            for j in range(m + 1):
+                key = (rest + (part,) * (m - j), size + part * j)
+                nxt[key] = c * (powers[j] * comb(m, j))
+        terms = nxt
+    return tuple(((_normalize_partition(rest), size), c)
+                 for (rest, size), c in terms.items())
+
+
 def c_op(a: int, F: PExpansion) -> PExpansion:
     """(-1/q)^(a-1) [z^a] (F[X - (1-1/q)/z] * sum_m z^m h_m[X]).
 
-    The h-sum is truncated at a + d where -d is the lowest z exponent the
-    shift introduced (d = 0 when none is negative): a term z^m h_m with
-    m > a + d would need a z exponent below -d to reach z^a.
+    A term of the shift that removed S from lambda carries z^-|S|, so it
+    meets z^a in z^(a+|S|) h_(a+|S|).  Terms are grouped by what is left
+    of lambda and by |S| before h is expanded.
     """
     if a < 1:
         raise ValueError(f"operator index must be positive: {a}")
     if F.degree() + a > DEGREE_BOUND:
         raise ValueError(
             f"result degree {F.degree() + a} exceeds bound {DEGREE_BOUND}")
-    shifted = pleth_apply(F, cop_alphabet_shift())
-    depth = max(0, -shifted.min_z_exp())
-    hsum = PExpansion.one()
-    for m in range(1, a + depth + 1):
-        hsum = hsum + h_in_p(m) * ZPoly.z(m)
-    out = (shifted * hsum).z_coefficient(a)
-    out = out * QTRatio(QTPoly.const((-1) ** (a - 1)), QTPoly.q(a - 1))
-    if not out.is_z_free():
-        raise AssertionError("operator output kept a z dependence")
-    if not F.is_zero() and not out.is_homogeneous(F.degree() + a):
-        raise AssertionError("operator output is not homogeneous")
-    return out
+    grouped: Dict[Tuple[Partition, int], QTPoly] = {}
+    for lam, c in F._coeffs.items():
+        for key, f in shift_terms(lam):
+            _accumulate(grouped, key, c * f)
+    sign = QTPoly.monomial(1 - a, 0, (-1) ** (a - 1))
+    out: Dict[Partition, QTPoly] = {}
+    for (rest, size), g in grouped.items():
+        g = g * sign
+        for mu, inv_z in _h_terms(a + size):
+            _accumulate(out, _merge(rest, mu), g * inv_z)
+    return PExpansion._wrap(out)
 
 
 def c_composition(rho: Sequence[int]) -> PExpansion:
@@ -360,43 +323,101 @@ def c_composition(rho: Sequence[int]) -> PExpansion:
     parts = tuple(int(v) for v in rho)
     if not parts or any(v < 1 for v in parts):
         raise ValueError(f"need a composition with positive parts: {parts}")
-    out = PExpansion.one()
-    for a in reversed(parts):
-        out = c_op(a, out)
+    return _c_suffix(parts)
+
+
+@lru_cache(maxsize=None)
+def _c_suffix(parts: Partition) -> PExpansion:
+    """C_alpha 1, built on the cached value of its suffix alpha[1:].
+
+    At most one entry per composition of size DEGREE_BOUND or less.
+    """
+    inner = _c_suffix(parts[1:]) if len(parts) > 1 else PExpansion.one()
+    return c_op(parts[0], inner)
+
+
+def zq_poch_coefficients(k: int) -> List[QTPoly]:
+    """[z^j] (z; q)_k for j = 0..k, where (z; q)_k = prod_(i<k) (1 - z q^i)."""
+    out = [QTPoly.one()]
+    for i in range(k):
+        shifted = [QTPoly.zero()] + [c * QTPoly.q(i) for c in out]
+        out = [c - s for c, s in zip(out + [QTPoly.zero()], shifted)]
     return out
+
+
+def _z_coefficients(lam: Partition, n: int) -> List[int]:
+    """[z^j] prod_i (1 - z^(lambda_i)) for j = 0..n."""
+    out = [1] + [0] * n
+    for part in lam:
+        for j in range(n, part - 1, -1):
+            out[j] -= out[j - part]
+    return out
+
+
+def scaled_e_row(lam: Partition) -> List[QTPoly]:
+    """[z^j] of (q;q)_n times the coefficient of p_lambda in
+    e_n[X (1-z)/(1-q)], for j = 0..n and n = |lambda|.
+
+    The scale multiplies each p_k by (1 - z^k)/(1 - q^k), and (q;q)_n is
+    a multiple of prod_i (1 - q^lambda_i), so every entry is a polynomial.
+    """
+    n = sum(lam)
+    den = QTPoly.one()
+    for part in lam:
+        den = den * (1 - QTPoly.q(part))
+    scaled = qq_poch(n).divexact(den) * Fraction(
+        (-1) ** (n - len(lam)), z_lambda(lam))
+    return [scaled * c for c in _z_coefficients(lam, n)]
+
+
+def _unit_inverse(c: QTPoly) -> QTPoly:
+    if len(c) != 1:
+        raise RuntimeError(f"leading z coefficient {c} is not a monomial")
+    (qe, te), v = next(c.terms())
+    return QTPoly.monomial(-qe, -te, 1 / v)
 
 
 def e_nk(n: int) -> List[PExpansion]:
     """(E_{n,1}, ..., E_{n,n}) solving the triangular z-expansion of the
-    scaled elementary symmetric function."""
+    scaled elementary symmetric function.
+
+    Times (q;q)_n the coefficient of p_lambda in e_n[X (1-z)/(1-q)] is
+    the polynomial in z whose coefficients ``scaled_e_row`` lists, and it
+    equals sum_k (z;q)_k y_k with y_k = x_k (q;q)_n/(q;q)_k, where x_k is
+    the coefficient of p_lambda in E_{n,k}.  Back-substitution from z^n
+    down to z^1 finds the y_k; z^0 is the one equation left over, and is
+    checked.
+    """
     if not 1 <= n <= DEGREE_BOUND:
         raise ValueError(f"degree must lie in 1..{DEGREE_BOUND}, got {n}")
-    lhs = pleth_apply(e_in_p(n), enk_alphabet_scale())
-    basis = {k: poch_zq(k) * QTRatio(ONE, qq_poch(k))
-             for k in range(1, n + 1)}
-    solved: Dict[int, Dict[Partition, QTRatio]] = {
-        k: {} for k in range(1, n + 1)}
+    full = qq_poch(n)
+    basis = {k: zq_poch_coefficients(k) for k in range(1, n + 1)}
+    lead_inv = {k: _unit_inverse(basis[k][k]) for k in basis}
+    cofactor = {k: full.divexact(qq_poch(k)) for k in basis}
+    solved: List[Dict[Partition, QTPoly]] = [{} for _ in range(n)]
     for lam in partitions(n):
-        c = lhs.coefficient(lam)
-        if c.min_exp() < 0 or c.max_exp() > n:
-            raise RuntimeError(f"e_nk({n}): z-degrees of {lam} outside 0..{n}")
-        xs: Dict[int, QTRatio] = {}
+        lhs = scaled_e_row(lam)
+        ys: Dict[int, QTPoly] = {}
         for j in range(n, 0, -1):
-            residual = c.coefficient(j)
+            residual = lhs[j]
             for k in range(j + 1, n + 1):
-                residual = residual - basis[k].coefficient(j) * xs[k]
-            xs[j] = residual / basis[j].coefficient(j)
-        constant = QTRatio.zero()
-        for k in range(1, n + 1):
-            constant = constant + basis[k].coefficient(0) * xs[k]
-        if constant != c.coefficient(0):
+                residual = residual - basis[k][j] * ys[k]
+            ys[j] = residual * lead_inv[j]
+        for k, y in ys.items():
+            try:
+                x = y.divexact(cofactor[k])
+            except ValueError:
+                raise RuntimeError(
+                    f"e_nk({n}): coefficient of {lam} in E_{n},{k} is not "
+                    f"a polynomial") from None
+            if not x.is_zero():
+                solved[k - 1][lam] = x
+        constant = QTPoly.zero()
+        for k, y in ys.items():
+            constant = constant + basis[k][0] * y
+        if constant != lhs[0]:
             raise RuntimeError(f"e_nk({n}): constant term of {lam} unsolved")
-        for k, r in xs.items():
-            if not r.is_zero():
-                solved[k][lam] = r
-    return [PExpansion({lam: ZPoly.scalar(r.reduced())
-                        for lam, r in solved[k].items()})
-            for k in range(1, n + 1)]
+    return [PExpansion._wrap(d) for d in solved]
 
 
 def hmz_check(n: int) -> bool:
@@ -414,12 +435,14 @@ def hmz_check(n: int) -> bool:
 
 def pn_identity_check(n: int) -> bool:
     """Does sum_k [n]_q/[k]_q E_{n,k} equal the signed power sum
-    (-1)^(n-1) p_n?"""
+    (-1)^(n-1) p_n?  Both sides are taken times [n]_q!, which clears
+    every [k]_q."""
     series = e_nk(n)
+    fact = q_factorial(n)
     acc = PExpansion.zero()
     for k in range(1, n + 1):
-        acc = acc + series[k - 1] * QTRatio(q_int(n), q_int(k))
-    return acc == p_pure(n) * ((-1) ** (n - 1))
+        acc = acc + series[k - 1] * (q_int(n) * fact.divexact(q_int(k)))
+    return acc == p_pure(n) * (fact * (-1) ** (n - 1))
 
 
 def _power_product_monomials(lam: Partition, n: int) -> Dict[Tuple[int, ...], int]:
@@ -439,29 +462,19 @@ def sym_to_qsym(F: PExpansion, n: int) -> QSymF:
     """Expand a homogeneous degree-n symmetric function in n variables
     and rewrite it in the fundamental quasisymmetric basis.
 
-    Coefficients must clear to polynomials in q, t; a genuinely rational
-    or inhomogeneous input is rejected.
+    An inhomogeneous input is rejected.
     """
-    if not F.is_z_free():
-        raise ValueError("input depends on z")
     if not F.is_homogeneous(n) or (F.is_zero() and n < 1):
         raise ValueError(f"input is not homogeneous of degree {n}")
-    mono: Dict[Tuple[int, ...], QTRatio] = {}
+    mono: Dict[Tuple[int, ...], QTPoly] = {}
     for lam, c in F.items():
-        r = c.coefficient(0)
         for expv, cnt in _power_product_monomials(lam, n).items():
-            prev = mono.get(expv, QTRatio.zero())
-            s = prev + r * cnt
-            if s.is_zero():
-                mono.pop(expv, None)
-            else:
-                mono[expv] = s
-    packed: Dict[Tuple[int, ...], QTRatio] = {}
-    for expv, r in mono.items():
+            _accumulate(mono, expv, c * cnt)
+    packed: Dict[Tuple[int, ...], QTPoly] = {}
+    for expv, c in mono.items():
         key = tuple(v for v in expv if v)
         lead = key + (0,) * (n - len(key))
-        if mono.get(lead) != r:
+        if mono.get(lead) != c:
             raise RuntimeError(f"monomial {expv} breaks quasisymmetry")
-        packed[key] = mono[lead]
-    coeffs = {alpha: r.to_poly() for alpha, r in packed.items()}
-    return expand_in_fundamentals(MonomialForm(n, coeffs))
+        packed[key] = c
+    return expand_in_fundamentals(MonomialForm(n, packed))

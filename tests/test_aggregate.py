@@ -157,11 +157,29 @@ GUARDS = textwrap.dedent("""
     except RuntimeError:
         print("factor_check guard fired")
 
-    symfunc.enk_alphabet_scale = symfunc.cop_alphabet_shift
+    real_poch = symfunc.zq_poch_coefficients
+
+    def planted(k0, j, change):
+        def coefficients(k):
+            out = real_poch(k)
+            if k == k0:
+                out[j] = change(out[j])
+            return out
+        return coefficients
+
+    symfunc.zq_poch_coefficients = planted(2, 1, lambda c: -c)
     try:
         symfunc.e_nk(3)
-    except RuntimeError:
-        print("e_nk guard fired")
+    except RuntimeError as e:
+        if "constant term" in str(e):
+            print("e_nk guard fired")
+
+    symfunc.zq_poch_coefficients = planted(3, 1, lambda c: c + 1)
+    try:
+        symfunc.e_nk(3)
+    except RuntimeError as e:
+        if "not a polynomial" in str(e):
+            print("e_nk division guard fired")
 """)
 
 
@@ -175,4 +193,5 @@ def test_guards_fire_under_python_O():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["fold guard fired",
                                         "factor_check guard fired",
-                                        "e_nk guard fired"]
+                                        "e_nk guard fired",
+                                        "e_nk division guard fired"]

@@ -1,13 +1,17 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
-from qtpark import aggregate, checks, cli, kernels, schedules
+import qtpark
+from qtpark import aggregate, checks, cli, kernels, schedules, symfunc
 from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, place, stats
@@ -268,6 +272,19 @@ def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
     assert len(runs) <= 1
 
 
+def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
+    rows = sum(len(schedules.runs(t)) for t in permutations(range(1, 5)))
+    runs = count_calls(monkeypatch, (schedules, cli), "runs")
+    code, out, _ = run(capsys, "table", "polynomials", "--n", "4")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + rows
+    assert len(runs) == factorial(4)  # one per tau, not about 4 per row
+    runs.clear()
+    code, out, _ = run(capsys, "table", "schedules", "--tau", "3142")
+    assert code == 0
+    assert len(runs) == 1
+
+
 def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
     nruns = len(schedules.runs(cli._parse_vector(ELEVEN)))
     batch = count_calls(monkeypatch, (checks,), "schedule_counts")
@@ -437,3 +454,33 @@ def test_mutation_free_run_passes(capsys):
     code, out, _ = run(capsys, "check", "cor-withides", "--n", "1..5")
     assert code == 0
     assert json.loads(out)["passed"] is True
+
+
+def test_planted_c_op_sign_fails_hmz(capsys, monkeypatch):
+    """A wrong sign in the shift of the creation operator is caught."""
+    caches = (symfunc.shift_terms, symfunc._c_suffix)
+    monkeypatch.setattr(symfunc, "shift_factor",
+                        lambda k: 1 - symfunc.QTPoly.q(-k))
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        code, out, _ = run(capsys, "check", "thm-hmz", "--n", "1..4")
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["counterexample"] == {"n": 2}
+
+
+def test_python_m_qtpark(capsys):
+    argv = ["check", "thm-hmz", "--n", "1..2"]
+    code, out, _ = run(capsys, *argv)
+    src = os.path.dirname(os.path.dirname(qtpark.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qtpark", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
