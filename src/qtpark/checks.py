@@ -161,7 +161,8 @@ class CheckSpec:
                 object.__setattr__(self, opt, default)
         if self.threads is None:
             object.__setattr__(self, "threads", 1)
-        if (self.samples or 0) < 0 or (self.max_part or 1) < 1:
+        if ((self.samples is not None and self.samples < 0)
+                or (self.max_part is not None and self.max_part < 1)):
             raise ValueError("bad sampling parameters")
 
     @property

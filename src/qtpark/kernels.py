@@ -1,25 +1,17 @@
-"""Batch statistics kernels over blocks of preference functions.
+"""The batch statistics kernel over blocks of preference functions.
 
 The exhaustive checks sweep all n^n preference functions, which is the only
-hot loop in the package.  Two interchangeable implementations compute the
-same integer table:
+hot loop in the package.  The kernel is pure numpy, vectorized across the
+rows of a block.
 
-* a numba ``@njit`` kernel (row-at-a-time integer loops, GIL released), and
-* a pure-numpy kernel, vectorized across the rows of a block.
-
-The numpy kernel works column-major, on (n, rows) int8 arrays, and needs no
-sort.  It splits each function into a path part and a labeling part, as in
+It works column-major, on (n, rows) int8 arrays, and needs no sort.  It
+splits each function into a path part and a labeling part, as in
 Loehr-Warrington, "Square q,t-lattice paths and nabla(p_n)" (Trans. AMS
 2007): each car's grid row, and then its place in the diagword, is a count
 of comparisons with the other cars.  One loop over the n(n-1)/2 pairs
 a < b of cars finds the rows; a second finds the diagword places and the
 dinv pair terms.  ``stats_block`` refuses any n above ``MAX_N``, where
 those small integer types could wrap.
-
-The active default is chosen by the ``QTPARK_KERNEL`` environment variable:
-``numba``, ``numpy``, or ``auto`` (unset; numba when importable).  Every
-function also takes an explicit ``backend`` argument that overrides the
-environment, which is what the benchmark and the cross-checking tests use.
 
 Each output row describes one preference function in seven int64 columns,
 exactly the ones the count tables in ``aggregate`` fold:
@@ -38,25 +30,11 @@ per function by ``paths.stats`` alone.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Deque, Iterator, Optional, Tuple
+from typing import Deque, Iterator, Tuple
 
 import numpy as np
-
-try:  # pragma: no cover - exercised indirectly through backend tests
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 # Column layout of a statistics block.
@@ -65,103 +43,32 @@ NCOL = 7
 
 CHUNK = 1 << 16
 
-# Largest n the kernels accept.  Indices and diagword codes run below
-# n^n <= 2^63, so they fit an int64.  The numpy kernel keeps every per-car
+# Largest n the kernel accepts.  Indices and diagword codes run below
+# n^n <= 2^63, so they fit an int64.  The kernel keeps every per-car
 # value and pair count in int8 (|diag| < n, rows and diagword places <= n,
 # dinv <= n(n-1)/2 + n <= 127) and sum(f) <= n^2 and ides < 2^(n-1) in
 # int16; all of this holds for n <= 15.
 MAX_N = 15
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Pick 'numba' or 'numpy' from the argument or QTPARK_KERNEL."""
-    choice = backend or os.environ.get("QTPARK_KERNEL", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("QTPARK_KERNEL=numba but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown kernel backend {choice!r}")
+def resolve_backend() -> str:
+    """The kernel's name, which the benchmark harness records among its
+    machine facts.  There is one kernel."""
+    return "numpy"
 
 
-@njit(cache=True, nogil=True)
-def _fill_block_numba(n, start, out):  # pragma: no cover - measured via results
-    nrows = out.shape[0]
-    f = np.empty(n, np.int64)
-    row = np.empty(n, np.int64)
-    diag = np.empty(n, np.int64)
-    order = np.empty(n, np.int64)
-    key = np.empty(n, np.int64)
-    pw = np.empty(n, np.int64)
-    p = 1
-    for j in range(n - 1, -1, -1):
-        pw[j] = p
-        p *= n
-    for r in range(nrows):
-        idx = start + r
-        for j in range(n - 1, -1, -1):
-            f[j] = idx % n + 1
-            idx //= n
-        # rows assigned in (column, label) order
-        nextrow = 1
-        for v in range(1, n + 1):
-            for c in range(n):
-                if f[c] == v:
-                    row[c] = nextrow
-                    nextrow += 1
-        mind = 0
-        for c in range(n):
-            diag[c] = row[c] - f[c]
-            if diag[c] < mind:
-                mind = diag[c]
-        dev = -mind
-        area = n * dev
-        dt = 0
-        touch = 0
-        for c in range(n):
-            area += diag[c]
-            if diag[c] < 0:
-                dt += 1
-            if diag[c] == mind:
-                touch += 1
-        dp = 0
-        ds = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                if diag[a] == diag[b] and f[a] < f[b]:
-                    dp += 1
-                if diag[a] == diag[b] - 1 and f[a] > f[b]:
-                    ds += 1
-        ides = 0
-        for i in range(1, n):
-            if diag[i] > diag[i - 1] or (diag[i] == diag[i - 1] and f[i] > f[i - 1]):
-                ides |= 1 << (i - 1)
-        # diagword: cars in ascending (n - diag, car) order
-        dword = 0
-        for c in range(n):
-            key[c] = (n - diag[c]) * n + c
-        for pos in range(n):
-            best = -1
-            for c in range(n):
-                if key[c] >= 0 and (best < 0 or key[c] < key[best]):
-                    best = c
-            order[pos] = best
-            key[best] = -1
-        for pos in range(n):
-            dword += order[pos] * pw[pos]
-        out[r, AREA] = area
-        out[r, DINV] = dp + ds + dt
-        out[r, DEV] = dev
-        out[r, TOUCH] = touch
-        out[r, IDES] = ides
-        out[r, DWORD] = dword
-        out[r, PARK] = 1 if dev == 0 else 0
+def stats_block(n: int, start: int, stop: int) -> np.ndarray:
+    """Statistics rows for preference-function indices [start, stop).
 
+    The index is the rank of f in lexicographic order, i.e. the base-n
+    number with digits f(1)-1, ..., f(n)-1.
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n = {n} outside the kernel's range 1..{MAX_N}")
+    total = n ** n
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"index range [{start}, {stop}) outside [0, {total}]")
 
-def _fill_block_numpy(n: int, start: int, stop: int) -> np.ndarray:
     # Column-major: entry [c, r] is car c + 1 of the block's r-th function.
     # Every rank below is a count over the pairs a < b of cars, so the
     # block needs no sort and no (rows, n, n) cube.
@@ -225,28 +132,7 @@ def _fill_block_numpy(n: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def stats_block(n: int, start: int, stop: int,
-                backend: Optional[str] = None) -> np.ndarray:
-    """Statistics rows for preference-function indices [start, stop).
-
-    The index is the rank of f in lexicographic order, i.e. the base-n
-    number with digits f(1)-1, ..., f(n)-1.
-    """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n = {n} outside the kernels' range 1..{MAX_N}")
-    total = n ** n
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"index range [{start}, {stop}) outside [0, {total}]")
-    which = resolve_backend(backend)
-    if which == "numba":
-        out = np.empty((stop - start, NCOL), dtype=np.int64)
-        _fill_block_numba(n, start, out)
-        return out
-    return _fill_block_numpy(n, start, stop)
-
-
-def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
-                     backend: Optional[str] = None
+def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK
                      ) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (start, block) pairs covering all n^n functions, in order.
 
@@ -260,7 +146,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
     starts = range(0, total, chunk)
     if threads <= 1 or len(starts) <= 1:
         for s in starts:
-            yield s, stats_block(n, s, min(s + chunk, total), backend)
+            yield s, stats_block(n, s, min(s + chunk, total))
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: Deque[Tuple[int, Future]] = deque()
@@ -269,7 +155,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
                 head, fut = pending.popleft()
                 yield head, fut.result()
             pending.append((s, pool.submit(stats_block, n, s,
-                                           min(s + chunk, total), backend)))
+                                           min(s + chunk, total))))
         while pending:
             head, fut = pending.popleft()
             yield head, fut.result()

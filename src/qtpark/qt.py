@@ -1,16 +1,11 @@
 """Exact sparse arithmetic in the variables q and t.
 
-Two small rings cover everything the rest of the package needs:
-
-``QTPoly``
-    Laurent polynomials in q and t with ``fractions.Fraction`` coefficients,
-    stored as a dict mapping ``(q_exponent, t_exponent)`` to a nonzero
-    coefficient.  Negative exponents are allowed.
-
-``QTRatio``
-    Formal quotients of two ``QTPoly`` values.  Quotients are kept lazily
-    unreduced; equality is decided by cross multiplication, which is exact
-    and needs no multivariate gcd.
+One ring covers everything the rest of the package needs: ``QTPoly``,
+Laurent polynomials in q and t with ``fractions.Fraction`` coefficients,
+stored as a dict mapping ``(q_exponent, t_exponent)`` to a nonzero
+coefficient.  Negative exponents are allowed.  Every quotient the package
+forms is a polynomial; ``QTPoly.divexact`` computes it and raises when the
+division is not exact.
 
 Canonical string form (used by every serializer in the package): terms are
 sorted lexicographically by (q exponent, t exponent), each term is rendered
@@ -25,7 +20,6 @@ from math import lcm
 from typing import Dict, Iterator, Mapping, Tuple, Union
 
 Exponent = Tuple[int, int]
-Scalar = Union[int, Fraction]
 
 
 def _coerce(value: Union[int, Fraction]) -> Fraction:
@@ -92,9 +86,6 @@ class QTPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_one(self) -> bool:
-        return self._terms == {(0, 0): Fraction(1)}
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -171,18 +162,6 @@ class QTPoly:
         return res
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "QTPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = QTPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def evaluate(self, qv: Union[int, Fraction], tv: Union[int, Fraction]) -> Fraction:
         """Evaluate at rational q=qv, t=tv (nonzero if negative exponents occur)."""
@@ -275,7 +254,6 @@ class QTPoly:
         return f"QTPoly({self})"
 
 
-ZERO = QTPoly.zero()
 ONE = QTPoly.one()
 
 
@@ -305,58 +283,3 @@ def qq_poch(k: int) -> QTPoly:
         out = out * (QTPoly.one() - QTPoly.q(i))
     return out
 
-
-class QTRatio:
-    """Formal quotient num/den of two QTPoly values, kept unreduced.
-
-    Equality is semantic: a/b == c/d exactly when a*d == c*b.  The only
-    normalizations applied are cheap and value-preserving: a zero numerator
-    resets the denominator to 1, and a monomial denominator is folded into
-    the numerator (monomials are units in the Laurent ring).
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Union[QTPoly, int, Fraction],
-                 den: Union[QTPoly, int, Fraction] = 1):
-        if not isinstance(num, QTPoly):
-            num = QTPoly.const(num)
-        if not isinstance(den, QTPoly):
-            den = QTPoly.const(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = QTPoly.one()
-        elif len(den) == 1:
-            (e, c), = den._terms.items()
-            num = num * QTPoly.monomial(-e[0], -e[1], Fraction(1) / c)
-            den = QTPoly.one()
-        self.num = num
-        self.den = den
-
-    def __eq__(self, other: object) -> bool:
-        r = _as_ratio(other)
-        if r is NotImplemented:
-            return NotImplemented
-        return ratio_eq(self, r)
-
-    def to_poly(self) -> QTPoly:
-        """The quotient as a QTPoly; raises ValueError if it is not one."""
-        return self.num.divexact(self.den)
-
-
-def _as_ratio(x) -> "QTRatio":
-    if isinstance(x, QTRatio):
-        return x
-    if isinstance(x, (QTPoly, int, Fraction)):
-        return QTRatio(x)
-    return NotImplemented
-
-
-def ratio_eq(a: Union[QTRatio, QTPoly, int, Fraction],
-             b: Union[QTRatio, QTPoly, int, Fraction]) -> bool:
-    """Semantic equality of quotients by cross multiplication."""
-    ra, rb = _as_ratio(a), _as_ratio(b)
-    if ra is NotImplemented or rb is NotImplemented:
-        raise TypeError("ratio_eq expects ratios, polynomials, or scalars")
-    return ra.num * rb.den == rb.num * ra.den

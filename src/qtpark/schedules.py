@@ -31,7 +31,7 @@ the weights.
 The checks need every weight of every permutation of 1..n at once, so
 the module also works on batches: permutation_rows/permutation_blocks
 build the permutations as int8 rows, schedule_counts takes each car's
-pair counts column-major (as kernels._fill_block_numpy does), and
+pair counts column-major (as kernels.stats_block does), and
 schedule0_rows/schedule_l_rows select the weights from those counts.
 The scalar functions above them stay the reference.
 """
@@ -46,7 +46,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .paths import PrefFunc, stats
-from .qt import ONE, QTPoly, QTRatio, q_int, ratio_eq
+from .qt import ONE, QTPoly, q_int
 
 Perm = Tuple[int, ...]
 
@@ -210,25 +210,30 @@ def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
     return out
 
 
-def pref_all_l_closed_form(tau: Sequence[int]) -> QTRatio:
-    """t^maj [n]_q/[k]_q prod [w_i]_q, summed over every deviation.
+def pref_all_l_closed_form(tau: Sequence[int]) -> QTPoly:
+    """t^maj [n]_q/[k]_q prod [w_i]_q, summed over every deviation; k is
+    the length of the last run (Loehr-Warrington, Trans. AMS 2007).
 
-    The return value is certified against the sum of the per-deviation
-    closed forms, which also proves the quotient is a polynomial.
+    The quotient is exact, and it is certified against the sum of the
+    per-deviation closed forms; RuntimeError if either fails.
     """
     rd = runs(tau)
     n = len(rd.tau)
     num = QTPoly.t(maj(rd.tau)) * q_int(n)
     for wi in _schedule0(rd):
         num = num * q_int(wi)
-    ratio = QTRatio(num, q_int(rd.last_run_length))
+    try:
+        quotient = num.divexact(q_int(rd.last_run_length))
+    except ValueError:
+        raise RuntimeError(
+            f"schedule quotient is not a polynomial for {rd.tau}") from None
     total = QTPoly.zero()
     for l in range(len(rd.runs)):
         total = total + pref_closed_form(rd.tau, l)
-    if not ratio_eq(ratio, total):
-        raise AssertionError(
+    if quotient != total:
+        raise RuntimeError(
             f"schedule quotient disagrees with deviation sum for {rd.tau}")
-    return ratio
+    return quotient
 
 
 def shift_multiset(tau: Sequence[int], l: int) -> bool:

@@ -51,7 +51,6 @@ Partition = Tuple[int, ...]
 
 DEGREE_BOUND = 12
 
-# A QTRatio whose value is a polynomial is accepted too, through to_poly.
 Scalar = Union[QTPoly, int, Fraction]
 
 
@@ -101,8 +100,6 @@ def _as_poly(value) -> QTPoly:
         return value
     if isinstance(value, (int, Fraction)):
         return QTPoly.const(value)
-    if hasattr(value, "to_poly"):
-        return value.to_poly()
     raise TypeError(f"not a polynomial scalar: {type(value).__name__}")
 
 

@@ -206,6 +206,9 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
      "--max", str(SCOPES["lemma-parlem"].limits["max_part"] + 1)),
     ("check", "lemma-parlem", "--n", "2",
      "--samples", str(SCOPES["lemma-parlem"].limits["samples"] + 1)),
+    # an empty sampling box
+    ("check", "lemma-parlem", "--n", "1..8", "--max", "0"),
+    ("check", "lemma-parlem", "--max", "0", "--samples", "0"),
 ])
 def test_refuses_unusable_input(capsys, monkeypatch, argv):
     assert_refused_up_front(capsys, monkeypatch, *argv)
@@ -417,7 +420,7 @@ def test_output_bytes_thread_invariant(capsys, argv):
     assert runs[0] == runs[1] == runs[2]
 
 
-def _buggy_qsym_by_diagword(n, threads=1, backend=None):
+def _buggy_qsym_by_diagword(n, threads=1):
     """The real table with the secondary rule off by one: a pair one
     diagonal apart counts only when more than one column further right."""
     table = {}
@@ -474,13 +477,25 @@ def test_planted_c_op_sign_fails_hmz(capsys, monkeypatch):
     assert report["counterexample"] == {"n": 2}
 
 
+def run_python_m(argv, **environ):
+    """`python -m qtpark argv` in a fresh process, with environ added."""
+    src = os.path.dirname(os.path.dirname(qtpark.__file__))
+    env = dict(os.environ, **environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "qtpark", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_kernel_environment_variable_is_ignored(capsys):
+    argv = ["check", "main-square-paths", "--n", "1..3"]
+    code, out, _ = run(capsys, *argv)
+    proc = run_python_m(argv, QTPARK_KERNEL="numba")
+    assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+
+
 def test_python_m_qtpark(capsys):
     argv = ["check", "thm-hmz", "--n", "1..2"]
     code, out, _ = run(capsys, *argv)
-    src = os.path.dirname(os.path.dirname(qtpark.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "qtpark", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = run_python_m(argv)
     assert (proc.returncode, proc.stdout) == (code, out) == (0, out)

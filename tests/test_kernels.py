@@ -1,4 +1,4 @@
-"""Batch kernels against the per-function reference, across backends."""
+"""The batch kernel against the per-function reference."""
 
 import threading
 import time
@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from qtpark import kernels
-from qtpark.kernels import (AREA, DEV, DINV, DWORD, HAS_NUMBA, IDES, NCOL,
-                            PARK, TOUCH, decode_ides, decode_perm,
-                            iter_stat_chunks, resolve_backend, stats_block)
+from qtpark.kernels import (AREA, DEV, DINV, DWORD, IDES, NCOL, PARK, TOUCH,
+                            decode_ides, decode_perm, iter_stat_chunks,
+                            stats_block)
 from qtpark.paths import PrefFunc, stats
 
-BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
+# Case ids name the kernel under test: test_block_matches_reference[5-numpy].
+NUMPY_ID = "{}-numpy".format
 
 
 def decode_f(index, n):
@@ -37,21 +38,18 @@ def assert_rows_match_reference(block, n, start):
         assert bool(row[PARK]) == (s.deviation == 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_block_matches_reference(backend, n):
-    assert_rows_match_reference(stats_block(n, 0, n ** n, backend=backend),
-                                n, 0)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5], ids=NUMPY_ID)
+def test_block_matches_reference(n):
+    assert_rows_match_reference(stats_block(n, 0, n ** n), n, 0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("n", [6, 7, 8, 15])
+@pytest.mark.parametrize("n", [6, 7, 8, 15], ids=NUMPY_ID)
 @pytest.mark.parametrize("where", ["start", "middle", "end"])
-def test_block_window_matches_reference(backend, n, where):
+def test_block_window_matches_reference(n, where):
     rows = 300
     start = {"start": 0, "middle": (n ** n - rows) // 2,
              "end": n ** n - rows}[where]
-    block = stats_block(n, start, start + rows, backend=backend)
+    block = stats_block(n, start, start + rows)
     assert block.shape == (rows, NCOL)
     assert_rows_match_reference(block, n, start)
 
@@ -60,28 +58,8 @@ def test_block_window_matches_reference(backend, n, where):
 def test_kernel_refuses_n_outside_its_range(n):
     # 16^16 overflows the int64 indices and diagword codes.
     assert kernels.MAX_N == 15
-    for backend in BACKENDS:
-        with pytest.raises(ValueError):
-            stats_block(n, 0, 1, backend=backend)
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("n", [5, 6])
-def test_backends_agree(n):
-    a = stats_block(n, 0, n ** n, backend="numpy")
-    b = stats_block(n, 0, n ** n, backend="numba")
-    assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_numba_body_matches_numpy(n):
-    # Without numba, njit is the identity, so this runs the numba kernel's
-    # Python body; with numba, py_func is that same body uncompiled.
-    body = getattr(kernels._fill_block_numba, "py_func",
-                   kernels._fill_block_numba)
-    out = np.empty((n ** n, NCOL), dtype=np.int64)
-    body(n, 0, out)
-    assert np.array_equal(out, kernels._fill_block_numpy(n, 0, n ** n))
+    with pytest.raises(ValueError):
+        stats_block(n, 0, 1)
 
 
 @pytest.mark.parametrize("threads", [1, 2, 8])
@@ -125,17 +103,6 @@ def test_block_bounds():
         stats_block(3, 0, 28)
     with pytest.raises(ValueError):
         stats_block(3, -1, 5)
-
-
-def test_resolve_backend(monkeypatch):
-    assert resolve_backend("numpy") == "numpy"
-    monkeypatch.setenv("QTPARK_KERNEL", "numpy")
-    assert resolve_backend() == "numpy"
-    monkeypatch.setenv("QTPARK_KERNEL", "bogus")
-    with pytest.raises(ValueError):
-        resolve_backend()
-    monkeypatch.delenv("QTPARK_KERNEL")
-    assert resolve_backend() in ("numpy", "numba")
 
 
 def test_decode_round_trips():

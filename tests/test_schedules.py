@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtpark import schedules
 from qtpark.paths import enumerate_all, stats
-from qtpark.qt import ONE, QTPoly, q_int, ratio_eq
+from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.schedules import (PartitionBox, delta_merge, delta_merge_equal,
                               generate, ides, insertion_order, inv, maj,
                               permutation_blocks, permutation_rows,
@@ -117,7 +118,23 @@ def test_all_l_quotient():
         total = QTPoly.zero()
         for l in range(len(runs(tau).runs)):
             total = total + pref_closed_form(tau, l)
-        assert ratio_eq(pref_all_l_closed_form(tau), total)
+        quotient = pref_all_l_closed_form(tau)
+        assert isinstance(quotient, QTPoly)
+        assert quotient == total
+        n, k = len(tau), len(runs(tau).runs[-1])
+        assert quotient * q_int(k) == pf_closed_form(tau) * q_int(n)
+
+
+def test_all_l_quotient_refuses_a_wrong_deviation_sum(monkeypatch):
+    real = schedules.pref_closed_form
+
+    def off_by_q(tau, l):
+        return real(tau, l) * QTPoly.q(1) if l == 1 else real(tau, l)
+
+    monkeypatch.setattr(schedules, "pref_closed_form", off_by_q)
+    assert pref_all_l_closed_form((1, 2)) == q_int(2)  # one run: no l = 1
+    with pytest.raises(RuntimeError, match="disagrees"):
+        pref_all_l_closed_form((2, 3, 1, 4, 5))
 
 
 def test_figure_leaf_counts_and_polynomials():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qtpark import symfunc
-from qtpark.qt import ONE, QTPoly, QTRatio, q_int
+from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.quasisym import QSymF
 from qtpark.symfunc import (PExpansion, c_composition, c_op, compositions,
                             e_in_p, e_nk, h_in_p, hmz_check, partitions,
@@ -20,8 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def qtr(num, den=1):
-    return QTRatio(num if isinstance(num, QTPoly) else QTPoly.const(num),
-                   den if isinstance(den, QTPoly) else QTPoly.const(den))
+    """num/den as a QTPoly; divexact raises unless the quotient is one."""
+    num, den = (x if isinstance(x, QTPoly) else QTPoly.const(x)
+                for x in (num, den))
+    return num.divexact(den)
 
 
 def test_partitions_counts():
@@ -48,7 +50,7 @@ def test_pexpansion_ring():
     p2 = PExpansion.p(2)
     assert (p1 + p2) - p2 == p1
     assert p1 * p2 == p2 * p1
-    assert (p1 * p1).coefficient((1, 1)) == QTRatio(ONE)
+    assert (p1 * p1).coefficient((1, 1)) == ONE
     assert p1 * PExpansion.zero() == PExpansion.zero()
     assert PExpansion.one().degree() == 0
     assert (p1 * 3).coefficient((1,)) == qtr(3)
@@ -134,9 +136,9 @@ def test_enk_small_values():
     p2 = PExpansion.p(2)
     p11 = PExpansion.p(1) * PExpansion.p(1)
     qq = QTPoly.q(1)
-    assert E2[0] == (p2 + p11) * QTRatio(QTPoly.const(Fraction(-1, 2)), qq)
-    assert E2[1] == (p11 * QTRatio(ONE + qq, qq * QTPoly.const(2)) +
-                     p2 * QTRatio(ONE - qq, qq * QTPoly.const(2)))
+    assert E2[0] == (p2 + p11) * qtr(Fraction(-1, 2), qq)
+    assert E2[1] == (p11 * qtr(ONE + qq, qq * 2) +
+                     p2 * qtr(ONE - qq, qq * 2))
     E1 = e_nk(1)
     assert E1[0] == PExpansion.p(1)
 
@@ -169,8 +171,7 @@ def test_pn_identity(n):
 def test_pn_identity_shape():
     # the n = 2 case written out: [2]_q E_{2,1} + E_{2,2} = -p_2
     E = e_nk(2)
-    acc = E[0] * QTRatio(q_int(2), q_int(1)) + E[1] * QTRatio(q_int(2),
-                                                              q_int(2))
+    acc = E[0] * qtr(q_int(2), q_int(1)) + E[1] * qtr(q_int(2), q_int(2))
     assert acc == p_pure(2) * (-1)
 
 
