@@ -23,7 +23,7 @@ from . import aggregate
 from .paths import DEFAULT_MAX_N
 from .qt import QTPoly, q_factorial, q_int
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
-from .quasisym import qsym_total
+from .quasisym import qsym_total, withides_residue
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
 from .schedules import runs, schedule0, schedule0_rows, schedule_counts
@@ -380,7 +380,9 @@ def _run_factorlemma(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _qsym_diff(lhs: QSymF, rhs: QSymF) -> Dict[str, object]:
+def _qsym_diff(lhs: QSymF, rhs: QSymF, where: str) -> Dict[str, object]:
+    """The first Q_S whose coefficients differ; ``where`` names the case
+    in the error raised when none does."""
     for s in sorted(lhs.coeffs.keys() | rhs.coeffs.keys(), key=sorted):
         if lhs.coefficient(s) != rhs.coefficient(s):
             return {
@@ -388,22 +390,35 @@ def _qsym_diff(lhs: QSymF, rhs: QSymF) -> Dict[str, object]:
                 "lhs": str(lhs.coefficient(s)),
                 "rhs": str(rhs.coefficient(s)),
             }
-    raise AssertionError("no differing coefficient found")
+    raise RuntimeError(f"{where}: no coefficient of the two sides differs")
+
+
+def _withides_sides(n: int, tau: Tuple[int, ...], k: int,
+                    threads: int) -> Tuple[QSymF, QSymF]:
+    return (qsym_for_diagword(n, tau, threads=threads) * q_int(k),
+            qsym_for_diagword(n, tau, deviation=0, threads=threads) * q_int(n))
 
 
 def _run_withides(spec: CheckSpec) -> Outcome:
+    # Each tau is decided in integer counts.  The QSymF sides are built for
+    # a failing tau, to report it, and for the last tau of each n (n..1 when
+    # all are walked), whose integer verdict they must confirm.
     examined = 0
     for n in spec.n_range:
+        tau = None
         for tau in _taus(spec, n):
             examined += 1
             k = runs(tau).last_run_length
-            lhs = qsym_for_diagword(n, tau, threads=spec.threads) * q_int(k)
-            rhs = qsym_for_diagword(n, tau, deviation=0,
-                                    threads=spec.threads) * q_int(n)
-            if lhs != rhs:
+            if withides_residue(n, tau, k, threads=spec.threads):
                 ce = {"n": n, "tau": list(tau), "k": k}
-                ce.update(_qsym_diff(lhs, rhs))
+                ce.update(_qsym_diff(*_withides_sides(n, tau, k, spec.threads),
+                                     f"n = {n}, tau = {tau}"))
                 return False, ce, examined
+        if tau is not None:
+            lhs, rhs = _withides_sides(n, tau, k, spec.threads)
+            if lhs != rhs:
+                raise RuntimeError(f"n = {n}, tau = {tau}: the QSymF sides "
+                                   f"differ where the integer counts agree")
     return True, None, examined
 
 
@@ -453,7 +468,7 @@ def _run_main_square_paths(spec: CheckSpec) -> Outcome:
             rhs = rhs + qsym_for_touch(n, k, threads=spec.threads) * mult
         if lhs != rhs:
             ce: Dict[str, object] = {"n": n}
-            ce.update(_qsym_diff(lhs, rhs))
+            ce.update(_qsym_diff(lhs, rhs, f"n = {n}"))
             return False, ce, examined
     return True, None, examined
 

@@ -163,14 +163,6 @@ class QTPoly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, qv: Union[int, Fraction], tv: Union[int, Fraction]) -> Fraction:
-        """Evaluate at rational q=qv, t=tv (nonzero if negative exponents occur)."""
-        qv, tv = Fraction(qv), Fraction(tv)
-        total = Fraction(0)
-        for (qe, te), c in self._terms.items():
-            total += c * qv ** qe * tv ** te
-        return total
-
     # -- exact division ----------------------------------------------
 
     def divexact(self, other: "QTPoly") -> "QTPoly":

@@ -231,6 +231,28 @@ def qsym_for_diagword(n: int, tau: Sequence[int],
     return out
 
 
+def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1
+                     ) -> Dict[Tuple[int, int, int], int]:
+    """The nonzero counts {(area, dinv, mask): c} of
+    A (1 - q^k) - B (1 - q^n), where A = qsym_for_diagword(n, tau) and
+    B = its deviation-0 part.
+
+    Empty exactly when A [k]_q = B [n]_q, since (1 - q) is no zero
+    divisor.  The deviation-0 counts cancel at q^0 and leave
+    q^n - q^k; the others give 1 - q^k.
+    """
+    tau = tuple(tau)
+    table = aggregate.qsym_by_diagword(n, threads=threads)
+    out: Dict[Tuple[int, int, int], int] = {}
+    for dev in range(n):
+        shift = n if dev == 0 else 0
+        for (area, dinv, mask), c in table.get((tau, dev), {}).items():
+            up, down = (area, dinv + shift, mask), (area, dinv + k, mask)
+            out[up] = out.get(up, 0) + c
+            out[down] = out.get(down, 0) - c
+    return {key: c for key, c in out.items() if c}
+
+
 def qsym_for_touch(n: int, touch: int, threads: int = 1) -> QSymF:
     """Table-backed sum over parking functions with the given touch."""
     table = aggregate.qsym_by_touch(n, threads=threads)

@@ -1,5 +1,6 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,8 @@ from qtpark import aggregate, checks, cli, kernels, schedules, symfunc
 from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, place, stats
+from qtpark.qt import q_int
+from qtpark.quasisym import qsym_for_diagword, withides_residue
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -377,7 +380,9 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
         check_id, 5, (TAU5, fault), pf=target == "schedule0_rows")
 
 
-def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):
+def swept_sizes(capsys, monkeypatch, *argv):
+    """argv's exit code and report, and the n of every kernel block it
+    computes, starting from an empty table cache."""
     sizes = []
     real = kernels.stats_block
 
@@ -388,12 +393,17 @@ def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):
     monkeypatch.setattr(kernels, "stats_block", counting)
     aggregate.clear_cache()
     try:
-        code, out, _ = run(capsys, "check", "thm-schedule-closed-form",
-                           "--tau", "3142")
+        code, out, _ = run(capsys, *argv)
     finally:
         aggregate.clear_cache()
+    return code, json.loads(out), sizes
+
+
+def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):
+    code, report, sizes = swept_sizes(capsys, monkeypatch, "check",
+                                      "thm-schedule-closed-form",
+                                      "--tau", "3142")
     assert code == 0
-    report = json.loads(out)
     assert report["parameters"]["n"] == "1..6"
     assert report["examined"] == 3
     assert sizes == [4]
@@ -444,12 +454,102 @@ def test_mutation_breaks_withides(capsys, monkeypatch):
                         _buggy_qsym_by_diagword)
     code, out, _ = run(capsys, "check", "cor-withides", "--n", "1..5")
     assert code == 1
+    assert out == (
+        '{"counterexample":{"k":1,"lhs":"t^2 + q*t^2 + q^3*t^2","n":3,'
+        '"rhs":"t^2 + q*t^2 + q^2*t^2","subset":[2],"tau":[1,3,2]},'
+        '"examined":5,"id":"cor-withides","parameters":{"n":"1..5"},'
+        '"passed":false}\n')
+
+
+def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
+    """One count bumped at a deviation >= 1, and nowhere else, fails the
+    check at that tau."""
+    real = aggregate.qsym_by_diagword
+    n = 4
+    (tau, dev), counts = next((key, counts)
+                              for key, counts in real(n).items()
+                              if key[1] >= 1)
+    cell = next(iter(counts))
+
+    def bumped(m, threads=1):
+        table = real(m, threads=threads)
+        if m != n:
+            return table
+        table = dict(table)
+        table[tau, dev] = dict(counts)
+        table[tau, dev][cell] += 1
+        return table
+
+    monkeypatch.setattr(aggregate, "qsym_by_diagword", bumped)
+    code, out, _ = run(capsys, "check", "cor-withides", "--n", "4")
+    assert code == 1
     report = json.loads(out)
-    assert report["passed"] is False
-    ce = report["counterexample"]
-    assert ce is not None
-    assert ce["n"] <= 5
-    assert "tau" in ce and "lhs" in ce and "rhs" in ce
+    assert report["counterexample"]["tau"] == list(tau)
+    assert report["examined"] == list(permutations(range(1, 5))).index(
+        tau) + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_withides_residue_agrees_with_qsym_sides(monkeypatch, n):
+    """Under the planted fault, the integer residue is nonzero for exactly
+    the taus whose cross-multiplied QSymF sides differ."""
+    table = _buggy_qsym_by_diagword(n)
+    monkeypatch.setattr(aggregate, "qsym_by_diagword",
+                        lambda m, threads=1: table)
+    differ = []
+    for tau in permutations(range(1, n + 1)):
+        k = schedules.runs(tau).last_run_length
+        lhs = qsym_for_diagword(n, tau) * q_int(k)
+        rhs = qsym_for_diagword(n, tau, deviation=0) * q_int(n)
+        assert bool(withides_residue(n, tau, k)) == (lhs != rhs)
+        differ.append(lhs != rhs)
+    assert any(differ) == (n >= 3)
+
+
+def test_withides_refuses_a_residue_the_sides_do_not_show(monkeypatch):
+    monkeypatch.setattr(checks, "withides_residue",
+                        lambda n, tau, k, threads=1: {(0, 0, 0): 1})
+    with pytest.raises(RuntimeError, match=r"n = 1, tau = \(1,\)"):
+        checks.run_check(checks.CheckSpec("cor-withides", 1, 2))
+
+
+def test_withides_confirms_the_last_tau_with_qsym_sides(monkeypatch):
+    """A residue that misses a fault is caught at each n's last tau."""
+    table = _buggy_qsym_by_diagword(3)
+    monkeypatch.setattr(aggregate, "qsym_by_diagword",
+                        lambda m, threads=1: table)
+    monkeypatch.setattr(checks, "withides_residue",
+                        lambda n, tau, k, threads=1: {})
+    with pytest.raises(RuntimeError, match=r"n = 3, tau = \(1, 3, 2\)"):
+        checks.run_check(checks.CheckSpec("cor-withides", 3, 3,
+                                          tau=(1, 3, 2)))
+
+
+def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
+    code, report, sizes = swept_sizes(capsys, monkeypatch, "check",
+                                      "cor-withides", "--n", "1..7",
+                                      "--tau", "2143")
+    assert code == 0
+    assert report["examined"] == 1
+    assert sizes == [4]
+
+
+EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize("check_id", ["cor-withides", "main-square-paths"])
+def test_stretch_scope_bytes(capsys, check_id):
+    """The n = 7 stdout matches the digest the benchmark records."""
+    argv = ["check", check_id, "--n", "7", "--threads", "2"]
+    expected = json.loads(EXPECTED.read_text())["commands"][" ".join(argv)]
+    aggregate.clear_cache()
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        aggregate.clear_cache()
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        expected["exit"], expected["bytes"], expected["sha256"])
 
 
 def test_mutation_free_run_passes(capsys):

@@ -20,6 +20,13 @@ def qt(qe=0, te=0, c=1):
     return QTPoly.monomial(qe, te, c)
 
 
+def evaluate(p, qv, tv):
+    """p at rational q = qv, t = tv (nonzero if negative exponents occur)."""
+    qv, tv = Fraction(qv), Fraction(tv)
+    return sum((c * qv ** qe * tv ** te for (qe, te), c in p.terms()),
+               Fraction(0))
+
+
 def test_construction_drops_zero_terms():
     p = QTPoly({(1, 0): Fraction(0), (0, 1): 2})
     assert p == qt(0, 1, 2)
@@ -101,6 +108,6 @@ def test_q_analogs():
 def test_evaluate_counts():
     # every q-analog specializes to its counting value at q = 1
     for n in range(1, 6):
-        assert q_int(n).evaluate(1, 1) == n
-    assert q_factorial(4).evaluate(1, 1) == 24
+        assert evaluate(q_int(n), 1, 1) == n
+    assert evaluate(q_factorial(4), 1, 1) == 24
 
