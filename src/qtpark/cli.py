@@ -12,9 +12,12 @@ import csv
 import sys
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import aggregate
 from .checks import REGISTRY, SCOPES, CheckSpec, run_check, scope
-from .paths import PrefFunc, enumerate_all, json_line, stats
+from .kernels import encode_perm
+from .paths import PrefFunc, StatBlock, json_blocks, json_line
 from .schedules import RunDecomposition, insertion_order, maj
 from .schedules import pref_closed_form, runs, schedule_l
 from .symfunc import e_nk
@@ -59,23 +62,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     scope("enumerate", (n, n), allow_large=args.allow_large)
-    diagword: Optional[Tuple[int, ...]] = None
+    diagword: Optional[int] = None
     if args.diagword is not None:
-        diagword = runs(_parse_vector(args.diagword)).tau
-        if len(diagword) != n:
+        tau = runs(_parse_vector(args.diagword)).tau
+        if len(tau) != n:
             raise ValueError("--diagword length must equal n")
+        diagword = encode_perm(tau, n)
+
+    def keep(b: StatBlock) -> np.ndarray:
+        mask = np.ones(len(b.index), dtype=bool)
+        if args.parking_only:
+            mask &= b.deviation == 0
+        if args.deviation is not None:
+            mask &= b.deviation == args.deviation
+        if diagword is not None:
+            mask &= b.diagword == diagword
+        if args.touch is not None:
+            mask &= b.touch == args.touch
+        return mask
+
     out = sys.stdout
-    for p in enumerate_all(n):
-        s = stats(p)
-        if args.parking_only and s.deviation != 0:
-            continue
-        if args.deviation is not None and s.deviation != args.deviation:
-            continue
-        if diagword is not None and s.diagword != diagword:
-            continue
-        if args.touch is not None and s.touch != args.touch:
-            continue
-        out.write(json_line(p, s) + "\n")
+    for text in json_blocks(n, keep):
+        out.write(text)
     return 0
 
 

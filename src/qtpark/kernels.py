@@ -24,15 +24,18 @@ exactly the ones the count tables in ``aggregate`` fold:
                  as digits (``decode_perm``)
     TOUCH, PARK  key of ``qsym_by_touch``
 
-The reading word, the composition and the three dinv parts are computed
-per function by ``paths.stats`` alone.
+``grid_block`` is the shared first step: the base-n decode of the indices
+and the pair loop that places each car in its row and diagonal.
+``paths.stat_block`` builds on it for ``qtpark enumerate``, adding the
+reading word, the composition and the three dinv parts, which no table
+folds.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Deque, Iterator, Tuple
+from typing import Deque, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -57,11 +60,14 @@ def resolve_backend() -> str:
     return "numpy"
 
 
-def stats_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Statistics rows for preference-function indices [start, stop).
+def grid_block(n: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Preferences and diagonals of the functions with indices [start, stop).
 
     The index is the rank of f in lexicographic order, i.e. the base-n
-    number with digits f(1)-1, ..., f(n)-1.
+    number with digits f(1)-1, ..., f(n)-1.  Both arrays are (n, rows)
+    int8, column-major: entry [c, r] is car c + 1 of the block's r-th
+    function.  Every rank below is a count over the pairs a < b of cars,
+    so the block needs no sort and no (rows, n, n) cube.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n = {n} outside the kernel's range 1..{MAX_N}")
@@ -69,11 +75,7 @@ def stats_block(n: int, start: int, stop: int) -> np.ndarray:
     if not 0 <= start <= stop <= total:
         raise ValueError(f"index range [{start}, {stop}) outside [0, {total}]")
 
-    # Column-major: entry [c, r] is car c + 1 of the block's r-th function.
-    # Every rank below is a count over the pairs a < b of cars, so the
-    # block needs no sort and no (rows, n, n) cube.
     nrows = stop - start
-    cars = np.arange(n, dtype=np.int8)
     F = np.empty((n, nrows), dtype=np.int8)
     rest = np.arange(start, stop, dtype=np.int64)
     for c in range(n - 1, -1, -1):
@@ -82,13 +84,22 @@ def stats_block(n: int, start: int, stop: int) -> np.ndarray:
         rest = quot
 
     # row[c] = 1 + #{c' : f[c'] < f[c]} + #{c' < c : f[c'] = f[c]}
-    row = np.repeat(cars[:, None] + 1, nrows, axis=1)
+    row = np.repeat(np.arange(1, n + 1, dtype=np.int8)[:, None], nrows,
+                    axis=1)
     for a in range(n):
         for b in range(a + 1, n):
             later_first = F[a] > F[b]
             row[a] += later_first
             row[b] -= later_first
-    diag = row - F
+    return F, row - F
+
+
+def stats_block(n: int, start: int, stop: int) -> np.ndarray:
+    """Statistics rows for preference-function indices [start, stop),
+    ranked as in ``grid_block``."""
+    F, diag = grid_block(n, start, stop)
+    nrows = stop - start
+    cars = np.arange(n, dtype=np.int8)
 
     # pos[c] = #{c' : diag[c'] > diag[c]} + #{c' < c : diag[c'] = diag[c]}
     # is the place of car c + 1 in the diagword; dinv counts the primary
@@ -159,6 +170,14 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK
         while pending:
             head, fut = pending.popleft()
             yield head, fut.result()
+
+
+def encode_perm(perm: Sequence[int], n: int) -> int:
+    """The base-n code of a permutation of 1..n, as in the DWORD column."""
+    code = 0
+    for v in perm:
+        code = code * n + v - 1
+    return code
 
 
 def decode_perm(code: int, n: int) -> Tuple[int, ...]:

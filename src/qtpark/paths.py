@@ -31,13 +31,28 @@ diagonal.  Statistics computed by ``stats``:
 * touch: the number of cars on the lowest occupied diagonal.
 * comp: for parking functions only, the composition of n recording the
   gaps between the points where the path returns to the main diagonal.
+
+``stats`` and ``json_line`` work on one function.  ``qtpark enumerate``
+instead streams ``json_blocks``: ``stat_block`` computes the same
+statistics for ``BLOCK`` consecutive functions at once as numpy columns
+(on ``kernels.grid_block``), and ``json_block`` formats the selected rows
+with one % template, looking up the text of f, word, diagword, ides and
+comp by integer code.  The first function of every block is also run
+through ``json_line``, and any difference raises RuntimeError.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations, product
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+import numpy as np
+
+from . import kernels
 
 DEFAULT_MAX_N = 8
 
@@ -156,13 +171,9 @@ def stats(p: PrefFunc) -> StatRecord:
 
     # The maximal increasing runs of diagword list the occupied diagonals
     # from the top one down; check that the grouping by diagonal agrees.
-    run_lengths = _run_lengths(diagword)
-    diag_sizes = [sum(1 for d in diag if d == dd)
-                  for dd in sorted(set(diag), reverse=True)]
+    run_lengths, diag_sizes = _runs_and_sizes(diagword, diag)
     if run_lengths != diag_sizes:
-        raise AssertionError(
-            f"diagword runs {run_lengths} disagree with diagonal sizes "
-            f"{diag_sizes} for f={p.f}")
+        raise _runs_error(p.f, run_lengths, diag_sizes)
 
     return StatRecord(
         area=area,
@@ -179,17 +190,25 @@ def stats(p: PrefFunc) -> StatRecord:
     )
 
 
-def _run_lengths(perm: Tuple[int, ...]) -> list:
-    out = []
-    run = 1
-    for a, b in zip(perm, perm[1:]):
+def _runs_and_sizes(diagword: Sequence[int], diag: Sequence[int]
+                    ) -> Tuple[List[int], List[int]]:
+    """The lengths of the maximal increasing runs of diagword, and the
+    number of cars on each occupied diagonal from the top one down."""
+    runs = [1]
+    for a, b in zip(diagword, diagword[1:]):
         if b > a:
-            run += 1
+            runs[-1] += 1
         else:
-            out.append(run)
-            run = 1
-    out.append(run)
-    return out
+            runs.append(1)
+    sizes = [sum(1 for d in diag if d == dd)
+             for dd in sorted(set(diag), reverse=True)]
+    return runs, sizes
+
+
+def _runs_error(f: Tuple[int, ...], run_lengths: List[int],
+                diag_sizes: List[int]) -> RuntimeError:
+    return RuntimeError(f"diagword runs {run_lengths} disagree with "
+                        f"diagonal sizes {diag_sizes} for f={f}")
 
 
 def enumerate_all(n: int) -> Iterator[PrefFunc]:
@@ -236,3 +255,211 @@ def record_dict(p: PrefFunc, s: Optional[StatRecord] = None) -> dict:
 
 def json_line(p: PrefFunc, s: Optional[StatRecord] = None) -> str:
     return json.dumps(record_dict(p, s), separators=(",", ":"))
+
+
+# Rows per block of ``json_blocks``.  At n = 6 a block's columns and text
+# raise peak RSS over import by about 2.4 MB at this size, 14 MB at 16,384
+# rows, and 28 MB for all 46,656 rows in one block.
+BLOCK = 2048
+
+
+class StatBlock(NamedTuple):
+    """The statistics of the functions with indices [start, stop), ranked
+    as in ``kernels.grid_block``, as numpy columns: entry r of each column
+    belongs to index start + r."""
+
+    f: np.ndarray          # (n, rows) int8; f[c] holds f(c + 1)
+    index: np.ndarray
+    area: np.ndarray
+    primary: np.ndarray
+    secondary: np.ndarray
+    tertiary: np.ndarray
+    word: np.ndarray       # base-n code of word, as kernels.DWORD codes
+    ides: np.ndarray       # bit i - 1 set for each i in ides
+    diagword: np.ndarray   # base-n code of diagword (kernels.DWORD)
+    deviation: np.ndarray
+    touch: np.ndarray
+    main: np.ndarray       # bit c - 1 set for each main-diagonal column c
+                           # of a parking function; 0 when deviation > 0
+
+
+def stat_block(n: int, start: int, stop: int) -> StatBlock:
+    """Every statistic of ``stats`` for indices [start, stop) at once."""
+    F, diag = kernels.grid_block(n, start, stop)
+    nrows = stop - start
+    cars = np.arange(n, dtype=np.int8)[:, None]
+
+    # pos[c] is the place of car c + 1 in diagword (ties by car), wpos[c]
+    # its place in word (ties by column, right to left; the cars of one
+    # diagonal stand in distinct columns).  Both count the pairs a < b:
+    # a car gains a place for each car read before it.
+    pos = np.repeat(cars, nrows, axis=1)
+    wpos = np.repeat(n - 1 - cars, nrows, axis=1)
+    primary = np.zeros(nrows, dtype=np.int8)
+    secondary = np.zeros(nrows, dtype=np.int8)
+    for a in range(n):
+        for b in range(a + 1, n):
+            rise = diag[b] - diag[a]
+            higher = rise > 0
+            pos[a] += higher
+            pos[b] -= higher
+            level = rise == 0
+            a_right = F[a] > F[b]
+            a_first = (rise < 0) | (level & a_right)
+            wpos[a] -= a_first
+            wpos[b] += a_first
+            primary += level & ~a_right
+            secondary += (rise == 1) & a_right
+
+    mind = diag.min(axis=0)
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    word = np.zeros(nrows, dtype=np.int64)
+    dword = np.zeros(nrows, dtype=np.int64)
+    tertiary = np.zeros(nrows, dtype=np.int8)
+    touch = np.zeros(nrows, dtype=np.int8)
+    ides = np.zeros(nrows, dtype=np.int32)
+    main = np.zeros(nrows, dtype=np.int32)
+    for c in range(n):
+        word += np.take(powers, wpos[c]) * c
+        dword += np.take(powers, pos[c]) * c
+        tertiary += diag[c] < 0
+        touch += diag[c] == mind
+        main |= (diag[c] == 0).astype(np.int32) << (F[c] - 1)
+        if c:
+            ides |= (wpos[c] < wpos[c - 1]).astype(np.int32) << (c - 1)
+    main[mind < 0] = 0
+
+    # The maximal increasing runs of diagword must be its diagonals: a
+    # descent exactly where the diagonal changes.
+    index = pos.astype(np.intp)
+    by_place = np.empty_like(pos)
+    np.put_along_axis(by_place, index, np.broadcast_to(cars, pos.shape), 0)
+    diag_by_place = np.empty_like(diag)
+    np.put_along_axis(diag_by_place, index, diag, 0)
+    bad = np.flatnonzero(((by_place[1:] < by_place[:-1])
+                          != (diag_by_place[1:] != diag_by_place[:-1])
+                          ).any(axis=0))
+    if len(bad):
+        r = bad[0]
+        raise _runs_error(tuple(F[:, r].tolist()), *_runs_and_sizes(
+            (by_place[:, r] + 1).tolist(), diag[:, r].tolist()))
+
+    return StatBlock(
+        f=F,
+        index=np.arange(start, stop, dtype=np.int64),
+        area=diag.sum(axis=0, dtype=np.int64) - n * mind.astype(np.int64),
+        primary=primary,
+        secondary=secondary,
+        tertiary=tertiary,
+        word=word,
+        ides=ides,
+        diagword=dword,
+        deviation=-mind,
+        touch=touch,
+        main=main,
+    )
+
+
+class _Text(NamedTuple):
+    """Per-n lookup tables from codes to the JSON text of ``json_line``."""
+
+    template: str
+    low_size: int          # f's index is high * low_size + low
+    f_high: np.ndarray     # "d1,...,dk" by high: f's first n - n // 2 values
+    f_low: np.ndarray      # ",d1,...,dj" by low: its last n // 2 values
+    perm_codes: np.ndarray  # base-n codes of all n! permutations, sorted
+    perms: np.ndarray      # "c1,...,cn" in the same order
+    ides: np.ndarray       # by mask
+    comp: np.ndarray       # by main-diagonal column mask; "null" at 0
+
+
+def _digit_text(n: int, width: int) -> List[str]:
+    """",d1,...,dw" for every width-digit base-n value, in order."""
+    return ["".join("," + str(d) for d in digits)
+            for digits in product(range(1, n + 1), repeat=width)]
+
+
+def _comp_text(n: int, mask: int) -> str:
+    if not mask:
+        return "null"
+    cols = [c for c in range(1, n + 1) if mask >> (c - 1) & 1]
+    parts = [b - a for a, b in zip(cols, cols[1:])] + [n + 1 - cols[-1]]
+    return "[" + ",".join(map(str, parts)) + "]"
+
+
+@lru_cache(maxsize=None)  # n <= DEFAULT_MAX_N: 40,320 permutations at most
+def _text(n: int) -> _Text:
+    low = n // 2
+    perms = list(permutations(range(1, n + 1)))
+    return _Text(
+        template=('{"n":%d,"f":[%%s%%s],"area":%%d,"dinv":%%d,'
+                  '"dinv_parts":[%%d,%%d,%%d],"word":[%%s],"ides":[%%s],'
+                  '"diagword":[%%s],"deviation":%%d,"touch":%%d,'
+                  '"comp":%%s,"parking":%%s}\n' % n),
+        low_size=n ** low,
+        f_high=np.array([t[1:] for t in _digit_text(n, n - low)],
+                        dtype=object),
+        f_low=np.array(_digit_text(n, low), dtype=object),
+        perm_codes=np.array([kernels.encode_perm(perm, n) for perm in perms],
+                            dtype=np.int64),
+        perms=np.array([",".join(map(str, perm)) for perm in perms],
+                       dtype=object),
+        ides=np.array([",".join(str(i) for i in range(1, n)
+                                if mask >> (i - 1) & 1)
+                       for mask in range(1 << (n - 1))], dtype=object),
+        comp=np.array([_comp_text(n, mask) for mask in range(1 << n)],
+                      dtype=object),
+    )
+
+
+def _lines(b: StatBlock, text: _Text, rows: np.ndarray) -> List[str]:
+    """The ``json_line`` text of the given rows of b, one % per row."""
+    high, low = np.divmod(b.index[rows], text.low_size)
+    primary, secondary, tertiary = (b.primary[rows], b.secondary[rows],
+                                    b.tertiary[rows])
+    deviation = b.deviation[rows]
+    columns = (
+        text.f_high[high], text.f_low[low], b.area[rows],
+        primary.astype(np.int64) + secondary + tertiary,
+        primary, secondary, tertiary,
+        text.perms[np.searchsorted(text.perm_codes, b.word[rows])],
+        text.ides[b.ides[rows]],
+        text.perms[np.searchsorted(text.perm_codes, b.diagword[rows])],
+        deviation, b.touch[rows], text.comp[b.main[rows]],
+        np.where(deviation == 0, "true", "false"),
+    )
+    return list(map(text.template.__mod__,
+                    zip(*(col.tolist() for col in columns))))
+
+
+def json_block(n: int, start: int, stop: int,
+               keep: Optional[Callable[[StatBlock], np.ndarray]] = None
+               ) -> str:
+    """The ``json_line`` of every index in [start, stop) that ``keep``
+    (a boolean mask over the block's rows) selects, one line each.
+
+    The block's first function is also formatted by ``json_line`` itself,
+    and any difference raises RuntimeError.
+    """
+    if not 1 <= n <= DEFAULT_MAX_N:
+        raise ValueError(f"n={n} outside the enumeration bound "
+                         f"1..{DEFAULT_MAX_N}")
+    b = stat_block(n, start, stop)
+    text = _text(n)
+    first = _lines(b, text, np.arange(1))[0]
+    want = json_line(PrefFunc(b.f[:, 0].tolist())) + "\n"
+    if first != want:
+        raise RuntimeError(f"block line {first!r} differs from the scalar "
+                           f"statistics {want!r}")
+    rows = np.arange(stop - start) if keep is None else np.flatnonzero(keep(b))
+    return "".join(_lines(b, text, rows))
+
+
+def json_blocks(n: int,
+                keep: Optional[Callable[[StatBlock], np.ndarray]] = None
+                ) -> Iterator[str]:
+    """``json_block`` over all n^n functions, BLOCK indices at a time, in
+    lexicographic order of f."""
+    total = n ** n
+    for start in range(0, total, BLOCK):
+        yield json_block(n, start, min(start + BLOCK, total), keep)

@@ -210,32 +210,6 @@ def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
     return out
 
 
-def pref_all_l_closed_form(tau: Sequence[int]) -> QTPoly:
-    """t^maj [n]_q/[k]_q prod [w_i]_q, summed over every deviation; k is
-    the length of the last run (Loehr-Warrington, Trans. AMS 2007).
-
-    The quotient is exact, and it is certified against the sum of the
-    per-deviation closed forms; RuntimeError if either fails.
-    """
-    rd = runs(tau)
-    n = len(rd.tau)
-    num = QTPoly.t(maj(rd.tau)) * q_int(n)
-    for wi in _schedule0(rd):
-        num = num * q_int(wi)
-    try:
-        quotient = num.divexact(q_int(rd.last_run_length))
-    except ValueError:
-        raise RuntimeError(
-            f"schedule quotient is not a polynomial for {rd.tau}") from None
-    total = QTPoly.zero()
-    for l in range(len(rd.runs)):
-        total = total + pref_closed_form(rd.tau, l)
-    if quotient != total:
-        raise RuntimeError(
-            f"schedule quotient disagrees with deviation sum for {rd.tau}")
-    return quotient
-
-
 def shift_multiset(tau: Sequence[int], l: int) -> bool:
     """Whether {w^(l)(c)} equals {w_i} with one rho_0 swapped for rho_l."""
     rd = runs(tau)

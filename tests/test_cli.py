@@ -15,7 +15,7 @@ import qtpark
 from qtpark import aggregate, checks, cli, kernels, schedules, symfunc
 from qtpark.checks import SCOPES
 from qtpark.cli import main
-from qtpark.paths import enumerate_all, place, stats
+from qtpark.paths import enumerate_all, json_line, place, stats
 from qtpark.qt import q_int
 from qtpark.quasisym import qsym_for_diagword, withides_residue
 
@@ -78,6 +78,30 @@ def test_enumerate_filters(capsys):
     assert all(r["touch"] == 3 for r in records)
     assert len(records) == sum(1 for p in enumerate_all(3)
                                if stats(p).touch == 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_filters_match_json_line(capsys, n):
+    """Every filter alone, and --touch with --deviation, keep exactly the
+    json_line of the functions they select, in order."""
+    lines = [(json_line(p) + "\n", stats(p)) for p in enumerate_all(n)]
+    taus = list(permutations(range(1, n + 1)))
+    cases = [((), lambda s: True),
+             (("--parking-only",), lambda s: s.deviation == 0)]
+    cases += [(("--deviation", str(d)), lambda s, d=d: s.deviation == d)
+              for d in range(n + 1)]
+    cases += [(("--touch", str(k)), lambda s, k=k: s.touch == k)
+              for k in range(n + 1)]
+    cases += [(("--diagword", "".join(map(str, tau))),
+               lambda s, tau=tau: s.diagword == tau)
+              for tau in taus[::max(1, len(taus) // 12)]]
+    cases += [(("--touch", str(k), "--deviation", str(d)),
+               lambda s, k=k, d=d: (s.touch, s.deviation) == (k, d))
+              for k in range(1, n + 1) for d in range(n)]
+    for argv, keep in cases:
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), *argv)
+        assert code == 0
+        assert out == "".join(line for line, s in lines if keep(s)), argv
 
 
 def test_enumerate_guards(capsys):
@@ -150,10 +174,11 @@ def assert_refused_up_front(capsys, monkeypatch, *argv):
     def record(*args, **kwargs):
         calls.append(args)
 
-    monkeypatch.setattr(kernels, "stats_block", record)
+    for name in ("grid_block", "stats_block"):
+        monkeypatch.setattr(kernels, name, record)
     for check_id in checks.REGISTRY:
         monkeypatch.setitem(checks.REGISTRY, check_id, record)
-    for name in ("enumerate_all", "_tau_l_sweep", "e_nk"):
+    for name in ("json_blocks", "_tau_l_sweep", "e_nk"):
         monkeypatch.setattr(cli, name, record)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -537,10 +562,15 @@ def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 
 
-@pytest.mark.parametrize("check_id", ["cor-withides", "main-square-paths"])
-def test_stretch_scope_bytes(capsys, check_id):
-    """The n = 7 stdout matches the digest the benchmark records."""
-    argv = ["check", check_id, "--n", "7", "--threads", "2"]
+@pytest.mark.parametrize("argv", [
+    pytest.param(["check", "cor-withides", "--n", "7", "--threads", "2"],
+                 id="cor-withides"),
+    pytest.param(["check", "main-square-paths", "--n", "7", "--threads", "2"],
+                 id="main-square-paths"),
+    pytest.param(["enumerate", "--n", "6"], id="enumerate"),
+])
+def test_stretch_scope_bytes(capsys, argv):
+    """The stdout matches the digest the benchmark records."""
     expected = json.loads(EXPECTED.read_text())["commands"][" ".join(argv)]
     aggregate.clear_cache()
     try:
@@ -599,3 +629,20 @@ def test_python_m_qtpark(capsys):
     code, out, _ = run(capsys, *argv)
     proc = run_python_m(argv)
     assert (proc.returncode, proc.stdout) == (code, out) == (0, out)
+
+
+def test_enumerate_stops_quietly_when_the_reader_leaves():
+    """A reader that closes the pipe after one line ends the block writes
+    with exit 0 and nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(qtpark.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-m", "qtpark", "enumerate",
+                             "--n", "7"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert json.loads(first)["f"] == [1] * 7

@@ -1,13 +1,19 @@
 """Per-function statistics: worked values, invariants, serialization."""
 
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtpark.paths import (PrefFunc, enumerate_all, json_line, place,
-                          record_dict, stats)
+import qtpark
+from qtpark import kernels, paths
+from qtpark.paths import (BLOCK, Placement, PrefFunc, enumerate_all,
+                          json_line, place, record_dict, stats)
 
 
 def is_parking(p):
@@ -161,3 +167,86 @@ def test_json_line_round_trip():
     assert d["f"] == [3, 5, 3, 2, 3]
     assert d["comp"] is None
     assert d["parking"] is False
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_json_block_window_matches_json_line(n):
+    start = n ** n - 300
+    # the index is f read as base-n digits f(1) - 1, ..., f(n) - 1
+    funcs = [PrefFunc(tuple(int(d) + 1 for d in np.base_repr(i, n).zfill(n)))
+             for i in range(start, n ** n)]
+    assert funcs[-1] == PrefFunc((n,) * n)
+    assert paths.json_block(n, start, n ** n) == "".join(
+        json_line(p) + "\n" for p in funcs)
+
+
+def test_json_block_refuses_n_above_the_bound():
+    with pytest.raises(ValueError, match="enumeration bound"):
+        paths.json_block(9, 0, 1)
+
+
+# f = (1, 1, 1) drawn with its diagonals upside down: diagword 1,2,3 is one
+# increasing run, but the diagonals 2, 1, 0 hold one car each.
+RUNS_MESSAGE = ("diagword runs [3] disagree with diagonal sizes [1, 1, 1] "
+                "for f=(1, 1, 1)")
+
+
+def test_scalar_runs_guard_raises_runtime_error(monkeypatch):
+    monkeypatch.setattr(paths, "place", lambda p: Placement(
+        col=(1, 1, 1), row=(3, 2, 1), diag=(2, 1, 0)))
+    with pytest.raises(RuntimeError) as caught:
+        stats(vec(1, 1, 1))
+    assert str(caught.value) == RUNS_MESSAGE
+
+
+def test_block_runs_guard_raises_runtime_error(monkeypatch):
+    real = kernels.grid_block
+
+    def flipped(n, start, stop):
+        F, diag = real(n, start, stop)
+        diag[:, 0] = diag[::-1, 0]
+        return F, diag
+
+    monkeypatch.setattr(kernels, "grid_block", flipped)
+    with pytest.raises(RuntimeError) as caught:
+        paths.json_block(3, 0, 27)
+    assert str(caught.value) == RUNS_MESSAGE
+
+
+SWAP_SECOND_BLOCK = """
+from qtpark import paths
+real = paths.stat_block
+
+def swapped(n, start, stop):
+    # primary and secondary trade places in the second block only
+    b = real(n, start, stop)
+    if start == paths.BLOCK:
+        b = b._replace(primary=b.secondary, secondary=b.primary)
+    return b
+
+paths.stat_block = swapped
+lines = 0
+try:
+    for text in paths.json_blocks(5):
+        lines += text.count("\\n")
+except RuntimeError as e:
+    print(lines, e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+def test_planted_swap_fails_the_block_confirmation(flags):
+    """Block 2 of n = 5 starts at f = (4,2,2,5,4), with primary 2 and
+    secondary 1; the scalar line of that f catches the swap."""
+    b = paths.stat_block(5, BLOCK, BLOCK + 1)
+    assert (b.primary[0], b.secondary[0]) == (2, 1)
+    src = os.path.dirname(os.path.dirname(qtpark.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", SWAP_SECOND_BLOCK],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines, message = proc.stdout.split(" ", 1)
+    assert int(lines) == BLOCK
+    assert message.startswith("block line ")
+    assert '"dinv_parts":[1,2,' in message
+    assert json_line(vec(4, 2, 2, 5, 4)) in message

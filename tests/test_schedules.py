@@ -8,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtpark import schedules
 from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.schedules import (PartitionBox, delta_merge, delta_merge_equal,
                               generate, ides, insertion_order, inv, maj,
                               permutation_blocks, permutation_rows,
-                              pf_closed_form, pref_all_l_closed_form,
-                              pref_closed_form, runs, schedule0,
-                              schedule0_rows, schedule_counts, schedule_l,
-                              schedule_l_rows, shift_multiset)
+                              pf_closed_form, pref_closed_form, runs,
+                              schedule0, schedule0_rows, schedule_counts,
+                              schedule_l, schedule_l_rows, shift_multiset)
 
 
 def brute_poly(n, tau, l):
@@ -111,30 +109,6 @@ def test_closed_forms_equal_brute_force(n):
         for l in range(nruns):
             assert pref_closed_form(tau, l) == brute_poly(n, tau, l), (tau, l)
         assert pf_closed_form(tau) == brute_poly(n, tau, 0), tau
-
-
-def test_all_l_quotient():
-    for tau in [(2, 3, 1, 4, 5), (3, 1, 2), (1,), (2, 1)]:
-        total = QTPoly.zero()
-        for l in range(len(runs(tau).runs)):
-            total = total + pref_closed_form(tau, l)
-        quotient = pref_all_l_closed_form(tau)
-        assert isinstance(quotient, QTPoly)
-        assert quotient == total
-        n, k = len(tau), len(runs(tau).runs[-1])
-        assert quotient * q_int(k) == pf_closed_form(tau) * q_int(n)
-
-
-def test_all_l_quotient_refuses_a_wrong_deviation_sum(monkeypatch):
-    real = schedules.pref_closed_form
-
-    def off_by_q(tau, l):
-        return real(tau, l) * QTPoly.q(1) if l == 1 else real(tau, l)
-
-    monkeypatch.setattr(schedules, "pref_closed_form", off_by_q)
-    assert pref_all_l_closed_form((1, 2)) == q_int(2)  # one run: no l = 1
-    with pytest.raises(RuntimeError, match="disagrees"):
-        pref_all_l_closed_form((2, 3, 1, 4, 5))
 
 
 def test_figure_leaf_counts_and_polynomials():
