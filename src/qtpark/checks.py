@@ -21,9 +21,10 @@ import numpy as np
 
 from . import aggregate
 from .paths import DEFAULT_MAX_N
-from .qt import QTPoly, q_factorial, q_int
+from .qt import QTPoly, q_int
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
-from .quasisym import qsym_total, withides_residue
+from .quasisym import qsym_total, square_paths_multipliers
+from .quasisym import square_paths_residue, withides_residue
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
 from .schedules import runs, schedule0, schedule0_rows, schedule_counts
@@ -41,12 +42,15 @@ class Scope:
     default: Optional[Tuple[int, int]]
     cap: int  # the largest n accepted
     # The options besides --n that set what the command covers, with their
-    # defaults (--threads and the enumerate filters set no scope).
+    # defaults (--threads sets no scope).
     reads: Dict[str, object] = field(default_factory=dict)
     per_tau: bool = False  # the cap bounds an n! walk that one tau replaces
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # builds an n^n table, so --threads means something
     limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
+    # option -> the values some case of size n can have (a filter no case
+    # passes is refused)
+    usable: Dict[str, Callable[[int], range]] = field(default_factory=dict)
 
 
 _TAU_L: Dict[str, object] = {"tau": None, "l": None}
@@ -71,7 +75,10 @@ SCOPES: Dict[str, Scope] = {
     "thm-pn-identity": Scope((1, 6), DEGREE_BOUND),
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
     "main-square-paths": Scope((1, 6), DEFAULT_MAX_N, sweeps=True),
-    "enumerate": Scope((1, 7), DEFAULT_MAX_N, {"allow_large": False}),
+    "enumerate": Scope((1, 7), DEFAULT_MAX_N,
+                       {"allow_large": False, "touch": None, "deviation": None},
+                       usable={"touch": lambda n: range(1, n + 1),
+                               "deviation": range}),
     "table schedules": Scope(None, 7, {"tau": None}, per_tau=True),
     "table polynomials": Scope(None, 7, sweeps=True),
     "table enk": Scope(None, DEGREE_BOUND),
@@ -116,6 +123,11 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
     if ("allow_large" in row.reads and hi > row.default[1]
             and not options.get("allow_large")):
         raise ValueError(f"n above {row.default[1]} needs --allow-large")
+    for opt, values in row.usable.items():
+        if opt in given and given[opt] not in values(hi):
+            raise ValueError(f"{command} at n = {hi} has {opt} "
+                             f"{values(hi).start}..{values(hi).stop - 1}, "
+                             f"not {given[opt]}")
     if tau is not None and not lo <= len(tau) <= hi:
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
     if "l" in row.reads and (tau is not None or l is not None):
@@ -454,21 +466,27 @@ def _run_enk_sum(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
+def _square_paths_sides(n: int, threads: int) -> Tuple[QSymF, QSymF]:
+    # Both sides times [1]_q [2]_q ... [n]_q clears every [k]_q
+    # denominator, leaving an identity between polynomial-coefficient
+    # quasisymmetric sums.
+    lhs, rhs = square_paths_multipliers(n)
+    out = QSymF.zero(n)
+    for k, mult in enumerate(rhs, start=1):
+        out = out + qsym_for_touch(n, k, threads=threads) * mult
+    return qsym_total(n, threads=threads) * lhs, out
+
+
 def _run_main_square_paths(spec: CheckSpec) -> Outcome:
+    # Each n is decided in integer counts; the QSymF sides are built only
+    # to report a failure.
     examined = 0
     for n in spec.n_range:
         examined += n ** n
-        # Both sides times [1]_q [2]_q ... [n]_q clears every [k]_q
-        # denominator, leaving an identity between polynomial-coefficient
-        # quasisymmetric sums.
-        lhs = qsym_total(n, threads=spec.threads) * q_factorial(n)
-        rhs = QSymF.zero(n)
-        for k in range(1, n + 1):
-            mult = q_int(n) * q_factorial(n).divexact(q_int(k))
-            rhs = rhs + qsym_for_touch(n, k, threads=spec.threads) * mult
-        if lhs != rhs:
+        if square_paths_residue(n, threads=spec.threads).any():
             ce: Dict[str, object] = {"n": n}
-            ce.update(_qsym_diff(lhs, rhs, f"n = {n}"))
+            ce.update(_qsym_diff(*_square_paths_sides(n, spec.threads),
+                                 f"n = {n}"))
             return False, ce, examined
     return True, None, examined
 

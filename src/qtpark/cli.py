@@ -1,14 +1,17 @@
 """Command-line front end: stats, enumerate, check, table.
 
 Output on stdout is byte-identical across runs and thread counts; the
-only run-dependent figure (wall time of a check) goes to stderr.  Exit
-codes: 0 success, 1 a check found a counterexample, 2 usage error.
+run-dependent figures of a check (wall time, thread count, peak RSS) go to
+stderr as one JSON line.  Exit codes: 0 success, 1 a check found a
+counterexample, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
+import resource
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -61,7 +64,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    scope("enumerate", (n, n), allow_large=args.allow_large)
+    scope("enumerate", (n, n), allow_large=args.allow_large,
+          touch=args.touch, deviation=args.deviation)
     diagword: Optional[int] = None
     if args.diagword is not None:
         tau = runs(_parse_vector(args.diagword)).tau
@@ -90,11 +94,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     lo, hi = (None, None) if args.n is None else _parse_nrange(args.n)
     tau = None if args.tau is None else _parse_vector(args.tau)
-    report = run_check(CheckSpec(
-        args.id, lo, hi, tau, args.l, max_part=args.max,
-        samples=args.samples, threads=args.threads))
+    spec = CheckSpec(args.id, lo, hi, tau, args.l, max_part=args.max,
+                     samples=args.samples, threads=args.threads)
+    report = run_check(spec)
     sys.stdout.write(report.json() + "\n")
-    sys.stderr.write(f"wall time: {report.wall_time:.3f}s\n")
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    rss_mb = rss / 2 ** (20 if sys.platform == "darwin" else 10)
+    sys.stderr.write(json.dumps({
+        "id": report.id, "wall_s": round(report.wall_time, 3),
+        "threads": spec.threads, "peak_rss_mb": round(rss_mb, 1),
+    }, separators=(",", ":")) + "\n")
     return 0 if report.passed else 1
 
 

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Dict, FrozenSet, Iterator, List, Optional
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from . import aggregate, kernels
 from .qt import ONE, QTPoly, q_factorial, q_int
@@ -266,6 +268,77 @@ def qsym_total(n: int, threads: int = 1) -> QSymF:
     out = QSymF.zero(n)
     for counts in table.values():
         out = out + _qsym_from_counts(n, counts)
+    return out
+
+
+def square_paths_multipliers(n: int) -> Tuple[QTPoly, List[QTPoly]]:
+    """[n]_q! and, for k = 1..n, [n]_q [n]_q!/[k]_q.
+
+    Times these, qsym_total(n) = Σ_k [n]_q/[k]_q qsym_for_touch(n, k)
+    has no [k]_q denominator left.
+    """
+    fact = q_factorial(n)
+    return fact, [q_int(n) * fact.divexact(q_int(k)) for k in range(1, n + 1)]
+
+
+def _q_coefficients(poly: QTPoly) -> np.ndarray:
+    """The integer coefficients of a polynomial in q alone, q^0 first."""
+    terms = list(poly.terms())
+    out = np.zeros(terms[-1][0][0] + 1, dtype=np.int64)
+    for (i, _), c in terms:
+        out[i] = int(c)
+    return out
+
+
+def _add_times(out: np.ndarray, counts: np.ndarray, coeffs: np.ndarray
+               ) -> None:
+    """out += counts times the polynomial coeffs, along the q axis."""
+    width = counts.shape[1]
+    for i, c in enumerate(coeffs.tolist()):
+        if c:
+            out[:, i:i + width] += c * counts
+
+
+def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
+    """T [n]_q! - Σ_k P_k [n]_q [n]_q!/[k]_q in integer counts: one row
+    per (area, ides mask) of the touch table, one column per power of q.
+
+    T counts all n^n functions and P_k the parking functions of touch k,
+    by (area, dinv, ides mask).  All zero exactly when qsym_total(n)
+    [n]_q! equals Σ_k qsym_for_touch(n, k) [n]_q [n]_q!/[k]_q.  Raises
+    ValueError before any table is built when an entry could leave int64.
+    """
+    lhs, rhs = square_paths_multipliers(n)
+    lhs, rhs = _q_coefficients(lhs), [_q_coefficients(m) for m in rhs]
+    # T and the P_k each hold at most n^n counts, so every partial sum is
+    # at most n^n times the sum of all multiplier coefficients.
+    bound = n ** n * (int(lhs.sum()) + sum(int(m.sum()) for m in rhs))
+    if bound >= 2 ** 63:
+        raise ValueError(f"n = {n}: square-path sums may reach {bound} "
+                         f"> 2^63 - 1")
+    table = aggregate.qsym_by_touch(n, threads=threads)
+    cells = [np.fromiter(chain.from_iterable(counts), dtype=np.int64,
+                         count=3 * len(counts)).reshape(-1, 3)
+             for counts in table.values()]
+    values = [np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+              for counts in table.values()]
+    keys = np.concatenate(cells)
+    rows, row_of = np.unique(keys[:, 0] << (n - 1) | keys[:, 2],
+                             return_inverse=True)
+    width = int(keys[:, 1].max()) + 1
+    total = np.zeros((len(rows), width), dtype=np.int64)
+    out = np.zeros((len(rows), width + len(rhs[0]) - 1), dtype=np.int64)
+    start = 0
+    for (touch, park), cell, c in zip(table, cells, values):
+        # The (area, dinv, mask) keys of one table entry are distinct.
+        at = row_of[start:start + len(cell)], cell[:, 1]
+        start += len(cell)
+        total[at] += c
+        if park:
+            part = np.zeros_like(total)
+            part[at] = c
+            _add_times(out, part, -rhs[touch - 1])
+    _add_times(out, total, lhs)
     return out
 
 

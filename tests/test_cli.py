@@ -9,10 +9,12 @@ from itertools import permutations
 from math import comb, factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qtpark
-from qtpark import aggregate, checks, cli, kernels, schedules, symfunc
+from qtpark import aggregate, checks, cli, kernels, quasisym, schedules
+from qtpark import symfunc
 from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, json_line, place, stats
@@ -89,9 +91,9 @@ def test_enumerate_filters_match_json_line(capsys, n):
     cases = [((), lambda s: True),
              (("--parking-only",), lambda s: s.deviation == 0)]
     cases += [(("--deviation", str(d)), lambda s, d=d: s.deviation == d)
-              for d in range(n + 1)]
+              for d in range(n)]
     cases += [(("--touch", str(k)), lambda s, k=k: s.touch == k)
-              for k in range(n + 1)]
+              for k in range(1, n + 1)]
     cases += [(("--diagword", "".join(map(str, tau))),
                lambda s, tau=tau: s.diagword == tau)
               for tau in taus[::max(1, len(taus) // 12)]]
@@ -154,7 +156,10 @@ def test_check_pass_report(capsys):
                          "--max", "6", "--samples", "25")
     assert code == 0
     assert out == golden("check_parlem_small.json")
-    assert "wall time:" in err
+    stderr = json.loads(err)
+    assert list(stderr) == ["id", "wall_s", "threads", "peak_rss_mb"]
+    assert (stderr["id"], stderr["threads"]) == ("lemma-parlem", 1)
+    assert stderr["wall_s"] >= 0 and stderr["peak_rss_mb"] > 0
     report = json.loads(out)
     assert report["passed"] is True
     assert report["counterexample"] is None
@@ -237,6 +242,12 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     # an empty sampling box
     ("check", "lemma-parlem", "--n", "1..8", "--max", "0"),
     ("check", "lemma-parlem", "--max", "0", "--samples", "0"),
+    # an enumerate filter no function of size n passes
+    ("enumerate", "--n", "3", "--touch", "0"),
+    ("enumerate", "--n", "3", "--touch", "4"),
+    ("enumerate", "--n", "3", "--deviation", "-1"),
+    ("enumerate", "--n", "3", "--deviation", "3"),
+    ("enumerate", "--n", "1", "--parking-only", "--deviation", "1"),
 ])
 def test_refuses_unusable_input(capsys, monkeypatch, argv):
     assert_refused_up_front(capsys, monkeypatch, *argv)
@@ -557,6 +568,93 @@ def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
     assert code == 0
     assert report["examined"] == 1
     assert sizes == [4]
+
+
+_real_qsym_by_touch = aggregate.qsym_by_touch
+
+
+def _buggy_qsym_by_touch(n, threads=1, park=True):
+    """The real table with one count bumped at n = 4: the smallest
+    (area, dinv, mask) cell of touch 2, among the parking functions
+    (park) or among the others."""
+    table = _real_qsym_by_touch(n, threads=threads)
+    if n != 4:
+        return table
+    table = dict(table)
+    counts = table[2, park] = dict(table[2, park])
+    counts[min(counts)] += 1
+    return table
+
+
+@pytest.mark.parametrize("park,name", [(True, "parking"),
+                                       (False, "nonparking")])
+def test_mutation_breaks_square_paths(capsys, monkeypatch, park, name):
+    """The report is the one the QSymF-deciding runner printed for the
+    same fault."""
+    monkeypatch.setattr(aggregate, "qsym_by_touch",
+                        lambda n, threads=1: _buggy_qsym_by_touch(n, threads,
+                                                                  park))
+    code, out, _ = run(capsys, "check", "main-square-paths", "--n", "1..5")
+    assert code == 1
+    assert out == golden(f"check_square_paths_fault_{name}.json")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_square_paths_residue_agrees_with_qsym_sides(monkeypatch, n):
+    """With one count bumped at any key of the touch table, or none, the
+    integer residue is nonzero exactly when the QSymF sides differ.  A bump
+    at a parking function of touch n changes both sides alike."""
+    real = _real_qsym_by_touch(n)
+    differ = []
+    for key in [None, *real]:
+        table = dict(real)
+        if key is not None:
+            table[key] = dict(table[key])
+            table[key][min(table[key])] += 1
+        monkeypatch.setattr(aggregate, "qsym_by_touch",
+                            lambda m, threads=1: table)
+        lhs, rhs = checks._square_paths_sides(n, 1)
+        assert bool(checks.square_paths_residue(n).any()) == (lhs != rhs)
+        differ.append(lhs != rhs)
+    assert differ == [False] + [key != (n, True) for key in real]
+
+
+def test_square_paths_refuses_a_residue_the_sides_do_not_show(monkeypatch):
+    monkeypatch.setattr(checks, "square_paths_residue",
+                        lambda n, threads=1: np.ones((1, 1), dtype=np.int64))
+    with pytest.raises(RuntimeError, match="n = 1: no coefficient"):
+        checks.run_check(checks.CheckSpec("main-square-paths", 1, 2))
+
+
+def test_square_paths_passes_without_qsym_sums(capsys, monkeypatch):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+
+    for module in (quasisym, checks):
+        for name in ("qsym_total", "qsym_for_touch"):
+            monkeypatch.setattr(module, name, record)
+    code, out, _ = run(capsys, "check", "main-square-paths", "--n", "1..6")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert calls == []
+
+
+def test_square_paths_residue_refuses_int64_overflow(monkeypatch):
+    """The bound on the integer sums is checked before the table is
+    built: n = 10 fits in int64, n = 11 does not."""
+    class Built(Exception):
+        pass
+
+    def table(n, threads=1):
+        raise Built(n)
+
+    monkeypatch.setattr(aggregate, "qsym_by_touch", table)
+    with pytest.raises(Built):
+        quasisym.square_paths_residue(10)
+    with pytest.raises(ValueError, match=r"n = 11: .* > 2\^63 - 1"):
+        quasisym.square_paths_residue(11)
 
 
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
