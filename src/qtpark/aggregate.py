@@ -25,13 +25,15 @@ Keys are counted per block with ``np.unique``.  Once ``_MERGE_BATCH``
 such (key, count) entries are pending, they are merged into the running
 totals in numpy: a stable sort of the sorted runs, then ``np.add.reduceat``
 over each run of equal keys, in integers only.  The keys are then split
-back into columns with the same radices.  The fold comes out in increasing
-key order, so each table key is one contiguous run of rows, and tables
-iterate in key order (diagword, then deviation; touch, then parking).  No
-output depends on that order.  The fold raises ``ValueError`` before any
-block is computed when the product of the radices does not fit in an int64
-(``qsym_by_diagword`` for n >= 11), and while folding when a block value
-falls outside its radix.
+back into columns with the same radices.  The fold raises ``ValueError``
+before any block is computed when the product of the radices does not fit
+in an int64 (``qsym_by_diagword`` for n >= 11), and while folding when a
+block value falls outside its radix.
+
+The fold's sorted arrays are the table (``Table``): a key is the kernel's
+own integers, (diagword code, deviation) or (touch, is parking), its rows
+are one contiguous run, and a lookup is one binary search over the keys'
+codes.  A diagword code alone selects all its deviations as one run.
 
 Tables are cached per (kind, n).  Worker count never changes a table:
 chunks are deterministic and integer counts commute.
@@ -41,16 +43,13 @@ from __future__ import annotations
 
 import math
 import threading
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from . import kernels
 from .qt import QTPoly
-
-QTTable = Dict[Tuple[Tuple[int, ...], int], Dict[Tuple[int, int], int]]
-QSymTable = Dict[Tuple[Tuple[int, ...], int], Dict[Tuple[int, int, int], int]]
-TouchTable = Dict[Tuple[int, bool], Dict[Tuple[int, int, int], int]]
 
 # Exclusive upper bound of each kernel column, as a function of n.
 _RADIX: Dict[int, Callable[[int], int]] = {
@@ -64,7 +63,7 @@ _RADIX: Dict[int, Callable[[int], int]] = {
 }
 _KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
 # Pending per-block (key, count) entries merged into the running totals at
-# once: about 16 MB of arrays, small next to the dicts of an n = 8 table.
+# once: about 16 MB of arrays.
 _MERGE_BATCH = 1 << 20
 
 _cache: dict = {}
@@ -87,12 +86,10 @@ def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]
     return keys[starts], np.add.reduceat(counts, starts)
 
 
-def _run_starts(*cols: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal rows of the aligned columns begins."""
-    first = np.zeros(cols[0].size, dtype=bool)
-    first[:1] = True
-    for col in cols:
-        first[1:] |= col[1:] != col[:-1]
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal keys begins."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
     return np.flatnonzero(first)
 
 
@@ -135,59 +132,94 @@ def _fold(n: int, threads: int, columns: Tuple[int, ...]
     return digits[::-1], counts
 
 
-def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
-           value_cols: Tuple[int, ...], decode: Callable[..., list]) -> dict:
-    """Key -> {value columns: count}, cached per (kind, n).
+@dataclass(frozen=True, eq=False)
+class Table:
+    """One count table: the fold's rows, sorted, one run of rows per key.
 
-    ``decode(n, *key columns)`` turns the key columns, one list each, into
-    the list of table keys.
+    ``columns`` holds the key columns, then the value columns, one array
+    each, aligned with ``counts``.  Key i is the rows
+    ``starts[i]:starts[i + 1]``; its mixed-radix code ``codes[i]`` over the
+    key ``radices`` increases with i.  The arrays are read-only: every
+    caller shares the cached table.
     """
+
+    columns: Tuple[np.ndarray, ...]
+    counts: np.ndarray
+    starts: np.ndarray  # one more entry than keys: the row count last
+    codes: np.ndarray
+    radices: Tuple[int, ...]
+
+    def span(self, *key):
+        """First and past-last row of the keys whose leading columns are
+        ``key``, elementwise over arrays; equal when there is none."""
+        code, ok = 0, True
+        for digit, radix in zip(key, self.radices):
+            code = code * radix + digit
+            ok = ok & (0 <= digit) & (digit < radix)
+        rest = math.prod(self.radices[len(key):])
+        lo, hi = self.starts[self.codes.searchsorted([code * rest,
+                                                      (code + 1) * rest])]
+        return lo, lo + (hi - lo) * ok
+
+    def rows(self, *key: int) -> slice:
+        """The rows of the keys whose leading columns are ``key``."""
+        lo, hi = self.span(*key)
+        return slice(int(lo), int(hi))
+
+    def counts_at(self, *key: int) -> Dict[Tuple[int, ...], int]:
+        """{value columns: count} summed over ``rows(*key)``."""
+        where = self.rows(*key)
+        values = zip(*(col[where].tolist()
+                       for col in self.columns[len(self.radices):]))
+        out: Dict[Tuple[int, ...], int] = {}
+        for value, c in zip(values, self.counts[where].tolist()):
+            out[value] = out.get(value, 0) + c
+        return out
+
+    def values(self) -> List[np.ndarray]:
+        """Each key's counts, in key order."""
+        return np.split(self.counts, self.starts[1:-1])
+
+
+def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
+           value_cols: Tuple[int, ...]) -> Table:
+    """The table over ``key_cols + value_cols``, cached per (kind, n)."""
     with _cache_lock:
         if (kind, n) in _cache:
             return _cache[(kind, n)]
     cols, counts = _fold(n, threads, key_cols + value_cols)
-    nk = len(key_cols)
+    radices = tuple(_RADIX[c](n) for c in key_cols)
+    codes = 0
+    for col, radix in zip(cols, radices):
+        codes = codes * radix + col
     # Rows come sorted by key columns first, so each key is one run.
-    starts = _run_starts(*cols[:nk])
-    keys = decode(n, *(col[starts].tolist() for col in cols[:nk]))
-    values = list(zip(*(col.tolist() for col in cols[nk:])))
-    tally = counts.tolist()
-    bounds = starts.tolist() + [len(tally)]
-    table = {k: dict(zip(values[i:j], tally[i:j]))
-             for k, i, j in zip(keys, bounds, bounds[1:])}
+    starts = _run_starts(codes)
+    codes = codes[starts]
+    table = Table(tuple(cols), counts, np.append(starts, counts.size),
+                  codes, radices)
+    for array in (*cols, counts, table.starts, codes):
+        array.flags.writeable = False
     with _cache_lock:
         _cache[(kind, n)] = table
     return table
 
 
-def _perm_dev(n: int, dwords: List[int], devs: List[int]
-              ) -> List[Tuple[Tuple[int, ...], int]]:
-    # A diagword recurs once per deviation; decode each one once.
-    perms = {code: kernels.decode_perm(code, n) for code in set(dwords)}
-    return [(perms[code], dev) for code, dev in zip(dwords, devs)]
-
-
-def _touch_park(n: int, touches: List[int], parks: List[int]
-                ) -> List[Tuple[int, bool]]:
-    return [(touch, bool(park)) for touch, park in zip(touches, parks)]
-
-
-def qt_by_diagword(n: int, threads: int = 1) -> QTTable:
-    """(diagword, deviation) -> {(area, dinv): count} over all n^n functions."""
+def qt_by_diagword(n: int, threads: int = 1) -> Table:
+    """Keys (diagword code, deviation), values (area, dinv)."""
     return _table("qt_dw", n, threads, (kernels.DWORD, kernels.DEV),
-                  (kernels.AREA, kernels.DINV), _perm_dev)
+                  (kernels.AREA, kernels.DINV))
 
 
-def qsym_by_diagword(n: int, threads: int = 1) -> QSymTable:
-    """(diagword, deviation) -> {(area, dinv, ides mask): count}."""
+def qsym_by_diagword(n: int, threads: int = 1) -> Table:
+    """Keys (diagword code, deviation), values (area, dinv, ides mask)."""
     return _table("qsym_dw", n, threads, (kernels.DWORD, kernels.DEV),
-                  (kernels.AREA, kernels.DINV, kernels.IDES), _perm_dev)
+                  (kernels.AREA, kernels.DINV, kernels.IDES))
 
 
-def qsym_by_touch(n: int, threads: int = 1) -> TouchTable:
-    """(touch, is parking) -> {(area, dinv, ides mask): count}."""
+def qsym_by_touch(n: int, threads: int = 1) -> Table:
+    """Keys (touch, is parking), values (area, dinv, ides mask)."""
     return _table("qsym_touch", n, threads, (kernels.TOUCH, kernels.PARK),
-                  (kernels.AREA, kernels.DINV, kernels.IDES), _touch_park)
+                  (kernels.AREA, kernels.DINV, kernels.IDES))
 
 
 def clear_cache() -> None:

@@ -13,6 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import prod
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -23,7 +24,7 @@ from . import aggregate
 from .paths import DEFAULT_MAX_N
 from .qt import QTPoly, q_int
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
-from .quasisym import qsym_total, square_paths_multipliers
+from .quasisym import q_coefficients, qsym_total, square_paths_multipliers
 from .quasisym import square_paths_residue, withides_residue
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
@@ -48,9 +49,6 @@ class Scope:
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # builds an n^n table, so --threads means something
     limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
-    # option -> the values some case of size n can have (a filter no case
-    # passes is refused)
-    usable: Dict[str, Callable[[int], range]] = field(default_factory=dict)
 
 
 _TAU_L: Dict[str, object] = {"tau": None, "l": None}
@@ -76,9 +74,8 @@ SCOPES: Dict[str, Scope] = {
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
     "main-square-paths": Scope((1, 6), DEFAULT_MAX_N, sweeps=True),
     "enumerate": Scope((1, 7), DEFAULT_MAX_N,
-                       {"allow_large": False, "touch": None, "deviation": None},
-                       usable={"touch": lambda n: range(1, n + 1),
-                               "deviation": range}),
+                       {"allow_large": False, "parking_only": False,
+                        "tau": None, "l": None, "touch": None}),
     "table schedules": Scope(None, 7, {"tau": None}, per_tau=True),
     "table polynomials": Scope(None, 7, sweeps=True),
     "table enk": Scope(None, DEGREE_BOUND),
@@ -123,11 +120,10 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
     if ("allow_large" in row.reads and hi > row.default[1]
             and not options.get("allow_large")):
         raise ValueError(f"n above {row.default[1]} needs --allow-large")
-    for opt, values in row.usable.items():
-        if opt in given and given[opt] not in values(hi):
-            raise ValueError(f"{command} at n = {hi} has {opt} "
-                             f"{values(hi).start}..{values(hi).stop - 1}, "
-                             f"not {given[opt]}")
+    if given.get("parking_only"):  # the parking functions: deviation 0
+        if l not in (None, 0):
+            raise ValueError(f"parking functions have deviation 0, not {l}")
+        l = 0
     if tau is not None and not lo <= len(tau) <= hi:
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
     if "l" in row.reads and (tau is not None or l is not None):
@@ -137,7 +133,14 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         usable = range(row.first_l, nruns)
         if not usable or (l is not None and l not in usable):
             raise ValueError(f"no case in n range {lo}..{hi} can use "
-                             f"this tau and l")
+                             f"this tau and deviation l")
+    if "touch" in given:
+        # A tau fixes the touch to its last run length, and deviation l
+        # leaves at most n - l cars on the lowest diagonal.
+        if given["touch"] not in (range(1, hi + 1 - (l or 0)) if tau is None
+                                  else [runs(tau).last_run_length]):
+            raise ValueError(f"no case of size {hi} with these filters has "
+                             f"touch {given['touch']}")
     return lo, hi
 
 
@@ -236,20 +239,6 @@ def _cases(spec: CheckSpec, sc: ScheduleCounts) -> Tuple[List[int], np.ndarray]:
     return ls, nruns[:, None] > np.array(ls, dtype=int)
 
 
-Terms = Tuple[Tuple[int, int], ...]
-
-
-def _q_product(weights: Tuple[int, ...]) -> Terms:
-    """The (i, c) with c q^i a term of prod [w]_q; every c is an integer."""
-    poly = prod(map(q_int, weights), start=QTPoly.one())
-    return tuple((i, int(c)) for (i, _), c in poly.terms())
-
-
-def _counts(maj: int, shift: int, terms: Terms) -> Dict[Tuple[int, int], int]:
-    """t^maj q^shift times the terms, as table counts {(area, dinv): c}."""
-    return {(maj, shift + i): c for i, c in terms}
-
-
 def _first_failure(bad: np.ndarray, has: np.ndarray
                    ) -> Optional[Tuple[int, int, int]]:
     """Row and column of a block's first failing case in (tau, l) order,
@@ -263,16 +252,11 @@ def _first_failure(bad: np.ndarray, has: np.ndarray
 
 
 def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
-    # t^maj q^shift prod [w]_q has one power of t, so each table entry is
-    # compared in integers with the coefficients of prod [w]_q, which
-    # depend only on the sorted weights.
-    products: Dict[Tuple[int, ...], Terms] = {}
-
-    def product_rows(w: np.ndarray) -> List[Terms]:
-        keys = list(map(tuple, np.sort(w, axis=1).tolist()))
-        for key in set(keys) - products.keys():
-            products[key] = _q_product(key)
-        return [products[key] for key in keys]
+    # t^maj q^shift prod [w]_q has one power of t, so each case's table
+    # rows are compared in integers with the coefficients of prod [w]_q,
+    # which depend only on the sorted weights.
+    product = lru_cache(maxsize=None)(lambda weights: q_coefficients(
+        prod(map(q_int, weights), start=QTPoly.one())))
 
     examined = 0
     for n in spec.n_range:
@@ -280,25 +264,39 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
         if not blocks:  # --tau names another n: no table to build
             continue
         table = aggregate.qt_by_diagword(n, threads=spec.threads)
+        _, _, area, dinv = table.columns
+        powers = n ** np.arange(n - 1, -1, -1)
         for block in blocks:
             sc = schedule_counts(block)
             ls, has = _cases(spec, sc)
-            taus = list(map(tuple, block.tolist()))
-            majs = ((block[:, :-1] > block[:, 1:]) @ np.arange(1, n)).tolist()
+            codes = (block - 1) @ powers
+            majs = (block[:, :-1] > block[:, 1:]) @ np.arange(1, n)
 
             def misses(l, rows, w, shifts):
-                """Whether each row's table entry at l differs from
-                t^maj q^shift prod [w]_q."""
-                return [table.get((taus[r], l), {})
-                        != _counts(majs[r], shift, terms)
-                        for r, shift, terms in zip(rows.tolist(), shifts,
-                                                   product_rows(w[rows]))]
+                """Whether each row's table rows at l differ from
+                t^maj q^(shift + i) c_i, for the coefficients c_i of
+                prod [w]_q."""
+                coeffs = [product(weights) for weights in map(
+                    tuple, np.sort(w[rows], axis=1).tolist())]
+                size = np.array(list(map(len, coeffs)))
+                lo, hi = table.span(codes[rows], l)
+                # One entry per power of q of each case; a case whose key
+                # has another number of rows misses whatever they read.
+                first = np.cumsum(size) - size
+                case = np.repeat(np.arange(len(rows)), size)
+                i = np.arange(len(case)) - first[case]
+                at = np.minimum(lo[case] + i, len(table.counts) - 1)
+                differ = ((area[at] != majs[rows][case])
+                          | (dinv[at] != shifts[case] + i)
+                          | (table.counts[at] != np.concatenate(coeffs)))
+                return (hi - lo != size) | (np.bincount(
+                    case[differ], minlength=len(rows)) > 0)
 
             # Cases pref_closed_form misses, and pf_closed_form (l = 0).
             bad, bad_pf = np.zeros_like(has), np.zeros_like(has)
             for j, l in enumerate(ls):
                 rows = np.flatnonzero(has[:, j])
-                shifts = (sc.from_last[rows] < l).sum(axis=1).tolist()
+                shifts = (sc.from_last[rows] < l).sum(axis=1)
                 bad[rows, j] = misses(l, rows, schedule_l_rows(sc, l), shifts)
                 if l == 0:
                     bad_pf[rows, j] = misses(0, rows, schedule0_rows(sc),
@@ -306,14 +304,14 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
             hit = _first_failure(bad | bad_pf, has)
             if hit is not None:
                 r, j, before = hit
-                tau, l = taus[r], ls[j]
+                tau, l = tuple(block[r].tolist()), ls[j]
                 closed = (pref_closed_form(tau, l) if bad[r, j]
                           else pf_closed_form(tau))
                 return False, {
                     "n": n, "tau": list(tau), "l": l,
                     "closed_form": str(closed),
                     "brute_force": str(aggregate.qt_poly_from_counts(
-                        table.get((tau, l), {}))),
+                        table.counts_at(int(codes[r]), l))),
                 }, examined + before
             examined += int(has.sum())
     return True, None, examined
@@ -434,20 +432,13 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _run_hmz(spec: CheckSpec) -> Outcome:
+def _each_n(spec: CheckSpec, holds: Callable[[int], bool]) -> Outcome:
+    """Whether holds(n) for each n of the range; the first n that fails
+    is the counterexample."""
     examined = 0
     for n in spec.n_range:
         examined += 1
-        if not hmz_check(n):
-            return False, {"n": n}, examined
-    return True, None, examined
-
-
-def _run_pn_identity(spec: CheckSpec) -> Outcome:
-    examined = 0
-    for n in spec.n_range:
-        examined += 1
-        if not pn_identity_check(n):
+        if not holds(n):
             return False, {"n": n}, examined
     return True, None, examined
 
@@ -497,8 +488,10 @@ REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
     "lemma-parlem": _run_parlem,
     "lemma-factorlemma": _run_factorlemma,
     "cor-withides": _run_withides,
-    "thm-hmz": _run_hmz,
-    "thm-pn-identity": _run_pn_identity,
+    # The predicates are looked up when a check runs, so a rebinding of
+    # their names in this module takes effect.
+    "thm-hmz": lambda spec: _each_n(spec, hmz_check),
+    "thm-pn-identity": lambda spec: _each_n(spec, pn_identity_check),
     "thm-enk-sum": _run_enk_sum,
     "main-square-paths": _run_main_square_paths,
 }

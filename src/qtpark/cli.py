@@ -64,21 +64,18 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
+    tau = (None if args.diagword is None
+           else runs(_parse_vector(args.diagword)).tau)
     scope("enumerate", (n, n), allow_large=args.allow_large,
-          touch=args.touch, deviation=args.deviation)
-    diagword: Optional[int] = None
-    if args.diagword is not None:
-        tau = runs(_parse_vector(args.diagword)).tau
-        if len(tau) != n:
-            raise ValueError("--diagword length must equal n")
-        diagword = encode_perm(tau, n)
+          parking_only=args.parking_only, tau=tau, l=args.deviation,
+          touch=args.touch)
+    deviation = 0 if args.parking_only else args.deviation
+    diagword = None if tau is None else encode_perm(tau, n)
 
     def keep(b: StatBlock) -> np.ndarray:
         mask = np.ones(len(b.index), dtype=bool)
-        if args.parking_only:
-            mask &= b.deviation == 0
-        if args.deviation is not None:
-            mask &= b.deviation == args.deviation
+        if deviation is not None:
+            mask &= b.deviation == deviation
         if diagword is not None:
             mask &= b.diagword == diagword
         if args.touch is not None:
@@ -141,7 +138,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         table = aggregate.qt_by_diagword(args.n, threads=args.threads or 1)
         for rd, l in _tau_l_sweep(args.n):
             closed = pref_closed_form(rd, l)
-            brute = aggregate.qt_poly_from_counts(table.get((rd.tau, l), {}))
+            brute = aggregate.qt_poly_from_counts(
+                table.counts_at(encode_perm(rd.tau, args.n), l))
             writer.writerow(_schedule_row(rd, l) + [
                 str(closed), str(brute),
                 "yes" if closed == brute else "no",

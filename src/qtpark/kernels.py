@@ -21,7 +21,7 @@ exactly the ones the count tables in ``aggregate`` fold:
                  the ides set as a bit mask (``decode_ides``)
     DWORD, DEV   key of ``qt_by_diagword`` and ``qsym_by_diagword``; the
                  diagword is a base-n code, big-endian, car labels minus one
-                 as digits (``decode_perm``)
+                 as digits (``encode_perm``)
     TOUCH, PARK  key of ``qsym_by_touch``
 
 ``grid_block`` is the shared first step: the base-n decode of the indices
@@ -178,15 +178,6 @@ def encode_perm(perm: Sequence[int], n: int) -> int:
     for v in perm:
         code = code * n + v - 1
     return code
-
-
-def decode_perm(code: int, n: int) -> Tuple[int, ...]:
-    """Invert the base-n packing of a permutation of 1..n."""
-    digits = []
-    for _ in range(n):
-        digits.append(code % n)
-        code //= n
-    return tuple(d + 1 for d in reversed(digits))
 
 
 def decode_ides(mask: int, n: int) -> frozenset:

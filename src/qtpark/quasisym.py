@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import permutations, product
 from typing import Dict, FrozenSet, Iterator, List, Optional
 from typing import Sequence, Tuple
 
@@ -223,14 +223,10 @@ def qsym_for_diagword(n: int, tau: Sequence[int],
                       threads: int = 1) -> QSymF:
     """Table-backed Σ t^area q^dinv Q_ides over functions with diagonal
     word tau, optionally restricted to one deviation."""
-    tau = tuple(tau)
     table = aggregate.qsym_by_diagword(n, threads=threads)
-    out = QSymF.zero(n)
-    for dev in range(n) if deviation is None else (deviation,):
-        counts = table.get((tau, dev))
-        if counts:
-            out = out + _qsym_from_counts(n, counts)
-    return out
+    code = kernels.encode_perm(tau, n)
+    return _qsym_from_counts(n, table.counts_at(code) if deviation is None
+                             else table.counts_at(code, deviation))
 
 
 def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1
@@ -243,32 +239,29 @@ def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1
     divisor.  The deviation-0 counts cancel at q^0 and leave
     q^n - q^k; the others give 1 - q^k.
     """
-    tau = tuple(tau)
     table = aggregate.qsym_by_diagword(n, threads=threads)
+    where = table.rows(kernels.encode_perm(tau, n))
     out: Dict[Tuple[int, int, int], int] = {}
-    for dev in range(n):
+    for dev, area, dinv, mask, c in zip(
+            *(col[where].tolist() for col in table.columns[1:]),
+            table.counts[where].tolist()):
         shift = n if dev == 0 else 0
-        for (area, dinv, mask), c in table.get((tau, dev), {}).items():
-            up, down = (area, dinv + shift, mask), (area, dinv + k, mask)
-            out[up] = out.get(up, 0) + c
-            out[down] = out.get(down, 0) - c
+        up, down = (area, dinv + shift, mask), (area, dinv + k, mask)
+        out[up] = out.get(up, 0) + c
+        out[down] = out.get(down, 0) - c
     return {key: c for key, c in out.items() if c}
 
 
 def qsym_for_touch(n: int, touch: int, threads: int = 1) -> QSymF:
     """Table-backed sum over parking functions with the given touch."""
     table = aggregate.qsym_by_touch(n, threads=threads)
-    counts = table.get((touch, True))
-    return _qsym_from_counts(n, counts) if counts else QSymF.zero(n)
+    return _qsym_from_counts(n, table.counts_at(touch, 1))
 
 
 def qsym_total(n: int, threads: int = 1) -> QSymF:
     """Sum over all n^n preference functions."""
-    table = aggregate.qsym_by_touch(n, threads=threads)
-    out = QSymF.zero(n)
-    for counts in table.values():
-        out = out + _qsym_from_counts(n, counts)
-    return out
+    return _qsym_from_counts(n, aggregate.qsym_by_touch(
+        n, threads=threads).counts_at())
 
 
 def square_paths_multipliers(n: int) -> Tuple[QTPoly, List[QTPoly]]:
@@ -281,7 +274,7 @@ def square_paths_multipliers(n: int) -> Tuple[QTPoly, List[QTPoly]]:
     return fact, [q_int(n) * fact.divexact(q_int(k)) for k in range(1, n + 1)]
 
 
-def _q_coefficients(poly: QTPoly) -> np.ndarray:
+def q_coefficients(poly: QTPoly) -> np.ndarray:
     """The integer coefficients of a polynomial in q alone, q^0 first."""
     terms = list(poly.terms())
     out = np.zeros(terms[-1][0][0] + 1, dtype=np.int64)
@@ -309,7 +302,7 @@ def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
     ValueError before any table is built when an entry could leave int64.
     """
     lhs, rhs = square_paths_multipliers(n)
-    lhs, rhs = _q_coefficients(lhs), [_q_coefficients(m) for m in rhs]
+    lhs, rhs = q_coefficients(lhs), [q_coefficients(m) for m in rhs]
     # T and the P_k each hold at most n^n counts, so every partial sum is
     # at most n^n times the sum of all multiplier coefficients.
     bound = n ** n * (int(lhs.sum()) + sum(int(m.sum()) for m in rhs))
@@ -317,27 +310,18 @@ def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
         raise ValueError(f"n = {n}: square-path sums may reach {bound} "
                          f"> 2^63 - 1")
     table = aggregate.qsym_by_touch(n, threads=threads)
-    cells = [np.fromiter(chain.from_iterable(counts), dtype=np.int64,
-                         count=3 * len(counts)).reshape(-1, 3)
-             for counts in table.values()]
-    values = [np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-              for counts in table.values()]
-    keys = np.concatenate(cells)
-    rows, row_of = np.unique(keys[:, 0] << (n - 1) | keys[:, 2],
-                             return_inverse=True)
-    width = int(keys[:, 1].max()) + 1
+    _, _, area, dinv, mask = table.columns
+    rows, row_of = np.unique(area << (n - 1) | mask, return_inverse=True)
+    width = int(dinv.max()) + 1
     total = np.zeros((len(rows), width), dtype=np.int64)
+    np.add.at(total, (row_of, dinv), table.counts)
     out = np.zeros((len(rows), width + len(rhs[0]) - 1), dtype=np.int64)
-    start = 0
-    for (touch, park), cell, c in zip(table, cells, values):
-        # The (area, dinv, mask) keys of one table entry are distinct.
-        at = row_of[start:start + len(cell)], cell[:, 1]
-        start += len(cell)
-        total[at] += c
-        if park:
-            part = np.zeros_like(total)
-            part[at] = c
-            _add_times(out, part, -rhs[touch - 1])
+    for touch, mult in enumerate(rhs, start=1):
+        # The (area, dinv, mask) rows of one key are distinct.
+        where = table.rows(touch, 1)
+        part = np.zeros_like(total)
+        part[row_of[where], dinv[where]] = table.counts[where]
+        _add_times(out, part, -mult)
     _add_times(out, total, lhs)
     return out
 

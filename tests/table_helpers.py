@@ -1,0 +1,12 @@
+"""Count tables as nested dicts, for comparing them with reference folds."""
+
+
+def as_dicts(table):
+    """{key columns: {value columns: count}}, keyed by the table's own
+    integers."""
+    nkeys = len(table.radices)
+    out = {}
+    for *row, count in zip(*(col.tolist() for col in table.columns),
+                           table.counts.tolist()):
+        out.setdefault(tuple(row[:nkeys]), {})[tuple(row[nkeys:])] = count
+    return out

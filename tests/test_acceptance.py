@@ -9,6 +9,7 @@ import time
 from contextlib import redirect_stdout
 
 import numpy as np
+from table_helpers import as_dicts
 
 from qtpark import aggregate, cli
 from qtpark.checks import CheckSpec, run_check
@@ -145,9 +146,10 @@ def test_criterion_9_determinism():
         blocks = [blk for _, blk in iter_stat_chunks(n, threads=threads,
                                                      chunk=700)]
         arrays.append(np.concatenate(blocks))
-        tables.append((aggregate.qt_by_diagword(n, threads=threads),
-                       aggregate.qsym_by_diagword(n, threads=threads),
-                       aggregate.qsym_by_touch(n, threads=threads)))
+        tables.append([as_dicts(build(n, threads=threads))
+                       for build in (aggregate.qt_by_diagword,
+                                     aggregate.qsym_by_diagword,
+                                     aggregate.qsym_by_touch)])
         buf = io.StringIO()
         with redirect_stdout(buf):
             code = cli.main(["enumerate", "--n", str(n)])

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import permutations
 
 import numpy as np
 import pytest
+from table_helpers import as_dicts
 
 import qtpark
 from qtpark import aggregate, kernels
@@ -21,26 +23,34 @@ def cold_cache():
 
 
 def reference_tables(n):
-    """The three tables folded one function at a time from paths.stats."""
+    """The three tables folded one function at a time from paths.stats,
+    keyed by the kernel's integers."""
     qt, qsym, touch = {}, {}, {}
     for pf in enumerate_all(n):
         s = stats(pf)
         mask = sum(1 << (i - 1) for i in s.ides)
+        code = kernels.encode_perm(s.diagword, n)
         for table, key, value in (
-                (qt, (s.diagword, s.deviation), (s.area, s.dinv)),
-                (qsym, (s.diagword, s.deviation), (s.area, s.dinv, mask)),
-                (touch, (s.touch, s.deviation == 0), (s.area, s.dinv, mask))):
+                (qt, (code, s.deviation), (s.area, s.dinv)),
+                (qsym, (code, s.deviation), (s.area, s.dinv, mask)),
+                (touch, (s.touch, int(s.deviation == 0)),
+                 (s.area, s.dinv, mask))):
             counts = table.setdefault(key, {})
             counts[value] = counts.get(value, 0) + 1
     return qt, qsym, touch
 
 
+def assert_tables_match_reference(n):
+    qt, qsym, touch = reference_tables(n)
+    assert as_dicts(aggregate.qt_by_diagword(n, threads=2)) == qt
+    assert as_dicts(aggregate.qsym_by_diagword(n, threads=2)) == qsym
+    assert as_dicts(aggregate.qsym_by_touch(n, threads=2)) == touch
+    return qsym, touch
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_views_match_reference_fold(n):
-    qt, qsym, touch = reference_tables(n)
-    assert aggregate.qt_by_diagword(n, threads=2) == qt
-    assert aggregate.qsym_by_diagword(n, threads=2) == qsym
-    assert aggregate.qsym_by_touch(n, threads=2) == touch
+    qsym, touch = assert_tables_match_reference(n)
     if n >= 2:  # the comparison covers the non-parking keys
         assert any(dev > 0 for _, dev in qsym)
         assert any(not park for _, park in touch)
@@ -68,10 +78,7 @@ def test_batched_merges_match_reference_fold(monkeypatch, n):
     use_small_chunks(monkeypatch, 97)
     monkeypatch.setattr(aggregate, "_merge", counting_merge)
     monkeypatch.setattr(aggregate, "_MERGE_BATCH", 50)
-    qt, qsym, touch = reference_tables(n)
-    assert aggregate.qt_by_diagword(n, threads=2) == qt
-    assert aggregate.qsym_by_diagword(n, threads=2) == qsym
-    assert aggregate.qsym_by_touch(n, threads=2) == touch
+    assert_tables_match_reference(n)
     if n == 5:  # 33 blocks of 97 rows: many merges, each of a few blocks
         assert len(merges) > 10
         assert max(merges) < 33
@@ -80,9 +87,39 @@ def test_batched_merges_match_reference_fold(monkeypatch, n):
 def test_table_iterates_in_key_order(monkeypatch):
     use_small_chunks(monkeypatch, 7)  # key order is not block order
     table = aggregate.qt_by_diagword(4)
-    assert list(table) == sorted(table)
-    for counts in table.values():
-        assert list(counts) == sorted(counts)
+    assert (np.diff(table.codes) > 0).all()
+    rows = list(zip(*(col.tolist() for col in table.columns)))
+    assert rows == sorted(set(rows))
+
+
+@pytest.mark.parametrize("build", [aggregate.qt_by_diagword,
+                                   aggregate.qsym_by_diagword,
+                                   aggregate.qsym_by_touch])
+@pytest.mark.parametrize("n", [1, 4])
+def test_table_lookups(build, n):
+    """Each key's counts, the rows of a missing key and of a diagword
+    alone, and the figure behind the benchmark's table entry count."""
+    table = build(n)
+    nrows = len(table.counts)
+    rows = np.arange(nrows)
+    assert sum(len(v) for v in table.values()) == nrows
+    for key, counts in as_dicts(table).items():
+        assert table.counts_at(*key) == counts
+    first, second = table.radices
+    missing = [(first, 0), (0, second), (-1, 0), (0, -1)]
+    if n > 1:  # touch 0, or a diagword code whose digits are all 0
+        missing.append((0, 0))
+    for key in missing:
+        assert len(rows[table.rows(*key)]) == 0
+        assert table.counts_at(*key) == {}
+    if build is aggregate.qsym_by_touch:
+        return
+    for tau in permutations(range(1, n + 1)):
+        code = kernels.encode_perm(tau, n)
+        alone = rows[table.rows(code)]
+        assert len(alone)
+        assert alone.tolist() == np.concatenate(
+            [rows[table.rows(code, dev)] for dev in range(n)]).tolist()
 
 
 def fake_stream(rows):
@@ -104,7 +141,8 @@ def test_ides_mask_round_trips_at_n10(monkeypatch):
            kernels.DINV: 18, kernels.IDES: 0b111111111}
     monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([row] * 3))
     table = aggregate.qsym_by_diagword(n)
-    assert table == {(tau, 2): {(40, 18, 0b111111111): 3}}
+    assert as_dicts(table) == {(code, 2): {(40, 18, 0b111111111): 3}}
+    assert table.counts_at(code) == {(40, 18, 0b111111111): 3}
 
 
 def test_key_too_wide_is_refused_before_any_block(monkeypatch):

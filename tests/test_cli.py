@@ -1,11 +1,12 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -84,8 +85,9 @@ def test_enumerate_filters(capsys):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_filters_match_json_line(capsys, n):
-    """Every filter alone, and --touch with --deviation, keep exactly the
-    json_line of the functions they select, in order."""
+    """Every filter alone, and every --touch with --deviation that some
+    function has, keep exactly the json_line of the functions they select,
+    in order."""
     lines = [(json_line(p) + "\n", stats(p)) for p in enumerate_all(n)]
     taus = list(permutations(range(1, n + 1)))
     cases = [((), lambda s: True),
@@ -99,7 +101,7 @@ def test_enumerate_filters_match_json_line(capsys, n):
               for tau in taus[::max(1, len(taus) // 12)]]
     cases += [(("--touch", str(k), "--deviation", str(d)),
                lambda s, k=k, d=d: (s.touch, s.deviation) == (k, d))
-              for k in range(1, n + 1) for d in range(n)]
+              for d in range(n) for k in range(1, n + 1 - d)]
     for argv, keep in cases:
         code, out, _ = run(capsys, "enumerate", "--n", str(n), *argv)
         assert code == 0
@@ -248,9 +250,36 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     ("enumerate", "--n", "3", "--deviation", "-1"),
     ("enumerate", "--n", "3", "--deviation", "3"),
     ("enumerate", "--n", "1", "--parking-only", "--deviation", "1"),
+    ("enumerate", "--n", "3", "--parking-only", "--deviation", "1"),
+    ("enumerate", "--n", "3", "--touch", "3", "--deviation", "2"),
+    ("enumerate", "--n", "3", "--diagword", "123", "--deviation", "1"),
 ])
 def test_refuses_unusable_input(capsys, monkeypatch, argv):
     assert_refused_up_front(capsys, monkeypatch, *argv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_accepts_exactly_the_filters_some_function_passes(n):
+    """Every combination of enumerate filters that its scope accepts keeps
+    at least one function, and every one it refuses keeps none."""
+    have = {(s.diagword, s.deviation, s.touch)
+            for s in map(stats, enumerate_all(n))}
+    taus = [None, *permutations(range(1, n + 1))]
+    for tau, l, touch, parking in product(taus, [None, *range(-1, n + 1)],
+                                          [None, *range(n + 2)],
+                                          [False, True]):
+        passes = any((tau is None or tau == t)
+                     and (l is None or l == d)
+                     and (not parking or d == 0)
+                     and (touch is None or touch == k)
+                     for t, d, k in have)
+        try:
+            checks.scope("enumerate", (n, n), parking_only=parking, tau=tau,
+                         l=l, touch=touch)
+        except ValueError:
+            assert not passes, (tau, l, touch, parking)
+        else:
+            assert passes, (tau, l, touch, parking)
 
 
 def test_threads_only_where_a_table_is_swept():
@@ -365,7 +394,8 @@ def scalar_report(check_id, n_hi, fault, pf=False):
         ce.update(schedule0=sorted(schedules.schedule0(tau)),
                   schedule_l=sorted(schedules.schedule_l(tau, l).values()))
     else:
-        counts = aggregate.qt_by_diagword(len(tau)).get((tau, l), {})
+        counts = aggregate.qt_by_diagword(len(tau)).counts_at(
+            kernels.encode_perm(tau, len(tau)), l)
         closed = (schedules.pf_closed_form(tau) if pf
                   else schedules.pref_closed_form(tau, l))
         ce.update(closed_form=str(closed),
@@ -466,11 +496,19 @@ def test_output_bytes_thread_invariant(capsys, argv):
     assert runs[0] == runs[1] == runs[2]
 
 
-def _buggy_qsym_by_diagword(n, threads=1):
-    """The real table with the secondary rule off by one: a pair one
-    diagonal apart counts only when more than one column further right."""
-    table = {}
-    for p in enumerate_all(n):
+def bumped(table, row):
+    """A copy of table with the count of one row raised by one."""
+    counts = table.counts.copy()
+    counts[row] += 1
+    return dataclasses.replace(table, counts=counts)
+
+
+def secondary_off_by_one_block(n):
+    """The kernel rows of all n^n functions with the secondary dinv rule
+    off by one: a pair one diagonal apart counts only when more than one
+    column further right."""
+    blk = kernels.stats_block(n, 0, n ** n)
+    for i, p in enumerate(enumerate_all(n)):  # in the kernel's index order
         s = stats(p)
         pl = place(p)
         sec = sum(
@@ -478,16 +516,22 @@ def _buggy_qsym_by_diagword(n, threads=1):
             for a in range(n)
             for b in range(n)
             if pl.diag[a] == pl.diag[b] - 1 and pl.col[a] > pl.col[b] + 1)
-        mask = sum(1 << (i - 1) for i in s.ides)
-        counts = table.setdefault((s.diagword, s.deviation), {})
-        key = (s.area, s.primary + sec + s.tertiary, mask)
-        counts[key] = counts.get(key, 0) + 1
-    return table
+        blk[i, kernels.DINV] = s.primary + sec + s.tertiary
+    return blk
 
 
-def test_mutation_breaks_withides(capsys, monkeypatch):
-    monkeypatch.setattr(aggregate, "qsym_by_diagword",
-                        _buggy_qsym_by_diagword)
+@pytest.fixture
+def secondary_off_by_one(monkeypatch):
+    """Every table is folded, from a cold cache, out of the blocks of
+    secondary_off_by_one_block."""
+    def stream(n, threads=1, **kwargs):
+        yield 0, secondary_off_by_one_block(n)
+
+    monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
+    monkeypatch.setattr(aggregate, "_cache", {})
+
+
+def test_mutation_breaks_withides(capsys, secondary_off_by_one):
     code, out, _ = run(capsys, "check", "cor-withides", "--n", "1..5")
     assert code == 1
     assert out == (
@@ -502,36 +546,26 @@ def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
     check at that tau."""
     real = aggregate.qsym_by_diagword
     n = 4
-    (tau, dev), counts = next((key, counts)
-                              for key, counts in real(n).items()
-                              if key[1] >= 1)
-    cell = next(iter(counts))
-
-    def bumped(m, threads=1):
-        table = real(m, threads=threads)
-        if m != n:
-            return table
-        table = dict(table)
-        table[tau, dev] = dict(counts)
-        table[tau, dev][cell] += 1
-        return table
-
-    monkeypatch.setattr(aggregate, "qsym_by_diagword", bumped)
+    table = real(n)
+    row = int(np.flatnonzero(table.columns[1] >= 1)[0])
+    taus = list(permutations(range(1, n + 1)))
+    tau = next(t for t in taus
+               if kernels.encode_perm(t, n) == table.columns[0][row])
+    faulty = bumped(table, row)
+    monkeypatch.setattr(aggregate, "qsym_by_diagword",
+                        lambda m, threads=1: (faulty if m == n
+                                              else real(m, threads=threads)))
     code, out, _ = run(capsys, "check", "cor-withides", "--n", "4")
     assert code == 1
     report = json.loads(out)
     assert report["counterexample"]["tau"] == list(tau)
-    assert report["examined"] == list(permutations(range(1, 5))).index(
-        tau) + 1
+    assert report["examined"] == taus.index(tau) + 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_withides_residue_agrees_with_qsym_sides(monkeypatch, n):
+def test_withides_residue_agrees_with_qsym_sides(secondary_off_by_one, n):
     """Under the planted fault, the integer residue is nonzero for exactly
     the taus whose cross-multiplied QSymF sides differ."""
-    table = _buggy_qsym_by_diagword(n)
-    monkeypatch.setattr(aggregate, "qsym_by_diagword",
-                        lambda m, threads=1: table)
     differ = []
     for tau in permutations(range(1, n + 1)):
         k = schedules.runs(tau).last_run_length
@@ -549,11 +583,9 @@ def test_withides_refuses_a_residue_the_sides_do_not_show(monkeypatch):
         checks.run_check(checks.CheckSpec("cor-withides", 1, 2))
 
 
-def test_withides_confirms_the_last_tau_with_qsym_sides(monkeypatch):
+def test_withides_confirms_the_last_tau_with_qsym_sides(
+        monkeypatch, secondary_off_by_one):
     """A residue that misses a fault is caught at each n's last tau."""
-    table = _buggy_qsym_by_diagword(3)
-    monkeypatch.setattr(aggregate, "qsym_by_diagword",
-                        lambda m, threads=1: table)
     monkeypatch.setattr(checks, "withides_residue",
                         lambda n, tau, k, threads=1: {})
     with pytest.raises(RuntimeError, match=r"n = 3, tau = \(1, 3, 2\)"):
@@ -580,10 +612,7 @@ def _buggy_qsym_by_touch(n, threads=1, park=True):
     table = _real_qsym_by_touch(n, threads=threads)
     if n != 4:
         return table
-    table = dict(table)
-    counts = table[2, park] = dict(table[2, park])
-    counts[min(counts)] += 1
-    return table
+    return bumped(table, table.rows(2, int(park)).start)
 
 
 @pytest.mark.parametrize("park,name", [(True, "parking"),
@@ -605,18 +634,16 @@ def test_square_paths_residue_agrees_with_qsym_sides(monkeypatch, n):
     integer residue is nonzero exactly when the QSymF sides differ.  A bump
     at a parking function of touch n changes both sides alike."""
     real = _real_qsym_by_touch(n)
+    touch, park = (col[real.starts[:-1]].tolist() for col in real.columns[:2])
     differ = []
-    for key in [None, *real]:
-        table = dict(real)
-        if key is not None:
-            table[key] = dict(table[key])
-            table[key][min(table[key])] += 1
+    for row in [None, *real.starts[:-1]]:
+        table = real if row is None else bumped(real, row)
         monkeypatch.setattr(aggregate, "qsym_by_touch",
                             lambda m, threads=1: table)
         lhs, rhs = checks._square_paths_sides(n, 1)
         assert bool(checks.square_paths_residue(n).any()) == (lhs != rhs)
         differ.append(lhs != rhs)
-    assert differ == [False] + [key != (n, True) for key in real]
+    assert differ == [False] + [key != (n, 1) for key in zip(touch, park)]
 
 
 def test_square_paths_refuses_a_residue_the_sides_do_not_show(monkeypatch):

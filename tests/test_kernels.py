@@ -8,7 +8,7 @@ import pytest
 
 from qtpark import kernels
 from qtpark.kernels import (AREA, DEV, DINV, DWORD, IDES, NCOL, PARK, TOUCH,
-                            decode_ides, decode_perm, iter_stat_chunks,
+                            decode_ides, encode_perm, iter_stat_chunks,
                             stats_block)
 from qtpark.paths import PrefFunc, stats
 
@@ -34,7 +34,7 @@ def assert_rows_match_reference(block, n, start):
         assert row[DEV] == s.deviation
         assert row[TOUCH] == s.touch
         assert decode_ides(int(row[IDES]), n) == s.ides
-        assert decode_perm(int(row[DWORD]), n) == s.diagword
+        assert row[DWORD] == encode_perm(s.diagword, n)
         assert bool(row[PARK]) == (s.deviation == 0)
 
 
@@ -113,4 +113,4 @@ def test_decode_round_trips():
     code = 0
     for v in perm:
         code = code * 4 + (v - 1)
-    assert decode_perm(code, 4) == perm
+    assert encode_perm(perm, 4) == code
