@@ -13,18 +13,16 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
-from math import prod
+from itertools import chain, combinations_with_replacement, permutations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import aggregate
 from .paths import DEFAULT_MAX_N
-from .qt import QTPoly, q_int
+from .qt import q_int, q_int_product, q_poly
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
-from .quasisym import q_coefficients, qsym_total, square_paths_multipliers
+from .quasisym import qsym_total, square_paths_multipliers
 from .quasisym import square_paths_residue, withides_residue
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
@@ -255,9 +253,6 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
     # t^maj q^shift prod [w]_q has one power of t, so each case's table
     # rows are compared in integers with the coefficients of prod [w]_q,
     # which depend only on the sorted weights.
-    product = lru_cache(maxsize=None)(lambda weights: q_coefficients(
-        prod(map(q_int, weights), start=QTPoly.one())))
-
     examined = 0
     for n in spec.n_range:
         blocks = list(_tau_blocks(spec, n))
@@ -275,9 +270,11 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
             def misses(l, rows, w, shifts):
                 """Whether each row's table rows at l differ from
                 t^maj q^(shift + i) c_i, for the coefficients c_i of
-                prod [w]_q."""
-                coeffs = [product(weights) for weights in map(
-                    tuple, np.sort(w[rows], axis=1).tolist())]
+                prod [w]_q.  A weight below 1 misses: [0]_q = 0 matches
+                no key."""
+                weights = np.sort(w[rows], axis=1)
+                coeffs = [q_int_product(ws) if ws[0] > 0 else ()
+                          for ws in map(tuple, weights.tolist())]
                 size = np.array(list(map(len, coeffs)))
                 lo, hi = table.span(codes[rows], l)
                 # One entry per power of q of each case; a case whose key
@@ -288,9 +285,10 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
                 at = np.minimum(lo[case] + i, len(table.counts) - 1)
                 differ = ((area[at] != majs[rows][case])
                           | (dinv[at] != shifts[case] + i)
-                          | (table.counts[at] != np.concatenate(coeffs)))
-                return (hi - lo != size) | (np.bincount(
-                    case[differ], minlength=len(rows)) > 0)
+                          | (table.counts[at] != np.fromiter(
+                              chain.from_iterable(coeffs), np.int64)))
+                return ((weights[:, 0] < 1) | (hi - lo != size)
+                        | (np.bincount(case[differ], minlength=len(rows)) > 0))
 
             # Cases pref_closed_form misses, and pf_closed_form (l = 0).
             bad, bad_pf = np.zeros_like(has), np.zeros_like(has)
@@ -464,8 +462,8 @@ def _square_paths_sides(n: int, threads: int) -> Tuple[QSymF, QSymF]:
     lhs, rhs = square_paths_multipliers(n)
     out = QSymF.zero(n)
     for k, mult in enumerate(rhs, start=1):
-        out = out + qsym_for_touch(n, k, threads=threads) * mult
-    return qsym_total(n, threads=threads) * lhs, out
+        out = out + qsym_for_touch(n, k, threads=threads) * q_poly(mult, 0, 0)
+    return qsym_total(n, threads=threads) * q_poly(lhs, 0, 0), out
 
 
 def _run_main_square_paths(spec: CheckSpec) -> Outcome:

@@ -16,8 +16,9 @@ as ``coefficient*q^a*t^b`` with unit parts omitted, and terms are joined by
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Dict, Iterator, Mapping, Tuple, Union
+from functools import lru_cache
+from math import lcm, prod
+from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, int]
 
@@ -256,14 +257,26 @@ def q_int(n: int) -> QTPoly:
     return QTPoly({(i, 0): 1 for i in range(n)})
 
 
+@lru_cache(maxsize=None)
+def q_int_product(weights: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The integer coefficients of prod_w [w]_q, q^0 first, for a sorted
+    tuple of positive weights: built once per multiset, with QTPoly
+    products, and cached."""
+    poly = prod(map(q_int, weights), start=ONE)
+    return tuple(int(poly.coefficient(i, 0))
+                 for i in range(sum(weights) - len(weights) + 1))
+
+
+def q_poly(coeffs: Sequence[int], qexp: int, texp: int) -> QTPoly:
+    """t^texp q^qexp (c_0 + c_1 q + c_2 q^2 + ...) for coeffs c_i."""
+    return QTPoly({(qexp + i, texp): c for i, c in enumerate(coeffs)})
+
+
 def q_factorial(n: int) -> QTPoly:
     """[n]_q! = [1]_q [2]_q ... [n]_q; requires n >= 0."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"q_factorial requires a nonnegative integer, got {n!r}")
-    out = QTPoly.one()
-    for i in range(1, n + 1):
-        out = out * q_int(i)
-    return out
+    return q_poly(q_int_product(tuple(range(1, n + 1))), 0, 0)
 
 
 def qq_poch(k: int) -> QTPoly:

@@ -29,9 +29,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import aggregate, kernels
-from .qt import ONE, QTPoly, q_factorial, q_int
+from .qt import ONE, QTPoly, q_int_product, q_poly
 from .schedules import ides as perm_ides
-from .schedules import inv as perm_inv
 from .schedules import pref_closed_form, runs
 
 Subset = FrozenSet[int]
@@ -264,30 +263,24 @@ def qsym_total(n: int, threads: int = 1) -> QSymF:
         n, threads=threads).counts_at())
 
 
-def square_paths_multipliers(n: int) -> Tuple[QTPoly, List[QTPoly]]:
-    """[n]_q! and, for k = 1..n, [n]_q [n]_q!/[k]_q.
+def square_paths_multipliers(n: int) -> Tuple[Tuple[int, ...],
+                                               List[Tuple[int, ...]]]:
+    """The integer q-coefficients of [n]_q! and, for k = 1..n, of
+    [n]_q [n]_q!/[k]_q, the product over {1..n} with k swapped for n.
 
     Times these, qsym_total(n) = Σ_k [n]_q/[k]_q qsym_for_touch(n, k)
     has no [k]_q denominator left.
     """
-    fact = q_factorial(n)
-    return fact, [q_int(n) * fact.divexact(q_int(k)) for k in range(1, n + 1)]
+    return q_int_product(tuple(range(1, n + 1))), [
+        q_int_product((*range(1, k), *range(k + 1, n + 1), n))
+        for k in range(1, n + 1)]
 
 
-def q_coefficients(poly: QTPoly) -> np.ndarray:
-    """The integer coefficients of a polynomial in q alone, q^0 first."""
-    terms = list(poly.terms())
-    out = np.zeros(terms[-1][0][0] + 1, dtype=np.int64)
-    for (i, _), c in terms:
-        out[i] = int(c)
-    return out
-
-
-def _add_times(out: np.ndarray, counts: np.ndarray, coeffs: np.ndarray
-               ) -> None:
+def _add_times(out: np.ndarray, counts: np.ndarray,
+               coeffs: Tuple[int, ...]) -> None:
     """out += counts times the polynomial coeffs, along the q axis."""
     width = counts.shape[1]
-    for i, c in enumerate(coeffs.tolist()):
+    for i, c in enumerate(coeffs):
         if c:
             out[:, i:i + width] += c * counts
 
@@ -302,10 +295,9 @@ def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
     ValueError before any table is built when an entry could leave int64.
     """
     lhs, rhs = square_paths_multipliers(n)
-    lhs, rhs = q_coefficients(lhs), [q_coefficients(m) for m in rhs]
     # T and the P_k each hold at most n^n counts, so every partial sum is
     # at most n^n times the sum of all multiplier coefficients.
-    bound = n ** n * (int(lhs.sum()) + sum(int(m.sum()) for m in rhs))
+    bound = n ** n * (sum(lhs) + sum(map(sum, rhs)))
     if bound >= 2 ** 63:
         raise ValueError(f"n = {n}: square-path sums may reach {bound} "
                          f"> 2^63 - 1")
@@ -321,7 +313,7 @@ def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
         where = table.rows(touch, 1)
         part = np.zeros_like(total)
         part[row_of[where], dinv[where]] = table.counts[where]
-        _add_times(out, part, -mult)
+        _add_times(out, -part, mult)
     _add_times(out, total, lhs)
     return out
 
@@ -378,10 +370,8 @@ def yconsec_elements(cb: ConsecutiveBlocks) -> Iterator[
 
 def yconsec_inv_sum(cb: ConsecutiveBlocks) -> QTPoly:
     """Σ q^inv over the Young subgroup: the product of [|b|]_q!."""
-    out = ONE
-    for b in cb.blocks:
-        out = out * q_factorial(len(b))
-    return out
+    return q_poly(q_int_product(tuple(sorted(
+        i for b in cb.blocks for i in range(1, len(b) + 1)))), 0, 0)
 
 
 def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:

@@ -25,8 +25,9 @@ over the preference functions with diagonal word tau and deviation l,
 and summing over all deviations collapses to a single quotient
 t^maj [n]_q / [k]_q times the 0-schedule product, k the last-run
 length.  generate() materializes the tree and re-derives every leaf's
-statistics as a self-check; the closed forms are computed directly from
-the weights.
+statistics as a self-check; the closed forms are t^maj q^shift times
+qt.q_int_product of the sorted weights, which builds prod [w]_q once
+per weight multiset.
 
 The checks need every weight of every permutation of 1..n at once, so
 the module also works on batches: permutation_rows/permutation_blocks
@@ -46,7 +47,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .paths import PrefFunc, stats
-from .qt import ONE, QTPoly, q_int
+from .qt import QTPoly, q_int_product, q_poly
 
 Perm = Tuple[int, ...]
 
@@ -191,10 +192,8 @@ def pf_closed_form(tau: Sequence[int]) -> QTPoly:
     """t^maj(tau) prod [w_i]_q: the (area, dinv) sum over parking
     functions with diagonal word tau."""
     rd = runs(tau)
-    out = QTPoly.t(maj(rd.tau))
-    for wi in _schedule0(rd):
-        out = out * q_int(wi)
-    return out
+    return q_poly(q_int_product(tuple(sorted(_schedule0(rd)))), 0,
+                  maj(rd.tau))
 
 
 def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
@@ -204,10 +203,8 @@ def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
     rd = _decomposed(tau)
     w = _schedule_l(rd, l)
     shift = sum(rd.rho_from_last(j) for j in range(l))
-    out = QTPoly.monomial(shift, maj(rd.tau), 1)
-    for c in sorted(w):
-        out = out * q_int(w[c])
-    return out
+    return q_poly(q_int_product(tuple(sorted(w.values()))), shift,
+                  maj(rd.tau))
 
 
 def shift_multiset(tau: Sequence[int], l: int) -> bool:

@@ -44,8 +44,9 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .qt import QTPoly, q_factorial, q_int, qq_poch
+from .qt import QTPoly, q_poly, qq_poch
 from .quasisym import MonomialForm, QSymF, expand_in_fundamentals
+from .quasisym import square_paths_multipliers
 
 Partition = Tuple[int, ...]
 
@@ -434,12 +435,11 @@ def pn_identity_check(n: int) -> bool:
     """Does sum_k [n]_q/[k]_q E_{n,k} equal the signed power sum
     (-1)^(n-1) p_n?  Both sides are taken times [n]_q!, which clears
     every [k]_q."""
-    series = e_nk(n)
-    fact = q_factorial(n)
+    fact, multipliers = square_paths_multipliers(n)
     acc = PExpansion.zero()
-    for k in range(1, n + 1):
-        acc = acc + series[k - 1] * (q_int(n) * fact.divexact(q_int(k)))
-    return acc == p_pure(n) * (fact * (-1) ** (n - 1))
+    for piece, mult in zip(e_nk(n), multipliers):
+        acc = acc + piece * q_poly(mult, 0, 0)
+    return acc == p_pure(n) * (q_poly(fact, 0, 0) * (-1) ** (n - 1))
 
 
 def _power_product_monomials(lam: Partition, n: int) -> Dict[Tuple[int, ...], int]:

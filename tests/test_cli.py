@@ -15,11 +15,11 @@ import pytest
 
 import qtpark
 from qtpark import aggregate, checks, cli, kernels, quasisym, schedules
-from qtpark import symfunc
+from qtpark import qt, symfunc
 from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, json_line, place, stats
-from qtpark.qt import q_int
+from qtpark.qt import QTPoly, q_int
 from qtpark.quasisym import qsym_for_diagword, withides_residue
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -356,6 +356,19 @@ def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
     assert len(runs) == 1
 
 
+def test_table_polynomials_builds_each_product_once(capsys, monkeypatch):
+    """prod [w]_q is built once per sorted weight multiset, not once per
+    (tau, l): one QTPoly product per weight of each multiset."""
+    multisets = {tuple(sorted(schedules.schedule_l(t, l).values()))
+                 for t in permutations(range(1, 6))
+                 for l in range(len(schedules.runs(t)))}
+    qt.q_int_product.cache_clear()
+    products = count_calls(monkeypatch, (QTPoly,), "__mul__")
+    code, _, _ = run(capsys, "table", "polynomials", "--n", "5")
+    assert code == 0
+    assert len(products) == sum(map(len, multisets))
+
+
 def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
     nruns = len(schedules.runs(cli._parse_vector(ELEVEN)))
     batch = count_calls(monkeypatch, (checks,), "schedule_counts")
@@ -408,19 +421,25 @@ def scalar_report(check_id, n_hi, fault, pf=False):
 TAU5 = (3, 5, 1, 4, 2)  # runs 35 | 14 | 2
 
 
-@pytest.mark.parametrize("check_id,target,field,position,fault", [
+@pytest.mark.parametrize("check_id,target,field,position,fault,zero", [
     # own_smaller of the second run's first car feeds only w^(2)
-    ("thm-shift-multiset", "schedule_counts", "own_smaller", 2, 2),
-    ("thm-shift-multiset", "schedule0_rows", None, 0, 1),
-    ("thm-schedule-closed-form", "schedule_counts", "own_smaller", 2, 2),
+    ("thm-shift-multiset", "schedule_counts", "own_smaller", 2, 2, False),
+    ("thm-shift-multiset", "schedule0_rows", None, 0, 1, False),
+    ("thm-schedule-closed-form", "schedule_counts", "own_smaller", 2, 2,
+     False),
     # own_larger of the last car feeds only w^(0)
-    ("thm-schedule-closed-form", "schedule_counts", "own_larger", 4, 0),
-    ("thm-schedule-closed-form", "schedule0_rows", None, 0, 0),
+    ("thm-schedule-closed-form", "schedule_counts", "own_larger", 4, 0,
+     False),
+    ("thm-schedule-closed-form", "schedule0_rows", None, 0, 0, False),
+    # [0]_q = 0 matches no table key
+    ("thm-schedule-closed-form", "schedule0_rows", None, 2, 0, True),
 ])
 def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
-                                           target, field, position, fault):
-    """A batch function off by one for one car of TAU5 fails the check at
-    one (tau, l), with the report a one-at-a-time walk would print."""
+                                           target, field, position, fault,
+                                           zero):
+    """A batch function off by one (or zero) for one car of TAU5 fails the
+    check at one (tau, l), with the report a one-at-a-time walk would
+    print."""
     block = {}
     real_counts = checks.schedule_counts
 
@@ -435,7 +454,11 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
         perms = block["perms"]
         if perms.shape[1] == len(TAU5):
             row = (perms == TAU5).all(axis=1)
-            (getattr(out, field) if field else out)[row, position] += 1
+            planted = getattr(out, field) if field else out
+            if zero:
+                planted[row, position] = 0
+            else:
+                planted[row, position] += 1
         return out
 
     monkeypatch.setattr(checks, "schedule_counts", counts)
@@ -693,6 +716,9 @@ EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
     pytest.param(["check", "main-square-paths", "--n", "7", "--threads", "2"],
                  id="main-square-paths"),
     pytest.param(["enumerate", "--n", "6"], id="enumerate"),
+    pytest.param(["table", "polynomials", "--n", "6"],
+                 id="table-polynomials"),
+    pytest.param(["check", "thm-pn-identity"], id="thm-pn-identity"),
 ])
 def test_stretch_scope_bytes(capsys, argv):
     """The stdout matches the digest the benchmark records."""

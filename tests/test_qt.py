@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtpark.qt import ONE, QTPoly, q_factorial, q_int, qq_poch
+from qtpark import checks
+from qtpark.checks import CheckSpec
+from qtpark.qt import ONE, QTPoly, q_factorial, q_int, q_int_product, qq_poch
 
 coeffs = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 8))
 exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -103,6 +105,33 @@ def test_q_analogs():
     assert q_factorial(3) == q_int(1) * q_int(2) * q_int(3)
     assert qq_poch(2) == (ONE - qt(1)) * (ONE - qt(2))
     assert q_int(6).divexact(q_int(3)) == ONE + qt(3)
+
+
+def test_q_int_product_matches_explicit_products(monkeypatch):
+    """Every sorted weight multiset thm-schedule-closed-form meets at
+    n <= 5 gives the coefficients of the explicit QTPoly product."""
+    met = set()
+
+    def recording(weights):
+        met.add(weights)
+        return q_int_product(weights)
+
+    monkeypatch.setattr(checks, "q_int_product", recording)
+    assert checks.run_check(CheckSpec("thm-schedule-closed-form", 1, 5)).passed
+    assert len(met) > 10
+    for weights in met:
+        explicit = ONE
+        for w in weights:
+            explicit = explicit * q_int(w)
+        assert list(explicit.terms()) == [
+            ((i, 0), c) for i, c in enumerate(q_int_product(weights))]
+
+
+def test_q_int_product_rejects_weights_below_one():
+    assert q_int_product(()) == (1,)
+    for weights in [(0,), (0, 2), (-1, 3)]:
+        with pytest.raises(ValueError, match="positive integer"):
+            q_int_product(weights)
 
 
 def test_evaluate_counts():
