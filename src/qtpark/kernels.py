@@ -9,9 +9,9 @@ splits each function into a path part and a labeling part, as in
 Loehr-Warrington, "Square q,t-lattice paths and nabla(p_n)" (Trans. AMS
 2007): each car's grid row, and then its place in the diagword, is a count
 of comparisons with the other cars.  One loop over the n(n-1)/2 pairs
-a < b of cars finds the rows; a second finds the diagword places and the
-dinv pair terms.  ``stats_block`` refuses any n above ``MAX_N``, where
-those small integer types could wrap.
+a < b of cars finds the rows (``grid_block``); a second finds the
+diagword places and the dinv pair terms (``stat_rows``).  ``grid_block``
+refuses any n above ``MAX_N``, where those small integer types could wrap.
 
 Each output row describes one preference function in seven int64 columns,
 exactly the ones the count tables in ``aggregate`` fold:
@@ -24,11 +24,10 @@ exactly the ones the count tables in ``aggregate`` fold:
                  as digits (``encode_perm``)
     TOUCH, PARK  key of ``qsym_by_touch``
 
-``grid_block`` is the shared first step: the base-n decode of the indices
-and the pair loop that places each car in its row and diagonal.
-``paths.stat_block`` builds on it for ``qtpark enumerate``, adding the
-reading word, the composition and the three dinv parts, which no table
-folds.
+``stat_rows`` is the one batch definition of these statistics: the
+tables read ``stats_block``, and ``paths.stat_block`` (``qtpark
+enumerate``) reads its columns and adds only what no table folds, the
+reading word, the composition and the three dinv parts.
 """
 
 from __future__ import annotations
@@ -97,8 +96,13 @@ def grid_block(n: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
 def stats_block(n: int, start: int, stop: int) -> np.ndarray:
     """Statistics rows for preference-function indices [start, stop),
     ranked as in ``grid_block``."""
-    F, diag = grid_block(n, start, stop)
-    nrows = stop - start
+    return stat_rows(*grid_block(n, start, stop))
+
+
+def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Statistics rows of the functions whose preferences and diagonals
+    ``grid_block`` returned, one row per column of F."""
+    n, nrows = F.shape
     cars = np.arange(n, dtype=np.int8)
 
     # pos[c] = #{c' : diag[c'] > diag[c]} + #{c' < c : diag[c'] = diag[c]}

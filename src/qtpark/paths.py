@@ -33,9 +33,10 @@ diagonal.  Statistics computed by ``stats``:
   gaps between the points where the path returns to the main diagonal.
 
 ``stats`` and ``json_line`` work on one function.  ``qtpark enumerate``
-instead streams ``json_blocks``: ``stat_block`` computes the same
-statistics for ``BLOCK`` consecutive functions at once as numpy columns
-(on ``kernels.grid_block``), and ``json_block`` formats the selected rows
+instead streams ``json_blocks``: ``stat_block`` gives the same
+statistics for ``BLOCK`` consecutive functions at once as numpy columns,
+reading all but word, comp and the dinv parts from ``kernels.stat_rows``,
+and ``json_block`` formats the selected rows
 with one % template, looking up the text of f, word, diagword, ides and
 comp by integer code.  The first function of every block is also run
 through ``json_line``, and any difference raises RuntimeError.
@@ -266,17 +267,18 @@ BLOCK = 2048
 class StatBlock(NamedTuple):
     """The statistics of the functions with indices [start, stop), ranked
     as in ``kernels.grid_block``, as numpy columns: entry r of each column
-    belongs to index start + r."""
+    belongs to index start + r.  area, ides, diagword, deviation and touch
+    are columns of ``kernels.stat_rows``."""
 
     f: np.ndarray          # (n, rows) int8; f[c] holds f(c + 1)
     index: np.ndarray
     area: np.ndarray
     primary: np.ndarray
-    secondary: np.ndarray
+    secondary: np.ndarray  # the kernel's dinv - primary - tertiary
     tertiary: np.ndarray
     word: np.ndarray       # base-n code of word, as kernels.DWORD codes
-    ides: np.ndarray       # bit i - 1 set for each i in ides
-    diagword: np.ndarray   # base-n code of diagword (kernels.DWORD)
+    ides: np.ndarray       # kernels.IDES: bit i - 1 set for each i in ides
+    diagword: np.ndarray   # kernels.DWORD: base-n code of diagword
     deviation: np.ndarray
     touch: np.ndarray
     main: np.ndarray       # bit c - 1 set for each main-diagonal column c
@@ -286,56 +288,41 @@ class StatBlock(NamedTuple):
 def stat_block(n: int, start: int, stop: int) -> StatBlock:
     """Every statistic of ``stats`` for indices [start, stop) at once."""
     F, diag = kernels.grid_block(n, start, stop)
+    cols = kernels.stat_rows(F, diag)
     nrows = stop - start
-    cars = np.arange(n, dtype=np.int8)[:, None]
 
-    # pos[c] is the place of car c + 1 in diagword (ties by car), wpos[c]
-    # its place in word (ties by column, right to left; the cars of one
-    # diagonal stand in distinct columns).  Both count the pairs a < b:
-    # a car gains a place for each car read before it.
-    pos = np.repeat(cars, nrows, axis=1)
-    wpos = np.repeat(n - 1 - cars, nrows, axis=1)
+    # wpos[c] is the place of car c + 1 in word (ties by column, right to
+    # left; the cars of one diagonal stand in distinct columns), counted
+    # over the pairs a < b: a car gains a place for each car read before
+    # it.  The same loop counts the primary dinv pairs.
+    wpos = np.repeat(np.arange(n - 1, -1, -1, dtype=np.int8)[:, None], nrows,
+                     axis=1)
     primary = np.zeros(nrows, dtype=np.int8)
-    secondary = np.zeros(nrows, dtype=np.int8)
     for a in range(n):
         for b in range(a + 1, n):
             rise = diag[b] - diag[a]
-            higher = rise > 0
-            pos[a] += higher
-            pos[b] -= higher
             level = rise == 0
             a_right = F[a] > F[b]
             a_first = (rise < 0) | (level & a_right)
             wpos[a] -= a_first
             wpos[b] += a_first
             primary += level & ~a_right
-            secondary += (rise == 1) & a_right
+    tertiary = (diag < 0).sum(axis=0, dtype=np.int8)
 
-    mind = diag.min(axis=0)
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     word = np.zeros(nrows, dtype=np.int64)
-    dword = np.zeros(nrows, dtype=np.int64)
-    tertiary = np.zeros(nrows, dtype=np.int8)
-    touch = np.zeros(nrows, dtype=np.int8)
-    ides = np.zeros(nrows, dtype=np.int32)
     main = np.zeros(nrows, dtype=np.int32)
     for c in range(n):
         word += np.take(powers, wpos[c]) * c
-        dword += np.take(powers, pos[c]) * c
-        tertiary += diag[c] < 0
-        touch += diag[c] == mind
         main |= (diag[c] == 0).astype(np.int32) << (F[c] - 1)
-        if c:
-            ides |= (wpos[c] < wpos[c - 1]).astype(np.int32) << (c - 1)
-    main[mind < 0] = 0
+    deviation = cols[:, kernels.DEV]
+    main[deviation > 0] = 0
 
     # The maximal increasing runs of diagword must be its diagonals: a
-    # descent exactly where the diagonal changes.
-    index = pos.astype(np.intp)
-    by_place = np.empty_like(pos)
-    np.put_along_axis(by_place, index, np.broadcast_to(cars, pos.shape), 0)
-    diag_by_place = np.empty_like(diag)
-    np.put_along_axis(diag_by_place, index, diag, 0)
+    # descent exactly where the diagonal changes.  by_place[i] + 1 is the
+    # car at place i, digit i of the kernel's diagword code.
+    by_place = cols[:, kernels.DWORD] // powers[:, None] % n
+    diag_by_place = np.take_along_axis(diag, by_place, axis=0)
     bad = np.flatnonzero(((by_place[1:] < by_place[:-1])
                           != (diag_by_place[1:] != diag_by_place[:-1])
                           ).any(axis=0))
@@ -347,15 +334,15 @@ def stat_block(n: int, start: int, stop: int) -> StatBlock:
     return StatBlock(
         f=F,
         index=np.arange(start, stop, dtype=np.int64),
-        area=diag.sum(axis=0, dtype=np.int64) - n * mind.astype(np.int64),
+        area=cols[:, kernels.AREA],
         primary=primary,
-        secondary=secondary,
+        secondary=cols[:, kernels.DINV] - primary - tertiary,
         tertiary=tertiary,
         word=word,
-        ides=ides,
-        diagword=dword,
-        deviation=-mind,
-        touch=touch,
+        ides=cols[:, kernels.IDES],
+        diagword=cols[:, kernels.DWORD],
+        deviation=deviation,
+        touch=cols[:, kernels.TOUCH],
         main=main,
     )
 

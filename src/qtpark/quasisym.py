@@ -31,7 +31,7 @@ import numpy as np
 from . import aggregate, kernels
 from .qt import ONE, QTPoly, q_int_product, q_poly
 from .schedules import ides as perm_ides
-from .schedules import pref_closed_form, runs
+from .schedules import Decomposable, _decomposed, pref_closed_form, runs
 
 Subset = FrozenSet[int]
 Composition = Tuple[int, ...]
@@ -330,8 +330,9 @@ class ConsecutiveBlocks:
     blocks: Tuple[Tuple[int, ...], ...]
 
 
-def consecutive_blocks(tau: Sequence[int]) -> ConsecutiveBlocks:
-    t = runs(tau).tau  # validates the permutation
+def consecutive_blocks(tau: Decomposable) -> ConsecutiveBlocks:
+    """tau may be given as its RunDecomposition."""
+    t = _decomposed(tau).tau  # validates the permutation
     pos = {v: i for i, v in enumerate(t)}
     blocks: List[List[int]] = [[1]]
     for v in range(2, len(t) + 1):
@@ -391,7 +392,7 @@ def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:
             f"deviation {l} needs at least {l + 1} runs; "
             f"{rd.tau} has {len(rd.runs)}")
     lhs = qsym_for_diagword(n, rd.tau, deviation=l, threads=threads)
-    cb = consecutive_blocks(rd.tau)
+    cb = consecutive_blocks(rd)
     scalar = yconsec_inv_sum(cb)
     base_ides = perm_ides(rd.tau)
     rhs = QSymF.zero(n)
@@ -403,4 +404,4 @@ def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:
     if enumerated != scalar:
         raise RuntimeError(f"Young subgroup of {rd.tau}: q-count {enumerated} "
                            f"differs from block q-factorials {scalar}")
-    return lhs * scalar == rhs * pref_closed_form(rd.tau, l)
+    return lhs * scalar == rhs * pref_closed_form(rd, l)

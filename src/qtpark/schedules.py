@@ -32,7 +32,7 @@ per weight multiset.
 The checks need every weight of every permutation of 1..n at once, so
 the module also works on batches: permutation_rows/permutation_blocks
 build the permutations as int8 rows, schedule_counts takes each car's
-pair counts column-major (as kernels.stats_block does), and
+pair counts column-major (as kernels.stat_rows does), and
 schedule0_rows/schedule_l_rows select the weights from those counts.
 The scalar functions above them stay the reference.
 """

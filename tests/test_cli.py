@@ -343,6 +343,16 @@ def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
     assert len(runs) <= 1
 
 
+def test_factorlemma_decomposes_each_case_once(capsys, monkeypatch):
+    """One run decomposition per tau in the walk and one per factor_check,
+    which hands it to consecutive_blocks and pref_closed_form."""
+    runs = count_calls(monkeypatch, (schedules, checks, quasisym), "runs")
+    code, out, _ = run(capsys, "check", "lemma-factorlemma", "--n", "1..5")
+    assert code == 0
+    assert json.loads(out)["examined"] == 436
+    assert len(runs) == sum(factorial(n) for n in range(1, 6)) + 436
+
+
 def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
     rows = sum(len(schedules.runs(t)) for t in permutations(range(1, 5)))
     runs = count_calls(monkeypatch, (schedules, cli), "runs")

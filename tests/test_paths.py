@@ -225,6 +225,26 @@ def swapped(n, start, stop):
     return b
 
 paths.stat_block = swapped
+"""
+
+KERNEL_DINV_SECOND_BLOCK = """
+from qtpark import kernels
+real = kernels.stat_rows
+calls = []
+
+def off_by_one(F, diag):
+    # the kernel's dinv of the second block's first row is one too high
+    out = real(F, diag)
+    calls.append(1)
+    if len(calls) == 2:
+        out[0, kernels.DINV] += 1
+    return out
+
+kernels.stat_rows = off_by_one
+"""
+
+COUNT_LINES = """
+from qtpark import paths
 lines = 0
 try:
     for text in paths.json_blocks(5):
@@ -234,19 +254,27 @@ except RuntimeError as e:
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
-def test_planted_swap_fails_the_block_confirmation(flags):
+@pytest.mark.parametrize("flags, plant, dinv_parts", [
+    pytest.param([], SWAP_SECOND_BLOCK, "[1,2,", id="python"),
+    pytest.param(["-O"], SWAP_SECOND_BLOCK, "[1,2,", id="python-O"),
+    pytest.param([], KERNEL_DINV_SECOND_BLOCK, "[2,2,",
+                 id="kernel-dinv-python"),
+    pytest.param(["-O"], KERNEL_DINV_SECOND_BLOCK, "[2,2,",
+                 id="kernel-dinv-python-O"),
+])
+def test_planted_swap_fails_the_block_confirmation(flags, plant, dinv_parts):
     """Block 2 of n = 5 starts at f = (4,2,2,5,4), with primary 2 and
-    secondary 1; the scalar line of that f catches the swap."""
+    secondary 1; the scalar line of that f catches a swap of the two in
+    the block, and a kernel dinv one too high."""
     b = paths.stat_block(5, BLOCK, BLOCK + 1)
     assert (b.primary[0], b.secondary[0]) == (2, 1)
     src = os.path.dirname(os.path.dirname(qtpark.__file__))
-    proc = subprocess.run([sys.executable, *flags, "-c", SWAP_SECOND_BLOCK],
+    proc = subprocess.run([sys.executable, *flags, "-c", plant + COUNT_LINES],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines, message = proc.stdout.split(" ", 1)
     assert int(lines) == BLOCK
     assert message.startswith("block line ")
-    assert '"dinv_parts":[1,2,' in message
+    assert '"dinv_parts":' + dinv_parts in message
     assert json_line(vec(4, 2, 2, 5, 4)) in message
