@@ -24,7 +24,10 @@ follows from n:
 Keys are counted per block with ``np.unique``.  Once ``_MERGE_BATCH``
 such (key, count) entries are pending, they are merged into the running
 totals in numpy: a stable sort of the sorted runs, then ``np.add.reduceat``
-over each run of equal keys, in integers only.  The keys are then split
+over each run of equal keys, in integers only.  The merge owns the list of
+runs it is handed, the running totals first: it empties the list once the
+runs are concatenated, so they are freed before the sort, and drops each
+intermediate array as soon as it has been used.  The keys are then split
 back into columns with the same radices.  The fold raises ``ValueError``
 before any block is computed when the product of the radices does not fit
 in an int64 (``qsym_by_diagword`` for n >= 11), and while folding when a
@@ -76,12 +79,16 @@ def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]
 
     Each part holds distinct keys in increasing order, so the stable sort
     merges runs.  Returns the distinct keys in increasing order and their
-    counts.
+    counts.  The merge owns ``parts``: it empties the list once the parts
+    are concatenated, so their arrays are freed before the sort.
     """
     keys = np.concatenate([k for k, _ in parts])
     counts = np.concatenate([c for _, c in parts])
+    parts.clear()
     order = np.argsort(keys, kind="stable")
-    keys, counts = keys[order], counts[order]
+    keys = keys[order]
+    counts = counts[order]
+    del order
     starts = _run_starts(keys)
     return keys[starts], np.add.reduceat(counts, starts)
 
@@ -107,8 +114,8 @@ def _fold(n: int, threads: int, columns: Tuple[int, ...]
         raise ValueError(f"n = {n}: keys over columns {columns} reach "
                          f"{size - 1} > 2^63 - 1")
     empty = np.zeros(0, dtype=np.int64)
-    merged = (empty, empty)
-    pending: List[Tuple[np.ndarray, np.ndarray]] = []
+    # The running totals, then the blocks' counts since the last merge.
+    pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
     npending = 0
     for _, blk in kernels.iter_stat_chunks(n, threads=threads):
         key = 0
@@ -122,9 +129,8 @@ def _fold(n: int, threads: int, columns: Tuple[int, ...]
         pending.append(np.unique(key, return_counts=True))
         npending += pending[-1][0].size
         if npending >= _MERGE_BATCH:
-            merged = _merge([merged, *pending])
-            pending, npending = [], 0
-    rest, counts = _merge([merged, *pending])
+            pending, npending = [_merge(pending)], 0
+    rest, counts = _merge(pending)
     digits = []
     for r in reversed(radices):
         rest, d = np.divmod(rest, r)

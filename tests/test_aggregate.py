@@ -84,6 +84,23 @@ def test_batched_merges_match_reference_fold(monkeypatch, n):
         assert max(merges) < 33
 
 
+def test_merge_consumes_its_parts():
+    """Overlapping sorted runs merge to the summed counts of each key, and
+    the merge empties the list it was handed, so the fold holds no second
+    reference to the parts while it sorts."""
+    runs = [[1, 4, 9, 12], [0, 4, 5, 12, 30], [], [9], [2, 4, 30, 31]]
+    parts = [(np.array(run, dtype=np.int64),
+              np.arange(1, len(run) + 1, dtype=np.int64)) for run in runs]
+    expect = {}
+    for keys, counts in parts:
+        for k, c in zip(keys.tolist(), counts.tolist()):
+            expect[k] = expect.get(k, 0) + c
+    keys, counts = aggregate._merge(parts)
+    assert parts == []
+    assert keys.tolist() == sorted(expect)
+    assert counts.tolist() == [expect[k] for k in sorted(expect)]
+
+
 def test_table_iterates_in_key_order(monkeypatch):
     use_small_chunks(monkeypatch, 7)  # key order is not block order
     table = aggregate.qt_by_diagword(4)

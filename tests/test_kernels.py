@@ -43,7 +43,9 @@ def test_block_matches_reference(n):
     assert_rows_match_reference(stats_block(n, 0, n ** n), n, 0)
 
 
-@pytest.mark.parametrize("n", [6, 7, 8, 15], ids=NUMPY_ID)
+# Indices are decoded in int32 while n^n <= 2^31 (n <= 9; the n = 9 end
+# window reaches index 9^9 - 1) and in int64 from n = 10 on.
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 15], ids=NUMPY_ID)
 @pytest.mark.parametrize("where", ["start", "middle", "end"])
 def test_block_window_matches_reference(n, where):
     rows = 300
