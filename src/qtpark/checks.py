@@ -20,10 +20,9 @@ import numpy as np
 
 from . import aggregate
 from .paths import DEFAULT_MAX_N
-from .qt import q_int, q_int_product, q_poly
+from .qt import q_int, q_int_product, q_poly, square_paths_multipliers
 from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
-from .quasisym import qsym_total, square_paths_multipliers
-from .quasisym import square_paths_residue, withides_residue
+from .quasisym import qsym_total, square_paths_residue, withides_residue
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
 from .schedules import runs, schedule0, schedule0_rows, schedule_counts

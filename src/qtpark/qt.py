@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, int]
 
@@ -265,6 +265,19 @@ def q_int_product(weights: Tuple[int, ...]) -> Tuple[int, ...]:
     poly = prod(map(q_int, weights), start=ONE)
     return tuple(int(poly.coefficient(i, 0))
                  for i in range(sum(weights) - len(weights) + 1))
+
+
+def square_paths_multipliers(n: int) -> Tuple[Tuple[int, ...],
+                                               List[Tuple[int, ...]]]:
+    """The integer q-coefficients of [n]_q! and, for k = 1..n, of
+    [n]_q [n]_q!/[k]_q, the product over {1..n} with k swapped for n.
+
+    Times these, qsym_total(n) = Σ_k [n]_q/[k]_q qsym_for_touch(n, k)
+    has no [k]_q denominator left.
+    """
+    return q_int_product(tuple(range(1, n + 1))), [
+        q_int_product((*range(1, k), *range(k + 1, n + 1), n))
+        for k in range(1, n + 1)]
 
 
 def q_poly(coeffs: Sequence[int], qexp: int, texp: int) -> QTPoly:

@@ -3,10 +3,7 @@
 Degree-n quasisymmetric quantities live in coordinates indexed by
 subsets S of {1, ..., n-1}: the fundamental basis element Q_S is the sum
 of monomials x_{a_1} ... x_{a_n} over weakly increasing index words that
-rise strictly at each position in S.  Equivalently Q_S = sum of M_T over
-supersets T of S, where M_T is the monomial quasisymmetric function of
-the composition whose partial sums are T; inverting by inclusion
--exclusion turns monomial coordinates back into fundamental ones.
+rise strictly at each position in S.
 
 The generating sums attach the weight t^area q^dinv Q_ides to each
 preference function.  Grouped by diagonal word these sums factor: the
@@ -29,38 +26,11 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import aggregate, kernels
-from .qt import ONE, QTPoly, q_int_product, q_poly
+from .qt import ONE, QTPoly, q_int_product, q_poly, square_paths_multipliers
 from .schedules import ides as perm_ides
 from .schedules import Decomposable, _decomposed, pref_closed_form, runs
 
 Subset = FrozenSet[int]
-Composition = Tuple[int, ...]
-
-
-def subsets_of_range(n: int) -> Iterator[Subset]:
-    """All subsets of {1, ..., n-1}, smallest masks first."""
-    for mask in range(1 << max(n - 1, 0)):
-        yield frozenset(i + 1 for i in range(n - 1) if mask >> i & 1)
-
-
-def subset_to_composition(s: Subset, n: int) -> Composition:
-    """Composition of n whose partial sums are exactly s."""
-    cuts = sorted(s)
-    if cuts and (cuts[0] < 1 or cuts[-1] > n - 1):
-        raise ValueError(f"subset {sorted(s)} not within 1..{n - 1}")
-    bounds = [0] + cuts + [n]
-    return tuple(bounds[i + 1] - bounds[i] for i in range(len(bounds) - 1))
-
-
-def composition_to_subset(alpha: Sequence[int]) -> Subset:
-    if any(part < 1 for part in alpha):
-        raise ValueError(f"composition parts must be positive: {alpha}")
-    total = 0
-    out = []
-    for part in alpha[:-1]:
-        total += part
-        out.append(total)
-    return frozenset(out)
 
 
 def _sort_key(s: Subset) -> Tuple[int, ...]:
@@ -155,58 +125,6 @@ class QSymF:
         return f"QSymF(n={self.n}, {self})"
 
 
-@dataclass(frozen=True)
-class MonomialForm:
-    """Monomial-basis coordinates: composition of n -> coefficient."""
-
-    n: int
-    coeffs: Tuple[Tuple[Composition, QTPoly], ...]
-
-    def __init__(self, n: int, coeffs):
-        items = []
-        seen = set()
-        for alpha, c in (coeffs.items() if isinstance(coeffs, dict)
-                         else coeffs):
-            alpha = tuple(alpha)
-            if sum(alpha) != n or any(p < 1 for p in alpha):
-                raise ValueError(f"not a composition of {n}: {alpha}")
-            if alpha in seen:
-                raise ValueError(f"duplicate composition {alpha}")
-            seen.add(alpha)
-            if not c.is_zero():
-                items.append((alpha, c))
-        items.sort(key=lambda kv: kv[0])
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", tuple(items))
-
-    def coefficient(self, alpha: Sequence[int]) -> QTPoly:
-        alpha = tuple(alpha)
-        for beta, c in self.coeffs:
-            if beta == alpha:
-                return c
-        return QTPoly.zero()
-
-
-def expand_in_fundamentals(m: MonomialForm) -> QSymF:
-    """Unique c with m = sum c_S Q_S, by inclusion-exclusion over subsets."""
-    n = m.n
-    lookup = {composition_to_subset(alpha): c for alpha, c in m.coeffs}
-    out: Dict[Subset, QTPoly] = {}
-    for t in subsets_of_range(n):
-        acc = QTPoly.zero()
-        members = sorted(t)
-        for mask in range(1 << len(members)):
-            s = frozenset(members[i] for i in range(len(members))
-                          if mask >> i & 1)
-            c = lookup.get(s)
-            if c is not None:
-                sign = -1 if (len(t) - len(s)) % 2 else 1
-                acc = acc + c * sign
-        if not acc.is_zero():
-            out[t] = acc
-    return QSymF(n, out)
-
-
 def _qsym_from_counts(n: int, counts: Dict[Tuple[int, int, int], int]) -> QSymF:
     # Each (area, dinv, mask) key is distinct: one term per key, and one
     # QTPoly per ides mask built at once.
@@ -261,19 +179,6 @@ def qsym_total(n: int, threads: int = 1) -> QSymF:
     """Sum over all n^n preference functions."""
     return _qsym_from_counts(n, aggregate.qsym_by_touch(
         n, threads=threads).counts_at())
-
-
-def square_paths_multipliers(n: int) -> Tuple[Tuple[int, ...],
-                                               List[Tuple[int, ...]]]:
-    """The integer q-coefficients of [n]_q! and, for k = 1..n, of
-    [n]_q [n]_q!/[k]_q, the product over {1..n} with k swapped for n.
-
-    Times these, qsym_total(n) = Σ_k [n]_q/[k]_q qsym_for_touch(n, k)
-    has no [k]_q denominator left.
-    """
-    return q_int_product(tuple(range(1, n + 1))), [
-        q_int_product((*range(1, k), *range(k + 1, n + 1), n))
-        for k in range(1, n + 1)]
 
 
 def _add_times(out: np.ndarray, counts: np.ndarray,

@@ -137,12 +137,10 @@ def ides(pi: Sequence[int]) -> frozenset:
     return frozenset(i for i in range(1, len(t)) if pos[i + 1] < pos[i])
 
 
-def schedule0(tau: Sequence[int]) -> Tuple[int, ...]:
-    """(w_1, ..., w_n) with w_i the weight of car tau_{n+1-i}."""
-    return _schedule0(runs(tau))
-
-
-def _schedule0(rd: RunDecomposition) -> Tuple[int, ...]:
+def schedule0(tau: Decomposable) -> Tuple[int, ...]:
+    """(w_1, ..., w_n) with w_i the weight of car tau_{n+1-i}.  tau may
+    be given as its RunDecomposition."""
+    rd = _decomposed(tau)
     t = rd.tau
     n = len(t)
     k = rd.last_run_length
@@ -162,10 +160,7 @@ def _schedule0(rd: RunDecomposition) -> Tuple[int, ...]:
 def schedule_l(tau: Decomposable, l: int) -> Dict[int, int]:
     """Mapping car -> w^(l)(car); needs at least l+1 runs.  tau may be
     given as its RunDecomposition."""
-    return _schedule_l(_decomposed(tau), l)
-
-
-def _schedule_l(rd: RunDecomposition, l: int) -> Dict[int, int]:
+    rd = _decomposed(tau)
     nruns = len(rd.runs)
     if not 0 <= l < nruns:
         raise ValueError(
@@ -192,7 +187,7 @@ def pf_closed_form(tau: Sequence[int]) -> QTPoly:
     """t^maj(tau) prod [w_i]_q: the (area, dinv) sum over parking
     functions with diagonal word tau."""
     rd = runs(tau)
-    return q_poly(q_int_product(tuple(sorted(_schedule0(rd)))), 0,
+    return q_poly(q_int_product(tuple(sorted(schedule0(rd)))), 0,
                   maj(rd.tau))
 
 
@@ -201,7 +196,7 @@ def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
     preference functions with diagonal word tau and deviation l.  tau
     may be given as its RunDecomposition."""
     rd = _decomposed(tau)
-    w = _schedule_l(rd, l)
+    w = schedule_l(rd, l)
     shift = sum(rd.rho_from_last(j) for j in range(l))
     return q_poly(q_int_product(tuple(sorted(w.values()))), shift,
                   maj(rd.tau))
@@ -213,13 +208,13 @@ def shift_multiset(tau: Sequence[int], l: int) -> bool:
     r = len(rd.runs) - 1
     if not 1 <= l <= r:
         raise ValueError(f"l must lie in 1..{r}, got {l}")
-    predicted = Counter(_schedule0(rd))
+    predicted = Counter(schedule0(rd))
     predicted[rd.rho_from_last(l)] += 1
     rho0 = rd.rho_from_last(0)
     if predicted[rho0] == 0:
         return False
     predicted[rho0] -= 1
-    return +predicted == Counter(_schedule_l(rd, l).values())
+    return +predicted == Counter(schedule_l(rd, l).values())
 
 
 def permutation_blocks(n: int) -> Iterator[np.ndarray]:
@@ -387,7 +382,7 @@ def generate(tau: Sequence[int],
         raise ValueError(
             f"deviation {l} needs at least {l + 1} runs; "
             f"{rd.tau} has {nruns}")
-    weights = _schedule_l(rd, l)
+    weights = schedule_l(rd, l)
     maj_tau = maj(rd.tau)
     baseline = sum(rd.rho_from_last(j) for j in range(l))
 

@@ -44,9 +44,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .qt import QTPoly, q_poly, qq_poch
-from .quasisym import MonomialForm, QSymF, expand_in_fundamentals
-from .quasisym import square_paths_multipliers
+from .qt import QTPoly, q_poly, qq_poch, square_paths_multipliers
 
 Partition = Tuple[int, ...]
 
@@ -441,37 +439,3 @@ def pn_identity_check(n: int) -> bool:
         acc = acc + piece * q_poly(mult, 0, 0)
     return acc == p_pure(n) * (q_poly(fact, 0, 0) * (-1) ** (n - 1))
 
-
-def _power_product_monomials(lam: Partition, n: int) -> Dict[Tuple[int, ...], int]:
-    """Exponent vectors of prod_parts (x_1^part + ... + x_n^part)."""
-    acc: Dict[Tuple[int, ...], int] = {(0,) * n: 1}
-    for part in lam:
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for expv, cnt in acc.items():
-            for i in range(n):
-                key = expv[:i] + (expv[i] + part,) + expv[i + 1:]
-                nxt[key] = nxt.get(key, 0) + cnt
-        acc = nxt
-    return acc
-
-
-def sym_to_qsym(F: PExpansion, n: int) -> QSymF:
-    """Expand a homogeneous degree-n symmetric function in n variables
-    and rewrite it in the fundamental quasisymmetric basis.
-
-    An inhomogeneous input is rejected.
-    """
-    if not F.is_homogeneous(n) or (F.is_zero() and n < 1):
-        raise ValueError(f"input is not homogeneous of degree {n}")
-    mono: Dict[Tuple[int, ...], QTPoly] = {}
-    for lam, c in F.items():
-        for expv, cnt in _power_product_monomials(lam, n).items():
-            _accumulate(mono, expv, c * cnt)
-    packed: Dict[Tuple[int, ...], QTPoly] = {}
-    for expv, c in mono.items():
-        key = tuple(v for v in expv if v)
-        lead = key + (0,) * (n - len(key))
-        if mono.get(lead) != c:
-            raise RuntimeError(f"monomial {expv} breaks quasisymmetry")
-        packed[key] = c
-    return expand_in_fundamentals(MonomialForm(n, packed))

@@ -3,32 +3,13 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_factorial, q_int
-from qtpark.quasisym import (MonomialForm, QSymF, composition_to_subset,
-                             consecutive_blocks, expand_in_fundamentals,
-                             factor_check, qsym_for_diagword, qsym_for_touch,
-                             qsym_total, subset_to_composition,
-                             subsets_of_range, yconsec_elements,
-                             yconsec_inv_sum)
+from qtpark.quasisym import (QSymF, consecutive_blocks, factor_check,
+                             qsym_for_diagword, qsym_for_touch, qsym_total,
+                             yconsec_elements, yconsec_inv_sum)
 from qtpark.schedules import runs
-
-
-def q_fundamental(s, n):
-    """Q_S in monomial coordinates: coefficient 1 on every T containing S."""
-    s = frozenset(s)
-    if s and (min(s) < 1 or max(s) > n - 1):
-        raise ValueError(f"subset {sorted(s)} not within 1..{n - 1}")
-    rest = sorted(set(range(1, n)) - s)
-    coeffs = {}
-    for mask in range(1 << len(rest)):
-        t = set(s)
-        t.update(rest[i] for i in range(len(rest)) if mask >> i & 1)
-        coeffs[subset_to_composition(frozenset(t), n)] = ONE
-    return MonomialForm(n, coeffs)
 
 
 def weighted_sum(family, n):
@@ -42,14 +23,6 @@ def weighted_sum(family, n):
             term = QTPoly.monomial(rec.dinv, rec.area, 1)
             acc[rec.ides] = acc.get(rec.ides, QTPoly.zero()) + term
     return QSymF(n, acc)
-
-
-def test_subset_composition_bijection():
-    for n in range(1, 7):
-        for s in subsets_of_range(n):
-            alpha = subset_to_composition(s, n)
-            assert sum(alpha) == n
-            assert composition_to_subset(alpha) == s
 
 
 def test_qsym_basic_algebra():
@@ -71,34 +44,6 @@ def test_qsym_rejects_mixed_degree():
         a + b
     with pytest.raises(ValueError):
         QSymF.fundamental(frozenset({3}), 3)
-
-
-def test_monomial_form_validation():
-    m = MonomialForm(3, {(2, 1): ONE, (1, 2): ONE})
-    assert [alpha for alpha, _ in m.coeffs] == [(1, 2), (2, 1)]
-    assert m.coefficient((2, 1)) == ONE
-    assert m.coefficient((3,)) == QTPoly.zero()
-    with pytest.raises(ValueError):
-        MonomialForm(3, {(0, 3): ONE})
-    with pytest.raises(ValueError):
-        MonomialForm(3, {(2, 2): ONE})
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_fundamental_expansion_round_trip(n):
-    # Q -> monomial -> Q is the identity on every basis element
-    for s in subsets_of_range(n):
-        m = q_fundamental(s, n)
-        back = expand_in_fundamentals(m)
-        assert back == QSymF.fundamental(s, n), s
-
-
-def test_fundamental_is_superset_sum():
-    m = q_fundamental(frozenset({1}), 3)
-    assert m.coefficient((1, 2)) == ONE
-    assert m.coefficient((1, 1, 1)) == ONE
-    assert m.coefficient((3,)) == QTPoly.zero()
-    assert m.coefficient((2, 1)) == QTPoly.zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -184,12 +129,3 @@ def test_json_stable():
     a = QSymF.fundamental(frozenset({1, 3}), 4, QTPoly.q(2))
     assert a.json() == '{"1,3":"q^2"}'
     assert QSymF.zero(2).json() == "{}"
-
-
-@given(st.integers(1, 5), st.data())
-@settings(max_examples=60)
-def test_expansion_round_trip_property(n, data):
-    s = frozenset(data.draw(st.sets(st.integers(1, max(1, n - 1)),
-                                    max_size=n - 1)))
-    assert expand_in_fundamentals(q_fundamental(s, n)) == \
-        QSymF.fundamental(s, n)

@@ -9,12 +9,11 @@ import pytest
 
 from qtpark import symfunc
 from qtpark.qt import ONE, QTPoly, q_int
-from qtpark.quasisym import QSymF
 from qtpark.symfunc import (PExpansion, c_composition, c_op, compositions,
                             e_in_p, e_nk, h_in_p, hmz_check, partitions,
                             pn_identity_check, p_pure, scaled_e_row,
-                            shift_factor, shift_terms, sym_to_qsym,
-                            z_lambda, zq_poch_coefficients)
+                            shift_factor, shift_terms, z_lambda,
+                            zq_poch_coefficients)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,19 +172,6 @@ def test_pn_identity_shape():
     E = e_nk(2)
     acc = E[0] * qtr(q_int(2), q_int(1)) + E[1] * qtr(q_int(2), q_int(2))
     assert acc == p_pure(2) * (-1)
-
-
-def test_sym_to_qsym_extremes():
-    # h_n expands as Q_emptyset, e_n as Q_{1..n-1}
-    for n in range(1, 5):
-        assert sym_to_qsym(h_in_p(n), n) == QSymF.fundamental(frozenset(), n)
-        full = frozenset(range(1, n))
-        assert sym_to_qsym(e_in_p(n), n) == QSymF.fundamental(full, n)
-
-
-def test_sym_to_qsym_rejects_inhomogeneous():
-    with pytest.raises(ValueError):
-        sym_to_qsym(PExpansion.p(1) + PExpansion.p(2), 3)
 
 
 def test_json_form():
