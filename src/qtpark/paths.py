@@ -234,10 +234,9 @@ def enumerate_all(n: int) -> Iterator[PrefFunc]:
         f[i] += 1
 
 
-def record_dict(p: PrefFunc, s: Optional[StatRecord] = None) -> dict:
+def record_dict(p: PrefFunc) -> dict:
     """The JSON-ready record for one preference function (fixed key order)."""
-    if s is None:
-        s = stats(p)
+    s = stats(p)
     return {
         "n": p.n,
         "f": list(p.f),
@@ -254,8 +253,8 @@ def record_dict(p: PrefFunc, s: Optional[StatRecord] = None) -> dict:
     }
 
 
-def json_line(p: PrefFunc, s: Optional[StatRecord] = None) -> str:
-    return json.dumps(record_dict(p, s), separators=(",", ":"))
+def json_line(p: PrefFunc) -> str:
+    return json.dumps(record_dict(p), separators=(",", ":"))
 
 
 # Rows per block of ``json_blocks``.  At n = 6 a block's columns and text

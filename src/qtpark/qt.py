@@ -72,10 +72,6 @@ class QTPoly:
     def q(cls, exp: int = 1) -> "QTPoly":
         return cls({(exp, 0): 1})
 
-    @classmethod
-    def t(cls, exp: int = 1) -> "QTPoly":
-        return cls({(0, exp): 1})
-
     # -- inspection ---------------------------------------------------
 
     def terms(self) -> Iterator[Tuple[Exponent, Fraction]]:
@@ -283,13 +279,6 @@ def square_paths_multipliers(n: int) -> Tuple[Tuple[int, ...],
 def q_poly(coeffs: Sequence[int], qexp: int, texp: int) -> QTPoly:
     """t^texp q^qexp (c_0 + c_1 q + c_2 q^2 + ...) for coeffs c_i."""
     return QTPoly({(qexp + i, texp): c for i, c in enumerate(coeffs)})
-
-
-def q_factorial(n: int) -> QTPoly:
-    """[n]_q! = [1]_q [2]_q ... [n]_q; requires n >= 0."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"q_factorial requires a nonnegative integer, got {n!r}")
-    return q_poly(q_int_product(tuple(range(1, n + 1))), 0, 0)
 
 
 def qq_poch(k: int) -> QTPoly:

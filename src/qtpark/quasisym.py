@@ -17,7 +17,6 @@ four factors computed by independent means.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Dict, FrozenSet, Iterator, List, Optional
@@ -28,7 +27,8 @@ import numpy as np
 from . import aggregate, kernels
 from .qt import ONE, QTPoly, q_int_product, q_poly, square_paths_multipliers
 from .schedules import ides as perm_ides
-from .schedules import Decomposable, _decomposed, pref_closed_form, runs
+from .schedules import (Decomposable, _decomposed, pref_closed_form,
+                        require_deviation, runs)
 
 Subset = FrozenSet[int]
 
@@ -65,9 +65,6 @@ class QSymF:
     def coefficient(self, s: Subset) -> QTPoly:
         return self.coeffs.get(frozenset(s), QTPoly.zero())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "QSymF") -> "QSymF":
         if self.n != other.n:
             raise ValueError("degrees differ")
@@ -75,9 +72,6 @@ class QSymF:
         for s, c in other.coeffs.items():
             merged[s] = merged.get(s, QTPoly.zero()) + c
         return QSymF(self.n, merged)
-
-    def __sub__(self, other: "QSymF") -> "QSymF":
-        return self + other * -1
 
     def __mul__(self, scalar) -> "QSymF":
         """Scale every coefficient; scalar is a QTPoly or integer."""
@@ -96,21 +90,6 @@ class QSymF:
 
     def __hash__(self):
         raise TypeError("QSymF is not hashable")
-
-    def total(self) -> QTPoly:
-        """Sum of all coefficients: the image under Q_S -> 1."""
-        out = QTPoly.zero()
-        for c in self.coeffs.values():
-            out = out + c
-        return out
-
-    def to_json_obj(self) -> Dict[str, str]:
-        return {",".join(str(i) for i in sorted(s)): str(c)
-                for s, c in sorted(self.coeffs.items(),
-                                   key=lambda kv: _sort_key(kv[0]))}
-
-    def json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -292,10 +271,7 @@ def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:
     """
     rd = runs(tau)
     n = len(rd.tau)
-    if not 0 <= l < len(rd.runs):
-        raise ValueError(
-            f"deviation {l} needs at least {l + 1} runs; "
-            f"{rd.tau} has {len(rd.runs)}")
+    require_deviation(rd, l)  # before any table is built
     lhs = qsym_for_diagword(n, rd.tau, deviation=l, threads=threads)
     cb = consecutive_blocks(rd)
     scalar = yconsec_inv_sum(cb)

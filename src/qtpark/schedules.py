@@ -123,18 +123,18 @@ def maj(tau: Sequence[int]) -> int:
     return sum(i for i in range(1, len(t)) if t[i - 1] > t[i])
 
 
-def inv(pi: Sequence[int]) -> int:
-    """Number of inversions of pi."""
-    t = _as_perm(pi)
-    return sum(1 for i in range(len(t)) for j in range(i + 1, len(t))
-               if t[i] > t[j])
-
-
 def ides(pi: Sequence[int]) -> frozenset:
     """{i : i+1 appears before i in pi}, the descent set of the inverse."""
     t = _as_perm(pi)
     pos = {v: i for i, v in enumerate(t)}
     return frozenset(i for i in range(1, len(t)) if pos[i + 1] < pos[i])
+
+
+def require_deviation(rd: RunDecomposition, l: int) -> None:
+    """Refuse a deviation l that the runs of rd.tau cannot carry."""
+    if not 0 <= l < len(rd.runs):
+        raise ValueError(f"deviation {l} needs at least {l + 1} runs; "
+                         f"{rd.tau} has {len(rd.runs)}")
 
 
 def schedule0(tau: Decomposable) -> Tuple[int, ...]:
@@ -161,11 +161,8 @@ def schedule_l(tau: Decomposable, l: int) -> Dict[int, int]:
     """Mapping car -> w^(l)(car); needs at least l+1 runs.  tau may be
     given as its RunDecomposition."""
     rd = _decomposed(tau)
+    require_deviation(rd, l)
     nruns = len(rd.runs)
-    if not 0 <= l < nruns:
-        raise ValueError(
-            f"deviation {l} needs at least {l + 1} runs; "
-            f"{rd.tau} has {nruns}")
     w: Dict[int, int] = {}
     for ri, run in enumerate(rd.runs):
         from_last = nruns - 1 - ri
@@ -324,11 +321,6 @@ def delta_merge(pb: PartitionBox) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(sorted(left)), tuple(sorted(right))
 
 
-def delta_merge_equal(pb: PartitionBox) -> bool:
-    lhs, rhs = delta_merge(pb)
-    return lhs == rhs
-
-
 def insertion_order(tau: Decomposable, l: int = 0) -> Tuple[int, ...]:
     """Car order used by generate: the first (run count - l) runs
     flattened and reversed, then the last l runs left to right.
@@ -337,11 +329,8 @@ def insertion_order(tau: Decomposable, l: int = 0) -> Tuple[int, ...]:
     RunDecomposition.
     """
     rd = _decomposed(tau)
+    require_deviation(rd, l)
     nruns = len(rd.runs)
-    if not 0 <= l < nruns:
-        raise ValueError(
-            f"deviation {l} needs at least {l + 1} runs; "
-            f"{rd.tau} has {nruns}")
     head = [c for run in rd.runs[:nruns - l] for c in run][::-1]
     tail = [c for run in rd.runs[nruns - l:] for c in run]
     return tuple(head + tail)
@@ -378,10 +367,6 @@ def generate(tau: Sequence[int],
     rd = runs(tau)
     nruns = len(rd.runs)
     n = len(rd.tau)
-    if not 0 <= l < nruns:
-        raise ValueError(
-            f"deviation {l} needs at least {l + 1} runs; "
-            f"{rd.tau} has {nruns}")
     weights = schedule_l(rd, l)
     maj_tau = maj(rd.tau)
     baseline = sum(rd.rho_from_last(j) for j in range(l))

@@ -161,15 +161,9 @@ class PExpansion:
         return iter(sorted(self._coeffs.items(),
                            key=lambda kv: (sum(kv[0]), kv[0])))
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def degree(self) -> int:
         """Largest partition size present; 0 for the zero element."""
         return max((sum(lam) for lam in self._coeffs), default=0)
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(sum(lam) == d for lam in self._coeffs)
 
     def __add__(self, other: "PExpansion") -> "PExpansion":
         if not isinstance(other, PExpansion):
@@ -179,19 +173,8 @@ class PExpansion:
             _accumulate(out, lam, c)
         return PExpansion._wrap(out)
 
-    def __neg__(self) -> "PExpansion":
-        return PExpansion._wrap({lam: -c for lam, c in self._coeffs.items()})
-
-    def __sub__(self, other: "PExpansion") -> "PExpansion":
-        return self + (-other)
-
     def __mul__(self, other) -> "PExpansion":
-        if isinstance(other, PExpansion):
-            out: Dict[Partition, QTPoly] = {}
-            for la, ca in self._coeffs.items():
-                for lb, cb in other._coeffs.items():
-                    _accumulate(out, _merge(la, lb), ca * cb)
-            return PExpansion._wrap(out)
+        """Scale every coefficient; other is a QTPoly or a rational."""
         try:
             c = _as_poly(other)
         except TypeError:
@@ -228,9 +211,13 @@ class PExpansion:
         return f"PExpansion({self})"
 
 
-def _newton(n: int, signed: bool) -> PExpansion:
+def _require_degree(n: int) -> None:
     if not 1 <= n <= DEGREE_BOUND:
         raise ValueError(f"degree must lie in 1..{DEGREE_BOUND}, got {n}")
+
+
+def _newton(n: int, signed: bool) -> PExpansion:
+    _require_degree(n)
     return PExpansion._wrap({
         lam: QTPoly.const(Fraction(
             -1 if signed and (n - len(lam)) % 2 else 1, z_lambda(lam)))
@@ -248,8 +235,7 @@ def h_in_p(m: int) -> PExpansion:
 
 
 def p_pure(n: int) -> PExpansion:
-    if not 1 <= n <= DEGREE_BOUND:
-        raise ValueError(f"degree must lie in 1..{DEGREE_BOUND}, got {n}")
+    _require_degree(n)
     return PExpansion.p(n)
 
 
@@ -384,8 +370,7 @@ def e_nk(n: int) -> List[PExpansion]:
     down to z^1 finds the y_k; z^0 is the one equation left over, and is
     checked.
     """
-    if not 1 <= n <= DEGREE_BOUND:
-        raise ValueError(f"degree must lie in 1..{DEGREE_BOUND}, got {n}")
+    _require_degree(n)
     full = qq_poch(n)
     basis = {k: zq_poch_coefficients(k) for k in range(1, n + 1)}
     lead_inv = {k: _unit_inverse(basis[k][k]) for k in basis}

@@ -1,19 +1,26 @@
-"""Every name a module of the package imports is used in that module,
-every top-level definition has a caller, and symfunc stays apart from
-the table layer."""
+"""Every name a module imports is used in that module, every definition
+in the package has a caller, and symfunc stays apart from the table
+layer."""
 
 import ast
+import os
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
-import qtpark
-
-PACKAGE = Path(__file__).parents[1] / "src" / "qtpark"
+ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "qtpark"
 
 # Definitions kept without a caller in the package.
 UNCALLED = {
     ("aggregate", "clear_cache"),  # the tests reset the table cache with it
     ("kernels", "resolve_backend"),  # perfbench calls it
     ("symfunc", "h_in_p"),  # the tests' reference for the h_n expansions
+    ("paths", "enumerate_all"),  # perfbench traces it; the tests' scalar sweep
+    ("schedules", "shift_multiset"),  # perfbench traces it; a test reference
+    ("schedules", "generate"),  # the tests run the insertion tree through it
+    ("aggregate", "Table.values"),  # perfbench's table entry-count hook
 }
 
 
@@ -38,37 +45,49 @@ def referenced_names(node):
             yield from (alias.name for alias in sub.names)
 
 
-def trees():
-    for path in sorted(PACKAGE.glob("*.py")):
+def trees(directory=PACKAGE):
+    for path in sorted(directory.glob("*.py")):
         yield path, ast.parse(path.read_text(), str(path))
 
 
+def attributes(node):
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
 def test_every_import_is_used():
-    # __init__.py imports names to re-export them.
     unused = {}
-    for path, tree in trees():
-        if path.name == "__init__.py":
-            continue
+    for path, tree in [*trees(), *trees(ROOT / "tests")]:
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         names = sorted(set(imported_names(tree)) - used)
         if names:
-            unused[path.name] = names
+            unused[f"{path.parent.name}/{path.name}"] = names
     assert unused == {}
 
 
 def test_every_definition_has_a_caller():
-    # A definition's own body does not count as its caller.
+    # A definition's own body does not count as its caller.  A named class
+    # member is called when ``.name`` is read outside its own body.
     defined, referenced = set(), set()
+    members, read = {}, Counter()
     for path, tree in trees():
+        read += attributes(tree)
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.add((path.stem, own))
             referenced.update(name for name in referenced_names(stmt)
                               if name != own)
-    uncalled = sorted(d for d in defined - UNCALLED
-                      if d[1] not in referenced and d[1] not in qtpark.__all__)
+            if isinstance(stmt, ast.ClassDef):
+                for member in stmt.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("__")):
+                        members[path.stem, f"{own}.{member.name}"] = member
+    uncalled = sorted(d for d in defined - UNCALLED if d[1] not in referenced)
+    uncalled += sorted(
+        key for key, member in members.items() if key not in UNCALLED
+        and read[member.name] - attributes(member)[member.name] == 0)
     assert uncalled == []
 
 
@@ -83,3 +102,22 @@ def test_symfunc_does_not_import_the_table_layer():
             imported.update(alias.name for alias in node.names)
     banned = {"quasisym", "aggregate", "kernels"}
     assert {name.rsplit(".", 1)[-1] for name in imported} & banned == set()
+
+
+NUMPY_BLOCKED = """
+import sys
+sys.modules["numpy"] = None
+from qtpark.symfunc import pn_identity_check
+print(pn_identity_check(4), sorted(m for m in sys.modules
+                                   if m.split(".")[0] == "qtpark"))
+"""
+
+
+def test_symfunc_runs_without_numpy():
+    """The symmetric-function half loads only qt: importing the package
+    root pulls in no submodule, so no numpy and no table layer."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_BLOCKED],
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True ['qtpark', 'qtpark.qt', 'qtpark.symfunc']\n"
