@@ -38,8 +38,15 @@ own integers, (diagword code, deviation) or (touch, is parking), its rows
 are one contiguous run, and a lookup is one binary search over the keys'
 codes.  A diagword code alone selects all its deviations as one run.
 
-Tables are cached per (kind, n).  Worker count never changes a table:
-chunks are deterministic and integer counts commute.
+A diagword table may be restricted to one diagword tau: the kernel then
+hands the fold only tau's rows (``kernels.stats_block``), most blocks
+arrive empty and are skipped, and the table holds the rows of tau's key
+alone, the same rows and counts as the full table's slice.  The fold
+raises ``RuntimeError`` if a block holds a row of another diagword.
+
+Tables are cached per (kind, n, tau), tau None for the full table.  Worker
+count never changes a table: chunks are deterministic and integer counts
+commute.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,9 +107,11 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _fold(n: int, threads: int, columns: Tuple[int, ...]
+def _fold(n: int, threads: int, columns: Tuple[int, ...],
+          tau: Optional[Tuple[int, ...]] = None
           ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Count the distinct rows of ``columns`` over all n^n functions.
+    """Count the distinct rows of ``columns`` over all n^n functions, or
+    over those whose diagword is ``tau``.
 
     Returns one array of values per column and the array of counts,
     aligned, in increasing key order: the rows sorted by the first column,
@@ -113,11 +122,17 @@ def _fold(n: int, threads: int, columns: Tuple[int, ...]
     if size > _KEY_LIMIT:
         raise ValueError(f"n = {n}: keys over columns {columns} reach "
                          f"{size - 1} > 2^63 - 1")
+    code = None if tau is None else kernels.encode_perm(tau, n)
     empty = np.zeros(0, dtype=np.int64)
     # The running totals, then the blocks' counts since the last merge.
     pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
     npending = 0
-    for _, blk in kernels.iter_stat_chunks(n, threads=threads):
+    for _, blk in kernels.iter_stat_chunks(n, threads=threads, tau=tau):
+        if not len(blk):
+            continue
+        if code is not None and (blk[:, kernels.DWORD] != code).any():
+            raise RuntimeError(f"n = {n}: a block swept for diagword {tau} "
+                               f"holds a row of another diagword")
         key = 0
         for c, r in zip(columns, radices):
             col = blk[:, c]
@@ -188,12 +203,16 @@ class Table:
 
 
 def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
-           value_cols: Tuple[int, ...]) -> Table:
-    """The table over ``key_cols + value_cols``, cached per (kind, n)."""
+           value_cols: Tuple[int, ...],
+           tau: Optional[Sequence[int]] = None) -> Table:
+    """The table over ``key_cols + value_cols``, of the functions whose
+    diagword is ``tau`` (None: all), cached per (kind, n, tau)."""
+    if tau is not None:
+        tau = kernels.require_perm(tau, n)
     with _cache_lock:
-        if (kind, n) in _cache:
-            return _cache[(kind, n)]
-    cols, counts = _fold(n, threads, key_cols + value_cols)
+        if (kind, n, tau) in _cache:
+            return _cache[(kind, n, tau)]
+    cols, counts = _fold(n, threads, key_cols + value_cols, tau)
     radices = tuple(_RADIX[c](n) for c in key_cols)
     codes = 0
     for col, radix in zip(cols, radices):
@@ -206,20 +225,24 @@ def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
     for array in (*cols, counts, table.starts, codes):
         array.flags.writeable = False
     with _cache_lock:
-        _cache[(kind, n)] = table
+        _cache[(kind, n, tau)] = table
     return table
 
 
-def qt_by_diagword(n: int, threads: int = 1) -> Table:
-    """Keys (diagword code, deviation), values (area, dinv)."""
+def qt_by_diagword(n: int, threads: int = 1,
+                   tau: Optional[Sequence[int]] = None) -> Table:
+    """Keys (diagword code, deviation), values (area, dinv); with ``tau``,
+    only tau's keys."""
     return _table("qt_dw", n, threads, (kernels.DWORD, kernels.DEV),
-                  (kernels.AREA, kernels.DINV))
+                  (kernels.AREA, kernels.DINV), tau)
 
 
-def qsym_by_diagword(n: int, threads: int = 1) -> Table:
-    """Keys (diagword code, deviation), values (area, dinv, ides mask)."""
+def qsym_by_diagword(n: int, threads: int = 1,
+                     tau: Optional[Sequence[int]] = None) -> Table:
+    """Keys (diagword code, deviation), values (area, dinv, ides mask);
+    with ``tau``, only tau's keys."""
     return _table("qsym_dw", n, threads, (kernels.DWORD, kernels.DEV),
-                  (kernels.AREA, kernels.DINV, kernels.IDES))
+                  (kernels.AREA, kernels.DINV, kernels.IDES), tau)
 
 
 def qsym_by_touch(n: int, threads: int = 1) -> Table:

@@ -43,6 +43,7 @@ class Scope:
     # defaults (--threads sets no scope).
     reads: Dict[str, object] = field(default_factory=dict)
     per_tau: bool = False  # the cap bounds an n! walk that one tau replaces
+    tau_cap: Optional[int] = None  # the largest n with one --tau, if larger
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # builds an n^n table, so --threads means something
     limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
@@ -53,23 +54,29 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # Each cap keeps one run within about a minute on 2 vCPUs (thm-hmz took
 # 45 s at n = 10, lemma-parlem 65 s at n = 11 and thm-shift-multiset
 # about 9 s at n = 10; thm-pn-identity, thm-enk-sum and table enk reach
-# symfunc.DEGREE_BOUND in about 14 s); the n^n sweeps stop at the
-# enumeration bound.
+# symfunc.DEGREE_BOUND in about 14 s).  A full n^n table takes 2-4 s at
+# n = 8 (SWEEP_CAP).  One --tau sweeps every function but folds only its
+# own diagword: about 13 s and 42 MB at n = 9, and 10^10 rows at n = 10
+# (TAU_SWEEP_CAP).  enumerate keeps the enumeration bound of paths.
 # lemma-parlem's random samples cost about max^2 each, so --max and
 # --samples are capped too.  Guards that protect data stay with the data:
 # kernels.MAX_N, the radix check in aggregate._fold, symfunc.DEGREE_BOUND.
+SWEEP_CAP = 8
+TAU_SWEEP_CAP = 9
 SCOPES: Dict[str, Scope] = {
-    "thm-schedule-closed-form": Scope((1, 6), DEFAULT_MAX_N, _TAU_L,
-                                      sweeps=True),
+    "thm-schedule-closed-form": Scope((1, 6), SWEEP_CAP, _TAU_L,
+                                      tau_cap=TAU_SWEEP_CAP, sweeps=True),
     "thm-shift-multiset": Scope((1, 8), 10, _TAU_L, per_tau=True, first_l=1),
     "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
                           limits={"max_part": 400, "samples": 10000}),
-    "lemma-factorlemma": Scope((1, 6), DEFAULT_MAX_N, _TAU_L, sweeps=True),
-    "cor-withides": Scope((1, 6), DEFAULT_MAX_N, {"tau": None}, sweeps=True),
+    "lemma-factorlemma": Scope((1, 6), SWEEP_CAP, _TAU_L,
+                               tau_cap=TAU_SWEEP_CAP, sweeps=True),
+    "cor-withides": Scope((1, 6), SWEEP_CAP, {"tau": None},
+                          tau_cap=TAU_SWEEP_CAP, sweeps=True),
     "thm-hmz": Scope((1, 6), 10),
     "thm-pn-identity": Scope((1, 6), DEGREE_BOUND),
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
-    "main-square-paths": Scope((1, 6), DEFAULT_MAX_N, sweeps=True),
+    "main-square-paths": Scope((1, 6), SWEEP_CAP, sweeps=True),
     "enumerate": Scope((1, 7), DEFAULT_MAX_N,
                        {"allow_large": False, "parking_only": False,
                         "tau": None, "l": None, "touch": None}),
@@ -112,8 +119,9 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
     lo, hi = n or row.default
     if not 1 <= lo <= hi:
         raise ValueError(f"bad n range {lo}..{hi}")
-    if hi > row.cap and not one_tau:
-        raise ValueError(f"{command} accepts n up to {row.cap}, got {hi}")
+    cap = row.tau_cap if tau is not None and row.tau_cap else row.cap
+    if hi > cap and not one_tau:
+        raise ValueError(f"{command} accepts n up to {cap}, got {hi}")
     if ("allow_large" in row.reads and hi > row.default[1]
             and not options.get("allow_large")):
         raise ValueError(f"n above {row.default[1]} needs --allow-large")
@@ -257,7 +265,8 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
         blocks = list(_tau_blocks(spec, n))
         if not blocks:  # --tau names another n: no table to build
             continue
-        table = aggregate.qt_by_diagword(n, threads=spec.threads)
+        table = aggregate.qt_by_diagword(n, threads=spec.threads,
+                                         tau=spec.tau)
         _, _, area, dinv = table.columns
         powers = n ** np.arange(n - 1, -1, -1)
         for block in blocks:
@@ -377,12 +386,14 @@ def _run_parlem(spec: CheckSpec) -> Outcome:
 
 def _run_factorlemma(spec: CheckSpec) -> Outcome:
     examined = 0
+    one_tau = spec.tau is not None
     for n in spec.n_range:
         for tau in _taus(spec, n):
             nruns = len(runs(tau).runs)
             for l in _ls(spec, nruns):
                 examined += 1
-                if not factor_check(tau, l, threads=spec.threads):
+                if not factor_check(tau, l, threads=spec.threads,
+                                    one_tau=one_tau):
                     return False, {"n": n, "tau": list(tau), "l": l}, examined
     return True, None, examined
 
@@ -400,10 +411,12 @@ def _qsym_diff(lhs: QSymF, rhs: QSymF, where: str) -> Dict[str, object]:
     raise RuntimeError(f"{where}: no coefficient of the two sides differs")
 
 
-def _withides_sides(n: int, tau: Tuple[int, ...], k: int,
-                    threads: int) -> Tuple[QSymF, QSymF]:
-    return (qsym_for_diagword(n, tau, threads=threads) * q_int(k),
-            qsym_for_diagword(n, tau, deviation=0, threads=threads) * q_int(n))
+def _withides_sides(n: int, tau: Tuple[int, ...], k: int, threads: int,
+                    one_tau: bool) -> Tuple[QSymF, QSymF]:
+    return (qsym_for_diagword(n, tau, threads=threads,
+                              one_tau=one_tau) * q_int(k),
+            qsym_for_diagword(n, tau, deviation=0, threads=threads,
+                              one_tau=one_tau) * q_int(n))
 
 
 def _run_withides(spec: CheckSpec) -> Outcome:
@@ -411,18 +424,21 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     # a failing tau, to report it, and for the last tau of each n (n..1 when
     # all are walked), whose integer verdict they must confirm.
     examined = 0
+    one_tau = spec.tau is not None
     for n in spec.n_range:
         tau = None
         for tau in _taus(spec, n):
             examined += 1
             k = runs(tau).last_run_length
-            if withides_residue(n, tau, k, threads=spec.threads):
+            if withides_residue(n, tau, k, threads=spec.threads,
+                                one_tau=one_tau):
                 ce = {"n": n, "tau": list(tau), "k": k}
-                ce.update(_qsym_diff(*_withides_sides(n, tau, k, spec.threads),
+                ce.update(_qsym_diff(*_withides_sides(n, tau, k, spec.threads,
+                                                      one_tau),
                                      f"n = {n}, tau = {tau}"))
                 return False, ce, examined
         if tau is not None:
-            lhs, rhs = _withides_sides(n, tau, k, spec.threads)
+            lhs, rhs = _withides_sides(n, tau, k, spec.threads, one_tau)
             if lhs != rhs:
                 raise RuntimeError(f"n = {n}, tau = {tau}: the QSymF sides "
                                    f"differ where the integer counts agree")

@@ -13,7 +13,7 @@ import csv
 import json
 import resource
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .checks import REGISTRY, SCOPES, CheckSpec, run_check, scope
 from .kernels import encode_perm
 from .paths import PrefFunc, StatBlock, json_blocks, json_line
 from .schedules import RunDecomposition, insertion_order, maj
-from .schedules import pref_closed_form, runs, schedule_l
+from .schedules import runs, schedule_closed_form, schedule_l
 from .symfunc import e_nk
 
 
@@ -105,13 +105,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _schedule_row(rd: RunDecomposition, l: int) -> List[str]:
+def _schedule_row(rd: RunDecomposition, l: int, w: Dict[int, int],
+                  tau_maj: int) -> List[str]:
+    """The schedule columns of (tau, l), given w = schedule_l(rd, l) and
+    tau_maj = maj(rd.tau)."""
     tau = rd.tau
-    w = schedule_l(rd, l)
     return [
         _fmt_perm(tau),
         str(l),
-        str(maj(tau)),
+        str(tau_maj),
         " ".join(str(v) for v in rd.rho),
         " ".join(str(w[c]) for c in insertion_order(rd, l)),
         " ".join(str(w[c]) for c in range(1, len(tau) + 1)),
@@ -129,7 +131,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         writer.writerow(["tau", "l", "maj", "rho",
                          "w_insertion", "w_by_car", "w_by_tau"])
         for rd, l in _tau_l_sweep(args.n, one):
-            writer.writerow(_schedule_row(rd, l))
+            writer.writerow(_schedule_row(rd, l, schedule_l(rd, l),
+                                          maj(rd.tau)))
         return 0
     if args.kind == "polynomials":
         writer.writerow(["tau", "l", "maj", "rho",
@@ -137,10 +140,11 @@ def cmd_table(args: argparse.Namespace) -> int:
                          "closed_form", "brute_force", "match"])
         table = aggregate.qt_by_diagword(args.n, threads=args.threads or 1)
         for rd, l in _tau_l_sweep(args.n):
-            closed = pref_closed_form(rd, l)
+            w, tau_maj = schedule_l(rd, l), maj(rd.tau)
+            closed = schedule_closed_form(rd, l, w, tau_maj)
             brute = aggregate.qt_poly_from_counts(
                 table.counts_at(encode_perm(rd.tau, args.n), l))
-            writer.writerow(_schedule_row(rd, l) + [
+            writer.writerow(_schedule_row(rd, l, w, tau_maj) + [
                 str(closed), str(brute),
                 "yes" if closed == brute else "no",
             ])
@@ -170,6 +174,8 @@ def _scope_help() -> str:
         lo, hi = row.default
         lines.append(f"  {cid:26} {lo}..{hi}, up to {row.cap}"
                      + (" (any n with --tau)" if row.per_tau else "")
+                     + (f" ({row.tau_cap} with --tau)" if row.tau_cap
+                        else "")
                      + "".join(f", {opt} up to {most}"
                                for opt, most in row.limits.items())
                      + (" [--threads]" if row.sweeps else ""))

@@ -29,6 +29,17 @@ tables read ``stats_block``, and ``paths.stat_block`` (``qtpark
 enumerate``) reads its columns and adds only what no table folds, the
 reading word, the composition and the three dinv parts.
 
+``stats_block`` and ``iter_stat_chunks`` take an optional diagword tau.
+Every function of the block still goes through ``grid_block``; then
+``diagword_mask`` keeps the columns whose diagword is tau, and only those
+reach ``stat_rows``.  The diagword orders the cars by (-diag, car), a
+strict total order, so the mask is n - 1 comparisons, one per adjacent
+pair of tau.  On average 1/n! of the rows survive it, so a one-diagword
+sweep costs about the decode and pair loop of ``grid_block`` alone.  Per
+n = 8 block of 2^17 rows on 2 vCPUs: ``grid_block`` about 3 ms, the mask
+0.1 ms, and the work it skips for almost every row about 11 ms
+(``stat_rows`` 9 ms, the fold's ``np.unique`` 2 ms), plus the merges.
+
 Costs that showed in the n = 8 sweep (16.7M rows):
 
 - ``grid_block`` decodes row indices in int32 while n^n <= 2^31 (n <= 9):
@@ -48,7 +59,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Deque, Iterator, Sequence, Tuple
+from typing import Deque, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,10 +120,39 @@ def grid_block(n: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
     return F, row - F
 
 
-def stats_block(n: int, start: int, stop: int) -> np.ndarray:
+def require_perm(tau: Sequence[int], n: int) -> Tuple[int, ...]:
+    """tau as a tuple; ValueError unless it is a permutation of 1..n."""
+    t = tuple(int(v) for v in tau)
+    if sorted(t) != list(range(1, n + 1)):
+        raise ValueError(f"{t} is not a permutation of 1..{n}")
+    return t
+
+
+def diagword_mask(diag: np.ndarray, tau: Sequence[int]) -> np.ndarray:
+    """Which columns of ``diag`` (as ``grid_block`` returns it) have
+    diagword tau: car a comes before car b when diag[a-1] > diag[b-1], or
+    when they are equal and a < b."""
+    keep = np.ones(diag.shape[1], dtype=bool)
+    for a, b in zip(tau, tau[1:]):
+        if a < b:
+            keep &= diag[a - 1] >= diag[b - 1]
+        else:
+            keep &= diag[a - 1] > diag[b - 1]
+    return keep
+
+
+def stats_block(n: int, start: int, stop: int,
+                tau: Optional[Sequence[int]] = None) -> np.ndarray:
     """Statistics rows for preference-function indices [start, stop),
-    ranked as in ``grid_block``."""
-    return stat_rows(*grid_block(n, start, stop))
+    ranked as in ``grid_block``; with ``tau``, only the rows whose
+    diagword is tau, in index order."""
+    if tau is not None:
+        tau = require_perm(tau, n)
+    F, diag = grid_block(n, start, stop)
+    if tau is not None:
+        keep = diagword_mask(diag, tau)
+        F, diag = F[:, keep], diag[:, keep]
+    return stat_rows(F, diag)
 
 
 def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -166,9 +206,12 @@ def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK
+def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
+                     tau: Optional[Sequence[int]] = None
                      ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield (start, block) pairs covering all n^n functions, in order.
+    """Yield (start, block) pairs covering all n^n functions, in order;
+    with ``tau``, each block holds only the rows whose diagword is tau, and
+    may be empty.
 
     Chunk boundaries depend only on n and ``chunk``, never on ``threads``,
     so the stream of blocks (and anything folded over it in order) is
@@ -180,7 +223,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK
     starts = range(0, total, chunk)
     if threads <= 1 or len(starts) <= 1:
         for s in starts:
-            yield s, stats_block(n, s, min(s + chunk, total))
+            yield s, stats_block(n, s, min(s + chunk, total), tau)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: Deque[Tuple[int, Future]] = deque()
@@ -189,7 +232,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK
                 head, fut = pending.popleft()
                 yield head, fut.result()
             pending.append((s, pool.submit(stats_block, n, s,
-                                           min(s + chunk, total))))
+                                           min(s + chunk, total), tau)))
         while pending:
             head, fut = pending.popleft()
             yield head, fut.result()

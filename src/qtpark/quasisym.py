@@ -116,16 +116,23 @@ def _qsym_from_counts(n: int, counts: Dict[Tuple[int, int, int], int]) -> QSymF:
 
 def qsym_for_diagword(n: int, tau: Sequence[int],
                       deviation: Optional[int] = None,
-                      threads: int = 1) -> QSymF:
+                      threads: int = 1, one_tau: bool = False) -> QSymF:
     """Table-backed Σ t^area q^dinv Q_ides over functions with diagonal
-    word tau, optionally restricted to one deviation."""
-    table = aggregate.qsym_by_diagword(n, threads=threads)
+    word tau, optionally restricted to one deviation.
+
+    With ``one_tau``, for a caller that reads no other diagword of size n,
+    the table holds tau's rows alone, so only tau's functions go through
+    the fold; otherwise it is the full table, built once per n.
+    """
+    table = aggregate.qsym_by_diagword(n, threads=threads,
+                                       tau=tau if one_tau else None)
     code = kernels.encode_perm(tau, n)
     return _qsym_from_counts(n, table.counts_at(code) if deviation is None
                              else table.counts_at(code, deviation))
 
 
-def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1
+def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1,
+                     one_tau: bool = False
                      ) -> Dict[Tuple[int, int, int], int]:
     """The nonzero counts {(area, dinv, mask): c} of
     A (1 - q^k) - B (1 - q^n), where A = qsym_for_diagword(n, tau) and
@@ -133,9 +140,11 @@ def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1
 
     Empty exactly when A [k]_q = B [n]_q, since (1 - q) is no zero
     divisor.  The deviation-0 counts cancel at q^0 and leave
-    q^n - q^k; the others give 1 - q^k.
+    q^n - q^k; the others give 1 - q^k.  ``one_tau`` as in
+    ``qsym_for_diagword``.
     """
-    table = aggregate.qsym_by_diagword(n, threads=threads)
+    table = aggregate.qsym_by_diagword(n, threads=threads,
+                                       tau=tau if one_tau else None)
     where = table.rows(kernels.encode_perm(tau, n))
     out: Dict[Tuple[int, int, int], int] = {}
     for dev, area, dinv, mask, c in zip(
@@ -259,7 +268,8 @@ def yconsec_inv_sum(cb: ConsecutiveBlocks) -> QTPoly:
         i for b in cb.blocks for i in range(1, len(b) + 1)))), 0, 0)
 
 
-def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:
+def factor_check(tau: Sequence[int], l: int, threads: int = 1,
+                 one_tau: bool = False) -> bool:
     """Cross-multiplied factorization of the diagword-tau, deviation-l sum.
 
     Checks  (Σ t^a q^d Q_ides) * (Σ_π q^inv)
@@ -267,12 +277,14 @@ def factor_check(tau: Sequence[int], l: int, threads: int = 1) -> bool:
     with the left quasisymmetric sum taken from the enumeration tables,
     the scalar Σ_π q^inv from the block q-factorial product, the right
     quasisymmetric sum from explicit Young-subgroup enumeration, and the
-    scalar t,q-sum from the schedule closed form.
+    scalar t,q-sum from the schedule closed form.  ``one_tau`` as in
+    ``qsym_for_diagword``.
     """
     rd = runs(tau)
     n = len(rd.tau)
     require_deviation(rd, l)  # before any table is built
-    lhs = qsym_for_diagword(n, rd.tau, deviation=l, threads=threads)
+    lhs = qsym_for_diagword(n, rd.tau, deviation=l, threads=threads,
+                            one_tau=one_tau)
     cb = consecutive_blocks(rd)
     scalar = yconsec_inv_sum(cb)
     base_ides = perm_ides(rd.tau)

@@ -193,10 +193,15 @@ def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
     preference functions with diagonal word tau and deviation l.  tau
     may be given as its RunDecomposition."""
     rd = _decomposed(tau)
-    w = schedule_l(rd, l)
+    return schedule_closed_form(rd, l, schedule_l(rd, l), maj(rd.tau))
+
+
+def schedule_closed_form(rd: RunDecomposition, l: int, w: Dict[int, int],
+                         tau_maj: int) -> QTPoly:
+    """``pref_closed_form(rd, l)`` from its parts, for a caller that
+    already holds w = schedule_l(rd, l) and tau_maj = maj(rd.tau)."""
     shift = sum(rd.rho_from_last(j) for j in range(l))
-    return q_poly(q_int_product(tuple(sorted(w.values()))), shift,
-                  maj(rd.tau))
+    return q_poly(q_int_product(tuple(sorted(w.values()))), shift, tau_maj)
 
 
 def shift_multiset(tau: Sequence[int], l: int) -> bool:

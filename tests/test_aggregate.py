@@ -1,6 +1,7 @@
 """Count tables against a pure-Python fold, key bounds and refused inputs."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -61,7 +62,7 @@ def use_small_chunks(monkeypatch, rows):
     real_stream = kernels.iter_stat_chunks
 
     def stream(n, threads=1, **kwargs):
-        return real_stream(n, threads=threads, chunk=rows)
+        return real_stream(n, threads=threads, **{**kwargs, "chunk": rows})
 
     monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
 
@@ -139,6 +140,94 @@ def test_table_lookups(build, n):
             [rows[table.rows(code, dev)] for dev in range(n)]).tolist()
 
 
+def assert_one_tau_table_is_the_slice(build, n, tau):
+    """The table of tau's rows alone holds the full table's rows of tau's
+    key, column for column; returns how many functions it counts."""
+    full = build(n)
+    table = build(n, tau=tau)
+    where = full.rows(kernels.encode_perm(tau, n))
+    assert len(table.counts) == where.stop - where.start > 0
+    for col, full_col in zip(table.columns, full.columns):
+        assert col.tolist() == full_col[where].tolist()
+    assert table.counts.tolist() == full.counts[where].tolist()
+    return int(table.counts.sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_one_tau_tables_partition_the_functions(n):
+    """Over all taus the one-tau tables are the full table's slices, and
+    their counts add up to the n^n functions."""
+    total = sum(assert_one_tau_table_is_the_slice(aggregate.qsym_by_diagword,
+                                                  n, tau)
+                for tau in permutations(range(1, n + 1)))
+    assert total == n ** n
+    for tau in list(permutations(range(1, n + 1)))[:24]:
+        assert_one_tau_table_is_the_slice(aggregate.qt_by_diagword, n, tau)
+
+
+def test_one_tau_tables_match_a_sample_at_n7():
+    rng = random.Random(19)
+    for _ in range(8):
+        tau = tuple(rng.sample(range(1, 8), 7))
+        for build in (aggregate.qt_by_diagword, aggregate.qsym_by_diagword):
+            assert_one_tau_table_is_the_slice(build, 7, tau)
+
+
+def test_one_tau_fold_skips_empty_blocks(monkeypatch):
+    """Blocks of 7 rows mostly hold no function of diagword 3142; the
+    fold skips them and the table is still the full table's slice."""
+    use_small_chunks(monkeypatch, 7)
+    blocks = []
+    real = kernels.stats_block
+
+    def recording(*args):
+        blocks.append(real(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(kernels, "stats_block", recording)
+    assert_one_tau_table_is_the_slice(aggregate.qsym_by_diagword, 4,
+                                      (3, 1, 4, 2))
+    assert any(len(b) == 0 for b in blocks)
+
+
+@pytest.mark.parametrize("tau", [(1, 2, 2, 4), (1, 2, 3), (0, 1, 2, 3),
+                                 (1, 2, 3, 5)])
+def test_non_permutation_tau_is_refused_before_any_block(monkeypatch, tau):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(args)
+
+    monkeypatch.setattr(kernels, "grid_block", record)
+    for build in (aggregate.qt_by_diagword, aggregate.qsym_by_diagword):
+        with pytest.raises(ValueError, match="not a permutation of 1..4"):
+            build(4, tau=tau)
+    with pytest.raises(ValueError, match="not a permutation of 1..4"):
+        kernels.stats_block(4, 0, 256, tau)
+    assert calls == []
+
+
+def admit_one_more(monkeypatch):
+    """Make the diagword mask also keep the first column it drops."""
+    real = kernels.diagword_mask
+
+    def leaky(diag, tau):
+        keep = real(diag, tau)
+        keep[np.argmin(keep)] = True
+        return keep
+
+    monkeypatch.setattr(kernels, "diagword_mask", leaky)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_mask_that_admits_another_diagword_is_refused(monkeypatch,
+                                                        threads):
+    admit_one_more(monkeypatch)
+    with pytest.raises(RuntimeError, match="another diagword"):
+        aggregate.qt_by_diagword(5, threads=threads, tau=(3, 5, 1, 4, 2))
+    assert not aggregate._cache
+
+
 def fake_stream(rows):
     """A stand-in for kernels.iter_stat_chunks yielding one block of rows."""
     def stream(n, threads=1, **kwargs):
@@ -184,7 +273,7 @@ def test_out_of_range_block_is_refused(monkeypatch, col, value):
     monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([{col: value}]))
     with pytest.raises(ValueError):
         aggregate.qsym_by_diagword(4)
-    assert ("qsym_dw", 4) not in aggregate._cache
+    assert ("qsym_dw", 4, None) not in aggregate._cache
 
 
 GUARDS = textwrap.dedent("""
@@ -205,6 +294,14 @@ GUARDS = textwrap.dedent("""
     except ValueError:
         print("fold guard fired")
     kernels.iter_stat_chunks = real_stream
+
+    real_mask = kernels.diagword_mask
+    kernels.diagword_mask = lambda diag, tau: ~real_mask(diag, tau)
+    try:
+        aggregate.qt_by_diagword(3, tau=(2, 1, 3))
+    except RuntimeError:
+        print("diagword guard fired")
+    kernels.diagword_mask = real_mask
 
     quasisym.yconsec_inv_sum = lambda cb: ONE + ONE
     try:
@@ -247,6 +344,7 @@ def test_guards_fire_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["fold guard fired",
+                                        "diagword guard fired",
                                         "factor_check guard fired",
                                         "e_nk guard fired",
                                         "e_nk division guard fired"]

@@ -379,6 +379,18 @@ def test_table_polynomials_builds_each_product_once(capsys, monkeypatch):
     assert len(products) == sum(map(len, multisets))
 
 
+def test_table_polynomials_builds_each_schedule_once(capsys, monkeypatch):
+    """Each row's l-schedule and maj serve both its schedule columns and
+    its closed form."""
+    rows = sum(len(schedules.runs(t)) for t in permutations(range(1, 6)))
+    ws = count_calls(monkeypatch, (schedules, cli), "schedule_l")
+    majs = count_calls(monkeypatch, (schedules, cli), "maj")
+    code, out, _ = run(capsys, "table", "polynomials", "--n", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + rows
+    assert len(ws) == len(majs) == rows
+
+
 def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
     nruns = len(schedules.runs(cli._parse_vector(ELEVEN)))
     batch = count_calls(monkeypatch, (checks,), "schedule_counts")
@@ -556,9 +568,12 @@ def secondary_off_by_one_block(n):
 @pytest.fixture
 def secondary_off_by_one(monkeypatch):
     """Every table is folded, from a cold cache, out of the blocks of
-    secondary_off_by_one_block."""
-    def stream(n, threads=1, **kwargs):
-        yield 0, secondary_off_by_one_block(n)
+    secondary_off_by_one_block (the rows of diagword tau, when given)."""
+    def stream(n, threads=1, tau=None, **kwargs):
+        blk = secondary_off_by_one_block(n)
+        if tau is not None:
+            blk = blk[blk[:, kernels.DWORD] == kernels.encode_perm(tau, n)]
+        yield 0, blk
 
     monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
     monkeypatch.setattr(aggregate, "_cache", {})
@@ -586,8 +601,9 @@ def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
                if kernels.encode_perm(t, n) == table.columns[0][row])
     faulty = bumped(table, row)
     monkeypatch.setattr(aggregate, "qsym_by_diagword",
-                        lambda m, threads=1: (faulty if m == n
-                                              else real(m, threads=threads)))
+                        lambda m, threads=1, tau=None: (
+                            faulty if m == n
+                            else real(m, threads=threads, tau=tau)))
     code, out, _ = run(capsys, "check", "cor-withides", "--n", "4")
     assert code == 1
     report = json.loads(out)
@@ -611,7 +627,8 @@ def test_withides_residue_agrees_with_qsym_sides(secondary_off_by_one, n):
 
 def test_withides_refuses_a_residue_the_sides_do_not_show(monkeypatch):
     monkeypatch.setattr(checks, "withides_residue",
-                        lambda n, tau, k, threads=1: {(0, 0, 0): 1})
+                        lambda n, tau, k, threads=1, one_tau=False:
+                        {(0, 0, 0): 1})
     with pytest.raises(RuntimeError, match=r"n = 1, tau = \(1,\)"):
         checks.run_check(checks.CheckSpec("cor-withides", 1, 2))
 
@@ -620,7 +637,7 @@ def test_withides_confirms_the_last_tau_with_qsym_sides(
         monkeypatch, secondary_off_by_one):
     """A residue that misses a fault is caught at each n's last tau."""
     monkeypatch.setattr(checks, "withides_residue",
-                        lambda n, tau, k, threads=1: {})
+                        lambda n, tau, k, threads=1, one_tau=False: {})
     with pytest.raises(RuntimeError, match=r"n = 3, tau = \(1, 3, 2\)"):
         checks.run_check(checks.CheckSpec("cor-withides", 3, 3,
                                           tau=(1, 3, 2)))
@@ -633,6 +650,85 @@ def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
     assert code == 0
     assert report["examined"] == 1
     assert sizes == [4]
+
+
+def kernel_rows(capsys, monkeypatch, *argv):
+    """argv's report and the rows the kernel hands the folds, from an
+    empty table cache."""
+    rows = []
+    real = kernels.stats_block
+
+    def counting(*args):
+        blk = real(*args)
+        rows.append(len(blk))
+        return blk
+
+    monkeypatch.setattr(kernels, "stats_block", counting)
+    aggregate.clear_cache()
+    try:
+        code, out, _ = run(capsys, *argv)
+    finally:
+        aggregate.clear_cache()
+    assert code == 0
+    return json.loads(out), sum(rows)
+
+
+@pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
+                                      "cor-withides", "lemma-factorlemma"])
+def test_one_tau_check_folds_only_its_diagword(capsys, monkeypatch,
+                                               check_id):
+    """With --tau the kernel hands on only tau's functions; without it,
+    each n's one full table gets all n^n."""
+    full = aggregate.qsym_by_diagword(5)
+    mine = full.counts[full.rows(kernels.encode_perm((3, 5, 1, 4, 2), 5))]
+    report, rows = kernel_rows(capsys, monkeypatch, "check", check_id,
+                               "--n", "5", "--tau", "35142")
+    assert report["passed"] is True
+    assert rows == mine.sum() < 5 ** 5
+    report, rows = kernel_rows(capsys, monkeypatch, "check", check_id,
+                               "--n", "1..4")
+    assert report["passed"] is True
+    assert rows == sum(n ** n for n in range(1, 5))
+
+
+def test_a_mask_that_drops_a_function_fails_the_check(capsys, monkeypatch):
+    """The closed-form check notices one function of its tau missing from
+    the kernel's filtered blocks."""
+    real = kernels.diagword_mask
+    dropped = []
+
+    def lossy(diag, tau):
+        keep = real(diag, tau)
+        if keep.any() and not dropped:
+            dropped.append(int(np.argmax(keep)))
+            keep[dropped[0]] = False
+        return keep
+
+    monkeypatch.setattr(kernels, "diagword_mask", lossy)
+    aggregate.clear_cache()
+    try:
+        code, out, _ = run(capsys, "check", "thm-schedule-closed-form",
+                           "--n", "5", "--tau", "35142")
+    finally:
+        aggregate.clear_cache()
+    report = json.loads(out)
+    assert dropped and code == 1
+    assert report["passed"] is False
+    assert report["counterexample"]["tau"] == [3, 5, 1, 4, 2]
+
+
+@pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
+                                      "cor-withides", "lemma-factorlemma"])
+def test_one_tau_reaches_n9_and_no_further(capsys, monkeypatch, check_id):
+    tau = (7, 8, 9, 4, 1, 3, 6, 2, 5)
+    assert checks.scope(check_id, (9, 9), tau=tau) == (9, 9)
+    assert checks.scope(check_id, (1, 9), tau=tau) == (1, 9)
+    with pytest.raises(ValueError, match="up to 8, got 9"):
+        checks.scope(check_id, (9, 9))
+    assert_refused_up_front(capsys, monkeypatch, "check", check_id,
+                            "--n", "9")
+    assert_refused_up_front(capsys, monkeypatch, "check", check_id,
+                            "--n", "10", "--tau", "3,1,4,10,5,9,2,6,8,7")
 
 
 _real_qsym_by_touch = aggregate.qsym_by_touch

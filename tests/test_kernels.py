@@ -2,6 +2,7 @@
 
 import threading
 import time
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def test_chunk_stream_thread_invariant(threads):
                                                  chunk=500)]
     whole = np.concatenate(blocks)
     assert np.array_equal(whole, stats_block(n, 0, n ** n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagword_filter_keeps_exactly_its_rows(n):
+    whole = stats_block(n, 0, n ** n)
+    for tau in permutations(range(1, n + 1)):
+        mine = whole[whole[:, DWORD] == encode_perm(tau, n)]
+        assert np.array_equal(stats_block(n, 0, n ** n, tau), mine)
+        for threads in (1, 2):
+            blocks = [blk for _, blk in iter_stat_chunks(
+                n, threads=threads, chunk=5, tau=tau)]
+            assert np.array_equal(np.concatenate(blocks), mine)
 
 
 def test_chunk_stream_bounds_outstanding_blocks(monkeypatch):
