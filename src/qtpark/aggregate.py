@@ -44,15 +44,14 @@ arrive empty and are skipped, and the table holds the rows of tau's key
 alone, the same rows and counts as the full table's slice.  The fold
 raises ``RuntimeError`` if a block holds a row of another diagword.
 
-Tables are cached per (kind, n, tau), tau None for the full table.  Worker
-count never changes a table: chunks are deterministic and integer counts
-commute.
+Each call folds a new table: a caller that reads one many times builds it
+once and passes it on.  Worker count never changes a table: chunks are
+deterministic and integer counts commute.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,9 +74,6 @@ _KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
 # Pending per-block (key, count) entries merged into the running totals at
 # once: about 16 MB of arrays.
 _MERGE_BATCH = 1 << 20
-
-_cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]
@@ -161,7 +157,7 @@ class Table:
     each, aligned with ``counts``.  Key i is the rows
     ``starts[i]:starts[i + 1]``; its mixed-radix code ``codes[i]`` over the
     key ``radices`` increases with i.  The arrays are read-only: every
-    caller shares the cached table.
+    reader of the table shares them.
     """
 
     columns: Tuple[np.ndarray, ...]
@@ -202,16 +198,13 @@ class Table:
         return np.split(self.counts, self.starts[1:-1])
 
 
-def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
+def _table(n: int, threads: int, key_cols: Tuple[int, ...],
            value_cols: Tuple[int, ...],
            tau: Optional[Sequence[int]] = None) -> Table:
     """The table over ``key_cols + value_cols``, of the functions whose
-    diagword is ``tau`` (None: all), cached per (kind, n, tau)."""
+    diagword is ``tau`` (None: all)."""
     if tau is not None:
         tau = kernels.require_perm(tau, n)
-    with _cache_lock:
-        if (kind, n, tau) in _cache:
-            return _cache[(kind, n, tau)]
     cols, counts = _fold(n, threads, key_cols + value_cols, tau)
     radices = tuple(_RADIX[c](n) for c in key_cols)
     codes = 0
@@ -224,8 +217,6 @@ def _table(kind: str, n: int, threads: int, key_cols: Tuple[int, ...],
                   codes, radices)
     for array in (*cols, counts, table.starts, codes):
         array.flags.writeable = False
-    with _cache_lock:
-        _cache[(kind, n, tau)] = table
     return table
 
 
@@ -233,7 +224,7 @@ def qt_by_diagword(n: int, threads: int = 1,
                    tau: Optional[Sequence[int]] = None) -> Table:
     """Keys (diagword code, deviation), values (area, dinv); with ``tau``,
     only tau's keys."""
-    return _table("qt_dw", n, threads, (kernels.DWORD, kernels.DEV),
+    return _table(n, threads, (kernels.DWORD, kernels.DEV),
                   (kernels.AREA, kernels.DINV), tau)
 
 
@@ -241,19 +232,14 @@ def qsym_by_diagword(n: int, threads: int = 1,
                      tau: Optional[Sequence[int]] = None) -> Table:
     """Keys (diagword code, deviation), values (area, dinv, ides mask);
     with ``tau``, only tau's keys."""
-    return _table("qsym_dw", n, threads, (kernels.DWORD, kernels.DEV),
+    return _table(n, threads, (kernels.DWORD, kernels.DEV),
                   (kernels.AREA, kernels.DINV, kernels.IDES), tau)
 
 
 def qsym_by_touch(n: int, threads: int = 1) -> Table:
     """Keys (touch, is parking), values (area, dinv, ides mask)."""
-    return _table("qsym_touch", n, threads, (kernels.TOUCH, kernels.PARK),
+    return _table(n, threads, (kernels.TOUCH, kernels.PARK),
                   (kernels.AREA, kernels.DINV, kernels.IDES))
-
-
-def clear_cache() -> None:
-    with _cache_lock:
-        _cache.clear()
 
 
 def qt_poly_from_counts(counts: Dict[Tuple[int, int], int]) -> QTPoly:

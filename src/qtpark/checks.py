@@ -13,7 +13,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -111,16 +111,16 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
             raise ValueError(f"{command} accepts {opt} up to {most}, "
                              f"got {given[opt]}")
     tau, l = given.get("tau"), given.get("l")
-    one_tau = row.per_tau and tau is not None
+    uncapped = row.per_tau and tau is not None
     if n is None and row.default is None:
-        if one_tau:
+        if uncapped:
             return None
         raise ValueError(f"{command} needs --n")
     lo, hi = n or row.default
     if not 1 <= lo <= hi:
         raise ValueError(f"bad n range {lo}..{hi}")
     cap = row.tau_cap if tau is not None and row.tau_cap else row.cap
-    if hi > cap and not one_tau:
+    if hi > cap and not uncapped:
         raise ValueError(f"{command} accepts n up to {cap}, got {hi}")
     if ("allow_large" in row.reads and hi > row.default[1]
             and not options.get("allow_large")):
@@ -218,10 +218,10 @@ class CheckReport:
 Outcome = Tuple[bool, Optional[Dict[str, object]], int]
 
 
-def _taus(spec: CheckSpec, n: int):
-    if spec.tau is None:
-        return permutations(range(1, n + 1))
-    return [spec.tau] if len(spec.tau) == n else []
+def _sizes(spec: CheckSpec) -> List[int]:
+    """The n of the range that have cases: all of them, or the size of
+    the one --tau."""
+    return [n for n in spec.n_range if spec.tau is None or len(spec.tau) == n]
 
 
 def _ls(spec: CheckSpec, nruns: int):
@@ -234,7 +234,7 @@ def _tau_blocks(spec: CheckSpec, n: int) -> Iterable[np.ndarray]:
     --tau, or all n! in blocks of (n-1)! that share their first car."""
     if spec.tau is None:
         return permutation_blocks(n)
-    return [np.array([spec.tau])] if len(spec.tau) == n else []
+    return [np.array([spec.tau])]
 
 
 def _cases(spec: CheckSpec, sc: ScheduleCounts) -> Tuple[List[int], np.ndarray]:
@@ -261,15 +261,12 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
     # rows are compared in integers with the coefficients of prod [w]_q,
     # which depend only on the sorted weights.
     examined = 0
-    for n in spec.n_range:
-        blocks = list(_tau_blocks(spec, n))
-        if not blocks:  # --tau names another n: no table to build
-            continue
+    for n in _sizes(spec):
         table = aggregate.qt_by_diagword(n, threads=spec.threads,
                                          tau=spec.tau)
         _, _, area, dinv = table.columns
         powers = n ** np.arange(n - 1, -1, -1)
-        for block in blocks:
+        for block in _tau_blocks(spec, n):
             sc = schedule_counts(block)
             ls, has = _cases(spec, sc)
             codes = (block - 1) @ powers
@@ -325,7 +322,7 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
 
 def _run_shift_multiset(spec: CheckSpec) -> Outcome:
     examined = 0
-    for n in spec.n_range:
+    for n in _sizes(spec):
         for block in _tau_blocks(spec, n):
             sc = schedule_counts(block)
             ls, has = _cases(spec, sc)
@@ -386,15 +383,16 @@ def _run_parlem(spec: CheckSpec) -> Outcome:
 
 def _run_factorlemma(spec: CheckSpec) -> Outcome:
     examined = 0
-    one_tau = spec.tau is not None
-    for n in spec.n_range:
-        for tau in _taus(spec, n):
-            nruns = len(runs(tau).runs)
-            for l in _ls(spec, nruns):
-                examined += 1
-                if not factor_check(tau, l, threads=spec.threads,
-                                    one_tau=one_tau):
-                    return False, {"n": n, "tau": list(tau), "l": l}, examined
+    for n in _sizes(spec):
+        table = aggregate.qsym_by_diagword(n, threads=spec.threads,
+                                           tau=spec.tau)
+        for block in _tau_blocks(spec, n):
+            for tau in map(tuple, block.tolist()):
+                for l in _ls(spec, len(runs(tau).runs)):
+                    examined += 1
+                    if not factor_check(table, tau, l):
+                        return False, {"n": n, "tau": list(tau),
+                                       "l": l}, examined
     return True, None, examined
 
 
@@ -411,12 +409,10 @@ def _qsym_diff(lhs: QSymF, rhs: QSymF, where: str) -> Dict[str, object]:
     raise RuntimeError(f"{where}: no coefficient of the two sides differs")
 
 
-def _withides_sides(n: int, tau: Tuple[int, ...], k: int, threads: int,
-                    one_tau: bool) -> Tuple[QSymF, QSymF]:
-    return (qsym_for_diagword(n, tau, threads=threads,
-                              one_tau=one_tau) * q_int(k),
-            qsym_for_diagword(n, tau, deviation=0, threads=threads,
-                              one_tau=one_tau) * q_int(n))
+def _withides_sides(table: aggregate.Table, tau: Tuple[int, ...],
+                    k: int) -> Tuple[QSymF, QSymF]:
+    return (qsym_for_diagword(table, tau) * q_int(k),
+            qsym_for_diagword(table, tau, deviation=0) * q_int(len(tau)))
 
 
 def _run_withides(spec: CheckSpec) -> Outcome:
@@ -424,24 +420,22 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     # a failing tau, to report it, and for the last tau of each n (n..1 when
     # all are walked), whose integer verdict they must confirm.
     examined = 0
-    one_tau = spec.tau is not None
-    for n in spec.n_range:
-        tau = None
-        for tau in _taus(spec, n):
-            examined += 1
-            k = runs(tau).last_run_length
-            if withides_residue(n, tau, k, threads=spec.threads,
-                                one_tau=one_tau):
-                ce = {"n": n, "tau": list(tau), "k": k}
-                ce.update(_qsym_diff(*_withides_sides(n, tau, k, spec.threads,
-                                                      one_tau),
-                                     f"n = {n}, tau = {tau}"))
-                return False, ce, examined
-        if tau is not None:
-            lhs, rhs = _withides_sides(n, tau, k, spec.threads, one_tau)
-            if lhs != rhs:
-                raise RuntimeError(f"n = {n}, tau = {tau}: the QSymF sides "
-                                   f"differ where the integer counts agree")
+    for n in _sizes(spec):
+        table = aggregate.qsym_by_diagword(n, threads=spec.threads,
+                                           tau=spec.tau)
+        for block in _tau_blocks(spec, n):
+            for tau in map(tuple, block.tolist()):
+                examined += 1
+                k = runs(tau).last_run_length
+                if withides_residue(table, tau, k):
+                    ce = {"n": n, "tau": list(tau), "k": k}
+                    ce.update(_qsym_diff(*_withides_sides(table, tau, k),
+                                         f"n = {n}, tau = {tau}"))
+                    return False, ce, examined
+        lhs, rhs = _withides_sides(table, tau, k)
+        if lhs != rhs:
+            raise RuntimeError(f"n = {n}, tau = {tau}: the QSymF sides "
+                               f"differ where the integer counts agree")
     return True, None, examined
 
 
@@ -470,15 +464,16 @@ def _run_enk_sum(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _square_paths_sides(n: int, threads: int) -> Tuple[QSymF, QSymF]:
+def _square_paths_sides(table: aggregate.Table, n: int
+                        ) -> Tuple[QSymF, QSymF]:
     # Both sides times [1]_q [2]_q ... [n]_q clears every [k]_q
     # denominator, leaving an identity between polynomial-coefficient
     # quasisymmetric sums.
     lhs, rhs = square_paths_multipliers(n)
     out = QSymF.zero(n)
     for k, mult in enumerate(rhs, start=1):
-        out = out + qsym_for_touch(n, k, threads=threads) * q_poly(mult, 0, 0)
-    return qsym_total(n, threads=threads) * q_poly(lhs, 0, 0), out
+        out = out + qsym_for_touch(table, n, k) * q_poly(mult, 0, 0)
+    return qsym_total(table, n) * q_poly(lhs, 0, 0), out
 
 
 def _run_main_square_paths(spec: CheckSpec) -> Outcome:
@@ -487,10 +482,10 @@ def _run_main_square_paths(spec: CheckSpec) -> Outcome:
     examined = 0
     for n in spec.n_range:
         examined += n ** n
-        if square_paths_residue(n, threads=spec.threads).any():
+        table = aggregate.qsym_by_touch(n, threads=spec.threads)
+        if square_paths_residue(table, n).any():
             ce: Dict[str, object] = {"n": n}
-            ce.update(_qsym_diff(*_square_paths_sides(n, spec.threads),
-                                 f"n = {n}"))
+            ce.update(_qsym_diff(*_square_paths_sides(table, n), f"n = {n}"))
             return False, ce, examined
     return True, None, examined
 

@@ -13,6 +13,7 @@ import csv
 import json
 import resource
 import sys
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,20 +71,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
           parking_only=args.parking_only, tau=tau, l=args.deviation,
           touch=args.touch)
     deviation = 0 if args.parking_only else args.deviation
-    diagword = None if tau is None else encode_perm(tau, n)
 
     def keep(b: StatBlock) -> np.ndarray:
         mask = np.ones(len(b.index), dtype=bool)
         if deviation is not None:
             mask &= b.deviation == deviation
-        if diagword is not None:
-            mask &= b.diagword == diagword
         if args.touch is not None:
             mask &= b.touch == args.touch
         return mask
 
     out = sys.stdout
-    for text in json_blocks(n, keep):
+    for text in json_blocks(n, keep, tau):
         out.write(text)
     return 0
 
@@ -159,7 +157,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 def _tau_l_sweep(n: Optional[int], one: Optional[RunDecomposition] = None):
     """(run decomposition of tau, l) for every (tau, l) of size n, or of
     the one tau given; each tau is decomposed once."""
-    from itertools import permutations
     for rd in ((runs(t) for t in permutations(range(1, n + 1)))
                if one is None else [one]):
         for l in range(len(rd)):

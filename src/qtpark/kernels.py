@@ -29,8 +29,9 @@ tables read ``stats_block``, and ``paths.stat_block`` (``qtpark
 enumerate``) reads its columns and adds only what no table folds, the
 reading word, the composition and the three dinv parts.
 
-``stats_block`` and ``iter_stat_chunks`` take an optional diagword tau.
-Every function of the block still goes through ``grid_block``; then
+``stats_block`` and ``iter_stat_chunks`` (and ``paths.stat_block``, for
+``qtpark enumerate --diagword``) take an optional diagword tau.  Every
+function of the block still goes through ``grid_block``; then
 ``diagword_mask`` keeps the columns whose diagword is tau, and only those
 reach ``stat_rows``.  The diagword orders the cars by (-diag, car), a
 strict total order, so the mask is n - 1 comparisons, one per adjacent

@@ -38,8 +38,10 @@ statistics for ``BLOCK`` consecutive functions at once as numpy columns,
 reading all but word, comp and the dinv parts from ``kernels.stat_rows``,
 and ``json_block`` formats the selected rows
 with one % template, looking up the text of f, word, diagword, ides and
-comp by integer code.  The first function of every block is also run
-through ``json_line``, and any difference raises RuntimeError.
+comp by integer code.  Given one diagword, ``stat_block`` keeps only its
+functions right after ``kernels.grid_block`` (``kernels.diagword_mask``).
+The first function of every non-empty block is also run through
+``json_line``, and any difference raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -265,9 +267,10 @@ BLOCK = 2048
 
 class StatBlock(NamedTuple):
     """The statistics of the functions with indices [start, stop), ranked
-    as in ``kernels.grid_block``, as numpy columns: entry r of each column
-    belongs to index start + r.  area, ides, diagword, deviation and touch
-    are columns of ``kernels.stat_rows``."""
+    as in ``kernels.grid_block``, or of those of one diagword, as numpy
+    columns: entry r of each column belongs to index index[r].  area,
+    ides, diagword, deviation and touch are columns of
+    ``kernels.stat_rows``."""
 
     f: np.ndarray          # (n, rows) int8; f[c] holds f(c + 1)
     index: np.ndarray
@@ -284,11 +287,17 @@ class StatBlock(NamedTuple):
                            # of a parking function; 0 when deviation > 0
 
 
-def stat_block(n: int, start: int, stop: int) -> StatBlock:
-    """Every statistic of ``stats`` for indices [start, stop) at once."""
+def stat_block(n: int, start: int, stop: int,
+               tau: Optional[Sequence[int]] = None) -> StatBlock:
+    """Every statistic of ``stats`` for indices [start, stop) at once;
+    with ``tau``, for those of diagword tau alone, in index order."""
     F, diag = kernels.grid_block(n, start, stop)
+    index = np.arange(start, stop, dtype=np.int64)
+    if tau is not None:
+        keep = kernels.diagword_mask(diag, kernels.require_perm(tau, n))
+        F, diag, index = F[:, keep], diag[:, keep], index[keep]
     cols = kernels.stat_rows(F, diag)
-    nrows = stop - start
+    nrows = len(index)
 
     # wpos[c] is the place of car c + 1 in word (ties by column, right to
     # left; the cars of one diagonal stand in distinct columns), counted
@@ -332,7 +341,7 @@ def stat_block(n: int, start: int, stop: int) -> StatBlock:
 
     return StatBlock(
         f=F,
-        index=np.arange(start, stop, dtype=np.int64),
+        index=index,
         area=cols[:, kernels.AREA],
         primary=primary,
         secondary=cols[:, kernels.DINV] - primary - tertiary,
@@ -419,33 +428,39 @@ def _lines(b: StatBlock, text: _Text, rows: np.ndarray) -> List[str]:
 
 
 def json_block(n: int, start: int, stop: int,
-               keep: Optional[Callable[[StatBlock], np.ndarray]] = None
-               ) -> str:
-    """The ``json_line`` of every index in [start, stop) that ``keep``
-    (a boolean mask over the block's rows) selects, one line each.
+               keep: Optional[Callable[[StatBlock], np.ndarray]] = None,
+               tau: Optional[Sequence[int]] = None) -> str:
+    """The ``json_line`` of every index in [start, stop), of diagword
+    ``tau`` if given, that ``keep`` (a boolean mask over the block's rows)
+    selects, one line each.
 
-    The block's first function is also formatted by ``json_line`` itself,
-    and any difference raises RuntimeError.
+    The block's first such function is also formatted by ``json_line``
+    itself, and any difference raises RuntimeError.
     """
     if not 1 <= n <= DEFAULT_MAX_N:
         raise ValueError(f"n={n} outside the enumeration bound "
                          f"1..{DEFAULT_MAX_N}")
-    b = stat_block(n, start, stop)
+    b = stat_block(n, start, stop, tau)
+    if not len(b.index):
+        return ""
     text = _text(n)
     first = _lines(b, text, np.arange(1))[0]
     want = json_line(PrefFunc(b.f[:, 0].tolist())) + "\n"
     if first != want:
         raise RuntimeError(f"block line {first!r} differs from the scalar "
                            f"statistics {want!r}")
-    rows = np.arange(stop - start) if keep is None else np.flatnonzero(keep(b))
+    rows = (np.arange(len(b.index)) if keep is None
+            else np.flatnonzero(keep(b)))
     return "".join(_lines(b, text, rows))
 
 
 def json_blocks(n: int,
-                keep: Optional[Callable[[StatBlock], np.ndarray]] = None
-                ) -> Iterator[str]:
-    """``json_block`` over all n^n functions, BLOCK indices at a time, in
-    lexicographic order of f."""
+                keep: Optional[Callable[[StatBlock], np.ndarray]] = None,
+                tau: Optional[Sequence[int]] = None) -> Iterator[str]:
+    """``json_block`` over all n^n functions in lexicographic order of f,
+    BLOCK indices at a time; with ``tau``, whose functions are few (at
+    most 40,320 at n = 8), ``kernels.CHUNK`` at a time."""
     total = n ** n
-    for start in range(0, total, BLOCK):
-        yield json_block(n, start, min(start + BLOCK, total), keep)
+    step = BLOCK if tau is None else kernels.CHUNK
+    for start in range(0, total, step):
+        yield json_block(n, start, min(start + step, total), keep, tau)

@@ -13,6 +13,10 @@ values i, i+1, ... appearing adjacently), and the discrepancies are
 carried by a permutation from the Young subgroup preserving those
 blocks.  factor_check verifies the resulting product identity with all
 four factors computed by independent means.
+
+The table-backed sums read a count table that their caller built once
+(``aggregate.qsym_by_diagword`` or ``qsym_by_touch``) and passes in; this
+module builds no table.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import aggregate, kernels
+from . import kernels
 from .qt import ONE, QTPoly, q_int_product, q_poly, square_paths_multipliers
 from .schedules import ides as perm_ides
 from .schedules import (Decomposable, _decomposed, pref_closed_form,
@@ -114,38 +118,34 @@ def _qsym_from_counts(n: int, counts: Dict[Tuple[int, int, int], int]) -> QSymF:
                      for mask, terms in by_mask.items()})
 
 
-def qsym_for_diagword(n: int, tau: Sequence[int],
-                      deviation: Optional[int] = None,
-                      threads: int = 1, one_tau: bool = False) -> QSymF:
-    """Table-backed Σ t^area q^dinv Q_ides over functions with diagonal
-    word tau, optionally restricted to one deviation.
-
-    With ``one_tau``, for a caller that reads no other diagword of size n,
-    the table holds tau's rows alone, so only tau's functions go through
-    the fold; otherwise it is the full table, built once per n.
-    """
-    table = aggregate.qsym_by_diagword(n, threads=threads,
-                                       tau=tau if one_tau else None)
+def qsym_for_diagword(table, tau: Sequence[int],
+                      deviation: Optional[int] = None) -> QSymF:
+    """Σ t^area q^dinv Q_ides over functions with diagonal word tau,
+    optionally restricted to one deviation, read from ``table`` (a
+    ``qsym_by_diagword`` table of size len(tau), of all taus or of tau)."""
+    n = len(tau)
     code = kernels.encode_perm(tau, n)
     return _qsym_from_counts(n, table.counts_at(code) if deviation is None
                              else table.counts_at(code, deviation))
 
 
-def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1,
-                     one_tau: bool = False
+def withides_residue(table, tau: Sequence[int], k: int
                      ) -> Dict[Tuple[int, int, int], int]:
     """The nonzero counts {(area, dinv, mask): c} of
-    A (1 - q^k) - B (1 - q^n), where A = qsym_for_diagword(n, tau) and
-    B = its deviation-0 part.
+    A (1 - q^k) - B (1 - q^n), where A = qsym_for_diagword(table, tau), B
+    = its deviation-0 part and n = len(tau).
 
     Empty exactly when A [k]_q = B [n]_q, since (1 - q) is no zero
     divisor.  The deviation-0 counts cancel at q^0 and leave
-    q^n - q^k; the others give 1 - q^k.  ``one_tau`` as in
-    ``qsym_for_diagword``.
+    q^n - q^k; the others give 1 - q^k.  Every tau is the diagword of some
+    function, so a table without a row of tau (another tau's or of another
+    size) raises ValueError rather than read as an empty residue.
     """
-    table = aggregate.qsym_by_diagword(n, threads=threads,
-                                       tau=tau if one_tau else None)
+    n = len(tau)
     where = table.rows(kernels.encode_perm(tau, n))
+    if where.start == where.stop:
+        raise ValueError(f"the table holds no function of diagword "
+                         f"{tuple(tau)}")
     out: Dict[Tuple[int, int, int], int] = {}
     for dev, area, dinv, mask, c in zip(
             *(col[where].tolist() for col in table.columns[1:]),
@@ -157,16 +157,14 @@ def withides_residue(n: int, tau: Sequence[int], k: int, threads: int = 1,
     return {key: c for key, c in out.items() if c}
 
 
-def qsym_for_touch(n: int, touch: int, threads: int = 1) -> QSymF:
-    """Table-backed sum over parking functions with the given touch."""
-    table = aggregate.qsym_by_touch(n, threads=threads)
+def qsym_for_touch(table, n: int, touch: int) -> QSymF:
+    """Sum over parking functions with the given touch in ``table``."""
     return _qsym_from_counts(n, table.counts_at(touch, 1))
 
 
-def qsym_total(n: int, threads: int = 1) -> QSymF:
-    """Sum over all n^n preference functions."""
-    return _qsym_from_counts(n, aggregate.qsym_by_touch(
-        n, threads=threads).counts_at())
+def qsym_total(table, n: int) -> QSymF:
+    """Sum over all n^n preference functions in ``table``."""
+    return _qsym_from_counts(n, table.counts_at())
 
 
 def _add_times(out: np.ndarray, counts: np.ndarray,
@@ -178,14 +176,15 @@ def _add_times(out: np.ndarray, counts: np.ndarray,
             out[:, i:i + width] += c * counts
 
 
-def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
+def square_paths_residue(table, n: int) -> np.ndarray:
     """T [n]_q! - Σ_k P_k [n]_q [n]_q!/[k]_q in integer counts: one row
-    per (area, ides mask) of the touch table, one column per power of q.
+    per (area, ides mask) of ``table`` (the ``qsym_by_touch`` table of
+    size n), one column per power of q.
 
     T counts all n^n functions and P_k the parking functions of touch k,
-    by (area, dinv, ides mask).  All zero exactly when qsym_total(n)
-    [n]_q! equals Σ_k qsym_for_touch(n, k) [n]_q [n]_q!/[k]_q.  Raises
-    ValueError before any table is built when an entry could leave int64.
+    by (area, dinv, ides mask).  All zero exactly when qsym_total [n]_q!
+    equals Σ_k qsym_for_touch(k) [n]_q [n]_q!/[k]_q.  Raises ValueError
+    before the table is read when an entry could leave int64.
     """
     lhs, rhs = square_paths_multipliers(n)
     # T and the P_k each hold at most n^n counts, so every partial sum is
@@ -194,7 +193,6 @@ def square_paths_residue(n: int, threads: int = 1) -> np.ndarray:
     if bound >= 2 ** 63:
         raise ValueError(f"n = {n}: square-path sums may reach {bound} "
                          f"> 2^63 - 1")
-    table = aggregate.qsym_by_touch(n, threads=threads)
     _, _, area, dinv, mask = table.columns
     rows, row_of = np.unique(area << (n - 1) | mask, return_inverse=True)
     width = int(dinv.max()) + 1
@@ -268,23 +266,21 @@ def yconsec_inv_sum(cb: ConsecutiveBlocks) -> QTPoly:
         i for b in cb.blocks for i in range(1, len(b) + 1)))), 0, 0)
 
 
-def factor_check(tau: Sequence[int], l: int, threads: int = 1,
-                 one_tau: bool = False) -> bool:
+def factor_check(table, tau: Sequence[int], l: int) -> bool:
     """Cross-multiplied factorization of the diagword-tau, deviation-l sum.
 
     Checks  (Σ t^a q^d Q_ides) * (Σ_π q^inv)
           = (Σ t^a q^d) * (Σ_π q^inv Q_{ides(tau) ∪ ides(π)}),
-    with the left quasisymmetric sum taken from the enumeration tables,
-    the scalar Σ_π q^inv from the block q-factorial product, the right
-    quasisymmetric sum from explicit Young-subgroup enumeration, and the
-    scalar t,q-sum from the schedule closed form.  ``one_tau`` as in
-    ``qsym_for_diagword``.
+    with the left quasisymmetric sum read from ``table`` as in
+    ``qsym_for_diagword``, the scalar Σ_π q^inv from the block
+    q-factorial product, the right quasisymmetric sum from explicit
+    Young-subgroup enumeration, and the scalar t,q-sum from the schedule
+    closed form.
     """
     rd = runs(tau)
     n = len(rd.tau)
-    require_deviation(rd, l)  # before any table is built
-    lhs = qsym_for_diagword(n, rd.tau, deviation=l, threads=threads,
-                            one_tau=one_tau)
+    require_deviation(rd, l)  # before the table is read
+    lhs = qsym_for_diagword(table, rd.tau, deviation=l)
     cb = consecutive_blocks(rd)
     scalar = yconsec_inv_sum(cb)
     base_ides = perm_ides(rd.tau)

@@ -10,3 +10,15 @@ def as_dicts(table):
                            table.counts.tolist()):
         out.setdefault(tuple(row[:nkeys]), {})[tuple(row[nkeys:])] = count
     return out
+
+
+class TableRead(Exception):
+    """Raised by ``UnreadableTable`` on any attribute access."""
+
+
+class UnreadableTable:
+    """A stand-in table for readers that must refuse their input before
+    they read the table: any attribute access raises ``TableRead``."""
+
+    def __getattr__(self, name):
+        raise TableRead(name)

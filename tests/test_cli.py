@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from table_helpers import TableRead, UnreadableTable
 
 import qtpark
 from qtpark import aggregate, checks, cli, kernels, quasisym, schedules
@@ -493,7 +494,7 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
 
 def swept_sizes(capsys, monkeypatch, *argv):
     """argv's exit code and report, and the n of every kernel block it
-    computes, starting from an empty table cache."""
+    computes."""
     sizes = []
     real = kernels.stats_block
 
@@ -502,11 +503,7 @@ def swept_sizes(capsys, monkeypatch, *argv):
         return real(n, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "stats_block", counting)
-    aggregate.clear_cache()
-    try:
-        code, out, _ = run(capsys, *argv)
-    finally:
-        aggregate.clear_cache()
+    code, out, _ = run(capsys, *argv)
     return code, json.loads(out), sizes
 
 
@@ -534,7 +531,6 @@ def test_check_wall_time_not_in_stdout(capsys):
 def test_output_bytes_thread_invariant(capsys, argv):
     runs = []
     for threads in ("1", "2", "8"):
-        aggregate.clear_cache()
         code, out, _ = run(capsys, *argv, "--threads", threads)
         assert code == 0
         runs.append(out)
@@ -567,8 +563,8 @@ def secondary_off_by_one_block(n):
 
 @pytest.fixture
 def secondary_off_by_one(monkeypatch):
-    """Every table is folded, from a cold cache, out of the blocks of
-    secondary_off_by_one_block (the rows of diagword tau, when given)."""
+    """Every table is folded out of the blocks of secondary_off_by_one_block
+    (the rows of diagword tau, when given)."""
     def stream(n, threads=1, tau=None, **kwargs):
         blk = secondary_off_by_one_block(n)
         if tau is not None:
@@ -576,7 +572,6 @@ def secondary_off_by_one(monkeypatch):
         yield 0, blk
 
     monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
-    monkeypatch.setattr(aggregate, "_cache", {})
 
 
 def test_mutation_breaks_withides(capsys, secondary_off_by_one):
@@ -615,20 +610,20 @@ def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
 def test_withides_residue_agrees_with_qsym_sides(secondary_off_by_one, n):
     """Under the planted fault, the integer residue is nonzero for exactly
     the taus whose cross-multiplied QSymF sides differ."""
+    table = aggregate.qsym_by_diagword(n)
     differ = []
     for tau in permutations(range(1, n + 1)):
         k = schedules.runs(tau).last_run_length
-        lhs = qsym_for_diagword(n, tau) * q_int(k)
-        rhs = qsym_for_diagword(n, tau, deviation=0) * q_int(n)
-        assert bool(withides_residue(n, tau, k)) == (lhs != rhs)
+        lhs = qsym_for_diagword(table, tau) * q_int(k)
+        rhs = qsym_for_diagword(table, tau, deviation=0) * q_int(n)
+        assert bool(withides_residue(table, tau, k)) == (lhs != rhs)
         differ.append(lhs != rhs)
     assert any(differ) == (n >= 3)
 
 
 def test_withides_refuses_a_residue_the_sides_do_not_show(monkeypatch):
     monkeypatch.setattr(checks, "withides_residue",
-                        lambda n, tau, k, threads=1, one_tau=False:
-                        {(0, 0, 0): 1})
+                        lambda table, tau, k: {(0, 0, 0): 1})
     with pytest.raises(RuntimeError, match=r"n = 1, tau = \(1,\)"):
         checks.run_check(checks.CheckSpec("cor-withides", 1, 2))
 
@@ -637,7 +632,7 @@ def test_withides_confirms_the_last_tau_with_qsym_sides(
         monkeypatch, secondary_off_by_one):
     """A residue that misses a fault is caught at each n's last tau."""
     monkeypatch.setattr(checks, "withides_residue",
-                        lambda n, tau, k, threads=1, one_tau=False: {})
+                        lambda table, tau, k: {})
     with pytest.raises(RuntimeError, match=r"n = 3, tau = \(1, 3, 2\)"):
         checks.run_check(checks.CheckSpec("cor-withides", 3, 3,
                                           tau=(1, 3, 2)))
@@ -652,9 +647,35 @@ def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
     assert sizes == [4]
 
 
+def table_builds(capsys, monkeypatch, *argv):
+    """The n of every count table argv builds, in call order."""
+    sizes = []
+    for name in ("qt_by_diagword", "qsym_by_diagword", "qsym_by_touch"):
+        def build(n, *args, real=getattr(aggregate, name), **kwargs):
+            sizes.append(n)
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(aggregate, name, build)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["passed"] is True
+    return sizes
+
+
+@pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
+                                      "cor-withides", "lemma-factorlemma",
+                                      "main-square-paths"])
+def test_each_runner_builds_one_table_per_n(capsys, monkeypatch, check_id):
+    """A runner hands each n's one table to every case of that n, and with
+    --tau builds only the table of tau's size."""
+    assert table_builds(capsys, monkeypatch, "check", check_id,
+                        "--n", "1..5") == [1, 2, 3, 4, 5]
+    if check_id != "main-square-paths":
+        assert table_builds(capsys, monkeypatch, "check", check_id,
+                            "--n", "1..7", "--tau", "2143") == [4]
+
+
 def kernel_rows(capsys, monkeypatch, *argv):
-    """argv's report and the rows the kernel hands the folds, from an
-    empty table cache."""
+    """argv's report and the rows the kernel hands the folds."""
     rows = []
     real = kernels.stats_block
 
@@ -664,11 +685,7 @@ def kernel_rows(capsys, monkeypatch, *argv):
         return blk
 
     monkeypatch.setattr(kernels, "stats_block", counting)
-    aggregate.clear_cache()
-    try:
-        code, out, _ = run(capsys, *argv)
-    finally:
-        aggregate.clear_cache()
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     return json.loads(out), sum(rows)
 
@@ -705,12 +722,8 @@ def test_a_mask_that_drops_a_function_fails_the_check(capsys, monkeypatch):
         return keep
 
     monkeypatch.setattr(kernels, "diagword_mask", lossy)
-    aggregate.clear_cache()
-    try:
-        code, out, _ = run(capsys, "check", "thm-schedule-closed-form",
-                           "--n", "5", "--tau", "35142")
-    finally:
-        aggregate.clear_cache()
+    code, out, _ = run(capsys, "check", "thm-schedule-closed-form",
+                       "--n", "5", "--tau", "35142")
     report = json.loads(out)
     assert dropped and code == 1
     assert report["passed"] is False
@@ -758,7 +771,7 @@ def test_mutation_breaks_square_paths(capsys, monkeypatch, park, name):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_square_paths_residue_agrees_with_qsym_sides(monkeypatch, n):
+def test_square_paths_residue_agrees_with_qsym_sides(n):
     """With one count bumped at any key of the touch table, or none, the
     integer residue is nonzero exactly when the QSymF sides differ.  A bump
     at a parking function of touch n changes both sides alike."""
@@ -767,17 +780,16 @@ def test_square_paths_residue_agrees_with_qsym_sides(monkeypatch, n):
     differ = []
     for row in [None, *real.starts[:-1]]:
         table = real if row is None else bumped(real, row)
-        monkeypatch.setattr(aggregate, "qsym_by_touch",
-                            lambda m, threads=1: table)
-        lhs, rhs = checks._square_paths_sides(n, 1)
-        assert bool(checks.square_paths_residue(n).any()) == (lhs != rhs)
+        lhs, rhs = checks._square_paths_sides(table, n)
+        assert bool(checks.square_paths_residue(table, n).any()) == (
+            lhs != rhs)
         differ.append(lhs != rhs)
     assert differ == [False] + [key != (n, 1) for key in zip(touch, park)]
 
 
 def test_square_paths_refuses_a_residue_the_sides_do_not_show(monkeypatch):
     monkeypatch.setattr(checks, "square_paths_residue",
-                        lambda n, threads=1: np.ones((1, 1), dtype=np.int64))
+                        lambda table, n: np.ones((1, 1), dtype=np.int64))
     with pytest.raises(RuntimeError, match="n = 1: no coefficient"):
         checks.run_check(checks.CheckSpec("main-square-paths", 1, 2))
 
@@ -797,20 +809,13 @@ def test_square_paths_passes_without_qsym_sums(capsys, monkeypatch):
     assert calls == []
 
 
-def test_square_paths_residue_refuses_int64_overflow(monkeypatch):
+def test_square_paths_residue_refuses_int64_overflow():
     """The bound on the integer sums is checked before the table is
-    built: n = 10 fits in int64, n = 11 does not."""
-    class Built(Exception):
-        pass
-
-    def table(n, threads=1):
-        raise Built(n)
-
-    monkeypatch.setattr(aggregate, "qsym_by_touch", table)
-    with pytest.raises(Built):
-        quasisym.square_paths_residue(10)
+    read: n = 10 fits in int64, n = 11 does not."""
+    with pytest.raises(TableRead):
+        quasisym.square_paths_residue(UnreadableTable(), 10)
     with pytest.raises(ValueError, match=r"n = 11: .* > 2\^63 - 1"):
-        quasisym.square_paths_residue(11)
+        quasisym.square_paths_residue(UnreadableTable(), 11)
 
 
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
@@ -829,18 +834,13 @@ EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 def test_stretch_scope_bytes(capsys, argv):
     """The stdout matches the digest the benchmark records."""
     expected = json.loads(EXPECTED.read_text())["commands"][" ".join(argv)]
-    aggregate.clear_cache()
-    try:
-        code, out, _ = run(capsys, *argv)
-    finally:
-        aggregate.clear_cache()
+    code, out, _ = run(capsys, *argv)
     data = out.encode()
     assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
         expected["exit"], expected["bytes"], expected["sha256"])
 
 
 def test_mutation_free_run_passes(capsys):
-    aggregate.clear_cache()
     code, out, _ = run(capsys, "check", "cor-withides", "--n", "1..5")
     assert code == 0
     assert json.loads(out)["passed"] is True

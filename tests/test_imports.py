@@ -1,6 +1,6 @@
 """Every name a module imports is used in that module, every definition
-in the package has a caller, and symfunc stays apart from the table
-layer."""
+in the package has a caller, symfunc stays apart from the table layer,
+and quasisym builds no table."""
 
 import ast
 import os
@@ -14,7 +14,6 @@ PACKAGE = ROOT / "src" / "qtpark"
 
 # Definitions kept without a caller in the package.
 UNCALLED = {
-    ("aggregate", "clear_cache"),  # the tests reset the table cache with it
     ("kernels", "resolve_backend"),  # perfbench calls it
     ("symfunc", "h_in_p"),  # the tests' reference for the h_n expansions
     ("paths", "enumerate_all"),  # perfbench traces it; the tests' scalar sweep
@@ -91,8 +90,9 @@ def test_every_definition_has_a_caller():
     assert uncalled == []
 
 
-def test_symfunc_does_not_import_the_table_layer():
-    tree = ast.parse((PACKAGE / "symfunc.py").read_text())
+def imports_of(stem):
+    """The last component of every module and name a module imports."""
+    tree = ast.parse((PACKAGE / f"{stem}.py").read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -100,8 +100,17 @@ def test_symfunc_does_not_import_the_table_layer():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
+    return {name.rsplit(".", 1)[-1] for name in imported}
+
+
+def test_symfunc_does_not_import_the_table_layer():
     banned = {"quasisym", "aggregate", "kernels"}
-    assert {name.rsplit(".", 1)[-1] for name in imported} & banned == set()
+    assert imports_of("symfunc") & banned == set()
+
+
+def test_quasisym_reads_tables_it_does_not_build():
+    """The quasisym readers take the table their caller built."""
+    assert "aggregate" not in imports_of("quasisym")
 
 
 NUMPY_BLOCKED = """

@@ -185,6 +185,42 @@ def test_json_block_refuses_n_above_the_bound():
         paths.json_block(9, 0, 1)
 
 
+@pytest.mark.parametrize("tau", [(2, 3, 1, 4, 5), (5, 4, 3, 2, 1),
+                                 (1, 2, 3, 4, 5)])
+def test_json_blocks_of_one_diagword(monkeypatch, tau):
+    """With a tau, only tau's functions reach kernels.stat_rows, and the
+    lines are those of the full enumeration whose diagword is tau."""
+    rows = []
+    real = kernels.stat_rows
+
+    def counting(F, diag):
+        rows.append(F.shape[1])
+        return real(F, diag)
+
+    monkeypatch.setattr(kernels, "stat_rows", counting)
+    want = [json_line(p) + "\n" for p in enumerate_all(5)
+            if stats(p).diagword == tau]
+    assert "".join(paths.json_blocks(5, tau=tau)) == "".join(want)
+    assert sum(rows) == len(want)
+
+
+def test_one_diagword_block_confirms_its_first_row(monkeypatch):
+    """The scalar confirmation formats the block's first function of tau,
+    and a block without one formats nothing."""
+    confirmed = []
+    real = paths.json_line
+
+    def recording(p):
+        confirmed.append(list(p.f))
+        return real(p)
+
+    monkeypatch.setattr(paths, "json_line", recording)
+    text = paths.json_block(5, 0, 5 ** 5, tau=(2, 3, 1, 4, 5))
+    assert confirmed == [json.loads(text.splitlines()[0])["f"]]
+    assert paths.json_block(5, 0, 1, tau=(1, 2, 3, 4, 5)) == ""
+    assert len(confirmed) == 1
+
+
 # f = (1, 1, 1) drawn with its diagonals upside down: diagword 1,2,3 is one
 # increasing run, but the diagonals 2, 1, 0 hold one car each.
 RUNS_MESSAGE = ("diagword runs [3] disagree with diagonal sizes [1, 1, 1] "
@@ -217,9 +253,9 @@ SWAP_SECOND_BLOCK = """
 from qtpark import paths
 real = paths.stat_block
 
-def swapped(n, start, stop):
+def swapped(n, start, stop, tau=None):
     # primary and secondary trade places in the second block only
-    b = real(n, start, stop)
+    b = real(n, start, stop, tau)
     if start == paths.BLOCK:
         b = b._replace(primary=b.secondary, secondary=b.primary)
     return b

@@ -3,13 +3,15 @@
 from itertools import permutations
 
 import pytest
+from table_helpers import TableRead, UnreadableTable
 
-from qtpark import aggregate
+from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
 from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.quasisym import (QSymF, consecutive_blocks, factor_check,
                              qsym_for_diagword, qsym_for_touch, qsym_total,
-                             yconsec_elements, yconsec_inv_sum)
+                             withides_residue, yconsec_elements,
+                             yconsec_inv_sum)
 from qtpark.schedules import runs
 
 
@@ -51,21 +53,23 @@ def test_qsym_rejects_mixed_degree():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weighted_sum_matches_total(n):
     direct = weighted_sum(lambda p, s: True, n)
-    assert direct == qsym_total(n)
+    assert direct == qsym_total(qsym_by_touch(n), n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_table_backed_diagword_sums(n):
+    table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
-        got = qsym_for_diagword(n, tau)
+        got = qsym_for_diagword(table, tau)
         want = weighted_sum(lambda p, s: s.diagword == tau, n)
         assert got == want, tau
 
 
 def test_table_backed_touch_sums():
     n = 4
+    table = qsym_by_touch(n)
     for k in range(1, n + 1):
-        got = qsym_for_touch(n, k)
+        got = qsym_for_touch(table, n, k)
         want = weighted_sum(
             lambda p, s: s.deviation == 0 and s.touch == k, n)
         assert got == want, k
@@ -74,7 +78,7 @@ def test_table_backed_touch_sums():
 def test_total_specializes_to_count():
     for n in range(1, 5):
         # the coefficients of the total sum to its value at q = t = 1
-        coeffs = qsym_total(n).coeffs.values()
+        coeffs = qsym_total(qsym_by_touch(n), n).coeffs.values()
         assert sum(c for poly in coeffs for _, c in poly.terms()) == n ** n
 
 
@@ -107,31 +111,44 @@ def test_yconsec_identity_element():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_factor_check_exhaustive(n):
+    table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
         for l in range(len(runs(tau).runs)):
-            assert factor_check(tau, l), (tau, l)
+            assert factor_check(table, tau, l), (tau, l)
 
 
 def test_factor_check_sample_n5():
+    table = qsym_by_diagword(5)
     for tau in [(2, 3, 1, 4, 5), (4, 5, 3, 1, 2), (1, 2, 3, 4, 5)]:
         for l in range(len(runs(tau).runs)):
-            assert factor_check(tau, l), (tau, l)
+            assert factor_check(table, tau, l), (tau, l)
 
 
-def test_factor_check_refuses_a_deviation_before_any_table(monkeypatch):
-    def build(*args, **kwargs):
-        raise AssertionError("a table was built")
-
-    monkeypatch.setattr(aggregate, "qsym_by_diagword", build)
+def test_factor_check_refuses_a_deviation_before_any_table():
+    """A deviation tau does not have is refused before the table is
+    read; a deviation it has reads the table."""
+    with pytest.raises(TableRead):
+        factor_check(UnreadableTable(), (2, 1), 1)
     with pytest.raises(ValueError, match=r"deviation 2 needs at least 3 "
                                          r"runs; \(2, 1\) has 2"):
-        factor_check((2, 1), 2)
+        factor_check(UnreadableTable(), (2, 1), 2)
+
+
+def test_withides_residue_refuses_a_table_without_tau():
+    """A one-tau table read for another tau, or a table of another size,
+    is refused rather than read as an empty residue, which would pass."""
+    other = qsym_by_diagword(4, tau=(2, 1, 4, 3))
+    for table, tau in [(other, (1, 2, 3, 4)), (qsym_by_diagword(3), (1, 2))]:
+        with pytest.raises(ValueError, match="no function of diagword"):
+            withides_residue(table, tau, 1)
+    assert withides_residue(other, (2, 1, 4, 3), 1) == {}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_withides_scaling(n):
+    table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
         k = runs(tau).last_run_length
-        lhs = qsym_for_diagword(n, tau) * q_int(k)
-        rhs = qsym_for_diagword(n, tau, deviation=0) * q_int(n)
+        lhs = qsym_for_diagword(table, tau) * q_int(k)
+        rhs = qsym_for_diagword(table, tau, deviation=0) * q_int(n)
         assert lhs == rhs, tau
