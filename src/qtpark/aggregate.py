@@ -30,19 +30,22 @@ runs are concatenated, so they are freed before the sort, and drops each
 intermediate array as soon as it has been used.  The keys are then split
 back into columns with the same radices.  The fold raises ``ValueError``
 before any block is computed when the product of the radices does not fit
-in an int64 (``qsym_by_diagword`` for n >= 11), and while folding when a
-block value falls outside its radix.
+in an int64 (``qsym_by_diagword`` of every diagword for n >= 11), and
+while folding when a block value falls outside its radix.
 
 The fold's sorted arrays are the table (``Table``): a key is the kernel's
 own integers, (diagword code, deviation) or (touch, is parking), its rows
 are one contiguous run, and a lookup is one binary search over the keys'
 codes.  A diagword code alone selects all its deviations as one run.
 
-A diagword table may be restricted to one diagword tau: the kernel then
-hands the fold only tau's rows (``kernels.stats_block``), most blocks
-arrive empty and are skipped, and the table holds the rows of tau's key
-alone, the same rows and counts as the full table's slice.  The fold
-raises ``RuntimeError`` if a block holds a row of another diagword.
+A diagword table may be restricted to one diagword tau.  The kernel then
+sweeps nothing: it builds tau's functions from their row orders, one
+block per deviation (``kernels.diagword_blocks``, which refuses a row of
+another diagword).  Those rows share tau's DWORD, so the fold keys on the
+other columns and the table puts the constant DWORD column back.  The
+table holds the rows of tau's key alone, the same rows and counts as the
+full table's slice, and its keys stay far below 2^63 at every n the
+kernel accepts.
 
 Each call folds a new table: a caller that reads one many times builds it
 once and passes it on.  Worker count never changes a table: chunks are
@@ -118,17 +121,11 @@ def _fold(n: int, threads: int, columns: Tuple[int, ...],
     if size > _KEY_LIMIT:
         raise ValueError(f"n = {n}: keys over columns {columns} reach "
                          f"{size - 1} > 2^63 - 1")
-    code = None if tau is None else kernels.encode_perm(tau, n)
     empty = np.zeros(0, dtype=np.int64)
     # The running totals, then the blocks' counts since the last merge.
     pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
     npending = 0
     for _, blk in kernels.iter_stat_chunks(n, threads=threads, tau=tau):
-        if not len(blk):
-            continue
-        if code is not None and (blk[:, kernels.DWORD] != code).any():
-            raise RuntimeError(f"n = {n}: a block swept for diagword {tau} "
-                               f"holds a row of another diagword")
         key = 0
         for c, r in zip(columns, radices):
             col = blk[:, c]
@@ -203,9 +200,13 @@ def _table(n: int, threads: int, key_cols: Tuple[int, ...],
            tau: Optional[Sequence[int]] = None) -> Table:
     """The table over ``key_cols + value_cols``, of the functions whose
     diagword is ``tau`` (None: all)."""
-    if tau is not None:
+    if tau is None:
+        cols, counts = _fold(n, threads, key_cols + value_cols)
+    else:  # key_cols[0] is DWORD, the same in every row of tau
         tau = kernels.require_perm(tau, n)
-    cols, counts = _fold(n, threads, key_cols + value_cols, tau)
+        cols, counts = _fold(n, threads, key_cols[1:] + value_cols, tau)
+        cols.insert(0, np.full(counts.size, kernels.encode_perm(tau, n),
+                               dtype=np.int64))
     radices = tuple(_RADIX[c](n) for c in key_cols)
     codes = 0
     for col, radix in zip(cols, radices):

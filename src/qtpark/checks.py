@@ -10,6 +10,7 @@ holds the size rule of every CLI command, checks and tables alike.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -21,7 +22,8 @@ import numpy as np
 from . import aggregate
 from .paths import DEFAULT_MAX_N
 from .qt import q_int, q_int_product, q_poly, square_paths_multipliers
-from .quasisym import QSymF, factor_check, qsym_for_diagword, qsym_for_touch
+from .quasisym import QSymF, consecutive_blocks, factor_check
+from .quasisym import qsym_for_diagword, qsym_for_touch
 from .quasisym import qsym_total, square_paths_residue, withides_residue
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
@@ -43,7 +45,10 @@ class Scope:
     # defaults (--threads sets no scope).
     reads: Dict[str, object] = field(default_factory=dict)
     per_tau: bool = False  # the cap bounds an n! walk that one tau replaces
-    tau_cap: Optional[int] = None  # the largest n with one --tau, if larger
+    # The largest n with one --tau, if larger; such a tau must also keep
+    # its functions within TAU_ROW_BUDGET.
+    tau_cap: Optional[int] = None
+    young: bool = False  # one --tau's Young subgroup within YOUNG_BUDGET
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # builds an n^n table, so --threads means something
     limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
@@ -55,24 +60,34 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # 45 s at n = 10, lemma-parlem 65 s at n = 11 and thm-shift-multiset
 # about 9 s at n = 10; thm-pn-identity, thm-enk-sum and table enk reach
 # symfunc.DEGREE_BOUND in about 14 s).  A full n^n table takes 2-4 s at
-# n = 8 (SWEEP_CAP).  One --tau sweeps every function but folds only its
-# own diagword: about 13 s and 42 MB at n = 9, and 10^10 rows at n = 10
-# (TAU_SWEEP_CAP).  enumerate keeps the enumeration bound of paths.
+# n = 8 (SWEEP_CAP).  One --tau sweeps nothing: the kernel builds its
+# functions from their row orders, so its cost follows their number,
+# sum over l of prod_c w^(l)(c), and not n^n.  TAU_CAP bounds n there,
+# TAU_ROW_BUDGET that number (the identity tau has n! functions), and
+# YOUNG_BUDGET the Young subgroup that lemma-factorlemma enumerates in
+# Python once per deviation, prod over its blocks b of |b|!.  At the
+# budgets, the n = 12 tau 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800
+# functions) took 1.5-2.4 s and 225-240 MB in each of the three checks,
+# and lemma-factorlemma took 5.6 s per deviation for a Young subgroup of
+# 8! elements.  enumerate keeps the enumeration bound of paths.
 # lemma-parlem's random samples cost about max^2 each, so --max and
 # --samples are capped too.  Guards that protect data stay with the data:
-# kernels.MAX_N, the radix check in aggregate._fold, symfunc.DEGREE_BOUND.
+# kernels.MAX_N and kernels.MAX_FRONTIER, the radix check in
+# aggregate._fold, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
-TAU_SWEEP_CAP = 9
+TAU_CAP = 12
+TAU_ROW_BUDGET = 1 << 20
+YOUNG_BUDGET = 40320
 SCOPES: Dict[str, Scope] = {
     "thm-schedule-closed-form": Scope((1, 6), SWEEP_CAP, _TAU_L,
-                                      tau_cap=TAU_SWEEP_CAP, sweeps=True),
+                                      tau_cap=TAU_CAP, sweeps=True),
     "thm-shift-multiset": Scope((1, 8), 10, _TAU_L, per_tau=True, first_l=1),
     "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
                           limits={"max_part": 400, "samples": 10000}),
     "lemma-factorlemma": Scope((1, 6), SWEEP_CAP, _TAU_L,
-                               tau_cap=TAU_SWEEP_CAP, sweeps=True),
+                               tau_cap=TAU_CAP, young=True, sweeps=True),
     "cor-withides": Scope((1, 6), SWEEP_CAP, {"tau": None},
-                          tau_cap=TAU_SWEEP_CAP, sweeps=True),
+                          tau_cap=TAU_CAP, sweeps=True),
     "thm-hmz": Scope((1, 6), 10),
     "thm-pn-identity": Scope((1, 6), DEGREE_BOUND),
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
@@ -131,6 +146,15 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         l = 0
     if tau is not None and not lo <= len(tau) <= hi:
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
+    if tau is not None and row.tau_cap:
+        size = tau_functions(tau)
+        if size > TAU_ROW_BUDGET:
+            raise ValueError(f"tau has {size} functions, over the budget "
+                             f"of {TAU_ROW_BUDGET}")
+        if row.young and young_size(tau) > YOUNG_BUDGET:
+            raise ValueError(f"the Young subgroup of tau has "
+                             f"{young_size(tau)} elements, over the budget "
+                             f"of {YOUNG_BUDGET}")
     if "l" in row.reads and (tau is not None or l is not None):
         # A tau has one run more than it has descents.
         nruns = hi if tau is None else 1 + sum(
@@ -147,6 +171,20 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
             raise ValueError(f"no case of size {hi} with these filters has "
                              f"touch {given['touch']}")
     return lo, hi
+
+
+def tau_functions(tau: Tuple[int, ...]) -> int:
+    """The number of functions of diagword tau, sum over l of
+    prod_c w^(l)(c): the closed form at q = t = 1, read only to scope a
+    run."""
+    rd = runs(tau)
+    return sum(math.prod(schedule_l(rd, l).values()) for l in range(len(rd)))
+
+
+def young_size(tau: Tuple[int, ...]) -> int:
+    """prod |b|! over the blocks b of ``consecutive_blocks(tau)``."""
+    return math.prod(math.factorial(len(b))
+                     for b in consecutive_blocks(tau).blocks)
 
 
 @dataclass(frozen=True)

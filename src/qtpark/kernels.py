@@ -25,21 +25,20 @@ exactly the ones the count tables in ``aggregate`` fold:
     TOUCH, PARK  key of ``qsym_by_touch``
 
 ``stat_rows`` is the one batch definition of these statistics: the
-tables read ``stats_block``, and ``paths.stat_block`` (``qtpark
-enumerate``) reads its columns and adds only what no table folds, the
-reading word, the composition and the three dinv parts.
+tables read ``stats_block`` or ``diagword_blocks``, and ``paths``
+(``qtpark enumerate``) reads its columns and adds only what no table
+folds, the reading word, the composition and the three dinv parts.
 
-``stats_block`` and ``iter_stat_chunks`` (and ``paths.stat_block``, for
-``qtpark enumerate --diagword``) take an optional diagword tau.  Every
-function of the block still goes through ``grid_block``; then
-``diagword_mask`` keeps the columns whose diagword is tau, and only those
-reach ``stat_rows``.  The diagword orders the cars by (-diag, car), a
-strict total order, so the mask is n - 1 comparisons, one per adjacent
-pair of tau.  On average 1/n! of the rows survive it, so a one-diagword
-sweep costs about the decode and pair loop of ``grid_block`` alone.  Per
-n = 8 block of 2^17 rows on 2 vCPUs: ``grid_block`` about 3 ms, the mask
-0.1 ms, and the work it skips for almost every row about 11 ms
-(``stat_rows`` 9 ms, the fold's ``np.unique`` 2 ms), plus the merges.
+The functions of one diagword tau are built, not swept
+(``diagword_blocks``, which ``iter_stat_chunks`` with a tau and
+``paths.diagword_block`` read).  Tau and a deviation l fix every car's
+diagonal (``diagonals``), and ``grid_block`` fills the rows in order of
+(f, car), so each function is one order of the cars into rows that keeps
+f = row - diag in 1..n and (f, car) increasing.  ``_row_orders`` grows
+those orders one row at a time over a numpy frontier, and the finished F
+and diag go to ``stat_rows`` like a swept block.  Only tau's functions
+are touched, n^n / n! of them on average: at n = 8 one tau takes 5-10 ms,
+where masking the 8^8 swept functions took about 0.4 s.
 
 Costs that showed in the n = 8 sweep (16.7M rows):
 
@@ -129,31 +128,10 @@ def require_perm(tau: Sequence[int], n: int) -> Tuple[int, ...]:
     return t
 
 
-def diagword_mask(diag: np.ndarray, tau: Sequence[int]) -> np.ndarray:
-    """Which columns of ``diag`` (as ``grid_block`` returns it) have
-    diagword tau: car a comes before car b when diag[a-1] > diag[b-1], or
-    when they are equal and a < b."""
-    keep = np.ones(diag.shape[1], dtype=bool)
-    for a, b in zip(tau, tau[1:]):
-        if a < b:
-            keep &= diag[a - 1] >= diag[b - 1]
-        else:
-            keep &= diag[a - 1] > diag[b - 1]
-    return keep
-
-
-def stats_block(n: int, start: int, stop: int,
-                tau: Optional[Sequence[int]] = None) -> np.ndarray:
+def stats_block(n: int, start: int, stop: int) -> np.ndarray:
     """Statistics rows for preference-function indices [start, stop),
-    ranked as in ``grid_block``; with ``tau``, only the rows whose
-    diagword is tau, in index order."""
-    if tau is not None:
-        tau = require_perm(tau, n)
-    F, diag = grid_block(n, start, stop)
-    if tau is not None:
-        keep = diagword_mask(diag, tau)
-        F, diag = F[:, keep], diag[:, keep]
-    return stat_rows(F, diag)
+    ranked as in ``grid_block``."""
+    return stat_rows(*grid_block(n, start, stop))
 
 
 def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -207,24 +185,131 @@ def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return out
 
 
+# The most partial row orders ``_row_orders`` holds at once.  The frontier
+# is largest just before a row's dead ends are dropped; over n = 12 taus
+# with 0.5M-1M functions it reached 2.8M.
+MAX_FRONTIER = 1 << 22
+
+
+def diagonals(tau: Sequence[int], l: int) -> np.ndarray:
+    """The diagonal of each car, entry c - 1 for car c, in every function
+    with diagword tau and deviation l.
+
+    The diagword lists the cars by decreasing diagonal, increasing within
+    one, and the occupied diagonals are consecutive, from -l up.  So its
+    maximal increasing runs are those diagonals, highest first: car c in
+    run i, counting runs from the left and from 0, lies on diagonal
+    (number of runs - 1 - i) - l.
+    """
+    run = np.cumsum([0] + [a > b for a, b in zip(tau, tau[1:])])
+    diag = np.empty(len(tau), dtype=np.int8)
+    diag[np.subtract(tau, 1)] = run[-1] - run - l
+    return diag
+
+
+def _row_orders(diag: np.ndarray) -> np.ndarray:
+    """F of every function whose cars lie on the diagonals ``diag``, one
+    column each, as ``grid_block`` returns F.
+
+    ``grid_block`` fills the rows in increasing order of (f, car), so the
+    car in row r has f = r - diag(car).  The row orders are built one row
+    at a time over a frontier of partial orders, each held as its free
+    cars and the (f, car) of its last car; car c extends one when its f
+    lies in 1..n and (f, c) is larger.  After each row a partial order is
+    dropped when its free cars cannot all get rows: for each diagonal k,
+    those at or above k need rows from L + k on, L the last f (f never
+    decreases), and for k < 0 those at or below k need rows up to n + k.
+    Raises ValueError when the frontier would pass ``MAX_FRONTIER``.
+    """
+    n = len(diag)
+    d = diag.astype(np.int32)
+    bits = np.int32(1) << np.arange(n, dtype=np.int32)
+    ones = np.zeros(1 << n, dtype=np.int8)  # set bits of each mask
+    for b in range(n):
+        ones[1 << b:2 << b] = ones[:1 << b] + 1
+    levels = [(k, int(bits[d >= k].sum()), int(bits[d <= k].sum()))
+              for k in np.unique(d).tolist()]
+    F = np.zeros((n, 1), dtype=np.int8)
+    free = np.full(1, (1 << n) - 1, dtype=np.int32)
+    last = np.full(1, -1, dtype=np.int32)  # f * n + car of the last car
+    none = np.zeros(0, dtype=np.int64)
+    for r in range(1, n + 1):
+        grow = [np.flatnonzero((free & bits[c] != 0)
+                               & (last < (r - d[c]) * n + c))
+                if 1 <= r - d[c] <= n else none for c in range(n)]
+        size = sum(map(len, grow))
+        if size > MAX_FRONTIER:
+            raise ValueError(f"row {r} of the functions on diagonals "
+                             f"{d.tolist()} has {size} partial orders, "
+                             f"over {MAX_FRONTIER}")
+        car = np.repeat(np.arange(n), list(map(len, grow)))
+        pick = np.concatenate(grow)
+        f = r - d[car]
+        F = F[:, pick]
+        F[car, np.arange(size)] = f
+        free = free[pick] ^ bits[car]
+        last = f * n + car
+        fits = np.ones(size, dtype=bool)
+        for k, at_or_above, at_or_below in levels:
+            fits &= ones[free & at_or_above] <= np.maximum(
+                0, n + 1 - np.maximum(r + 1, f + k))
+            if k < 0:
+                fits &= ones[free & at_or_below] <= max(0, n + k - r)
+        keep = np.flatnonzero(fits)
+        F, free, last = F[:, keep], free[keep], last[keep]
+    return F
+
+
+def diagword_blocks(n: int, tau: Sequence[int]
+                    ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
+                                        np.ndarray]]:
+    """(l, F, diag, statistics rows) for each deviation l that some
+    function of diagword tau has: those functions' F and diag as
+    ``grid_block`` gives them, and their ``stat_rows``.
+
+    Raises RuntimeError if a row's diagword is not tau.
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n = {n} outside the kernel's range 1..{MAX_N}")
+    tau = require_perm(tau, n)
+    code = encode_perm(tau, n)
+    for l in range(1 + sum(a > b for a, b in zip(tau, tau[1:]))):
+        diag = diagonals(tau, l)
+        F = _row_orders(diag)
+        if not F.shape[1]:
+            continue
+        diag = np.broadcast_to(diag[:, None], F.shape)
+        rows = stat_rows(F, diag)
+        if (rows[:, DWORD] != code).any():
+            raise RuntimeError(f"n = {n}: a function built for diagword "
+                               f"{tau} has another diagword")
+        yield l, F, diag, rows
+
+
 def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
                      tau: Optional[Sequence[int]] = None
                      ) -> Iterator[Tuple[int, np.ndarray]]:
     """Yield (start, block) pairs covering all n^n functions, in order;
-    with ``tau``, each block holds only the rows whose diagword is tau, and
-    may be empty.
+    with ``tau``, yield (l, block) for each deviation l that some
+    function of diagword tau has, the block holding exactly those
+    functions (``diagword_blocks``), and sweep nothing.
 
     Chunk boundaries depend only on n and ``chunk``, never on ``threads``,
     so the stream of blocks (and anything folded over it in order) is
     identical for any worker count.  With several workers at most
     ``2 * threads`` blocks are submitted but not yet yielded (7.3 MB each
-    at the default ``CHUNK``), which bounds memory whatever n is.
+    at the default ``CHUNK``), which bounds memory whatever n is.  The
+    blocks of one tau are built in the calling thread.
     """
+    if tau is not None:
+        for l, _, _, rows in diagword_blocks(n, tau):
+            yield l, rows
+        return
     total = n ** n
     starts = range(0, total, chunk)
     if threads <= 1 or len(starts) <= 1:
         for s in starts:
-            yield s, stats_block(n, s, min(s + chunk, total), tau)
+            yield s, stats_block(n, s, min(s + chunk, total))
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: Deque[Tuple[int, Future]] = deque()
@@ -233,7 +318,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
                 head, fut = pending.popleft()
                 yield head, fut.result()
             pending.append((s, pool.submit(stats_block, n, s,
-                                           min(s + chunk, total), tau)))
+                                           min(s + chunk, total))))
         while pending:
             head, fut = pending.popleft()
             yield head, fut.result()

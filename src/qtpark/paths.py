@@ -38,10 +38,12 @@ statistics for ``BLOCK`` consecutive functions at once as numpy columns,
 reading all but word, comp and the dinv parts from ``kernels.stat_rows``,
 and ``json_block`` formats the selected rows
 with one % template, looking up the text of f, word, diagword, ides and
-comp by integer code.  Given one diagword, ``stat_block`` keeps only its
-functions right after ``kernels.grid_block`` (``kernels.diagword_mask``).
-The first function of every non-empty block is also run through
-``json_line``, and any difference raises RuntimeError.
+comp by integer code.  Given one diagword, ``diagword_block`` reads
+only its functions, built from their row orders
+(``kernels.diagword_blocks``) and sorted by index, so the lines come in
+the order of the full enumeration.  The first function of every
+non-empty block is also run through ``json_line``, and any difference
+raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -287,17 +289,30 @@ class StatBlock(NamedTuple):
                            # of a parking function; 0 when deviation > 0
 
 
-def stat_block(n: int, start: int, stop: int,
-               tau: Optional[Sequence[int]] = None) -> StatBlock:
-    """Every statistic of ``stats`` for indices [start, stop) at once;
-    with ``tau``, for those of diagword tau alone, in index order."""
+def stat_block(n: int, start: int, stop: int) -> StatBlock:
+    """Every statistic of ``stats`` for indices [start, stop) at once."""
     F, diag = kernels.grid_block(n, start, stop)
-    index = np.arange(start, stop, dtype=np.int64)
-    if tau is not None:
-        keep = kernels.diagword_mask(diag, kernels.require_perm(tau, n))
-        F, diag, index = F[:, keep], diag[:, keep], index[keep]
-    cols = kernels.stat_rows(F, diag)
-    nrows = len(index)
+    return _stat_block(F, diag, np.arange(start, stop, dtype=np.int64),
+                       kernels.stat_rows(F, diag))
+
+
+def diagword_block(n: int, tau: Sequence[int]) -> StatBlock:
+    """Every statistic of ``stats`` for the functions of diagword tau, in
+    index order, from ``kernels.diagword_blocks``."""
+    _, F, diag, cols = zip(*kernels.diagword_blocks(n, tau))
+    F, diag, cols = np.hstack(F), np.hstack(diag), np.concatenate(cols)
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    index = powers @ (F - 1).astype(np.int64)
+    order = np.argsort(index)
+    return _stat_block(F[:, order], diag[:, order], index[order],
+                       cols[order])
+
+
+def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
+                cols: np.ndarray) -> StatBlock:
+    """The ``StatBlock`` of the functions with preferences F, diagonals
+    diag and ``kernels.stat_rows`` cols, entry r at index index[r]."""
+    n, nrows = F.shape
 
     # wpos[c] is the place of car c + 1 in word (ties by column, right to
     # left; the cars of one diagonal stand in distinct columns), counted
@@ -428,19 +443,23 @@ def _lines(b: StatBlock, text: _Text, rows: np.ndarray) -> List[str]:
 
 
 def json_block(n: int, start: int, stop: int,
-               keep: Optional[Callable[[StatBlock], np.ndarray]] = None,
-               tau: Optional[Sequence[int]] = None) -> str:
-    """The ``json_line`` of every index in [start, stop), of diagword
-    ``tau`` if given, that ``keep`` (a boolean mask over the block's rows)
-    selects, one line each.
+               keep: Optional[Callable[[StatBlock], np.ndarray]] = None
+               ) -> str:
+    """The ``json_line`` of every index in [start, stop) that ``keep`` (a
+    boolean mask over the block's rows) selects, one line each."""
+    return _json(n, stat_block(n, start, stop), keep)
 
-    The block's first such function is also formatted by ``json_line``
-    itself, and any difference raises RuntimeError.
+
+def _json(n: int, b: StatBlock,
+          keep: Optional[Callable[[StatBlock], np.ndarray]]) -> str:
+    """The lines of the rows of b that ``keep`` selects.
+
+    The block's first function is also formatted by ``json_line`` itself,
+    and any difference raises RuntimeError.
     """
     if not 1 <= n <= DEFAULT_MAX_N:
         raise ValueError(f"n={n} outside the enumeration bound "
                          f"1..{DEFAULT_MAX_N}")
-    b = stat_block(n, start, stop, tau)
     if not len(b.index):
         return ""
     text = _text(n)
@@ -458,9 +477,12 @@ def json_blocks(n: int,
                 keep: Optional[Callable[[StatBlock], np.ndarray]] = None,
                 tau: Optional[Sequence[int]] = None) -> Iterator[str]:
     """``json_block`` over all n^n functions in lexicographic order of f,
-    BLOCK indices at a time; with ``tau``, whose functions are few (at
-    most 40,320 at n = 8), ``kernels.CHUNK`` at a time."""
+    BLOCK indices at a time; with ``tau``, the lines of its functions
+    alone (at most 40,320 at n = 8), in the same order, as one block
+    (``diagword_block``)."""
+    if tau is not None:
+        yield _json(n, diagword_block(n, tau), keep)
+        return
     total = n ** n
-    step = BLOCK if tau is None else kernels.CHUNK
-    for start in range(0, total, step):
-        yield json_block(n, start, min(start + step, total), keep, tau)
+    for start in range(0, total, BLOCK):
+        yield json_block(n, start, min(start + BLOCK, total), keep)

@@ -154,9 +154,6 @@ class PExpansion:
             raise ValueError(f"power sum index must be positive: {k}")
         return cls({(k,): 1})
 
-    def coefficient(self, lam: Sequence[int]) -> QTPoly:
-        return self._coeffs.get(_normalize_partition(lam), QTPoly.zero())
-
     def items(self) -> Iterator[Tuple[Partition, QTPoly]]:
         return iter(sorted(self._coeffs.items(),
                            key=lambda kv: (sum(kv[0]), kv[0])))

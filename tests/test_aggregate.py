@@ -133,10 +133,11 @@ def test_table_lookups(build, n):
             [rows[table.rows(code, dev)] for dev in range(n)]).tolist()
 
 
-def assert_one_tau_table_is_the_slice(build, n, tau):
+def assert_one_tau_table_is_the_slice(build, n, tau, full=None):
     """The table of tau's rows alone holds the full table's rows of tau's
-    key, column for column; returns how many functions it counts."""
-    full = build(n)
+    key (of ``full``, if given), column for column; returns how many
+    functions it counts."""
+    full = build(n) if full is None else full
     table = build(n, tau=tau)
     where = full.rows(kernels.encode_perm(tau, n))
     assert len(table.counts) == where.stop - where.start > 0
@@ -150,12 +151,15 @@ def assert_one_tau_table_is_the_slice(build, n, tau):
 def test_one_tau_tables_partition_the_functions(n):
     """Over all taus the one-tau tables are the full table's slices, and
     their counts add up to the n^n functions."""
+    full = aggregate.qsym_by_diagword(n)
     total = sum(assert_one_tau_table_is_the_slice(aggregate.qsym_by_diagword,
-                                                  n, tau)
+                                                  n, tau, full)
                 for tau in permutations(range(1, n + 1)))
     assert total == n ** n
+    full = aggregate.qt_by_diagword(n)
     for tau in list(permutations(range(1, n + 1)))[:24]:
-        assert_one_tau_table_is_the_slice(aggregate.qt_by_diagword, n, tau)
+        assert_one_tau_table_is_the_slice(aggregate.qt_by_diagword, n, tau,
+                                          full)
 
 
 def test_one_tau_tables_match_a_sample_at_n7():
@@ -166,21 +170,38 @@ def test_one_tau_tables_match_a_sample_at_n7():
             assert_one_tau_table_is_the_slice(build, 7, tau)
 
 
-def test_one_tau_fold_skips_empty_blocks(monkeypatch):
-    """Blocks of 7 rows mostly hold no function of diagword 3142; the
-    fold skips them and the table is still the full table's slice."""
-    use_small_chunks(monkeypatch, 7)
+def test_one_tau_tables_match_a_sample_at_n8():
+    full = aggregate.qsym_by_diagword(8, threads=2)
+    rng = random.Random(8)
+    for _ in range(6):
+        tau = tuple(rng.sample(range(1, 9), 8))
+        assert_one_tau_table_is_the_slice(aggregate.qsym_by_diagword, 8, tau,
+                                          full)
+
+
+def test_one_tau_table_sweeps_nothing(monkeypatch):
+    """The one-tau table of 3142 is folded from the kernel's blocks of
+    its functions, one per deviation, with no block of the n^n sweep, and
+    is still the full table's slice."""
     blocks = []
-    real = kernels.stats_block
+    real = kernels.iter_stat_chunks
 
-    def recording(*args):
-        blocks.append(real(*args))
-        return blocks[-1]
+    def recording(*args, **kwargs):
+        for start, blk in real(*args, **kwargs):
+            blocks.append((start, blk))
+            yield start, blk
 
-    monkeypatch.setattr(kernels, "stats_block", recording)
-    assert_one_tau_table_is_the_slice(aggregate.qsym_by_diagword, 4,
-                                      (3, 1, 4, 2))
-    assert any(len(b) == 0 for b in blocks)
+    full = aggregate.qsym_by_diagword(4)
+    monkeypatch.setattr(kernels, "iter_stat_chunks", recording)
+    monkeypatch.setattr(kernels, "grid_block", None)
+    table = aggregate.qsym_by_diagword(4, tau=(3, 1, 4, 2))
+    code = kernels.encode_perm((3, 1, 4, 2), 4)
+    where = full.rows(code)
+    assert as_dicts(table) == {key: counts
+                               for key, counts in as_dicts(full).items()
+                               if key[0] == code}
+    assert [l for l, _ in blocks] == [0, 1, 2]
+    assert sum(len(blk) for _, blk in blocks) == full.counts[where].sum()
 
 
 @pytest.mark.parametrize("tau", [(1, 2, 2, 4), (1, 2, 3), (0, 1, 2, 3),
@@ -192,30 +213,35 @@ def test_non_permutation_tau_is_refused_before_any_block(monkeypatch, tau):
         calls.append(args)
 
     monkeypatch.setattr(kernels, "grid_block", record)
+    monkeypatch.setattr(kernels, "_row_orders", record)
     for build in (aggregate.qt_by_diagword, aggregate.qsym_by_diagword):
         with pytest.raises(ValueError, match="not a permutation of 1..4"):
             build(4, tau=tau)
     with pytest.raises(ValueError, match="not a permutation of 1..4"):
-        kernels.stats_block(4, 0, 256, tau)
+        list(kernels.iter_stat_chunks(4, tau=tau))
     assert calls == []
 
 
-def admit_one_more(monkeypatch):
-    """Make the diagword mask also keep the first column it drops."""
-    real = kernels.diagword_mask
+def admit_another_diagword(monkeypatch):
+    """Make the producer build the functions of deviation 0 on the
+    diagonals of another diagword: the first and last car of tau trade
+    diagonals."""
+    real = kernels.diagonals
 
-    def leaky(diag, tau):
-        keep = real(diag, tau)
-        keep[np.argmin(keep)] = True
-        return keep
+    def swapped(tau, l):
+        diag = real(tau, l)
+        if l == 0:
+            a, b = tau[0] - 1, tau[-1] - 1
+            diag[[a, b]] = diag[[b, a]]
+        return diag
 
-    monkeypatch.setattr(kernels, "diagword_mask", leaky)
+    monkeypatch.setattr(kernels, "diagonals", swapped)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_a_mask_that_admits_another_diagword_is_refused(monkeypatch,
-                                                        threads):
-    admit_one_more(monkeypatch)
+def test_a_producer_that_admits_another_diagword_is_refused(monkeypatch,
+                                                            threads):
+    admit_another_diagword(monkeypatch)
     with pytest.raises(RuntimeError, match="another diagword"):
         aggregate.qt_by_diagword(5, threads=threads, tau=(3, 5, 1, 4, 2))
 
@@ -286,13 +312,19 @@ GUARDS = textwrap.dedent("""
         print("fold guard fired")
     kernels.iter_stat_chunks = real_stream
 
-    real_mask = kernels.diagword_mask
-    kernels.diagword_mask = lambda diag, tau: ~real_mask(diag, tau)
+    real_diagonals = kernels.diagonals
+
+    def swapped(tau, l):  # the first and last car trade diagonals
+        diag = real_diagonals(tau, l)
+        diag[[tau[0] - 1, tau[-1] - 1]] = diag[[tau[-1] - 1, tau[0] - 1]]
+        return diag
+
+    kernels.diagonals = swapped
     try:
         aggregate.qt_by_diagword(3, tau=(2, 1, 3))
     except RuntimeError:
         print("diagword guard fired")
-    kernels.diagword_mask = real_mask
+    kernels.diagonals = real_diagonals
 
     quasisym.yconsec_inv_sum = lambda cb: ONE + ONE
     try:

@@ -182,7 +182,7 @@ def assert_refused_up_front(capsys, monkeypatch, *argv):
     def record(*args, **kwargs):
         calls.append(args)
 
-    for name in ("grid_block", "stats_block"):
+    for name in ("grid_block", "stats_block", "_row_orders"):
         monkeypatch.setattr(kernels, name, record)
     for check_id in checks.REGISTRY:
         monkeypatch.setitem(checks.REGISTRY, check_id, record)
@@ -496,13 +496,14 @@ def swept_sizes(capsys, monkeypatch, *argv):
     """argv's exit code and report, and the n of every kernel block it
     computes."""
     sizes = []
-    real = kernels.stats_block
+    real = kernels.iter_stat_chunks
 
     def counting(n, *args, **kwargs):
-        sizes.append(n)
-        return real(n, *args, **kwargs)
+        for start, blk in real(n, *args, **kwargs):
+            sizes.append(n)
+            yield start, blk
 
-    monkeypatch.setattr(kernels, "stats_block", counting)
+    monkeypatch.setattr(kernels, "iter_stat_chunks", counting)
     code, out, _ = run(capsys, *argv)
     return code, json.loads(out), sizes
 
@@ -514,7 +515,7 @@ def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):
     assert code == 0
     assert report["parameters"]["n"] == "1..6"
     assert report["examined"] == 3
-    assert sizes == [4]
+    assert sizes == [4, 4, 4]  # one block per deviation of 3142
 
 
 def test_check_wall_time_not_in_stdout(capsys):
@@ -644,7 +645,7 @@ def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
                                       "--tau", "2143")
     assert code == 0
     assert report["examined"] == 1
-    assert sizes == [4]
+    assert sizes == [4, 4, 4]  # one block per deviation of 2143
 
 
 def table_builds(capsys, monkeypatch, *argv):
@@ -677,14 +678,14 @@ def test_each_runner_builds_one_table_per_n(capsys, monkeypatch, check_id):
 def kernel_rows(capsys, monkeypatch, *argv):
     """argv's report and the rows the kernel hands the folds."""
     rows = []
-    real = kernels.stats_block
+    real = kernels.iter_stat_chunks
 
-    def counting(*args):
-        blk = real(*args)
-        rows.append(len(blk))
-        return blk
+    def counting(*args, **kwargs):
+        for start, blk in real(*args, **kwargs):
+            rows.append(len(blk))
+            yield start, blk
 
-    monkeypatch.setattr(kernels, "stats_block", counting)
+    monkeypatch.setattr(kernels, "iter_stat_chunks", counting)
     code, out, _ = run(capsys, *argv)
     assert code == 0
     return json.loads(out), sum(rows)
@@ -708,20 +709,21 @@ def test_one_tau_check_folds_only_its_diagword(capsys, monkeypatch,
     assert rows == sum(n ** n for n in range(1, 5))
 
 
-def test_a_mask_that_drops_a_function_fails_the_check(capsys, monkeypatch):
+def test_a_producer_that_drops_a_function_fails_the_check(capsys,
+                                                          monkeypatch):
     """The closed-form check notices one function of its tau missing from
-    the kernel's filtered blocks."""
-    real = kernels.diagword_mask
+    the kernel's blocks."""
+    real = kernels._row_orders
     dropped = []
 
-    def lossy(diag, tau):
-        keep = real(diag, tau)
-        if keep.any() and not dropped:
-            dropped.append(int(np.argmax(keep)))
-            keep[dropped[0]] = False
-        return keep
+    def lossy(diag):
+        F = real(diag)
+        if F.shape[1] and not dropped:
+            dropped.append(F[:, 0].tolist())
+            F = F[:, 1:]
+        return F
 
-    monkeypatch.setattr(kernels, "diagword_mask", lossy)
+    monkeypatch.setattr(kernels, "_row_orders", lossy)
     code, out, _ = run(capsys, "check", "thm-schedule-closed-form",
                        "--n", "5", "--tau", "35142")
     report = json.loads(out)
@@ -732,16 +734,35 @@ def test_a_mask_that_drops_a_function_fails_the_check(capsys, monkeypatch):
 
 @pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
                                       "cor-withides", "lemma-factorlemma"])
-def test_one_tau_reaches_n9_and_no_further(capsys, monkeypatch, check_id):
-    tau = (7, 8, 9, 4, 1, 3, 6, 2, 5)
-    assert checks.scope(check_id, (9, 9), tau=tau) == (9, 9)
-    assert checks.scope(check_id, (1, 9), tau=tau) == (1, 9)
+def test_one_tau_reaches_n12_and_no_further(capsys, monkeypatch, check_id):
+    tau = (7, 8, 9, 4, 1, 3, 6, 2, 5, 12, 10, 11)
+    assert checks.scope(check_id, (12, 12), tau=tau) == (12, 12)
+    assert checks.scope(check_id, (1, 12), tau=tau) == (1, 12)
     with pytest.raises(ValueError, match="up to 8, got 9"):
         checks.scope(check_id, (9, 9))
     assert_refused_up_front(capsys, monkeypatch, "check", check_id,
                             "--n", "9")
     assert_refused_up_front(capsys, monkeypatch, "check", check_id,
-                            "--n", "10", "--tau", "3,1,4,10,5,9,2,6,8,7")
+                            "--n", "13",
+                            "--tau", "3,1,4,10,5,9,2,6,8,7,13,11,12")
+
+
+@pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
+                                      "cor-withides", "lemma-factorlemma"])
+def test_one_tau_over_its_budgets_is_refused(capsys, monkeypatch, check_id):
+    """The identity tau at n = 12 has 12! functions; the Young subgroup of
+    12345678 has 8! elements, and of 123456789 9!, over YOUNG_BUDGET."""
+    identity = ",".join(map(str, range(1, 13)))
+    assert checks.tau_functions(tuple(range(1, 13))) == factorial(12)
+    assert_refused_up_front(capsys, monkeypatch, "check", check_id,
+                            "--n", "12", "--tau", identity)
+    assert checks.young_size(tuple(range(1, 9))) == checks.YOUNG_BUDGET
+    assert checks.scope(check_id, (8, 8), tau=tuple(range(1, 9)))
+    if check_id == "lemma-factorlemma":
+        assert_refused_up_front(capsys, monkeypatch, "check", check_id,
+                                "--n", "9", "--tau", "123456789")
+    else:
+        assert checks.scope(check_id, (9, 9), tau=tuple(range(1, 10)))
 
 
 _real_qsym_by_touch = aggregate.qsym_by_touch

@@ -1,5 +1,6 @@
 """The batch kernel against the per-function reference."""
 
+import random
 import threading
 import time
 from itertools import permutations
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from qtpark import kernels
+from qtpark.checks import tau_functions
 from qtpark.kernels import (AREA, DEV, DINV, DWORD, IDES, NCOL, PARK, TOUCH,
                             decode_ides, encode_perm, iter_stat_chunks,
                             stats_block)
@@ -74,16 +76,58 @@ def test_chunk_stream_thread_invariant(threads):
     assert np.array_equal(whole, stats_block(n, 0, n ** n))
 
 
+def sorted_rows(block):
+    return block[np.lexsort(block.T[::-1])]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_diagword_filter_keeps_exactly_its_rows(n):
+    """The blocks of one tau hold exactly the rows of the full sweep whose
+    diagword is tau, for any thread count."""
     whole = stats_block(n, 0, n ** n)
     for tau in permutations(range(1, n + 1)):
         mine = whole[whole[:, DWORD] == encode_perm(tau, n)]
-        assert np.array_equal(stats_block(n, 0, n ** n, tau), mine)
         for threads in (1, 2):
             blocks = [blk for _, blk in iter_stat_chunks(
                 n, threads=threads, chunk=5, tau=tau)]
-            assert np.array_equal(np.concatenate(blocks), mine)
+            assert np.array_equal(sorted_rows(np.concatenate(blocks)),
+                                  sorted_rows(mine))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_diagword_and_deviation_fix_the_diagonals(n):
+    """Every function's diagonals, as grid_block finds them, are the
+    vector the producer derives from its diagword and deviation."""
+    total = n ** n
+    taus = list(permutations(range(1, n + 1)))
+    codes = np.array([encode_perm(tau, n) for tau in taus])
+    table = np.array([[kernels.diagonals(tau, l) for l in range(n)]
+                      for tau in taus])
+    for start in range(0, total, kernels.CHUNK):
+        stop = min(start + kernels.CHUNK, total)
+        F, diag = kernels.grid_block(n, start, stop)
+        rows = kernels.stat_rows(F, diag)
+        which = np.searchsorted(codes, rows[:, DWORD])
+        assert np.array_equal(table[which, rows[:, DEV]].T, diag)
+
+
+def test_producer_counts_are_the_schedule_products():
+    """The functions of each tau number sum over l of prod_c w^(l)(c),
+    the estimate a one-tau check is scoped by: every tau at n <= 5,
+    seeded ones at n = 6..12."""
+    rng = random.Random(21)
+    taus = [tau for n in range(1, 6) for tau in permutations(range(1, n + 1))]
+    taus += [tuple(rng.sample(range(1, n + 1), n))
+             for n in range(6, 13) for _ in range(6)]
+    for tau in taus:
+        rows = sum(len(blk) for _, blk in iter_stat_chunks(len(tau), tau=tau))
+        assert rows == tau_functions(tau), tau
+
+
+def test_producer_refuses_a_frontier_over_its_bound(monkeypatch):
+    monkeypatch.setattr(kernels, "MAX_FRONTIER", 3)
+    with pytest.raises(ValueError, match="partial orders, over 3"):
+        list(iter_stat_chunks(4, tau=(3, 1, 4, 2)))
 
 
 def test_chunk_stream_bounds_outstanding_blocks(monkeypatch):

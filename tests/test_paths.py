@@ -205,8 +205,8 @@ def test_json_blocks_of_one_diagword(monkeypatch, tau):
 
 
 def test_one_diagword_block_confirms_its_first_row(monkeypatch):
-    """The scalar confirmation formats the block's first function of tau,
-    and a block without one formats nothing."""
+    """The scalar confirmation formats the first function of tau, and a
+    selection of none of its functions formats nothing."""
     confirmed = []
     real = paths.json_line
 
@@ -215,10 +215,11 @@ def test_one_diagword_block_confirms_its_first_row(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(paths, "json_line", recording)
-    text = paths.json_block(5, 0, 5 ** 5, tau=(2, 3, 1, 4, 5))
+    text = "".join(paths.json_blocks(5, tau=(2, 3, 1, 4, 5)))
     assert confirmed == [json.loads(text.splitlines()[0])["f"]]
-    assert paths.json_block(5, 0, 1, tau=(1, 2, 3, 4, 5)) == ""
-    assert len(confirmed) == 1
+    assert "".join(paths.json_blocks(5, lambda b: b.deviation > 4,
+                                     tau=(1, 2, 3, 4, 5))) == ""
+    assert len(confirmed) == 2
 
 
 # f = (1, 1, 1) drawn with its diagonals upside down: diagword 1,2,3 is one
@@ -253,9 +254,9 @@ SWAP_SECOND_BLOCK = """
 from qtpark import paths
 real = paths.stat_block
 
-def swapped(n, start, stop, tau=None):
+def swapped(n, start, stop):
     # primary and secondary trade places in the second block only
-    b = real(n, start, stop, tau)
+    b = real(n, start, stop)
     if start == paths.BLOCK:
         b = b._replace(primary=b.secondary, secondary=b.primary)
     return b
