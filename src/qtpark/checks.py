@@ -24,7 +24,7 @@ from .paths import DEFAULT_MAX_N
 from .qt import q_int, q_int_product, q_poly, square_paths_multipliers
 from .quasisym import QSymF, consecutive_blocks, factor_check
 from .quasisym import qsym_for_diagword, qsym_for_touch
-from .quasisym import qsym_total, square_paths_residue, withides_residue
+from .quasisym import qsym_total, square_paths_residue, withides_failures
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
 from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
 from .schedules import runs, schedule0, schedule0_rows, schedule_counts
@@ -65,11 +65,10 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # sum over l of prod_c w^(l)(c), and not n^n.  TAU_CAP bounds n there,
 # TAU_ROW_BUDGET that number (the identity tau has n! functions), and
 # YOUNG_BUDGET the Young subgroup that lemma-factorlemma enumerates in
-# Python once per deviation, prod over its blocks b of |b|!.  At the
-# budgets, the n = 12 tau 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800
-# functions) took 1.5-2.4 s and 225-240 MB in each of the three checks,
-# and lemma-factorlemma took 5.6 s per deviation for a Young subgroup of
-# 8! elements.  enumerate keeps the enumeration bound of paths.
+# Python once per tau, prod over its blocks b of |b|!.  At the budgets,
+# the n = 12 tau 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took
+# 1.5-2.4 s and 225-240 MB in each of the three checks, and
+# lemma-factorlemma took 0.6-1.2 s for a Young subgroup of 8! elements.  enumerate keeps the enumeration bound of paths.
 # lemma-parlem's random samples cost about max^2 each, so --max and
 # --samples are capped too.  Guards that protect data stay with the data:
 # kernels.MAX_N and kernels.MAX_FRONTIER, the radix check in
@@ -426,11 +425,14 @@ def _run_factorlemma(spec: CheckSpec) -> Outcome:
                                            tau=spec.tau)
         for block in _tau_blocks(spec, n):
             for tau in map(tuple, block.tolist()):
-                for l in _ls(spec, len(runs(tau).runs)):
-                    examined += 1
-                    if not factor_check(table, tau, l):
-                        return False, {"n": n, "tau": list(tau),
-                                       "l": l}, examined
+                rd = runs(tau)
+                ls = list(_ls(spec, len(rd)))
+                holds = factor_check(table, rd, ls)
+                if not all(holds):
+                    j = holds.index(False)
+                    return False, {"n": n, "tau": list(tau),
+                                   "l": ls[j]}, examined + j + 1
+                examined += len(ls)
     return True, None, examined
 
 
@@ -454,22 +456,30 @@ def _withides_sides(table: aggregate.Table, tau: Tuple[int, ...],
 
 
 def _run_withides(spec: CheckSpec) -> Outcome:
-    # Each tau is decided in integer counts.  The QSymF sides are built for
-    # a failing tau, to report it, and for the last tau of each n (n..1 when
-    # all are walked), whose integer verdict they must confirm.
+    # Each block of taus is decided at once in integer counts.  The QSymF
+    # sides are built for a failing tau, to report it, and for the last tau
+    # of each n (n..1 when all are walked), whose integer verdict they must
+    # confirm, with its k from the scalar run decomposition.
     examined = 0
     for n in _sizes(spec):
         table = aggregate.qsym_by_diagword(n, threads=spec.threads,
                                            tau=spec.tau)
         for block in _tau_blocks(spec, n):
-            for tau in map(tuple, block.tolist()):
-                examined += 1
-                k = runs(tau).last_run_length
-                if withides_residue(table, tau, k):
-                    ce = {"n": n, "tau": list(tau), "k": k}
-                    ce.update(_qsym_diff(*_withides_sides(table, tau, k),
-                                         f"n = {n}, tau = {tau}"))
-                    return False, ce, examined
+            ks = (schedule_counts(block).from_last == 0).sum(axis=1)
+            bad = np.flatnonzero(withides_failures(table, block, ks))
+            if len(bad):
+                r = int(bad[0])
+                tau, k = tuple(block[r].tolist()), int(ks[r])
+                ce = {"n": n, "tau": list(tau), "k": k}
+                ce.update(_qsym_diff(*_withides_sides(table, tau, k),
+                                     f"n = {n}, tau = {tau}"))
+                return False, ce, examined + r + 1
+            examined += len(block)
+        tau = tuple(block[-1].tolist())
+        k = runs(tau).last_run_length
+        if k != ks[-1]:
+            raise RuntimeError(f"n = {n}, tau = {tau}: the last run has "
+                               f"length {k}, the batch gave {ks[-1]}")
         lhs, rhs = _withides_sides(table, tau, k)
         if lhs != rhs:
             raise RuntimeError(f"n = {n}, tau = {tau}: the QSymF sides "

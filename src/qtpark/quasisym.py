@@ -12,27 +12,32 @@ only inside the consecutive blocks of tau (maximal sets of consecutive
 values i, i+1, ... appearing adjacently), and the discrepancies are
 carried by a permutation from the Young subgroup preserving those
 blocks.  factor_check verifies the resulting product identity with all
-four factors computed by independent means.
+four factors computed by independent means, enumerating the Young
+subgroup once per diagonal word for all its deviations.
 
 The table-backed sums read a count table that their caller built once
 (``aggregate.qsym_by_diagword`` or ``qsym_by_touch``) and passes in; this
-module builds no table.
+module builds no table.  The integer decisions read the table's columns
+in numpy and build no QSymF: withides_failures decides the withides
+scaling for a whole block of diagonal words at once, and
+square_paths_residue the square-paths identity for one n.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Dict, FrozenSet, Iterator, List, Optional
+from typing import DefaultDict, Dict, FrozenSet, Iterator, List, Optional
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
-from .qt import ONE, QTPoly, q_int_product, q_poly, square_paths_multipliers
+from .qt import QTPoly, q_int_product, q_poly, square_paths_multipliers
 from .schedules import ides as perm_ides
 from .schedules import (Decomposable, _decomposed, pref_closed_form,
-                        require_deviation, runs)
+                        require_deviation)
 
 Subset = FrozenSet[int]
 
@@ -60,11 +65,6 @@ class QSymF:
     @classmethod
     def zero(cls, n: int) -> "QSymF":
         return cls(n)
-
-    @classmethod
-    def fundamental(cls, s: Subset, n: int,
-                    coeff: QTPoly = ONE) -> "QSymF":
-        return cls(n, {frozenset(s): coeff})
 
     def coefficient(self, s: Subset) -> QTPoly:
         return self.coeffs.get(frozenset(s), QTPoly.zero())
@@ -129,32 +129,49 @@ def qsym_for_diagword(table, tau: Sequence[int],
                              else table.counts_at(code, deviation))
 
 
-def withides_residue(table, tau: Sequence[int], k: int
-                     ) -> Dict[Tuple[int, int, int], int]:
-    """The nonzero counts {(area, dinv, mask): c} of
-    A (1 - q^k) - B (1 - q^n), where A = qsym_for_diagword(table, tau), B
-    = its deviation-0 part and n = len(tau).
+def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Whether A (1 - q^k) - B (1 - q^n) is nonzero, for each row tau of
+    the (N, n) array ``taus`` and its k in ``ks``, where A =
+    qsym_for_diagword(table, tau), B = its deviation-0 part.
 
-    Empty exactly when A [k]_q = B [n]_q, since (1 - q) is no zero
+    Nonzero exactly when A [k]_q != B [n]_q, since (1 - q) is no zero
     divisor.  The deviation-0 counts cancel at q^0 and leave
-    q^n - q^k; the others give 1 - q^k.  Every tau is the diagword of some
-    function, so a table without a row of tau (another tau's or of another
-    size) raises ValueError rather than read as an empty residue.
+    q^n - q^k; the others give 1 - q^k.  So each row of tau adds its count
+    at (tau, area, dinv + n [dev = 0], mask) and takes it away at (tau,
+    area, dinv + k, mask), and tau fails when a sum is nonzero.  Every tau
+    is the diagword of some function, so a table without a row of tau
+    (another tau's or of another size) raises ValueError rather than read
+    as a pass.
     """
-    n = len(tau)
-    where = table.rows(kernels.encode_perm(tau, n))
-    if where.start == where.stop:
+    nt, n = taus.shape
+    codes = (taus.astype(np.int64) - 1) @ n ** np.arange(n - 1, -1, -1)
+    lo, hi = table.span(codes)
+    empty = np.flatnonzero(hi == lo)
+    if len(empty):
         raise ValueError(f"the table holds no function of diagword "
-                         f"{tuple(tau)}")
-    out: Dict[Tuple[int, int, int], int] = {}
-    for dev, area, dinv, mask, c in zip(
-            *(col[where].tolist() for col in table.columns[1:]),
-            table.counts[where].tolist()):
-        shift = n if dev == 0 else 0
-        up, down = (area, dinv + shift, mask), (area, dinv + k, mask)
-        out[up] = out.get(up, 0) + c
-        out[down] = out.get(down, 0) - c
-    return {key: c for key, c in out.items() if c}
+                         f"{tuple(taus[empty[0]].tolist())}")
+    size = hi - lo
+    tau_of = np.repeat(np.arange(nt), size)
+    row = np.arange(len(tau_of)) + np.repeat(lo - np.cumsum(size) + size,
+                                             size)
+    dev, area, dinv, mask = (col[row] for col in table.columns[1:])
+    # Mixed-radix keys over (tau, area <= n^2, shifted dinv <= n^2 + n,
+    # mask < 2^(n-1)): below 2^55 even for all 12! taus of n = 12.
+    per_tau = (n * n + 1) * (n * n + n + 1) << (n - 1)
+    base = tau_of * per_tau + (area * (n * n + n + 1) + dinv << (n - 1)
+                               | mask)
+    keys = np.concatenate([base + (n * (dev == 0) << (n - 1)),
+                           base + (ks[tau_of].astype(np.int64) << (n - 1))])
+    # Each half is nearly sorted already, which the stable sort exploits.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = table.counts[row]
+    sums = np.concatenate([counts, -counts])[order]
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    nonzero = np.add.reduceat(sums, starts) != 0
+    bad = np.zeros(nt, dtype=bool)
+    bad[keys[starts[nonzero]] // per_tau] = True
+    return bad
 
 
 def qsym_for_touch(table, n: int, touch: int) -> QSymF:
@@ -266,8 +283,9 @@ def yconsec_inv_sum(cb: ConsecutiveBlocks) -> QTPoly:
         i for b in cb.blocks for i in range(1, len(b) + 1)))), 0, 0)
 
 
-def factor_check(table, tau: Sequence[int], l: int) -> bool:
-    """Cross-multiplied factorization of the diagword-tau, deviation-l sum.
+def factor_check(table, tau: Decomposable, ls: Sequence[int]) -> List[bool]:
+    """Whether the cross-multiplied factorization of the diagword-tau,
+    deviation-l sum holds, for each l of ``ls``.
 
     Checks  (Σ t^a q^d Q_ides) * (Σ_π q^inv)
           = (Σ t^a q^d) * (Σ_π q^inv Q_{ides(tau) ∪ ides(π)}),
@@ -275,22 +293,27 @@ def factor_check(table, tau: Sequence[int], l: int) -> bool:
     ``qsym_for_diagword``, the scalar Σ_π q^inv from the block
     q-factorial product, the right quasisymmetric sum from explicit
     Young-subgroup enumeration, and the scalar t,q-sum from the schedule
-    closed form.
+    closed form.  The Young-subgroup sums do not depend on l and are
+    built once.  tau may be given as its RunDecomposition.
     """
-    rd = runs(tau)
+    rd = _decomposed(tau)
     n = len(rd.tau)
-    require_deviation(rd, l)  # before the table is read
-    lhs = qsym_for_diagword(table, rd.tau, deviation=l)
+    for l in ls:
+        require_deviation(rd, l)  # before the table is read
     cb = consecutive_blocks(rd)
     scalar = yconsec_inv_sum(cb)
+    # Σ_π q^inv and each Q_S coefficient of the right sum, counted by the
+    # power of q and made polynomials once.
     base_ides = perm_ides(rd.tau)
-    rhs = QSymF.zero(n)
-    enumerated = QTPoly.zero()
-    for word, invs, extra in yconsec_elements(cb):
-        qpow = QTPoly.q(invs) if invs else ONE
-        enumerated = enumerated + qpow
-        rhs = rhs + QSymF.fundamental(base_ides | extra, n, qpow)
+    by_inv: Counter = Counter()
+    by_ides: DefaultDict[Subset, Counter] = defaultdict(Counter)
+    for _, invs, extra in yconsec_elements(cb):
+        by_inv[invs, 0] += 1
+        by_ides[base_ides | extra][invs, 0] += 1
+    enumerated = QTPoly(by_inv)
+    rhs = QSymF(n, {s: QTPoly(c) for s, c in by_ides.items()})
     if enumerated != scalar:
         raise RuntimeError(f"Young subgroup of {rd.tau}: q-count {enumerated} "
                            f"differs from block q-factorials {scalar}")
-    return lhs * scalar == rhs * pref_closed_form(rd, l)
+    return [qsym_for_diagword(table, rd.tau, deviation=l) * scalar
+            == rhs * pref_closed_form(rd, l) for l in ls]

@@ -295,7 +295,7 @@ def test_out_of_range_block_is_refused(monkeypatch, col, value):
 
 GUARDS = textwrap.dedent("""
     import numpy as np
-    from qtpark import aggregate, kernels, quasisym, symfunc
+    from qtpark import aggregate, checks, kernels, quasisym, symfunc
     from qtpark.qt import ONE
 
     real_stream = kernels.iter_stat_chunks
@@ -328,7 +328,7 @@ GUARDS = textwrap.dedent("""
 
     quasisym.yconsec_inv_sum = lambda cb: ONE + ONE
     try:
-        quasisym.factor_check(aggregate.qsym_by_diagword(3), (1, 2, 3), 0)
+        quasisym.factor_check(aggregate.qsym_by_diagword(3), (1, 2, 3), [0])
     except RuntimeError:
         print("factor_check guard fired")
 
@@ -355,6 +355,22 @@ GUARDS = textwrap.dedent("""
     except RuntimeError as e:
         if "not a polynomial" in str(e):
             print("e_nk division guard fired")
+    real_counts = checks.schedule_counts
+
+    def moved(block):  # the last car of the last tau leaves its last run
+        sc = real_counts(block)
+        from_last = sc.from_last.copy()
+        from_last[-1, -1] += 1
+        return sc._replace(from_last=from_last)
+
+    checks.schedule_counts = moved
+    checks.withides_failures = lambda table, taus, ks: np.zeros(len(taus),
+                                                                 bool)
+    try:
+        checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
+    except RuntimeError as e:
+        if "the batch gave" in str(e):
+            print("withides k guard fired")
 """)
 
 
@@ -370,4 +386,5 @@ def test_guards_fire_under_python_O():
                                         "diagword guard fired",
                                         "factor_check guard fired",
                                         "e_nk guard fired",
-                                        "e_nk division guard fired"]
+                                        "e_nk division guard fired",
+                                        "withides k guard fired"]

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import permutations, product
@@ -21,7 +22,7 @@ from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, json_line, place, stats
 from qtpark.qt import QTPoly, q_int
-from qtpark.quasisym import qsym_for_diagword, withides_residue
+from qtpark.quasisym import qsym_for_diagword, withides_failures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -345,13 +346,15 @@ def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
 
 
 def test_factorlemma_decomposes_each_case_once(capsys, monkeypatch):
-    """One run decomposition per tau in the walk and one per factor_check,
-    which hands it to consecutive_blocks and pref_closed_form."""
-    runs = count_calls(monkeypatch, (schedules, checks, quasisym), "runs")
+    """One run decomposition per tau in the walk, which the walk hands to
+    factor_check once for all of tau's deviations; factor_check hands it
+    on to consecutive_blocks and pref_closed_form."""
+    runs = count_calls(monkeypatch, (schedules, checks), "runs")
+    young = count_calls(monkeypatch, (quasisym,), "yconsec_elements")
     code, out, _ = run(capsys, "check", "lemma-factorlemma", "--n", "1..5")
     assert code == 0
     assert json.loads(out)["examined"] == 436
-    assert len(runs) == sum(factorial(n) for n in range(1, 6)) + 436
+    assert len(runs) == len(young) == sum(factorial(n) for n in range(1, 6))
 
 
 def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
@@ -607,36 +610,138 @@ def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
     assert report["examined"] == taus.index(tau) + 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_withides_residue_agrees_with_qsym_sides(secondary_off_by_one, n):
-    """Under the planted fault, the integer residue is nonzero for exactly
-    the taus whose cross-multiplied QSymF sides differ."""
-    table = aggregate.qsym_by_diagword(n)
+@pytest.mark.parametrize("l", [1, 2])
+def test_factorlemma_catches_a_fault_at_a_later_deviation(capsys,
+                                                         monkeypatch, l):
+    """One count bumped at deviation l >= 1 of a tau fails the check at
+    that (tau, l), after every case before it in (tau, l) order, although
+    the Young-subgroup side is built once for all of tau's deviations."""
+    real = aggregate.qsym_by_diagword
+    n = 4
+    table = real(n)
+    row = int(np.flatnonzero(table.columns[1] == l)[0])
+    taus = list(permutations(range(1, n + 1)))
+    tau = next(t for t in taus
+               if kernels.encode_perm(t, n) == table.columns[0][row])
+    faulty = bumped(table, row)
+    monkeypatch.setattr(aggregate, "qsym_by_diagword",
+                        lambda m, threads=1, tau=None: (
+                            faulty if m == n
+                            else real(m, threads=threads, tau=tau)))
+    code, out, _ = run(capsys, "check", "lemma-factorlemma", "--n", "4")
+    assert code == 1
+    report = json.loads(out)
+    assert report["counterexample"] == {"n": n, "tau": list(tau), "l": l}
+    assert report["examined"] == sum(
+        len(schedules.runs(t)) for t in taus[:taus.index(tau)]) + l + 1
+
+
+def withides_sides_differ(table, n):
+    """Per tau of size n, in permutation order, whether the
+    cross-multiplied QSymF sides A [k]_q and B [n]_q differ."""
     differ = []
     for tau in permutations(range(1, n + 1)):
         k = schedules.runs(tau).last_run_length
         lhs = qsym_for_diagword(table, tau) * q_int(k)
         rhs = qsym_for_diagword(table, tau, deviation=0) * q_int(n)
-        assert bool(withides_residue(table, tau, k)) == (lhs != rhs)
         differ.append(lhs != rhs)
+    return differ
+
+
+def withides_verdicts(table, n):
+    """withides_failures over all taus of size n as one block, with the
+    scalar k of each."""
+    taus = np.array(list(permutations(range(1, n + 1))), dtype=np.int8)
+    ks = np.array([schedules.runs(t).last_run_length for t in taus.tolist()])
+    return withides_failures(table, taus, ks).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_withides_residue_agrees_with_qsym_sides(secondary_off_by_one, n):
+    """Under the planted fault, each tau decided alone fails exactly when
+    its cross-multiplied QSymF sides differ, and so does the block of all
+    taus."""
+    table = aggregate.qsym_by_diagword(n)
+    differ = withides_sides_differ(table, n)
+    alone = [bool(withides_failures(table, np.array([tau]), np.array(
+        [schedules.runs(tau).last_run_length]))[0])
+        for tau in permutations(range(1, n + 1))]
+    assert alone == differ
+    assert withides_verdicts(table, n) == differ
     assert any(differ) == (n >= 3)
 
 
+def shifted_dinv(table, row):
+    """A copy of table with the dinv of one row raised by one."""
+    dinv = table.columns[3].copy()
+    dinv[row] += 1
+    return dataclasses.replace(
+        table, columns=table.columns[:3] + (dinv,) + table.columns[4:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_withides_block_verdict_is_the_qsym_sides(n):
+    """The block verdict equals the cross-multiplied QSymF sides for every
+    tau, on the true table and under three planted faults: a count
+    bumped at deviation 0, one bumped at a deviation >= 1, and a shifted
+    dinv.  Each fault sits in the middle of its rows, so from n = 3 on the
+    block holds passing taus on both sides of the one failing tau."""
+    table = aggregate.qsym_by_diagword(n)
+    assert withides_verdicts(table, n) == [False] * factorial(n)
+    zero, above = (np.flatnonzero(table.columns[1] == 0),
+                   np.flatnonzero(table.columns[1] >= 1))
+    faults = [bumped(table, int(zero[len(zero) // 2])),
+              shifted_dinv(table, len(table.counts) // 2)]
+    if n >= 2:
+        faults.append(bumped(table, int(above[len(above) // 2])))
+    for faulty in faults:
+        differ = withides_sides_differ(faulty, n)
+        assert withides_verdicts(faulty, n) == differ
+        assert sum(differ) == 1 or n <= 2  # n <= 2 may hide a fault
+
+
 def test_withides_refuses_a_residue_the_sides_do_not_show(monkeypatch):
-    monkeypatch.setattr(checks, "withides_residue",
-                        lambda table, tau, k: {(0, 0, 0): 1})
+    monkeypatch.setattr(checks, "withides_failures",
+                        lambda table, taus, ks: np.ones(len(taus), bool))
     with pytest.raises(RuntimeError, match=r"n = 1, tau = \(1,\)"):
         checks.run_check(checks.CheckSpec("cor-withides", 1, 2))
 
 
 def test_withides_confirms_the_last_tau_with_qsym_sides(
         monkeypatch, secondary_off_by_one):
-    """A residue that misses a fault is caught at each n's last tau."""
-    monkeypatch.setattr(checks, "withides_residue",
-                        lambda table, tau, k: {})
+    """A block decision that misses a fault is caught at each n's last
+    tau."""
+    monkeypatch.setattr(checks, "withides_failures",
+                        lambda table, taus, ks: np.zeros(len(taus), bool))
     with pytest.raises(RuntimeError, match=r"n = 3, tau = \(1, 3, 2\)"):
         checks.run_check(checks.CheckSpec("cor-withides", 3, 3,
                                           tau=(1, 3, 2)))
+
+
+@pytest.mark.parametrize("spec,tau", [
+    (checks.CheckSpec("cor-withides", 3, 3), (3, 2, 1)),
+    (checks.CheckSpec("cor-withides", 4, 4, tau=(2, 1, 4, 3)), (2, 1, 4, 3)),
+])
+def test_withides_refuses_a_batch_k_the_runs_do_not_give(monkeypatch, spec,
+                                                         tau):
+    """A batch k that disagrees with schedules.runs at an n's last tau is
+    refused, even where the block decision it fed passed."""
+    real = checks.schedule_counts
+
+    def last_car_moved(block):
+        sc = real(block)
+        from_last = sc.from_last.copy()
+        from_last[-1, -1] += 1  # the last car leaves the last run
+        return sc._replace(from_last=from_last)
+
+    monkeypatch.setattr(checks, "schedule_counts", last_car_moved)
+    monkeypatch.setattr(checks, "withides_failures",
+                        lambda table, taus, ks: np.zeros(len(taus), bool))
+    k = schedules.runs(tau).last_run_length
+    with pytest.raises(RuntimeError, match=rf"tau = {re.escape(str(tau))}: "
+                                           rf"the last run has length {k}, "
+                                           rf"the batch gave {k - 1}"):
+        checks.run_check(spec)
 
 
 def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 from itertools import permutations
 
+import numpy as np
 import pytest
 from table_helpers import TableRead, UnreadableTable
 
@@ -10,7 +11,7 @@ from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.quasisym import (QSymF, consecutive_blocks, factor_check,
                              qsym_for_diagword, qsym_for_touch, qsym_total,
-                             withides_residue, yconsec_elements,
+                             withides_failures, yconsec_elements,
                              yconsec_inv_sum)
 from qtpark.schedules import runs
 
@@ -29,8 +30,8 @@ def weighted_sum(family, n):
 
 
 def test_qsym_basic_algebra():
-    a = QSymF.fundamental(frozenset({1}), 3)
-    b = QSymF.fundamental(frozenset({2}), 3, QTPoly.q(1))
+    a = QSymF(3, {frozenset({1}): ONE})
+    b = QSymF(3, {frozenset({2}): QTPoly.q(1)})
     s = a + b
     assert s.coefficient({1}) == ONE
     assert s.coefficient({2}) == QTPoly.q(1)
@@ -42,12 +43,12 @@ def test_qsym_basic_algebra():
 
 
 def test_qsym_rejects_mixed_degree():
-    a = QSymF.fundamental(frozenset(), 3)
-    b = QSymF.fundamental(frozenset(), 4)
+    a = QSymF(3, {frozenset(): ONE})
+    b = QSymF(4, {frozenset(): ONE})
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
-        QSymF.fundamental(frozenset({3}), 3)
+        QSymF(3, {frozenset({3}): ONE})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -113,35 +114,41 @@ def test_yconsec_identity_element():
 def test_factor_check_exhaustive(n):
     table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
-        for l in range(len(runs(tau).runs)):
-            assert factor_check(table, tau, l), (tau, l)
+        nruns = len(runs(tau).runs)
+        assert factor_check(table, tau, range(nruns)) == [True] * nruns, tau
 
 
 def test_factor_check_sample_n5():
     table = qsym_by_diagword(5)
     for tau in [(2, 3, 1, 4, 5), (4, 5, 3, 1, 2), (1, 2, 3, 4, 5)]:
-        for l in range(len(runs(tau).runs)):
-            assert factor_check(table, tau, l), (tau, l)
+        nruns = len(runs(tau).runs)
+        assert factor_check(table, tau, range(nruns)) == [True] * nruns, tau
 
 
 def test_factor_check_refuses_a_deviation_before_any_table():
     """A deviation tau does not have is refused before the table is
-    read; a deviation it has reads the table."""
+    read, even after one it has; deviations it has read the table."""
     with pytest.raises(TableRead):
-        factor_check(UnreadableTable(), (2, 1), 1)
-    with pytest.raises(ValueError, match=r"deviation 2 needs at least 3 "
-                                         r"runs; \(2, 1\) has 2"):
-        factor_check(UnreadableTable(), (2, 1), 2)
+        factor_check(UnreadableTable(), (2, 1), [1])
+    for ls in ([2], [0, 2]):
+        with pytest.raises(ValueError, match=r"deviation 2 needs at least 3 "
+                                             r"runs; \(2, 1\) has 2"):
+            factor_check(UnreadableTable(), (2, 1), ls)
 
 
 def test_withides_residue_refuses_a_table_without_tau():
     """A one-tau table read for another tau, or a table of another size,
-    is refused rather than read as an empty residue, which would pass."""
+    is refused rather than read as no failure, which would pass; so is a
+    block with one such tau among taus the table holds."""
     other = qsym_by_diagword(4, tau=(2, 1, 4, 3))
-    for table, tau in [(other, (1, 2, 3, 4)), (qsym_by_diagword(3), (1, 2))]:
-        with pytest.raises(ValueError, match="no function of diagword"):
-            withides_residue(table, tau, 1)
-    assert withides_residue(other, (2, 1, 4, 3), 1) == {}
+    for table, taus in [(other, [(1, 2, 3, 4)]),
+                        (other, [(2, 1, 4, 3), (1, 2, 3, 4)]),
+                        (qsym_by_diagword(3), [(1, 2)])]:
+        with pytest.raises(ValueError, match=r"no function of diagword "
+                                             r"\(1, 2(, 3, 4)?\)"):
+            withides_failures(table, np.array(taus), np.ones(len(taus), int))
+    assert withides_failures(other, np.array([(2, 1, 4, 3)]),
+                             np.array([1])).tolist() == [False]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
