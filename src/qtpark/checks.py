@@ -58,21 +58,22 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 
 # Each cap keeps one run within about a minute on 2 vCPUs (thm-hmz took
 # 45 s at n = 10, lemma-parlem 65 s at n = 11 and thm-shift-multiset
-# about 9 s at n = 10; thm-pn-identity, thm-enk-sum and table enk reach
-# symfunc.DEGREE_BOUND in about 14 s).  A full n^n table takes 2-4 s at
-# n = 8 (SWEEP_CAP).  One --tau sweeps nothing: the kernel builds its
-# functions from their row orders, so its cost follows their number,
-# sum over l of prod_c w^(l)(c), and not n^n.  TAU_CAP bounds n there,
-# TAU_ROW_BUDGET that number (the identity tau has n! functions), and
-# YOUNG_BUDGET the Young subgroup that lemma-factorlemma enumerates in
-# Python once per tau, prod over its blocks b of |b|!.  At the budgets,
-# the n = 12 tau 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took
-# 1.5-2.4 s and 225-240 MB in each of the three checks, and
-# lemma-factorlemma took 0.6-1.2 s for a Young subgroup of 8! elements.  enumerate keeps the enumeration bound of paths.
-# lemma-parlem's random samples cost about max^2 each, so --max and
-# --samples are capped too.  Guards that protect data stay with the data:
-# kernels.MAX_N and kernels.MAX_FRONTIER, the radix check in
-# aggregate._fold, symfunc.DEGREE_BOUND.
+# about 9 s at n = 10; at symfunc.DEGREE_BOUND, n = 12, thm-enk-sum took
+# 3.4-4.0 s, table enk 4.5-4.8 s and thm-pn-identity 5.0-6.3 s).  A full
+# n^n table takes 2-4 s at n = 8 (SWEEP_CAP).  One --tau sweeps nothing:
+# the kernel builds its functions from their row orders, so its cost
+# follows their number, sum over l of prod_c w^(l)(c), and not n^n.
+# TAU_CAP bounds n there, TAU_ROW_BUDGET that number (the identity tau
+# has n! functions), and YOUNG_BUDGET the Young subgroup that
+# lemma-factorlemma enumerates in Python once per tau, prod over its
+# blocks b of |b|!.  At the budgets, the n = 12 tau
+# 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.5-2.4 s and
+# 225-240 MB in each of the three checks, and lemma-factorlemma took
+# 0.6-1.2 s for a Young subgroup of 8! elements.  enumerate keeps the
+# enumeration bound of paths.  lemma-parlem's random samples cost about
+# max^2 each, so --max and --samples are capped too.  Guards that protect
+# data stay with the data: kernels.MAX_N and kernels.MAX_FRONTIER, the
+# radix check in aggregate._fold, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
 TAU_ROW_BUDGET = 1 << 20

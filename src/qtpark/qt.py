@@ -3,9 +3,9 @@
 One ring covers everything the rest of the package needs: ``QTPoly``,
 Laurent polynomials in q and t with ``fractions.Fraction`` coefficients,
 stored as a dict mapping ``(q_exponent, t_exponent)`` to a nonzero
-coefficient.  Negative exponents are allowed.  Every quotient the package
-forms is a polynomial; ``QTPoly.divexact`` computes it and raises when the
-division is not exact.
+coefficient.  Negative exponents are allowed.  The only division the
+package needs is by a factor 1 - q^m, which ``QTPoly.over_one_minus_q``
+performs; it raises when the quotient is not a polynomial.
 
 Canonical string form (used by every serializer in the package): terms are
 sorted lexicographically by (q exponent, t exponent), each term is rendered
@@ -160,55 +160,30 @@ class QTPoly:
 
     __rmul__ = __mul__
 
-    # -- exact division ----------------------------------------------
+    # -- division by (1 - q^m) ----------------------------------------
 
-    def divexact(self, other: "QTPoly") -> "QTPoly":
-        """Exact quotient self/other; raises ValueError when not divisible.
+    def over_one_minus_q(self, m: int) -> "QTPoly":
+        """self/(1 - q^m) for m >= 1; raises ValueError unless exact.
 
-        Leading-term reduction under the (q, t) lexicographic order.  For
-        Laurent polynomials with finite support, the extreme exponents of a
-        product are the sums of the factors' extremes, which bounds every
-        exponent a genuine quotient can use; stepping outside that box
-        proves indivisibility and guarantees termination.
+        Per power of t the quotient r satisfies r_j = self_j + r_(j-m),
+        run upward from the lowest power of q.  It is a polynomial only
+        when the top m of those sums, r_j for j > (highest power) - m,
+        are zero.
         """
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return QTPoly.zero()
-
-        def extremes(p: "QTPoly"):
-            qs = [e[0] for e in p._terms]
-            ts = [e[1] for e in p._terms]
-            return min(qs), max(qs), min(ts), max(ts)
-
-        nql, nqh, ntl, nth = extremes(self)
-        dql, dqh, dtl, dth = extremes(other)
-        qlo, qhi = nql - dql, nqh - dqh
-        tlo, thi = ntl - dtl, nth - dth
-
-        lead_d = max(other._terms)  # (q, t) lex
-        cd = other._terms[lead_d]
-        rem = dict(self._terms)
+        rows: Dict[int, Dict[int, Fraction]] = {}
+        for (qe, te), c in self._terms.items():
+            rows.setdefault(te, {})[qe] = c
         quot: Dict[Exponent, Fraction] = {}
-        budget = (qhi - qlo + 1) * (thi - tlo + 1) + 1
-        while rem:
-            lead_r = max(rem)
-            e = (lead_r[0] - lead_d[0], lead_r[1] - lead_d[1])
-            if not (qlo <= e[0] <= qhi and tlo <= e[1] <= thi):
-                raise ValueError("polynomials do not divide exactly")
-            budget -= 1
-            if budget < 0:
-                raise ValueError("polynomials do not divide exactly")
-            c = rem[lead_r] / cd
-            quot[e] = c
-            for (qb, tb), cb in other._terms.items():
-                key = (e[0] + qb, e[1] + tb)
-                acc = rem.get(key)
-                s = (acc if acc is not None else Fraction(0)) - c * cb
+        for te, row in rows.items():
+            lo, hi = min(row), max(row)
+            r: Dict[int, Fraction] = {}
+            for j in range(lo, hi + 1):
+                s = row.get(j, 0) + r.get(j - m, 0)
                 if s:
-                    rem[key] = s
-                elif acc is not None:
-                    del rem[key]
+                    r[j] = s
+            if max(r) > hi - m:
+                raise ValueError(f"not divisible by 1 - q^{m}")
+            quot.update(((j, te), c) for j, c in r.items())
         res = QTPoly.__new__(QTPoly)
         res._terms = quot
         return res

@@ -26,10 +26,12 @@ The scale X -> X (1-z)/(1-q) defines the family E_{n,k} through
 
     e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k / (q;q)_k) E_{n,k},
 
-a system triangular in z.  ``e_nk`` solves it with every denominator
-cleared by (q;q)_n: the leading coefficient of (z;q)_k in z is the unit
-monomial (-1)^k q^(k(k-1)/2), so back-substitution only divides by
-monomials, and one exact division per coefficient recovers E_{n,k}.
+a system triangular in z.  ``e_nk`` clears the denominators of each
+p_lambda row by lambda's own factors prod_i (1 - q^lambda_i), which
+leaves rational constants.  The leading coefficient of (z;q)_k in z is
+the unit monomial (-1)^k q^(k(k-1)/2), so back-substitution only divides
+by monomials; multiplying by (q;q)_k and dividing by 1 - q^lambda_i once
+per part recovers E_{n,k}.
 
 The checks at the bottom verify that the E_{n,k} from that triangular
 system agree with sums of composition-indexed operator products, and
@@ -324,29 +326,20 @@ def zq_poch_coefficients(k: int) -> List[QTPoly]:
     return out
 
 
-def _z_coefficients(lam: Partition, n: int) -> List[int]:
-    """[z^j] prod_i (1 - z^(lambda_i)) for j = 0..n."""
-    out = [1] + [0] * n
+def scaled_e_row(lam: Partition) -> List[Fraction]:
+    """[z^j] of prod_i (1 - q^lambda_i) times the coefficient of p_lambda
+    in e_n[X (1-z)/(1-q)], for j = 0..n and n = |lambda|.
+
+    The scale multiplies each p_k by (1 - z^k)/(1 - q^k), so the row is
+    eps_lambda/z_lambda [z^j] prod_i (1 - z^lambda_i), free of q.
+    """
+    n = sum(lam)
+    out = [Fraction((-1) ** (n - len(lam)), z_lambda(lam))]
+    out += [Fraction(0)] * n
     for part in lam:
         for j in range(n, part - 1, -1):
             out[j] -= out[j - part]
     return out
-
-
-def scaled_e_row(lam: Partition) -> List[QTPoly]:
-    """[z^j] of (q;q)_n times the coefficient of p_lambda in
-    e_n[X (1-z)/(1-q)], for j = 0..n and n = |lambda|.
-
-    The scale multiplies each p_k by (1 - z^k)/(1 - q^k), and (q;q)_n is
-    a multiple of prod_i (1 - q^lambda_i), so every entry is a polynomial.
-    """
-    n = sum(lam)
-    den = QTPoly.one()
-    for part in lam:
-        den = den * (1 - QTPoly.q(part))
-    scaled = qq_poch(n).divexact(den) * Fraction(
-        (-1) ** (n - len(lam)), z_lambda(lam))
-    return [scaled * c for c in _z_coefficients(lam, n)]
 
 
 def _unit_inverse(c: QTPoly) -> QTPoly:
@@ -360,30 +353,33 @@ def e_nk(n: int) -> List[PExpansion]:
     """(E_{n,1}, ..., E_{n,n}) solving the triangular z-expansion of the
     scaled elementary symmetric function.
 
-    Times (q;q)_n the coefficient of p_lambda in e_n[X (1-z)/(1-q)] is
-    the polynomial in z whose coefficients ``scaled_e_row`` lists, and it
-    equals sum_k (z;q)_k y_k with y_k = x_k (q;q)_n/(q;q)_k, where x_k is
-    the coefficient of p_lambda in E_{n,k}.  Back-substitution from z^n
-    down to z^1 finds the y_k; z^0 is the one equation left over, and is
-    checked.
+    Times prod_i (1 - q^lambda_i) the coefficient of p_lambda in
+    e_n[X (1-z)/(1-q)] is the polynomial in z whose coefficients
+    ``scaled_e_row`` lists, and it equals sum_k (z;q)_k y_k with
+    y_k = x_k prod_i (1 - q^lambda_i)/(q;q)_k, where x_k is the
+    coefficient of p_lambda in E_{n,k}.  Back-substitution from z^n down
+    to z^1 finds the y_k; z^0 is the one equation left over, and is
+    checked.  Then x_k is y_k (q;q)_k divided by 1 - q^lambda_i once for
+    each part.
     """
     _require_degree(n)
-    full = qq_poch(n)
     basis = {k: zq_poch_coefficients(k) for k in range(1, n + 1)}
     lead_inv = {k: _unit_inverse(basis[k][k]) for k in basis}
-    cofactor = {k: full.divexact(qq_poch(k)) for k in basis}
+    poch = {k: qq_poch(k) for k in basis}
     solved: List[Dict[Partition, QTPoly]] = [{} for _ in range(n)]
     for lam in partitions(n):
         lhs = scaled_e_row(lam)
         ys: Dict[int, QTPoly] = {}
         for j in range(n, 0, -1):
-            residual = lhs[j]
+            residual = QTPoly.const(lhs[j])
             for k in range(j + 1, n + 1):
                 residual = residual - basis[k][j] * ys[k]
             ys[j] = residual * lead_inv[j]
         for k, y in ys.items():
+            x = y * poch[k]
             try:
-                x = y.divexact(cofactor[k])
+                for part in lam:
+                    x = x.over_one_minus_q(part)
             except ValueError:
                 raise RuntimeError(
                     f"e_nk({n}): coefficient of {lam} in E_{n},{k} is not "
