@@ -7,12 +7,13 @@ with a fixed touch.  One kernel sweep of the n^n functions builds one such
 table; the counts are integers, so the tables are exact and the generating
 polynomials built from them are too.
 
-Every table comes from the same fold.  A view names some kernel columns;
-each row of a block becomes one int64 key, the mixed-radix number whose
-digits are those columns in order.  Each radix is an exclusive bound that
-follows from n:
+Every table comes from the same fold.  A view names some fields of the
+kernel's records (``kernels.STAT``, as narrow as int8); each record of a
+block becomes one int64 key, the mixed-radix number whose digits are those
+fields in order, widened before the first digit.  Each radix is an
+exclusive bound that follows from n:
 
-    column     radix       why
+    field      radix       why
     DWORD      n^n         base-n code of a permutation of 1..n
     DEV        n           deviation < n
     TOUCH      n + 1       1 <= touch <= n
@@ -63,8 +64,8 @@ import numpy as np
 from . import kernels
 from .qt import QTPoly
 
-# Exclusive upper bound of each kernel column, as a function of n.
-_RADIX: Dict[int, Callable[[int], int]] = {
+# Exclusive upper bound of each kernel field, as a function of n.
+_RADIX: Dict[str, Callable[[int], int]] = {
     kernels.DWORD: lambda n: n ** n,
     kernels.DEV: lambda n: n,
     kernels.TOUCH: lambda n: n + 1,
@@ -106,7 +107,7 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
-def _fold(n: int, threads: int, columns: Tuple[int, ...],
+def _fold(n: int, threads: int, columns: Tuple[str, ...],
           tau: Optional[Tuple[int, ...]] = None
           ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Count the distinct rows of ``columns`` over all n^n functions, or
@@ -126,14 +127,19 @@ def _fold(n: int, threads: int, columns: Tuple[int, ...],
     pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
     npending = 0
     for _, blk in kernels.iter_stat_chunks(n, threads=threads, tau=tau):
-        key = 0
+        # The key is int64 from the start: built in an int8 field's own
+        # type, key * r would wrap without an error.
+        key = np.zeros(len(blk), dtype=np.int64)
         for c, r in zip(columns, radices):
-            col = blk[:, c]
+            # A field of the 16-byte records is strided; min, max and the
+            # add below run about twice as fast on a contiguous copy.
+            col = np.ascontiguousarray(blk[c])
             lo, hi = int(col.min()), int(col.max())
             if lo < 0 or hi >= r:
                 raise ValueError(f"n = {n}: column {c} holds {lo}..{hi}, "
                                  f"outside 0..{r - 1}")
-            key = key * r + col
+            key *= r
+            key += col
         pending.append(np.unique(key, return_counts=True))
         npending += pending[-1][0].size
         if npending >= _MERGE_BATCH:
@@ -195,8 +201,8 @@ class Table:
         return np.split(self.counts, self.starts[1:-1])
 
 
-def _table(n: int, threads: int, key_cols: Tuple[int, ...],
-           value_cols: Tuple[int, ...],
+def _table(n: int, threads: int, key_cols: Tuple[str, ...],
+           value_cols: Tuple[str, ...],
            tau: Optional[Sequence[int]] = None) -> Table:
     """The table over ``key_cols + value_cols``, of the functions whose
     diagword is ``tau`` (None: all)."""

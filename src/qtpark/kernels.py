@@ -13,20 +13,23 @@ a < b of cars finds the rows (``grid_block``); a second finds the
 diagword places and the dinv pair terms (``stat_rows``).  ``grid_block``
 refuses any n above ``MAX_N``, where those small integer types could wrap.
 
-Each output row describes one preference function in seven int64 columns,
-exactly the ones the count tables in ``aggregate`` fold:
+A block of statistics is a numpy structured array with one 16-byte
+record (``STAT``) per preference function.  Its fields are exactly the
+ones the count tables in ``aggregate`` fold, each in the narrowest type
+that holds it up to ``MAX_N``:
 
-    AREA, DINV   value columns of every table (the t and q exponents)
-    IDES         value column of ``qsym_by_diagword`` and ``qsym_by_touch``,
-                 the ides set as a bit mask (``decode_ides``)
+    AREA, DINV   value fields of every table (the t and q exponents);
+                 int16 and int8
+    IDES         value field of ``qsym_by_diagword`` and ``qsym_by_touch``,
+                 the ides set as an int16 bit mask (``decode_ides``)
     DWORD, DEV   key of ``qt_by_diagword`` and ``qsym_by_diagword``; the
-                 diagword is a base-n code, big-endian, car labels minus one
-                 as digits (``encode_perm``)
-    TOUCH, PARK  key of ``qsym_by_touch``
+                 diagword is an int64 base-n code, big-endian, car labels
+                 minus one as digits (``encode_perm``); DEV is int8
+    TOUCH, PARK  key of ``qsym_by_touch``, int8 each
 
 ``stat_rows`` is the one batch definition of these statistics: the
 tables read ``stats_block`` or ``diagword_blocks``, and ``paths``
-(``qtpark enumerate``) reads its columns and adds only what no table
+(``qtpark enumerate``) reads its fields and adds only what no table
 folds, the reading word, the composition and the three dinv parts.
 
 The functions of one diagword tau are built, not swept
@@ -45,14 +48,17 @@ Costs that showed in the n = 8 sweep (16.7M rows):
 - ``grid_block`` decodes row indices in int32 while n^n <= 2^31 (n <= 9):
   numpy's int64 floor division does not vectorize, and in int64 the
   decode cost more than the whole pair loop that follows.
-- The block is column-major (Fortran order), so every ``blk[:, c]`` the
-  fold and ``paths.stat_block`` read is contiguous.  Its shape, length
-  and values do not depend on the order.
+- A block is 16 bytes a function, 2.1 MB at the default ``CHUNK``, and
+  up to ``2 * threads`` finished blocks wait in ``iter_stat_chunks``
+  beside those in flight.  As seven int64 columns (56 bytes a function)
+  the full n = 8 table build at 2 threads peaked at 151-157 MB, not
+  122-125 MB.
 - ``CHUNK`` is 2^17 rows.  Worker threads take the GIL on every numpy
   call, so smaller blocks spend more of the sweep in contention.  With 2
-  threads on 2 vCPUs the n = 8 table built in about 2.3 s at 2^16 rows,
-  2.1 s at 2^17 and 1.9 s at 2^18, peaking at 128, 149 and 190 MB: past
-  2^17 each second saved costs about 200 MB.
+  threads on 2 vCPUs ``check thm-schedule-closed-form --n 8`` took
+  2.8-3.1 s at 2^16 rows, 2.5-2.7 s at 2^17 and 2.6-2.7 s at 2^18,
+  peaking at 113, 123 and 148-154 MB: past 2^17 the peak grows and the
+  time does not fall.
 """
 
 from __future__ import annotations
@@ -64,9 +70,12 @@ from typing import Deque, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 
-# Column layout of a statistics block.
-AREA, DINV, DEV, TOUCH, IDES, DWORD, PARK = range(7)
-NCOL = 7
+# The 16-byte record of one function (see the module docstring); the
+# names below are its field names.
+STAT = np.dtype([("dword", np.int64), ("area", np.int16), ("ides", np.int16),
+                 ("dinv", np.int8), ("dev", np.int8), ("touch", np.int8),
+                 ("park", np.int8)])
+DWORD, AREA, IDES, DINV, DEV, TOUCH, PARK = STAT.names
 
 CHUNK = 1 << 17
 
@@ -75,7 +84,7 @@ CHUNK = 1 << 17
 # n^n <= 2^31, that is n <= 9).  The kernel keeps every per-car value and
 # pair count in int8 (|diag| < n, rows and diagword places <= n,
 # dinv <= n(n-1)/2 + n <= 127) and sum(f) <= n^2 and ides < 2^(n-1) in
-# int16; all of this holds for n <= 15.
+# int16, the types of their ``STAT`` fields; all of this holds for n <= 15.
 MAX_N = 15
 
 
@@ -129,14 +138,15 @@ def require_perm(tau: Sequence[int], n: int) -> Tuple[int, ...]:
 
 
 def stats_block(n: int, start: int, stop: int) -> np.ndarray:
-    """Statistics rows for preference-function indices [start, stop),
-    ranked as in ``grid_block``."""
+    """The ``STAT`` records of preference-function indices [start, stop),
+    ranked as in ``grid_block``: one record per index, in order."""
     return stat_rows(*grid_block(n, start, stop))
 
 
 def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Statistics rows of the functions whose preferences and diagonals
-    ``grid_block`` returned, one row per column of F."""
+    """The ``STAT`` records of the functions whose preferences and
+    diagonals ``grid_block`` returned, one per column of F.  Each field
+    is computed in its own type and written into the records once."""
     n, nrows = F.shape
     cars = np.arange(n, dtype=np.int8)
 
@@ -173,15 +183,15 @@ def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
                                              & (F[c] > F[c - 1]))
             ides |= up.astype(np.int16) << (c - 1)
 
-    out = np.empty((nrows, NCOL), dtype=np.int64, order="F")
+    out = np.empty(nrows, dtype=STAT)
     # The rows 1..n sum to n(n+1)/2, so sum(diag) = n(n+1)/2 - sum(f).
-    out[:, AREA] = n * (n + 1) // 2 - fsum - n * mind.astype(np.int64)
-    out[:, DINV] = dinv
-    out[:, DEV] = -mind
-    out[:, TOUCH] = touch
-    out[:, IDES] = ides
-    out[:, DWORD] = dword
-    out[:, PARK] = mind == 0
+    out[AREA] = n * (n + 1) // 2 - fsum - n * mind.astype(np.int16)
+    out[DINV] = dinv
+    out[DEV] = -mind
+    out[TOUCH] = touch
+    out[IDES] = ides
+    out[DWORD] = dword
+    out[PARK] = mind == 0
     return out
 
 
@@ -227,8 +237,9 @@ def _row_orders(diag: np.ndarray) -> np.ndarray:
     ones = np.zeros(1 << n, dtype=np.int8)  # set bits of each mask
     for b in range(n):
         ones[1 << b:2 << b] = ones[:1 << b] + 1
+    # Not np.unique: on numpy 2.4 it imports numpy.ma, 10-20 ms.
     levels = [(k, int(bits[d >= k].sum()), int(bits[d <= k].sum()))
-              for k in np.unique(d).tolist()]
+              for k in sorted(set(d.tolist()))]
     F = np.zeros((n, 1), dtype=np.int8)
     free = np.full(1, (1 << n) - 1, dtype=np.int32)
     last = np.full(1, -1, dtype=np.int32)  # f * n + car of the last car
@@ -263,7 +274,7 @@ def _row_orders(diag: np.ndarray) -> np.ndarray:
 def diagword_blocks(n: int, tau: Sequence[int]
                     ) -> Iterator[Tuple[int, np.ndarray, np.ndarray,
                                         np.ndarray]]:
-    """(l, F, diag, statistics rows) for each deviation l that some
+    """(l, F, diag, ``STAT`` records) for each deviation l that some
     function of diagword tau has: those functions' F and diag as
     ``grid_block`` gives them, and their ``stat_rows``.
 
@@ -280,7 +291,7 @@ def diagword_blocks(n: int, tau: Sequence[int]
             continue
         diag = np.broadcast_to(diag[:, None], F.shape)
         rows = stat_rows(F, diag)
-        if (rows[:, DWORD] != code).any():
+        if (rows[DWORD] != code).any():
             raise RuntimeError(f"n = {n}: a function built for diagword "
                                f"{tau} has another diagword")
         yield l, F, diag, rows
@@ -297,7 +308,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
     Chunk boundaries depend only on n and ``chunk``, never on ``threads``,
     so the stream of blocks (and anything folded over it in order) is
     identical for any worker count.  With several workers at most
-    ``2 * threads`` blocks are submitted but not yet yielded (7.3 MB each
+    ``2 * threads`` blocks are submitted but not yet yielded (2.1 MB each
     at the default ``CHUNK``), which bounds memory whatever n is.  The
     blocks of one tau are built in the calling thread.
     """

@@ -271,8 +271,8 @@ class StatBlock(NamedTuple):
     """The statistics of the functions with indices [start, stop), ranked
     as in ``kernels.grid_block``, or of those of one diagword, as numpy
     columns: entry r of each column belongs to index index[r].  area,
-    ides, diagword, deviation and touch are columns of
-    ``kernels.stat_rows``."""
+    ides, diagword, deviation and touch are fields of the
+    ``kernels.stat_rows`` records."""
 
     f: np.ndarray          # (n, rows) int8; f[c] holds f(c + 1)
     index: np.ndarray
@@ -311,7 +311,8 @@ def diagword_block(n: int, tau: Sequence[int]) -> StatBlock:
 def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
                 cols: np.ndarray) -> StatBlock:
     """The ``StatBlock`` of the functions with preferences F, diagonals
-    diag and ``kernels.stat_rows`` cols, entry r at index index[r]."""
+    diag and ``kernels.stat_rows`` records cols, entry r at index
+    index[r]."""
     n, nrows = F.shape
 
     # wpos[c] is the place of car c + 1 in word (ties by column, right to
@@ -338,13 +339,13 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
     for c in range(n):
         word += np.take(powers, wpos[c]) * c
         main |= (diag[c] == 0).astype(np.int32) << (F[c] - 1)
-    deviation = cols[:, kernels.DEV]
+    deviation = cols[kernels.DEV]
     main[deviation > 0] = 0
 
     # The maximal increasing runs of diagword must be its diagonals: a
     # descent exactly where the diagonal changes.  by_place[i] + 1 is the
     # car at place i, digit i of the kernel's diagword code.
-    by_place = cols[:, kernels.DWORD] // powers[:, None] % n
+    by_place = cols[kernels.DWORD] // powers[:, None] % n
     diag_by_place = np.take_along_axis(diag, by_place, axis=0)
     bad = np.flatnonzero(((by_place[1:] < by_place[:-1])
                           != (diag_by_place[1:] != diag_by_place[:-1])
@@ -357,15 +358,15 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
     return StatBlock(
         f=F,
         index=index,
-        area=cols[:, kernels.AREA],
+        area=cols[kernels.AREA],
         primary=primary,
-        secondary=cols[:, kernels.DINV] - primary - tertiary,
+        secondary=cols[kernels.DINV] - primary - tertiary,
         tertiary=tertiary,
         word=word,
-        ides=cols[:, kernels.IDES],
-        diagword=cols[:, kernels.DWORD],
+        ides=cols[kernels.IDES],
+        diagword=cols[kernels.DWORD],
         deviation=deviation,
-        touch=cols[:, kernels.TOUCH],
+        touch=cols[kernels.TOUCH],
         main=main,
     )
 

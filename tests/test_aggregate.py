@@ -249,10 +249,10 @@ def test_a_producer_that_admits_another_diagword_is_refused(monkeypatch,
 def fake_stream(rows):
     """A stand-in for kernels.iter_stat_chunks yielding one block of rows."""
     def stream(n, threads=1, **kwargs):
-        blk = np.zeros((len(rows), kernels.NCOL), dtype=np.int64)
+        blk = np.zeros(len(rows), dtype=kernels.STAT)
         for i, row in enumerate(rows):
             for col, value in row.items():
-                blk[i, col] = value
+                blk[col][i] = value
         yield 0, blk
     return stream
 
@@ -267,6 +267,21 @@ def test_ides_mask_round_trips_at_n10(monkeypatch):
     table = aggregate.qsym_by_diagword(n)
     assert as_dicts(table) == {(code, 2): {(40, 18, 0b111111111): 3}}
     assert table.counts_at(code) == {(40, 18, 0b111111111): 3}
+
+
+def test_touch_key_round_trips_at_n10_with_largest_values(monkeypatch):
+    """Every field at its largest legal value: a key built in the first
+    field's int8 (touch) would wrap at the first radix product."""
+    n = 10
+    row = {kernels.TOUCH: n, kernels.PARK: 1, kernels.AREA: n * n,
+           kernels.DINV: n * n, kernels.IDES: 2 ** (n - 1) - 1}
+    other = {**row, kernels.TOUCH: 1, kernels.PARK: 0}
+    monkeypatch.setattr(kernels, "iter_stat_chunks",
+                        fake_stream([row, other, row]))
+    table = aggregate.qsym_by_touch(n)
+    assert as_dicts(table) == {(1, 0): {(100, 100, 511): 1},
+                               (n, 1): {(100, 100, 511): 2}}
+    assert table.counts_at(n, 1) == {(100, 100, 511): 2}
 
 
 def test_key_too_wide_is_refused_before_any_block(monkeypatch):
@@ -301,8 +316,8 @@ GUARDS = textwrap.dedent("""
     real_stream = kernels.iter_stat_chunks
 
     def bad_stream(n, threads=1, **kwargs):
-        blk = np.zeros((1, kernels.NCOL), dtype=np.int64)
-        blk[0, kernels.DEV] = n
+        blk = np.zeros(1, dtype=kernels.STAT)
+        blk[kernels.DEV] = n
         yield 0, blk
 
     kernels.iter_stat_chunks = bad_stream

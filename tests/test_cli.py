@@ -561,7 +561,7 @@ def secondary_off_by_one_block(n):
             for a in range(n)
             for b in range(n)
             if pl.diag[a] == pl.diag[b] - 1 and pl.col[a] > pl.col[b] + 1)
-        blk[i, kernels.DINV] = s.primary + sec + s.tertiary
+        blk[kernels.DINV][i] = s.primary + sec + s.tertiary
     return blk
 
 
@@ -572,7 +572,7 @@ def secondary_off_by_one(monkeypatch):
     def stream(n, threads=1, tau=None, **kwargs):
         blk = secondary_off_by_one_block(n)
         if tau is not None:
-            blk = blk[blk[:, kernels.DWORD] == kernels.encode_perm(tau, n)]
+            blk = blk[blk[kernels.DWORD] == kernels.encode_perm(tau, n)]
         yield 0, blk
 
     monkeypatch.setattr(kernels, "iter_stat_chunks", stream)

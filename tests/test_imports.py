@@ -132,3 +132,21 @@ def test_symfunc_runs_without_numpy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True ['qtpark', 'qtpark.qt', 'qtpark.symfunc']\n"
+
+
+ONE_TAU_TABLE = """
+import sys
+from qtpark import aggregate
+aggregate.qt_by_diagword(8, tau=(7, 8, 4, 1, 3, 6, 2, 5))
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_one_tau_table_does_not_import_numpy_ma():
+    """np.unique without return_counts asks np.ma.is_masked on numpy 2.4,
+    and importing numpy.ma costs a one-tau run 10-20 ms."""
+    proc = subprocess.run([sys.executable, "-c", ONE_TAU_TABLE],
+                          env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -10,7 +10,7 @@ import pytest
 
 from qtpark import kernels
 from qtpark.checks import tau_functions
-from qtpark.kernels import (AREA, DEV, DINV, DWORD, IDES, NCOL, PARK, TOUCH,
+from qtpark.kernels import (AREA, DEV, DINV, DWORD, IDES, PARK, STAT, TOUCH,
                             decode_ides, encode_perm, iter_stat_chunks,
                             stats_block)
 from qtpark.paths import PrefFunc, stats
@@ -55,8 +55,17 @@ def test_block_window_matches_reference(n, where):
     start = {"start": 0, "middle": (n ** n - rows) // 2,
              "end": n ** n - rows}[where]
     block = stats_block(n, start, start + rows)
-    assert block.shape == (rows, NCOL)
+    assert block.shape == (rows,)
     assert_rows_match_reference(block, n, start)
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 15])
+def test_block_is_one_16_byte_record_per_function(n):
+    rows = min(300, n ** n)
+    block = stats_block(n, 0, rows)
+    assert block.dtype == STAT
+    assert block.dtype.itemsize == 16
+    assert len(block) == rows
 
 
 @pytest.mark.parametrize("n", [0, 16, 20])
@@ -77,7 +86,7 @@ def test_chunk_stream_thread_invariant(threads):
 
 
 def sorted_rows(block):
-    return block[np.lexsort(block.T[::-1])]
+    return np.sort(block)  # by the fields in order
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -86,7 +95,7 @@ def test_diagword_filter_keeps_exactly_its_rows(n):
     diagword is tau, for any thread count."""
     whole = stats_block(n, 0, n ** n)
     for tau in permutations(range(1, n + 1)):
-        mine = whole[whole[:, DWORD] == encode_perm(tau, n)]
+        mine = whole[whole[DWORD] == encode_perm(tau, n)]
         for threads in (1, 2):
             blocks = [blk for _, blk in iter_stat_chunks(
                 n, threads=threads, chunk=5, tau=tau)]
@@ -107,8 +116,8 @@ def test_diagword_and_deviation_fix_the_diagonals(n):
         stop = min(start + kernels.CHUNK, total)
         F, diag = kernels.grid_block(n, start, stop)
         rows = kernels.stat_rows(F, diag)
-        which = np.searchsorted(codes, rows[:, DWORD])
-        assert np.array_equal(table[which, rows[:, DEV]].T, diag)
+        which = np.searchsorted(codes, rows[DWORD])
+        assert np.array_equal(table[which, rows[DEV]].T, diag)
 
 
 def test_producer_counts_are_the_schedule_products():

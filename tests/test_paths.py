@@ -274,7 +274,7 @@ def off_by_one(F, diag):
     out = real(F, diag)
     calls.append(1)
     if len(calls) == 2:
-        out[0, kernels.DINV] += 1
+        out[kernels.DINV][0] += 1
     return out
 
 kernels.stat_rows = off_by_one
