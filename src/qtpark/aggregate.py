@@ -22,17 +22,22 @@ exclusive bound that follows from n:
     DINV       n^2 + 1     dinv <= n^2
     IDES       2^(n-1)     a subset of 1..n-1 as a bit mask
 
-Keys are counted per block with ``np.unique``.  Once ``_MERGE_BATCH``
-such (key, count) entries are pending, they are merged into the running
-totals in numpy: a stable sort of the sorted runs, then ``np.add.reduceat``
-over each run of equal keys, in integers only.  The merge owns the list of
-runs it is handed, the running totals first: it empties the list once the
-runs are concatenated, so they are freed before the sort, and drops each
-intermediate array as soon as it has been used.  The keys are then split
-back into columns with the same radices.  The fold raises ``ValueError``
-before any block is computed when the product of the radices does not fit
-in an int64 (``qsym_by_diagword`` of every diagword for n >= 11), and
-while folding when a block value falls outside its radix.
+Keys are counted per block with ``np.unique``, in the thread that
+computed the block (``kernels.iter_stat_chunks`` with ``each``; a worker
+thread when the sweep has several): only the block's distinct keys and
+their counts reach the calling thread, which appends and merges them.
+Once ``_MERGE_BATCH`` such (key, count) entries are pending, they are
+merged into the running totals in numpy: a stable sort of the sorted
+runs, then ``np.add.reduceat`` over each run of equal keys, in integers
+only.  The merge owns the list of runs it is handed, the running totals
+first: it empties the list once the runs are concatenated, so they are
+freed before the sort, and drops each intermediate array as soon as it
+has been used.  The keys are then split back into columns with the same
+radices.  The fold raises ``ValueError`` before any block is computed
+when the product of the radices does not fit in an int64
+(``qsym_by_diagword`` of every diagword for n >= 11), and while folding
+when a block value falls outside its radix; a worker's error is raised
+again in the calling thread.
 
 The fold's sorted arrays are the table (``Table``): a key is the kernel's
 own integers, (diagword code, deviation) or (touch, is parking), its rows
@@ -76,8 +81,11 @@ _RADIX: Dict[str, Callable[[int], int]] = {
 }
 _KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
 # Pending per-block (key, count) entries merged into the running totals at
-# once: about 16 MB of arrays.
-_MERGE_BATCH = 1 << 20
+# once: about 8 MB of arrays.  A merge holds about four int64 arrays of the
+# totals plus the batch, so the batch sets the n = 8 peaks: at 2 threads
+# the closed-form and square-paths checks peaked at 117 and 82 MB with
+# 2^19 and at 131 and 111 MB with 2^20.
+_MERGE_BATCH = 1 << 19
 
 
 def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]
@@ -122,11 +130,9 @@ def _fold(n: int, threads: int, columns: Tuple[str, ...],
     if size > _KEY_LIMIT:
         raise ValueError(f"n = {n}: keys over columns {columns} reach "
                          f"{size - 1} > 2^63 - 1")
-    empty = np.zeros(0, dtype=np.int64)
-    # The running totals, then the blocks' counts since the last merge.
-    pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
-    npending = 0
-    for _, blk in kernels.iter_stat_chunks(n, threads=threads, tau=tau):
+
+    def count_keys(blk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct keys of one block and their counts."""
         # The key is int64 from the start: built in an int8 field's own
         # type, key * r would wrap without an error.
         key = np.zeros(len(blk), dtype=np.int64)
@@ -140,8 +146,16 @@ def _fold(n: int, threads: int, columns: Tuple[str, ...],
                                  f"outside 0..{r - 1}")
             key *= r
             key += col
-        pending.append(np.unique(key, return_counts=True))
-        npending += pending[-1][0].size
+        return np.unique(key, return_counts=True)
+
+    empty = np.zeros(0, dtype=np.int64)
+    # The running totals, then the blocks' counts since the last merge.
+    pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
+    npending = 0
+    for _, part in kernels.iter_stat_chunks(n, threads=threads, tau=tau,
+                                            each=count_keys):
+        pending.append(part)
+        npending += part[0].size
         if npending >= _MERGE_BATCH:
             pending, npending = [_merge(pending)], 0
     rest, counts = _merge(pending)

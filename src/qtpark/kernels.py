@@ -48,24 +48,29 @@ Costs that showed in the n = 8 sweep (16.7M rows):
 - ``grid_block`` decodes row indices in int32 while n^n <= 2^31 (n <= 9):
   numpy's int64 floor division does not vectorize, and in int64 the
   decode cost more than the whole pair loop that follows.
-- A block is 16 bytes a function, 2.1 MB at the default ``CHUNK``, and
-  up to ``2 * threads`` finished blocks wait in ``iter_stat_chunks``
-  beside those in flight.  As seven int64 columns (56 bytes a function)
-  the full n = 8 table build at 2 threads peaked at 151-157 MB, not
-  122-125 MB.
+- A block is 16 bytes a function, 2.1 MB at the default ``CHUNK``.
+  ``iter_stat_chunks`` passes each swept block to ``each`` in the
+  worker that computed it, so the up to ``2 * threads`` entries waiting
+  to be yielded are ``each``'s results: for the count tables, a block's
+  distinct keys and counts.  Handed to one consumer thread that keyed
+  and sorted them, the blocks held the two n = 7 table builds of the
+  benchmark's ``tables-n7`` at 58.1-58.3 MB; folded in the workers they
+  peak at 52.3-53.4 MB.  As seven int64 columns (56 bytes a function)
+  the full n = 8 table build at 2 threads peaked at 151-157 MB.
 - ``CHUNK`` is 2^17 rows.  Worker threads take the GIL on every numpy
   call, so smaller blocks spend more of the sweep in contention.  With 2
   threads on 2 vCPUs ``check thm-schedule-closed-form --n 8`` took
-  2.8-3.1 s at 2^16 rows, 2.5-2.7 s at 2^17 and 2.6-2.7 s at 2^18,
-  peaking at 113, 123 and 148-154 MB: past 2^17 the peak grows and the
-  time does not fall.
+  2.6-3.2 s at 2^16 rows, 2.1-2.4 s at 2^17 and 2.5-2.6 s at 2^18,
+  peaking at 110-111, 116-118 and 129-131 MB: past 2^17 the peak grows
+  and the time does not fall.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Deque, Iterator, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Iterator, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import numpy as np
 
@@ -76,6 +81,7 @@ STAT = np.dtype([("dword", np.int64), ("area", np.int16), ("ides", np.int16),
                  ("dinv", np.int8), ("dev", np.int8), ("touch", np.int8),
                  ("park", np.int8)])
 DWORD, AREA, IDES, DINV, DEV, TOUCH, PARK = STAT.names
+T = TypeVar("T")
 
 CHUNK = 1 << 17
 
@@ -298,29 +304,41 @@ def diagword_blocks(n: int, tau: Sequence[int]
 
 
 def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
-                     tau: Optional[Sequence[int]] = None
-                     ) -> Iterator[Tuple[int, np.ndarray]]:
+                     tau: Optional[Sequence[int]] = None,
+                     each: Optional[Callable[[np.ndarray], T]] = None
+                     ) -> Iterator[Tuple[int, T]]:
     """Yield (start, block) pairs covering all n^n functions, in order;
     with ``tau``, yield (l, block) for each deviation l that some
     function of diagword tau has, the block holding exactly those
     functions (``diagword_blocks``), and sweep nothing.
 
+    With ``each``, yield ``each(block)`` in place of every block.  A
+    swept block is passed to ``each`` in the worker thread that computed
+    it, so only its result waits to be yielded; the blocks of one tau,
+    in the calling thread.
+
     Chunk boundaries depend only on n and ``chunk``, never on ``threads``,
-    so the stream of blocks (and anything folded over it in order) is
-    identical for any worker count.  With several workers at most
-    ``2 * threads`` blocks are submitted but not yet yielded (2.1 MB each
-    at the default ``CHUNK``), which bounds memory whatever n is.  The
-    blocks of one tau are built in the calling thread.
+    so the stream (and anything folded over it in order) is identical for
+    any worker count.  With several workers at most ``2 * threads``
+    chunks are submitted but not yet yielded, which bounds memory
+    whatever n is.
     """
     if tau is not None:
         for l, _, _, rows in diagword_blocks(n, tau):
-            yield l, rows
+            yield l, rows if each is None else each(rows)
         return
     total = n ** n
+
+    def block(s: int):
+        # stats_block is looked up at each call, so a wrapper set on the
+        # module sees every block.
+        rows = stats_block(n, s, min(s + chunk, total))
+        return rows if each is None else each(rows)
+
     starts = range(0, total, chunk)
     if threads <= 1 or len(starts) <= 1:
         for s in starts:
-            yield s, stats_block(n, s, min(s + chunk, total))
+            yield s, block(s)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: Deque[Tuple[int, Future]] = deque()
@@ -328,8 +346,7 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
             if len(pending) == 2 * threads:
                 head, fut = pending.popleft()
                 yield head, fut.result()
-            pending.append((s, pool.submit(stats_block, n, s,
-                                           min(s + chunk, total))))
+            pending.append((s, pool.submit(block, s)))
         while pending:
             head, fut = pending.popleft()
             yield head, fut.result()

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 from itertools import permutations
 
 import numpy as np
@@ -183,13 +184,17 @@ def test_one_tau_table_sweeps_nothing(monkeypatch):
     """The one-tau table of 3142 is folded from the kernel's blocks of
     its functions, one per deviation, with no block of the n^n sweep, and
     is still the full table's slice."""
-    blocks = []
+    blocks, starts = [], []
     real = kernels.iter_stat_chunks
 
-    def recording(*args, **kwargs):
-        for start, blk in real(*args, **kwargs):
-            blocks.append((start, blk))
-            yield start, blk
+    def recording(*args, each, **kwargs):
+        def seen(blk):  # in the calling thread, in order, for one tau
+            blocks.append(blk)
+            return each(blk)
+
+        for start, part in real(*args, each=seen, **kwargs):
+            starts.append(start)
+            yield start, part
 
     full = aggregate.qsym_by_diagword(4)
     monkeypatch.setattr(kernels, "iter_stat_chunks", recording)
@@ -200,8 +205,8 @@ def test_one_tau_table_sweeps_nothing(monkeypatch):
     assert as_dicts(table) == {key: counts
                                for key, counts in as_dicts(full).items()
                                if key[0] == code}
-    assert [l for l, _ in blocks] == [0, 1, 2]
-    assert sum(len(blk) for _, blk in blocks) == full.counts[where].sum()
+    assert starts == [0, 1, 2] and len(blocks) == 3
+    assert sum(len(blk) for blk in blocks) == full.counts[where].sum()
 
 
 @pytest.mark.parametrize("tau", [(1, 2, 2, 4), (1, 2, 3), (0, 1, 2, 3),
@@ -247,13 +252,14 @@ def test_a_producer_that_admits_another_diagword_is_refused(monkeypatch,
 
 
 def fake_stream(rows):
-    """A stand-in for kernels.iter_stat_chunks yielding one block of rows."""
-    def stream(n, threads=1, **kwargs):
+    """A stand-in for kernels.iter_stat_chunks yielding one block of rows,
+    passed through ``each`` as the real stream does."""
+    def stream(n, threads=1, each=None, **kwargs):
         blk = np.zeros(len(rows), dtype=kernels.STAT)
         for i, row in enumerate(rows):
             for col, value in row.items():
                 blk[col][i] = value
-        yield 0, blk
+        yield 0, blk if each is None else each(blk)
     return stream
 
 
@@ -304,8 +310,30 @@ def test_key_too_wide_is_refused_before_any_block(monkeypatch):
 ], ids=["dev-high", "dev-negative", "ides", "area", "diagword"])
 def test_out_of_range_block_is_refused(monkeypatch, col, value):
     monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([{col: value}]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"column {col} holds"):
         aggregate.qsym_by_diagword(4)
+
+
+def test_out_of_range_block_is_refused_in_a_worker(monkeypatch):
+    """A field out of range in one middle block, whose key a worker
+    thread builds, raises the guard's ValueError in the caller."""
+    use_small_chunks(monkeypatch, 97)
+    real = kernels.stats_block
+    planted_in = []
+
+    def planted(n, start, stop):
+        blk = real(n, start, stop)
+        if start <= n ** n // 2 < stop:
+            blk[kernels.DINV][0] = n * n + 1
+            planted_in.append(threading.current_thread())
+        return blk
+
+    monkeypatch.setattr(kernels, "stats_block", planted)
+    with pytest.raises(ValueError, match=f"column {kernels.DINV} holds "
+                                         r"\d+\.\.26, outside 0\.\.25"):
+        aggregate.qsym_by_touch(5, threads=2)
+    assert len(planted_in) == 1
+    assert planted_in[0] is not threading.main_thread()
 
 
 GUARDS = textwrap.dedent("""
@@ -315,16 +343,38 @@ GUARDS = textwrap.dedent("""
 
     real_stream = kernels.iter_stat_chunks
 
-    def bad_stream(n, threads=1, **kwargs):
+    def bad_stream(n, threads=1, each=None, **kwargs):
         blk = np.zeros(1, dtype=kernels.STAT)
         blk[kernels.DEV] = n
-        yield 0, blk
+        yield 0, blk if each is None else each(blk)
 
     kernels.iter_stat_chunks = bad_stream
     try:
         aggregate.qt_by_diagword(3)
-    except ValueError:
-        print("fold guard fired")
+    except ValueError as e:
+        if "column dev" in str(e):
+            print("fold guard fired")
+    kernels.iter_stat_chunks = real_stream
+
+    real_block = kernels.stats_block
+
+    def bad_middle_block(n, start, stop):
+        blk = real_block(n, start, stop)
+        if start <= n ** n // 2 < stop:
+            blk[kernels.DINV][0] = n * n + 1
+        return blk
+
+    def small_chunks(n, threads=1, **kwargs):
+        return real_stream(n, threads=threads, **{**kwargs, "chunk": 97})
+
+    kernels.stats_block = bad_middle_block
+    kernels.iter_stat_chunks = small_chunks
+    try:  # 33 blocks, keyed in the kernel's worker threads
+        aggregate.qsym_by_touch(5, threads=2)
+    except ValueError as e:
+        if "column dinv" in str(e):
+            print("worker fold guard fired")
+    kernels.stats_block = real_block
     kernels.iter_stat_chunks = real_stream
 
     real_diagonals = kernels.diagonals
@@ -398,6 +448,7 @@ def test_guards_fire_under_python_O():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["fold guard fired",
+                                        "worker fold guard fired",
                                         "diagword guard fired",
                                         "factor_check guard fired",
                                         "e_nk guard fired",

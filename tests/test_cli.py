@@ -495,20 +495,30 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
         check_id, 5, (TAU5, fault), pf=target == "schedule0_rows")
 
 
+def watch_blocks(monkeypatch):
+    """A list that gets (n, records) for every block of kernel records a
+    fold reads.  A swept block is appended in the worker thread that
+    computed it, so the order of those entries is not fixed."""
+    blocks = []
+    real = kernels.iter_stat_chunks
+
+    def watched(n, *args, each=None, **kwargs):
+        def seen(blk):
+            blocks.append((n, blk))
+            return blk if each is None else each(blk)
+
+        return real(n, *args, each=seen, **kwargs)
+
+    monkeypatch.setattr(kernels, "iter_stat_chunks", watched)
+    return blocks
+
+
 def swept_sizes(capsys, monkeypatch, *argv):
     """argv's exit code and report, and the n of every kernel block it
     computes."""
-    sizes = []
-    real = kernels.iter_stat_chunks
-
-    def counting(n, *args, **kwargs):
-        for start, blk in real(n, *args, **kwargs):
-            sizes.append(n)
-            yield start, blk
-
-    monkeypatch.setattr(kernels, "iter_stat_chunks", counting)
+    blocks = watch_blocks(monkeypatch)
     code, out, _ = run(capsys, *argv)
-    return code, json.loads(out), sizes
+    return code, json.loads(out), [n for n, _ in blocks]
 
 
 def test_schedule_closed_form_sweeps_only_the_tau_size(capsys, monkeypatch):
@@ -569,11 +579,11 @@ def secondary_off_by_one_block(n):
 def secondary_off_by_one(monkeypatch):
     """Every table is folded out of the blocks of secondary_off_by_one_block
     (the rows of diagword tau, when given)."""
-    def stream(n, threads=1, tau=None, **kwargs):
+    def stream(n, threads=1, tau=None, each=None, **kwargs):
         blk = secondary_off_by_one_block(n)
         if tau is not None:
             blk = blk[blk[kernels.DWORD] == kernels.encode_perm(tau, n)]
-        yield 0, blk
+        yield 0, blk if each is None else each(blk)
 
     monkeypatch.setattr(kernels, "iter_stat_chunks", stream)
 
@@ -782,18 +792,10 @@ def test_each_runner_builds_one_table_per_n(capsys, monkeypatch, check_id):
 
 def kernel_rows(capsys, monkeypatch, *argv):
     """argv's report and the rows the kernel hands the folds."""
-    rows = []
-    real = kernels.iter_stat_chunks
-
-    def counting(*args, **kwargs):
-        for start, blk in real(*args, **kwargs):
-            rows.append(len(blk))
-            yield start, blk
-
-    monkeypatch.setattr(kernels, "iter_stat_chunks", counting)
+    blocks = watch_blocks(monkeypatch)
     code, out, _ = run(capsys, *argv)
     assert code == 0
-    return json.loads(out), sum(rows)
+    return json.loads(out), sum(len(blk) for _, blk in blocks)
 
 
 @pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
