@@ -25,19 +25,27 @@ exclusive bound that follows from n:
 Keys are counted per block with ``np.unique``, in the thread that
 computed the block (``kernels.iter_stat_chunks`` with ``each``; a worker
 thread when the sweep has several): only the block's distinct keys and
-their counts reach the calling thread, which appends and merges them.
-Once ``_MERGE_BATCH`` such (key, count) entries are pending, they are
-merged into the running totals in numpy: a stable sort of the sorted
-runs, then ``np.add.reduceat`` over each run of equal keys, in integers
-only.  The merge owns the list of runs it is handed, the running totals
-first: it empties the list once the runs are concatenated, so they are
-freed before the sort, and drops each intermediate array as soon as it
-has been used.  The keys are then split back into columns with the same
-radices.  The fold raises ``ValueError`` before any block is computed
-when the product of the radices does not fit in an int64
-(``qsym_by_diagword`` of every diagword for n >= 11), and while folding
-when a block value falls outside its radix; a worker's error is raised
-again in the calling thread.
+their counts reach the calling thread, which merges them.  The key
+space is cut evenly into n ranges, at size * i // n for the product size
+of the radices; for a diagword table the cuts fall between the first
+cars of the diagword.  Each range has its own running totals and pending
+runs, and the calling thread appends a copy of each block's slice of a
+range to that range's runs: a view would keep the whole block alive
+until its range is merged.  Once ``_MERGE_BATCH`` (key, count) entries
+are pending over all ranges, each range is merged into its own totals
+in numpy, one range at a time: a stable sort of the sorted runs, then
+``np.add.reduceat`` over each run of equal keys, in integers only.  So
+one merge holds about 1/n of the totals and of the pending runs.  The
+merge owns the list of runs it is handed, the running totals first: it
+empties the list once the runs are concatenated, so they are freed
+before the sort, and drops each intermediate array as soon as it has
+been used.  After the last block every range is merged once more, and
+the ranges' totals are concatenated in order.  The keys are then split
+back into columns with the same radices.  The fold raises ``ValueError``
+before any block is computed when the product of the radices does not
+fit in an int64 (``qsym_by_diagword`` of every diagword for n >= 11),
+and while folding when a block value falls outside its radix; a
+worker's error is raised again in the calling thread.
 
 The fold's sorted arrays are the table (``Table``): a key is the kernel's
 own integers, (diagword code, deviation) or (touch, is parking), its rows
@@ -80,11 +88,13 @@ _RADIX: Dict[str, Callable[[int], int]] = {
     kernels.IDES: lambda n: 2 ** (n - 1),
 }
 _KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
-# Pending per-block (key, count) entries merged into the running totals at
-# once: about 8 MB of arrays.  A merge holds about four int64 arrays of the
-# totals plus the batch, so the batch sets the n = 8 peaks: at 2 threads
-# the closed-form and square-paths checks peaked at 117 and 82 MB with
-# 2^19 and at 131 and 111 MB with 2^20.
+# Pending per-block (key, count) entries, over all key ranges, at which
+# each range is merged into its running totals: about 8 MB of arrays.  A
+# range's merge holds about four int64 arrays of its totals plus its share
+# of the batch.  At n = 8 and 2 threads the closed-form, square-paths and
+# withides checks peaked at 89-99, 62-65 and 170-186 MB with 2^19; 2^18
+# took them to 92-102, 56-60 and 170-182 MB and each ran slower, 2^20 to
+# 90-96, 77-78 and 173-182 MB.
 _MERGE_BATCH = 1 << 19
 
 
@@ -148,17 +158,27 @@ def _fold(n: int, threads: int, columns: Tuple[str, ...],
             key += col
         return np.unique(key, return_counts=True)
 
+    # n key ranges (see the module docstring), each a list of the range's
+    # running totals, then its runs since the last merge.
+    edges = [size * i // n for i in range(1, n)]
     empty = np.zeros(0, dtype=np.int64)
-    # The running totals, then the blocks' counts since the last merge.
-    pending: List[Tuple[np.ndarray, np.ndarray]] = [(empty, empty)]
+    ranges: List[List[Tuple[np.ndarray, np.ndarray]]] = [
+        [(empty, empty)] for _ in range(n)]
     npending = 0
-    for _, part in kernels.iter_stat_chunks(n, threads=threads, tau=tau,
-                                            each=count_keys):
-        pending.append(part)
-        npending += part[0].size
+    for _, (keys, counts) in kernels.iter_stat_chunks(
+            n, threads=threads, tau=tau, each=count_keys):
+        bounds = [0, *keys.searchsorted(edges).tolist(), keys.size]
+        for pending, lo, hi in zip(ranges, bounds, bounds[1:]):
+            if lo < hi:  # copies: a view would keep the whole block alive
+                pending.append((keys[lo:hi].copy(), counts[lo:hi].copy()))
+        npending += keys.size
+        del keys, counts
         if npending >= _MERGE_BATCH:
-            pending, npending = [_merge(pending)], 0
-    rest, counts = _merge(pending)
+            ranges, npending = [[_merge(pending)] for pending in ranges], 0
+    totals = [_merge(pending) for pending in ranges]
+    rest = np.concatenate([k for k, _ in totals])
+    counts = np.concatenate([c for _, c in totals])
+    del totals
     digits = []
     for r in reversed(radices):
         rest, d = np.divmod(rest, r)

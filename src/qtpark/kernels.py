@@ -57,12 +57,22 @@ Costs that showed in the n = 8 sweep (16.7M rows):
   benchmark's ``tables-n7`` at 58.1-58.3 MB; folded in the workers they
   peak at 52.3-53.4 MB.  As seven int64 columns (56 bytes a function)
   the full n = 8 table build at 2 threads peaked at 151-157 MB.
+- Computing a block takes about three times the block: the traced peak
+  of ``stats_block`` is 48 bytes a function at n = 7 and 51 at n = 8,
+  6.7 MB at the default ``CHUNK``.  ``stat_rows`` builds the diagword
+  first and frees the n int8 place counts before it allocates the
+  records.  Allocated after a single loop that also built the diagword,
+  the records sat beside the place counts, the int64 diagword and
+  ``np.take``'s int64 temporaries: 61 and 64 bytes a function.
+  Indexing ``(powers * c)[pos[c]]`` in place of ``np.take`` saves 3
+  bytes more but is slower.
 - ``CHUNK`` is 2^17 rows.  Worker threads take the GIL on every numpy
   call, so smaller blocks spend more of the sweep in contention.  With 2
   threads on 2 vCPUs ``check thm-schedule-closed-form --n 8`` took
-  2.6-3.2 s at 2^16 rows, 2.1-2.4 s at 2^17 and 2.5-2.6 s at 2^18,
-  peaking at 110-111, 116-118 and 129-131 MB: past 2^17 the peak grows
-  and the time does not fall.
+  2.4-2.7 s at 2^16 rows, 2.2-2.7 s at 2^17 and 2.3-2.5 s at 2^18,
+  peaking at 88-99, 90-95 and 94-98 MB; ``check main-square-paths --n
+  8..8`` took 1.5-1.7, 1.2-1.3 and 1.3-1.4 s at 56-58, 63-64 and
+  76-77 MB.  Smaller blocks are slower, larger ones peak higher.
 """
 
 from __future__ import annotations
@@ -132,7 +142,8 @@ def grid_block(n: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
             later_first = F[a] > F[b]
             row[a] += later_first
             row[b] -= later_first
-    return F, row - F
+    row -= F
+    return F, row
 
 
 def require_perm(tau: Sequence[int], n: int) -> Tuple[int, ...]:
@@ -152,7 +163,9 @@ def stats_block(n: int, start: int, stop: int) -> np.ndarray:
 def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """The ``STAT`` records of the functions whose preferences and
     diagonals ``grid_block`` returned, one per column of F.  Each field
-    is computed in its own type and written into the records once."""
+    is computed in its own type and written into the records once, as
+    soon as it is final.  The diagword comes first, so the place counts
+    are freed before the records are allocated."""
     n, nrows = F.shape
     cars = np.arange(n, dtype=np.int8)
 
@@ -173,31 +186,34 @@ def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
             pos[b] -= higher
             dinv += rise == (F[a] > F[b])
 
-    mind = diag.min(axis=0)
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    dword = np.zeros(nrows, dtype=np.int64)
+    for c in range(1, n):  # digit c at place pos[c]; car 1's digit is 0
+        dword += np.take(powers * c, pos[c])
+    del pos
+    out = np.empty(nrows, dtype=STAT)
+    out[DWORD] = dword
+    del dword
+
+    mind = diag.min(axis=0)
+    out[DEV] = -mind
+    out[PARK] = mind == 0
     fsum = np.zeros(nrows, dtype=np.int16)
     touch = np.zeros(nrows, dtype=np.int8)
     ides = np.zeros(nrows, dtype=np.int16)
-    dword = np.zeros(nrows, dtype=np.int64)
     for c in range(n):
         fsum += F[c]
         touch += diag[c] == mind
         dinv += diag[c] < 0
-        if c:  # digit c at place pos[c]; car 1's digit is 0
-            dword += np.take(powers * c, pos[c])
+        if c:
             up = (diag[c] > diag[c - 1]) | ((diag[c] == diag[c - 1])
                                              & (F[c] > F[c - 1]))
             ides |= up.astype(np.int16) << (c - 1)
-
-    out = np.empty(nrows, dtype=STAT)
     # The rows 1..n sum to n(n+1)/2, so sum(diag) = n(n+1)/2 - sum(f).
     out[AREA] = n * (n + 1) // 2 - fsum - n * mind.astype(np.int16)
     out[DINV] = dinv
-    out[DEV] = -mind
     out[TOUCH] = touch
     out[IDES] = ides
-    out[DWORD] = dword
-    out[PARK] = mind == 0
     return out
 
 

@@ -1,5 +1,6 @@
 """Count tables against a pure-Python fold, key bounds and refused inputs."""
 
+import math
 import os
 import random
 import subprocess
@@ -251,15 +252,16 @@ def test_a_producer_that_admits_another_diagword_is_refused(monkeypatch,
         aggregate.qt_by_diagword(5, threads=threads, tau=(3, 5, 1, 4, 2))
 
 
-def fake_stream(rows):
-    """A stand-in for kernels.iter_stat_chunks yielding one block of rows,
-    passed through ``each`` as the real stream does."""
+def fake_stream(*blocks):
+    """A stand-in for kernels.iter_stat_chunks yielding one block per list
+    of rows, each passed through ``each`` as the real stream does."""
     def stream(n, threads=1, each=None, **kwargs):
-        blk = np.zeros(len(rows), dtype=kernels.STAT)
-        for i, row in enumerate(rows):
-            for col, value in row.items():
-                blk[col][i] = value
-        yield 0, blk if each is None else each(blk)
+        for start, rows in enumerate(blocks):
+            blk = np.zeros(len(rows), dtype=kernels.STAT)
+            for i, row in enumerate(rows):
+                for col, value in row.items():
+                    blk[col][i] = value
+            yield start, blk if each is None else each(blk)
     return stream
 
 
@@ -288,6 +290,64 @@ def test_touch_key_round_trips_at_n10_with_largest_values(monkeypatch):
     assert as_dicts(table) == {(1, 0): {(100, 100, 511): 1},
                                (n, 1): {(100, 100, 511): 2}}
     assert table.counts_at(n, 1) == {(100, 100, 511): 2}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("build,columns", [
+    (aggregate.qsym_by_diagword, (kernels.DWORD, kernels.DEV, kernels.AREA,
+                                  kernels.DINV, kernels.IDES)),
+    (aggregate.qsym_by_touch, (kernels.TOUCH, kernels.PARK, kernels.AREA,
+                               kernels.DINV, kernels.IDES)),
+], ids=["diagword", "touch"])
+@pytest.mark.parametrize("spread", ["edges", "one-range"])
+def test_range_merges_match_one_unique_fold(monkeypatch, n, build, columns,
+                                            spread):
+    """Keys on both sides of every cut between the fold's n key ranges, or
+    all in the last range, streamed a few at a time and merged mid-stream:
+    each merge sees one range, and the table is one np.unique fold of the
+    same keys."""
+    radices = [aggregate._RADIX[c](n) for c in columns]
+    size = math.prod(radices)
+    edges = [size * i // n for i in range(1, n)]
+    if spread == "edges":
+        keys = {0, 1, size - 2, size - 1}
+        keys.update(e + d for e in edges for d in (-1, 0, 1))
+    else:
+        low = edges[-1] if edges else 0
+        keys = {low, low + 1, (low + size) // 2, size - 1}
+    keys = sorted(keys) * 3
+    random.Random(n).shuffle(keys)
+
+    def fields(key):
+        row = {}
+        for col, r in zip(columns[::-1], radices[::-1]):
+            key, row[col] = divmod(key, r)
+        return row
+
+    blocks = [list(map(fields, keys[i:i + 3]))
+              for i in range(0, len(keys), 3)]
+
+    real_merge = aggregate._merge
+    merged_ranges = []
+
+    def recording_merge(parts):
+        seen = np.concatenate([k for k, _ in parts])
+        merged_ranges.append(set(np.searchsorted(edges, seen,
+                                                 side="right").tolist()))
+        return real_merge(parts)
+
+    monkeypatch.setattr(aggregate, "_merge", recording_merge)
+    monkeypatch.setattr(aggregate, "_MERGE_BATCH", 2)
+    monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream(*blocks))
+    table = build(n)
+    got = np.zeros(table.counts.size, dtype=np.int64)
+    for col, r in zip(table.columns, radices):
+        got = got * r + col
+    expect, counts = np.unique(keys, return_counts=True)
+    assert got.tolist() == expect.tolist()
+    assert table.counts.tolist() == counts.tolist()
+    assert len(merged_ranges) > n  # the last n merges end the stream
+    assert all(len(ranges) <= 1 for ranges in merged_ranges)
 
 
 def test_key_too_wide_is_refused_before_any_block(monkeypatch):

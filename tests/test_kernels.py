@@ -3,6 +3,7 @@
 import random
 import threading
 import time
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -66,6 +67,20 @@ def test_block_is_one_16_byte_record_per_function(n):
     assert block.dtype == STAT
     assert block.dtype.itemsize == 16
     assert len(block) == rows
+
+
+def test_block_working_set_is_at_most_56_bytes_a_row():
+    """The traced peak of one full n = 8 block: its 16-byte records, F and
+    the diagonals (8 bytes each), and what ``stat_rows`` holds beside
+    them."""
+    stats_block(8, 0, kernels.CHUNK)  # first-call allocations
+    tracemalloc.start()
+    try:
+        stats_block(8, 0, kernels.CHUNK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / kernels.CHUNK <= 56
 
 
 @pytest.mark.parametrize("n", [0, 16, 20])
