@@ -1,11 +1,13 @@
 """Exact sparse arithmetic in the variables q and t.
 
 One ring covers everything the rest of the package needs: ``QTPoly``,
-Laurent polynomials in q and t with ``fractions.Fraction`` coefficients,
-stored as a dict mapping ``(q_exponent, t_exponent)`` to a nonzero
-coefficient.  Negative exponents are allowed.  The only division the
-package needs is by a factor 1 - q^m, which ``QTPoly.over_one_minus_q``
-performs; it raises when the quotient is not a polynomial.
+Laurent polynomials in q and t with rational coefficients, stored as a
+dict mapping ``(q_exponent, t_exponent)`` to a nonzero coefficient: an
+``int``, or a ``fractions.Fraction`` where the value is not an integer.
+Negative exponents are allowed.  ``as_poly`` is the one way a scalar
+enters the ring.  The only division the package needs is by a factor
+1 - q^m, which ``QTPoly.over_one_minus_q`` performs; it raises when the
+quotient is not a polynomial.
 
 Canonical string form (used by every serializer in the package): terms are
 sorted lexicographically by (q exponent, t exponent), each term is rendered
@@ -21,14 +23,8 @@ from math import lcm, prod
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, int]
-
-
-def _coerce(value: Union[int, Fraction]) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+Coeff = Union[int, Fraction]
+Scalar = Union["QTPoly", int, Fraction]
 
 
 class QTPoly:
@@ -36,11 +32,15 @@ class QTPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Union[int, Fraction]] | None = None):
-        data: Dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponent, Coeff] | None = None):
+        data: Dict[Exponent, Coeff] = {}
         if terms:
             for (qe, te), c in terms.items():
-                c = _coerce(c)
+                if type(c) is bool:  # stored as the int 1 or 0
+                    c = int(c)
+                elif not isinstance(c, (int, Fraction)):
+                    raise TypeError("expected int or Fraction, got "
+                                    f"{type(c).__name__}")
                 if c:
                     key = (int(qe), int(te))
                     acc = data.get(key)
@@ -60,12 +60,12 @@ class QTPoly:
         return cls({(0, 0): 1})
 
     @classmethod
-    def const(cls, c: Union[int, Fraction]) -> "QTPoly":
+    def const(cls, c: Coeff) -> "QTPoly":
         return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, qexp: int = 0, texp: int = 0,
-                 coeff: Union[int, Fraction] = 1) -> "QTPoly":
+                 coeff: Coeff = 1) -> "QTPoly":
         return cls({(qexp, texp): coeff})
 
     @classmethod
@@ -74,15 +74,12 @@ class QTPoly:
 
     # -- inspection ---------------------------------------------------
 
-    def terms(self) -> Iterator[Tuple[Exponent, Fraction]]:
+    def terms(self) -> Iterator[Tuple[Exponent, Coeff]]:
         """Yield (exponent pair, coefficient) sorted by (q exp, t exp)."""
         return iter(sorted(self._terms.items()))
 
-    def coefficient(self, qexp: int, texp: int) -> Fraction:
-        return self._terms.get((qexp, texp), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
+    def coefficient(self, qexp: int, texp: int) -> Coeff:
+        return self._terms.get((qexp, texp), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -93,20 +90,19 @@ class QTPoly:
     # -- arithmetic ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QTPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self == QTPoly.const(other)
-        return NotImplemented
+        if not isinstance(other, QTPoly):
+            try:
+                other = as_poly(other)
+            except TypeError:
+                return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: "QTPoly") -> "QTPoly":
-        if isinstance(other, (int, Fraction)):
-            other = QTPoly.const(other)
+    def __add__(self, other: Scalar) -> "QTPoly":
         if not isinstance(other, QTPoly):
-            return NotImplemented
+            other = as_poly(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
             acc = out.get(e)
@@ -126,24 +122,20 @@ class QTPoly:
         res._terms = {e: -c for e, c in self._terms.items()}
         return res
 
-    def __sub__(self, other: "QTPoly") -> "QTPoly":
-        return self + (-other if isinstance(other, QTPoly) else QTPoly.const(-other))
+    def __sub__(self, other: Scalar) -> "QTPoly":
+        return self + -as_poly(other)
 
     def __rsub__(self, other) -> "QTPoly":
         return (-self) + other
 
-    def __mul__(self, other) -> "QTPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
-            if not c:
-                return QTPoly.zero()
-            res = QTPoly.__new__(QTPoly)
-            res._terms = {e: cc * c for e, cc in self._terms.items()}
-            return res
+    def __mul__(self, other: Scalar) -> "QTPoly":
         if not isinstance(other, QTPoly):
-            return NotImplemented
-        # Scale both sides to integers, sum the products as ints and make
-        # one Fraction per term, not one per product.
+            try:
+                other = as_poly(other)
+            except TypeError:
+                return NotImplemented
+        # Scale both sides to integers and sum the products as ints; only
+        # a common denominator above 1 makes a Fraction, one per term.
         da = lcm(*(c.denominator for c in self._terms.values()))
         db = lcm(*(c.denominator for c in other._terms.values()))
         right = [(qb, tb, cb.numerator * (db // cb.denominator))
@@ -154,8 +146,10 @@ class QTPoly:
             for qb, tb, nb in right:
                 e = (qa + qb, ta + tb)
                 ints[e] = ints.get(e, 0) + na * nb
+        d = da * db
         res = QTPoly.__new__(QTPoly)
-        res._terms = {e: Fraction(v, da * db) for e, v in ints.items() if v}
+        res._terms = ({e: Fraction(v, d) for e, v in ints.items() if v}
+                      if d > 1 else {e: v for e, v in ints.items() if v})
         return res
 
     __rmul__ = __mul__
@@ -170,13 +164,13 @@ class QTPoly:
         when the top m of those sums, r_j for j > (highest power) - m,
         are zero.
         """
-        rows: Dict[int, Dict[int, Fraction]] = {}
+        rows: Dict[int, Dict[int, Coeff]] = {}
         for (qe, te), c in self._terms.items():
             rows.setdefault(te, {})[qe] = c
-        quot: Dict[Exponent, Fraction] = {}
+        quot: Dict[Exponent, Coeff] = {}
         for te, row in rows.items():
             lo, hi = min(row), max(row)
-            r: Dict[int, Fraction] = {}
+            r: Dict[int, Coeff] = {}
             for j in range(lo, hi + 1):
                 s = row.get(j, 0) + r.get(j - m, 0)
                 if s:
@@ -218,6 +212,12 @@ class QTPoly:
         return f"QTPoly({self})"
 
 
+def as_poly(value: Scalar) -> QTPoly:
+    """A QTPoly as it is, an int or a Fraction as a constant; anything
+    else raises TypeError."""
+    return value if isinstance(value, QTPoly) else QTPoly.const(value)
+
+
 ONE = QTPoly.one()
 
 
@@ -234,7 +234,7 @@ def q_int_product(weights: Tuple[int, ...]) -> Tuple[int, ...]:
     tuple of positive weights: built once per multiset, with QTPoly
     products, and cached."""
     poly = prod(map(q_int, weights), start=ONE)
-    return tuple(int(poly.coefficient(i, 0))
+    return tuple(poly.coefficient(i, 0)
                  for i in range(sum(weights) - len(weights) + 1))
 
 

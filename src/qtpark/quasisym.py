@@ -34,7 +34,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .qt import QTPoly, q_int_product, q_poly, square_paths_multipliers
+from .qt import (QTPoly, Scalar, as_poly, q_int_product, q_poly,
+                 square_paths_multipliers)
 from .schedules import ides as perm_ides
 from .schedules import (Decomposable, _decomposed, pref_closed_form,
                         require_deviation)
@@ -58,7 +59,7 @@ class QSymF:
             key = frozenset(s)
             if key and (min(key) < 1 or max(key) > n - 1):
                 raise ValueError(f"subset {sorted(key)} not within 1..{n - 1}")
-            if not c.is_zero():
+            if c:
                 clean[key] = c
         self.coeffs = clean
 
@@ -77,11 +78,11 @@ class QSymF:
             merged[s] = merged.get(s, QTPoly.zero()) + c
         return QSymF(self.n, merged)
 
-    def __mul__(self, scalar) -> "QSymF":
-        """Scale every coefficient; scalar is a QTPoly or integer."""
-        if isinstance(scalar, int):
-            scalar = QTPoly.const(scalar)
-        if not isinstance(scalar, QTPoly):
+    def __mul__(self, scalar: Scalar) -> "QSymF":
+        """Scale every coefficient by a QTPoly, an int or a Fraction."""
+        try:
+            scalar = as_poly(scalar)
+        except TypeError:
             return NotImplemented
         return QSymF(self.n, {s: c * scalar for s, c in self.coeffs.items()})
 

@@ -44,15 +44,14 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .qt import QTPoly, q_poly, qq_poch, square_paths_multipliers
+from .qt import (QTPoly, Scalar, as_poly, q_poly, qq_poch,
+                 square_paths_multipliers)
 
 Partition = Tuple[int, ...]
 
 DEGREE_BOUND = 12
-
-Scalar = Union[QTPoly, int, Fraction]
 
 
 def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -96,14 +95,6 @@ def z_lambda(lam: Sequence[int]) -> int:
     return out
 
 
-def _as_poly(value) -> QTPoly:
-    if isinstance(value, QTPoly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QTPoly.const(value)
-    raise TypeError(f"not a polynomial scalar: {type(value).__name__}")
-
-
 def _normalize_partition(lam: Sequence[int]) -> Partition:
     parts = tuple(sorted((int(v) for v in lam if v), reverse=True))
     if any(v < 0 for v in parts):
@@ -118,7 +109,7 @@ def _merge(a: Partition, b: Partition) -> Partition:
 def _accumulate(out: Dict[Partition, QTPoly], key: Partition,
                 term: QTPoly) -> None:
     s = out[key] + term if key in out else term
-    if s.is_zero():
+    if not s:
         out.pop(key, None)
     else:
         out[key] = s
@@ -132,7 +123,7 @@ class PExpansion:
     def __init__(self, coeffs: Mapping[Sequence[int], Scalar] | None = None):
         data: Dict[Partition, QTPoly] = {}
         for lam, c in (coeffs or {}).items():
-            _accumulate(data, _normalize_partition(lam), _as_poly(c))
+            _accumulate(data, _normalize_partition(lam), as_poly(c))
         self._coeffs = data
 
     @classmethod
@@ -172,16 +163,16 @@ class PExpansion:
             _accumulate(out, lam, c)
         return PExpansion._wrap(out)
 
-    def __mul__(self, other) -> "PExpansion":
-        """Scale every coefficient; other is a QTPoly or a rational."""
+    def __mul__(self, other: Scalar) -> "PExpansion":
+        """Scale every coefficient by a QTPoly, an int or a Fraction."""
         try:
-            c = _as_poly(other)
+            c = as_poly(other)
         except TypeError:
             return NotImplemented
         out = {}
         for lam, cl in self._coeffs.items():
             prod = cl * c
-            if not prod.is_zero():
+            if prod:
                 out[lam] = prod
         return PExpansion._wrap(out)
 
@@ -346,7 +337,7 @@ def _unit_inverse(c: QTPoly) -> QTPoly:
     if len(c) != 1:
         raise RuntimeError(f"leading z coefficient {c} is not a monomial")
     (qe, te), v = next(c.terms())
-    return QTPoly.monomial(-qe, -te, 1 / v)
+    return QTPoly.monomial(-qe, -te, Fraction(1, v))
 
 
 def e_nk(n: int) -> List[PExpansion]:
@@ -384,7 +375,7 @@ def e_nk(n: int) -> List[PExpansion]:
                 raise RuntimeError(
                     f"e_nk({n}): coefficient of {lam} in E_{n},{k} is not "
                     f"a polynomial") from None
-            if not x.is_zero():
+            if x:
                 solved[k - 1][lam] = x
         constant = QTPoly.zero()
         for k, y in ys.items():

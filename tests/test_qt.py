@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ def test_construction_drops_zero_terms():
 
 
 def test_zero_one_identities():
-    assert QTPoly.zero().is_zero()
+    assert not QTPoly.zero()
     assert (QTPoly.zero() + QTPoly.one()) == ONE
 
 
@@ -72,7 +73,24 @@ def schoolbook_product(a, b):
 def test_product_matches_schoolbook(a, b):
     p = a * b
     assert p == schoolbook_product(a, b)
-    assert all(type(c) is Fraction and c for _, c in p.terms())
+    assert all(isinstance(c, (int, Fraction)) and c for _, c in p.terms())
+
+
+@given(int_polys, int_polys, st.integers(1, 5))
+@settings(max_examples=60)
+def test_integer_polynomials_keep_int_coefficients(a, b, m):
+    quotient = (a * (ONE - qt(m))).over_one_minus_q(m)
+    for p in (a + b, a - b, a * b, 3 * a, quotient):
+        assert all(type(c) is int for _, c in p.terms())
+    assert type(a.coefficient(7, 7)) is int
+
+
+def test_coefficients_must_be_int_or_fraction():
+    for bad in (0.5, 1.0, np.int64(2)):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            QTPoly({(0, 0): bad})
+    assert str(QTPoly({(0, 0): True})) == "1"
+    assert str(QTPoly({(1, 0): True, (0, 0): False})) == "q"
 
 
 def test_product_drops_cancelled_terms():
