@@ -25,27 +25,28 @@ exclusive bound that follows from n:
 Keys are counted per block with ``np.unique``, in the thread that
 computed the block (``kernels.iter_stat_chunks`` with ``each``; a worker
 thread when the sweep has several): only the block's distinct keys and
-their counts reach the calling thread, which merges them.  The key
-space is cut evenly into n ranges, at size * i // n for the product size
-of the radices; for a diagword table the cuts fall between the first
-cars of the diagword.  Each range has its own running totals and pending
+their counts reach the calling thread, which merges them.  The key space
+is cut evenly into n ranges, at size * i // n for the product size of
+the radices; for a diagword table the cuts fall between the first cars
+of the diagword.  Each range has its own running totals and pending
 runs, and the calling thread appends a copy of each block's slice of a
 range to that range's runs: a view would keep the whole block alive
 until its range is merged.  Once ``_MERGE_BATCH`` (key, count) entries
-are pending over all ranges, each range is merged into its own totals
-in numpy, one range at a time: a stable sort of the sorted runs, then
-``np.add.reduceat`` over each run of equal keys, in integers only.  So
-one merge holds about 1/n of the totals and of the pending runs.  The
-merge owns the list of runs it is handed, the running totals first: it
-empties the list once the runs are concatenated, so they are freed
-before the sort, and drops each intermediate array as soon as it has
-been used.  After the last block every range is merged once more, and
-the ranges' totals are concatenated in order.  The keys are then split
-back into columns with the same radices.  The fold raises ``ValueError``
-before any block is computed when the product of the radices does not
-fit in an int64 (``qsym_by_diagword`` of every diagword for n >= 11),
-and while folding when a block value falls outside its radix; a
-worker's error is raised again in the calling thread.
+are pending over all ranges, each range is merged into its own totals in
+numpy, one range at a time (``kernels.sum_by_key``): a stable sort of
+the sorted runs, then ``np.add.reduceat`` over each run of equal keys,
+in integers only.  So one merge holds about 1/n of the totals and of the
+pending runs.  The merge owns the list of runs it is handed, the running
+totals first: it empties the list once the runs are concatenated, so
+they are freed before the sort, and drops each intermediate array as
+soon as it has been used.  After the last block every range is merged
+once more, and the ranges' totals are concatenated in order.  The keys
+are then split back into columns with ``np.unravel_index`` over the same
+radices.  The fold raises ``ValueError`` before any block is computed
+when the product of the radices does not fit in an int64
+(``qsym_by_diagword`` of every diagword for n >= 11), and while folding
+when a block value falls outside its radix; a worker's error is raised
+again in the calling thread.
 
 The fold's sorted arrays are the table (``Table``): a key is the kernel's
 own integers, (diagword code, deviation) or (touch, is parking), its rows
@@ -98,31 +99,8 @@ _KEY_LIMIT = 2 ** 63  # keys run from 0 to the radix product minus one
 _MERGE_BATCH = 1 << 19
 
 
-def _merge(parts: List[Tuple[np.ndarray, np.ndarray]]
-           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum the counts of equal keys over (keys, counts) pairs.
-
-    Each part holds distinct keys in increasing order, so the stable sort
-    merges runs.  Returns the distinct keys in increasing order and their
-    counts.  The merge owns ``parts``: it empties the list once the parts
-    are concatenated, so their arrays are freed before the sort.
-    """
-    keys = np.concatenate([k for k, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
-    parts.clear()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    counts = counts[order]
-    del order
-    starts = _run_starts(keys)
-    return keys[starts], np.add.reduceat(counts, starts)
-
-
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Indices where a run of equal keys begins."""
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return np.flatnonzero(first)
+# One key range's merge; a wrapper set on this module sees every call.
+_merge = kernels.sum_by_key
 
 
 def _fold(n: int, threads: int, columns: Tuple[str, ...],
@@ -143,6 +121,8 @@ def _fold(n: int, threads: int, columns: Tuple[str, ...],
 
     def count_keys(blk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The distinct keys of one block and their counts."""
+        # Not np.ravel_multi_index: it holds the GIL, and with it the n = 8
+        # touch build at 2 threads was slower in 18 of 28 alternating runs.
         # The key is int64 from the start: built in an int8 field's own
         # type, key * r would wrap without an error.
         key = np.zeros(len(blk), dtype=np.int64)
@@ -176,14 +156,10 @@ def _fold(n: int, threads: int, columns: Tuple[str, ...],
         if npending >= _MERGE_BATCH:
             ranges, npending = [[_merge(pending)] for pending in ranges], 0
     totals = [_merge(pending) for pending in ranges]
-    rest = np.concatenate([k for k, _ in totals])
+    keys = np.concatenate([k for k, _ in totals])
     counts = np.concatenate([c for _, c in totals])
     del totals
-    digits = []
-    for r in reversed(radices):
-        rest, d = np.divmod(rest, r)
-        digits.append(d)
-    return digits[::-1], counts
+    return list(np.unravel_index(keys, radices)), counts
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,6 +182,7 @@ class Table:
     def span(self, *key):
         """First and past-last row of the keys whose leading columns are
         ``key``, elementwise over arrays; equal when there is none."""
+        # Not np.ravel_multi_index: a digit outside its radix finds no rows.
         code, ok = 0, True
         for digit, radix in zip(key, self.radices):
             code = code * radix + digit
@@ -248,11 +225,9 @@ def _table(n: int, threads: int, key_cols: Tuple[str, ...],
         cols.insert(0, np.full(counts.size, kernels.encode_perm(tau, n),
                                dtype=np.int64))
     radices = tuple(_RADIX[c](n) for c in key_cols)
-    codes = 0
-    for col, radix in zip(cols, radices):
-        codes = codes * radix + col
+    codes = np.ravel_multi_index(cols[:len(radices)], radices)
     # Rows come sorted by key columns first, so each key is one run.
-    starts = _run_starts(codes)
+    starts = kernels.run_starts(codes)
     codes = codes[starts]
     table = Table(tuple(cols), counts, np.append(starts, counts.size),
                   codes, radices)

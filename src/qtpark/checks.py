@@ -73,7 +73,9 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # enumeration bound of paths.  lemma-parlem's random samples cost about
 # max^2 each, so --max and --samples are capped too.  Guards that protect
 # data stay with the data: kernels.MAX_N and kernels.MAX_FRONTIER, the
-# radix check in aggregate._fold, symfunc.DEGREE_BOUND.
+# radix check in aggregate._fold, np.ravel_multi_index's radix check on
+# the keys of quasisym.withides_failures and square_paths_residue,
+# symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
 TAU_ROW_BUDGET = 1 << 20
@@ -303,11 +305,10 @@ def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
         table = aggregate.qt_by_diagword(n, threads=spec.threads,
                                          tau=spec.tau)
         _, _, area, dinv = table.columns
-        powers = n ** np.arange(n - 1, -1, -1)
         for block in _tau_blocks(spec, n):
             sc = schedule_counts(block)
             ls, has = _cases(spec, sc)
-            codes = (block - 1) @ powers
+            codes = np.ravel_multi_index((block - 1).T, (n,) * n)
             majs = (block[:, :-1] > block[:, 1:]) @ np.arange(1, n)
 
             def misses(l, rows, w, shifts):

@@ -79,8 +79,8 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import (Callable, Deque, Iterator, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import (Callable, Deque, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import numpy as np
 
@@ -129,6 +129,7 @@ def grid_block(n: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
     F = np.empty((n, nrows), dtype=np.int8)
     rest = np.arange(start, stop,
                      dtype=np.int32 if total <= 2 ** 31 else np.int64)
+    # Not np.unravel_index (int64): 9.2 ms a block at n = 8, this loop 1.4 ms.
     for c in range(n - 1, -1, -1):
         quot = rest // n
         F[c] = rest - quot * n + 1
@@ -187,6 +188,7 @@ def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
             dinv += rise == (F[a] > F[b])
 
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # Not np.ravel_multi_index: pos is indexed by car, not by place.
     dword = np.zeros(nrows, dtype=np.int64)
     for c in range(1, n):  # digit c at place pos[c]; car 1's digit is 0
         dword += np.take(powers * c, pos[c])
@@ -368,8 +370,32 @@ def iter_stat_chunks(n: int, threads: int = 1, chunk: int = CHUNK,
             yield head, fut.result()
 
 
+def sum_by_key(parts: List[Tuple[np.ndarray, np.ndarray]]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct keys over (keys, counts) pairs, in increasing order,
+    and the sum of each key's counts.  A stable sort merges sorted parts.
+    ``parts`` is emptied before the sort, so no part is alive during it."""
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    parts.clear()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    counts = counts[order]
+    del order
+    starts = run_starts(keys)
+    return keys[starts], np.add.reduceat(counts, starts)
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal keys begins."""
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return np.flatnonzero(first)
+
+
 def encode_perm(perm: Sequence[int], n: int) -> int:
     """The base-n code of a permutation of 1..n, as in the DWORD column."""
+    # Not np.ravel_multi_index: 6-13 us a scalar call at n = 8, this loop 0.9.
     code = 0
     for v in perm:
         code = code * n + v - 1

@@ -301,8 +301,7 @@ def diagword_block(n: int, tau: Sequence[int]) -> StatBlock:
     index order, from ``kernels.diagword_blocks``."""
     _, F, diag, cols = zip(*kernels.diagword_blocks(n, tau))
     F, diag, cols = np.hstack(F), np.hstack(diag), np.concatenate(cols)
-    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    index = powers @ (F - 1).astype(np.int64)
+    index = np.ravel_multi_index(F - 1, (n,) * n)
     order = np.argsort(index)
     return _stat_block(F[:, order], diag[:, order], index[order],
                        cols[order])
@@ -333,6 +332,7 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
             primary += level & ~a_right
     tertiary = (diag < 0).sum(axis=0, dtype=np.int8)
 
+    # Not np.ravel_multi_index: wpos is indexed by car, not by place.
     powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
     word = np.zeros(nrows, dtype=np.int64)
     main = np.zeros(nrows, dtype=np.int32)
@@ -345,7 +345,7 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
     # The maximal increasing runs of diagword must be its diagonals: a
     # descent exactly where the diagonal changes.  by_place[i] + 1 is the
     # car at place i, digit i of the kernel's diagword code.
-    by_place = cols[kernels.DWORD] // powers[:, None] % n
+    by_place = np.array(np.unravel_index(cols[kernels.DWORD], (n,) * n))
     diag_by_place = np.take_along_axis(diag, by_place, axis=0)
     bad = np.flatnonzero(((by_place[1:] < by_place[:-1])
                           != (diag_by_place[1:] != diag_by_place[:-1])
@@ -411,8 +411,7 @@ def _text(n: int) -> _Text:
         f_high=np.array([t[1:] for t in _digit_text(n, n - low)],
                         dtype=object),
         f_low=np.array(_digit_text(n, low), dtype=object),
-        perm_codes=np.array([kernels.encode_perm(perm, n) for perm in perms],
-                            dtype=np.int64),
+        perm_codes=np.ravel_multi_index(np.subtract(perms, 1).T, (n,) * n),
         perms=np.array([",".join(map(str, perm)) for perm in perms],
                        dtype=object),
         ides=np.array([",".join(str(i) for i in range(1, n)

@@ -145,8 +145,7 @@ def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     as a pass.
     """
     nt, n = taus.shape
-    codes = (taus.astype(np.int64) - 1) @ n ** np.arange(n - 1, -1, -1)
-    lo, hi = table.span(codes)
+    lo, hi = table.span(np.ravel_multi_index((taus - 1).T, (n,) * n))
     empty = np.flatnonzero(hi == lo)
     if len(empty):
         raise ValueError(f"the table holds no function of diagword "
@@ -156,22 +155,17 @@ def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     row = np.arange(len(tau_of)) + np.repeat(lo - np.cumsum(size) + size,
                                              size)
     dev, area, dinv, mask = (col[row] for col in table.columns[1:])
-    # Mixed-radix keys over (tau, area <= n^2, shifted dinv <= n^2 + n,
-    # mask < 2^(n-1)): below 2^55 even for all 12! taus of n = 12.
-    per_tau = (n * n + 1) * (n * n + n + 1) << (n - 1)
-    base = tau_of * per_tau + (area * (n * n + n + 1) + dinv << (n - 1)
-                               | mask)
-    keys = np.concatenate([base + (n * (dev == 0) << (n - 1)),
-                           base + (ks[tau_of].astype(np.int64) << (n - 1))])
-    # Each half is nearly sorted already, which the stable sort exploits.
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
     counts = table.counts[row]
-    sums = np.concatenate([counts, -counts])[order]
-    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
-    nonzero = np.add.reduceat(sums, starts) != 0
+    # Keys over (tau, area <= n^2, shifted dinv <= n^2 + n, mask <
+    # 2^(n-1)); a value outside its radix raises ValueError.
+    radices = (nt, n * n + 1, n * n + n + 1, 1 << (n - 1))
+    # Each half is nearly sorted already, which the stable sort exploits.
+    keys, sums = kernels.sum_by_key([
+        (np.ravel_multi_index((tau_of, area, dinv + shift, mask), radices), c)
+        for shift, c in ((n * (dev == 0), counts),
+                         (ks[tau_of].astype(np.int64), -counts))])
     bad = np.zeros(nt, dtype=bool)
-    bad[keys[starts[nonzero]] // per_tau] = True
+    bad[np.unravel_index(keys[sums != 0], radices)[0]] = True
     return bad
 
 
@@ -212,7 +206,9 @@ def square_paths_residue(table, n: int) -> np.ndarray:
         raise ValueError(f"n = {n}: square-path sums may reach {bound} "
                          f"> 2^63 - 1")
     _, _, area, dinv, mask = table.columns
-    rows, row_of = np.unique(area << (n - 1) | mask, return_inverse=True)
+    rows, row_of = np.unique(
+        np.ravel_multi_index((area, mask), (n * n + 1, 1 << (n - 1))),
+        return_inverse=True)
     width = int(dinv.max()) + 1
     total = np.zeros((len(rows), width), dtype=np.int64)
     np.add.at(total, (row_of, dinv), table.counts)

@@ -1,4 +1,7 @@
-"""Count tables as nested dicts, for comparing them with reference folds."""
+"""Count tables as nested dicts, for comparing them with reference folds,
+and count tables edited by hand, for readers that must refuse them."""
+
+import dataclasses
 
 
 def as_dicts(table):
@@ -10,6 +13,15 @@ def as_dicts(table):
                            table.counts.tolist()):
         out.setdefault(tuple(row[:nkeys]), {})[tuple(row[nkeys:])] = count
     return out
+
+
+def with_entry(table, column, row, value):
+    """A copy of table with entry ``row`` of ``table.columns[column]`` set
+    to value, outside any range guard of the fold."""
+    columns = list(table.columns)
+    columns[column] = columns[column].copy()
+    columns[column][row] = value
+    return dataclasses.replace(table, columns=tuple(columns))
 
 
 class TableRead(Exception):

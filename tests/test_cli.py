@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from table_helpers import TableRead, UnreadableTable
+from table_helpers import TableRead, UnreadableTable, with_entry
 
 import qtpark
 from qtpark import aggregate, checks, cli, kernels, quasisym, schedules
@@ -944,6 +944,15 @@ def test_square_paths_residue_refuses_int64_overflow():
         quasisym.square_paths_residue(UnreadableTable(), 10)
     with pytest.raises(ValueError, match=r"n = 11: .* > 2\^63 - 1"):
         quasisym.square_paths_residue(UnreadableTable(), 11)
+
+
+def test_square_paths_residue_refuses_a_mask_outside_its_radix():
+    """An ides mask of 2^(n-1) names no subset of 1..n-1: a table built by
+    hand that holds one is refused rather than read as another area."""
+    n = 4
+    table = with_entry(aggregate.qsym_by_touch(n), 4, 0, 1 << (n - 1))
+    with pytest.raises(ValueError):
+        quasisym.square_paths_residue(table, n)
 
 
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"

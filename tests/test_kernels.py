@@ -188,6 +188,20 @@ def test_block_bounds():
         stats_block(3, -1, 5)
 
 
+def test_encode_perm_matches_ravel_multi_index():
+    """The scalar DWORD code of a permutation is numpy's C-order ravel of
+    its values minus one over radix n: every permutation up to n = 6 and
+    seeded ones up to MAX_N."""
+    rng = random.Random(7)
+    perms = [p for n in range(1, 7) for p in permutations(range(1, n + 1))]
+    perms += [tuple(rng.sample(range(1, n + 1), n))
+              for n in range(7, kernels.MAX_N + 1) for _ in range(50)]
+    for perm in perms:
+        n = len(perm)
+        assert encode_perm(perm, n) == np.ravel_multi_index(
+            np.subtract(perm, 1), (n,) * n), perm
+
+
 def test_decode_round_trips():
     assert decode_f(0, 3) == (1, 1, 1)
     assert decode_f(26, 3) == (3, 3, 3)

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from table_helpers import TableRead, UnreadableTable
+from table_helpers import TableRead, UnreadableTable, with_entry
 
 from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
 from qtpark.paths import enumerate_all, stats
@@ -149,6 +149,19 @@ def test_withides_residue_refuses_a_table_without_tau():
             withides_failures(table, np.array(taus), np.ones(len(taus), int))
     assert withides_failures(other, np.array([(2, 1, 4, 3)]),
                              np.array([1])).tolist() == [False]
+
+
+def test_withides_refuses_a_shifted_dinv_outside_its_radix():
+    """A deviation-0 row's dinv is shifted by n, and the key's dinv radix
+    is n^2 + n + 1: a table built by hand whose shifted dinv reaches it is
+    refused rather than read as a key of the next area."""
+    n, tau = 4, (2, 1, 4, 3)
+    table = qsym_by_diagword(n, tau=tau)
+    taus, ks = np.array([tau]), np.array([1])
+    assert withides_failures(table, taus, ks).tolist() == [False]
+    row = int(np.flatnonzero(table.columns[1] == 0)[0])
+    with pytest.raises(ValueError):
+        withides_failures(with_entry(table, 3, row, n * n + 1), taus, ks)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
