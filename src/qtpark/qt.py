@@ -1,34 +1,36 @@
 """Exact sparse arithmetic in the variables q and t.
 
 One ring covers everything the rest of the package needs: ``QTPoly``,
-Laurent polynomials in q and t with rational coefficients, stored as a
-dict mapping ``(q_exponent, t_exponent)`` to a nonzero coefficient: an
-``int``, or a ``fractions.Fraction`` where the value is not an integer.
+Laurent polynomials in q and t with integer coefficients, stored as a
+dict mapping ``(q_exponent, t_exponent)`` to a nonzero ``int``.
 Negative exponents are allowed.  ``as_poly`` is the one way a scalar
-enters the ring.  The only division the package needs is by a factor
-1 - q^m, which ``QTPoly.over_one_minus_q`` performs; it raises when the
-quotient is not a polynomial.
+enters the ring.  The only polynomial division the package needs is by
+a factor 1 - q^m, which ``QTPoly.over_one_minus_q`` performs; it raises
+when the quotient is not a polynomial.
 
 Canonical string form (used by every serializer in the package): terms are
 sorted lexicographically by (q exponent, t exponent), each term is rendered
 as ``coefficient*q^a*t^b`` with unit parts omitted, and terms are joined by
-`` + ``.  Examples: ``1 + q + q*t^2``, ``-q^-1 + 2/3*t``.
+`` + ``.  Examples: ``1 + q + q*t^2``, ``-q^-1 + 2*t``.  ``render``
+writes that form for any coefficients with ``str``, so a rational
+coefficient prints as ``2/3*t``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from math import prod
+from operator import index
+from typing import (Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple,
+                    Union)
 
 Exponent = Tuple[int, int]
-Coeff = Union[int, Fraction]
-Scalar = Union["QTPoly", int, Fraction]
+Coeff = int
+Scalar = Union["QTPoly", int]
 
 
 class QTPoly:
-    """Sparse Laurent polynomial in q and t over the rationals."""
+    """Sparse Laurent polynomial in q and t over the integers."""
 
     __slots__ = ("_terms",)
 
@@ -38,11 +40,10 @@ class QTPoly:
             for (qe, te), c in terms.items():
                 if type(c) is bool:  # stored as the int 1 or 0
                     c = int(c)
-                elif not isinstance(c, (int, Fraction)):
-                    raise TypeError("expected int or Fraction, got "
-                                    f"{type(c).__name__}")
+                elif not isinstance(c, int):
+                    raise TypeError(f"expected int, got {type(c).__name__}")
+                key = (index(qe), index(te))
                 if c:
-                    key = (int(qe), int(te))
                     acc = data.get(key)
                     data[key] = acc + c if acc is not None else c
                     if not data[key]:
@@ -134,22 +135,13 @@ class QTPoly:
                 other = as_poly(other)
             except TypeError:
                 return NotImplemented
-        # Scale both sides to integers and sum the products as ints; only
-        # a common denominator above 1 makes a Fraction, one per term.
-        da = lcm(*(c.denominator for c in self._terms.values()))
-        db = lcm(*(c.denominator for c in other._terms.values()))
-        right = [(qb, tb, cb.numerator * (db // cb.denominator))
-                 for (qb, tb), cb in other._terms.items()]
-        ints: Dict[Exponent, int] = {}
+        out: Dict[Exponent, int] = {}
         for (qa, ta), ca in self._terms.items():
-            na = ca.numerator * (da // ca.denominator)
-            for qb, tb, nb in right:
+            for (qb, tb), cb in other._terms.items():
                 e = (qa + qb, ta + tb)
-                ints[e] = ints.get(e, 0) + na * nb
-        d = da * db
+                out[e] = out.get(e, 0) + ca * cb
         res = QTPoly.__new__(QTPoly)
-        res._terms = ({e: Fraction(v, d) for e, v in ints.items() if v}
-                      if d > 1 else {e: v for e, v in ints.items() if v})
+        res._terms = {e: v for e, v in out.items() if v}
         return res
 
     __rmul__ = __mul__
@@ -185,37 +177,41 @@ class QTPoly:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (qe, te), c in sorted(self._terms.items()):
-            factors = []
-            if qe == 1:
-                factors.append("q")
-            elif qe:
-                factors.append(f"q^{qe}")
-            if te == 1:
-                factors.append("t")
-            elif te:
-                factors.append(f"t^{te}")
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(str(c) + "*" + "*".join(factors))
-        return " + ".join(parts)
+        return render(self.terms())
 
     def __repr__(self) -> str:
         return f"QTPoly({self})"
 
 
 def as_poly(value: Scalar) -> QTPoly:
-    """A QTPoly as it is, an int or a Fraction as a constant; anything
-    else raises TypeError."""
+    """A QTPoly as it is, an int as a constant; anything else raises
+    TypeError."""
     return value if isinstance(value, QTPoly) else QTPoly.const(value)
+
+
+def render(terms: Iterable[Tuple[Exponent, object]]) -> str:
+    """The canonical string of nonzero ((q exp, t exp), coefficient)
+    terms, given sorted by exponent pair; "0" when there are none."""
+    parts = []
+    for (qe, te), c in terms:
+        factors = []
+        if qe == 1:
+            factors.append("q")
+        elif qe:
+            factors.append(f"q^{qe}")
+        if te == 1:
+            factors.append("t")
+        elif te:
+            factors.append(f"t^{te}")
+        if not factors:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append("*".join(factors))
+        elif c == -1:
+            parts.append("-" + "*".join(factors))
+        else:
+            parts.append(str(c) + "*" + "*".join(factors))
+    return " + ".join(parts) or "0"
 
 
 ONE = QTPoly.one()

@@ -79,7 +79,7 @@ class QSymF:
         return QSymF(self.n, merged)
 
     def __mul__(self, scalar: Scalar) -> "QSymF":
-        """Scale every coefficient by a QTPoly, an int or a Fraction."""
+        """Scale every coefficient by a QTPoly or an int."""
         try:
             scalar = as_poly(scalar)
         except TypeError:

@@ -1,36 +1,37 @@
 """Symmetric functions in the power-sum basis with q-Laurent coefficients.
 
-Everything here is a finite linear combination of products of power
+Everything here is a finite linear combination F of products of power
 sums p_1, p_2, ..., with coefficients that are Laurent polynomials in q
 (``QTPoly`` values with no t).  The power sums are algebraically
-independent, so a combination is stored as a mapping from partitions to
-coefficients and products merge partitions by concatenation.
+independent, so F is stored as its Hall pairings f_lambda = <F, p_lambda>
+= z_lambda [p_lambda] F, one per partition lambda.  <s_mu, p_lambda> is
+a character value, so every F built here, having integer Schur
+coefficients, has integer pairings; 1/z_lambda returns only in print.
 
 Two alphabet substitutions drive the module, and both are applied in
-closed form, so no coefficient ever leaves the polynomial ring.
+closed form, so no pairing ever leaves the integer ring.
 
 The creation operator
 
     c_op(a, F) = (-1/q)^(a-1) [z^a] (F[X - (1-1/q)/z] * sum_m z^m h_m)
 
-shifts every p_k by (q^-k - 1) z^-k.  Expanding the shifted p_lambda
-binomially and reading off z^a gives
+shifts every p_k by phi_k z^-k, phi_k = q^-k - 1.  Expanding the shifted
+p_lambda binomially and reading off z^a gives, with rho = lambda - S and
+nu = rho + mu for the sub-multisets S of lambda and mu |- a + |S|,
 
-    C_a p_lambda = (-1/q)^(a-1) sum_S prod_p C(m_p, j_p) (q^-p - 1)^j_p
-                   p_(lambda - S) h_(a + |S|)
+    <C_a F, p_nu> = (-1/q)^(a-1) z_nu/(z_rho z_mu) sum_S f_(rho+S) phi^S/z_S,
 
-over the sub-multisets S of lambda (j_p copies of the part p, out of the
-m_p that lambda has), with h_m = sum_mu p_mu / z_mu.
+since z_lambda = z_rho z_S prod_p C(m_p, j_p) cancels the binomials.
 
 The scale X -> X (1-z)/(1-q) defines the family E_{n,k} through
 
     e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k / (q;q)_k) E_{n,k},
 
 a system triangular in z.  ``e_nk`` clears the denominators of each
-p_lambda row by lambda's own factors prod_i (1 - q^lambda_i), which
-leaves rational constants.  The leading coefficient of (z;q)_k in z is
+p_lambda pairing by lambda's own factors prod_i (1 - q^lambda_i), which
+leaves integer constants.  The leading coefficient of (z;q)_k in z is
 the unit monomial (-1)^k q^(k(k-1)/2), so back-substitution only divides
-by monomials; multiplying by (q;q)_k and dividing by 1 - q^lambda_i once
+by units; multiplying by (q;q)_k and dividing by 1 - q^lambda_i once
 per part recovers E_{n,k}.
 
 The checks at the bottom verify that the E_{n,k} from that triangular
@@ -41,12 +42,14 @@ that their [n]_q/[k]_q-weighted sum collapses to a single power sum.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import product
+from math import factorial, prod
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .qt import (QTPoly, Scalar, as_poly, q_poly, qq_poch,
+from .qt import (QTPoly, Scalar, as_poly, q_poly, qq_poch, render,
                  square_paths_multipliers)
 
 Partition = Tuple[int, ...]
@@ -80,17 +83,11 @@ def compositions(n: int, length: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def _multiplicities(lam: Sequence[int]) -> Dict[int, int]:
-    mult: Dict[int, int] = {}
-    for part in lam:
-        mult[part] = mult.get(part, 0) + 1
-    return mult
-
-
-def z_lambda(lam: Sequence[int]) -> int:
+@lru_cache(maxsize=None)
+def z_lambda(lam: Partition) -> int:
     """The centralizer size prod_i i^(m_i) m_i! for multiplicities m."""
     out = 1
-    for part, m in _multiplicities(lam).items():
+    for part, m in Counter(lam).items():
         out *= part ** m * factorial(m)
     return out
 
@@ -116,21 +113,24 @@ def _accumulate(out: Dict[Partition, QTPoly], key: Partition,
 
 
 class PExpansion:
-    """Linear combination of p_lambda with QTPoly coefficients."""
+    """Linear combination of p_lambda with QTPoly coefficients, stored as
+    its pairings <F, p_lambda>."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_pairings",)
 
     def __init__(self, coeffs: Mapping[Sequence[int], Scalar] | None = None):
+        """The sum of c p_lambda over the items {lambda: c}."""
         data: Dict[Partition, QTPoly] = {}
         for lam, c in (coeffs or {}).items():
-            _accumulate(data, _normalize_partition(lam), as_poly(c))
-        self._coeffs = data
+            lam = _normalize_partition(lam)
+            _accumulate(data, lam, as_poly(c) * z_lambda(lam))
+        self._pairings = data
 
     @classmethod
     def _wrap(cls, data: Dict[Partition, QTPoly]) -> "PExpansion":
-        """Adopt a dict of sorted partitions to nonzero coefficients."""
+        """Adopt a dict of sorted partitions to nonzero pairings."""
         res = cls.__new__(cls)
-        res._coeffs = data
+        res._pairings = data
         return res
 
     @classmethod
@@ -148,32 +148,33 @@ class PExpansion:
         return cls({(k,): 1})
 
     def items(self) -> Iterator[Tuple[Partition, QTPoly]]:
-        return iter(sorted(self._coeffs.items(),
+        """(lambda, <F, p_lambda>) for each nonzero pairing, by size."""
+        return iter(sorted(self._pairings.items(),
                            key=lambda kv: (sum(kv[0]), kv[0])))
 
     def degree(self) -> int:
         """Largest partition size present; 0 for the zero element."""
-        return max((sum(lam) for lam in self._coeffs), default=0)
+        return max((sum(lam) for lam in self._pairings), default=0)
 
     def __add__(self, other: "PExpansion") -> "PExpansion":
         if not isinstance(other, PExpansion):
             return NotImplemented
-        out = dict(self._coeffs)
-        for lam, c in other._coeffs.items():
+        out = dict(self._pairings)
+        for lam, c in other._pairings.items():
             _accumulate(out, lam, c)
         return PExpansion._wrap(out)
 
     def __mul__(self, other: Scalar) -> "PExpansion":
-        """Scale every coefficient by a QTPoly, an int or a Fraction."""
+        """Scale every coefficient by a QTPoly or an int."""
         try:
             c = as_poly(other)
         except TypeError:
             return NotImplemented
         out = {}
-        for lam, cl in self._coeffs.items():
-            prod = cl * c
-            if prod:
-                out[lam] = prod
+        for lam, cl in self._pairings.items():
+            scaled = cl * c
+            if scaled:
+                out[lam] = scaled
         return PExpansion._wrap(out)
 
     __rmul__ = __mul__
@@ -181,21 +182,24 @@ class PExpansion:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PExpansion):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._pairings == other._pairings
 
     def __hash__(self):
         raise TypeError("PExpansion is not hashable")
 
+    def _printed(self) -> Iterator[Tuple[str, str]]:
+        """(lambda as "parts,joined", f_lambda/z_lambda printed), by size."""
+        for lam, f in self.items():
+            yield (",".join(str(v) for v in lam), render(
+                (e, Fraction(c, z_lambda(lam))) for e, c in f.terms()))
+
     def json(self) -> str:
-        obj = {",".join(str(v) for v in lam): f"({c})"
-               for lam, c in self.items()}
+        obj = {lam: f"({c})" for lam, c in self._printed()}
         return json.dumps(obj, separators=(",", ":"))
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        return " + ".join(f"({c})*p[{','.join(str(v) for v in lam)}]"
-                          for lam, c in self.items())
+        return " + ".join(f"({c})*p[{lam}]"
+                          for lam, c in self._printed()) or "0"
 
     def __repr__(self) -> str:
         return f"PExpansion({self})"
@@ -209,8 +213,7 @@ def _require_degree(n: int) -> None:
 def _newton(n: int, signed: bool) -> PExpansion:
     _require_degree(n)
     return PExpansion._wrap({
-        lam: QTPoly.const(Fraction(
-            -1 if signed and (n - len(lam)) % 2 else 1, z_lambda(lam)))
+        lam: QTPoly.const(-1 if signed and (n - len(lam)) % 2 else 1)
         for lam in partitions(n)})
 
 
@@ -229,12 +232,6 @@ def p_pure(n: int) -> PExpansion:
     return PExpansion.p(n)
 
 
-@lru_cache(maxsize=None)
-def _h_terms(m: int) -> Tuple[Tuple[Partition, Fraction], ...]:
-    """(mu, 1/z_mu) for every partition mu of m: the terms of h_m."""
-    return tuple((mu, Fraction(1, z_lambda(mu))) for mu in partitions(m))
-
-
 def shift_factor(k: int) -> QTPoly:
     """q^-k - 1: what subtracting (1 - 1/q)/z adds to p_k, per z^-k."""
     return QTPoly.q(-k) - 1
@@ -243,34 +240,34 @@ def shift_factor(k: int) -> QTPoly:
 @lru_cache(maxsize=None)
 def shift_terms(
         lam: Partition) -> Tuple[Tuple[Tuple[Partition, int], QTPoly], ...]:
-    """p_lambda[X - (1 - 1/q)/z] as ((lambda - S, |S|), coefficient) pairs.
+    """((lambda - S, s), phi^S s!/z_S) for each sub-multiset S of lambda,
+    where s = |S| and phi^S is the product of shift_factor over S.
 
-    Each p_p^m becomes sum_j C(m, j) shift_factor(p)^j z^(-p j) p_p^(m-j),
-    so the term that removes the sub-multiset S carries z^-|S|.  Cached:
-    at most one entry per partition of size below DEGREE_BOUND.
+    s!/z_S counts the permutations of cycle type S, so each entry is an
+    integer polynomial.  Cached: one entry per partition of size below
+    DEGREE_BOUND at most.
     """
-    terms: Dict[Tuple[Partition, int], QTPoly] = {((), 0): QTPoly.one()}
-    for part, m in _multiplicities(lam).items():
-        a = shift_factor(part)
-        powers = [QTPoly.one()]
-        for _ in range(m):
-            powers.append(powers[-1] * a)
-        nxt: Dict[Tuple[Partition, int], QTPoly] = {}
-        for (rest, size), c in terms.items():
-            for j in range(m + 1):
-                key = (rest + (part,) * (m - j), size + part * j)
-                nxt[key] = c * (powers[j] * comb(m, j))
-        terms = nxt
-    return tuple(((_normalize_partition(rest), size), c)
-                 for (rest, size), c in terms.items())
+    mult = Counter(lam)
+    out = []
+    for js in product(*(range(m + 1) for m in mult.values())):
+        removed = tuple(part for part, j in zip(mult, js) for _ in range(j))
+        rest = [part for (part, m), j in zip(mult.items(), js)
+                for _ in range(m - j)]
+        size = sum(removed)
+        phi = prod(map(shift_factor, removed), start=QTPoly.one())
+        out.append(((_normalize_partition(rest), size),
+                    phi * (factorial(size) // z_lambda(removed))))
+    return tuple(out)
 
 
 def c_op(a: int, F: PExpansion) -> PExpansion:
     """(-1/q)^(a-1) [z^a] (F[X - (1-1/q)/z] * sum_m z^m h_m[X]).
 
     A term of the shift that removed S from lambda carries z^-|S|, so it
-    meets z^a in z^(a+|S|) h_(a+|S|).  Terms are grouped by what is left
-    of lambda and by |S| before h is expanded.
+    meets z^a in z^(a+|S|) h_(a+|S|).  Terms are grouped by rho, what is
+    left of lambda, and by s = |S|.  A group sums to s! times the integer
+    <F, p_rho h_s[X (1/q - 1)]>, and it reaches the pairing with
+    p_(rho + mu), for each mu of size a + s, times z_(rho+mu)/(z_rho z_mu).
     """
     if a < 1:
         raise ValueError(f"operator index must be positive: {a}")
@@ -278,15 +275,21 @@ def c_op(a: int, F: PExpansion) -> PExpansion:
         raise ValueError(
             f"result degree {F.degree() + a} exceeds bound {DEGREE_BOUND}")
     grouped: Dict[Tuple[Partition, int], QTPoly] = {}
-    for lam, c in F._coeffs.items():
-        for key, f in shift_terms(lam):
-            _accumulate(grouped, key, c * f)
+    for lam, f in F._pairings.items():
+        for key, c in shift_terms(lam):
+            _accumulate(grouped, key, f * c)
     sign = QTPoly.monomial(1 - a, 0, (-1) ** (a - 1))
     out: Dict[Partition, QTPoly] = {}
     for (rest, size), g in grouped.items():
-        g = g * sign
-        for mu, inv_z in _h_terms(a + size):
-            _accumulate(out, _merge(rest, mu), g * inv_z)
+        d = factorial(size)
+        if any(c % d for _, c in g.terms()):
+            raise RuntimeError(f"c_op({a}): the terms that leave p_{rest} "
+                               f"do not divide by {size}!")
+        g = QTPoly({e: c // d for e, c in g.terms()}) * sign
+        z_rest = z_lambda(rest)
+        for mu in partitions(a + size):
+            nu = _merge(rest, mu)
+            _accumulate(out, nu, g * (z_lambda(nu) // (z_rest * z_lambda(mu))))
     return PExpansion._wrap(out)
 
 
@@ -317,16 +320,15 @@ def zq_poch_coefficients(k: int) -> List[QTPoly]:
     return out
 
 
-def scaled_e_row(lam: Partition) -> List[Fraction]:
-    """[z^j] of prod_i (1 - q^lambda_i) times the coefficient of p_lambda
-    in e_n[X (1-z)/(1-q)], for j = 0..n and n = |lambda|.
+def scaled_e_row(lam: Partition) -> List[int]:
+    """[z^j] of prod_i (1 - q^lambda_i) times the pairing of
+    e_n[X (1-z)/(1-q)] with p_lambda, for j = 0..n and n = |lambda|.
 
     The scale multiplies each p_k by (1 - z^k)/(1 - q^k), so the row is
-    eps_lambda/z_lambda [z^j] prod_i (1 - z^lambda_i), free of q.
+    eps_lambda [z^j] prod_i (1 - z^lambda_i), free of q.
     """
     n = sum(lam)
-    out = [Fraction((-1) ** (n - len(lam)), z_lambda(lam))]
-    out += [Fraction(0)] * n
+    out = [(-1) ** (n - len(lam))] + [0] * n
     for part in lam:
         for j in range(n, part - 1, -1):
             out[j] -= out[j - part]
@@ -337,18 +339,20 @@ def _unit_inverse(c: QTPoly) -> QTPoly:
     if len(c) != 1:
         raise RuntimeError(f"leading z coefficient {c} is not a monomial")
     (qe, te), v = next(c.terms())
-    return QTPoly.monomial(-qe, -te, Fraction(1, v))
+    if v not in (1, -1):
+        raise RuntimeError(f"leading z coefficient {c} is not a unit")
+    return QTPoly.monomial(-qe, -te, v)
 
 
 def e_nk(n: int) -> List[PExpansion]:
     """(E_{n,1}, ..., E_{n,n}) solving the triangular z-expansion of the
     scaled elementary symmetric function.
 
-    Times prod_i (1 - q^lambda_i) the coefficient of p_lambda in
-    e_n[X (1-z)/(1-q)] is the polynomial in z whose coefficients
+    Times prod_i (1 - q^lambda_i) the pairing of e_n[X (1-z)/(1-q)]
+    with p_lambda is the polynomial in z whose coefficients
     ``scaled_e_row`` lists, and it equals sum_k (z;q)_k y_k with
     y_k = x_k prod_i (1 - q^lambda_i)/(q;q)_k, where x_k is the
-    coefficient of p_lambda in E_{n,k}.  Back-substitution from z^n down
+    pairing of E_{n,k} with p_lambda.  Back-substitution from z^n down
     to z^1 finds the y_k; z^0 is the one equation left over, and is
     checked.  Then x_k is y_k (q;q)_k divided by 1 - q^lambda_i once for
     each part.

@@ -480,6 +480,21 @@ GUARDS = textwrap.dedent("""
     except RuntimeError as e:
         if "not a polynomial" in str(e):
             print("e_nk division guard fired")
+
+    real_shift = symfunc.shift_terms
+
+    def planted_shift(lam):  # +1 on p_11's z^-2 term: no longer 2! apart
+        return tuple((key, c + 1 if lam == (1, 1) and key == ((), 2) else c)
+                     for key, c in real_shift(lam))
+
+    symfunc.shift_terms = planted_shift
+    try:
+        symfunc.c_op(1, symfunc.c_composition((2,)))
+    except RuntimeError as e:
+        if "do not divide by 2!" in str(e):
+            print("c_op divisibility guard fired")
+    symfunc.shift_terms = real_shift
+
     real_counts = checks.schedule_counts
 
     def moved(block):  # the last car of the last tau leaves its last run
@@ -513,4 +528,5 @@ def test_guards_fire_under_python_O():
                                         "factor_check guard fired",
                                         "e_nk guard fired",
                                         "e_nk division guard fired",
+                                        "c_op divisibility guard fired",
                                         "withides k guard fired"]

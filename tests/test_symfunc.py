@@ -1,6 +1,7 @@
 """Power-sum expansions, plethystic substitutions, creation operators."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def p_coefficients(expansion):
-    """{partition: coefficient} of a PExpansion, largest part first."""
+    """{partition: pairing <F, p_lambda>} of a PExpansion F."""
     return dict(expansion.items())
 
 
@@ -57,19 +58,19 @@ def test_pexpansion_refuses_hash():
 
 
 def test_newton_expansions():
-    # e_2 = (p_1^2 - p_2)/2, e_3 = (p_1^3 - 3 p_1 p_2 + 2 p_3)/6
+    # e_2 = (p_1^2 - p_2)/2, e_3 = (p_1^3 - 3 p_1 p_2 + 2 p_3)/6: each
+    # coefficient times z_lambda is the pairing, the sign of lambda
     e2 = e_in_p(2)
-    half = Fraction(1, 2)
-    assert p_coefficients(e2)[(1, 1)] == QTPoly.const(half)
-    assert p_coefficients(e2)[(2,)] == QTPoly.const(-half)
+    assert p_coefficients(e2)[(1, 1)] == QTPoly.const(1)
+    assert p_coefficients(e2)[(2,)] == QTPoly.const(-1)
     e3 = e_in_p(3)
-    assert p_coefficients(e3)[(1, 1, 1)] == QTPoly.const(Fraction(1, 6))
-    assert p_coefficients(e3)[(2, 1)] == QTPoly.const(-half)
-    assert p_coefficients(e3)[(3,)] == QTPoly.const(Fraction(1, 3))
+    assert p_coefficients(e3)[(1, 1, 1)] == QTPoly.const(1)
+    assert p_coefficients(e3)[(2, 1)] == QTPoly.const(-1)
+    assert p_coefficients(e3)[(3,)] == QTPoly.const(1)
     # h_2 = (p_1^2 + p_2)/2
     h2 = h_in_p(2)
-    assert p_coefficients(h2)[(2,)] == QTPoly.const(half)
-    assert p_coefficients(h2)[(1, 1)] == QTPoly.const(half)
+    assert p_coefficients(h2)[(2,)] == QTPoly.const(1)
+    assert p_coefficients(h2)[(1, 1)] == QTPoly.const(1)
 
 
 def test_e_h_duality():
@@ -84,23 +85,24 @@ def test_e_h_duality():
 
 def test_scale_substitution():
     # p_k under X -> X (1 - z)/(1 - q) picks up (1 - z^k)/(1 - q^k): the
-    # p_2 term -p_2/2 of e_2, times 1 - q^2, is -(1 - z^2)/2
-    half = Fraction(1, 2)
-    assert scaled_e_row((2,)) == [-half, 0, half]
-    # every z-coefficient of (1 - z)^3/3!
-    assert scaled_e_row((1, 1, 1)) == [Fraction(v, 6) for v in (1, -3, 3, -1)]
+    # p_2 term -p_2/2 of e_2, times 1 - q^2 and z_(2) = 2, is -(1 - z^2)
+    assert scaled_e_row((2,)) == [-1, 0, 1]
+    # every z-coefficient of (1 - z)^3
+    assert scaled_e_row((1, 1, 1)) == [1, -3, 3, -1]
 
 
 def test_shift_substitution():
     # p_k under X -> X + a contributes binomially in the multiplicity:
-    # (p_1 + a_1)^2 = p_11 + 2 a_1 p_1 + a_1^2, a_1 z^-1 the shift of p_1
+    # (p_1 + a_1)^2 = p_11 + 2 a_1 p_1 + a_1^2, a_1 z^-1 the shift of p_1;
+    # removing S weighs a term by |S|!/z_S, here 1, 1 and 2!/2 = 1
     a1 = shift_factor(1)
     assert a1 == QTPoly.q(-1) - ONE
     assert dict(shift_terms((1, 1))) == {
-        ((1, 1), 0): ONE, ((1,), 1): a1 * 2, ((), 2): a1 * a1}
+        ((1, 1), 0): ONE, ((1,), 1): a1, ((), 2): a1 * a1}
+    # 3!/z_(2,1) = 3 permutations of cycle type (2, 1)
     assert dict(shift_terms((2, 1))) == {
         ((2, 1), 0): ONE, ((1,), 2): shift_factor(2), ((2,), 1): a1,
-        ((), 3): shift_factor(2) * a1}
+        ((), 3): shift_factor(2) * a1 * 3}
 
 
 def test_c_op_output_is_z_free_and_homogeneous():
@@ -127,10 +129,9 @@ def test_enk_small_values():
     p2 = PExpansion.p(2)
     p11 = PExpansion({(1, 1): 1})
     # E_{2,1} = -(p_2 + p_11)/(2q), E_{2,2} = ((1 + q) p_11 + (1 - q) p_2)/(2q)
-    half = Fraction(1, 2)
-    assert E2[0] == (p2 + p11) * QTPoly.monomial(-1, 0, -half)
-    assert E2[1] == (p11 * QTPoly({(-1, 0): half, (0, 0): half}) +
-                     p2 * QTPoly({(-1, 0): half, (0, 0): -half}))
+    assert E2[0] * 2 == (p2 + p11) * QTPoly.monomial(-1, 0, -1)
+    assert E2[1] * 2 == (p11 * QTPoly({(-1, 0): 1, (0, 0): 1}) +
+                         p2 * QTPoly({(-1, 0): 1, (0, 0): -1}))
     E1 = e_nk(1)
     assert E1[0] == PExpansion.p(1)
 
@@ -170,6 +171,45 @@ def test_pn_identity_shape():
 def test_json_form():
     f = PExpansion({(3,): 2, (1, 2): 1})
     assert f.json() == '{"2,1":"(1)","3":"(2)"}'
+
+
+def test_e_nk_refuses_a_non_unit_leading_coefficient(monkeypatch):
+    # back-substitution inverts the leading z coefficient in integers
+    real = symfunc.zq_poch_coefficients
+
+    def doubled(k):
+        out = real(k)
+        out[k] = out[k] * 2
+        return out
+
+    monkeypatch.setattr(symfunc, "zq_poch_coefficients", doubled)
+    with pytest.raises(RuntimeError, match="is not a unit"):
+        e_nk(2)
+
+
+def test_pexpansion_stores_pairings_and_prints_coefficients():
+    # PExpansion({lambda: c}) is c p_lambda, stored as c z_lambda
+    f = PExpansion({(2, 1): QTPoly.q(1), (1, 1): 3})
+    assert p_coefficients(f) == {(1, 1): QTPoly.const(6),
+                                 (2, 1): QTPoly.monomial(1, 0, 2)}
+    assert str(f) == "(3)*p[1,1] + (q)*p[2,1]"
+    assert str(e_in_p(2)) == "(1/2)*p[1,1] + (-1/2)*p[2]"
+    assert h_in_p(3).json() == '{"1,1,1":"(1/6)","2,1":"(1/2)","3":"(1/3)"}'
+    assert str(PExpansion.zero()) == "0"
+    with pytest.raises(TypeError, match="expected int"):
+        PExpansion({(2,): Fraction(1, 2)})
+
+
+def test_c_composition_digest_to_n7():
+    """C_alpha 1 for every composition alpha of n = 1..7, as the
+    rational-coefficient implementation printed them (153,054 bytes)."""
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for alpha in compositions(n):
+            digest.update((",".join(map(str, alpha)) + " " +
+                           c_composition(alpha).json() + "\n").encode())
+    assert digest.hexdigest() == (
+        "1897bf32c40bc90c68b080901943a8ad28f35c09006a6fe4253f043959185cfc")
 
 
 def test_zq_poch_coefficients():
