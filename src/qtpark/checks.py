@@ -22,7 +22,7 @@ import numpy as np
 from . import aggregate
 from .paths import DEFAULT_MAX_N
 from .qt import q_int, q_int_product, q_poly, square_paths_multipliers
-from .quasisym import QSymF, consecutive_blocks, factor_check
+from .quasisym import QSymF, factor_check
 from .quasisym import qsym_for_diagword, qsym_for_touch
 from .quasisym import qsym_total, square_paths_residue, withides_failures
 from .schedules import PartitionBox, ScheduleCounts, delta_merge
@@ -48,7 +48,6 @@ class Scope:
     # The largest n with one --tau, if larger; such a tau must also keep
     # its functions within TAU_ROW_BUDGET.
     tau_cap: Optional[int] = None
-    young: bool = False  # one --tau's Young subgroup within YOUNG_BUDGET
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # builds an n^n table, so --threads means something
     limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
@@ -63,23 +62,22 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # n^n table takes 2-4 s at n = 8 (SWEEP_CAP).  One --tau sweeps nothing:
 # the kernel builds its functions from their row orders, so its cost
 # follows their number, sum over l of prod_c w^(l)(c), and not n^n.
-# TAU_CAP bounds n there, TAU_ROW_BUDGET that number (the identity tau
-# has n! functions), and YOUNG_BUDGET the Young subgroup that
-# lemma-factorlemma enumerates in Python once per tau, prod over its
-# blocks b of |b|!.  At the budgets, the n = 12 tau
+# TAU_CAP bounds n there, and TAU_ROW_BUDGET that number (the identity
+# tau has n! functions).  It also bounds the Young subgroup whose (inv,
+# ides) counts lemma-factorlemma multiplies, prod over tau's blocks b of
+# |b|!: at l = 0 the i-th car of a block of m weighs at least m - i + 1
+# and every car at least 1.  At the budget, the n = 12 tau
 # 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.5-2.4 s and
-# 225-240 MB in each of the three checks, and lemma-factorlemma took
-# 0.6-1.2 s for a Young subgroup of 8! elements.  enumerate keeps the
+# 225-240 MB in each of the three checks.  enumerate keeps the
 # enumeration bound of paths.  lemma-parlem's random samples cost about
 # max^2 each, so --max and --samples are capped too.  Guards that protect
 # data stay with the data: kernels.MAX_N and kernels.MAX_FRONTIER, the
 # radix check in aggregate._fold, np.ravel_multi_index's radix check on
-# the keys of quasisym.withides_failures and square_paths_residue,
-# symfunc.DEGREE_BOUND.
+# the keys of quasisym.withides_failures, factor_check and
+# square_paths_residue, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
 TAU_ROW_BUDGET = 1 << 20
-YOUNG_BUDGET = 40320
 SCOPES: Dict[str, Scope] = {
     "thm-schedule-closed-form": Scope((1, 6), SWEEP_CAP, _TAU_L,
                                       tau_cap=TAU_CAP, sweeps=True),
@@ -87,7 +85,7 @@ SCOPES: Dict[str, Scope] = {
     "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
                           limits={"max_part": 400, "samples": 10000}),
     "lemma-factorlemma": Scope((1, 6), SWEEP_CAP, _TAU_L,
-                               tau_cap=TAU_CAP, young=True, sweeps=True),
+                               tau_cap=TAU_CAP, sweeps=True),
     "cor-withides": Scope((1, 6), SWEEP_CAP, {"tau": None},
                           tau_cap=TAU_CAP, sweeps=True),
     "thm-hmz": Scope((1, 6), 10),
@@ -153,10 +151,6 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         if size > TAU_ROW_BUDGET:
             raise ValueError(f"tau has {size} functions, over the budget "
                              f"of {TAU_ROW_BUDGET}")
-        if row.young and young_size(tau) > YOUNG_BUDGET:
-            raise ValueError(f"the Young subgroup of tau has "
-                             f"{young_size(tau)} elements, over the budget "
-                             f"of {YOUNG_BUDGET}")
     if "l" in row.reads and (tau is not None or l is not None):
         # A tau has one run more than it has descents.
         nruns = hi if tau is None else 1 + sum(
@@ -181,12 +175,6 @@ def tau_functions(tau: Tuple[int, ...]) -> int:
     run."""
     rd = runs(tau)
     return sum(math.prod(schedule_l(rd, l).values()) for l in range(len(rd)))
-
-
-def young_size(tau: Tuple[int, ...]) -> int:
-    """prod |b|! over the blocks b of ``consecutive_blocks(tau)``."""
-    return math.prod(math.factorial(len(b))
-                     for b in consecutive_blocks(tau).blocks)
 
 
 @dataclass(frozen=True)

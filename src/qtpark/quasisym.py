@@ -12,33 +12,31 @@ only inside the consecutive blocks of tau (maximal sets of consecutive
 values i, i+1, ... appearing adjacently), and the discrepancies are
 carried by a permutation from the Young subgroup preserving those
 blocks.  factor_check verifies the resulting product identity with all
-four factors computed by independent means, enumerating the Young
-subgroup once per diagonal word for all its deviations.
+four factors computed by independent means; the Young subgroup's joint
+(inv, ides) distribution is the product of S_m's over its blocks.
 
 The table-backed sums read a count table that their caller built once
 (``aggregate.qsym_by_diagword`` or ``qsym_by_touch``) and passes in; this
 module builds no table.  The integer decisions read the table's columns
 in numpy and build no QSymF: withides_failures decides the withides
-scaling for a whole block of diagonal words at once, and
+scaling for a whole block of diagonal words at once, factor_check the
+factorization for one diagonal word at each of its deviations, and
 square_paths_residue the square-paths identity for one n.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from itertools import permutations, product
-from typing import DefaultDict, Dict, FrozenSet, Iterator, List, Optional
-from typing import Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
-from .qt import (QTPoly, Scalar, as_poly, q_int_product, q_poly,
+from .qt import (QTPoly, Scalar, as_poly, q_int_product,
                  square_paths_multipliers)
 from .schedules import ides as perm_ides
-from .schedules import (Decomposable, _decomposed, pref_closed_form,
-                        require_deviation)
+from .schedules import (Decomposable, _decomposed, maj, permutation_rows,
+                        require_deviation, schedule_l)
 
 Subset = FrozenSet[int]
 
@@ -223,20 +221,11 @@ def square_paths_residue(table, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ConsecutiveBlocks:
-    """Partition of [n] into maximal runs of values appearing adjacently.
-
-    i and i+1 share a block exactly when i stands directly left of i+1
-    in tau; blocks are stored ascending by smallest value.
-    """
-
-    tau: Tuple[int, ...]
-    blocks: Tuple[Tuple[int, ...], ...]
-
-
-def consecutive_blocks(tau: Decomposable) -> ConsecutiveBlocks:
-    """tau may be given as its RunDecomposition."""
+def consecutive_blocks(tau: Decomposable) -> Tuple[Tuple[int, ...], ...]:
+    """The partition of 1..n into maximal runs of values appearing
+    adjacently: i and i+1 share a block exactly when i stands directly
+    left of i+1 in tau.  Blocks ascend by smallest value.  tau may be
+    given as its RunDecomposition."""
     t = _decomposed(tau).tau  # validates the permutation
     pos = {v: i for i, v in enumerate(t)}
     blocks: List[List[int]] = [[1]]
@@ -245,39 +234,27 @@ def consecutive_blocks(tau: Decomposable) -> ConsecutiveBlocks:
             blocks[-1].append(v)
         else:
             blocks.append([v])
-    return ConsecutiveBlocks(t, tuple(tuple(b) for b in blocks))
+    return tuple(tuple(b) for b in blocks)
 
 
-def yconsec_elements(cb: ConsecutiveBlocks) -> Iterator[
-        Tuple[Tuple[int, ...], int, Subset]]:
-    """(one-line word, inv, ides) for each element of the Young subgroup.
-
-    inv and ides are assembled blockwise; values in distinct blocks are
-    never inverted and never form an ides pair, because each block is an
-    interval mapped to itself.
-    """
-    n = len(cb.tau)
-    per_block = [list(permutations(b)) for b in cb.blocks]
-    for choice in product(*per_block):
-        word = list(range(1, n + 1))
-        total_inv = 0
-        ided: List[int] = []
-        for block, sigma in zip(cb.blocks, choice):
-            for slot, v in zip(block, sigma):
-                word[slot - 1] = v
-            position = {v: i for i, v in enumerate(sigma)}
-            total_inv += sum(1 for i in range(len(sigma))
-                             for j in range(i + 1, len(sigma))
-                             if sigma[i] > sigma[j])
-            ided.extend(v for v in block[:-1]
-                        if position[v + 1] < position[v])
-        yield tuple(word), total_inv, frozenset(ided)
-
-
-def yconsec_inv_sum(cb: ConsecutiveBlocks) -> QTPoly:
-    """Σ q^inv over the Young subgroup: the product of [|b|]_q!."""
-    return q_poly(q_int_product(tuple(sorted(
-        i for b in cb.blocks for i in range(1, len(b) + 1)))), 0, 0)
+@lru_cache(maxsize=None)
+def inv_ides_counts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_m's joint distribution of (inv, ides mask): the distinct pairs
+    over the m! permutations of 1..m, in increasing (inv, mask) order, and
+    how many permutations have each.  Bit i - 1 of a mask stands for i,
+    as in the kernel's IDES column.  Cached per m, so read-only."""
+    perms = permutation_rows(m)
+    inv = sum((perms[:, [a]] > perms[:, a + 1:]).sum(axis=1, dtype=np.int64)
+              for a in range(m))
+    pos = np.argsort(perms, axis=1)  # pos[:, v - 1]: where v stands
+    mask = (pos[:, 1:] < pos[:, :-1]) @ (1 << np.arange(m - 1))
+    radices = (m * (m - 1) // 2 + 1, 1 << (m - 1))
+    keys, counts = np.unique(np.ravel_multi_index((inv, mask), radices),
+                             return_counts=True)
+    out = (*np.unravel_index(keys, radices), counts)
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 def factor_check(table, tau: Decomposable, ls: Sequence[int]) -> List[bool]:
@@ -286,31 +263,62 @@ def factor_check(table, tau: Decomposable, ls: Sequence[int]) -> List[bool]:
 
     Checks  (Σ t^a q^d Q_ides) * (Σ_π q^inv)
           = (Σ t^a q^d) * (Σ_π q^inv Q_{ides(tau) ∪ ides(π)}),
-    with the left quasisymmetric sum read from ``table`` as in
-    ``qsym_for_diagword``, the scalar Σ_π q^inv from the block
-    q-factorial product, the right quasisymmetric sum from explicit
-    Young-subgroup enumeration, and the scalar t,q-sum from the schedule
-    closed form.  The Young-subgroup sums do not depend on l and are
-    built once.  tau may be given as its RunDecomposition.
+    with the left quasisymmetric sum read from ``table`` (a
+    ``qsym_by_diagword`` table), the scalar Σ_π q^inv from the block
+    q-factorial product, the right quasisymmetric sum from S_m's joint
+    (inv, ides) counts per block, and the scalar t,q-sum from the
+    schedule closed form.  Both sides are integer counts keyed by (l,
+    area, dinv, mask), and an l holds when their difference is zero at
+    every key.  The Young-subgroup counts do not depend on l and are
+    combined once.  tau may be given as its RunDecomposition.
     """
     rd = _decomposed(tau)
     n = len(rd.tau)
     for l in ls:
         require_deviation(rd, l)  # before the table is read
-    cb = consecutive_blocks(rd)
-    scalar = yconsec_inv_sum(cb)
-    # Σ_π q^inv and each Q_S coefficient of the right sum, counted by the
-    # power of q and made polynomials once.
-    base_ides = perm_ides(rd.tau)
-    by_inv: Counter = Counter()
-    by_ides: DefaultDict[Subset, Counter] = defaultdict(Counter)
-    for _, invs, extra in yconsec_elements(cb):
-        by_inv[invs, 0] += 1
-        by_ides[base_ides | extra][invs, 0] += 1
-    enumerated = QTPoly(by_inv)
-    rhs = QSymF(n, {s: QTPoly(c) for s, c in by_ides.items()})
-    if enumerated != scalar:
-        raise RuntimeError(f"Young subgroup of {rd.tau}: q-count {enumerated} "
-                           f"differs from block q-factorials {scalar}")
-    return [qsym_for_diagword(table, rd.tau, deviation=l) * scalar
-            == rhs * pref_closed_form(rd, l) for l in ls]
+    blocks = consecutive_blocks(rd)
+    # Σ_π q^inv Q_{ides(tau) ∪ ides(π)} as (inv, mask, count) rows: a
+    # block of values s..s+m-1 maps to itself, so its ides bits are S_m's
+    # shifted by s - 1, none of them in ides(tau), and its invs add.
+    inv = np.zeros(1, dtype=np.int64)
+    mask = np.array([sum(1 << (i - 1) for i in perm_ides(rd.tau))])
+    count = np.ones(1, dtype=np.int64)
+    for block in blocks:
+        if len(block) > 1:
+            b_inv, b_mask, b_count = inv_ides_counts(len(block))
+            inv = (inv[:, None] + b_inv).ravel()
+            mask = (mask[:, None] | b_mask << (block[0] - 1)).ravel()
+            count = (count[:, None] * b_count).ravel()
+    scalar = q_int_product(tuple(sorted(
+        i for b in blocks for i in range(1, len(b) + 1))))
+    by_inv = np.zeros(int(inv.max()) + 1, dtype=np.int64)
+    np.add.at(by_inv, inv, count)
+    if tuple(by_inv.tolist()) != scalar:
+        raise RuntimeError(f"Young subgroup of {rd.tau}: q-count "
+                           f"{by_inv.tolist()} differs from block "
+                           f"q-factorials {list(scalar)}")
+    # Each side's rows times its scalar's coefficients along dinv, keyed
+    # over (l < n, area <= n^2, dinv <= n^2 plus an inv, mask < 2^(n-1)):
+    # a value outside its radix raises ValueError.
+    radices = (n, n * n + 1, n * n + n * (n - 1) // 2 + 1, 1 << (n - 1))
+
+    def part(l, area, dinv, mask, count, coeffs):
+        j = np.arange(len(coeffs))
+        return (np.ravel_multi_index((l, area, dinv + j, mask),
+                                     radices).ravel(),
+                (count * np.array(coeffs)).ravel())
+
+    rows = table.rows(kernels.encode_perm(rd.tau, n))
+    dev, area, dinv, t_mask = (col[rows, None] for col in table.columns[1:])
+    keep = (dev == np.asarray(ls)).any(axis=1)
+    parts = [part(dev[keep], area[keep], dinv[keep], t_mask[keep],
+                  table.counts[rows, None][keep], scalar)]
+    tau_maj = maj(rd.tau)
+    for l in ls:
+        shift = sum(rd.rho_from_last(j) for j in range(l))
+        closed = q_int_product(tuple(sorted(schedule_l(rd, l).values())))
+        parts.append(part(l, tau_maj, shift + inv[:, None], mask[:, None],
+                          -count[:, None], closed))
+    keys, sums = kernels.sum_by_key(parts)
+    failed = set(np.unravel_index(keys[sums != 0], radices)[0].tolist())
+    return [l not in failed for l in ls]

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import numpy as np
@@ -348,13 +348,13 @@ def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
 def test_factorlemma_decomposes_each_case_once(capsys, monkeypatch):
     """One run decomposition per tau in the walk, which the walk hands to
     factor_check once for all of tau's deviations; factor_check hands it
-    on to consecutive_blocks and pref_closed_form."""
+    on to consecutive_blocks and schedule_l."""
     runs = count_calls(monkeypatch, (schedules, checks), "runs")
-    young = count_calls(monkeypatch, (quasisym,), "yconsec_elements")
+    blocks = count_calls(monkeypatch, (quasisym,), "consecutive_blocks")
     code, out, _ = run(capsys, "check", "lemma-factorlemma", "--n", "1..5")
     assert code == 0
     assert json.loads(out)["examined"] == 436
-    assert len(runs) == len(young) == sum(factorial(n) for n in range(1, 6))
+    assert len(runs) == len(blocks) == sum(factorial(n) for n in range(1, 6))
 
 
 def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
@@ -857,19 +857,32 @@ def test_one_tau_reaches_n12_and_no_further(capsys, monkeypatch, check_id):
 @pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
                                       "cor-withides", "lemma-factorlemma"])
 def test_one_tau_over_its_budgets_is_refused(capsys, monkeypatch, check_id):
-    """The identity tau at n = 12 has 12! functions; the Young subgroup of
-    12345678 has 8! elements, and of 123456789 9!, over YOUNG_BUDGET."""
+    """The identity tau at n = 12 has 12! functions."""
     identity = ",".join(map(str, range(1, 13)))
     assert checks.tau_functions(tuple(range(1, 13))) == factorial(12)
     assert_refused_up_front(capsys, monkeypatch, "check", check_id,
                             "--n", "12", "--tau", identity)
-    assert checks.young_size(tuple(range(1, 9))) == checks.YOUNG_BUDGET
-    assert checks.scope(check_id, (8, 8), tau=tuple(range(1, 9)))
-    if check_id == "lemma-factorlemma":
-        assert_refused_up_front(capsys, monkeypatch, "check", check_id,
-                                "--n", "9", "--tau", "123456789")
-    else:
-        assert checks.scope(check_id, (9, 9), tau=tuple(range(1, 10)))
+    assert checks.scope(check_id, (9, 9), tau=tuple(range(1, 10)))
+
+
+def test_factorlemma_takes_the_n9_identity_tau(capsys):
+    """123456789 is one block: its Young subgroup is all of S_9, whose
+    (inv, ides) counts the check multiplies without enumerating it."""
+    code, out, _ = run(capsys, "check", "lemma-factorlemma", "--n", "9",
+                       "--tau", "123456789")
+    assert code == 0
+    report = json.loads(out)
+    assert report["passed"] is True and report["examined"] == 1
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_row_budget_bounds_the_young_subgroup(n):
+    """prod over tau's consecutive blocks b of |b|! never exceeds tau's
+    function count, so TAU_ROW_BUDGET bounds the Young subgroup too."""
+    for tau in permutations(range(1, n + 1)):
+        young = prod(factorial(len(b))
+                     for b in quasisym.consecutive_blocks(tau))
+        assert young <= checks.tau_functions(tau), tau
 
 
 _real_qsym_by_touch = aggregate.qsym_by_touch

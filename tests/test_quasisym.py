@@ -1,5 +1,6 @@
-"""Fundamental-basis sums, Young-subgroup enumeration, factorizations."""
+"""Fundamental-basis sums, Young-subgroup counts, factorizations."""
 
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -8,12 +9,12 @@ from table_helpers import TableRead, UnreadableTable, with_entry
 
 from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
 from qtpark.paths import enumerate_all, stats
+from qtpark import kernels
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.quasisym import (QSymF, consecutive_blocks, factor_check,
-                             qsym_for_diagword, qsym_for_touch, qsym_total,
-                             withides_failures, yconsec_elements,
-                             yconsec_inv_sum)
-from qtpark.schedules import runs
+                             inv_ides_counts, qsym_for_diagword,
+                             qsym_for_touch, qsym_total, withides_failures)
+from qtpark.schedules import ides, runs
 
 
 def weighted_sum(family, n):
@@ -84,30 +85,25 @@ def test_total_specializes_to_count():
 
 
 def test_consecutive_blocks():
-    cb = consecutive_blocks((4, 5, 3, 1, 2))
-    assert cb.blocks == ((1, 2), (3,), (4, 5))
-    cb2 = consecutive_blocks((2, 3, 1, 4, 5))
-    assert cb2.blocks == ((1,), (2, 3), (4, 5))
-    cb3 = consecutive_blocks((1, 2, 3))
-    assert cb3.blocks == ((1, 2, 3),)
+    assert consecutive_blocks((4, 5, 3, 1, 2)) == ((1, 2), (3,), (4, 5))
+    assert consecutive_blocks((2, 3, 1, 4, 5)) == ((1,), (2, 3), (4, 5))
+    assert consecutive_blocks((1, 2, 3)) == ((1, 2, 3),)
+    # no two consecutive values are adjacent: the subgroup is trivial
+    assert consecutive_blocks((3, 2, 1)) == ((1,), (2,), (3,))
 
 
-def test_yconsec_enumeration():
-    cb = consecutive_blocks((2, 3, 1, 4, 5))
-    elements = list(yconsec_elements(cb))
-    assert len(elements) == 4  # 1! * 2! * 2!
-    total = QTPoly.zero()
-    for _, invs, _ in elements:
-        total = total + QTPoly.q(invs)
-    assert total == yconsec_inv_sum(cb)
-    assert yconsec_inv_sum(cb) == q_int(2) * q_int(2)  # [2]_q! [2]_q!
-
-
-def test_yconsec_identity_element():
-    # no two consecutive values are adjacent, so the subgroup is trivial
-    cb = consecutive_blocks((5, 4, 3, 2, 1))
-    assert list(yconsec_elements(cb)) == [((1, 2, 3, 4, 5), 0, frozenset())]
-    assert yconsec_inv_sum(cb) == ONE
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_inv_ides_counts_match_itertools(m):
+    """S_m's (inv, ides mask) counts, against a count over
+    itertools.permutations with the scalar ides."""
+    want = Counter()
+    for pi in permutations(range(1, m + 1)):
+        inv = sum(a > b for i, a in enumerate(pi) for b in pi[i + 1:])
+        want[inv, sum(1 << (i - 1) for i in ides(pi))] += 1
+    inv, mask, counts = inv_ides_counts(m)
+    got = dict(zip(zip(inv.tolist(), mask.tolist()), counts.tolist()))
+    assert got == want
+    assert sorted(got) == list(got)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -123,6 +119,24 @@ def test_factor_check_sample_n5():
     for tau in [(2, 3, 1, 4, 5), (4, 5, 3, 1, 2), (1, 2, 3, 4, 5)]:
         nruns = len(runs(tau).runs)
         assert factor_check(table, tau, range(nruns)) == [True] * nruns, tau
+
+
+@pytest.mark.parametrize("column", [2, 3, 4])
+def test_factor_check_fails_exactly_the_case_of_a_planted_row(column):
+    """One row's area, dinv or ides mask moved by one fails the (tau, l)
+    whose slice holds that row, and no other case."""
+    n = 5
+    table = qsym_by_diagword(n)
+    for row in range(0, len(table.counts), 97):
+        value = int(table.columns[column][row])
+        faulty = with_entry(table, column, row, value + (1 if value == 0
+                                                         else -1))
+        hit = (int(table.columns[0][row]), int(table.columns[1][row]))
+        for tau in permutations(range(1, n + 1)):
+            nruns = len(runs(tau).runs)
+            code = kernels.encode_perm(tau, n)
+            assert factor_check(faulty, tau, range(nruns)) == [
+                (code, l) != hit for l in range(nruns)], (row, tau)
 
 
 def test_factor_check_refuses_a_deviation_before_any_table():
