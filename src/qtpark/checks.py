@@ -67,11 +67,11 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # ides) counts lemma-factorlemma multiplies, prod over tau's blocks b of
 # |b|!: at l = 0 the i-th car of a block of m weighs at least m - i + 1
 # and every car at least 1.  At the budget, the n = 12 tau
-# 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.5-2.4 s and
-# 225-240 MB in each of the three checks.  enumerate keeps the
+# 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.4-1.8 s and
+# 78-81 MB in each of the three checks.  enumerate keeps the
 # enumeration bound of paths.  lemma-parlem's random samples cost about
 # max^2 each, so --max and --samples are capped too.  Guards that protect
-# data stay with the data: kernels.MAX_N and kernels.MAX_FRONTIER, the
+# data stay with the data: kernels.MAX_N and kernels.MAX_FUNCTIONS, the
 # radix check in aggregate._fold, np.ravel_multi_index's radix check on
 # the keys of quasisym.withides_failures, factor_check and
 # square_paths_residue, symfunc.DEGREE_BOUND.

@@ -46,17 +46,11 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
+from .kernels import require_perm
 from .paths import PrefFunc, stats
 from .qt import QTPoly, q_int_product, q_poly
 
 Perm = Tuple[int, ...]
-
-
-def _as_perm(tau: Sequence[int]) -> Perm:
-    t = tuple(int(v) for v in tau)
-    if not t or sorted(t) != list(range(1, len(t) + 1)):
-        raise ValueError(f"not a permutation of 1..n: {t!r}")
-    return t
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,7 @@ class RunDecomposition:
 
 
 def runs(tau: Sequence[int]) -> RunDecomposition:
-    t = _as_perm(tau)
+    t = require_perm(tau, len(tau))
     blocks: List[List[int]] = [[t[0]]]
     for v in t[1:]:
         if v > blocks[-1][-1]:
@@ -119,13 +113,13 @@ def _decomposed(tau: Decomposable) -> RunDecomposition:
 
 def maj(tau: Sequence[int]) -> int:
     """Sum of the descent positions of tau."""
-    t = _as_perm(tau)
+    t = require_perm(tau, len(tau))
     return sum(i for i in range(1, len(t)) if t[i - 1] > t[i])
 
 
 def ides(pi: Sequence[int]) -> frozenset:
     """{i : i+1 appears before i in pi}, the descent set of the inverse."""
-    t = _as_perm(pi)
+    t = require_perm(pi, len(pi))
     pos = {v: i for i, v in enumerate(t)}
     return frozenset(i for i in range(1, len(t)) if pos[i + 1] < pos[i])
 

@@ -148,10 +148,24 @@ def test_producer_counts_are_the_schedule_products():
         assert rows == tau_functions(tau), tau
 
 
-def test_producer_refuses_a_frontier_over_its_bound(monkeypatch):
-    monkeypatch.setattr(kernels, "MAX_FRONTIER", 3)
-    with pytest.raises(ValueError, match="partial orders, over 3"):
-        list(iter_stat_chunks(4, tau=(3, 1, 4, 2)))
+def test_producer_refuses_more_functions_than_its_bound():
+    """The identity tau at n = 15 has 15! functions, counted before any
+    row is built."""
+    with pytest.raises(ValueError, match="number 1307674368000, over"):
+        list(kernels.diagword_blocks(15, range(1, 16)))
+
+
+def test_producer_holds_no_dead_end_row_orders():
+    """A tau of 15,552 functions whose rows a counting prune grew over
+    187,140 partial orders, 12 MB traced."""
+    tau = (4, 1, 9, 10, 11, 2, 8, 3, 5, 6, 12, 7)
+    tracemalloc.start()
+    try:
+        list(kernels.diagword_blocks(12, tau))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_chunk_stream_bounds_outstanding_blocks(monkeypatch):
