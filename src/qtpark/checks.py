@@ -55,10 +55,10 @@ class Scope:
 
 _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 
-# Each cap keeps one run within about a minute on 2 vCPUs (thm-hmz took
-# 45 s at n = 10, lemma-parlem 65 s at n = 11 and thm-shift-multiset
-# about 9 s at n = 10; at symfunc.DEGREE_BOUND, n = 12, thm-enk-sum took
-# 3.4-4.0 s, table enk 4.5-4.8 s and thm-pn-identity 5.0-6.3 s).  A full
+# Each cap keeps one run within about a minute on 2 vCPUs (lemma-parlem
+# took 65 s at n = 11 and thm-shift-multiset about 9 s at n = 10; at
+# symfunc.DEGREE_BOUND, n = 12, thm-enk-sum took 3.4-4.0 s, table enk
+# 4.5-4.8 s, thm-pn-identity 5.0-6.3 s and thm-hmz 6.2-6.3 s).  A full
 # n^n table takes 2-4 s at n = 8 (SWEEP_CAP).  One --tau sweeps nothing:
 # the kernel builds its functions from their row orders, so its cost
 # follows their number, sum over l of prod_c w^(l)(c), and not n^n.
@@ -88,7 +88,7 @@ SCOPES: Dict[str, Scope] = {
                                tau_cap=TAU_CAP, sweeps=True),
     "cor-withides": Scope((1, 6), SWEEP_CAP, {"tau": None},
                           tau_cap=TAU_CAP, sweeps=True),
-    "thm-hmz": Scope((1, 6), 10),
+    "thm-hmz": Scope((1, 6), DEGREE_BOUND),
     "thm-pn-identity": Scope((1, 6), DEGREE_BOUND),
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
     "main-square-paths": Scope((1, 6), SWEEP_CAP, sweeps=True),
@@ -477,29 +477,27 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _each_n(spec: CheckSpec, holds: Callable[[int], bool]) -> Outcome:
-    """Whether holds(n) for each n of the range; the first n that fails
-    is the counterexample."""
+def _each_n(spec: CheckSpec,
+            failure: Callable[[int], Optional[Dict[str, object]]],
+            cases: Callable[[int], int] = lambda n: 1) -> Outcome:
+    """The counterexample failure(n) returns for the first n of the range
+    that has one (None: n holds); each n examines cases(n) cases."""
     examined = 0
     for n in spec.n_range:
-        examined += 1
-        if not holds(n):
-            return False, {"n": n}, examined
+        examined += cases(n)
+        ce = failure(n)
+        if ce is not None:
+            return False, ce, examined
     return True, None, examined
 
 
-def _run_enk_sum(spec: CheckSpec) -> Outcome:
-    examined = 0
-    for n in spec.n_range:
-        examined += 1
-        total = None
-        for piece in e_nk(n):
-            total = piece if total is None else total + piece
-        if total != e_in_p(n):
-            return False, {
-                "n": n, "sum": total.json(), "e_n": e_in_p(n).json(),
-            }, examined
-    return True, None, examined
+def _enk_sum_failure(n: int) -> Optional[Dict[str, object]]:
+    total = None
+    for piece in e_nk(n):
+        total = piece if total is None else total + piece
+    if total != e_in_p(n):
+        return {"n": n, "sum": total.json(), "e_n": e_in_p(n).json()}
+    return None
 
 
 def _square_paths_sides(table: aggregate.Table, n: int
@@ -514,18 +512,16 @@ def _square_paths_sides(table: aggregate.Table, n: int
     return qsym_total(table, n) * q_poly(lhs, 0, 0), out
 
 
-def _run_main_square_paths(spec: CheckSpec) -> Outcome:
-    # Each n is decided in integer counts; the QSymF sides are built only
-    # to report a failure.
-    examined = 0
-    for n in spec.n_range:
-        examined += n ** n
-        table = aggregate.qsym_by_touch(n, threads=spec.threads)
-        if square_paths_residue(table, n).any():
-            ce: Dict[str, object] = {"n": n}
-            ce.update(_qsym_diff(*_square_paths_sides(table, n), f"n = {n}"))
-            return False, ce, examined
-    return True, None, examined
+def _square_paths_failure(n: int, threads: int
+                          ) -> Optional[Dict[str, object]]:
+    # n is decided in integer counts; the QSymF sides are built only to
+    # report a failure.
+    table = aggregate.qsym_by_touch(n, threads=threads)
+    if not square_paths_residue(table, n).any():
+        return None
+    ce: Dict[str, object] = {"n": n}
+    ce.update(_qsym_diff(*_square_paths_sides(table, n), f"n = {n}"))
+    return ce
 
 
 REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
@@ -536,10 +532,14 @@ REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
     "cor-withides": _run_withides,
     # The predicates are looked up when a check runs, so a rebinding of
     # their names in this module takes effect.
-    "thm-hmz": lambda spec: _each_n(spec, hmz_check),
-    "thm-pn-identity": lambda spec: _each_n(spec, pn_identity_check),
-    "thm-enk-sum": _run_enk_sum,
-    "main-square-paths": _run_main_square_paths,
+    "thm-hmz": lambda spec: _each_n(
+        spec, lambda n: None if hmz_check(n) else {"n": n}),
+    "thm-pn-identity": lambda spec: _each_n(
+        spec, lambda n: None if pn_identity_check(n) else {"n": n}),
+    "thm-enk-sum": lambda spec: _each_n(spec, _enk_sum_failure),
+    "main-square-paths": lambda spec: _each_n(
+        spec, lambda n: _square_paths_failure(n, spec.threads),
+        cases=lambda n: n ** n),
 }
 
 

@@ -82,9 +82,6 @@ class PrefFunc:
     def n(self) -> int:
         return len(self.f)
 
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.f)) + ")"
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -93,10 +90,6 @@ class Placement:
     col: Tuple[int, ...]
     row: Tuple[int, ...]
     diag: Tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.col)
 
 
 @dataclass(frozen=True)

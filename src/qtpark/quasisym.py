@@ -91,9 +91,6 @@ class QSymF:
             return NotImplemented
         return self.n == other.n and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        raise TypeError("QSymF is not hashable")
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

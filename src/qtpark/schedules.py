@@ -85,9 +85,6 @@ class RunDecomposition:
                 return i
         raise ValueError(f"car {car} not in permutation {self.tau}")
 
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        return iter(self.runs)
-
     def __len__(self) -> int:
         return len(self.runs)
 

@@ -70,16 +70,13 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield (first,) + rest
 
 
-def compositions(n: int, length: int | None = None) -> Iterator[Partition]:
-    """Positive tuples summing to n, largest first part first; optionally
-    restricted to a fixed number of parts."""
+def compositions(n: int) -> Iterator[Partition]:
+    """Positive tuples summing to n, largest first part first."""
     if n == 0:
-        if length in (None, 0):
-            yield ()
+        yield ()
         return
     for first in range(n, 0, -1):
-        for rest in compositions(n - first,
-                                 None if length is None else length - 1):
+        for rest in compositions(n - first):
             yield (first,) + rest
 
 
@@ -183,9 +180,6 @@ class PExpansion:
         if not isinstance(other, PExpansion):
             return NotImplemented
         return self._pairings == other._pairings
-
-    def __hash__(self):
-        raise TypeError("PExpansion is not hashable")
 
     def _printed(self) -> Iterator[Tuple[str, str]]:
         """(lambda as "parts,joined", f_lambda/z_lambda printed), by size."""
@@ -389,17 +383,27 @@ def e_nk(n: int) -> List[PExpansion]:
     return [PExpansion._wrap(d) for d in solved]
 
 
+@lru_cache(maxsize=None)
+def _c_sum(m: int, k: int) -> PExpansion:
+    """The sum of C_alpha 1 over the compositions alpha of m with k parts.
+
+    C_a is linear, so the alpha whose first part is a sum to C_a applied
+    to the sum over their tails, which have k - 1 parts and size m - a.
+    Cached: one entry per m <= DEGREE_BOUND and k <= m, so hmz_check(n)
+    makes O(n^3) c_op calls in place of one per composition.
+    """
+    if k == 1:
+        return c_op(m, PExpansion.one())
+    total = PExpansion.zero()
+    for a in range(1, m - k + 2):
+        total = total + c_op(a, _c_sum(m - a, k - 1))
+    return total
+
+
 def hmz_check(n: int) -> bool:
     """Does each E_{n,k} equal the sum of operator products over
     compositions of n with k parts?"""
-    series = e_nk(n)
-    for k in range(1, n + 1):
-        total = PExpansion.zero()
-        for rho in compositions(n, length=k):
-            total = total + c_composition(rho)
-        if total != series[k - 1]:
-            return False
-    return True
+    return e_nk(n) == [_c_sum(n, k) for k in range(1, n + 1)]
 
 
 def pn_identity_check(n: int) -> bool:

@@ -998,7 +998,7 @@ def test_mutation_free_run_passes(capsys):
 
 def test_planted_c_op_sign_fails_hmz(capsys, monkeypatch):
     """A wrong sign in the shift of the creation operator is caught."""
-    caches = (symfunc.shift_terms, symfunc._c_suffix)
+    caches = (symfunc.shift_terms, symfunc._c_sum)
     monkeypatch.setattr(symfunc, "shift_factor",
                         lambda k: 1 - symfunc.QTPoly.q(-k))
     for cache in caches:
@@ -1012,6 +1012,36 @@ def test_planted_c_op_sign_fails_hmz(capsys, monkeypatch):
     report = json.loads(out)
     assert report["passed"] is False
     assert report["counterexample"] == {"n": 2}
+
+
+def test_planted_c_op_sign_for_one_a_fails_hmz(capsys, monkeypatch):
+    """C_2 with its sign flipped is caught at the first n that uses it."""
+    real = symfunc.c_op
+    monkeypatch.setattr(symfunc, "c_op",
+                        lambda a, F: real(a, F) * (-1 if a == 2 else 1))
+    symfunc._c_sum.cache_clear()
+    try:
+        code, out, _ = run(capsys, "check", "thm-hmz", "--n", "1..4")
+    finally:
+        symfunc._c_sum.cache_clear()
+    assert code == 1
+    assert json.loads(out)["counterexample"] == {"n": 2}
+
+
+def test_planted_enk_swap_fails_hmz(capsys, monkeypatch):
+    """E_{n,1} and E_{n,2} trading places is caught at n = 2."""
+    real = symfunc.e_nk
+
+    def swapped(n):
+        out = real(n)
+        if n > 1:
+            out[0], out[1] = out[1], out[0]
+        return out
+
+    monkeypatch.setattr(symfunc, "e_nk", swapped)
+    code, out, _ = run(capsys, "check", "thm-hmz", "--n", "1..4")
+    assert code == 1
+    assert json.loads(out)["counterexample"] == {"n": 2}
 
 
 def run_python_m(argv, **environ):

@@ -17,6 +17,10 @@ PACKAGE = ROOT / "src" / "qtpark"
 UNCALLED = {
     ("kernels", "resolve_backend"),  # perfbench calls it
     ("symfunc", "h_in_p"),  # the tests' reference for the h_n expansions
+    # The tests' reference for the sums hmz_check takes by linearity: C_alpha
+    # 1 one composition alpha at a time.
+    ("symfunc", "compositions"),
+    ("symfunc", "c_composition"),
     ("paths", "enumerate_all"),  # perfbench traces it; the tests' scalar sweep
     ("schedules", "shift_multiset"),  # perfbench traces it; a test reference
     ("schedules", "generate"),  # the tests run the insertion tree through it

@@ -52,6 +52,11 @@ def test_qsym_rejects_mixed_degree():
         QSymF(3, {frozenset({3}): ONE})
 
 
+def test_qsym_refuses_hash():
+    with pytest.raises(TypeError):
+        hash(QSymF(3, {frozenset({1}): ONE}))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weighted_sum_matches_total(n):
     direct = weighted_sum(lambda p, s: True, n)

@@ -33,7 +33,8 @@ def test_partitions_counts():
 
 def test_compositions_counts():
     assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    assert list(compositions(4, length=2)) == [(3, 1), (2, 2), (1, 3)]
+    assert [a for a in compositions(4) if len(a) == 2] == [(3, 1), (2, 2),
+                                                           (1, 3)]
     assert sum(1 for _ in compositions(5)) == 16
 
 
@@ -237,8 +238,9 @@ def test_enk_golden():
     assert [row[2] for row in rows[1:]] == [piece.json() for piece in e_nk(5)]
 
 
-def test_c_composition_reuses_suffixes(monkeypatch):
-    symfunc._c_suffix.cache_clear()
+def count_c_op_calls(monkeypatch, cache, work):
+    """work()'s result and the c_op calls it makes, with cache cleared
+    before and after."""
     calls = []
     real = symfunc.c_op
 
@@ -247,12 +249,40 @@ def test_c_composition_reuses_suffixes(monkeypatch):
         return real(a, F)
 
     monkeypatch.setattr(symfunc, "c_op", counting)
+    cache.cache_clear()
     try:
-        assert all(hmz_check(n) for n in range(1, 7))
+        result = work()
     finally:
-        symfunc._c_suffix.cache_clear()
+        cache.cache_clear()
+    return result, len(calls)
+
+
+def test_c_composition_reuses_suffixes(monkeypatch):
     # one call per composition of m <= 6
-    assert len(calls) == sum(2 ** (m - 1) for m in range(1, 7)) == 63
+    alphas = [alpha for m in range(1, 7) for alpha in compositions(m)]
+    _, calls = count_c_op_calls(monkeypatch, symfunc._c_suffix,
+                                lambda: list(map(c_composition, alphas)))
+    assert calls == len(alphas) == 63
+
+
+def test_hmz_sums_by_linearity(monkeypatch):
+    # S(m, 1) = C_m 1, and S(m, k) for k > 1 applies one C_a for each of
+    # its m - k + 1 first parts a: 41 calls, not 63.
+    holds, calls = count_c_op_calls(monkeypatch, symfunc._c_sum, lambda: [
+        hmz_check(n) for n in range(1, 7)])
+    assert holds == [True] * 6
+    assert calls == sum(1 + m * (m - 1) // 2 for m in range(1, 7)) == 41
+
+
+def test_composition_sums_match_c_composition():
+    """S(n, k) is the sum of C_alpha 1 over the alpha |= n with k parts."""
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            total = PExpansion.zero()
+            for alpha in compositions(n):
+                if len(alpha) == k:
+                    total = total + c_composition(alpha)
+            assert symfunc._c_sum(n, k) == total
 
 
 def test_e_nk_refuses_a_wrong_pochhammer(monkeypatch):
