@@ -14,21 +14,21 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import aggregate
+from . import aggregate, kernels
 from .paths import DEFAULT_MAX_N
-from .qt import q_int, q_int_product, q_poly, square_paths_multipliers
+from .qt import q_int, q_poly, square_paths_multipliers
 from .quasisym import QSymF, factor_check
 from .quasisym import qsym_for_diagword, qsym_for_touch
 from .quasisym import qsym_total, square_paths_residue, withides_failures
-from .schedules import PartitionBox, ScheduleCounts, delta_merge
-from .schedules import permutation_blocks, pf_closed_form, pref_closed_form
-from .schedules import runs, schedule0, schedule0_rows, schedule_counts
-from .schedules import schedule_l, schedule_l_rows
+from .schedules import PartitionBox, ScheduleCounts, closed_form_terms
+from .schedules import delta_merge, permutation_blocks, pf_closed_form
+from .schedules import pref_closed_form, runs, schedule0, schedule0_rows
+from .schedules import schedule_counts, schedule_l, schedule_l_rows
 from .symfunc import DEGREE_BOUND, e_in_p, e_nk, hmz_check
 from .symfunc import pn_identity_check
 
@@ -59,14 +59,15 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # took 65 s at n = 11 and thm-shift-multiset about 9 s at n = 10; at
 # symfunc.DEGREE_BOUND, n = 12, thm-enk-sum took 3.4-4.0 s, table enk
 # 4.5-4.8 s, thm-pn-identity 5.0-6.3 s and thm-hmz 6.2-6.3 s).  A full
-# n^n table takes 2-4 s at n = 8 (SWEEP_CAP).  One --tau sweeps nothing:
-# the kernel builds its functions from their row orders, so its cost
-# follows their number, sum over l of prod_c w^(l)(c), and not n^n.
+# n^n table takes 2-4 s at n = 8 (SWEEP_CAP), and lemma-factorlemma decides
+# its taus a permutation block at a time in 1-2 s more.  One --tau sweeps
+# nothing: the kernel builds its functions from their row orders, so its
+# cost follows their number, sum over l of prod_c w^(l)(c), and not n^n.
 # TAU_CAP bounds n there, and TAU_ROW_BUDGET that number (the identity
-# tau has n! functions).  It also bounds the Young subgroup whose (inv,
-# ides) counts lemma-factorlemma multiplies, prod over tau's blocks b of
-# |b|!: at l = 0 the i-th car of a block of m weighs at least m - i + 1
-# and every car at least 1.  At the budget, the n = 12 tau
+# tau has n! functions).  It also bounds the Young subgroup of tau's block
+# mask, whose (inv, ides) counts lemma-factorlemma multiplies, prod over
+# tau's blocks B of |B|!: at l = 0 the i-th car of a block of m weighs at
+# least m - i + 1 and every car at least 1.  At the budget, the n = 12 tau
 # 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.4-1.8 s and
 # 78-81 MB in each of the three checks.  enumerate keeps the
 # enumeration bound of paths.  lemma-parlem's random samples cost about
@@ -252,11 +253,6 @@ def _sizes(spec: CheckSpec) -> List[int]:
     return [n for n in spec.n_range if spec.tau is None or len(spec.tau) == n]
 
 
-def _ls(spec: CheckSpec, nruns: int):
-    ls = range(SCOPES[spec.id].first_l, nruns)
-    return ls if spec.l is None else [l for l in ls if l == spec.l]
-
-
 def _tau_blocks(spec: CheckSpec, n: int) -> Iterable[np.ndarray]:
     """The taus of size n as blocks of rows, in permutation order: the one
     --tau, or all n! in blocks of (n-1)! that share their first car."""
@@ -265,118 +261,97 @@ def _tau_blocks(spec: CheckSpec, n: int) -> Iterable[np.ndarray]:
     return [np.array([spec.tau])]
 
 
-def _cases(spec: CheckSpec, sc: ScheduleCounts) -> Tuple[List[int], np.ndarray]:
-    """The deviations l checked in a block, and which rows have each."""
-    nruns = sc.from_last[:, 0] + 1
-    ls = list(_ls(spec, int(nruns.max())))
-    return ls, nruns[:, None] > np.array(ls, dtype=int)
-
-
-def _first_failure(bad: np.ndarray, has: np.ndarray
-                   ) -> Optional[Tuple[int, int, int]]:
-    """Row and column of a block's first failing case in (tau, l) order,
-    and how many cases the block examines up to and including it."""
-    rows = np.flatnonzero(bad.any(axis=1))
-    if not len(rows):
-        return None
-    r = int(rows[0])
-    j = int(np.argmax(bad[r]))
-    return r, j, int(has[:r].sum() + has[r, :j + 1].sum())
-
-
-def _run_schedule_closed_form(spec: CheckSpec) -> Outcome:
-    # t^maj q^shift prod [w]_q has one power of t, so each case's table
-    # rows are compared in integers with the coefficients of prod [w]_q,
-    # which depend only on the sorted weights.
+def _each_block(spec: CheckSpec,
+                table: Optional[Callable[..., aggregate.Table]],
+                decide: Callable[..., np.ndarray],
+                report: Callable[..., Dict[str, object]]) -> Outcome:
+    """Walk the (tau, l) cases of spec a permutation block at a time, in
+    (n, tau, l) order.  table builds each n's one table (None: the check
+    reads none); decide(table, taus, sc, ls) gives the block's (N,
+    len(ls)) verdicts, nonzero where a case fails; report(table, tau, l,
+    verdict) adds to the counterexample of the first failing case."""
     examined = 0
     for n in _sizes(spec):
-        table = aggregate.qt_by_diagword(n, threads=spec.threads,
-                                         tau=spec.tau)
-        _, _, area, dinv = table.columns
-        for block in _tau_blocks(spec, n):
-            sc = schedule_counts(block)
-            ls, has = _cases(spec, sc)
-            codes = np.ravel_multi_index((block - 1).T, (n,) * n)
-            majs = (block[:, :-1] > block[:, 1:]) @ np.arange(1, n)
-
-            def misses(l, rows, w, shifts):
-                """Whether each row's table rows at l differ from
-                t^maj q^(shift + i) c_i, for the coefficients c_i of
-                prod [w]_q.  A weight below 1 misses: [0]_q = 0 matches
-                no key."""
-                weights = np.sort(w[rows], axis=1)
-                coeffs = [q_int_product(ws) if ws[0] > 0 else ()
-                          for ws in map(tuple, weights.tolist())]
-                size = np.array(list(map(len, coeffs)))
-                lo, hi = table.span(codes[rows], l)
-                # One entry per power of q of each case; a case whose key
-                # has another number of rows misses whatever they read.
-                first = np.cumsum(size) - size
-                case = np.repeat(np.arange(len(rows)), size)
-                i = np.arange(len(case)) - first[case]
-                at = np.minimum(lo[case] + i, len(table.counts) - 1)
-                differ = ((area[at] != majs[rows][case])
-                          | (dinv[at] != shifts[case] + i)
-                          | (table.counts[at] != np.fromiter(
-                              chain.from_iterable(coeffs), np.int64)))
-                return ((weights[:, 0] < 1) | (hi - lo != size)
-                        | (np.bincount(case[differ], minlength=len(rows)) > 0))
-
-            # Cases pref_closed_form misses, and pf_closed_form (l = 0).
-            bad, bad_pf = np.zeros_like(has), np.zeros_like(has)
-            for j, l in enumerate(ls):
-                rows = np.flatnonzero(has[:, j])
-                shifts = (sc.from_last[rows] < l).sum(axis=1)
-                bad[rows, j] = misses(l, rows, schedule_l_rows(sc, l), shifts)
-                if l == 0:
-                    bad_pf[rows, j] = misses(0, rows, schedule0_rows(sc),
-                                             shifts)
-            hit = _first_failure(bad | bad_pf, has)
-            if hit is not None:
-                r, j, before = hit
-                tau, l = tuple(block[r].tolist()), ls[j]
-                closed = (pref_closed_form(tau, l) if bad[r, j]
-                          else pf_closed_form(tau))
-                return False, {
-                    "n": n, "tau": list(tau), "l": l,
-                    "closed_form": str(closed),
-                    "brute_force": str(aggregate.qt_poly_from_counts(
-                        table.counts_at(int(codes[r]), l))),
-                }, examined + before
+        read = table and table(n, threads=spec.threads, tau=spec.tau)
+        for taus in _tau_blocks(spec, n):
+            sc = schedule_counts(taus)
+            nruns = sc.from_last[:, 0] + 1
+            ls = [l for l in range(SCOPES[spec.id].first_l, int(nruns.max()))
+                  if spec.l in (None, l)]
+            has = nruns[:, None] > np.array(ls)
+            bad = decide(read, taus, sc, ls)
+            rows = np.flatnonzero(bad.any(axis=1))
+            if len(rows):
+                r = int(rows[0])
+                j = int(np.argmax(bad[r] != 0))
+                tau, l = tuple(taus[r].tolist()), ls[j]
+                ce = {"n": n, "tau": list(tau), "l": l}
+                ce.update(report(read, tau, l, bad[r, j]))
+                return False, ce, examined + int(has[:r].sum()
+                                                 + has[r, :j + 1].sum())
             examined += int(has.sum())
     return True, None, examined
 
 
-def _run_shift_multiset(spec: CheckSpec) -> Outcome:
-    examined = 0
-    for n in _sizes(spec):
-        for block in _tau_blocks(spec, n):
-            sc = schedule_counts(block)
-            ls, has = _cases(spec, sc)
-            w0 = schedule0_rows(sc)
-            rho0 = (sc.from_last == 0).sum(axis=1, dtype=w0.dtype)
-            bad = np.zeros_like(has)
-            for j, l in enumerate(ls):
-                # {w^(l)} = {w^0} - {rho_0} + {rho_l}, with rho_0 added to
-                # both sides; like the scalar shift_multiset this fails
-                # when w^0 has no rho_0 to give up (unless rho_l = rho_0).
-                rho_l = (sc.from_last == l).sum(axis=1, dtype=w0.dtype)
-                lhs = np.column_stack([schedule_l_rows(sc, l), rho0])
-                rhs = np.column_stack([w0, rho_l])
-                lhs.sort(axis=1)
-                rhs.sort(axis=1)
-                bad[:, j] = has[:, j] & (lhs != rhs).any(axis=1)
-            hit = _first_failure(bad, has)
-            if hit is not None:
-                r, j, before = hit
-                tau, l = tuple(block[r].tolist()), ls[j]
-                return False, {
-                    "n": n, "tau": list(tau), "l": l,
-                    "schedule0": sorted(schedule0(tau)),
-                    "schedule_l": sorted(schedule_l(tau, l).values()),
-                }, examined + before
-            examined += int(has.sum())
-    return True, None, examined
+def _closed_form_misses(table: aggregate.Table, taus: np.ndarray,
+                        sc: ScheduleCounts, ls: List[int]) -> np.ndarray:
+    """1 where pref_closed_form misses a case, else 2 where pf_closed_form
+    (l = 0) does.  t^maj q^shift prod [w]_q has one power of t, so each
+    case's table rows are compared in integers with the coefficients of
+    prod [w]_q."""
+    n = taus.shape[1]
+    _, _, area, dinv = table.columns
+    codes = np.ravel_multi_index((taus - 1).T, (n,) * n)
+    majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, n)
+
+    def misses(l, rows, w, shifts):
+        """Whether each row's table rows at l differ from t^maj q^(shift +
+        i) c_i.  A weight below 1 misses: [0]_q = 0 matches no key."""
+        case, i, c = closed_form_terms(w[rows])
+        lo, hi = table.span(codes[rows], l)
+        # One entry per power of q of each case; a case whose key has
+        # another number of rows misses whatever they read.
+        at = np.minimum(lo[case] + i, len(table.counts) - 1)
+        differ = ((area[at] != majs[rows][case])
+                  | (dinv[at] != shifts[case] + i) | (table.counts[at] != c))
+        return ((w[rows] < 1).any(axis=1)
+                | (hi - lo != np.bincount(case, minlength=len(rows)))
+                | (np.bincount(case[differ], minlength=len(rows)) > 0))
+
+    bad = np.zeros((len(taus), len(ls)), dtype=np.int8)
+    for j, l in enumerate(ls):
+        rows = np.flatnonzero(sc.from_last[:, 0] >= l)
+        shifts = (sc.from_last[rows] < l).sum(axis=1)
+        pref = misses(l, rows, schedule_l_rows(sc, l), shifts)
+        pf = l == 0 and misses(0, rows, schedule0_rows(sc), shifts)
+        bad[rows, j] = np.where(pref, 1, 2 * pf)
+    return bad
+
+
+def _closed_form_report(table: aggregate.Table, tau: Tuple[int, ...], l: int,
+                        verdict: int) -> Dict[str, object]:
+    closed = pref_closed_form(tau, l) if verdict == 1 else pf_closed_form(tau)
+    return {"closed_form": str(closed),
+            "brute_force": str(aggregate.qt_poly_from_counts(table.counts_at(
+                kernels.encode_perm(tau, len(tau)), l)))}
+
+
+def _shift_multiset_misses(table: None, taus: np.ndarray, sc: ScheduleCounts,
+                           ls: List[int]) -> np.ndarray:
+    w0 = schedule0_rows(sc)
+    rho0 = (sc.from_last == 0).sum(axis=1, dtype=w0.dtype)
+    bad = np.zeros((len(taus), len(ls)), dtype=bool)
+    for j, l in enumerate(ls):
+        # {w^(l)} = {w^0} - {rho_0} + {rho_l}, with rho_0 added to both
+        # sides; like the scalar shift_multiset this fails when w^0 has no
+        # rho_0 to give up (unless rho_l = rho_0).
+        rho_l = (sc.from_last == l).sum(axis=1, dtype=w0.dtype)
+        lhs = np.column_stack([schedule_l_rows(sc, l), rho0])
+        rhs = np.column_stack([w0, rho_l])
+        lhs.sort(axis=1)
+        rhs.sort(axis=1)
+        bad[:, j] = (sc.from_last[:, 0] >= l) & (lhs != rhs).any(axis=1)
+    return bad
 
 
 def _parlem_cases(spec: CheckSpec):
@@ -405,24 +380,6 @@ def _run_parlem(spec: CheckSpec) -> Outcome:
                 "lam": list(lam), "a": a, "b": b,
                 "left": list(lhs), "right": list(rhs),
             }, examined
-    return True, None, examined
-
-
-def _run_factorlemma(spec: CheckSpec) -> Outcome:
-    examined = 0
-    for n in _sizes(spec):
-        table = aggregate.qsym_by_diagword(n, threads=spec.threads,
-                                           tau=spec.tau)
-        for block in _tau_blocks(spec, n):
-            for tau in map(tuple, block.tolist()):
-                rd = runs(tau)
-                ls = list(_ls(spec, len(rd)))
-                holds = factor_check(table, rd, ls)
-                if not all(holds):
-                    j = holds.index(False)
-                    return False, {"n": n, "tau": list(tau),
-                                   "l": ls[j]}, examined + j + 1
-                examined += len(ls)
     return True, None, examined
 
 
@@ -525,13 +482,21 @@ def _square_paths_failure(n: int, threads: int
 
 
 REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
-    "thm-schedule-closed-form": _run_schedule_closed_form,
-    "thm-shift-multiset": _run_shift_multiset,
+    # The tables and predicates are looked up when a check runs, so a
+    # rebinding of their names takes effect.
+    "thm-schedule-closed-form": lambda spec: _each_block(
+        spec, aggregate.qt_by_diagword, _closed_form_misses,
+        _closed_form_report),
+    "thm-shift-multiset": lambda spec: _each_block(
+        spec, None, _shift_multiset_misses,
+        lambda table, tau, l, verdict: {
+            "schedule0": sorted(schedule0(tau)),
+            "schedule_l": sorted(schedule_l(tau, l).values())}),
     "lemma-parlem": _run_parlem,
-    "lemma-factorlemma": _run_factorlemma,
+    "lemma-factorlemma": lambda spec: _each_block(
+        spec, aggregate.qsym_by_diagword, factor_check,
+        lambda table, tau, l, verdict: {}),
     "cor-withides": _run_withides,
-    # The predicates are looked up when a check runs, so a rebinding of
-    # their names in this module takes effect.
     "thm-hmz": lambda spec: _each_n(
         spec, lambda n: None if hmz_check(n) else {"n": n}),
     "thm-pn-identity": lambda spec: _each_n(

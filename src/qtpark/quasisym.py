@@ -13,15 +13,16 @@ values i, i+1, ... appearing adjacently), and the discrepancies are
 carried by a permutation from the Young subgroup preserving those
 blocks.  factor_check verifies the resulting product identity with all
 four factors computed by independent means; the Young subgroup's joint
-(inv, ides) distribution is the product of S_m's over its blocks.
+(inv, ides) distribution is the product of S_m's over its blocks, and
+depends only on tau's consecutive-block mask.
 
 The table-backed sums read a count table that their caller built once
 (``aggregate.qsym_by_diagword`` or ``qsym_by_touch``) and passes in; this
 module builds no table.  The integer decisions read the table's columns
 in numpy and build no QSymF: withides_failures decides the withides
-scaling for a whole block of diagonal words at once, factor_check the
-factorization for one diagonal word at each of its deviations, and
-square_paths_residue the square-paths identity for one n.
+scaling and factor_check the factorization at each deviation, both for a
+whole block of diagonal words at once, and square_paths_residue the
+square-paths identity for one n.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ import numpy as np
 from . import kernels
 from .qt import (QTPoly, Scalar, as_poly, q_int_product,
                  square_paths_multipliers)
-from .schedules import ides as perm_ides
-from .schedules import (Decomposable, _decomposed, maj, permutation_rows,
-                        require_deviation, schedule_l)
+from .schedules import (ScheduleCounts, closed_form_terms, permutation_rows,
+                        schedule_l_rows)
 
 Subset = FrozenSet[int]
 
@@ -125,6 +125,24 @@ def qsym_for_diagword(table, tau: Sequence[int],
                              else table.counts_at(code, deviation))
 
 
+def _rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The table rows of each row tau of the (N, n) array ``taus``, as
+    flat (which tau, table row) arrays in tau order.  Every tau is the
+    diagword of some function, so a table without a row of tau (another
+    tau's or of another size) raises ValueError rather than read as a
+    pass."""
+    n = taus.shape[1]
+    lo, hi = table.span(np.ravel_multi_index((taus - 1).T, (n,) * n))
+    empty = np.flatnonzero(hi == lo)
+    if len(empty):
+        raise ValueError(f"the table holds no function of diagword "
+                         f"{tuple(taus[empty[0]].tolist())}")
+    size = hi - lo
+    tau_of = np.repeat(np.arange(len(taus)), size)
+    return tau_of, np.arange(len(tau_of)) + np.repeat(
+        lo - np.cumsum(size) + size, size)
+
+
 def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Whether A (1 - q^k) - B (1 - q^n) is nonzero, for each row tau of
     the (N, n) array ``taus`` and its k in ``ks``, where A =
@@ -134,21 +152,11 @@ def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     divisor.  The deviation-0 counts cancel at q^0 and leave
     q^n - q^k; the others give 1 - q^k.  So each row of tau adds its count
     at (tau, area, dinv + n [dev = 0], mask) and takes it away at (tau,
-    area, dinv + k, mask), and tau fails when a sum is nonzero.  Every tau
-    is the diagword of some function, so a table without a row of tau
-    (another tau's or of another size) raises ValueError rather than read
-    as a pass.
+    area, dinv + k, mask), and tau fails when a sum is nonzero.  A table
+    without a row of some tau raises ValueError (see _rows_of).
     """
     nt, n = taus.shape
-    lo, hi = table.span(np.ravel_multi_index((taus - 1).T, (n,) * n))
-    empty = np.flatnonzero(hi == lo)
-    if len(empty):
-        raise ValueError(f"the table holds no function of diagword "
-                         f"{tuple(taus[empty[0]].tolist())}")
-    size = hi - lo
-    tau_of = np.repeat(np.arange(nt), size)
-    row = np.arange(len(tau_of)) + np.repeat(lo - np.cumsum(size) + size,
-                                             size)
+    tau_of, row = _rows_of(table, taus)
     dev, area, dinv, mask = (col[row] for col in table.columns[1:])
     counts = table.counts[row]
     # Keys over (tau, area <= n^2, shifted dinv <= n^2 + n, mask <
@@ -218,22 +226,6 @@ def square_paths_residue(table, n: int) -> np.ndarray:
     return out
 
 
-def consecutive_blocks(tau: Decomposable) -> Tuple[Tuple[int, ...], ...]:
-    """The partition of 1..n into maximal runs of values appearing
-    adjacently: i and i+1 share a block exactly when i stands directly
-    left of i+1 in tau.  Blocks ascend by smallest value.  tau may be
-    given as its RunDecomposition."""
-    t = _decomposed(tau).tau  # validates the permutation
-    pos = {v: i for i, v in enumerate(t)}
-    blocks: List[List[int]] = [[1]]
-    for v in range(2, len(t) + 1):
-        if pos[v] == pos[v - 1] + 1:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    return tuple(tuple(b) for b in blocks)
-
-
 @lru_cache(maxsize=None)
 def inv_ides_counts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_m's joint distribution of (inv, ides mask): the distinct pairs
@@ -254,68 +246,94 @@ def inv_ides_counts(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def factor_check(table, tau: Decomposable, ls: Sequence[int]) -> List[bool]:
-    """Whether the cross-multiplied factorization of the diagword-tau,
-    deviation-l sum holds, for each l of ``ls``.
+@lru_cache(maxsize=None)
+def young_counts(n: int, b: int) -> Tuple[np.ndarray, np.ndarray,
+                                          np.ndarray, Tuple[int, ...]]:
+    """The Young subgroup of the consecutive-block mask b of 1..n, where
+    bit i - 1 puts i and i + 1 in one block: its Σ_π q^inv Q_ides(π) as
+    (inv, ides mask, count) rows, and its Σ_π q^inv as the coefficients
+    of prod over its blocks B of [|B|]_q!.  Raises RuntimeError when the
+    rows' q-count differs from those.  Cached per (n, b), so read-only."""
+    # A block of values s..s+m-1 maps to itself, so its ides bits are
+    # S_m's shifted by s - 1, and its invs add.
+    inv = np.zeros(1, dtype=np.int64)
+    mask = np.zeros(1, dtype=np.int64)
+    count = np.ones(1, dtype=np.int64)
+    sizes: List[int] = []
+    start = 1  # the smallest value of the block being read
+    for v in range(1, n + 1):
+        if v < n and b >> (v - 1) & 1:
+            continue  # v + 1 is in v's block
+        b_inv, b_mask, b_count = inv_ides_counts(v - start + 1)
+        inv = (inv[:, None] + b_inv).ravel()
+        mask = (mask[:, None] | b_mask << (start - 1)).ravel()
+        count = (count[:, None] * b_count).ravel()
+        sizes.extend(range(1, v - start + 2))
+        start = v + 1
+    scalar = q_int_product(tuple(sorted(sizes)))
+    by_inv = np.zeros(int(inv.max()) + 1, dtype=np.int64)
+    np.add.at(by_inv, inv, count)
+    if tuple(by_inv.tolist()) != scalar:
+        raise RuntimeError(f"Young subgroup of block mask {b} of 1..{n}: "
+                           f"q-count {by_inv.tolist()} differs from block "
+                           f"q-factorials {list(scalar)}")
+    for array in (inv, mask, count):
+        array.flags.writeable = False
+    return inv, mask, count, scalar
+
+
+def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
+                 ls: Sequence[int]) -> np.ndarray:
+    """Where the cross-multiplied factorization of the diagword-tau,
+    deviation-l sum fails, for each row tau of the (N, n) array ``taus``,
+    whose ScheduleCounts are ``sc``, and each l of ``ls``: an (N, len(ls))
+    bool array, False where tau has no deviation l.
 
     Checks  (Σ t^a q^d Q_ides) * (Σ_π q^inv)
           = (Σ t^a q^d) * (Σ_π q^inv Q_{ides(tau) ∪ ides(π)}),
     with the left quasisymmetric sum read from ``table`` (a
-    ``qsym_by_diagword`` table), the scalar Σ_π q^inv from the block
-    q-factorial product, the right quasisymmetric sum from S_m's joint
-    (inv, ides) counts per block, and the scalar t,q-sum from the
-    schedule closed form.  Both sides are integer counts keyed by (l,
-    area, dinv, mask), and an l holds when their difference is zero at
-    every key.  The Young-subgroup counts do not depend on l and are
-    combined once.  tau may be given as its RunDecomposition.
+    ``qsym_by_diagword`` table), both Young-subgroup sums from
+    young_counts, and the scalar t,q-sum from the schedule closed form
+    t^maj q^shift prod [w^(l)]_q.  The taus of one consecutive-block mask
+    share their Young subgroup and are decided together: both sides are
+    integer counts keyed by (tau, l, area, dinv, mask), and a case holds
+    when their difference is zero at every key of it.
     """
-    rd = _decomposed(tau)
-    n = len(rd.tau)
-    for l in ls:
-        require_deviation(rd, l)  # before the table is read
-    blocks = consecutive_blocks(rd)
-    # Σ_π q^inv Q_{ides(tau) ∪ ides(π)} as (inv, mask, count) rows: a
-    # block of values s..s+m-1 maps to itself, so its ides bits are S_m's
-    # shifted by s - 1, none of them in ides(tau), and its invs add.
-    inv = np.zeros(1, dtype=np.int64)
-    mask = np.array([sum(1 << (i - 1) for i in perm_ides(rd.tau))])
-    count = np.ones(1, dtype=np.int64)
-    for block in blocks:
-        if len(block) > 1:
-            b_inv, b_mask, b_count = inv_ides_counts(len(block))
-            inv = (inv[:, None] + b_inv).ravel()
-            mask = (mask[:, None] | b_mask << (block[0] - 1)).ravel()
-            count = (count[:, None] * b_count).ravel()
-    scalar = q_int_product(tuple(sorted(
-        i for b in blocks for i in range(1, len(b) + 1))))
-    by_inv = np.zeros(int(inv.max()) + 1, dtype=np.int64)
-    np.add.at(by_inv, inv, count)
-    if tuple(by_inv.tolist()) != scalar:
-        raise RuntimeError(f"Young subgroup of {rd.tau}: q-count "
-                           f"{by_inv.tolist()} differs from block "
-                           f"q-factorials {list(scalar)}")
-    # Each side's rows times its scalar's coefficients along dinv, keyed
-    # over (l < n, area <= n^2, dinv <= n^2 plus an inv, mask < 2^(n-1)):
-    # a value outside its radix raises ValueError.
-    radices = (n, n * n + 1, n * n + n * (n - 1) // 2 + 1, 1 << (n - 1))
-
-    def part(l, area, dinv, mask, count, coeffs):
-        j = np.arange(len(coeffs))
-        return (np.ravel_multi_index((l, area, dinv + j, mask),
-                                     radices).ravel(),
-                (count * np.array(coeffs)).ravel())
-
-    rows = table.rows(kernels.encode_perm(rd.tau, n))
-    dev, area, dinv, t_mask = (col[rows, None] for col in table.columns[1:])
-    keep = (dev == np.asarray(ls)).any(axis=1)
-    parts = [part(dev[keep], area[keep], dinv[keep], t_mask[keep],
-                  table.counts[rows, None][keep], scalar)]
-    tau_maj = maj(rd.tau)
-    for l in ls:
-        shift = sum(rd.rho_from_last(j) for j in range(l))
-        closed = q_int_product(tuple(sorted(schedule_l(rd, l).values())))
-        parts.append(part(l, tau_maj, shift + inv[:, None], mask[:, None],
-                          -count[:, None], closed))
-    keys, sums = kernels.sum_by_key(parts)
-    failed = set(np.unravel_index(keys[sums != 0], radices)[0].tolist())
-    return [l not in failed for l in ls]
+    nt, n = taus.shape
+    pos = np.argsort(taus, axis=1)  # pos[:, v - 1]: where v stands
+    bit = 1 << np.arange(n - 1)
+    blocks = (pos[:, 1:] == pos[:, :-1] + 1) @ bit  # v + 1 right after v
+    ides = (pos[:, 1:] < pos[:, :-1]) @ bit  # v + 1 anywhere before v
+    majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, n)
+    nruns = sc.from_last[:, 0] + 1
+    ws = [schedule_l_rows(sc, l) for l in ls]
+    shifts = [(sc.from_last < l).sum(axis=1) for l in ls]
+    # Keys over (tau, l < n, area <= n^2, dinv <= n^2 plus an inv, mask <
+    # 2^(n-1)): a value outside its radix raises ValueError.
+    radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1, 1 << (n - 1))
+    bad = np.zeros((nt, n), dtype=bool)
+    for b in np.unique(blocks).tolist():
+        inv, y_mask, y_count, scalar = young_counts(n, b)
+        mine = np.flatnonzero(blocks == b)
+        # The table rows at the deviations of ls, times Σ_π q^inv.
+        tau_of, row = _rows_of(table, taus[mine])
+        keep = np.isin(table.columns[1][row], ls)
+        r, row = mine[tau_of[keep]], row[keep]
+        dev, area, dinv, mask = (col[row, None] for col in table.columns[1:])
+        parts = [(np.ravel_multi_index(
+            (r[:, None], dev, area, dinv + np.arange(len(scalar)), mask),
+            radices).ravel(),
+            (table.counts[row, None] * np.array(scalar)).ravel())]
+        # Each closed-form term times each Young row, subtracted; a Young
+        # mask has only block bits, none in ides(tau), so | is a union.
+        for j, l in enumerate(ls):
+            cases = mine[nruns[mine] > l]
+            term, i, c = closed_form_terms(ws[j][cases])
+            r = cases[term, None]
+            parts.append((np.ravel_multi_index(
+                (r, l, majs[r], shifts[j][r] + i[:, None] + inv,
+                 ides[r] | y_mask), radices).ravel(),
+                (-c[:, None] * y_count).ravel()))
+        keys, sums = kernels.sum_by_key(parts)
+        bad[np.unravel_index(keys[sums != 0], radices)[:2]] = True
+    return bad[:, list(ls)]

@@ -32,15 +32,17 @@ per weight multiset.
 The checks need every weight of every permutation of 1..n at once, so
 the module also works on batches: permutation_rows/permutation_blocks
 build the permutations as int8 rows, schedule_counts takes each car's
-pair counts column-major (as kernels.stat_rows does), and
-schedule0_rows/schedule_l_rows select the weights from those counts.
-The scalar functions above them stay the reference.
+pair counts column-major (as kernels.stat_rows does),
+schedule0_rows/schedule_l_rows select the weights from those counts, and
+closed_form_terms gives the coefficients of prod [w]_q of each row.  The
+scalar functions above them stay the reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import prod
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
 
@@ -280,6 +282,20 @@ def schedule_l_rows(sc: ScheduleCounts, l: int) -> np.ndarray:
     return np.where(sc.from_last < l, sc.own_smaller + sc.prev_larger,
                     sc.own_larger + np.where(sc.from_last == l, 1,
                                              sc.next_smaller))
+
+
+def closed_form_terms(w: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients c_i of prod_c [w(c)]_q for each row of the (R, n)
+    weight array w, as flat (row, i, c_i) arrays in row order.  A row with
+    a weight below 1 has none: [0]_q = 0."""
+    coeffs = [q_int_product(ws) if ws[0] > 0 else ()
+              for ws in map(tuple, np.sort(w, axis=1).tolist())]
+    size = np.fromiter(map(len, coeffs), np.int64, len(coeffs))
+    row = np.repeat(np.arange(len(coeffs)), size)
+    i = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
+    return row, i, np.fromiter(chain.from_iterable(coeffs), np.int64,
+                               len(row))
 
 
 @dataclass(frozen=True)

@@ -398,7 +398,7 @@ def test_out_of_range_block_is_refused_in_a_worker(monkeypatch):
 
 GUARDS = textwrap.dedent("""
     import numpy as np
-    from qtpark import aggregate, checks, kernels, quasisym, symfunc
+    from qtpark import aggregate, checks, kernels, quasisym, schedules, symfunc
 
     real_stream = kernels.iter_stat_chunks
 
@@ -458,7 +458,9 @@ GUARDS = textwrap.dedent("""
 
     quasisym.inv_ides_counts = doubled
     try:
-        quasisym.factor_check(aggregate.qsym_by_diagword(3), (1, 2, 3), [0])
+        taus = np.array([(1, 2, 3)])
+        quasisym.factor_check(aggregate.qsym_by_diagword(3), taus,
+                              schedules.schedule_counts(taus), [0])
     except RuntimeError as e:
         if "differs from block q-factorials" in str(e):
             print("factor_check guard fired")

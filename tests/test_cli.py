@@ -346,15 +346,19 @@ def test_shift_multiset_decomposes_tau_once(capsys, monkeypatch):
 
 
 def test_factorlemma_decomposes_each_case_once(capsys, monkeypatch):
-    """One run decomposition per tau in the walk, which the walk hands to
-    factor_check once for all of tau's deviations; factor_check hands it
-    on to consecutive_blocks and schedule_l."""
+    """One schedule_counts and one factor_check call per permutation
+    block, for all its taus and deviations at once; the walk needs no run
+    decomposition."""
     runs = count_calls(monkeypatch, (schedules, checks), "runs")
-    blocks = count_calls(monkeypatch, (quasisym,), "consecutive_blocks")
+    batch = count_calls(monkeypatch, (checks,), "schedule_counts")
+    decided = count_calls(monkeypatch, (checks,), "factor_check")
     code, out, _ = run(capsys, "check", "lemma-factorlemma", "--n", "1..5")
     assert code == 0
     assert json.loads(out)["examined"] == 436
-    assert len(runs) == len(blocks) == sum(factorial(n) for n in range(1, 6))
+    assert runs == []
+    assert len(batch) == len(decided) == sum(range(1, 6))  # n blocks per n
+    assert [args[1].shape for args in decided] == [
+        (factorial(n - 1), n) for n in range(1, 6) for _ in range(n)]
 
 
 def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
@@ -422,7 +426,8 @@ def test_shift_multiset_walks_n9_in_blocks(capsys, monkeypatch):
 def scalar_report(check_id, n_hi, fault, pf=False):
     """The report of a runner that walks one (tau, l) at a time, in
     (n, tau, l) order, and first fails at ``fault``; its counterexample
-    comes from the scalar schedule functions."""
+    comes from the scalar schedule functions (the factor lemma's names
+    the case alone)."""
     first_l = SCOPES[check_id].first_l
     cases = [(tau, l) for n in range(1, n_hi + 1)
              for tau in permutations(range(1, n + 1))
@@ -432,7 +437,7 @@ def scalar_report(check_id, n_hi, fault, pf=False):
     if check_id == "thm-shift-multiset":
         ce.update(schedule0=sorted(schedules.schedule0(tau)),
                   schedule_l=sorted(schedules.schedule_l(tau, l).values()))
-    else:
+    elif check_id == "thm-schedule-closed-form":
         counts = aggregate.qt_by_diagword(len(tau)).counts_at(
             kernels.encode_perm(tau, len(tau)), l)
         closed = (schedules.pf_closed_form(tau) if pf
@@ -459,6 +464,9 @@ TAU5 = (3, 5, 1, 4, 2)  # runs 35 | 14 | 2
     ("thm-schedule-closed-form", "schedule0_rows", None, 0, 0, False),
     # [0]_q = 0 matches no table key
     ("thm-schedule-closed-form", "schedule0_rows", None, 2, 0, True),
+    # factor_check reads w^(l) from the block's schedule_counts
+    ("lemma-factorlemma", "schedule_counts", "own_smaller", 2, 2, False),
+    ("lemma-factorlemma", "schedule_counts", "own_larger", 4, 0, False),
 ])
 def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
                                            target, field, position, fault,
@@ -877,11 +885,18 @@ def test_factorlemma_takes_the_n9_identity_tau(capsys):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_budget_bounds_the_young_subgroup(n):
-    """prod over tau's consecutive blocks b of |b|! never exceeds tau's
-    function count, so TAU_ROW_BUDGET bounds the Young subgroup too."""
+    """prod over tau's consecutive blocks B of |B|! never exceeds tau's
+    function count, so TAU_ROW_BUDGET bounds the Young subgroup too.  The
+    blocks are read from tau's block mask, whose bit i - 1 is set when
+    i + 1 stands right after i."""
     for tau in permutations(range(1, n + 1)):
-        young = prod(factorial(len(b))
-                     for b in quasisym.consecutive_blocks(tau))
+        pos = {v: i for i, v in enumerate(tau)}
+        mask = sum(1 << (i - 1) for i in range(1, n)
+                   if pos[i + 1] == pos[i] + 1)
+        # A block ends at each i whose bit i - 1 is clear, and at n.
+        ends = [0, *(i for i in range(1, n) if not mask >> (i - 1) & 1), n]
+        young = prod(factorial(b - a) for a, b in zip(ends, ends[1:]))
+        assert young == quasisym.young_counts(n, mask)[2].sum(), tau
         assert young <= checks.tau_functions(tau), tau
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtpark import checks
+from qtpark import checks, schedules
 from qtpark.checks import CheckSpec
 from qtpark.qt import ONE, QTPoly, q_int, q_int_product, qq_poch, render
 
@@ -145,7 +145,7 @@ def test_q_int_product_matches_explicit_products(monkeypatch):
         met.add(weights)
         return q_int_product(weights)
 
-    monkeypatch.setattr(checks, "q_int_product", recording)
+    monkeypatch.setattr(schedules, "q_int_product", recording)
     assert checks.run_check(CheckSpec("thm-schedule-closed-form", 1, 5)).passed
     assert len(met) > 10
     for weights in met:

@@ -1,20 +1,24 @@
 """Fundamental-basis sums, Young-subgroup counts, factorizations."""
 
+import dataclasses
+import types
 from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from table_helpers import TableRead, UnreadableTable, with_entry
+from table_helpers import with_entry
 
 from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
+from qtpark.cli import main
 from qtpark.paths import enumerate_all, stats
-from qtpark import kernels
+from qtpark import checks, kernels, quasisym
 from qtpark.qt import ONE, QTPoly, q_int
-from qtpark.quasisym import (QSymF, consecutive_blocks, factor_check,
-                             inv_ides_counts, qsym_for_diagword,
-                             qsym_for_touch, qsym_total, withides_failures)
-from qtpark.schedules import ides, runs
+from qtpark.quasisym import (QSymF, factor_check, inv_ides_counts,
+                             qsym_for_diagword, qsym_for_touch, qsym_total,
+                             withides_failures)
+from qtpark.schedules import ides, permutation_rows, runs, schedule_counts
 
 
 def weighted_sum(family, n):
@@ -89,14 +93,6 @@ def test_total_specializes_to_count():
         assert sum(c for poly in coeffs for _, c in poly.terms()) == n ** n
 
 
-def test_consecutive_blocks():
-    assert consecutive_blocks((4, 5, 3, 1, 2)) == ((1, 2), (3,), (4, 5))
-    assert consecutive_blocks((2, 3, 1, 4, 5)) == ((1,), (2, 3), (4, 5))
-    assert consecutive_blocks((1, 2, 3)) == ((1, 2, 3),)
-    # no two consecutive values are adjacent: the subgroup is trivial
-    assert consecutive_blocks((3, 2, 1)) == ((1,), (2,), (3,))
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_inv_ides_counts_match_itertools(m):
     """S_m's (inv, ides mask) counts, against a count over
@@ -111,48 +107,98 @@ def test_inv_ides_counts_match_itertools(m):
     assert sorted(got) == list(got)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def decide(table, taus, ls=None):
+    """factor_check over the rows of taus as one block, at ls (None: every
+    deviation of the block), and which of those cases each tau has."""
+    taus = np.array(taus, dtype=np.int8)
+    sc = schedule_counts(taus)
+    nruns = sc.from_last[:, 0] + 1
+    ls = range(int(nruns.max())) if ls is None else ls
+    return (factor_check(table, taus, sc, ls),
+            nruns[:, None] > np.array(ls, dtype=int))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_factor_check_exhaustive(n):
-    table = qsym_by_diagword(n)
-    for tau in permutations(range(1, n + 1)):
-        nruns = len(runs(tau).runs)
-        assert factor_check(table, tau, range(nruns)) == [True] * nruns, tau
+    bad, has = decide(qsym_by_diagword(n), permutation_rows(n))
+    assert not bad.any()
+    assert has.sum() == sum(len(runs(t))
+                            for t in permutations(range(1, n + 1)))
 
 
 def test_factor_check_sample_n5():
+    """Three taus decided as one block, and each as a block of one."""
     table = qsym_by_diagword(5)
-    for tau in [(2, 3, 1, 4, 5), (4, 5, 3, 1, 2), (1, 2, 3, 4, 5)]:
-        nruns = len(runs(tau).runs)
-        assert factor_check(table, tau, range(nruns)) == [True] * nruns, tau
+    taus = [(2, 3, 1, 4, 5), (4, 5, 3, 1, 2), (1, 2, 3, 4, 5)]
+    bad, has = decide(table, taus)
+    assert bad.shape == (3, 3) and not bad.any()
+    assert has.sum(axis=1).tolist() == [len(runs(t)) for t in taus]
+    for tau in taus:
+        bad, has = decide(table, [tau])
+        assert bad.shape == (1, len(runs(tau))) and not bad.any(), tau
 
 
 @pytest.mark.parametrize("column", [2, 3, 4])
 def test_factor_check_fails_exactly_the_case_of_a_planted_row(column):
     """One row's area, dinv or ides mask moved by one fails the (tau, l)
-    whose slice holds that row, and no other case."""
+    whose slice holds that row, and no other case of the block of all
+    taus."""
     n = 5
     table = qsym_by_diagword(n)
+    taus = permutation_rows(n)
+    codes = [kernels.encode_perm(t, n) for t in taus.tolist()]
     for row in range(0, len(table.counts), 97):
         value = int(table.columns[column][row])
         faulty = with_entry(table, column, row, value + (1 if value == 0
                                                          else -1))
         hit = (int(table.columns[0][row]), int(table.columns[1][row]))
-        for tau in permutations(range(1, n + 1)):
-            nruns = len(runs(tau).runs)
-            code = kernels.encode_perm(tau, n)
-            assert factor_check(faulty, tau, range(nruns)) == [
-                (code, l) != hit for l in range(nruns)], (row, tau)
+        bad, _ = decide(faulty, taus)
+        assert bad.tolist() == [[(code, l) == hit for l in range(n)]
+                                for code in codes], row
 
 
-def test_factor_check_refuses_a_deviation_before_any_table():
-    """A deviation tau does not have is refused before the table is
-    read, even after one it has; deviations it has read the table."""
-    with pytest.raises(TableRead):
-        factor_check(UnreadableTable(), (2, 1), [1])
-    for ls in ([2], [0, 2]):
-        with pytest.raises(ValueError, match=r"deviation 2 needs at least 3 "
-                                             r"runs; \(2, 1\) has 2"):
-            factor_check(UnreadableTable(), (2, 1), ls)
+def test_factor_check_reports_only_the_deviations_tau_has():
+    """With every count doubled each case fails, and a tau with l or fewer
+    runs is never reported at l, not even at an l no tau of the block has."""
+    n = 4
+    table = qsym_by_diagword(n)
+    doubled = dataclasses.replace(table, counts=2 * table.counts)
+    bad, has = decide(doubled, permutation_rows(n))
+    assert bad.tolist() == has.tolist()
+    bad, has = decide(doubled, [(1, 2, 3, 4), (2, 1, 3, 4)], ls=[0, 1, 2])
+    assert bad.tolist() == has.tolist() == [[True, False, False],
+                                            [True, True, False]]
+
+
+def planted(old, new):
+    """factor_check of a copy of quasisym whose source has the text old,
+    once, replaced by new."""
+    source = Path(quasisym.__file__).read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType(quasisym.__name__)
+    module.__package__ = quasisym.__package__
+    exec(compile(source.replace(old, new), quasisym.__file__, "exec"),
+         module.__dict__)
+    return module.factor_check
+
+
+BLOCK_MASK = "blocks = (pos[:, 1:] == pos[:, :-1] + 1) @ bit"
+IDES_MASK = "ides = (pos[:, 1:] < pos[:, :-1]) @ bit"
+SHIFT = "shifts = [(sc.from_last < l).sum(axis=1) for l in ls]"
+
+
+@pytest.mark.parametrize("old,new,code", [
+    (BLOCK_MASK, BLOCK_MASK, 0),  # the copy itself passes
+    # v + 1 right before v read as v + 1 right after it
+    (BLOCK_MASK, BLOCK_MASK.replace("+ 1", "- 1"), 1),
+    (IDES_MASK, IDES_MASK + " & ~1", 1),  # bit 1 dropped where a tau has it
+    (SHIFT, SHIFT.replace("axis=1)", "axis=1) + 1"), 1),
+], ids=["unplanted", "block-mask-adjacency", "ides-bit", "shift"])
+def test_planted_fault_fails_the_factor_lemma(capsys, monkeypatch, old, new,
+                                              code):
+    monkeypatch.setattr(checks, "factor_check", planted(old, new))
+    assert main(["check", "lemma-factorlemma", "--n", "1..4"]) == code
+    assert capsys.readouterr().out.count('"passed":false') == code
 
 
 def test_withides_residue_refuses_a_table_without_tau():
