@@ -21,9 +21,9 @@ import numpy as np
 
 from . import aggregate, kernels
 from .paths import DEFAULT_MAX_N
-from .qt import q_int, q_poly, square_paths_multipliers
-from .quasisym import QSymF, factor_check
-from .quasisym import qsym_for_diagword, qsym_for_touch
+from .qt import square_paths_multipliers
+from .quasisym import factor_check, first_difference
+from .quasisym import qsym_for_diagword, qsym_for_touch, shifted_sums
 from .quasisym import qsym_total, square_paths_residue, withides_failures
 from .schedules import PartitionBox, ScheduleCounts, closed_form_terms
 from .schedules import delta_merge, permutation_blocks, pf_closed_form
@@ -383,30 +383,12 @@ def _run_parlem(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _qsym_diff(lhs: QSymF, rhs: QSymF, where: str) -> Dict[str, object]:
-    """The first Q_S whose coefficients differ; ``where`` names the case
-    in the error raised when none does."""
-    for s in sorted(lhs.coeffs.keys() | rhs.coeffs.keys(), key=sorted):
-        if lhs.coefficient(s) != rhs.coefficient(s):
-            return {
-                "subset": sorted(s),
-                "lhs": str(lhs.coefficient(s)),
-                "rhs": str(rhs.coefficient(s)),
-            }
-    raise RuntimeError(f"{where}: no coefficient of the two sides differs")
-
-
-def _withides_sides(table: aggregate.Table, tau: Tuple[int, ...],
-                    k: int) -> Tuple[QSymF, QSymF]:
-    return (qsym_for_diagword(table, tau) * q_int(k),
-            qsym_for_diagword(table, tau, deviation=0) * q_int(len(tau)))
-
-
 def _run_withides(spec: CheckSpec) -> Outcome:
-    # Each block of taus is decided at once in integer counts.  The QSymF
-    # sides are built for a failing tau, to report it, and for the last tau
-    # of each n (n..1 when all are walked), whose integer verdict they must
-    # confirm, with its k from the scalar run decomposition.
+    # Each block of taus is decided at once in integer counts.  The sides
+    # A [k]_q and B [n]_q are built by shifted adds for a failing tau, to
+    # report it, and for the last tau of each n (n..1 when all are walked),
+    # whose integer verdict they must confirm, with its k checked against
+    # the scalar run decomposition.
     examined = 0
     for n in _sizes(spec):
         table = aggregate.qsym_by_diagword(n, threads=spec.threads,
@@ -415,22 +397,24 @@ def _run_withides(spec: CheckSpec) -> Outcome:
             ks = (schedule_counts(block).from_last == 0).sum(axis=1)
             bad = np.flatnonzero(withides_failures(table, block, ks))
             if len(bad):
-                r = int(bad[0])
-                tau, k = tuple(block[r].tolist()), int(ks[r])
-                ce = {"n": n, "tau": list(tau), "k": k}
-                ce.update(_qsym_diff(*_withides_sides(table, tau, k),
-                                     f"n = {n}, tau = {tau}"))
-                return False, ce, examined + r + 1
+                break
             examined += len(block)
-        tau = tuple(block[-1].tolist())
-        k = runs(tau).last_run_length
-        if k != ks[-1]:
+        r = int(bad[0]) if len(bad) else len(block) - 1
+        tau, k = tuple(block[r].tolist()), int(ks[r])
+        if not len(bad) and runs(tau).last_run_length != k:
             raise RuntimeError(f"n = {n}, tau = {tau}: the last run has "
-                               f"length {k}, the batch gave {ks[-1]}")
-        lhs, rhs = _withides_sides(table, tau, k)
-        if lhs != rhs:
-            raise RuntimeError(f"n = {n}, tau = {tau}: the QSymF sides "
-                               f"differ where the integer counts agree")
+                               f"length {runs(tau).last_run_length}, the "
+                               f"batch gave {k}")
+        sides = ([(qsym_for_diagword(table, tau), (1,) * k)],
+                 [(qsym_for_diagword(table, tau, deviation=0), (1,) * n)])
+        if len(bad):
+            ce = {"n": n, "tau": list(tau), "k": k}
+            ce.update(first_difference(n, sides, f"n = {n}, tau = {tau}"))
+            return False, ce, examined + r + 1
+        _, (lhs, rhs) = shifted_sums(sides)
+        if (lhs != rhs).any():
+            raise RuntimeError(f"n = {n}, tau = {tau}: the sides differ "
+                               f"where the integer counts agree")
     return True, None, examined
 
 
@@ -457,28 +441,18 @@ def _enk_sum_failure(n: int) -> Optional[Dict[str, object]]:
     return None
 
 
-def _square_paths_sides(table: aggregate.Table, n: int
-                        ) -> Tuple[QSymF, QSymF]:
-    # Both sides times [1]_q [2]_q ... [n]_q clears every [k]_q
-    # denominator, leaving an identity between polynomial-coefficient
-    # quasisymmetric sums.
-    lhs, rhs = square_paths_multipliers(n)
-    out = QSymF.zero(n)
-    for k, mult in enumerate(rhs, start=1):
-        out = out + qsym_for_touch(table, n, k) * q_poly(mult, 0, 0)
-    return qsym_total(table, n) * q_poly(lhs, 0, 0), out
-
-
 def _square_paths_failure(n: int, threads: int
                           ) -> Optional[Dict[str, object]]:
-    # n is decided in integer counts; the QSymF sides are built only to
-    # report a failure.
+    # n is decided in integer counts; the sides T [n]_q! and Σ_k P_k [n]_q
+    # [n]_q!/[k]_q are built from the readers only to report a failure.
     table = aggregate.qsym_by_touch(n, threads=threads)
     if not square_paths_residue(table, n).any():
         return None
-    ce: Dict[str, object] = {"n": n}
-    ce.update(_qsym_diff(*_square_paths_sides(table, n), f"n = {n}"))
-    return ce
+    lhs, rhs = square_paths_multipliers(n)
+    return {"n": n, **first_difference(n, (
+        [(qsym_total(table, n), lhs)],
+        [(qsym_for_touch(table, n, k), mult)
+         for k, mult in enumerate(rhs, start=1)]), f"n = {n}")}
 
 
 REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {

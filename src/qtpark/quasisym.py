@@ -18,111 +18,57 @@ depends only on tau's consecutive-block mask.
 
 The table-backed sums read a count table that their caller built once
 (``aggregate.qsym_by_diagword`` or ``qsym_by_touch``) and passes in; this
-module builds no table.  The integer decisions read the table's columns
-in numpy and build no QSymF: withides_failures decides the withides
-scaling and factor_check the factorization at each deviation, both for a
-whole block of diagonal words at once, and square_paths_residue the
-square-paths identity for one n.
+module builds no table.  Every sum is held in integer counts.  The
+readers qsym_for_diagword, qsym_for_touch and qsym_total return one slice
+of a table as count rows: one row per (ides mask, area) pair present, one
+column per power of q.  shifted_sums multiplies count rows by polynomials
+in q with shifted adds along that axis, and first_difference names the
+first Q_S at which two such sums differ, for a counterexample.  The
+decisions read the table's columns in numpy: withides_failures decides
+the withides scaling and factor_check the factorization at each
+deviation, both for a whole block of diagonal words at once, and
+square_paths_residue the square-paths identity for one n.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
-from .qt import (QTPoly, Scalar, as_poly, q_int_product,
-                 square_paths_multipliers)
+from .qt import q_int_product, render, square_paths_multipliers
 from .schedules import (ScheduleCounts, closed_form_terms, permutation_rows,
                         schedule_l_rows)
 
-Subset = FrozenSet[int]
+# The count rows of a sum Σ t^area q^dinv Q_ides: the increasing keys of the
+# (ides mask, area) pairs present, over radices (2^(n-1), n^2 + 1), and one
+# row of counts per key, one column per power of q.
+CountRows = Tuple[np.ndarray, np.ndarray]
 
 
-def _sort_key(s: Subset) -> Tuple[int, ...]:
-    return tuple(sorted(s))
-
-
-class QSymF:
-    """A quasisymmetric function of degree n in fundamental coordinates."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs: Optional[Dict[Subset, QTPoly]] = None):
-        self.n = n
-        clean: Dict[Subset, QTPoly] = {}
-        for s, c in (coeffs or {}).items():
-            key = frozenset(s)
-            if key and (min(key) < 1 or max(key) > n - 1):
-                raise ValueError(f"subset {sorted(key)} not within 1..{n - 1}")
-            if c:
-                clean[key] = c
-        self.coeffs = clean
-
-    @classmethod
-    def zero(cls, n: int) -> "QSymF":
-        return cls(n)
-
-    def coefficient(self, s: Subset) -> QTPoly:
-        return self.coeffs.get(frozenset(s), QTPoly.zero())
-
-    def __add__(self, other: "QSymF") -> "QSymF":
-        if self.n != other.n:
-            raise ValueError("degrees differ")
-        merged = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            merged[s] = merged.get(s, QTPoly.zero()) + c
-        return QSymF(self.n, merged)
-
-    def __mul__(self, scalar: Scalar) -> "QSymF":
-        """Scale every coefficient by a QTPoly or an int."""
-        try:
-            scalar = as_poly(scalar)
-        except TypeError:
-            return NotImplemented
-        return QSymF(self.n, {s: c * scalar for s, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QSymF):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for s, c in sorted(self.coeffs.items(), key=lambda kv: _sort_key(kv[0])):
-            label = "{" + ",".join(str(i) for i in sorted(s)) + "}"
-            bits.append(f"({c})*Q{label}")
-        return " + ".join(bits)
-
-    def __repr__(self) -> str:
-        return f"QSymF(n={self.n}, {self})"
-
-
-def _qsym_from_counts(n: int, counts: Dict[Tuple[int, int, int], int]) -> QSymF:
-    # Each (area, dinv, mask) key is distinct: one term per key, and one
-    # QTPoly per ides mask built at once.
-    by_mask: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for (area, dinv, mask), c in counts.items():
-        by_mask.setdefault(mask, {})[dinv, area] = c
-    return QSymF(n, {kernels.decode_ides(mask, n): QTPoly(terms)
-                     for mask, terms in by_mask.items()})
+def _count_rows(table, n: int, where: slice) -> CountRows:
+    """The count rows of the rows ``where`` of ``table``, whose last
+    columns are area, dinv and ides mask.  A mask or area outside its radix
+    raises ValueError."""
+    area, dinv, mask = (col[where] for col in table.columns[-3:])
+    keys, row = np.unique(np.ravel_multi_index(
+        (mask, area), (1 << (n - 1), n * n + 1)), return_inverse=True)
+    out = np.zeros((len(keys), int(dinv.max(initial=0)) + 1), dtype=np.int64)
+    np.add.at(out, (row, dinv), table.counts[where])
+    return keys, out
 
 
 def qsym_for_diagword(table, tau: Sequence[int],
-                      deviation: Optional[int] = None) -> QSymF:
+                      deviation: Optional[int] = None) -> CountRows:
     """Σ t^area q^dinv Q_ides over functions with diagonal word tau,
     optionally restricted to one deviation, read from ``table`` (a
     ``qsym_by_diagword`` table of size len(tau), of all taus or of tau)."""
     n = len(tau)
     code = kernels.encode_perm(tau, n)
-    return _qsym_from_counts(n, table.counts_at(code) if deviation is None
-                             else table.counts_at(code, deviation))
+    return _count_rows(table, n, table.rows(code) if deviation is None
+                       else table.rows(code, deviation))
 
 
 def _rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -172,29 +118,65 @@ def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return bad
 
 
-def qsym_for_touch(table, n: int, touch: int) -> QSymF:
+def qsym_for_touch(table, n: int, touch: int) -> CountRows:
     """Sum over parking functions with the given touch in ``table``."""
-    return _qsym_from_counts(n, table.counts_at(touch, 1))
+    return _count_rows(table, n, table.rows(touch, 1))
 
 
-def qsym_total(table, n: int) -> QSymF:
+def qsym_total(table, n: int) -> CountRows:
     """Sum over all n^n preference functions in ``table``."""
-    return _qsym_from_counts(n, table.counts_at())
+    return _count_rows(table, n, slice(None))
 
 
-def _add_times(out: np.ndarray, counts: np.ndarray,
-               coeffs: Tuple[int, ...]) -> None:
-    """out += counts times the polynomial coeffs, along the q axis."""
-    width = counts.shape[1]
-    for i, c in enumerate(coeffs):
-        if c:
-            out[:, i:i + width] += c * counts
+Sides = Sequence[Sequence[Tuple[CountRows, Sequence[int]]]]
+
+
+def shifted_sums(sides: Sides) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Each side, a list of (count rows, coefficients c_i) terms, summed as
+    Σ rows * Σ_i c_i q^i by shifted adds along the q axis: the union of
+    the terms' keys, and each side's count rows over them."""
+    terms = [term for side in sides for term in side]
+    keys = np.sort(np.concatenate([k for (k, _), _ in terms]))
+    keys = keys[kernels.run_starts(keys)]
+    width = max(rows.shape[1] + len(c) - 1 for (_, rows), c in terms)
+    out = [np.zeros((len(keys), width), dtype=np.int64) for _ in sides]
+    for acc, side in zip(out, sides):
+        for (k, rows), coeffs in side:
+            at = keys.searchsorted(k)
+            for i, c in enumerate(coeffs):
+                if c:
+                    acc[at, i:i + rows.shape[1]] += c * rows
+    return keys, out
+
+
+def first_difference(n: int, sides: Sides, where: str) -> Dict[str, object]:
+    """The first Q_S, in sorted-subset order, whose coefficients differ
+    between the two shifted sums of ``sides``, as its sorted subset and
+    both coefficients written by qt.render; ``where`` names the case in
+    the error raised when none does."""
+    keys, (lhs, rhs) = shifted_sums(sides)
+    mask, area = np.unravel_index(keys, (1 << (n - 1), n * n + 1))
+    differ = set(mask[(lhs != rhs).any(axis=1)].tolist())
+    if not differ:
+        raise RuntimeError(f"{where}: no coefficient of the two sides "
+                           f"differs")
+    subset, m = min((sorted(kernels.decode_ides(m, n)), m) for m in differ)
+    mine = np.flatnonzero(mask == m)
+
+    def coefficient(side: np.ndarray) -> str:
+        # The rows of one mask are in increasing area, so the nonzero
+        # entries of the transpose come in (q exponent, t exponent) order.
+        dinv, row = np.nonzero(side[mine].T)
+        return render(zip(zip(dinv.tolist(), area[mine[row]].tolist()),
+                          side[mine[row], dinv].tolist()))
+
+    return {"subset": subset, "lhs": coefficient(lhs),
+            "rhs": coefficient(rhs)}
 
 
 def square_paths_residue(table, n: int) -> np.ndarray:
-    """T [n]_q! - Σ_k P_k [n]_q [n]_q!/[k]_q in integer counts: one row
-    per (area, ides mask) of ``table`` (the ``qsym_by_touch`` table of
-    size n), one column per power of q.
+    """T [n]_q! - Σ_k P_k [n]_q [n]_q!/[k]_q as count rows over the (ides
+    mask, area) pairs of ``table``, the ``qsym_by_touch`` table of size n.
 
     T counts all n^n functions and P_k the parking functions of touch k,
     by (area, dinv, ides mask).  All zero exactly when qsym_total [n]_q!
@@ -208,22 +190,11 @@ def square_paths_residue(table, n: int) -> np.ndarray:
     if bound >= 2 ** 63:
         raise ValueError(f"n = {n}: square-path sums may reach {bound} "
                          f"> 2^63 - 1")
-    _, _, area, dinv, mask = table.columns
-    rows, row_of = np.unique(
-        np.ravel_multi_index((area, mask), (n * n + 1, 1 << (n - 1))),
-        return_inverse=True)
-    width = int(dinv.max()) + 1
-    total = np.zeros((len(rows), width), dtype=np.int64)
-    np.add.at(total, (row_of, dinv), table.counts)
-    out = np.zeros((len(rows), width + len(rhs[0]) - 1), dtype=np.int64)
-    for touch, mult in enumerate(rhs, start=1):
-        # The (area, dinv, mask) rows of one key are distinct.
-        where = table.rows(touch, 1)
-        part = np.zeros_like(total)
-        part[row_of[where], dinv[where]] = table.counts[where]
-        _add_times(out, -part, mult)
-    _add_times(out, total, lhs)
-    return out
+    _, (total, parts) = shifted_sums([
+        [(_count_rows(table, n, slice(None)), lhs)],
+        [(_count_rows(table, n, table.rows(touch, 1)), mult)
+         for touch, mult in enumerate(rhs, start=1)]])
+    return total - parts
 
 
 @lru_cache(maxsize=None)
@@ -306,8 +277,16 @@ def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
     ides = (pos[:, 1:] < pos[:, :-1]) @ bit  # v + 1 anywhere before v
     majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, n)
     nruns = sc.from_last[:, 0] + 1
-    ws = [schedule_l_rows(sc, l) for l in ls]
     shifts = [(sc.from_last < l).sum(axis=1) for l in ls]
+    # Each l's closed-form terms from one closed_form_terms call, as (block
+    # mask, tau row, i, c_i) in block-mask order.
+    terms = []
+    for l in ls:
+        cases = np.flatnonzero(nruns > l)
+        term, i, c = closed_form_terms(schedule_l_rows(sc, l)[cases])
+        r = cases[term]
+        order = np.argsort(blocks[r], kind="stable")
+        terms.append((blocks[r][order], r[order], i[order], c[order]))
     # Keys over (tau, l < n, area <= n^2, dinv <= n^2 plus an inv, mask <
     # 2^(n-1)): a value outside its radix raises ValueError.
     radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1, 1 << (n - 1))
@@ -327,9 +306,9 @@ def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
         # Each closed-form term times each Young row, subtracted; a Young
         # mask has only block bits, none in ides(tau), so | is a union.
         for j, l in enumerate(ls):
-            cases = mine[nruns[mine] > l]
-            term, i, c = closed_form_terms(ws[j][cases])
-            r = cases[term, None]
+            of, r, i, c = terms[j]
+            at = slice(*of.searchsorted([b, b + 1]).tolist())
+            r, i, c = r[at, None], i[at], c[at]
             parts.append((np.ravel_multi_index(
                 (r, l, majs[r], shifts[j][r] + i[:, None] + inv,
                  ides[r] | y_mask), radices).ravel(),

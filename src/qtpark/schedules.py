@@ -288,14 +288,27 @@ def closed_form_terms(w: np.ndarray
                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coefficients c_i of prod_c [w(c)]_q for each row of the (R, n)
     weight array w, as flat (row, i, c_i) arrays in row order.  A row with
-    a weight below 1 has none: [0]_q = 0."""
+    a weight below 1 has none: [0]_q = 0.  q_int_product is looked up once
+    per distinct sorted row."""
+    # lexsort makes the rows of one multiset adjacent.  np.unique(axis=0)
+    # sorts void rows: over the 57 calls of the n = 8 factor lemma (181,440
+    # rows, 2 vCPUs) it took 0.65 s, lexsort 0.07 s.
+    rows = np.sort(w, axis=1)
+    order = np.lexsort(rows.T)
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    of = np.empty(len(rows), dtype=np.int64)
+    of[order] = np.cumsum(new) - 1  # the multiset of each row of w
     coeffs = [q_int_product(ws) if ws[0] > 0 else ()
-              for ws in map(tuple, np.sort(w, axis=1).tolist())]
+              for ws in map(tuple, rows[new].tolist())]
     size = np.fromiter(map(len, coeffs), np.int64, len(coeffs))
-    row = np.repeat(np.arange(len(coeffs)), size)
+    flat = np.fromiter(chain.from_iterable(coeffs), np.int64, size.sum())
+    first = (np.cumsum(size) - size)[of]
+    size = size[of]
+    row = np.repeat(np.arange(len(w)), size)
     i = np.arange(len(row)) - np.repeat(np.cumsum(size) - size, size)
-    return row, i, np.fromiter(chain.from_iterable(coeffs), np.int64,
-                               len(row))
+    return row, i, flat[first[row] + i]
 
 
 @dataclass(frozen=True)

@@ -397,6 +397,8 @@ def test_out_of_range_block_is_refused_in_a_worker(monkeypatch):
 
 
 GUARDS = textwrap.dedent("""
+    import dataclasses
+
     import numpy as np
     from qtpark import aggregate, checks, kernels, quasisym, schedules, symfunc
 
@@ -520,6 +522,22 @@ GUARDS = textwrap.dedent("""
     except RuntimeError as e:
         if "the batch gave" in str(e):
             print("withides k guard fired")
+    checks.schedule_counts = real_counts
+
+    real_table = aggregate.qsym_by_diagword
+
+    def planted_table(n, threads=1, tau=None):  # its last row: tau n..1
+        table = real_table(n, threads=threads, tau=tau)
+        counts = table.counts.copy()
+        counts[-1] += 1
+        return dataclasses.replace(table, counts=counts)
+
+    aggregate.qsym_by_diagword = planted_table
+    try:  # withides_failures still passes every tau
+        checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
+    except RuntimeError as e:
+        if "sides differ where the integer counts agree" in str(e):
+            print("withides sides guard fired")
 """)
 
 
@@ -538,4 +556,5 @@ def test_guards_fire_under_python_O():
                                         "e_nk guard fired",
                                         "e_nk division guard fired",
                                         "c_op divisibility guard fired",
-                                        "withides k guard fired"]
+                                        "withides k guard fired",
+                                        "withides sides guard fired"]

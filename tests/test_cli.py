@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import qsym_oracle
+from qsym_oracle import withides_sides_differ
 from table_helpers import TableRead, UnreadableTable, with_entry
 
 import qtpark
@@ -21,8 +23,8 @@ from qtpark import qt, symfunc
 from qtpark.checks import SCOPES
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, json_line, place, stats
-from qtpark.qt import QTPoly, q_int
-from qtpark.quasisym import qsym_for_diagword, withides_failures
+from qtpark.qt import QTPoly
+from qtpark.quasisym import withides_failures
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -606,6 +608,72 @@ def test_mutation_breaks_withides(capsys, secondary_off_by_one):
         '"passed":false}\n')
 
 
+def bumped_at_masks(table, rows, masks):
+    """A copy of table with one count raised by one at each ides mask of
+    masks, at its first row among ``rows``."""
+    for m in masks:
+        table = bumped(table, rows.start + int(
+            np.flatnonzero(table.columns[4][rows] == m)[0]))
+    return table
+
+
+def test_withides_report_walks_masks_in_sorted_subset_order(capsys,
+                                                            monkeypatch):
+    """Faults at masks 2 ({2}) and 3 ({1,2}) of one tau are reported at
+    [1,2], the first in sorted-subset order, not at the smaller mask."""
+    n, tau = 4, (3, 1, 2, 4)
+    table = aggregate.qsym_by_diagword(n)
+    faulty = bumped_at_masks(
+        table, table.rows(kernels.encode_perm(tau, n)), (2, 3))
+    monkeypatch.setattr(aggregate, "qsym_by_diagword",
+                        lambda m, threads=1, tau=None: faulty)
+    code, out, _ = run(capsys, "check", "cor-withides", "--n", "4")
+    assert code == 1
+    assert out == (
+        '{"counterexample":{"k":3,"lhs":"2*q*t + 4*q^2*t + 6*q^3*t + '
+        '6*q^4*t + 5*q^5*t + 3*q^6*t + q^7*t","n":4,"rhs":"2*q*t + '
+        '4*q^2*t + 6*q^3*t + 7*q^4*t + 5*q^5*t + 3*q^6*t + q^7*t",'
+        '"subset":[1,2],"tau":[3,1,2,4]},"examined":13,"id":"cor-withides",'
+        '"parameters":{"n":"4..4"},"passed":false}\n')
+
+
+def test_square_paths_report_walks_masks_in_sorted_subset_order(
+        capsys, monkeypatch):
+    """Faults at masks 2 ({2}) and 3 ({1,2}) of the non-parking functions
+    of touch 1 are reported at [1,2], not at the smaller mask."""
+    n = 3
+    table = aggregate.qsym_by_touch(n)
+    faulty = bumped_at_masks(table, table.rows(1, 0), (2, 3))
+    monkeypatch.setattr(aggregate, "qsym_by_touch",
+                        lambda m, threads=1: faulty)
+    code, out, _ = run(capsys, "check", "main-square-paths", "--n", "3")
+    assert code == 1
+    assert out == (
+        '{"counterexample":{"lhs":"t^3 + q*t + q*t^2 + 3*q*t^3 + 3*q^2*t + '
+        '4*q^2*t^2 + 5*q^2*t^3 + q^3 + 5*q^3*t + 7*q^3*t^2 + 5*q^3*t^3 + '
+        '2*q^4 + 5*q^4*t + 7*q^4*t^2 + 3*q^4*t^3 + 2*q^5 + 3*q^5*t + '
+        '4*q^5*t^2 + q^5*t^3 + q^6 + q^6*t + q^6*t^2","n":3,"rhs":"t^3 + '
+        'q*t + q*t^2 + 3*q*t^3 + 3*q^2*t + 3*q^2*t^2 + 5*q^2*t^3 + q^3 + '
+        '5*q^3*t + 5*q^3*t^2 + 5*q^3*t^3 + 2*q^4 + 5*q^4*t + 5*q^4*t^2 + '
+        '3*q^4*t^3 + 2*q^5 + 3*q^5*t + 3*q^5*t^2 + q^5*t^3 + q^6 + q^6*t + '
+        'q^6*t^2","subset":[1,2]},"examined":27,"id":"main-square-paths",'
+        '"parameters":{"n":"3..3"},"passed":false}\n')
+
+
+def test_withides_confirmation_refuses_sides_the_counts_pass(monkeypatch):
+    """A fault in the last tau of n = 3, 3,2,1, that withides_failures is
+    patched to pass is caught by the confirmation of that tau's sides."""
+    real = aggregate.qsym_by_diagword
+    monkeypatch.setattr(aggregate, "qsym_by_diagword",
+                        lambda n, threads=1, tau=None: bumped(
+                            real(n, threads=threads, tau=tau), -1))
+    monkeypatch.setattr(checks, "withides_failures",
+                        lambda table, taus, ks: np.zeros(len(taus), bool))
+    with pytest.raises(RuntimeError, match=r"n = 3, tau = \(3, 2, 1\): .*"
+                       "sides differ where the integer counts agree"):
+        checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
+
+
 def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
     """One count bumped at a deviation >= 1, and nowhere else, fails the
     check at that tau."""
@@ -652,18 +720,6 @@ def test_factorlemma_catches_a_fault_at_a_later_deviation(capsys,
     assert report["counterexample"] == {"n": n, "tau": list(tau), "l": l}
     assert report["examined"] == sum(
         len(schedules.runs(t)) for t in taus[:taus.index(tau)]) + l + 1
-
-
-def withides_sides_differ(table, n):
-    """Per tau of size n, in permutation order, whether the
-    cross-multiplied QSymF sides A [k]_q and B [n]_q differ."""
-    differ = []
-    for tau in permutations(range(1, n + 1)):
-        k = schedules.runs(tau).last_run_length
-        lhs = qsym_for_diagword(table, tau) * q_int(k)
-        rhs = qsym_for_diagword(table, tau, deviation=0) * q_int(n)
-        differ.append(lhs != rhs)
-    return differ
 
 
 def withides_verdicts(table, n):
@@ -936,7 +992,7 @@ def test_square_paths_residue_agrees_with_qsym_sides(n):
     differ = []
     for row in [None, *real.starts[:-1]]:
         table = real if row is None else bumped(real, row)
-        lhs, rhs = checks._square_paths_sides(table, n)
+        lhs, rhs = qsym_oracle.square_paths_sides(table, n)
         assert bool(checks.square_paths_residue(table, n).any()) == (
             lhs != rhs)
         differ.append(lhs != rhs)

@@ -8,14 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import qsym_oracle
+from qsym_oracle import QSymF, qsym_of_rows
 from table_helpers import with_entry
 
 from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, stats
 from qtpark import checks, kernels, quasisym
-from qtpark.qt import ONE, QTPoly, q_int
-from qtpark.quasisym import (QSymF, factor_check, inv_ides_counts,
+from qtpark.qt import ONE, QTPoly
+from qtpark.quasisym import (factor_check, inv_ides_counts,
                              qsym_for_diagword, qsym_for_touch, qsym_total,
                              withides_failures)
 from qtpark.schedules import ides, permutation_rows, runs, schedule_counts
@@ -64,14 +66,14 @@ def test_qsym_refuses_hash():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_weighted_sum_matches_total(n):
     direct = weighted_sum(lambda p, s: True, n)
-    assert direct == qsym_total(qsym_by_touch(n), n)
+    assert direct == qsym_of_rows(n, qsym_total(qsym_by_touch(n), n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_table_backed_diagword_sums(n):
     table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
-        got = qsym_for_diagword(table, tau)
+        got = qsym_of_rows(n, qsym_for_diagword(table, tau))
         want = weighted_sum(lambda p, s: s.diagword == tau, n)
         assert got == want, tau
 
@@ -80,7 +82,7 @@ def test_table_backed_touch_sums():
     n = 4
     table = qsym_by_touch(n)
     for k in range(1, n + 1):
-        got = qsym_for_touch(table, n, k)
+        got = qsym_of_rows(n, qsym_for_touch(table, n, k))
         want = weighted_sum(
             lambda p, s: s.deviation == 0 and s.touch == k, n)
         assert got == want, k
@@ -89,8 +91,8 @@ def test_table_backed_touch_sums():
 def test_total_specializes_to_count():
     for n in range(1, 5):
         # the coefficients of the total sum to its value at q = t = 1
-        coeffs = qsym_total(qsym_by_touch(n), n).coeffs.values()
-        assert sum(c for poly in coeffs for _, c in poly.terms()) == n ** n
+        _, counts = qsym_total(qsym_by_touch(n), n)
+        assert counts.sum() == n ** n
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -233,7 +235,51 @@ def test_withides_refuses_a_shifted_dinv_outside_its_radix():
 def test_withides_scaling(n):
     table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
-        k = runs(tau).last_run_length
-        lhs = qsym_for_diagword(table, tau) * q_int(k)
-        rhs = qsym_for_diagword(table, tau, deviation=0) * q_int(n)
+        lhs, rhs = qsym_oracle.withides_sides(table, tau)
         assert lhs == rhs, tau
+
+
+def with_count(table, row, delta):
+    counts = table.counts.copy()
+    counts[row] += delta
+    return dataclasses.replace(table, counts=counts)
+
+
+def assert_report_is_the_oracles(n, sides, lhs, rhs):
+    """first_difference of the count-row sides is the QSymF oracle's
+    report of lhs and rhs, or raises when the oracle finds none."""
+    want = qsym_oracle.first_difference(lhs, rhs)
+    if want is None:
+        with pytest.raises(RuntimeError, match="^case: no coefficient"):
+            quasisym.first_difference(n, sides, "case")
+    else:
+        assert quasisym.first_difference(n, sides, "case") == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_first_difference_is_the_qsym_report(n):
+    """With any one count raised by 1 or lowered by 2 (to 0 or below), the
+    first_difference of the withides sides of that row's tau, and of the
+    square-paths sides, is the report the QSymF oracle writes."""
+    table = qsym_by_diagword(n)
+    for row in range(len(table.counts)):
+        code = int(table.columns[0][row])
+        tau = next(t for t in permutations(range(1, n + 1))
+                   if kernels.encode_perm(t, n) == code)
+        k = runs(tau).last_run_length
+        for delta in (1, -2):
+            faulty = with_count(table, row, delta)
+            assert_report_is_the_oracles(n, (
+                [(qsym_for_diagword(faulty, tau), (1,) * k)],
+                [(qsym_for_diagword(faulty, tau, deviation=0), (1,) * n)]),
+                *qsym_oracle.withides_sides(faulty, tau))
+    table = qsym_by_touch(n)
+    lhs, rhs = quasisym.square_paths_multipliers(n)
+    for row in range(len(table.counts)):
+        for delta in (1, -2):
+            faulty = with_count(table, row, delta)
+            assert_report_is_the_oracles(n, (
+                [(qsym_total(faulty, n), lhs)],
+                [(qsym_for_touch(faulty, n, k), mult)
+                 for k, mult in enumerate(rhs, start=1)]),
+                *qsym_oracle.square_paths_sides(faulty, n))

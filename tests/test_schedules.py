@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
-from qtpark.schedules import (PartitionBox, delta_merge, generate, ides,
-                              insertion_order, maj,
+from qtpark.schedules import (PartitionBox, closed_form_terms, delta_merge,
+                              generate, ides, insertion_order, maj,
                               permutation_blocks, permutation_rows,
                               pf_closed_form, pref_closed_form, runs,
                               schedule0, schedule0_rows, schedule_counts,
@@ -239,6 +239,26 @@ def test_batch_weights_match_scalar_window(n, where):
 def test_batch_weights_of_one_long_tau():
     tau = (3, 1, 4, 11, 5, 9, 2, 6, 8, 7, 10)
     assert_batch_weights_match_scalar(np.array([tau]))
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (40, 1), (300, 5),
+                                   (500, 8)])
+def test_closed_form_terms_is_the_per_row_product(shape):
+    """The flat (row, i, c_i) terms equal those of each row's explicit
+    product of [w]_q in row order, with none for a row holding a weight
+    below 1; rows repeat, and sort to one multiset in several orders."""
+    w = np.random.default_rng(sum(shape)).integers(-1, 5, size=shape,
+                                                   dtype=np.int8)
+    want = []
+    for r, ws in enumerate(w.tolist()):
+        if min(ws) >= 1:
+            poly = ONE
+            for v in ws:
+                poly = poly * q_int(v)
+            want += [(r, qe, c) for (qe, _), c in poly.terms()]
+    row, i, c = closed_form_terms(w)
+    assert list(zip(row.tolist(), i.tolist(), c.tolist())) == want
+    assert row.dtype == i.dtype == c.dtype == np.int64
 
 
 def test_partition_box_validation():
