@@ -21,10 +21,8 @@ import numpy as np
 
 from . import aggregate, kernels
 from .paths import DEFAULT_MAX_N
-from .qt import square_paths_multipliers
-from .quasisym import factor_check, first_difference
-from .quasisym import qsym_for_diagword, qsym_for_touch, shifted_sums
-from .quasisym import qsym_total, square_paths_residue, withides_failures
+from .quasisym import factor_check, first_difference, qsym_for_diagword
+from .quasisym import shifted_sums, square_paths_sides, withides_failures
 from .schedules import PartitionBox, ScheduleCounts, closed_form_terms
 from .schedules import delta_merge, permutation_blocks, pf_closed_form
 from .schedules import pref_closed_form, runs, schedule0, schedule0_rows
@@ -74,8 +72,8 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # max^2 each, so --max and --samples are capped too.  Guards that protect
 # data stay with the data: kernels.MAX_N and kernels.MAX_FUNCTIONS, the
 # radix check in aggregate._fold, np.ravel_multi_index's radix check on
-# the keys of quasisym.withides_failures, factor_check and
-# square_paths_residue, symfunc.DEGREE_BOUND.
+# the keys of quasisym.withides_failures and factor_check, the int64 bound
+# of quasisym.square_paths_sides, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
 TAU_ROW_BUDGET = 1 << 20
@@ -385,10 +383,10 @@ def _run_parlem(spec: CheckSpec) -> Outcome:
 
 def _run_withides(spec: CheckSpec) -> Outcome:
     # Each block of taus is decided at once in integer counts.  The sides
-    # A [k]_q and B [n]_q are built by shifted adds for a failing tau, to
-    # report it, and for the last tau of each n (n..1 when all are walked),
-    # whose integer verdict they must confirm, with its k checked against
-    # the scalar run decomposition.
+    # A [k]_q and B [n]_q are summed once per n, for the failing tau, to
+    # report it, or for the last tau (n..1 when all are walked), whose
+    # integer verdict they must confirm, with its k checked against the
+    # scalar run decomposition.
     examined = 0
     for n in _sizes(spec):
         table = aggregate.qsym_by_diagword(n, threads=spec.threads,
@@ -405,13 +403,14 @@ def _run_withides(spec: CheckSpec) -> Outcome:
             raise RuntimeError(f"n = {n}, tau = {tau}: the last run has "
                                f"length {runs(tau).last_run_length}, the "
                                f"batch gave {k}")
-        sides = ([(qsym_for_diagword(table, tau), (1,) * k)],
-                 [(qsym_for_diagword(table, tau, deviation=0), (1,) * n)])
+        keys, (lhs, rhs) = shifted_sums((
+            [(qsym_for_diagword(table, tau), (1,) * k)],
+            [(qsym_for_diagword(table, tau, deviation=0), (1,) * n)]))
         if len(bad):
             ce = {"n": n, "tau": list(tau), "k": k}
-            ce.update(first_difference(n, sides, f"n = {n}, tau = {tau}"))
+            ce.update(first_difference(n, keys, lhs, rhs,
+                                       f"n = {n}, tau = {tau}"))
             return False, ce, examined + r + 1
-        _, (lhs, rhs) = shifted_sums(sides)
         if (lhs != rhs).any():
             raise RuntimeError(f"n = {n}, tau = {tau}: the sides differ "
                                f"where the integer counts agree")
@@ -443,16 +442,12 @@ def _enk_sum_failure(n: int) -> Optional[Dict[str, object]]:
 
 def _square_paths_failure(n: int, threads: int
                           ) -> Optional[Dict[str, object]]:
-    # n is decided in integer counts; the sides T [n]_q! and Σ_k P_k [n]_q
-    # [n]_q!/[k]_q are built from the readers only to report a failure.
-    table = aggregate.qsym_by_touch(n, threads=threads)
-    if not square_paths_residue(table, n).any():
+    # One sum of both sides decides n and reports its failure.
+    keys, (lhs, rhs) = shifted_sums(square_paths_sides(
+        aggregate.qsym_by_touch(n, threads=threads), n))
+    if np.array_equal(lhs, rhs):
         return None
-    lhs, rhs = square_paths_multipliers(n)
-    return {"n": n, **first_difference(n, (
-        [(qsym_total(table, n), lhs)],
-        [(qsym_for_touch(table, n, k), mult)
-         for k, mult in enumerate(rhs, start=1)]), f"n = {n}")}
+    return {"n": n, **first_difference(n, keys, lhs, rhs, f"n = {n}")}
 
 
 REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {

@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -368,11 +368,9 @@ class _Text(NamedTuple):
     """Per-n lookup tables from codes to the JSON text of ``json_line``."""
 
     template: str
-    low_size: int          # f's index is high * low_size + low
-    f_high: np.ndarray     # "d1,...,dk" by high: f's first n - n // 2 values
-    f_low: np.ndarray      # ",d1,...,dj" by low: its last n // 2 values
-    perm_codes: np.ndarray  # base-n codes of all n! permutations, sorted
-    perms: np.ndarray      # "c1,...,cn" in the same order
+    low_size: int          # a base-n code is high * low_size + low
+    f_high: np.ndarray     # "d1,...,dk" by high: the first n - n // 2 values
+    f_low: np.ndarray      # ",d1,...,dj" by low: the last n // 2 values
     ides: np.ndarray       # by mask
     comp: np.ndarray       # by main-diagonal column mask; "null" at 0
 
@@ -391,22 +389,18 @@ def _comp_text(n: int, mask: int) -> str:
     return "[" + ",".join(map(str, parts)) + "]"
 
 
-@lru_cache(maxsize=None)  # n <= DEFAULT_MAX_N: 40,320 permutations at most
+@lru_cache(maxsize=None)  # n <= DEFAULT_MAX_N: 4,096 f_high entries at most
 def _text(n: int) -> _Text:
     low = n // 2
-    perms = list(permutations(range(1, n + 1)))
     return _Text(
         template=('{"n":%d,"f":[%%s%%s],"area":%%d,"dinv":%%d,'
-                  '"dinv_parts":[%%d,%%d,%%d],"word":[%%s],"ides":[%%s],'
-                  '"diagword":[%%s],"deviation":%%d,"touch":%%d,'
+                  '"dinv_parts":[%%d,%%d,%%d],"word":[%%s%%s],"ides":[%%s],'
+                  '"diagword":[%%s%%s],"deviation":%%d,"touch":%%d,'
                   '"comp":%%s,"parking":%%s}\n' % n),
         low_size=n ** low,
         f_high=np.array([t[1:] for t in _digit_text(n, n - low)],
                         dtype=object),
         f_low=np.array(_digit_text(n, low), dtype=object),
-        perm_codes=np.ravel_multi_index(np.subtract(perms, 1).T, (n,) * n),
-        perms=np.array([",".join(map(str, perm)) for perm in perms],
-                       dtype=object),
         ides=np.array([",".join(str(i) for i in range(1, n)
                                 if mask >> (i - 1) & 1)
                        for mask in range(1 << (n - 1))], dtype=object),
@@ -417,17 +411,18 @@ def _text(n: int) -> _Text:
 
 def _lines(b: StatBlock, text: _Text, rows: np.ndarray) -> List[str]:
     """The ``json_line`` text of the given rows of b, one % per row."""
-    high, low = np.divmod(b.index[rows], text.low_size)
+    def digits(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        high, low = np.divmod(codes[rows], text.low_size)
+        return text.f_high[high], text.f_low[low]
+
     primary, secondary, tertiary = (b.primary[rows], b.secondary[rows],
                                     b.tertiary[rows])
     deviation = b.deviation[rows]
     columns = (
-        text.f_high[high], text.f_low[low], b.area[rows],
+        *digits(b.index), b.area[rows],
         primary.astype(np.int64) + secondary + tertiary,
-        primary, secondary, tertiary,
-        text.perms[np.searchsorted(text.perm_codes, b.word[rows])],
-        text.ides[b.ides[rows]],
-        text.perms[np.searchsorted(text.perm_codes, b.diagword[rows])],
+        primary, secondary, tertiary, *digits(b.word),
+        text.ides[b.ides[rows]], *digits(b.diagword),
         deviation, b.touch[rows], text.comp[b.main[rows]],
         np.where(deviation == 0, "true", "false"),
     )

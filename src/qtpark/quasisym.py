@@ -23,11 +23,12 @@ readers qsym_for_diagword, qsym_for_touch and qsym_total return one slice
 of a table as count rows: one row per (ides mask, area) pair present, one
 column per power of q.  shifted_sums multiplies count rows by polynomials
 in q with shifted adds along that axis, and first_difference names the
-first Q_S at which two such sums differ, for a counterexample.  The
-decisions read the table's columns in numpy: withides_failures decides
-the withides scaling and factor_check the factorization at each
-deviation, both for a whole block of diagonal words at once, and
-square_paths_residue the square-paths identity for one n.
+first Q_S at which two such sums differ, for a counterexample;
+square_paths_sides writes the square-paths identity's two sides as such
+terms.  The batch decisions read the table's columns in numpy:
+withides_failures decides the withides scaling and factor_check the
+factorization at each deviation, both for a whole block of diagonal
+words at once.
 """
 
 from __future__ import annotations
@@ -149,12 +150,12 @@ def shifted_sums(sides: Sides) -> Tuple[np.ndarray, List[np.ndarray]]:
     return keys, out
 
 
-def first_difference(n: int, sides: Sides, where: str) -> Dict[str, object]:
+def first_difference(n: int, keys: np.ndarray, lhs: np.ndarray,
+                     rhs: np.ndarray, where: str) -> Dict[str, object]:
     """The first Q_S, in sorted-subset order, whose coefficients differ
-    between the two shifted sums of ``sides``, as its sorted subset and
-    both coefficients written by qt.render; ``where`` names the case in
+    between two shifted_sums results over ``keys``, as its sorted subset
+    and both coefficients written by qt.render; ``where`` names the case in
     the error raised when none does."""
-    keys, (lhs, rhs) = shifted_sums(sides)
     mask, area = np.unravel_index(keys, (1 << (n - 1), n * n + 1))
     differ = set(mask[(lhs != rhs).any(axis=1)].tolist())
     if not differ:
@@ -174,14 +175,13 @@ def first_difference(n: int, sides: Sides, where: str) -> Dict[str, object]:
             "rhs": coefficient(rhs)}
 
 
-def square_paths_residue(table, n: int) -> np.ndarray:
-    """T [n]_q! - Σ_k P_k [n]_q [n]_q!/[k]_q as count rows over the (ides
-    mask, area) pairs of ``table``, the ``qsym_by_touch`` table of size n.
+def square_paths_sides(table, n: int) -> Sides:
+    """The sides T [n]_q! and Σ_k P_k [n]_q [n]_q!/[k]_q of the
+    square-paths identity as shifted_sums terms, read from ``table``, the
+    ``qsym_by_touch`` table of size n.
 
-    T counts all n^n functions and P_k the parking functions of touch k,
-    by (area, dinv, ides mask).  All zero exactly when qsym_total [n]_q!
-    equals Σ_k qsym_for_touch(k) [n]_q [n]_q!/[k]_q.  Raises ValueError
-    before the table is read when an entry could leave int64.
+    T is qsym_total and P_k qsym_for_touch(k).  Raises ValueError before
+    the table is read when a shifted sum could leave int64.
     """
     lhs, rhs = square_paths_multipliers(n)
     # T and the P_k each hold at most n^n counts, so every partial sum is
@@ -190,11 +190,9 @@ def square_paths_residue(table, n: int) -> np.ndarray:
     if bound >= 2 ** 63:
         raise ValueError(f"n = {n}: square-path sums may reach {bound} "
                          f"> 2^63 - 1")
-    _, (total, parts) = shifted_sums([
-        [(_count_rows(table, n, slice(None)), lhs)],
-        [(_count_rows(table, n, table.rows(touch, 1)), mult)
-         for touch, mult in enumerate(rhs, start=1)]])
-    return total - parts
+    return ([(qsym_total(table, n), lhs)],
+            [(qsym_for_touch(table, n, touch), mult)
+             for touch, mult in enumerate(rhs, start=1)])
 
 
 @lru_cache(maxsize=None)

@@ -985,49 +985,53 @@ def test_mutation_breaks_square_paths(capsys, monkeypatch, park, name):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_square_paths_residue_agrees_with_qsym_sides(n):
     """With one count bumped at any key of the touch table, or none, the
-    integer residue is nonzero exactly when the QSymF sides differ.  A bump
-    at a parking function of touch n changes both sides alike."""
+    shifted sums of square_paths_sides differ exactly when the QSymF sides
+    do.  A bump at a parking function of touch n changes both sides
+    alike."""
     real = _real_qsym_by_touch(n)
     touch, park = (col[real.starts[:-1]].tolist() for col in real.columns[:2])
     differ = []
     for row in [None, *real.starts[:-1]]:
         table = real if row is None else bumped(real, row)
         lhs, rhs = qsym_oracle.square_paths_sides(table, n)
-        assert bool(checks.square_paths_residue(table, n).any()) == (
-            lhs != rhs)
+        _, sums = quasisym.shifted_sums(quasisym.square_paths_sides(table, n))
+        assert (not np.array_equal(*sums)) == (lhs != rhs)
         differ.append(lhs != rhs)
     assert differ == [False] + [key != (n, 1) for key in zip(touch, park)]
 
 
-def test_square_paths_refuses_a_residue_the_sides_do_not_show(monkeypatch):
-    monkeypatch.setattr(checks, "square_paths_residue",
-                        lambda table, n: np.ones((1, 1), dtype=np.int64))
-    with pytest.raises(RuntimeError, match="n = 1: no coefficient"):
-        checks.run_check(checks.CheckSpec("main-square-paths", 1, 2))
-
-
-def test_square_paths_passes_without_qsym_sums(capsys, monkeypatch):
+@pytest.mark.parametrize("fault", [False, True], ids=["pass", "fault"])
+def test_square_paths_sums_each_n_once(capsys, monkeypatch, fault):
+    """main-square-paths decides each n and reports its failure from one
+    shifted_sums call, on a passing run and on a planted fault at n = 4."""
     calls = []
+    real = quasisym.shifted_sums
 
-    def record(*args, **kwargs):
-        calls.append(args)
+    def table(n, threads=1):
+        calls.append(n)
+        return (_buggy_qsym_by_touch(n, threads) if fault
+                else _real_qsym_by_touch(n, threads=threads))
 
+    def record(sides):
+        calls.append("sum")
+        return real(sides)
+
+    monkeypatch.setattr(aggregate, "qsym_by_touch", table)
     for module in (quasisym, checks):
-        for name in ("qsym_total", "qsym_for_touch"):
-            monkeypatch.setattr(module, name, record)
-    code, out, _ = run(capsys, "check", "main-square-paths", "--n", "1..6")
-    assert code == 0
-    assert json.loads(out)["passed"] is True
-    assert calls == []
+        monkeypatch.setattr(module, "shifted_sums", record)
+    code, _, _ = run(capsys, "check", "main-square-paths", "--n", "1..5")
+    assert code == int(fault)
+    last = 4 if fault else 5
+    assert calls == [x for n in range(1, last + 1) for x in (n, "sum")]
 
 
 def test_square_paths_residue_refuses_int64_overflow():
     """The bound on the integer sums is checked before the table is
     read: n = 10 fits in int64, n = 11 does not."""
     with pytest.raises(TableRead):
-        quasisym.square_paths_residue(UnreadableTable(), 10)
+        quasisym.square_paths_sides(UnreadableTable(), 10)
     with pytest.raises(ValueError, match=r"n = 11: .* > 2\^63 - 1"):
-        quasisym.square_paths_residue(UnreadableTable(), 11)
+        quasisym.square_paths_sides(UnreadableTable(), 11)
 
 
 def test_square_paths_residue_refuses_a_mask_outside_its_radix():
@@ -1036,7 +1040,7 @@ def test_square_paths_residue_refuses_a_mask_outside_its_radix():
     n = 4
     table = with_entry(aggregate.qsym_by_touch(n), 4, 0, 1 << (n - 1))
     with pytest.raises(ValueError):
-        quasisym.square_paths_residue(table, n)
+        quasisym.square_paths_sides(table, n)
 
 
 EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"

@@ -249,11 +249,12 @@ def assert_report_is_the_oracles(n, sides, lhs, rhs):
     """first_difference of the count-row sides is the QSymF oracle's
     report of lhs and rhs, or raises when the oracle finds none."""
     want = qsym_oracle.first_difference(lhs, rhs)
+    keys, sums = quasisym.shifted_sums(sides)
     if want is None:
         with pytest.raises(RuntimeError, match="^case: no coefficient"):
-            quasisym.first_difference(n, sides, "case")
+            quasisym.first_difference(n, keys, *sums, "case")
     else:
-        assert quasisym.first_difference(n, sides, "case") == want
+        assert quasisym.first_difference(n, keys, *sums, "case") == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -274,12 +275,9 @@ def test_first_difference_is_the_qsym_report(n):
                 [(qsym_for_diagword(faulty, tau, deviation=0), (1,) * n)]),
                 *qsym_oracle.withides_sides(faulty, tau))
     table = qsym_by_touch(n)
-    lhs, rhs = quasisym.square_paths_multipliers(n)
     for row in range(len(table.counts)):
         for delta in (1, -2):
             faulty = with_count(table, row, delta)
-            assert_report_is_the_oracles(n, (
-                [(qsym_total(faulty, n), lhs)],
-                [(qsym_for_touch(faulty, n, k), mult)
-                 for k, mult in enumerate(rhs, start=1)]),
+            assert_report_is_the_oracles(
+                n, quasisym.square_paths_sides(faulty, n),
                 *qsym_oracle.square_paths_sides(faulty, n))
