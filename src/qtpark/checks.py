@@ -24,9 +24,9 @@ from .paths import DEFAULT_MAX_N
 from .quasisym import factor_check, first_difference, qsym_for_diagword
 from .quasisym import shifted_sums, square_paths_sides, withides_failures
 from .schedules import PartitionBox, ScheduleCounts, closed_form_terms
-from .schedules import delta_merge, permutation_blocks, pf_closed_form
-from .schedules import pref_closed_form, runs, schedule0, schedule0_rows
-from .schedules import schedule_counts, schedule_l, schedule_l_rows
+from .schedules import delta_merge, permutation_blocks, pref_closed_form
+from .schedules import runs, schedule0, schedule_counts, schedule_l
+from .schedules import schedule_l_rows
 from .symfunc import DEGREE_BOUND, e_in_p, e_nk, hmz_check
 from .symfunc import pn_identity_check
 
@@ -42,9 +42,8 @@ class Scope:
     # The options besides --n that set what the command covers, with their
     # defaults (--threads sets no scope).
     reads: Dict[str, object] = field(default_factory=dict)
-    per_tau: bool = False  # the cap bounds an n! walk that one tau replaces
-    # The largest n with one --tau, if larger; such a tau must also keep
-    # its functions within TAU_ROW_BUDGET.
+    # The largest n with one --tau, if larger; a tau of a command that
+    # sweeps must also keep its functions within TAU_ROW_BUDGET.
     tau_cap: Optional[int] = None
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # builds an n^n table, so --threads means something
@@ -67,20 +66,27 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # tau's blocks B of |B|!: at l = 0 the i-th car of a block of m weighs at
 # least m - i + 1 and every car at least 1.  At the budget, the n = 12 tau
 # 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.4-1.8 s and
-# 78-81 MB in each of the three checks.  enumerate keeps the
-# enumeration bound of paths.  lemma-parlem's random samples cost about
-# max^2 each, so --max and --samples are capped too.  Guards that protect
-# data stay with the data: kernels.MAX_N and kernels.MAX_FUNCTIONS, the
-# radix check in aggregate._fold, np.ravel_multi_index's radix check on
-# the keys of quasisym.withides_failures and factor_check, the int64 bound
-# of quasisym.square_paths_sides, symfunc.DEGREE_BOUND.
+# 78-81 MB in each of the three checks.  thm-shift-multiset and table
+# schedules read one tau's schedules and nothing else, in time that grows
+# as n^2: SCHEDULE_TAU_CAP bounds n there.  A random tau took them 5.1 s
+# and 1.9 s at 1,000 cars, 20 s and 5.3 s at 2,000; the decreasing tau of
+# 2,000 cars took 21 s, and 10.4 s to write its 50 MB table.  enumerate
+# keeps the enumeration bound of paths.  lemma-parlem's random samples
+# cost about max^2 each, so --max and --samples are capped too.  Guards
+# that protect data stay with the data: kernels.MAX_N and
+# kernels.MAX_FUNCTIONS, the radix check in aggregate._fold,
+# np.ravel_multi_index's radix check on the keys of
+# quasisym.withides_failures and factor_check, the int64 bound of
+# quasisym.square_paths_sides, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
+SCHEDULE_TAU_CAP = 2000
 TAU_ROW_BUDGET = 1 << 20
 SCOPES: Dict[str, Scope] = {
     "thm-schedule-closed-form": Scope((1, 6), SWEEP_CAP, _TAU_L,
                                       tau_cap=TAU_CAP, sweeps=True),
-    "thm-shift-multiset": Scope((1, 8), 10, _TAU_L, per_tau=True, first_l=1),
+    "thm-shift-multiset": Scope((1, 8), 10, _TAU_L,
+                                tau_cap=SCHEDULE_TAU_CAP, first_l=1),
     "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
                           limits={"max_part": 400, "samples": 10000}),
     "lemma-factorlemma": Scope((1, 6), SWEEP_CAP, _TAU_L,
@@ -94,7 +100,8 @@ SCOPES: Dict[str, Scope] = {
     "enumerate": Scope((1, 7), DEFAULT_MAX_N,
                        {"allow_large": False, "parking_only": False,
                         "tau": None, "l": None, "touch": None}),
-    "table schedules": Scope(None, 7, {"tau": None}, per_tau=True),
+    "table schedules": Scope(None, 7, {"tau": None},
+                             tau_cap=SCHEDULE_TAU_CAP),
     "table polynomials": Scope(None, 7, sweeps=True),
     "table enk": Scope(None, DEGREE_BOUND),
 }
@@ -102,10 +109,10 @@ SCOPES: Dict[str, Scope] = {
 
 def scope(command: str, n: Optional[Tuple[int, int]] = None,
           threads: Optional[int] = None,
-          **options: object) -> Optional[Tuple[int, int]]:
+          **options: object) -> Tuple[int, int]:
     """The n range ``command`` runs, once ``n``, ``threads`` and
-    ``options`` (None: not given) pass its row of SCOPES; None for one
-    --tau alone.
+    ``options`` (None: not given) pass its row of SCOPES; tau's own size
+    for one --tau without --n where the row has no default.
 
     Raises ValueError for every input the row refuses, so callers refuse
     it before any output or sweep.
@@ -125,16 +132,13 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
             raise ValueError(f"{command} accepts {opt} up to {most}, "
                              f"got {given[opt]}")
     tau, l = given.get("tau"), given.get("l")
-    uncapped = row.per_tau and tau is not None
-    if n is None and row.default is None:
-        if uncapped:
-            return None
+    if n is None and row.default is None and tau is None:
         raise ValueError(f"{command} needs --n")
-    lo, hi = n or row.default
+    lo, hi = n or row.default or (len(tau), len(tau))
     if not 1 <= lo <= hi:
         raise ValueError(f"bad n range {lo}..{hi}")
     cap = row.tau_cap if tau is not None and row.tau_cap else row.cap
-    if hi > cap and not uncapped:
+    if hi > cap:
         raise ValueError(f"{command} accepts n up to {cap}, got {hi}")
     if ("allow_large" in row.reads and hi > row.default[1]
             and not options.get("allow_large")):
@@ -145,7 +149,7 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         l = 0
     if tau is not None and not lo <= len(tau) <= hi:
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
-    if tau is not None and row.tau_cap:
+    if tau is not None and row.sweeps:
         size = tau_functions(tau)
         if size > TAU_ROW_BUDGET:
             raise ValueError(f"tau has {size} functions, over the budget "
@@ -266,8 +270,8 @@ def _each_block(spec: CheckSpec,
     """Walk the (tau, l) cases of spec a permutation block at a time, in
     (n, tau, l) order.  table builds each n's one table (None: the check
     reads none); decide(table, taus, sc, ls) gives the block's (N,
-    len(ls)) verdicts, nonzero where a case fails; report(table, tau, l,
-    verdict) adds to the counterexample of the first failing case."""
+    len(ls)) bool array, True where a case fails; report(table, tau, l)
+    adds to the counterexample of the first failing case."""
     examined = 0
     for n in _sizes(spec):
         read = table and table(n, threads=spec.threads, tau=spec.tau)
@@ -281,10 +285,10 @@ def _each_block(spec: CheckSpec,
             rows = np.flatnonzero(bad.any(axis=1))
             if len(rows):
                 r = int(rows[0])
-                j = int(np.argmax(bad[r] != 0))
+                j = int(np.argmax(bad[r]))
                 tau, l = tuple(taus[r].tolist()), ls[j]
                 ce = {"n": n, "tau": list(tau), "l": l}
-                ce.update(report(read, tau, l, bad[r, j]))
+                ce.update(report(read, tau, l))
                 return False, ce, examined + int(has[:r].sum()
                                                  + has[r, :j + 1].sum())
             examined += int(has.sum())
@@ -293,50 +297,43 @@ def _each_block(spec: CheckSpec,
 
 def _closed_form_misses(table: aggregate.Table, taus: np.ndarray,
                         sc: ScheduleCounts, ls: List[int]) -> np.ndarray:
-    """1 where pref_closed_form misses a case, else 2 where pf_closed_form
-    (l = 0) does.  t^maj q^shift prod [w]_q has one power of t, so each
-    case's table rows are compared in integers with the coefficients of
-    prod [w]_q."""
+    """Where pref_closed_form misses a case.  t^maj q^shift prod [w]_q
+    has one power of t, so each case's table rows are compared in integers
+    with the coefficients of prod [w]_q."""
     n = taus.shape[1]
     _, _, area, dinv = table.columns
     codes = np.ravel_multi_index((taus - 1).T, (n,) * n)
     majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, n)
-
-    def misses(l, rows, w, shifts):
-        """Whether each row's table rows at l differ from t^maj q^(shift +
-        i) c_i.  A weight below 1 misses: [0]_q = 0 matches no key."""
-        case, i, c = closed_form_terms(w[rows])
+    bad = np.zeros((len(taus), len(ls)), dtype=bool)
+    for j, l in enumerate(ls):
+        # Each case's table rows at l against t^maj q^(shift + i) c_i.
+        rows = np.flatnonzero(sc.from_last[:, 0] >= l)
+        shifts = (sc.from_last[rows] < l).sum(axis=1)
+        w = schedule_l_rows(sc, l)[rows]
+        case, i, c = closed_form_terms(w)
         lo, hi = table.span(codes[rows], l)
         # One entry per power of q of each case; a case whose key has
         # another number of rows misses whatever they read.
         at = np.minimum(lo[case] + i, len(table.counts) - 1)
         differ = ((area[at] != majs[rows][case])
                   | (dinv[at] != shifts[case] + i) | (table.counts[at] != c))
-        return ((w[rows] < 1).any(axis=1)
-                | (hi - lo != np.bincount(case, minlength=len(rows)))
-                | (np.bincount(case[differ], minlength=len(rows)) > 0))
-
-    bad = np.zeros((len(taus), len(ls)), dtype=np.int8)
-    for j, l in enumerate(ls):
-        rows = np.flatnonzero(sc.from_last[:, 0] >= l)
-        shifts = (sc.from_last[rows] < l).sum(axis=1)
-        pref = misses(l, rows, schedule_l_rows(sc, l), shifts)
-        pf = l == 0 and misses(0, rows, schedule0_rows(sc), shifts)
-        bad[rows, j] = np.where(pref, 1, 2 * pf)
+        # A weight below 1 misses: [0]_q = 0 matches no key.
+        bad[rows, j] = ((w < 1).any(axis=1)
+                        | (hi - lo != np.bincount(case, minlength=len(rows)))
+                        | (np.bincount(case[differ], minlength=len(rows)) > 0))
     return bad
 
 
-def _closed_form_report(table: aggregate.Table, tau: Tuple[int, ...], l: int,
-                        verdict: int) -> Dict[str, object]:
-    closed = pref_closed_form(tau, l) if verdict == 1 else pf_closed_form(tau)
-    return {"closed_form": str(closed),
+def _closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],
+                        l: int) -> Dict[str, object]:
+    return {"closed_form": str(pref_closed_form(tau, l)),
             "brute_force": str(aggregate.qt_poly_from_counts(table.counts_at(
                 kernels.encode_perm(tau, len(tau)), l)))}
 
 
 def _shift_multiset_misses(table: None, taus: np.ndarray, sc: ScheduleCounts,
                            ls: List[int]) -> np.ndarray:
-    w0 = schedule0_rows(sc)
+    w0 = schedule_l_rows(sc, 0)
     rho0 = (sc.from_last == 0).sum(axis=1, dtype=w0.dtype)
     bad = np.zeros((len(taus), len(ls)), dtype=bool)
     for j, l in enumerate(ls):
@@ -458,13 +455,13 @@ REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
         _closed_form_report),
     "thm-shift-multiset": lambda spec: _each_block(
         spec, None, _shift_multiset_misses,
-        lambda table, tau, l, verdict: {
+        lambda table, tau, l: {
             "schedule0": sorted(schedule0(tau)),
             "schedule_l": sorted(schedule_l(tau, l).values())}),
     "lemma-parlem": _run_parlem,
     "lemma-factorlemma": lambda spec: _each_block(
         spec, aggregate.qsym_by_diagword, factor_check,
-        lambda table, tau, l, verdict: {}),
+        lambda table, tau, l: {}),
     "cor-withides": _run_withides,
     "thm-hmz": lambda spec: _each_n(
         spec, lambda n: None if hmz_check(n) else {"n": n}),

@@ -170,7 +170,6 @@ def _scope_help() -> str:
         row = SCOPES[cid]
         lo, hi = row.default
         lines.append(f"  {cid:26} {lo}..{hi}, up to {row.cap}"
-                     + (" (any n with --tau)" if row.per_tau else "")
                      + (f" ({row.tau_cap} with --tau)" if row.tau_cap
                         else "")
                      + "".join(f", {opt} up to {most}"

@@ -32,10 +32,10 @@ per weight multiset.
 The checks need every weight of every permutation of 1..n at once, so
 the module also works on batches: permutation_rows/permutation_blocks
 build the permutations as int8 rows, schedule_counts takes each car's
-pair counts column-major (as kernels.stat_rows does),
-schedule0_rows/schedule_l_rows select the weights from those counts, and
-closed_form_terms gives the coefficients of prod [w]_q of each row.  The
-scalar functions above them stay the reference.
+pair counts column-major (as kernels.stat_rows does), schedule_l_rows
+selects the weights from those counts (the 0-schedule at l = 0, by
+position), and closed_form_terms gives the coefficients of prod [w]_q of
+each row.  The scalar functions above them stay the reference.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def schedule_l(tau: Decomposable, l: int) -> Dict[int, int]:
 
 def pf_closed_form(tau: Sequence[int]) -> QTPoly:
     """t^maj(tau) prod [w_i]_q: the (area, dinv) sum over parking
-    functions with diagonal word tau."""
+    functions with diagonal word tau.  This is Haglund and Loehr's form of
+    pref_closed_form(tau, 0), kept as a reference for it."""
     rd = runs(tau)
     return q_poly(q_int_product(tuple(sorted(schedule0(rd)))), 0,
                   maj(rd.tau))
@@ -265,15 +266,6 @@ def schedule_counts(perms: np.ndarray) -> ScheduleCounts:
     from_last = run[-1] - run
     return ScheduleCounts(*(np.ascontiguousarray(x.T) for x in
                             (from_last, larger, smaller, nxt, prev)))
-
-
-def schedule0_rows(sc: ScheduleCounts) -> np.ndarray:
-    """w^0 of every car, by position: the i-th car from the right weighs
-    i in the last run, its own larger plus next smaller cars before it."""
-    n = sc.from_last.shape[1]
-    from_right = np.arange(n, 0, -1, dtype=sc.own_larger.dtype)
-    return np.where(sc.from_last == 0, from_right,
-                    sc.own_larger + sc.next_smaller)
 
 
 def schedule_l_rows(sc: ScheduleCounts, l: int) -> np.ndarray:

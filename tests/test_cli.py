@@ -425,7 +425,7 @@ def test_shift_multiset_walks_n9_in_blocks(capsys, monkeypatch):
     assert [args[0].shape for args in batch] == [(factorial(8), 9)] * 9
 
 
-def scalar_report(check_id, n_hi, fault, pf=False):
+def scalar_report(check_id, n_hi, fault):
     """The report of a runner that walks one (tau, l) at a time, in
     (n, tau, l) order, and first fails at ``fault``; its counterexample
     comes from the scalar schedule functions (the factor lemma's names
@@ -442,9 +442,7 @@ def scalar_report(check_id, n_hi, fault, pf=False):
     elif check_id == "thm-schedule-closed-form":
         counts = aggregate.qt_by_diagword(len(tau)).counts_at(
             kernels.encode_perm(tau, len(tau)), l)
-        closed = (schedules.pf_closed_form(tau) if pf
-                  else schedules.pref_closed_form(tau, l))
-        ce.update(closed_form=str(closed),
+        ce.update(closed_form=str(schedules.pref_closed_form(tau, l)),
                   brute_force=str(aggregate.qt_poly_from_counts(counts)))
     return {"id": check_id, "parameters": {"n": f"1..{n_hi}"},
             "passed": False, "counterexample": ce,
@@ -457,15 +455,16 @@ TAU5 = (3, 5, 1, 4, 2)  # runs 35 | 14 | 2
 @pytest.mark.parametrize("check_id,target,field,position,fault,zero", [
     # own_smaller of the second run's first car feeds only w^(2)
     ("thm-shift-multiset", "schedule_counts", "own_smaller", 2, 2, False),
-    ("thm-shift-multiset", "schedule0_rows", None, 0, 1, False),
+    # schedule_l_rows is planted at l = 0 alone: w^0 feeds every l
+    ("thm-shift-multiset", "schedule_l_rows", None, 0, 1, False),
     ("thm-schedule-closed-form", "schedule_counts", "own_smaller", 2, 2,
      False),
     # own_larger of the last car feeds only w^(0)
     ("thm-schedule-closed-form", "schedule_counts", "own_larger", 4, 0,
      False),
-    ("thm-schedule-closed-form", "schedule0_rows", None, 0, 0, False),
+    ("thm-schedule-closed-form", "schedule_l_rows", None, 0, 0, False),
     # [0]_q = 0 matches no table key
-    ("thm-schedule-closed-form", "schedule0_rows", None, 2, 0, True),
+    ("thm-schedule-closed-form", "schedule_l_rows", None, 2, 0, True),
     # factor_check reads w^(l) from the block's schedule_counts
     ("lemma-factorlemma", "schedule_counts", "own_smaller", 2, 2, False),
     ("lemma-factorlemma", "schedule_counts", "own_larger", 4, 0, False),
@@ -475,7 +474,7 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
                                            zero):
     """A batch function off by one (or zero) for one car of TAU5 fails the
     check at one (tau, l), with the report a one-at-a-time walk would
-    print."""
+    print.  schedule_l_rows is off at l = 0 alone."""
     block = {}
     real_counts = checks.schedule_counts
 
@@ -488,7 +487,7 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
     def off_by_one(*args):
         out = real(*args)
         perms = block["perms"]
-        if perms.shape[1] == len(TAU5):
+        if perms.shape[1] == len(TAU5) and args[1:] in [(), (0,)]:
             row = (perms == TAU5).all(axis=1)
             planted = getattr(out, field) if field else out
             if zero:
@@ -501,8 +500,7 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
     monkeypatch.setattr(checks, target, off_by_one)
     code, out, _ = run(capsys, "check", check_id, "--n", "1..5")
     assert code == 1
-    assert json.loads(out) == scalar_report(
-        check_id, 5, (TAU5, fault), pf=target == "schedule0_rows")
+    assert json.loads(out) == scalar_report(check_id, 5, (TAU5, fault))
 
 
 def watch_blocks(monkeypatch):
@@ -927,6 +925,23 @@ def test_one_tau_over_its_budgets_is_refused(capsys, monkeypatch, check_id):
     assert_refused_up_front(capsys, monkeypatch, "check", check_id,
                             "--n", "12", "--tau", identity)
     assert checks.scope(check_id, (9, 9), tau=tuple(range(1, 10)))
+
+
+@pytest.mark.parametrize("command", sorted(c for c, row in SCOPES.items()
+                                     if row.tau_cap))
+def test_one_tau_over_its_cap_is_refused(capsys, monkeypatch, command):
+    """Every row with a tau_cap refuses a tau of tau_cap + 1 cars.  A
+    check's n range must hold the tau; table schedules reads its n off
+    the tau."""
+    cap = SCOPES[command].tau_cap
+    argv = (["check", command, "--n", str(cap + 1)]
+            if command in checks.REGISTRY else command.split())
+    assert_refused_up_front(capsys, monkeypatch, *argv, "--tau",
+                            ",".join(map(str, range(cap + 1, 0, -1))))
+    if not SCOPES[command].sweeps:
+        n = (cap, cap) if command in checks.REGISTRY else None
+        tau = tuple(range(cap, 0, -1))
+        assert checks.scope(command, n, tau=tau) == (cap, cap)
 
 
 def test_factorlemma_takes_the_n9_identity_tau(capsys):

@@ -24,6 +24,9 @@ UNCALLED = {
     ("symfunc", "c_composition"),
     ("paths", "enumerate_all"),  # perfbench traces it; the tests' scalar sweep
     ("schedules", "shift_multiset"),  # perfbench traces it; a test reference
+    # Haglund and Loehr's form of pref_closed_form(tau, 0): perfbench traces
+    # it, and the tests hold the closed forms to it.
+    ("schedules", "pf_closed_form"),
     ("schedules", "generate"),  # the tests run the insertion tree through it
     ("schedules", "ides"),  # the tests' reference for inv_ides_counts
 }

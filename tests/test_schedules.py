@@ -14,8 +14,8 @@ from qtpark.schedules import (PartitionBox, closed_form_terms, delta_merge,
                               generate, ides, insertion_order, maj,
                               permutation_blocks, permutation_rows,
                               pf_closed_form, pref_closed_form, runs,
-                              schedule0, schedule0_rows, schedule_counts,
-                              schedule_l, schedule_l_rows, shift_multiset)
+                              schedule0, schedule_counts, schedule_l,
+                              schedule_l_rows, shift_multiset)
 
 
 def brute_poly(n, tau, l):
@@ -92,6 +92,7 @@ def test_schedule0_matches_schedule_l_at_zero():
             w = schedule_l(tau, 0)
             assert schedule0(tau) == tuple(
                 w[c] for c in insertion_order(tau, 0))
+            assert pf_closed_form(tau) == pref_closed_form(tau, 0), tau
 
 
 def test_insertion_order():
@@ -207,16 +208,15 @@ def test_schedule_counts_match_definitions(n):
 
 
 def assert_batch_weights_match_scalar(perms):
-    """Every car's w^0 and w^(l), every l its tau has, as the scalar
-    schedule0 and schedule_l give them."""
+    """Every car's w^(l), every l its tau has, as the scalar schedule_l
+    gives it, and w^0 as Haglund and Loehr's schedule0 gives it."""
     sc = schedule_counts(perms)
-    w0 = schedule0_rows(sc)
     wl = [schedule_l_rows(sc, l) for l in range(perms.shape[1])]
     for r, tau in enumerate(map(tuple, perms.tolist())):
         nruns = len(runs(tau))
         assert sc.from_last[r, 0] + 1 == nruns
         # w_i is the weight of the i-th car from the right
-        assert tuple(w0[r, ::-1].tolist()) == schedule0(tau)
+        assert tuple(wl[0][r, ::-1].tolist()) == schedule0(tau)
         for l in range(nruns):
             w = schedule_l(tau, l)
             assert wl[l][r].tolist() == [w[c] for c in tau], (tau, l)
