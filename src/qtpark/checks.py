@@ -22,8 +22,9 @@ import numpy as np
 from . import aggregate, kernels
 from .paths import DEFAULT_MAX_N
 from .quasisym import factor_check, first_difference, qsym_for_diagword
-from .quasisym import shifted_sums, square_paths_sides, withides_failures
-from .schedules import PartitionBox, ScheduleCounts, closed_form_terms
+from .quasisym import rows_of, shifted_sums, square_paths_sides
+from .quasisym import withides_failures
+from .schedules import PartitionBox, ScheduleCounts, closed_form_rows
 from .schedules import delta_merge, permutation_blocks, pref_closed_form
 from .schedules import runs, schedule0, schedule_counts, schedule_l
 from .schedules import schedule_l_rows
@@ -67,17 +68,17 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # least m - i + 1 and every car at least 1.  At the budget, the n = 12 tau
 # 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.4-1.8 s and
 # 78-81 MB in each of the three checks.  thm-shift-multiset and table
-# schedules read one tau's schedules and nothing else, in time that grows
-# as n^2: SCHEDULE_TAU_CAP bounds n there.  A random tau took them 5.1 s
-# and 1.9 s at 1,000 cars, 20 s and 5.3 s at 2,000; the decreasing tau of
-# 2,000 cars took 21 s, and 10.4 s to write its 50 MB table.  enumerate
-# keeps the enumeration bound of paths.  lemma-parlem's random samples
-# cost about max^2 each, so --max and --samples are capped too.  Guards
-# that protect data stay with the data: kernels.MAX_N and
-# kernels.MAX_FUNCTIONS, the radix check in aggregate._fold,
-# np.ravel_multi_index's radix check on the keys of
-# quasisym.withides_failures and factor_check, the int64 bound of
-# quasisym.square_paths_sides, symfunc.DEGREE_BOUND.
+# schedules read one tau's schedules alone; SCHEDULE_TAU_CAP bounds n
+# there, set by table schedules --tau, which calls the scalar schedule_l
+# once per l: at 2,000 cars a random tau took 4.2-4.3 s and the decreasing
+# one 7.1-8.2 s for its 50 MB table (thm-shift-multiset took 0.05-0.09 s).
+# enumerate keeps the enumeration bound of paths.  lemma-parlem's random
+# samples cost about max^2 each, so --max and --samples are capped too.
+# Guards that protect data stay with the data: kernels.MAX_N and
+# kernels.MAX_FUNCTIONS, the radix check in aggregate._fold, the radix
+# check np.ravel_multi_index makes on the keys of the three table-backed
+# tau checks, the int64 bound of quasisym.square_paths_sides,
+# symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
 SCHEDULE_TAU_CAP = 2000
@@ -297,31 +298,23 @@ def _each_block(spec: CheckSpec,
 
 def _closed_form_misses(table: aggregate.Table, taus: np.ndarray,
                         sc: ScheduleCounts, ls: List[int]) -> np.ndarray:
-    """Where pref_closed_form misses a case.  t^maj q^shift prod [w]_q
-    has one power of t, so each case's table rows are compared in integers
-    with the coefficients of prod [w]_q."""
-    n = taus.shape[1]
-    _, _, area, dinv = table.columns
-    codes = np.ravel_multi_index((taus - 1).T, (n,) * n)
-    majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, n)
-    bad = np.zeros((len(taus), len(ls)), dtype=bool)
-    for j, l in enumerate(ls):
-        # Each case's table rows at l against t^maj q^(shift + i) c_i.
-        rows = np.flatnonzero(sc.from_last[:, 0] >= l)
-        shifts = (sc.from_last[rows] < l).sum(axis=1)
-        w = schedule_l_rows(sc, l)[rows]
-        case, i, c = closed_form_terms(w)
-        lo, hi = table.span(codes[rows], l)
-        # One entry per power of q of each case; a case whose key has
-        # another number of rows misses whatever they read.
-        at = np.minimum(lo[case] + i, len(table.counts) - 1)
-        differ = ((area[at] != majs[rows][case])
-                  | (dinv[at] != shifts[case] + i) | (table.counts[at] != c))
-        # A weight below 1 misses: [0]_q = 0 matches no key.
-        bad[rows, j] = ((w < 1).any(axis=1)
-                        | (hi - lo != np.bincount(case, minlength=len(rows)))
-                        | (np.bincount(case[differ], minlength=len(rows)) > 0))
-    return bad
+    """Where pref_closed_form misses a case: each table row of tau adds
+    its count at (tau, l, area, dinv), each closed-form term takes its c_i
+    away, and a case misses where a sum is nonzero.  A weight below 1 gives
+    no terms ([0]_q = 0), so it misses against the case's table rows."""
+    nt, n = taus.shape
+    tau_of, row = rows_of(table, taus)
+    digits = (tau_of, *(col[row] for col in table.columns[1:]))
+    *terms, c = closed_form_rows(taus, sc, ls)
+    # Keys over (tau, l, area, dinv) with factor_check's dinv radix, wide
+    # enough that a weight planted too large fails rather than raise.
+    radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1)
+    keys, sums = kernels.sum_by_key([
+        (np.ravel_multi_index(digits, radices), table.counts[row]),
+        (np.ravel_multi_index(terms, radices), -c)])
+    bad = np.zeros((nt, n), dtype=bool)
+    bad[np.unravel_index(keys[sums != 0], radices)[:2]] = True
+    return bad[:, ls]
 
 
 def _closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],

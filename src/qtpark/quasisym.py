@@ -25,10 +25,10 @@ column per power of q.  shifted_sums multiplies count rows by polynomials
 in q with shifted adds along that axis, and first_difference names the
 first Q_S at which two such sums differ, for a counterexample;
 square_paths_sides writes the square-paths identity's two sides as such
-terms.  The batch decisions read the table's columns in numpy:
-withides_failures decides the withides scaling and factor_check the
-factorization at each deviation, both for a whole block of diagonal
-words at once.
+terms.  The batch decisions take a whole block of diagonal words at
+once: rows_of finds their table rows, and withides_failures (the withides
+scaling) and factor_check (the factorization at each deviation, against
+schedules.closed_form_rows) decide by signed counts summed per key.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ import numpy as np
 
 from . import kernels
 from .qt import q_int_product, render, square_paths_multipliers
-from .schedules import (ScheduleCounts, closed_form_terms, permutation_rows,
-                        schedule_l_rows)
+from .schedules import ScheduleCounts, closed_form_rows, permutation_rows
 
 # The count rows of a sum Σ t^area q^dinv Q_ides: the increasing keys of the
 # (ides mask, area) pairs present, over radices (2^(n-1), n^2 + 1), and one
@@ -72,7 +71,7 @@ def qsym_for_diagword(table, tau: Sequence[int],
                        else table.rows(code, deviation))
 
 
-def _rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The table rows of each row tau of the (N, n) array ``taus``, as
     flat (which tau, table row) arrays in tau order.  Every tau is the
     diagword of some function, so a table without a row of tau (another
@@ -100,10 +99,10 @@ def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     q^n - q^k; the others give 1 - q^k.  So each row of tau adds its count
     at (tau, area, dinv + n [dev = 0], mask) and takes it away at (tau,
     area, dinv + k, mask), and tau fails when a sum is nonzero.  A table
-    without a row of some tau raises ValueError (see _rows_of).
+    without a row of some tau raises ValueError (see rows_of).
     """
     nt, n = taus.shape
-    tau_of, row = _rows_of(table, taus)
+    tau_of, row = rows_of(table, taus)
     dev, area, dinv, mask = (col[row] for col in table.columns[1:])
     counts = table.counts[row]
     # Keys over (tau, area <= n^2, shifted dinv <= n^2 + n, mask <
@@ -263,28 +262,21 @@ def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
     with the left quasisymmetric sum read from ``table`` (a
     ``qsym_by_diagword`` table), both Young-subgroup sums from
     young_counts, and the scalar t,q-sum from the schedule closed form
-    t^maj q^shift prod [w^(l)]_q.  The taus of one consecutive-block mask
-    share their Young subgroup and are decided together: both sides are
-    integer counts keyed by (tau, l, area, dinv, mask), and a case holds
-    when their difference is zero at every key of it.
+    t^maj q^shift prod [w^(l)]_q (closed_form_rows).  The taus of one
+    consecutive-block mask share their Young subgroup and are decided
+    together: both sides are integer counts keyed by (tau, l, area, dinv,
+    mask), and a case holds when their difference is zero at every key.
     """
     nt, n = taus.shape
     pos = np.argsort(taus, axis=1)  # pos[:, v - 1]: where v stands
     bit = 1 << np.arange(n - 1)
     blocks = (pos[:, 1:] == pos[:, :-1] + 1) @ bit  # v + 1 right after v
     ides = (pos[:, 1:] < pos[:, :-1]) @ bit  # v + 1 anywhere before v
-    majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, n)
-    nruns = sc.from_last[:, 0] + 1
-    shifts = [(sc.from_last < l).sum(axis=1) for l in ls]
-    # Each l's closed-form terms from one closed_form_terms call, as (block
-    # mask, tau row, i, c_i) in block-mask order.
-    terms = []
-    for l in ls:
-        cases = np.flatnonzero(nruns > l)
-        term, i, c = closed_form_terms(schedule_l_rows(sc, l)[cases])
-        r = cases[term]
-        order = np.argsort(blocks[r], kind="stable")
-        terms.append((blocks[r][order], r[order], i[order], c[order]))
+    # The closed-form terms (tau row, l, maj, shift + i, c_i) and the block
+    # mask of each, in block-mask order.
+    terms = closed_form_rows(taus, sc, ls)
+    order = np.argsort(blocks[terms[0]], kind="stable")
+    of, *terms = (x[order] for x in (blocks[terms[0]], *terms))
     # Keys over (tau, l < n, area <= n^2, dinv <= n^2 plus an inv, mask <
     # 2^(n-1)): a value outside its radix raises ValueError.
     radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1, 1 << (n - 1))
@@ -292,25 +284,21 @@ def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
     for b in np.unique(blocks).tolist():
         inv, y_mask, y_count, scalar = young_counts(n, b)
         mine = np.flatnonzero(blocks == b)
-        # The table rows at the deviations of ls, times Σ_π q^inv.
-        tau_of, row = _rows_of(table, taus[mine])
-        keep = np.isin(table.columns[1][row], ls)
-        r, row = mine[tau_of[keep]], row[keep]
+        # The table rows, times Σ_π q^inv; one at a deviation outside ls
+        # lands in a column of bad that is not returned.
+        tau_of, row = rows_of(table, taus[mine])
         dev, area, dinv, mask = (col[row, None] for col in table.columns[1:])
         parts = [(np.ravel_multi_index(
-            (r[:, None], dev, area, dinv + np.arange(len(scalar)), mask),
-            radices).ravel(),
+            (mine[tau_of, None], dev, area, dinv + np.arange(len(scalar)),
+             mask), radices).ravel(),
             (table.counts[row, None] * np.array(scalar)).ravel())]
         # Each closed-form term times each Young row, subtracted; a Young
         # mask has only block bits, none in ides(tau), so | is a union.
-        for j, l in enumerate(ls):
-            of, r, i, c = terms[j]
-            at = slice(*of.searchsorted([b, b + 1]).tolist())
-            r, i, c = r[at, None], i[at], c[at]
-            parts.append((np.ravel_multi_index(
-                (r, l, majs[r], shifts[j][r] + i[:, None] + inv,
-                 ides[r] | y_mask), radices).ravel(),
-                (-c[:, None] * y_count).ravel()))
+        at = slice(*of.searchsorted([b, b + 1]).tolist())
+        r, l, t, q, c = (x[at, None] for x in terms)
+        parts.append((np.ravel_multi_index(
+            (r, l, t, q + inv, ides[r] | y_mask), radices).ravel(),
+            (-c * y_count).ravel()))
         keys, sums = kernels.sum_by_key(parts)
         bad[np.unravel_index(keys[sums != 0], radices)[:2]] = True
     return bad[:, list(ls)]

@@ -32,10 +32,10 @@ per weight multiset.
 The checks need every weight of every permutation of 1..n at once, so
 the module also works on batches: permutation_rows/permutation_blocks
 build the permutations as int8 rows, schedule_counts takes each car's
-pair counts column-major (as kernels.stat_rows does), schedule_l_rows
-selects the weights from those counts (the 0-schedule at l = 0, by
-position), and closed_form_terms gives the coefficients of prod [w]_q of
-each row.  The scalar functions above them stay the reference.
+pair counts one offset between positions at a time, schedule_l_rows
+selects the weights from them (the 0-schedule at l = 0, by position),
+and closed_form_rows writes every case's closed form as integer terms,
+its one batch spelling.  The scalar functions stay the reference.
 """
 
 from __future__ import annotations
@@ -247,22 +247,22 @@ class ScheduleCounts(NamedTuple):
 def schedule_counts(perms: np.ndarray) -> ScheduleCounts:
     """The ScheduleCounts of an (N, n) array of permutations, in its
     integer type."""
-    # Column-major: T[p] holds position p of every row, so each pair of
-    # positions a < b is a few whole-row operations and nothing is sorted.
+    # Column-major: T[p] holds position p of every row.  The pairs of
+    # positions a < a + d are taken one offset d at a time, so each is a
+    # few whole-array operations and nothing is sorted.
     T = np.ascontiguousarray(perms.T)
     n = len(T)
     run = np.zeros_like(T)  # run index from the left: descents before p
     for p in range(1, n):
         run[p] = run[p - 1] + (T[p - 1] > T[p])
     larger, smaller, nxt, prev = (np.zeros_like(T) for _ in range(4))
-    for a in range(n):
-        for b in range(a + 1, n):
-            same = run[a] == run[b]
-            larger[a] += same
-            smaller[b] += same
-            drop = (run[b] == run[a] + 1) & (T[a] > T[b])
-            nxt[a] += drop
-            prev[b] += drop
+    for d in range(1, n):
+        same = run[:-d] == run[d:]
+        larger[:-d] += same
+        smaller[d:] += same
+        drop = (run[d:] == run[:-d] + 1) & (T[:-d] > T[d:])
+        nxt[:-d] += drop
+        prev[d:] += drop
     from_last = run[-1] - run
     return ScheduleCounts(*(np.ascontiguousarray(x.T) for x in
                             (from_last, larger, smaller, nxt, prev)))
@@ -274,6 +274,24 @@ def schedule_l_rows(sc: ScheduleCounts, l: int) -> np.ndarray:
     return np.where(sc.from_last < l, sc.own_smaller + sc.prev_larger,
                     sc.own_larger + np.where(sc.from_last == l, 1,
                                              sc.next_smaller))
+
+
+def closed_form_rows(taus: np.ndarray, sc: ScheduleCounts,
+                     ls: Sequence[int]) -> Tuple[np.ndarray, ...]:
+    """pref_closed_form(tau, l) of each row tau of the (N, n) array
+    ``taus``, whose ScheduleCounts are ``sc``, at each l of ``ls`` it has:
+    its terms as flat (row, l, maj, shift + i, c_i) arrays, l by l.  A case
+    with a weight below 1 has none: [0]_q = 0."""
+    majs = (taus[:, :-1] > taus[:, 1:]) @ np.arange(1, taus.shape[1])
+    parts = [(np.zeros(0, dtype=np.int64),) * 5]  # for an empty ls
+    for l in ls:
+        cases = np.flatnonzero(sc.from_last[:, 0] >= l)
+        term, i, c = closed_form_terms(schedule_l_rows(sc, l)[cases])
+        shift = (sc.from_last[cases] < l).sum(axis=1)
+        row = cases[term]
+        parts.append((row, np.full(len(row), l), majs[row],
+                      shift[term] + i, c))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def closed_form_terms(w: np.ndarray

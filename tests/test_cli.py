@@ -457,6 +457,7 @@ TAU5 = (3, 5, 1, 4, 2)  # runs 35 | 14 | 2
     ("thm-shift-multiset", "schedule_counts", "own_smaller", 2, 2, False),
     # schedule_l_rows is planted at l = 0 alone: w^0 feeds every l
     ("thm-shift-multiset", "schedule_l_rows", None, 0, 1, False),
+    # the closed form reads schedule_l_rows in schedules.closed_form_rows
     ("thm-schedule-closed-form", "schedule_counts", "own_smaller", 2, 2,
      False),
     # own_larger of the last car feeds only w^(0)
@@ -474,7 +475,8 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
                                            zero):
     """A batch function off by one (or zero) for one car of TAU5 fails the
     check at one (tau, l), with the report a one-at-a-time walk would
-    print.  schedule_l_rows is off at l = 0 alone."""
+    print.  schedule_l_rows is off at l = 0 alone, where the check reads
+    it."""
     block = {}
     real_counts = checks.schedule_counts
 
@@ -482,7 +484,9 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
         block["perms"] = perms
         return real_counts(perms)
 
-    real = counts if target == "schedule_counts" else getattr(checks, target)
+    home = (schedules if (check_id, target) == ("thm-schedule-closed-form",
+                                                "schedule_l_rows") else checks)
+    real = counts if target == "schedule_counts" else getattr(home, target)
 
     def off_by_one(*args):
         out = real(*args)
@@ -497,7 +501,7 @@ def test_planted_fault_gives_scalar_report(capsys, monkeypatch, check_id,
         return out
 
     monkeypatch.setattr(checks, "schedule_counts", counts)
-    monkeypatch.setattr(checks, target, off_by_one)
+    monkeypatch.setattr(home, target, off_by_one)
     code, out, _ = run(capsys, "check", check_id, "--n", "1..5")
     assert code == 1
     assert json.loads(out) == scalar_report(check_id, 5, (TAU5, fault))

@@ -15,7 +15,7 @@ from table_helpers import with_entry
 from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, stats
-from qtpark import checks, kernels, quasisym
+from qtpark import checks, kernels, quasisym, schedules
 from qtpark.qt import ONE, QTPoly
 from qtpark.quasisym import (factor_check, inv_ides_counts,
                              qsym_for_diagword, qsym_for_touch, qsym_total,
@@ -172,33 +172,40 @@ def test_factor_check_reports_only_the_deviations_tau_has():
                                             [True, True, False]]
 
 
-def planted(old, new):
-    """factor_check of a copy of quasisym whose source has the text old,
-    once, replaced by new."""
-    source = Path(quasisym.__file__).read_text()
+def planted(module, old, new):
+    """A copy of module whose source has the text old, once, replaced by
+    new."""
+    source = Path(module.__file__).read_text()
     assert source.count(old) == 1, old
-    module = types.ModuleType(quasisym.__name__)
-    module.__package__ = quasisym.__package__
-    exec(compile(source.replace(old, new), quasisym.__file__, "exec"),
-         module.__dict__)
-    return module.factor_check
+    copy = types.ModuleType(module.__name__)
+    copy.__package__ = module.__package__
+    exec(compile(source.replace(old, new), module.__file__, "exec"),
+         copy.__dict__)
+    return copy
 
 
 BLOCK_MASK = "blocks = (pos[:, 1:] == pos[:, :-1] + 1) @ bit"
 IDES_MASK = "ides = (pos[:, 1:] < pos[:, :-1]) @ bit"
-SHIFT = "shifts = [(sc.from_last < l).sum(axis=1) for l in ls]"
+# The closed form's shift, which factor_check reads through closed_form_rows.
+SHIFT = "shift = (sc.from_last[cases] < l).sum(axis=1)"
 
 
-@pytest.mark.parametrize("old,new,code", [
-    (BLOCK_MASK, BLOCK_MASK, 0),  # the copy itself passes
+@pytest.mark.parametrize("module,old,new,code", [
+    (quasisym, BLOCK_MASK, BLOCK_MASK, 0),  # the copy itself passes
     # v + 1 right before v read as v + 1 right after it
-    (BLOCK_MASK, BLOCK_MASK.replace("+ 1", "- 1"), 1),
-    (IDES_MASK, IDES_MASK + " & ~1", 1),  # bit 1 dropped where a tau has it
-    (SHIFT, SHIFT.replace("axis=1)", "axis=1) + 1"), 1),
+    (quasisym, BLOCK_MASK, BLOCK_MASK.replace("+ 1", "- 1"), 1),
+    # bit 1 dropped where a tau has it
+    (quasisym, IDES_MASK, IDES_MASK + " & ~1", 1),
+    (schedules, SHIFT, SHIFT.replace("axis=1)", "axis=1) + 1"), 1),
 ], ids=["unplanted", "block-mask-adjacency", "ides-bit", "shift"])
-def test_planted_fault_fails_the_factor_lemma(capsys, monkeypatch, old, new,
-                                              code):
-    monkeypatch.setattr(checks, "factor_check", planted(old, new))
+def test_planted_fault_fails_the_factor_lemma(capsys, monkeypatch, module,
+                                              old, new, code):
+    copy = planted(module, old, new)
+    if module is quasisym:
+        monkeypatch.setattr(checks, "factor_check", copy.factor_check)
+    else:
+        monkeypatch.setattr(quasisym, "closed_form_rows",
+                            copy.closed_form_rows)
     assert main(["check", "lemma-factorlemma", "--n", "1..4"]) == code
     assert capsys.readouterr().out.count('"passed":false') == code
 

@@ -1,5 +1,6 @@
 """Schedules, closed forms, generation trees, partition-staircase merge."""
 
+import random
 from collections import Counter
 from itertools import permutations
 
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from qtpark.paths import enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
-from qtpark.schedules import (PartitionBox, closed_form_terms, delta_merge,
-                              generate, ides, insertion_order, maj,
-                              permutation_blocks, permutation_rows,
-                              pf_closed_form, pref_closed_form, runs,
-                              schedule0, schedule_counts, schedule_l,
-                              schedule_l_rows, shift_multiset)
+from qtpark.schedules import (PartitionBox, closed_form_rows,
+                              closed_form_terms, delta_merge, generate, ides,
+                              insertion_order, maj, permutation_blocks,
+                              permutation_rows, pf_closed_form,
+                              pref_closed_form, runs, schedule0,
+                              schedule_counts, schedule_l, schedule_l_rows,
+                              shift_multiset)
 
 
 def brute_poly(n, tau, l):
@@ -207,11 +209,18 @@ def test_schedule_counts_match_definitions(n):
             assert sc.prev_larger[r, p] == sum(y > c for y in prev)
 
 
-def assert_batch_weights_match_scalar(perms):
+def assert_batch_weights_match_scalar(perms, closed_forms=True):
     """Every car's w^(l), every l its tau has, as the scalar schedule_l
-    gives it, and w^0 as Haglund and Loehr's schedule0 gives it."""
+    gives it, and w^0 as Haglund and Loehr's schedule0 gives it; with
+    closed_forms, each (tau, l) case's closed_form_rows terms as the
+    scalar pref_closed_form gives them, and no terms at an l tau lacks."""
     sc = schedule_counts(perms)
     wl = [schedule_l_rows(sc, l) for l in range(perms.shape[1])]
+    terms = {}
+    if closed_forms:
+        for r, l, t, q, c in zip(*(x.tolist() for x in closed_form_rows(
+                perms, sc, range(perms.shape[1])))):
+            terms.setdefault((r, l), {})[q, t] = c
     for r, tau in enumerate(map(tuple, perms.tolist())):
         nruns = len(runs(tau))
         assert sc.from_last[r, 0] + 1 == nruns
@@ -220,6 +229,9 @@ def assert_batch_weights_match_scalar(perms):
         for l in range(nruns):
             w = schedule_l(tau, l)
             assert wl[l][r].tolist() == [w[c] for c in tau], (tau, l)
+            if closed_forms:
+                assert QTPoly(terms.pop((r, l))) == pref_closed_form(tau, l)
+    assert terms == {}
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -239,6 +251,12 @@ def test_batch_weights_match_scalar_window(n, where):
 def test_batch_weights_of_one_long_tau():
     tau = (3, 1, 4, 11, 5, 9, 2, 6, 8, 7, 10)
     assert_batch_weights_match_scalar(np.array([tau]))
+    # The coefficients of prod [w]_q of these taus leave int64, so only
+    # their weights are compared.
+    rng = random.Random(2000)
+    for n in (200, 300, 400):
+        assert_batch_weights_match_scalar(
+            np.array([rng.sample(range(1, n + 1), n)]), closed_forms=False)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (40, 1), (300, 5),
