@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .quasisym import factor_check, first_difference, qsym_for_diagword
 from .quasisym import rows_of, shifted_sums, square_paths_sides
 from .quasisym import withides_failures
 from .schedules import PartitionBox, ScheduleCounts, closed_form_rows
-from .schedules import delta_merge, permutation_blocks, pref_closed_form
-from .schedules import runs, schedule0, schedule_counts, schedule_l
-from .schedules import schedule_l_rows
+from .schedules import delta_merge, pref_closed_form, runs, schedule0
+from .schedules import schedule_counts, schedule_l, schedule_l_rows
+from .schedules import tau_blocks
 from .symfunc import DEGREE_BOUND, e_in_p, e_nk, hmz_check
 from .symfunc import pn_identity_check
 
@@ -68,10 +68,12 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # least m - i + 1 and every car at least 1.  At the budget, the n = 12 tau
 # 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.4-1.8 s and
 # 78-81 MB in each of the three checks.  thm-shift-multiset and table
-# schedules read one tau's schedules alone; SCHEDULE_TAU_CAP bounds n
-# there, set by table schedules --tau, which calls the scalar schedule_l
-# once per l: at 2,000 cars a random tau took 4.2-4.3 s and the decreasing
-# one 7.1-8.2 s for its 50 MB table (thm-shift-multiset took 0.05-0.09 s).
+# schedules read one tau's schedules alone, from one schedule_counts call;
+# SCHEDULE_TAU_CAP bounds n there.  At 2,000 cars thm-shift-multiset took
+# 0.05-0.09 s, and table schedules --tau 0.9-1.0 s for a random tau and
+# 1.6-1.7 s for the decreasing one, all but 0.05 s of it writing its n^2
+# weights as text (50 MB).  A larger cap needs its own measurement: one
+# command-line argument is limited to 128 KiB, about 21,000 cars.
 # enumerate keeps the enumeration bound of paths.  lemma-parlem's random
 # samples cost about max^2 each, so --max and --samples are capped too.
 # Guards that protect data stay with the data: kernels.MAX_N and
@@ -256,14 +258,6 @@ def _sizes(spec: CheckSpec) -> List[int]:
     return [n for n in spec.n_range if spec.tau is None or len(spec.tau) == n]
 
 
-def _tau_blocks(spec: CheckSpec, n: int) -> Iterable[np.ndarray]:
-    """The taus of size n as blocks of rows, in permutation order: the one
-    --tau, or all n! in blocks of (n-1)! that share their first car."""
-    if spec.tau is None:
-        return permutation_blocks(n)
-    return [np.array([spec.tau])]
-
-
 def _each_block(spec: CheckSpec,
                 table: Optional[Callable[..., aggregate.Table]],
                 decide: Callable[..., np.ndarray],
@@ -276,7 +270,7 @@ def _each_block(spec: CheckSpec,
     examined = 0
     for n in _sizes(spec):
         read = table and table(n, threads=spec.threads, tau=spec.tau)
-        for taus in _tau_blocks(spec, n):
+        for taus in tau_blocks(n, spec.tau):
             sc = schedule_counts(taus)
             nruns = sc.from_last[:, 0] + 1
             ls = [l for l in range(SCOPES[spec.id].first_l, int(nruns.max()))
@@ -317,8 +311,11 @@ def _closed_form_misses(table: aggregate.Table, taus: np.ndarray,
     return bad[:, ls]
 
 
-def _closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],
-                        l: int) -> Dict[str, object]:
+def closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],
+                       l: int) -> Dict[str, object]:
+    """pref_closed_form(tau, l) and the table's brute-force sum of (tau,
+    l), each rendered by qt.render, which is canonical: the two strings are
+    equal exactly when the polynomials are."""
     return {"closed_form": str(pref_closed_form(tau, l)),
             "brute_force": str(aggregate.qt_poly_from_counts(table.counts_at(
                 kernels.encode_perm(tau, len(tau)), l)))}
@@ -381,7 +378,7 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     for n in _sizes(spec):
         table = aggregate.qsym_by_diagword(n, threads=spec.threads,
                                            tau=spec.tau)
-        for block in _tau_blocks(spec, n):
+        for block in tau_blocks(n, spec.tau):
             ks = (schedule_counts(block).from_last == 0).sum(axis=1)
             bad = np.flatnonzero(withides_failures(table, block, ks))
             if len(bad):
@@ -445,7 +442,7 @@ REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
     # rebinding of their names takes effect.
     "thm-schedule-closed-form": lambda spec: _each_block(
         spec, aggregate.qt_by_diagword, _closed_form_misses,
-        _closed_form_report),
+        closed_form_report),
     "thm-shift-multiset": lambda spec: _each_block(
         spec, None, _shift_multiset_misses,
         lambda table, tau, l: {

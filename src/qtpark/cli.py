@@ -13,17 +13,16 @@ import csv
 import json
 import resource
 import sys
-from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import aggregate
-from .checks import REGISTRY, SCOPES, CheckSpec, run_check, scope
-from .kernels import encode_perm
+from .checks import REGISTRY, SCOPES, CheckSpec, closed_form_report
+from .checks import run_check, scope
 from .paths import PrefFunc, StatBlock, json_blocks, json_line
-from .schedules import RunDecomposition, insertion_order, maj
-from .schedules import runs, schedule_closed_form, schedule_l
+from .schedules import ScheduleCounts, runs, schedule_counts
+from .schedules import schedule_l_rows, tau_blocks
 from .symfunc import e_nk
 
 
@@ -103,64 +102,61 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _schedule_row(rd: RunDecomposition, l: int, w: Dict[int, int],
-                  tau_maj: int) -> List[str]:
-    """The schedule columns of (tau, l), given w = schedule_l(rd, l) and
-    tau_maj = maj(rd.tau)."""
-    tau = rd.tau
-    return [
-        _fmt_perm(tau),
-        str(l),
-        str(tau_maj),
-        " ".join(str(v) for v in rd.rho),
-        " ".join(str(w[c]) for c in insertion_order(rd, l)),
-        " ".join(str(w[c]) for c in range(1, len(tau) + 1)),
-        " ".join(str(w[c]) for c in tau),
-    ]
+def _schedule_rows(n: int, tau: Optional[Tuple[int, ...]]
+                   ) -> Iterator[Tuple[Tuple[int, ...], int, List[str]]]:
+    """(tau, l, its schedule columns) of every (tau, l) of size n, or of
+    the one tau given, in (tau, l) order.  Each block of taus makes one
+    schedule_counts call, and a row's weights are read one l at a time."""
+    for taus in tau_blocks(n, tau):
+        sc = schedule_counts(taus)
+        for t, *counts in zip(taus, *sc):
+            row = ScheduleCounts(*counts)
+            perm = tuple(t.tolist())
+            # A run starts at each descent; the first j runs end at ends[j].
+            starts = (np.flatnonzero(t[:-1] > t[1:]) + 1).tolist()
+            ends = [0, *starts, n]
+            nruns = len(ends) - 1
+            text, tau_maj = _fmt_perm(perm), str(sum(starts))
+            rho = " ".join(str(b - a) for a, b in zip(ends, ends[1:]))
+            by_car = np.argsort(t).tolist()
+            for l in range(nruns):
+                w = list(map(str, schedule_l_rows(row, l).tolist()))
+                # Insertion order: the first nruns - l runs right to left,
+                # then the last l runs left to right.
+                cut = ends[nruns - l]
+                yield perm, l, [text, str(l), tau_maj, rho,
+                                " ".join(w[:cut][::-1] + w[cut:]),
+                                " ".join([w[p] for p in by_car]),
+                                " ".join(w)]
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    # Refused before the header goes out: the sweeps below are generators.
-    one = None if args.tau is None else runs(_parse_vector(args.tau))
-    scope(f"table {args.kind}", None if args.n is None else (args.n, args.n),
-          threads=args.threads, tau=None if one is None else one.tau)
+    # Refused before the header goes out: the rows below are generators.
+    tau = None if args.tau is None else runs(_parse_vector(args.tau)).tau
+    n, _ = scope(f"table {args.kind}",
+                 None if args.n is None else (args.n, args.n),
+                 threads=args.threads, tau=tau)
     writer = csv.writer(sys.stdout, lineterminator="\n")
+    columns = ["tau", "l", "maj", "rho", "w_insertion", "w_by_car",
+               "w_by_tau"]
     if args.kind == "schedules":
-        writer.writerow(["tau", "l", "maj", "rho",
-                         "w_insertion", "w_by_car", "w_by_tau"])
-        for rd, l in _tau_l_sweep(args.n, one):
-            writer.writerow(_schedule_row(rd, l, schedule_l(rd, l),
-                                          maj(rd.tau)))
+        writer.writerow(columns)
+        writer.writerows(row for _, _, row in _schedule_rows(n, tau))
         return 0
     if args.kind == "polynomials":
-        writer.writerow(["tau", "l", "maj", "rho",
-                         "w_insertion", "w_by_car", "w_by_tau",
-                         "closed_form", "brute_force", "match"])
-        table = aggregate.qt_by_diagword(args.n, threads=args.threads or 1)
-        for rd, l in _tau_l_sweep(args.n):
-            w, tau_maj = schedule_l(rd, l), maj(rd.tau)
-            closed = schedule_closed_form(rd, l, w, tau_maj)
-            brute = aggregate.qt_poly_from_counts(
-                table.counts_at(encode_perm(rd.tau, args.n), l))
-            writer.writerow(_schedule_row(rd, l, w, tau_maj) + [
-                str(closed), str(brute),
-                "yes" if closed == brute else "no",
-            ])
+        writer.writerow(columns + ["closed_form", "brute_force", "match"])
+        table = aggregate.qt_by_diagword(n, threads=args.threads or 1)
+        for perm, l, row in _schedule_rows(n, None):
+            report = closed_form_report(table, perm, l)
+            closed, brute = report["closed_form"], report["brute_force"]
+            writer.writerow(row + [closed, brute,
+                                   "yes" if closed == brute else "no"])
         return 0
     # enk; argparse admits no other kind
     writer.writerow(["n", "k", "expansion"])
-    for k, piece in enumerate(e_nk(args.n), start=1):
-        writer.writerow([str(args.n), str(k), piece.json()])
+    for k, piece in enumerate(e_nk(n), start=1):
+        writer.writerow([str(n), str(k), piece.json()])
     return 0
-
-
-def _tau_l_sweep(n: Optional[int], one: Optional[RunDecomposition] = None):
-    """(run decomposition of tau, l) for every (tau, l) of size n, or of
-    the one tau given; each tau is decomposed once."""
-    for rd in ((runs(t) for t in permutations(range(1, n + 1)))
-               if one is None else [one]):
-        for l in range(len(rd)):
-            yield rd, l
 
 
 def _scope_help() -> str:

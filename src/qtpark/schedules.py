@@ -29,13 +29,15 @@ statistics as a self-check; the closed forms are t^maj q^shift times
 qt.q_int_product of the sorted weights, which builds prod [w]_q once
 per weight multiset.
 
-The checks need every weight of every permutation of 1..n at once, so
-the module also works on batches: permutation_rows/permutation_blocks
-build the permutations as int8 rows, schedule_counts takes each car's
-pair counts one offset between positions at a time, schedule_l_rows
-selects the weights from them (the 0-schedule at l = 0, by position),
-and closed_form_rows writes every case's closed form as integer terms,
-its one batch spelling.  The scalar functions stay the reference.
+The checks and the `table` commands need every weight of every
+permutation of 1..n at once, so the module also works on batches:
+permutation_rows/permutation_blocks build the permutations as int8 rows,
+tau_blocks walks them (or one tau) a block at a time, schedule_counts
+takes each car's pair counts one offset between positions at a time,
+schedule_l_rows selects the weights from them (the 0-schedule at l = 0,
+by position), and closed_form_rows writes every case's closed form as
+integer terms, its one batch spelling.  The scalar functions stay the
+reference.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,17 +62,12 @@ Perm = Tuple[int, ...]
 class RunDecomposition:
     """Maximal increasing runs of a permutation, leftmost run first.
 
-    rho lists the run lengths left to right, so rho[-1] is the length of
-    the last run; rho_from_last(j) indexes from the right end, matching
-    the rho_j notation of the closed forms.
+    rho_from_last(j) is the length of the j-th run from the right end,
+    matching the rho_j notation of the closed forms.
     """
 
     tau: Perm
     runs: Tuple[Tuple[int, ...], ...]
-
-    @property
-    def rho(self) -> Tuple[int, ...]:
-        return tuple(len(run) for run in self.runs)
 
     def rho_from_last(self, j: int) -> int:
         if not 0 <= j < len(self.runs):
@@ -182,20 +180,14 @@ def pf_closed_form(tau: Sequence[int]) -> QTPoly:
                   maj(rd.tau))
 
 
-def pref_closed_form(tau: Decomposable, l: int) -> QTPoly:
+def pref_closed_form(tau: Sequence[int], l: int) -> QTPoly:
     """t^maj q^(rho_0+...+rho_{l-1}) prod_c [w^(l)(c)]_q: the sum over
-    preference functions with diagonal word tau and deviation l.  tau
-    may be given as its RunDecomposition."""
-    rd = _decomposed(tau)
-    return schedule_closed_form(rd, l, schedule_l(rd, l), maj(rd.tau))
-
-
-def schedule_closed_form(rd: RunDecomposition, l: int, w: Dict[int, int],
-                         tau_maj: int) -> QTPoly:
-    """``pref_closed_form(rd, l)`` from its parts, for a caller that
-    already holds w = schedule_l(rd, l) and tau_maj = maj(rd.tau)."""
+    preference functions with diagonal word tau and deviation l."""
+    rd = runs(tau)
+    w = schedule_l(rd, l)
     shift = sum(rd.rho_from_last(j) for j in range(l))
-    return q_poly(q_int_product(tuple(sorted(w.values()))), shift, tau_maj)
+    return q_poly(q_int_product(tuple(sorted(w.values()))), shift,
+                  maj(rd.tau))
 
 
 def shift_multiset(tau: Sequence[int], l: int) -> bool:
@@ -222,6 +214,15 @@ def permutation_blocks(n: int) -> Iterator[np.ndarray]:
         block[:, 0] = first
         block[:, 1:] = rest + (rest >= first)
         yield block
+
+
+def tau_blocks(n: int, tau: Optional[Sequence[int]]) -> Iterable[np.ndarray]:
+    """The taus of size n as blocks of rows, in permutation order: all n!
+    in int8 blocks of (n-1)! that share their first car, or the one tau
+    given as a block of one row, in a type wide enough for its cars."""
+    if tau is None:
+        return permutation_blocks(n)
+    return [np.array([tau], dtype=np.int64)]
 
 
 def permutation_rows(n: int) -> np.ndarray:
@@ -356,14 +357,13 @@ def delta_merge(pb: PartitionBox) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     return tuple(sorted(left)), tuple(sorted(right))
 
 
-def insertion_order(tau: Decomposable, l: int = 0) -> Tuple[int, ...]:
+def insertion_order(tau: Sequence[int], l: int = 0) -> Tuple[int, ...]:
     """Car order used by generate: the first (run count - l) runs
     flattened and reversed, then the last l runs left to right.
 
-    At l = 0 this is just tau read backwards.  tau may be given as its
-    RunDecomposition.
+    At l = 0 this is just tau read backwards.
     """
-    rd = _decomposed(tau)
+    rd = runs(tau)
     require_deviation(rd, l)
     nruns = len(rd.runs)
     head = [c for run in rd.runs[:nruns - l] for c in run][::-1]

@@ -1,9 +1,11 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
+import csv
 import dataclasses
 import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -128,6 +130,44 @@ def test_table_schedules_golden(capsys):
     assert out == golden("schedules_37158264.csv")
 
 
+def long_taus():
+    """Random taus of 200, 300 and 400 cars and the decreasing 300-car
+    tau, by name."""
+    rng = random.Random(2000)
+    taus = {f"random-{n}": rng.sample(range(1, n + 1), n)
+            for n in (200, 300, 400)}
+    taus["decreasing-300"] = list(range(300, 0, -1))
+    return taus
+
+
+@pytest.mark.parametrize("case", ["n6", *long_taus()])
+def test_table_schedules_matches_scalar_references(capsys, case):
+    """Every row of table schedules (--n 6, or one long --tau) holds the
+    columns the scalar functions give its (tau, l): maj, the run lengths
+    left to right, and schedule_l read in insertion order, by car and
+    along tau."""
+    if case == "n6":
+        argv = ["--n", "6"]
+        taus = list(permutations(range(1, 7)))
+    else:
+        taus = [tuple(long_taus()[case])]
+        argv = ["--tau", ",".join(map(str, taus[0]))]
+    code, out, _ = run(capsys, "table", "schedules", *argv)
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["tau", "l", "maj", "rho", "w_insertion", "w_by_car",
+                      "w_by_tau"]
+    cases = [(t, l) for t in taus for l in range(len(schedules.runs(t)))]
+    assert len(rows) == len(cases)
+    for (t, l), row in zip(cases, rows):
+        w = schedules.schedule_l(t, l)
+        orders = (schedules.insertion_order(t, l), range(1, len(t) + 1), t)
+        assert row == [
+            cli._fmt_perm(t), str(l), str(schedules.maj(t)),
+            " ".join(str(len(run)) for run in schedules.runs(t).runs),
+            *(" ".join(str(w[c]) for c in order) for order in orders)]
+
+
 def test_table_polynomials_golden(capsys):
     code, out, _ = run(capsys, "table", "polynomials", "--n", "3")
     assert code == 0
@@ -189,7 +229,7 @@ def assert_refused_up_front(capsys, monkeypatch, *argv):
         monkeypatch.setattr(kernels, name, record)
     for check_id in checks.REGISTRY:
         monkeypatch.setitem(checks.REGISTRY, check_id, record)
-    for name in ("json_blocks", "_tau_l_sweep", "e_nk"):
+    for name in ("json_blocks", "tau_blocks", "e_nk"):
         monkeypatch.setattr(cli, name, record)
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -363,17 +403,22 @@ def test_factorlemma_decomposes_each_case_once(capsys, monkeypatch):
         (factorial(n - 1), n) for n in range(1, 6) for _ in range(n)]
 
 
-def test_table_polynomials_decomposes_tau_once(capsys, monkeypatch):
-    rows = sum(len(schedules.runs(t)) for t in permutations(range(1, 5)))
-    runs = count_calls(monkeypatch, (schedules, cli), "runs")
-    code, out, _ = run(capsys, "table", "polynomials", "--n", "4")
-    assert code == 0
-    assert len(out.splitlines()) == 1 + rows
-    assert len(runs) == factorial(4)  # one per tau, not about 4 per row
-    runs.clear()
+def test_tables_count_schedules_once_per_block(capsys, monkeypatch):
+    """Both tables read their schedule columns from one schedule_counts
+    call per permutation block, and a --tau table from one call on its
+    one row."""
+    rows = sum(len(schedules.runs(t)) for t in permutations(range(1, 6)))
+    batch = count_calls(monkeypatch, (cli,), "schedule_counts")
+    for kind in ("schedules", "polynomials"):
+        code, out, _ = run(capsys, "table", kind, "--n", "5")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + rows
+        assert [args[0].shape for args in batch] == [(24, 5)] * 5
+        batch.clear()
     code, out, _ = run(capsys, "table", "schedules", "--tau", "3142")
     assert code == 0
-    assert len(runs) == 1
+    assert len(out.splitlines()) == 1 + len(schedules.runs((3, 1, 4, 2)))
+    assert [args[0].shape for args in batch] == [(1, 4)]
 
 
 def test_table_polynomials_builds_each_product_once(capsys, monkeypatch):
@@ -387,18 +432,6 @@ def test_table_polynomials_builds_each_product_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "table", "polynomials", "--n", "5")
     assert code == 0
     assert len(products) == sum(map(len, multisets))
-
-
-def test_table_polynomials_builds_each_schedule_once(capsys, monkeypatch):
-    """Each row's l-schedule and maj serve both its schedule columns and
-    its closed form."""
-    rows = sum(len(schedules.runs(t)) for t in permutations(range(1, 6)))
-    ws = count_calls(monkeypatch, (schedules, cli), "schedule_l")
-    majs = count_calls(monkeypatch, (schedules, cli), "maj")
-    code, out, _ = run(capsys, "table", "polynomials", "--n", "5")
-    assert code == 0
-    assert len(out.splitlines()) == 1 + rows
-    assert len(ws) == len(majs) == rows
 
 
 def test_shift_multiset_refuses_unbounded_walk(capsys, monkeypatch):
