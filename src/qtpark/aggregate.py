@@ -4,8 +4,8 @@ The identity checks repeatedly need sums of t^area q^dinv (optionally
 refined by the ides set) over structured families: all preference
 functions with a fixed diagword and deviation, or all parking functions
 with a fixed touch.  One kernel sweep of the n^n functions builds one such
-table; the counts are integers, so the tables are exact and the generating
-polynomials built from them are too.
+table.  A table holds integers only, keys, values and counts, so it is
+exact; its readers build whatever sums they need from those integers.
 
 Every table comes from the same fold.  A view names some fields of the
 kernel's records (``kernels.STAT``, as narrow as int8); each record of a
@@ -76,7 +76,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .qt import QTPoly
 
 # Exclusive upper bound of each kernel field, as a function of n.
 _RADIX: Dict[str, Callable[[int], int]] = {
@@ -257,7 +256,3 @@ def qsym_by_touch(n: int, threads: int = 1) -> Table:
     return _table(n, threads, (kernels.TOUCH, kernels.PARK),
                   (kernels.AREA, kernels.DINV, kernels.IDES))
 
-
-def qt_poly_from_counts(counts: Dict[Tuple[int, int], int]) -> QTPoly:
-    """Sum of count * t^area q^dinv as an exact polynomial."""
-    return QTPoly({(dinv, area): c for (area, dinv), c in counts.items()})

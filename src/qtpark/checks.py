@@ -15,16 +15,17 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from . import aggregate, kernels
 from .paths import DEFAULT_MAX_N
-from .quasisym import factor_check, first_difference, qsym_for_diagword
-from .quasisym import rows_of, shifted_sums, square_paths_sides
+from .qt import render
+from .quasisym import closed_form_misses, factor_check, first_difference
+from .quasisym import qsym_for_diagword, shifted_sums, square_paths_sides
 from .quasisym import withides_failures
-from .schedules import PartitionBox, ScheduleCounts, closed_form_rows
+from .schedules import PartitionBox, ScheduleCounts
 from .schedules import delta_merge, pref_closed_form, runs, schedule0
 from .schedules import schedule_counts, schedule_l, schedule_l_rows
 from .schedules import tau_blocks
@@ -78,9 +79,9 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # samples cost about max^2 each, so --max and --samples are capped too.
 # Guards that protect data stay with the data: kernels.MAX_N and
 # kernels.MAX_FUNCTIONS, the radix check in aggregate._fold, the radix
-# check np.ravel_multi_index makes on the keys of the three table-backed
-# tau checks, the int64 bound of quasisym.square_paths_sides,
-# symfunc.DEGREE_BOUND.
+# check np.ravel_multi_index makes in quasisym._nonzero on the keys of the
+# three table-backed tau checks, the int64 bound of
+# quasisym.square_paths_sides, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
 TAU_CAP = 12
 SCHEDULE_TAU_CAP = 2000
@@ -290,35 +291,15 @@ def _each_block(spec: CheckSpec,
     return True, None, examined
 
 
-def _closed_form_misses(table: aggregate.Table, taus: np.ndarray,
-                        sc: ScheduleCounts, ls: List[int]) -> np.ndarray:
-    """Where pref_closed_form misses a case: each table row of tau adds
-    its count at (tau, l, area, dinv), each closed-form term takes its c_i
-    away, and a case misses where a sum is nonzero.  A weight below 1 gives
-    no terms ([0]_q = 0), so it misses against the case's table rows."""
-    nt, n = taus.shape
-    tau_of, row = rows_of(table, taus)
-    digits = (tau_of, *(col[row] for col in table.columns[1:]))
-    *terms, c = closed_form_rows(taus, sc, ls)
-    # Keys over (tau, l, area, dinv) with factor_check's dinv radix, wide
-    # enough that a weight planted too large fails rather than raise.
-    radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1)
-    keys, sums = kernels.sum_by_key([
-        (np.ravel_multi_index(digits, radices), table.counts[row]),
-        (np.ravel_multi_index(terms, radices), -c)])
-    bad = np.zeros((nt, n), dtype=bool)
-    bad[np.unravel_index(keys[sums != 0], radices)[:2]] = True
-    return bad[:, ls]
-
-
 def closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],
                        l: int) -> Dict[str, object]:
     """pref_closed_form(tau, l) and the table's brute-force sum of (tau,
     l), each rendered by qt.render, which is canonical: the two strings are
     equal exactly when the polynomials are."""
+    counts = table.counts_at(kernels.encode_perm(tau, len(tau)), l)
     return {"closed_form": str(pref_closed_form(tau, l)),
-            "brute_force": str(aggregate.qt_poly_from_counts(table.counts_at(
-                kernels.encode_perm(tau, len(tau)), l)))}
+            "brute_force": render(sorted(
+                ((dinv, area), c) for (area, dinv), c in counts.items()))}
 
 
 def _shift_multiset_misses(table: None, taus: np.ndarray, sc: ScheduleCounts,
@@ -355,17 +336,14 @@ def _parlem_cases(spec: CheckSpec):
                            reverse=True)), m, m
 
 
-def _run_parlem(spec: CheckSpec) -> Outcome:
-    examined = 0
-    for lam, a, b in _parlem_cases(spec):
-        examined += 1
-        lhs, rhs = delta_merge(PartitionBox(lam, a, b))
-        if lhs != rhs:
-            return False, {
-                "lam": list(lam), "a": a, "b": b,
-                "left": list(lhs), "right": list(rhs),
-            }, examined
-    return True, None, examined
+def _parlem_failure(case: Tuple[Tuple[int, ...], int, int]
+                    ) -> Optional[Dict[str, object]]:
+    lam, a, b = case
+    lhs, rhs = delta_merge(PartitionBox(lam, a, b))
+    if lhs != rhs:
+        return {"lam": list(lam), "a": a, "b": b,
+                "left": list(lhs), "right": list(rhs)}
+    return None
 
 
 def _run_withides(spec: CheckSpec) -> Outcome:
@@ -404,15 +382,16 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     return True, None, examined
 
 
-def _each_n(spec: CheckSpec,
-            failure: Callable[[int], Optional[Dict[str, object]]],
-            cases: Callable[[int], int] = lambda n: 1) -> Outcome:
-    """The counterexample failure(n) returns for the first n of the range
-    that has one (None: n holds); each n examines cases(n) cases."""
+def _first_failure(cases: Iterable,
+                   failure: Callable[..., Optional[Dict[str, object]]],
+                   weight: Callable[..., int] = lambda case: 1) -> Outcome:
+    """The counterexample failure(case) returns for the first of ``cases``
+    that has one (None: the case holds); each case counts weight(case)
+    toward examined, before it is decided."""
     examined = 0
-    for n in spec.n_range:
-        examined += cases(n)
-        ce = failure(n)
+    for case in cases:
+        examined += weight(case)
+        ce = failure(case)
         if ce is not None:
             return False, ce, examined
     return True, None, examined
@@ -441,26 +420,27 @@ REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
     # The tables and predicates are looked up when a check runs, so a
     # rebinding of their names takes effect.
     "thm-schedule-closed-form": lambda spec: _each_block(
-        spec, aggregate.qt_by_diagword, _closed_form_misses,
+        spec, aggregate.qt_by_diagword, closed_form_misses,
         closed_form_report),
     "thm-shift-multiset": lambda spec: _each_block(
         spec, None, _shift_multiset_misses,
         lambda table, tau, l: {
             "schedule0": sorted(schedule0(tau)),
             "schedule_l": sorted(schedule_l(tau, l).values())}),
-    "lemma-parlem": _run_parlem,
+    "lemma-parlem": lambda spec: _first_failure(_parlem_cases(spec),
+                                                _parlem_failure),
     "lemma-factorlemma": lambda spec: _each_block(
         spec, aggregate.qsym_by_diagword, factor_check,
         lambda table, tau, l: {}),
     "cor-withides": _run_withides,
-    "thm-hmz": lambda spec: _each_n(
-        spec, lambda n: None if hmz_check(n) else {"n": n}),
-    "thm-pn-identity": lambda spec: _each_n(
-        spec, lambda n: None if pn_identity_check(n) else {"n": n}),
-    "thm-enk-sum": lambda spec: _each_n(spec, _enk_sum_failure),
-    "main-square-paths": lambda spec: _each_n(
-        spec, lambda n: _square_paths_failure(n, spec.threads),
-        cases=lambda n: n ** n),
+    "thm-hmz": lambda spec: _first_failure(
+        spec.n_range, lambda n: None if hmz_check(n) else {"n": n}),
+    "thm-pn-identity": lambda spec: _first_failure(
+        spec.n_range, lambda n: None if pn_identity_check(n) else {"n": n}),
+    "thm-enk-sum": lambda spec: _first_failure(spec.n_range, _enk_sum_failure),
+    "main-square-paths": lambda spec: _first_failure(
+        spec.n_range, lambda n: _square_paths_failure(n, spec.threads),
+        weight=lambda n: n ** n),
 }
 
 

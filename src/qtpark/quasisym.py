@@ -26,15 +26,16 @@ in q with shifted adds along that axis, and first_difference names the
 first Q_S at which two such sums differ, for a counterexample;
 square_paths_sides writes the square-paths identity's two sides as such
 terms.  The batch decisions take a whole block of diagonal words at
-once: rows_of finds their table rows, and withides_failures (the withides
-scaling) and factor_check (the factorization at each deviation, against
-schedules.closed_form_rows) decide by signed counts summed per key.
+once: closed_form_misses and factor_check (the closed form and the
+factorization at each deviation, against schedules.closed_form_rows) and
+withides_failures (the withides scaling) read their rows through rows_of
+and decide through _nonzero, by signed counts summed per key.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,12 +72,12 @@ def qsym_for_diagword(table, tau: Sequence[int],
                        else table.rows(code, deviation))
 
 
-def rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, ...]:
     """The table rows of each row tau of the (N, n) array ``taus``, as
-    flat (which tau, table row) arrays in tau order.  Every tau is the
-    diagword of some function, so a table without a row of tau (another
-    tau's or of another size) raises ValueError rather than read as a
-    pass."""
+    flat arrays in tau order: which tau, each column after the diagword,
+    and the counts.  Every tau is the diagword of some function, so a
+    table without a row of tau (another tau's or of another size) raises
+    ValueError rather than read as a pass."""
     n = taus.shape[1]
     lo, hi = table.span(np.ravel_multi_index((taus - 1).T, (n,) * n))
     empty = np.flatnonzero(hi == lo)
@@ -85,8 +86,22 @@ def rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                          f"{tuple(taus[empty[0]].tolist())}")
     size = hi - lo
     tau_of = np.repeat(np.arange(len(taus)), size)
-    return tau_of, np.arange(len(tau_of)) + np.repeat(
-        lo - np.cumsum(size) + size, size)
+    row = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(tau_of.size)
+    return (tau_of, *(col[row] for col in table.columns[1:]),
+            table.counts[row])
+
+
+def _nonzero(parts: Iterable, radices: Tuple[int, ...],
+             shape: Tuple[int, ...]) -> np.ndarray:
+    """A bool array of ``shape``, True at the leading digits of each key
+    whose signed counts sum to nonzero, over (digits, counts) ``parts``
+    that broadcast; a digit outside its radix raises ValueError."""
+    keys, sums = kernels.sum_by_key([
+        (np.ravel_multi_index(digits, radices).ravel(), np.ravel(counts))
+        for digits, counts in parts])
+    out = np.zeros(shape, dtype=bool)
+    out[np.unravel_index(keys[sums != 0], radices)[:len(shape)]] = True
+    return out
 
 
 def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -102,20 +117,14 @@ def withides_failures(table, taus: np.ndarray, ks: np.ndarray) -> np.ndarray:
     without a row of some tau raises ValueError (see rows_of).
     """
     nt, n = taus.shape
-    tau_of, row = rows_of(table, taus)
-    dev, area, dinv, mask = (col[row] for col in table.columns[1:])
-    counts = table.counts[row]
+    tau_of, dev, area, dinv, mask, counts = rows_of(table, taus)
     # Keys over (tau, area <= n^2, shifted dinv <= n^2 + n, mask <
-    # 2^(n-1)); a value outside its radix raises ValueError.
-    radices = (nt, n * n + 1, n * n + n + 1, 1 << (n - 1))
-    # Each half is nearly sorted already, which the stable sort exploits.
-    keys, sums = kernels.sum_by_key([
-        (np.ravel_multi_index((tau_of, area, dinv + shift, mask), radices), c)
-        for shift, c in ((n * (dev == 0), counts),
-                         (ks[tau_of].astype(np.int64), -counts))])
-    bad = np.zeros(nt, dtype=bool)
-    bad[np.unravel_index(keys[sums != 0], radices)[0]] = True
-    return bad
+    # 2^(n-1)).  Each half is nearly sorted already, which the stable sort
+    # exploits.
+    return _nonzero((((tau_of, area, dinv + shift, mask), c)
+                     for shift, c in ((n * (dev == 0), counts),
+                                      (ks[tau_of].astype(np.int64), -counts))),
+                    (nt, n * n + 1, n * n + n + 1, 1 << (n - 1)), (nt,))
 
 
 def qsym_for_touch(table, n: int, touch: int) -> CountRows:
@@ -250,6 +259,24 @@ def young_counts(n: int, b: int) -> Tuple[np.ndarray, np.ndarray,
     return inv, mask, count, scalar
 
 
+def closed_form_misses(table, taus: np.ndarray, sc: ScheduleCounts,
+                       ls: Sequence[int]) -> np.ndarray:
+    """Where the closed form t^maj q^shift prod [w^(l)]_q misses the
+    ``qt_by_diagword`` table, as factor_check's (N, len(ls)) array: each
+    table row of (tau, l) adds its count at (tau, l, area, dinv), each
+    closed_form_rows term takes its c_i away, and a case misses where a
+    sum is nonzero.  A weight below 1 gives no terms ([0]_q = 0), so it
+    misses against the case's table rows."""
+    nt, n = taus.shape
+    tau_of, *digits, counts = rows_of(table, taus)
+    *terms, c = closed_form_rows(taus, sc, ls)
+    # factor_check's radices without the mask: a weight planted too large
+    # fails rather than raise.
+    radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1)
+    return _nonzero([((tau_of, *digits), counts), (terms, -c)], radices,
+                    (nt, n))[:, list(ls)]
+
+
 def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
                  ls: Sequence[int]) -> np.ndarray:
     """Where the cross-multiplied factorization of the diagword-tau,
@@ -278,7 +305,7 @@ def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
     order = np.argsort(blocks[terms[0]], kind="stable")
     of, *terms = (x[order] for x in (blocks[terms[0]], *terms))
     # Keys over (tau, l < n, area <= n^2, dinv <= n^2 plus an inv, mask <
-    # 2^(n-1)): a value outside its radix raises ValueError.
+    # 2^(n-1)).
     radices = (nt, n, n * n + 1, n * n + n * (n - 1) // 2 + 1, 1 << (n - 1))
     bad = np.zeros((nt, n), dtype=bool)
     for b in np.unique(blocks).tolist():
@@ -286,19 +313,15 @@ def factor_check(table, taus: np.ndarray, sc: ScheduleCounts,
         mine = np.flatnonzero(blocks == b)
         # The table rows, times Σ_π q^inv; one at a deviation outside ls
         # lands in a column of bad that is not returned.
-        tau_of, row = rows_of(table, taus[mine])
-        dev, area, dinv, mask = (col[row, None] for col in table.columns[1:])
-        parts = [(np.ravel_multi_index(
-            (mine[tau_of, None], dev, area, dinv + np.arange(len(scalar)),
-             mask), radices).ravel(),
-            (table.counts[row, None] * np.array(scalar)).ravel())]
+        tau_of, dev, area, dinv, mask, counts = (
+            x[:, None] for x in rows_of(table, taus[mine]))
         # Each closed-form term times each Young row, subtracted; a Young
         # mask has only block bits, none in ides(tau), so | is a union.
         at = slice(*of.searchsorted([b, b + 1]).tolist())
         r, l, t, q, c = (x[at, None] for x in terms)
-        parts.append((np.ravel_multi_index(
-            (r, l, t, q + inv, ides[r] | y_mask), radices).ravel(),
-            (-c * y_count).ravel()))
-        keys, sums = kernels.sum_by_key(parts)
-        bad[np.unravel_index(keys[sums != 0], radices)[:2]] = True
+        bad |= _nonzero([
+            ((mine[tau_of], dev, area, dinv + np.arange(len(scalar)), mask),
+             counts * np.array(scalar)),
+            ((r, l, t, q + inv, ides[r] | y_mask), -c * y_count)],
+            radices, (nt, n))
     return bad[:, list(ls)]

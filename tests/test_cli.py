@@ -476,7 +476,8 @@ def scalar_report(check_id, n_hi, fault):
         counts = aggregate.qt_by_diagword(len(tau)).counts_at(
             kernels.encode_perm(tau, len(tau)), l)
         ce.update(closed_form=str(schedules.pref_closed_form(tau, l)),
-                  brute_force=str(aggregate.qt_poly_from_counts(counts)))
+                  brute_force=str(QTPoly({(dinv, area): c for (area, dinv), c
+                                          in counts.items()})))
     return {"id": check_id, "parameters": {"n": f"1..{n_hi}"},
             "passed": False, "counterexample": ce,
             "examined": cases.index(fault) + 1}
@@ -1032,6 +1033,43 @@ def test_mutation_breaks_square_paths(capsys, monkeypatch, park, name):
     code, out, _ = run(capsys, "check", "main-square-paths", "--n", "1..5")
     assert code == 1
     assert out == golden(f"check_square_paths_fault_{name}.json")
+
+
+def _faulty_delta_merge(pb):
+    """The real sides, with the right one's largest entry raised by one
+    for the partition 2,1 in a 2 x 2 box alone."""
+    lhs, rhs = schedules.delta_merge(pb)
+    if (pb.lam, pb.a, pb.b) == ((2, 1), 2, 2):
+        rhs = rhs[:-1] + (rhs[-1] + 1,)
+    return lhs, rhs
+
+
+# (check id, name looked up by checks, fault, golden): each fault fails one
+# case of the check's default scope.
+ONE_CASE_FAULTS = [
+    ("lemma-parlem", "delta_merge", _faulty_delta_merge,
+     "check_parlem_fault.json"),
+    ("thm-enk-sum", "e_in_p",
+     lambda n: symfunc.e_in_p(n) * (2 if n == 3 else 1),
+     "check_enk_sum_fault.json"),
+    ("thm-pn-identity", "pn_identity_check",
+     lambda n: n != 4 and symfunc.pn_identity_check(n),
+     "check_pn_identity_fault.json"),
+]
+
+
+@pytest.mark.parametrize("check_id,name,fault,name_of_golden",
+                         ONE_CASE_FAULTS,
+                         ids=[c[0] for c in ONE_CASE_FAULTS])
+def test_one_case_fault_gives_the_pinned_report(capsys, monkeypatch,
+                                                check_id, name, fault,
+                                                name_of_golden):
+    """The whole failing report, examined included, as recorded before
+    these checks shared one loop."""
+    monkeypatch.setattr(checks, name, fault)
+    code, out, _ = run(capsys, "check", check_id)
+    assert code == 1
+    assert out == golden(name_of_golden)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

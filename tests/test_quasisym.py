@@ -12,14 +12,14 @@ import qsym_oracle
 from qsym_oracle import QSymF, qsym_of_rows
 from table_helpers import with_entry
 
-from qtpark.aggregate import qsym_by_diagword, qsym_by_touch
+from qtpark.aggregate import qsym_by_diagword, qsym_by_touch, qt_by_diagword
 from qtpark.cli import main
 from qtpark.paths import enumerate_all, stats
 from qtpark import checks, kernels, quasisym, schedules
 from qtpark.qt import ONE, QTPoly
-from qtpark.quasisym import (factor_check, inv_ides_counts,
-                             qsym_for_diagword, qsym_for_touch, qsym_total,
-                             withides_failures)
+from qtpark.quasisym import (closed_form_misses, factor_check,
+                             inv_ides_counts, qsym_for_diagword,
+                             qsym_for_touch, qsym_total, withides_failures)
 from qtpark.schedules import ides, permutation_rows, runs, schedule_counts
 
 
@@ -109,14 +109,15 @@ def test_inv_ides_counts_match_itertools(m):
     assert sorted(got) == list(got)
 
 
-def decide(table, taus, ls=None):
-    """factor_check over the rows of taus as one block, at ls (None: every
-    deviation of the block), and which of those cases each tau has."""
+def decide(table, taus, ls=None, check=factor_check):
+    """check (factor_check or closed_form_misses) over the rows of taus as
+    one block, at ls (None: every deviation of the block), and which of
+    those cases each tau has."""
     taus = np.array(taus, dtype=np.int8)
     sc = schedule_counts(taus)
     nruns = sc.from_last[:, 0] + 1
     ls = range(int(nruns.max())) if ls is None else ls
-    return (factor_check(table, taus, sc, ls),
+    return (check(table, taus, sc, ls),
             nruns[:, None] > np.array(ls, dtype=int))
 
 
@@ -140,13 +141,40 @@ def test_factor_check_sample_n5():
         assert bad.shape == (1, len(runs(tau))) and not bad.any(), tau
 
 
-@pytest.mark.parametrize("column", [2, 3, 4])
-def test_factor_check_fails_exactly_the_case_of_a_planted_row(column):
+def withides_block(table, taus):
+    """withides_failures over the rows of taus as one block."""
+    ks = (schedule_counts(taus).from_last == 0).sum(axis=1)
+    return withides_failures(table, taus, ks)
+
+
+# Each batch decision of a block of all taus of size n: its table, how it
+# decides, and the radix of the dinv digit of its keys.
+DECISIONS = {
+    "factor": (qsym_by_diagword, lambda table, taus: decide(table, taus)[0],
+               lambda n: n * n + n * (n - 1) // 2 + 1),
+    "closed-form": (qt_by_diagword,
+                    lambda table, taus: decide(
+                        table, taus, check=closed_form_misses)[0],
+                    lambda n: n * n + n * (n - 1) // 2 + 1),
+    "withides": (qsym_by_diagword, withides_block, lambda n: n * n + n + 1),
+}
+
+
+@pytest.mark.parametrize("decision,column", [
+    *(pytest.param("factor", c, id=str(c)) for c in (2, 3, 4)),
+    *(pytest.param("closed-form", c, id=f"closed-form-{c}") for c in (2, 3)),
+    *(pytest.param("withides", c, id=f"withides-{c}") for c in (2, 3, 4)),
+])
+def test_factor_check_fails_exactly_the_case_of_a_planted_row(decision,
+                                                              column):
     """One row's area, dinv or ides mask moved by one fails the (tau, l)
     whose slice holds that row, and no other case of the block of all
-    taus."""
+    taus; withides_failures fails that tau, except the identity, whose k
+    is n, so that A [n]_q = B [n]_q whatever its rows.  A dinv planted at
+    the radix of its key digit is refused with ValueError."""
     n = 5
-    table = qsym_by_diagword(n)
+    build, check, dinv_radix = DECISIONS[decision]
+    table = build(n)
     taus = permutation_rows(n)
     codes = [kernels.encode_perm(t, n) for t in taus.tolist()]
     for row in range(0, len(table.counts), 97):
@@ -154,9 +182,15 @@ def test_factor_check_fails_exactly_the_case_of_a_planted_row(column):
         faulty = with_entry(table, column, row, value + (1 if value == 0
                                                          else -1))
         hit = (int(table.columns[0][row]), int(table.columns[1][row]))
-        bad, _ = decide(faulty, taus)
-        assert bad.tolist() == [[(code, l) == hit for l in range(n)]
-                                for code in codes], row
+        want = [[(code, l) == hit for l in range(n)] for code in codes]
+        if decision == "withides":
+            identity = kernels.encode_perm(range(1, n + 1), n)
+            want = [any(w) and code != identity
+                    for w, code in zip(want, codes)]
+        assert check(faulty, taus).tolist() == want, row
+    if column == 3:
+        with pytest.raises(ValueError):
+            check(with_entry(table, 3, 0, dinv_radix(n)), taus)
 
 
 def test_factor_check_reports_only_the_deviations_tau_has():
