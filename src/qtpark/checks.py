@@ -48,7 +48,7 @@ class Scope:
     # sweeps must also keep its functions within TAU_ROW_BUDGET.
     tau_cap: Optional[int] = None
     first_l: int = 0  # the smallest deviation l checked
-    sweeps: bool = False  # builds an n^n table, so --threads means something
+    sweeps: bool = False  # sweeps n^n up to n = 8, where --threads pays
     limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
 
 
@@ -102,11 +102,11 @@ SCOPES: Dict[str, Scope] = {
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
     "main-square-paths": Scope((1, 6), SWEEP_CAP, sweeps=True),
     "enumerate": Scope((1, 7), DEFAULT_MAX_N,
-                       {"allow_large": False, "parking_only": False,
-                        "tau": None, "l": None, "touch": None}),
+                       {"allow_large": False, "tau": None, "l": None,
+                        "touch": None}),
     "table schedules": Scope(None, 7, {"tau": None},
                              tau_cap=SCHEDULE_TAU_CAP),
-    "table polynomials": Scope(None, 7, sweeps=True),
+    "table polynomials": Scope(None, 7),
     "table enk": Scope(None, DEGREE_BOUND),
 }
 
@@ -147,10 +147,6 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
     if ("allow_large" in row.reads and hi > row.default[1]
             and not options.get("allow_large")):
         raise ValueError(f"n above {row.default[1]} needs --allow-large")
-    if given.get("parking_only"):  # the parking functions: deviation 0
-        if l not in (None, 0):
-            raise ValueError(f"parking functions have deviation 0, not {l}")
-        l = 0
     if tau is not None and not lo <= len(tau) <= hi:
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
     if tau is not None and row.sweeps:

@@ -66,15 +66,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
     tau = (None if args.diagword is None
            else runs(_parse_vector(args.diagword)).tau)
-    scope("enumerate", (n, n), allow_large=args.allow_large,
-          parking_only=args.parking_only, tau=tau, l=args.deviation,
-          touch=args.touch)
-    deviation = 0 if args.parking_only else args.deviation
+    scope("enumerate", (n, n), allow_large=args.allow_large, tau=tau,
+          l=args.deviation, touch=args.touch)
 
     def keep(b: StatBlock) -> np.ndarray:
         mask = np.ones(len(b.index), dtype=bool)
-        if deviation is not None:
-            mask &= b.deviation == deviation
+        if args.deviation is not None:
+            mask &= b.deviation == args.deviation
         if args.touch is not None:
             mask &= b.touch == args.touch
         return mask
@@ -134,8 +132,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     # Refused before the header goes out: the rows below are generators.
     tau = None if args.tau is None else runs(_parse_vector(args.tau)).tau
     n, _ = scope(f"table {args.kind}",
-                 None if args.n is None else (args.n, args.n),
-                 threads=args.threads, tau=tau)
+                 None if args.n is None else (args.n, args.n), tau=tau)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     columns = ["tau", "l", "maj", "rho", "w_insertion", "w_by_car",
                "w_by_tau"]
@@ -145,7 +142,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         return 0
     if args.kind == "polynomials":
         writer.writerow(columns + ["closed_form", "brute_force", "match"])
-        table = aggregate.qt_by_diagword(n, threads=args.threads or 1)
+        table = aggregate.qt_by_diagword(n)
         for perm, l, row in _schedule_rows(n, None):
             report = closed_form_report(table, perm, l)
             closed, brute = report["closed_form"], report["brute_force"]
@@ -189,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser(
         "enumerate", help="stream every function of size n as JSON lines")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--parking-only", action="store_true")
     p_enum.add_argument("--diagword", help="keep one diagonal word")
     p_enum.add_argument("--deviation", type=int)
     p_enum.add_argument("--touch", type=int)
@@ -219,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=["schedules", "polynomials", "enk"])
     p_table.add_argument("--tau")
     p_table.add_argument("--n", type=int)
-    p_table.add_argument("--threads", type=int,
-                         help="sweep workers (polynomials only)")
     p_table.set_defaults(func=cmd_table)
 
     return parser

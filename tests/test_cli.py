@@ -1,5 +1,6 @@
 """Command-line behavior: golden output, exit codes, determinism."""
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -32,7 +33,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as e:  # argparse's usage errors, e.g. an unknown option
+        code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -74,7 +78,7 @@ def test_enumerate_golden(capsys):
 
 
 def test_enumerate_filters(capsys):
-    code, out, _ = run(capsys, "enumerate", "--n", "3", "--parking-only")
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--deviation", "0")
     assert code == 0
     assert len(out.splitlines()) == 16
     code, out, _ = run(capsys, "enumerate", "--n", "5", "--diagword", "23145")
@@ -96,8 +100,7 @@ def test_enumerate_filters_match_json_line(capsys, n):
     in order."""
     lines = [(json_line(p) + "\n", stats(p)) for p in enumerate_all(n)]
     taus = list(permutations(range(1, n + 1)))
-    cases = [((), lambda s: True),
-             (("--parking-only",), lambda s: s.deviation == 0)]
+    cases = [((), lambda s: True)]
     cases += [(("--deviation", str(d)), lambda s, d=d: s.deviation == d)
               for d in range(n)]
     cases += [(("--touch", str(k)), lambda s, k=k: s.touch == k)
@@ -276,10 +279,14 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     ("check", "thm-pn-identity", "--threads", "1"),
     ("check", "thm-enk-sum", "--n", "2", "--threads", "2"),
     ("check", "lemma-parlem", "--n", "2", "--threads", "2"),
+    ("check", "cor-withides", "--n", "3", "--threads", "0"),
+    # an option the command does not offer: table takes no --threads, and
+    # enumerate --deviation 0 keeps the parking functions
     ("table", "schedules", "--n", "3", "--threads", "2"),
     ("table", "enk", "--n", "2", "--threads", "8"),
-    ("check", "cor-withides", "--n", "3", "--threads", "0"),
-    ("table", "polynomials", "--n", "3", "--threads", "0"),
+    ("table", "polynomials", "--n", "3", "--threads", "2"),
+    ("enumerate", "--n", "3", "--parking-only"),
+    ("enumerate", "--n", "6", "--parking-only", "--deviation", "0"),
     # lemma-parlem's sampling box and sample count above their caps
     ("check", "lemma-parlem", "--n", "2",
      "--max", str(SCOPES["lemma-parlem"].limits["max_part"] + 1)),
@@ -293,8 +300,6 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     ("enumerate", "--n", "3", "--touch", "4"),
     ("enumerate", "--n", "3", "--deviation", "-1"),
     ("enumerate", "--n", "3", "--deviation", "3"),
-    ("enumerate", "--n", "1", "--parking-only", "--deviation", "1"),
-    ("enumerate", "--n", "3", "--parking-only", "--deviation", "1"),
     ("enumerate", "--n", "3", "--touch", "3", "--deviation", "2"),
     ("enumerate", "--n", "3", "--diagword", "123", "--deviation", "1"),
 ])
@@ -309,33 +314,64 @@ def test_enumerate_accepts_exactly_the_filters_some_function_passes(n):
     have = {(s.diagword, s.deviation, s.touch)
             for s in map(stats, enumerate_all(n))}
     taus = [None, *permutations(range(1, n + 1))]
-    for tau, l, touch, parking in product(taus, [None, *range(-1, n + 1)],
-                                          [None, *range(n + 2)],
-                                          [False, True]):
+    for tau, l, touch in product(taus, [None, *range(-1, n + 1)],
+                                 [None, *range(n + 2)]):
         passes = any((tau is None or tau == t)
                      and (l is None or l == d)
-                     and (not parking or d == 0)
                      and (touch is None or touch == k)
                      for t, d, k in have)
         try:
-            checks.scope("enumerate", (n, n), parking_only=parking, tau=tau,
-                         l=l, touch=touch)
+            checks.scope("enumerate", (n, n), tau=tau, l=l, touch=touch)
         except ValueError:
-            assert not passes, (tau, l, touch, parking)
+            assert not passes, (tau, l, touch)
         else:
-            assert passes, (tau, l, touch, parking)
+            assert passes, (tau, l, touch)
 
 
 def test_threads_only_where_a_table_is_swept():
+    """The four checks whose n^n sweep reaches n = 8 read --threads;
+    table polynomials stops at n = 7 and builds its table with one
+    worker."""
     swept = sorted(c for c, row in SCOPES.items() if row.sweeps)
     assert swept == ["cor-withides", "lemma-factorlemma", "main-square-paths",
-                     "table polynomials", "thm-schedule-closed-form"]
+                     "thm-schedule-closed-form"]
+    assert all(SCOPES[c].cap == checks.SWEEP_CAP for c in swept)
     for command in SCOPES:
         if command in swept:
             assert checks.scope(command, (1, 2), threads=2) == (1, 2)
         else:
             with pytest.raises(ValueError, match="--threads"):
                 checks.scope(command, (1, 2), threads=2)
+
+
+# The Scope.reads key of each option whose name is not that key.
+READS_KEY = {"diagword": "tau", "deviation": "l", "max": "max_part"}
+
+
+def test_every_option_sets_one_scope_key():
+    """Each option of a command besides --n and --threads sets its own
+    Scope.reads key of the command's rows, so scope() validates it, and
+    each key has its option; --threads is offered where a row sweeps."""
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        rows = ([SCOPES[c] for c in checks.REGISTRY] if command == "check"
+                else [row for c, row in SCOPES.items()
+                      if c.split()[0] == command])
+        dests = [a.dest for a in parser._actions if a.option_strings]
+        keys = [READS_KEY.get(d, d) for d in dests
+                if d not in ("help", "n", "threads")]
+        assert sorted(keys) == sorted(set().union(
+            *(row.reads for row in rows))), command
+        assert ("threads" in dests) == any(row.sweeps for row in rows), command
+
+
+def test_a_failing_report_without_a_counterexample_is_refused(monkeypatch):
+    monkeypatch.setitem(checks.REGISTRY, "thm-hmz",
+                        lambda spec: (False, None, 1))
+    with pytest.raises(ValueError, match="^a failing report must carry a "
+                       "counterexample$"):
+        checks.run_check(checks.CheckSpec("thm-hmz", 1, 2))
 
 
 def test_parlem_accepts_its_caps():
@@ -584,9 +620,10 @@ def test_check_wall_time_not_in_stdout(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("table", "polynomials", "--n", "4"),
+    ("check", "thm-schedule-closed-form", "--n", "1..4"),
     ("check", "main-square-paths", "--n", "1..4"),
     ("check", "cor-withides", "--n", "1..4"),
+    ("check", "lemma-factorlemma", "--n", "1..4"),
 ])
 def test_output_bytes_thread_invariant(capsys, argv):
     runs = []

@@ -1,5 +1,6 @@
 """Per-function statistics: worked values, invariants, serialization."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -248,6 +249,31 @@ def test_block_runs_guard_raises_runtime_error(monkeypatch):
     with pytest.raises(RuntimeError) as caught:
         paths.json_block(3, 0, 27)
     assert str(caught.value) == RUNS_MESSAGE
+
+
+def test_block_line_guard_names_the_first_function(monkeypatch):
+    """A block's first function, index 5 = (1, 2, 3) at n = 3, is also
+    formatted by json_line; a fault on either side names it."""
+    real = json_line
+    monkeypatch.setattr(paths, "json_line", lambda p: real(p).replace(
+        '"area":0', '"area":10'))
+    with pytest.raises(RuntimeError, match=r'^block line .*"f":\[1,2,3\],'
+                       r'"area":0,.* differs from the scalar statistics '
+                       r'.*"f":\[1,2,3\],"area":10,'):
+        paths.json_block(3, 5, 10)
+
+
+@pytest.mark.parametrize("f,change,message", [
+    ((3, 5, 3, 2, 3), {"dinv": 4}, "dinv must equal primary"),
+    ((1, 1, 2), {"comp": None}, "comp is defined exactly when deviation"),
+    ((3, 5, 3, 2, 3), {"comp": (5,)}, "comp is defined exactly when"),
+    ((1, 1, 2), {"comp": (1, 1, 1, 1)}, "comp must be a composition"),
+    ((1, 1, 2), {"touch": 3}, "comp must be a composition of n with touch"),
+])
+def test_stat_record_refuses_inconsistent_fields(f, change, message):
+    rec = stats(vec(*f))
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(rec, **change)
 
 
 SWAP_SECOND_BLOCK = """

@@ -1,6 +1,7 @@
 """Fundamental-basis sums, Young-subgroup counts, factorizations."""
 
 import dataclasses
+import re
 import types
 from collections import Counter
 from itertools import permutations
@@ -322,3 +323,19 @@ def test_first_difference_is_the_qsym_report(n):
             assert_report_is_the_oracles(
                 n, quasisym.square_paths_sides(faulty, n),
                 *qsym_oracle.square_paths_sides(faulty, n))
+
+
+def test_young_counts_refuses_a_q_count_off_the_q_factorials(monkeypatch):
+    """Without its identity row, S_3 (block mask 0b11 of 1..3) counts
+    q^inv as [0, 2, 2, 1], not [3]_q! = [1, 2, 2, 1]."""
+    real = inv_ides_counts
+    monkeypatch.setattr(quasisym, "inv_ides_counts",
+                        lambda m: tuple(a[1:] for a in real(m)))
+    quasisym.young_counts.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=re.escape(
+                "Young subgroup of block mask 3 of 1..3: q-count "
+                "[0, 2, 2, 1] differs from block q-factorials [1, 2, 2, 1]")):
+            quasisym.young_counts(3, 0b11)
+    finally:
+        quasisym.young_counts.cache_clear()

@@ -1,6 +1,8 @@
 """Schedules, closed forms, generation trees, partition-staircase merge."""
 
+import dataclasses
 import random
+import re
 from collections import Counter
 from itertools import permutations
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtpark.paths import enumerate_all, stats
+from qtpark import schedules
+from qtpark.paths import PrefFunc, enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.schedules import (PartitionBox, closed_form_rows,
                               closed_form_terms, delta_merge, generate, ides,
@@ -307,3 +310,32 @@ def test_delta_merge_property(a, b, data):
                        reverse=True))
     lhs, rhs = delta_merge(PartitionBox(lam, a, b))
     assert lhs == rhs
+
+
+def test_generate_refuses_a_leaf_off_its_bookkeeping(monkeypatch):
+    """A leaf whose area is re-measured one too high is named: (2, 1, 2),
+    the first leaf of tau 312 at l = 0."""
+    real = schedules.stats
+    monkeypatch.setattr(schedules, "stats", lambda p: dataclasses.replace(
+        real(p), area=real(p).area + 1))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "insertion tree invariant broken: (PrefFunc(f=(2, 1, 2)),)")):
+        generate((3, 1, 2), 0)
+    assert real(PrefFunc((2, 1, 2))).diagword == (3, 1, 2)
+
+
+def test_generate_refuses_a_car_with_other_spots_than_its_weight(
+        monkeypatch):
+    """Car 3 of tau 312 has w^(0)(3) = 2 spots; a weight of 3 names the car,
+    its spots and the weight."""
+    real = schedules.schedule_l
+
+    def bumped(rd, l):
+        weights = dict(real(rd, l))
+        weights[3] += 1
+        return weights
+
+    monkeypatch.setattr(schedules, "schedule_l", bumped)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "insertion tree invariant broken: (3, [1, 2], 3)")):
+        generate((3, 1, 2), 0)

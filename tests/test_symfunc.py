@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -311,3 +312,15 @@ def test_e_nk_refuses_a_wrong_pochhammer(monkeypatch):
                         planted(2, 2, lambda c: c + 1))
     with pytest.raises(RuntimeError, match="not a monomial"):
         e_nk(2)
+
+
+def test_c_op_refuses_a_group_off_its_factorial(monkeypatch):
+    """Each shift term that removes two or more boxes, bumped by 1, leaves
+    the group of p_3 (rest (), size 3) at 3 (2 phi + 1): no multiple of
+    3!."""
+    real = symfunc.shift_terms
+    monkeypatch.setattr(symfunc, "shift_terms", lambda lam: tuple(
+        (key, c + 1 if key[1] >= 2 else c) for key, c in real(lam)))
+    with pytest.raises(RuntimeError, match=re.escape(
+            "c_op(1): the terms that leave p_() do not divide by 3!")):
+        c_op(1, PExpansion.p(3))
