@@ -23,7 +23,7 @@ from . import aggregate, kernels
 from .paths import DEFAULT_MAX_N
 from .qt import render
 from .quasisym import closed_form_misses, factor_check, first_difference
-from .quasisym import qsym_for_diagword, shifted_sums, square_paths_sides
+from .quasisym import qsym_for_diagword, square_paths_sides
 from .quasisym import withides_failures
 from .schedules import PartitionBox, ScheduleCounts
 from .schedules import delta_merge, pref_closed_form, runs, schedule0
@@ -49,7 +49,7 @@ class Scope:
     tau_cap: Optional[int] = None
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # sweeps n^n up to n = 8, where --threads pays
-    limits: Dict[str, int] = field(default_factory=dict)  # option -> largest
+    limits: Dict[str, range] = field(default_factory=dict)  # option -> range
 
 
 _TAU_L: Dict[str, object] = {"tau": None, "l": None}
@@ -92,7 +92,8 @@ SCOPES: Dict[str, Scope] = {
     "thm-shift-multiset": Scope((1, 8), 10, _TAU_L,
                                 tau_cap=SCHEDULE_TAU_CAP, first_l=1),
     "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
-                          limits={"max_part": 400, "samples": 10000}),
+                          limits={"max_part": range(1, 401),
+                                  "samples": range(10001)}),
     "lemma-factorlemma": Scope((1, 6), SWEEP_CAP, _TAU_L,
                                tau_cap=TAU_CAP, sweeps=True),
     "cor-withides": Scope((1, 6), SWEEP_CAP, {"tau": None},
@@ -131,10 +132,10 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
     unread = sorted(given.keys() - row.reads.keys())
     if unread:
         raise ValueError(f"{command} does not read {', '.join(unread)}")
-    for opt, most in row.limits.items():
-        if given.get(opt, 0) > most:
-            raise ValueError(f"{command} accepts {opt} up to {most}, "
-                             f"got {given[opt]}")
+    for opt, accepted in row.limits.items():
+        if opt in given and given[opt] not in accepted:
+            raise ValueError(f"{command} accepts {opt} from {accepted[0]} "
+                             f"to {accepted[-1]}, got {given[opt]}")
     tau, l = given.get("tau"), given.get("l")
     if n is None and row.default is None and tau is None:
         raise ValueError(f"{command} needs --n")
@@ -212,9 +213,6 @@ class CheckSpec:
                 object.__setattr__(self, opt, default)
         if self.threads is None:
             object.__setattr__(self, "threads", 1)
-        if ((self.samples is not None and self.samples < 0)
-                or (self.max_part is not None and self.max_part < 1)):
-            raise ValueError("bad sampling parameters")
 
     @property
     def n_range(self) -> range:
@@ -223,18 +221,18 @@ class CheckSpec:
 
 @dataclass
 class CheckReport:
-    """Outcome of one check run; fail carries a counterexample."""
+    """Outcome of one check run: it fails exactly when it carries a
+    counterexample."""
 
     id: str
     parameters: Dict[str, object]
-    passed: bool
     counterexample: Optional[Dict[str, object]]
     wall_time: float
     examined: int
 
-    def __post_init__(self):
-        if not self.passed and self.counterexample is None:
-            raise ValueError("a failing report must carry a counterexample")
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
 
     def json(self) -> str:
         return json.dumps({
@@ -246,7 +244,9 @@ class CheckReport:
         }, separators=(",", ":"), sort_keys=True)
 
 
-Outcome = Tuple[bool, Optional[Dict[str, object]], int]
+# The first counterexample (None: every case holds) and the number of
+# cases examined.
+Outcome = Tuple[Optional[Dict[str, object]], int]
 
 
 def _sizes(spec: CheckSpec) -> List[int]:
@@ -281,10 +281,10 @@ def _each_block(spec: CheckSpec,
                 tau, l = tuple(taus[r].tolist()), ls[j]
                 ce = {"n": n, "tau": list(tau), "l": l}
                 ce.update(report(read, tau, l))
-                return False, ce, examined + int(has[:r].sum()
-                                                 + has[r, :j + 1].sum())
+                return ce, examined + int(has[:r].sum()
+                                          + has[r, :j + 1].sum())
             examined += int(has.sum())
-    return True, None, examined
+    return None, examined
 
 
 def closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],
@@ -345,9 +345,9 @@ def _parlem_failure(case: Tuple[Tuple[int, ...], int, int]
 def _run_withides(spec: CheckSpec) -> Outcome:
     # Each block of taus is decided at once in integer counts.  The sides
     # A [k]_q and B [n]_q are summed once per n, for the failing tau, to
-    # report it, or for the last tau (n..1 when all are walked), whose
-    # integer verdict they must confirm, with its k checked against the
-    # scalar run decomposition.
+    # report it, or for the last tau (n..1 when all are walked); either
+    # way they must confirm its integer verdict, and the scalar run
+    # decomposition its k.
     examined = 0
     for n in _sizes(spec):
         table = aggregate.qsym_by_diagword(n, threads=spec.threads,
@@ -360,22 +360,20 @@ def _run_withides(spec: CheckSpec) -> Outcome:
             examined += len(block)
         r = int(bad[0]) if len(bad) else len(block) - 1
         tau, k = tuple(block[r].tolist()), int(ks[r])
-        if not len(bad) and runs(tau).last_run_length != k:
+        if runs(tau).last_run_length != k:
             raise RuntimeError(f"n = {n}, tau = {tau}: the last run has "
                                f"length {runs(tau).last_run_length}, the "
                                f"batch gave {k}")
-        keys, (lhs, rhs) = shifted_sums((
+        diff = first_difference(n, (
             [(qsym_for_diagword(table, tau), (1,) * k)],
             [(qsym_for_diagword(table, tau, deviation=0), (1,) * n)]))
-        if len(bad):
-            ce = {"n": n, "tau": list(tau), "k": k}
-            ce.update(first_difference(n, keys, lhs, rhs,
-                                       f"n = {n}, tau = {tau}"))
-            return False, ce, examined + r + 1
-        if (lhs != rhs).any():
-            raise RuntimeError(f"n = {n}, tau = {tau}: the sides differ "
-                               f"where the integer counts agree")
-    return True, None, examined
+        if (diff is None) == bool(len(bad)):
+            raise RuntimeError(f"n = {n}, tau = {tau}: the integer counts "
+                               f"{'fail' if len(bad) else 'pass'} it, the "
+                               f"summed sides do not")
+        if diff is not None:
+            return {"n": n, "tau": list(tau), "k": k, **diff}, examined + r + 1
+    return None, examined
 
 
 def _first_failure(cases: Iterable,
@@ -389,8 +387,8 @@ def _first_failure(cases: Iterable,
         examined += weight(case)
         ce = failure(case)
         if ce is not None:
-            return False, ce, examined
-    return True, None, examined
+            return ce, examined
+    return None, examined
 
 
 def _enk_sum_failure(n: int) -> Optional[Dict[str, object]]:
@@ -404,12 +402,9 @@ def _enk_sum_failure(n: int) -> Optional[Dict[str, object]]:
 
 def _square_paths_failure(n: int, threads: int
                           ) -> Optional[Dict[str, object]]:
-    # One sum of both sides decides n and reports its failure.
-    keys, (lhs, rhs) = shifted_sums(square_paths_sides(
+    diff = first_difference(n, square_paths_sides(
         aggregate.qsym_by_touch(n, threads=threads), n))
-    if np.array_equal(lhs, rhs):
-        return None
-    return {"n": n, **first_difference(n, keys, lhs, rhs, f"n = {n}")}
+    return None if diff is None else {"n": n, **diff}
 
 
 REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
@@ -450,8 +445,8 @@ def run_check(spec: CheckSpec) -> CheckReport:
         if getattr(spec, opt) is not None:
             params[opt] = getattr(spec, opt)
     start = time.perf_counter()
-    passed, counterexample, examined = runner(spec)
+    counterexample, examined = runner(spec)
     elapsed = time.perf_counter() - start
-    return CheckReport(id=spec.id, parameters=params, passed=passed,
+    return CheckReport(id=spec.id, parameters=params,
                        counterexample=counterexample, wall_time=elapsed,
                        examined=examined)

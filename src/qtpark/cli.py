@@ -165,8 +165,8 @@ def _scope_help() -> str:
         lines.append(f"  {cid:26} {lo}..{hi}, up to {row.cap}"
                      + (f" ({row.tau_cap} with --tau)" if row.tau_cap
                         else "")
-                     + "".join(f", {opt} up to {most}"
-                               for opt, most in row.limits.items())
+                     + "".join(f", {opt} up to {accepted[-1]}"
+                               for opt, accepted in row.limits.items())
                      + (" [--threads]" if row.sweeps else ""))
     return "\n".join(lines)
 

@@ -44,10 +44,7 @@ class QTPoly:
                     raise TypeError(f"expected int, got {type(c).__name__}")
                 key = (index(qe), index(te))
                 if c:
-                    acc = data.get(key)
-                    data[key] = acc + c if acc is not None else c
-                    if not data[key]:
-                        del data[key]
+                    data[key] = c
         self._terms = data
 
     # -- constructors -------------------------------------------------

@@ -22,11 +22,12 @@ module builds no table.  Every sum is held in integer counts.  The
 readers qsym_for_diagword, qsym_for_touch and qsym_total return one slice
 of a table as count rows: one row per (ides mask, area) pair present, one
 column per power of q.  shifted_sums multiplies count rows by polynomials
-in q with shifted adds along that axis, and first_difference names the
-first Q_S at which two such sums differ, for a counterexample;
-square_paths_sides writes the square-paths identity's two sides as such
-terms.  The batch decisions take a whole block of diagonal words at
-once: closed_form_misses and factor_check (the closed form and the
+in q with shifted adds along that axis, and first_difference sums two
+sides so and names the first Q_S at which they differ, for a
+counterexample, or None when they are equal; square_paths_sides writes
+the square-paths identity's two sides as such terms.  The batch
+decisions take a whole block of diagonal words at once:
+closed_form_misses and factor_check (the closed form and the
 factorization at each deviation, against schedules.closed_form_rows) and
 withides_failures (the withides scaling) read their rows through rows_of
 and decide through _nonzero, by signed counts summed per key.
@@ -158,18 +159,18 @@ def shifted_sums(sides: Sides) -> Tuple[np.ndarray, List[np.ndarray]]:
     return keys, out
 
 
-def first_difference(n: int, keys: np.ndarray, lhs: np.ndarray,
-                     rhs: np.ndarray, where: str) -> Dict[str, object]:
+def first_difference(n: int, sides: Sides) -> Optional[Dict[str, object]]:
     """The first Q_S, in sorted-subset order, whose coefficients differ
-    between two shifted_sums results over ``keys``, as its sorted subset
-    and both coefficients written by qt.render; ``where`` names the case in
-    the error raised when none does."""
+    between the two sides of size n, each summed by shifted_sums, as its
+    sorted subset and both coefficients written by qt.render; None when
+    no coefficient differs."""
+    keys, (lhs, rhs) = shifted_sums(sides)
+    differ = (lhs != rhs).any(axis=1)
+    if not differ.any():
+        return None
     mask, area = np.unravel_index(keys, (1 << (n - 1), n * n + 1))
-    differ = set(mask[(lhs != rhs).any(axis=1)].tolist())
-    if not differ:
-        raise RuntimeError(f"{where}: no coefficient of the two sides "
-                           f"differs")
-    subset, m = min((sorted(kernels.decode_ides(m, n)), m) for m in differ)
+    subset, m = min((sorted(kernels.decode_ides(m, n)), m)
+                    for m in set(mask[differ].tolist()))
     mine = np.flatnonzero(mask == m)
 
     def coefficient(side: np.ndarray) -> str:

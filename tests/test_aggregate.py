@@ -536,8 +536,17 @@ GUARDS = textwrap.dedent("""
     try:  # withides_failures still passes every tau
         checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
     except RuntimeError as e:
-        if "sides differ where the integer counts agree" in str(e):
+        if "the integer counts pass it, the summed sides do not" in str(e):
             print("withides sides guard fired")
+    aggregate.qsym_by_diagword = real_table
+
+    checks.withides_failures = lambda table, taus, ks: np.ones(len(taus),
+                                                                bool)
+    try:  # every tau is correct
+        checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
+    except RuntimeError as e:
+        if "the integer counts fail it, the summed sides do not" in str(e):
+            print("withides counts guard fired")
 """)
 
 
@@ -557,4 +566,5 @@ def test_guards_fire_under_python_O():
                                         "e_nk division guard fired",
                                         "c_op divisibility guard fired",
                                         "withides k guard fired",
-                                        "withides sides guard fired"]
+                                        "withides sides guard fired",
+                                        "withides counts guard fired"]

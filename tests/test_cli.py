@@ -289,12 +289,14 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     ("enumerate", "--n", "6", "--parking-only", "--deviation", "0"),
     # lemma-parlem's sampling box and sample count above their caps
     ("check", "lemma-parlem", "--n", "2",
-     "--max", str(SCOPES["lemma-parlem"].limits["max_part"] + 1)),
+     "--max", str(SCOPES["lemma-parlem"].limits["max_part"][-1] + 1)),
     ("check", "lemma-parlem", "--n", "2",
-     "--samples", str(SCOPES["lemma-parlem"].limits["samples"] + 1)),
+     "--samples", str(SCOPES["lemma-parlem"].limits["samples"][-1] + 1)),
     # an empty sampling box
     ("check", "lemma-parlem", "--n", "1..8", "--max", "0"),
     ("check", "lemma-parlem", "--max", "0", "--samples", "0"),
+    # a negative sample count
+    ("check", "lemma-parlem", "--n", "2", "--samples", "-1"),
     # an enumerate filter no function of size n passes
     ("enumerate", "--n", "3", "--touch", "0"),
     ("enumerate", "--n", "3", "--touch", "4"),
@@ -366,17 +368,29 @@ def test_every_option_sets_one_scope_key():
         assert ("threads" in dests) == any(row.sweeps for row in rows), command
 
 
-def test_a_failing_report_without_a_counterexample_is_refused(monkeypatch):
-    monkeypatch.setitem(checks.REGISTRY, "thm-hmz",
-                        lambda spec: (False, None, 1))
-    with pytest.raises(ValueError, match="^a failing report must carry a "
-                       "counterexample$"):
-        checks.run_check(checks.CheckSpec("thm-hmz", 1, 2))
+@pytest.mark.parametrize("outcome,code,examined", [
+    (({"n": 1}, 1), 1, 1),
+    ((None, 3), 0, 3),
+])
+def test_the_counterexample_is_the_verdict(capsys, monkeypatch, outcome,
+                                           code, examined):
+    """A runner returns only its counterexample and the cases it
+    examined: a counterexample fails the report, None passes it."""
+    monkeypatch.setitem(checks.REGISTRY, "thm-hmz", lambda spec: outcome)
+    got, out, _ = run(capsys, "check", "thm-hmz", "--n", "1..2")
+    report = json.loads(out)
+    assert got == code
+    assert report["passed"] is (outcome[0] is None)
+    assert report["counterexample"] == outcome[0]
+    assert report["examined"] == examined
 
 
 def test_parlem_accepts_its_caps():
+    """Both ends of each of lemma-parlem's option ranges are accepted."""
     limits = SCOPES["lemma-parlem"].limits
-    assert checks.scope("lemma-parlem", (1, 2), **limits) == (1, 2)
+    for end in (0, -1):
+        options = {opt: accepted[end] for opt, accepted in limits.items()}
+        assert checks.scope("lemma-parlem", (1, 2), **options) == (1, 2)
 
 
 def test_parlem_honours_the_low_end(capsys):
@@ -742,9 +756,21 @@ def test_withides_confirmation_refuses_sides_the_counts_pass(monkeypatch):
                             real(n, threads=threads, tau=tau), -1))
     monkeypatch.setattr(checks, "withides_failures",
                         lambda table, taus, ks: np.zeros(len(taus), bool))
-    with pytest.raises(RuntimeError, match=r"n = 3, tau = \(3, 2, 1\): .*"
-                       "sides differ where the integer counts agree"):
+    with pytest.raises(RuntimeError, match=r"^n = 3, tau = \(3, 2, 1\): the "
+                       "integer counts pass it, the summed sides do not$"):
         checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
+
+
+def test_withides_confirmation_refuses_a_tau_the_counts_fail(capsys,
+                                                             monkeypatch):
+    """A correct tau, 2,1,3, that withides_failures is patched to flag is
+    caught by the confirmation of its sides, before any report."""
+    monkeypatch.setattr(checks, "withides_failures",
+                        lambda table, taus, ks: (taus == (2, 1, 3)).all(1))
+    with pytest.raises(RuntimeError, match=r"^n = 3, tau = \(2, 1, 3\): the "
+                       "integer counts fail it, the summed sides do not$"):
+        cli.main(["check", "cor-withides", "--n", "3"])
+    assert capsys.readouterr().out == ""
 
 
 def test_withides_catches_a_fault_off_deviation_zero(capsys, monkeypatch):
@@ -850,7 +876,8 @@ def test_withides_block_verdict_is_the_qsym_sides(n):
 def test_withides_refuses_a_residue_the_sides_do_not_show(monkeypatch):
     monkeypatch.setattr(checks, "withides_failures",
                         lambda table, taus, ks: np.ones(len(taus), bool))
-    with pytest.raises(RuntimeError, match=r"n = 1, tau = \(1,\)"):
+    with pytest.raises(RuntimeError, match=r"^n = 1, tau = \(1,\): the "
+                       "integer counts fail it, the summed sides do not$"):
         checks.run_check(checks.CheckSpec("cor-withides", 1, 2))
 
 
@@ -889,6 +916,29 @@ def test_withides_refuses_a_batch_k_the_runs_do_not_give(monkeypatch, spec,
                                            rf"the last run has length {k}, "
                                            rf"the batch gave {k - 1}"):
         checks.run_check(spec)
+
+
+def test_withides_refuses_a_batch_k_at_the_failing_tau(monkeypatch):
+    """The failing tau's batch k is held to schedules.runs too, before
+    its report is written: here the last tau of n = 3's first block."""
+    real = checks.schedule_counts
+
+    def last_car_moved(block):
+        sc = real(block)
+        from_last = sc.from_last.copy()
+        from_last[-1, -1] += 1
+        return sc._replace(from_last=from_last)
+
+    monkeypatch.setattr(checks, "schedule_counts", last_car_moved)
+    monkeypatch.setattr(checks, "withides_failures",
+                        lambda table, taus, ks: np.arange(len(taus))
+                        == len(taus) - 1)
+    tau = tuple(next(schedules.tau_blocks(3, None))[-1].tolist())
+    k = schedules.runs(tau).last_run_length
+    with pytest.raises(RuntimeError, match=rf"tau = {re.escape(str(tau))}: "
+                                           rf"the last run has length {k}, "
+                                           rf"the batch gave {k - 1}"):
+        checks.run_check(checks.CheckSpec("cor-withides", 3, 3))
 
 
 def test_withides_sweeps_only_the_tau_size(capsys, monkeypatch):
@@ -1144,8 +1194,7 @@ def test_square_paths_sums_each_n_once(capsys, monkeypatch, fault):
         return real(sides)
 
     monkeypatch.setattr(aggregate, "qsym_by_touch", table)
-    for module in (quasisym, checks):
-        monkeypatch.setattr(module, "shifted_sums", record)
+    monkeypatch.setattr(quasisym, "shifted_sums", record)
     code, _, _ = run(capsys, "check", "main-square-paths", "--n", "1..5")
     assert code == int(fault)
     last = 4 if fault else 5

@@ -289,14 +289,9 @@ def with_count(table, row, delta):
 
 def assert_report_is_the_oracles(n, sides, lhs, rhs):
     """first_difference of the count-row sides is the QSymF oracle's
-    report of lhs and rhs, or raises when the oracle finds none."""
-    want = qsym_oracle.first_difference(lhs, rhs)
-    keys, sums = quasisym.shifted_sums(sides)
-    if want is None:
-        with pytest.raises(RuntimeError, match="^case: no coefficient"):
-            quasisym.first_difference(n, keys, *sums, "case")
-    else:
-        assert quasisym.first_difference(n, keys, *sums, "case") == want
+    report of lhs and rhs, None where the oracle finds no difference."""
+    assert (quasisym.first_difference(n, sides)
+            == qsym_oracle.first_difference(lhs, rhs))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
