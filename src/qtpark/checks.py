@@ -56,8 +56,8 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 
 # Each cap keeps one run within about a minute on 2 vCPUs (lemma-parlem
 # took 65 s at n = 11 and thm-shift-multiset about 9 s at n = 10; at
-# symfunc.DEGREE_BOUND, n = 12, thm-enk-sum took 3.4-4.0 s, table enk
-# 4.5-4.8 s, thm-pn-identity 5.0-6.3 s and thm-hmz 6.2-6.3 s).  A full
+# symfunc.DEGREE_BOUND, n = 12, thm-enk-sum took 0.6-0.8 s, table enk
+# 0.7-0.8 s, thm-pn-identity 1.3-1.5 s and thm-hmz 4.5-5.2 s).  A full
 # n^n table takes 2-4 s at n = 8 (SWEEP_CAP), and lemma-factorlemma decides
 # its taus a permutation block at a time in 1-2 s more.  One --tau sweeps
 # nothing: the kernel builds its functions from their row orders, so its

@@ -4,9 +4,7 @@ One ring covers everything the rest of the package needs: ``QTPoly``,
 Laurent polynomials in q and t with integer coefficients, stored as a
 dict mapping ``(q_exponent, t_exponent)`` to a nonzero ``int``.
 Negative exponents are allowed.  ``as_poly`` is the one way a scalar
-enters the ring.  The only polynomial division the package needs is by
-a factor 1 - q^m, which ``QTPoly.over_one_minus_q`` performs; it raises
-when the quotient is not a polynomial.
+enters the ring.
 
 Canonical string form (used by every serializer in the package): terms are
 sorted lexicographically by (q exponent, t exponent), each term is rendered
@@ -143,34 +141,6 @@ class QTPoly:
 
     __rmul__ = __mul__
 
-    # -- division by (1 - q^m) ----------------------------------------
-
-    def over_one_minus_q(self, m: int) -> "QTPoly":
-        """self/(1 - q^m) for m >= 1; raises ValueError unless exact.
-
-        Per power of t the quotient r satisfies r_j = self_j + r_(j-m),
-        run upward from the lowest power of q.  It is a polynomial only
-        when the top m of those sums, r_j for j > (highest power) - m,
-        are zero.
-        """
-        rows: Dict[int, Dict[int, Coeff]] = {}
-        for (qe, te), c in self._terms.items():
-            rows.setdefault(te, {})[qe] = c
-        quot: Dict[Exponent, Coeff] = {}
-        for te, row in rows.items():
-            lo, hi = min(row), max(row)
-            r: Dict[int, Coeff] = {}
-            for j in range(lo, hi + 1):
-                s = row.get(j, 0) + r.get(j - m, 0)
-                if s:
-                    r[j] = s
-            if max(r) > hi - m:
-                raise ValueError(f"not divisible by 1 - q^{m}")
-            quot.update(((j, te), c) for j, c in r.items())
-        res = QTPoly.__new__(QTPoly)
-        res._terms = quot
-        return res
-
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
@@ -247,14 +217,3 @@ def square_paths_multipliers(n: int) -> Tuple[Tuple[int, ...],
 def q_poly(coeffs: Sequence[int], qexp: int, texp: int) -> QTPoly:
     """t^texp q^qexp (c_0 + c_1 q + c_2 q^2 + ...) for coeffs c_i."""
     return QTPoly({(qexp + i, texp): c for i, c in enumerate(coeffs)})
-
-
-def qq_poch(k: int) -> QTPoly:
-    """(q; q)_k = (1 - q)(1 - q^2)...(1 - q^k); requires k >= 0."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"qq_poch requires a nonnegative integer, got {k!r}")
-    out = QTPoly.one()
-    for i in range(1, k + 1):
-        out = out * (QTPoly.one() - QTPoly.q(i))
-    return out
-

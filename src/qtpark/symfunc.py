@@ -25,18 +25,28 @@ since z_lambda = z_rho z_S prod_p C(m_p, j_p) cancels the binomials.
 
 The scale X -> X (1-z)/(1-q) defines the family E_{n,k} through
 
-    e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k / (q;q)_k) E_{n,k},
+    e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k / (q;q)_k) E_{n,k}.
 
-a system triangular in z.  ``e_nk`` clears the denominators of each
-p_lambda pairing by lambda's own factors prod_i (1 - q^lambda_i), which
-leaves integer constants.  The leading coefficient of (z;q)_k in z is
-the unit monomial (-1)^k q^(k(k-1)/2), so back-substitution only divides
-by units; multiplying by (q;q)_k and dividing by 1 - q^lambda_i once
-per part recovers E_{n,k}.
+Paired with p_lambda, the left side is eps_lambda = (-1)^(n - len(lambda))
+times the product over the parts of (1 - z^lambda_i)/(1 - q^lambda_i).
+At z = q^-j every (z;q)_k with k > j vanishes, and (1 - q^(-jm))/(1 - q^m)
+is -q^(-jm) [j]_(q^m), so the identity turns triangular in j:
 
-The checks at the bottom verify that the E_{n,k} from that triangular
-system agree with sums of composition-indexed operator products, and
-that their [n]_q/[k]_q-weighted sum collapses to a single power sum.
+    A_j = sum_(k<=j) (-1)^(j+k) q^(C(k,2) - jk) [j choose k]_q x_k,
+    A_j = (-1)^(n+j) q^(-jn) prod_i [j]_(q^lambda_i),
+
+for x_k = <E_{n,k}, p_lambda>, since (q^-j;q)_k/(q;q)_k is
+(-1)^k q^(C(k,2) - jk) [j choose k]_q.  Gaussian inversion solves it,
+
+    x_k = q^k sum_(j=1..k) q^C(j,2) [k choose j]_q A_j,
+
+and by the q-binomial theorem that sum is (prod_(i<k) (1 + q^i S) A)_0,
+S the shift A_j -> A_(j+1).  ``e_nk`` reads every pairing from it with
+integer products and sums: nothing is divided.
+
+The checks at the bottom verify that the E_{n,k} from that closed form
+agree with sums of composition-indexed operator products, and that their
+[n]_q/[k]_q-weighted sum collapses to a single power sum.
 """
 
 from __future__ import annotations
@@ -49,7 +59,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
-from .qt import (QTPoly, Scalar, as_poly, q_poly, qq_poch, render,
+from .qt import (QTPoly, Scalar, as_poly, q_poly, render,
                  square_paths_multipliers)
 
 Partition = Tuple[int, ...]
@@ -305,81 +315,37 @@ def _c_suffix(parts: Partition) -> PExpansion:
     return c_op(parts[0], inner)
 
 
-def zq_poch_coefficients(k: int) -> List[QTPoly]:
-    """[z^j] (z; q)_k for j = 0..k, where (z; q)_k = prod_(i<k) (1 - z q^i)."""
-    out = [QTPoly.one()]
-    for i in range(k):
-        shifted = [QTPoly.zero()] + [c * QTPoly.q(i) for c in out]
-        out = [c - s for c, s in zip(out + [QTPoly.zero()], shifted)]
-    return out
-
-
-def scaled_e_row(lam: Partition) -> List[int]:
-    """[z^j] of prod_i (1 - q^lambda_i) times the pairing of
-    e_n[X (1-z)/(1-q)] with p_lambda, for j = 0..n and n = |lambda|.
-
-    The scale multiplies each p_k by (1 - z^k)/(1 - q^k), so the row is
-    eps_lambda [z^j] prod_i (1 - z^lambda_i), free of q.
-    """
-    n = sum(lam)
-    out = [(-1) ** (n - len(lam))] + [0] * n
-    for part in lam:
-        for j in range(n, part - 1, -1):
-            out[j] -= out[j - part]
-    return out
-
-
-def _unit_inverse(c: QTPoly) -> QTPoly:
-    if len(c) != 1:
-        raise RuntimeError(f"leading z coefficient {c} is not a monomial")
-    (qe, te), v = next(c.terms())
-    if v not in (1, -1):
-        raise RuntimeError(f"leading z coefficient {c} is not a unit")
-    return QTPoly.monomial(-qe, -te, v)
-
-
 def e_nk(n: int) -> List[PExpansion]:
-    """(E_{n,1}, ..., E_{n,n}) solving the triangular z-expansion of the
-    scaled elementary symmetric function.
+    """(E_{n,1}, ..., E_{n,n}), with <E_{n,k}, p_lambda> read as
+    q^k (prod_(i<k) (1 + q^i S) A)_0, the closed form of the module
+    docstring.
 
-    Times prod_i (1 - q^lambda_i) the pairing of e_n[X (1-z)/(1-q)]
-    with p_lambda is the polynomial in z whose coefficients
-    ``scaled_e_row`` lists, and it equals sum_k (z;q)_k y_k with
-    y_k = x_k prod_i (1 - q^lambda_i)/(q;q)_k, where x_k is the
-    pairing of E_{n,k} with p_lambda.  Back-substitution from z^n down
-    to z^1 finds the y_k; z^0 is the one equation left over, and is
-    checked.  Then x_k is y_k (q;q)_k divided by 1 - q^lambda_i once for
-    each part.
+    Each k applies one more factor to b, the A_j shifted so far: one pass
+    of shifted adds.  The powers [j]_(q^m)^c of lambda's parts m, each
+    held c times, are built once per call.
     """
     _require_degree(n)
-    basis = {k: zq_poch_coefficients(k) for k in range(1, n + 1)}
-    lead_inv = {k: _unit_inverse(basis[k][k]) for k in basis}
-    poch = {k: qq_poch(k) for k in basis}
+    powers: Dict[Tuple[int, int], List[QTPoly]] = {}
+
+    def q_int_power(j: int, m: int, c: int) -> QTPoly:
+        row = powers.setdefault((j, m), [QTPoly.one()])
+        while len(row) <= c:
+            row.append(row[-1] * QTPoly({(m * i, 0): 1 for i in range(j)}))
+        return row[c]
+
     solved: List[Dict[Partition, QTPoly]] = [{} for _ in range(n)]
     for lam in partitions(n):
-        lhs = scaled_e_row(lam)
-        ys: Dict[int, QTPoly] = {}
-        for j in range(n, 0, -1):
-            residual = QTPoly.const(lhs[j])
-            for k in range(j + 1, n + 1):
-                residual = residual - basis[k][j] * ys[k]
-            ys[j] = residual * lead_inv[j]
-        for k, y in ys.items():
-            x = y * poch[k]
-            try:
-                for part in lam:
-                    x = x.over_one_minus_q(part)
-            except ValueError:
-                raise RuntimeError(
-                    f"e_nk({n}): coefficient of {lam} in E_{n},{k} is not "
-                    f"a polynomial") from None
+        mult = Counter(lam).items()
+        b = [QTPoly.zero()] + [  # A_0 = 0: [0]_(q^m) is the empty sum
+            prod((q_int_power(j, m, c) for m, c in mult),
+                 start=QTPoly.monomial(-j * n, 0, (-1) ** (n + j)))
+            for j in range(1, n + 1)]
+        for k in range(1, n + 1):
+            shift = QTPoly.q(k - 1)
+            b = [lo + shift * hi for lo, hi in zip(b, b[1:])]
+            x = b[0] * QTPoly.q(k)
             if x:
                 solved[k - 1][lam] = x
-        constant = QTPoly.zero()
-        for k, y in ys.items():
-            constant = constant + basis[k][0] * y
-        if constant != lhs[0]:
-            raise RuntimeError(f"e_nk({n}): constant term of {lam} unsolved")
     return [PExpansion._wrap(d) for d in solved]
 
 

@@ -468,30 +468,6 @@ GUARDS = textwrap.dedent("""
             print("factor_check guard fired")
     quasisym.inv_ides_counts = real_young
 
-    real_poch = symfunc.zq_poch_coefficients
-
-    def planted(k0, j, change):
-        def coefficients(k):
-            out = real_poch(k)
-            if k == k0:
-                out[j] = change(out[j])
-            return out
-        return coefficients
-
-    symfunc.zq_poch_coefficients = planted(2, 1, lambda c: -c)
-    try:
-        symfunc.e_nk(3)
-    except RuntimeError as e:
-        if "constant term" in str(e):
-            print("e_nk guard fired")
-
-    symfunc.zq_poch_coefficients = planted(3, 1, lambda c: c + 1)
-    try:
-        symfunc.e_nk(3)
-    except RuntimeError as e:
-        if "not a polynomial" in str(e):
-            print("e_nk division guard fired")
-
     real_shift = symfunc.shift_terms
 
     def planted_shift(lam):  # +1 on p_11's z^-2 term: no longer 2! apart
@@ -562,8 +538,6 @@ def test_guards_fire_under_python_O():
                                         "worker fold guard fired",
                                         "diagword guard fired",
                                         "factor_check guard fired",
-                                        "e_nk guard fired",
-                                        "e_nk division guard fired",
                                         "c_op divisibility guard fired",
                                         "withides k guard fired",
                                         "withides sides guard fired",

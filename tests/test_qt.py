@@ -1,4 +1,4 @@
-"""Arithmetic in the q,t rings: axioms, division by 1 - q^m, q-analogs."""
+"""Arithmetic in the q,t rings: axioms, q-analogs."""
 
 from fractions import Fraction
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qtpark import checks, schedules
 from qtpark.checks import CheckSpec
-from qtpark.qt import ONE, QTPoly, q_int, q_int_product, qq_poch, render
+from qtpark.qt import ONE, QTPoly, q_int, q_int_product, render
 
 coeffs = st.integers(-40, 40)
 exponents = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -77,11 +77,10 @@ def test_product_matches_schoolbook(a, b):
     assert all(type(c) is int and c for _, c in p.terms())
 
 
-@given(polys, polys, st.integers(1, 5))
+@given(polys, polys)
 @settings(max_examples=60)
-def test_integer_polynomials_keep_int_coefficients(a, b, m):
-    quotient = (a * (ONE - qt(m))).over_one_minus_q(m)
-    for p in (a + b, a - b, a * b, 3 * a, quotient):
+def test_integer_polynomials_keep_int_coefficients(a, b):
+    for p in (a + b, a - b, a * b, 3 * a):
         assert all(type(c) is int for _, c in p.terms())
     assert type(a.coefficient(7, 7)) is int
 
@@ -116,24 +115,9 @@ def test_product_drops_cancelled_terms():
     assert len(p) == 2
 
 
-@given(polys, st.integers(1, 5))
-@settings(max_examples=60)
-def test_over_one_minus_q_inverts_multiplication(a, m):
-    assert (a * (ONE - qt(m))).over_one_minus_q(m) == a
-
-
-def test_over_one_minus_q_rejects_non_divisor():
-    for p in (ONE + qt(1), ONE):
-        with pytest.raises(ValueError):
-            p.over_one_minus_q(2)
-    assert QTPoly.zero().over_one_minus_q(2) == QTPoly.zero()
-
-
 def test_q_analogs():
     assert q_int(1) == ONE
     assert q_int(4) == ONE + qt(1) + qt(2) + qt(3)
-    assert qq_poch(2) == (ONE - qt(1)) * (ONE - qt(2))
-    assert (ONE - qt(6)).over_one_minus_q(3) == ONE + qt(3)
 
 
 def test_q_int_product_matches_explicit_products(monkeypatch):

@@ -2,20 +2,21 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import re
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
-from qtpark import symfunc
+from qtpark import checks, cli, symfunc
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.symfunc import (PExpansion, c_composition, c_op, compositions,
                             e_in_p, e_nk, h_in_p, hmz_check, partitions,
-                            pn_identity_check, p_pure, scaled_e_row,
-                            shift_factor, shift_terms, z_lambda,
-                            zq_poch_coefficients)
+                            pn_identity_check, p_pure, shift_factor,
+                            shift_terms, z_lambda)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -83,14 +84,6 @@ def test_e_h_duality():
         for lam in partitions(n):
             sign = (-1) ** (n - len(lam))
             assert p_coefficients(e)[lam] == p_coefficients(h)[lam] * sign
-
-
-def test_scale_substitution():
-    # p_k under X -> X (1 - z)/(1 - q) picks up (1 - z^k)/(1 - q^k): the
-    # p_2 term -p_2/2 of e_2, times 1 - q^2 and z_(2) = 2, is -(1 - z^2)
-    assert scaled_e_row((2,)) == [-1, 0, 1]
-    # every z-coefficient of (1 - z)^3
-    assert scaled_e_row((1, 1, 1)) == [1, -3, 3, -1]
 
 
 def test_shift_substitution():
@@ -175,18 +168,81 @@ def test_json_form():
     assert f.json() == '{"2,1":"(1)","3":"(2)"}'
 
 
-def test_e_nk_refuses_a_non_unit_leading_coefficient(monkeypatch):
-    # back-substitution inverts the leading z coefficient in integers
-    real = symfunc.zq_poch_coefficients
+def pochhammer(a, k):
+    """(a; q)_k = prod_(i<k) (1 - a q^i)."""
+    return prod((ONE - a * QTPoly.q(i) for i in range(k)), start=ONE)
 
-    def doubled(k):
-        out = real(k)
-        out[k] = out[k] * 2
-        return out
 
-    monkeypatch.setattr(symfunc, "zq_poch_coefficients", doubled)
-    with pytest.raises(RuntimeError, match="is not a unit"):
-        e_nk(2)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_e_nk_satisfies_its_defining_identity(n):
+    """e_n[X (1-z)/(1-q)] = sum_k ((z;q)_k/(q;q)_k) E_{n,k}, paired with
+    each p_lambda and cleared by (q;q)_n prod_i (1 - q^lambda_i), with z
+    carried as t:
+
+        sum_k (z;q)_k (q^(k+1);q)_(n-k) prod_i (1 - q^lambda_i) x_k
+            = eps_lambda (q;q)_n prod_i (1 - z^lambda_i)
+
+    for x_k = <E_{n,k}, p_lambda>."""
+    z = QTPoly.monomial(0, 1)
+    pairings = [dict(piece.items()) for piece in e_nk(n)]
+    for lam in partitions(n):
+        cleared = prod((ONE - QTPoly.q(part) for part in lam), start=ONE)
+        lhs = QTPoly.zero()
+        for k, x in enumerate(pairings, start=1):
+            lhs = lhs + (pochhammer(z, k) * pochhammer(QTPoly.q(k + 1), n - k)
+                         * cleared * x.get(lam, 0))
+        rhs = prod((ONE - QTPoly.monomial(0, part) for part in lam),
+                   start=pochhammer(QTPoly.q(1), n) * (-1) ** (n - len(lam)))
+        assert lhs == rhs, lam
+
+
+# sha256 of `table enk --n N` for N = 1..7, recorded while e_nk still
+# back-substituted a triangular system in z.
+TABLE_ENK_DIGESTS = {
+    1: "61adf353e98183c51be7d27e24b40f227ccc8fc365be5c239ee628219fbab1c5",
+    2: "156dcf7e8592ca9c71ec1c21321db1f123e6d16d7cb48107fb54c9ef070a029d",
+    3: "fec0e998baa57541d442d6795049993d53df42200293b99312ab530ab8485ca6",
+    4: "e8b3cb5955c05a3374658cc335e7b672956e74b3088986411bca9f2387247651",
+    5: "b31aacf2aaf0cbb84d273f85be01d562329e2a484b56820e1d323d6ec90de185",
+    6: "5f4f095a85e2bf9e137909cdefd35e122393dde3f921d88856438cc543fc1da7",
+    7: "235f5651cae0ecfd9444a994359f9dd8e68ddea498c09af5385b638eeb10cd05",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_ENK_DIGESTS))
+def test_table_enk_keeps_its_bytes(capsys, n):
+    assert cli.main(["table", "enk", "--n", str(n)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == TABLE_ENK_DIGESTS[n]
+
+
+# (text of e_nk, its planted replacement, the first n it breaks).
+ENK_FAULTS = {
+    "sign-of-A_2": ("(-1) ** (n + j)", "(-1) ** (n + j + (j == 2))", 2),
+    "shift-q^k": ("shift = QTPoly.q(k - 1)", "shift = QTPoly.q(k)", 1),
+    "final-q^(k-1)": ("b[0] * QTPoly.q(k)", "b[0] * QTPoly.q(k - 1)", 1),
+    "[j]_(q^2)-short": ("for i in range(j)", "for i in range(j - (m == 2))",
+                        2),
+}
+
+
+@pytest.mark.parametrize("check_id",
+                         ["thm-hmz", "thm-enk-sum", "thm-pn-identity"])
+@pytest.mark.parametrize("fault", sorted(ENK_FAULTS))
+def test_planted_e_nk_fault_fails_each_check(capsys, monkeypatch, fault,
+                                             check_id):
+    """e_nk with one line of its closed form mistyped, compiled in
+    symfunc's namespace, fails every check that reads E_{n,k} at its
+    default scope, first at the smallest n the mistake reaches."""
+    old, new, first = ENK_FAULTS[fault]
+    source = inspect.getsource(symfunc.e_nk)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(symfunc), namespace)
+    for module in (symfunc, checks):
+        monkeypatch.setattr(module, "e_nk", namespace["e_nk"])
+    assert cli.main(["check", check_id]) == 1
+    assert json.loads(capsys.readouterr().out)["counterexample"]["n"] == first
 
 
 def test_pexpansion_stores_pairings_and_prints_coefficients():
@@ -212,15 +268,6 @@ def test_c_composition_digest_to_n7():
                            c_composition(alpha).json() + "\n").encode())
     assert digest.hexdigest() == (
         "1897bf32c40bc90c68b080901943a8ad28f35c09006a6fe4253f043959185cfc")
-
-
-def test_zq_poch_coefficients():
-    # (z; q)_2 = 1 - (1 + q) z + q z^2
-    assert zq_poch_coefficients(2) == [ONE, -(ONE + QTPoly.q(1)), QTPoly.q(1)]
-    # the leading coefficient is the unit (-1)^k q^(k(k-1)/2)
-    for k in range(1, 7):
-        assert zq_poch_coefficients(k)[k] == QTPoly.monomial(
-            k * (k - 1) // 2, 0, (-1) ** k)
 
 
 def test_c_composition_golden():
@@ -284,34 +331,6 @@ def test_composition_sums_match_c_composition():
                 if len(alpha) == k:
                     total = total + c_composition(alpha)
             assert symfunc._c_sum(n, k) == total
-
-
-def test_e_nk_refuses_a_wrong_pochhammer(monkeypatch):
-    real = symfunc.zq_poch_coefficients
-
-    def planted(k0, j, change):
-        def coefficients(k):
-            out = real(k)
-            if k == k0:
-                out[j] = change(out[j])
-            return out
-        return coefficients
-
-    # y_1 (q;q)_1 of (3) stops being a multiple of 1 - q^3
-    monkeypatch.setattr(symfunc, "zq_poch_coefficients",
-                        planted(3, 1, lambda c: c + 1))
-    with pytest.raises(RuntimeError, match="in E_3,1 is not a polynomial"):
-        e_nk(3)
-    # every quotient stays exact, but z^0 no longer balances
-    monkeypatch.setattr(symfunc, "zq_poch_coefficients",
-                        planted(2, 1, lambda c: -c))
-    with pytest.raises(RuntimeError, match="constant term"):
-        e_nk(3)
-
-    monkeypatch.setattr(symfunc, "zq_poch_coefficients",
-                        planted(2, 2, lambda c: c + 1))
-    with pytest.raises(RuntimeError, match="not a monomial"):
-        e_nk(2)
 
 
 def test_c_op_refuses_a_group_off_its_factorial(monkeypatch):
