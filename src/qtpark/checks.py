@@ -156,9 +156,7 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
             raise ValueError(f"tau has {size} functions, over the budget "
                              f"of {TAU_ROW_BUDGET}")
     if "l" in row.reads and (tau is not None or l is not None):
-        # A tau has one run more than it has descents.
-        nruns = hi if tau is None else 1 + sum(
-            a > b for a, b in zip(tau, tau[1:]))
+        nruns = hi if tau is None else len(runs(tau))
         usable = range(row.first_l, nruns)
         if not usable or (l is not None and l not in usable):
             raise ValueError(f"no case in n range {lo}..{hi} can use "
@@ -167,7 +165,7 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         # A tau fixes the touch to its last run length, and deviation l
         # leaves at most n - l cars on the lowest diagonal.
         if given["touch"] not in (range(1, hi + 1 - (l or 0)) if tau is None
-                                  else [runs(tau).last_run_length]):
+                                  else [len(runs(tau)[-1])]):
             raise ValueError(f"no case of size {hi} with these filters has "
                              f"touch {given['touch']}")
     return lo, hi
@@ -177,8 +175,8 @@ def tau_functions(tau: Tuple[int, ...]) -> int:
     """The number of functions of diagword tau, sum over l of
     prod_c w^(l)(c): the closed form at q = t = 1, read only to scope a
     run."""
-    rd = runs(tau)
-    return sum(math.prod(schedule_l(rd, l).values()) for l in range(len(rd)))
+    return sum(math.prod(schedule_l(tau, l).values())
+               for l in range(len(runs(tau))))
 
 
 @dataclass(frozen=True)
@@ -200,7 +198,8 @@ class CheckSpec:
             raise ValueError(f"unknown check id {self.id!r}; "
                              f"known: {', '.join(sorted(REGISTRY))}")
         if self.tau is not None:
-            object.__setattr__(self, "tau", runs(self.tau).tau)
+            object.__setattr__(self, "tau",
+                               kernels.require_perm(self.tau, len(self.tau)))
         lo, hi = SCOPES[self.id].default
         lo, hi = scope(self.id, (lo if self.n_lo is None else self.n_lo,
                                  hi if self.n_hi is None else self.n_hi),
@@ -346,8 +345,8 @@ def _run_withides(spec: CheckSpec) -> Outcome:
     # Each block of taus is decided at once in integer counts.  The sides
     # A [k]_q and B [n]_q are summed once per n, for the failing tau, to
     # report it, or for the last tau (n..1 when all are walked); either
-    # way they must confirm its integer verdict, and the scalar run
-    # decomposition its k.
+    # way they must confirm its integer verdict, and the last of its
+    # scalar runs its k.
     examined = 0
     for n in _sizes(spec):
         table = aggregate.qsym_by_diagword(n, threads=spec.threads,
@@ -360,10 +359,10 @@ def _run_withides(spec: CheckSpec) -> Outcome:
             examined += len(block)
         r = int(bad[0]) if len(bad) else len(block) - 1
         tau, k = tuple(block[r].tolist()), int(ks[r])
-        if runs(tau).last_run_length != k:
+        last = len(runs(tau)[-1])
+        if last != k:
             raise RuntimeError(f"n = {n}, tau = {tau}: the last run has "
-                               f"length {runs(tau).last_run_length}, the "
-                               f"batch gave {k}")
+                               f"length {last}, the batch gave {k}")
         diff = first_difference(n, (
             [(qsym_for_diagword(table, tau), (1,) * k)],
             [(qsym_for_diagword(table, tau, deviation=0), (1,) * n)]))

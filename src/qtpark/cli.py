@@ -20,8 +20,9 @@ import numpy as np
 from . import aggregate
 from .checks import REGISTRY, SCOPES, CheckSpec, closed_form_report
 from .checks import run_check, scope
+from .kernels import require_perm
 from .paths import PrefFunc, StatBlock, json_blocks, json_line
-from .schedules import ScheduleCounts, runs, schedule_counts
+from .schedules import ScheduleCounts, schedule_counts
 from .schedules import schedule_l_rows, tau_blocks
 from .symfunc import e_nk
 
@@ -36,6 +37,11 @@ def _parse_vector(text: str) -> Tuple[int, ...]:
     except ValueError:
         raise ValueError(f"not a vector of integers: {text!r}")
     return values
+
+
+def _parse_tau(text: str) -> Tuple[int, ...]:
+    tau = _parse_vector(text)
+    return require_perm(tau, len(tau))
 
 
 def _fmt_perm(tau: Sequence[int]) -> str:
@@ -64,8 +70,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.n
-    tau = (None if args.diagword is None
-           else runs(_parse_vector(args.diagword)).tau)
+    tau = None if args.diagword is None else _parse_tau(args.diagword)
     scope("enumerate", (n, n), allow_large=args.allow_large, tau=tau,
           l=args.deviation, touch=args.touch)
 
@@ -130,7 +135,7 @@ def _schedule_rows(n: int, tau: Optional[Tuple[int, ...]]
 
 def cmd_table(args: argparse.Namespace) -> int:
     # Refused before the header goes out: the rows below are generators.
-    tau = None if args.tau is None else runs(_parse_vector(args.tau)).tau
+    tau = None if args.tau is None else _parse_tau(args.tau)
     n, _ = scope(f"table {args.kind}",
                  None if args.n is None else (args.n, args.n), tau=tau)
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -80,9 +80,6 @@ class QTPoly:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     # -- arithmetic ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

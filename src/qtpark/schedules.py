@@ -1,8 +1,10 @@
 """Run structure of diagonal words, schedule numbers, and closed forms.
 
-A permutation tau splits into maximal increasing runs.  Reading the run
-lengths from the right gives rho_0 (last run), rho_1, and so on; the
-number of runs bounds the admissible deviations.
+A permutation tau splits into maximal increasing runs; runs(tau) gives
+them as a tuple of tuples, leftmost first.  Reading the run lengths from
+the right gives rho_0 (last run), rho_1, and so on: rho_j is
+len(runs(tau)[-1 - j]).  The number of runs bounds the admissible
+deviations.
 
 The 0-schedule lists a weight for each car in right-to-left insertion
 order: w_i = i while i stays within the last run, and afterwards the
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import prod
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -55,41 +57,9 @@ from .kernels import require_perm
 from .paths import PrefFunc, stats
 from .qt import QTPoly, q_int_product, q_poly
 
-Perm = Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Maximal increasing runs of a permutation, leftmost run first.
-
-    rho_from_last(j) is the length of the j-th run from the right end,
-    matching the rho_j notation of the closed forms.
-    """
-
-    tau: Perm
-    runs: Tuple[Tuple[int, ...], ...]
-
-    def rho_from_last(self, j: int) -> int:
-        if not 0 <= j < len(self.runs):
-            raise ValueError(f"run index {j} out of range")
-        return len(self.runs[-1 - j])
-
-    @property
-    def last_run_length(self) -> int:
-        return len(self.runs[-1])
-
-    def run_index(self, car: int) -> int:
-        """0-based index, from the left, of the run containing car."""
-        for i, run in enumerate(self.runs):
-            if car in run:
-                return i
-        raise ValueError(f"car {car} not in permutation {self.tau}")
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-
-def runs(tau: Sequence[int]) -> RunDecomposition:
+def runs(tau: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    """The maximal increasing runs of the permutation tau, leftmost run
+    first; tau is their concatenation."""
     t = require_perm(tau, len(tau))
     blocks: List[List[int]] = [[t[0]]]
     for v in t[1:]:
@@ -97,15 +67,7 @@ def runs(tau: Sequence[int]) -> RunDecomposition:
             blocks[-1].append(v)
         else:
             blocks.append([v])
-    return RunDecomposition(t, tuple(tuple(b) for b in blocks))
-
-
-Decomposable = Union[Sequence[int], RunDecomposition]
-
-
-def _decomposed(tau: Decomposable) -> RunDecomposition:
-    """The run decomposition of tau; one made before is used as it is."""
-    return tau if isinstance(tau, RunDecomposition) else runs(tau)
+    return tuple(tuple(b) for b in blocks)
 
 
 def maj(tau: Sequence[int]) -> int:
@@ -121,51 +83,41 @@ def ides(pi: Sequence[int]) -> frozenset:
     return frozenset(i for i in range(1, len(t)) if pos[i + 1] < pos[i])
 
 
-def require_deviation(rd: RunDecomposition, l: int) -> None:
-    """Refuse a deviation l that the runs of rd.tau cannot carry."""
-    if not 0 <= l < len(rd.runs):
+def require_deviation(rs: Tuple[Tuple[int, ...], ...], l: int) -> None:
+    """Refuse a deviation l that the runs rs of a tau cannot carry."""
+    if not 0 <= l < len(rs):
         raise ValueError(f"deviation {l} needs at least {l + 1} runs; "
-                         f"{rd.tau} has {len(rd.runs)}")
+                         f"{tuple(chain.from_iterable(rs))} has {len(rs)}")
 
 
-def schedule0(tau: Decomposable) -> Tuple[int, ...]:
-    """(w_1, ..., w_n) with w_i the weight of car tau_{n+1-i}.  tau may
-    be given as its RunDecomposition."""
-    rd = _decomposed(tau)
-    t = rd.tau
-    n = len(t)
-    k = rd.last_run_length
-    w: List[int] = []
-    for i in range(1, n + 1):
-        if i <= k:
-            w.append(i)
-            continue
-        c = t[n - i]
-        ri = rd.run_index(c)
-        own = rd.runs[ri]
-        nxt = rd.runs[ri + 1]
-        w.append(sum(1 for y in own if y > c) + sum(1 for y in nxt if y < c))
+def schedule0(tau: Sequence[int]) -> Tuple[int, ...]:
+    """(w_1, ..., w_n) with w_i the weight of car tau_{n+1-i}."""
+    rs = runs(tau)
+    w = list(range(1, len(rs[-1]) + 1))
+    # The runs right to left from the second last, each with the next.
+    for own, nxt in zip(rs[-2::-1], rs[:0:-1]):
+        for c in reversed(own):
+            w.append(sum(1 for y in own if y > c)
+                     + sum(1 for y in nxt if y < c))
     return tuple(w)
 
 
-def schedule_l(tau: Decomposable, l: int) -> Dict[int, int]:
-    """Mapping car -> w^(l)(car); needs at least l+1 runs.  tau may be
-    given as its RunDecomposition."""
-    rd = _decomposed(tau)
-    require_deviation(rd, l)
-    nruns = len(rd.runs)
+def schedule_l(tau: Sequence[int], l: int) -> Dict[int, int]:
+    """Mapping car -> w^(l)(car); needs at least l+1 runs."""
+    rs = runs(tau)
+    require_deviation(rs, l)
     w: Dict[int, int] = {}
-    for ri, run in enumerate(rd.runs):
-        from_last = nruns - 1 - ri
+    for ri, run in enumerate(rs):
+        from_last = len(rs) - 1 - ri
         for p, c in enumerate(run):
             if from_last < l:
-                prev = rd.runs[ri - 1]
+                prev = rs[ri - 1]
                 w[c] = (sum(1 for y in run if y < c)
                         + sum(1 for y in prev if y > c))
             elif from_last == l:
                 w[c] = len(run) - p
             else:
-                nxt = rd.runs[ri + 1]
+                nxt = rs[ri + 1]
                 w[c] = (sum(1 for y in run if y > c)
                         + sum(1 for y in nxt if y < c))
     return w
@@ -175,34 +127,31 @@ def pf_closed_form(tau: Sequence[int]) -> QTPoly:
     """t^maj(tau) prod [w_i]_q: the (area, dinv) sum over parking
     functions with diagonal word tau.  This is Haglund and Loehr's form of
     pref_closed_form(tau, 0), kept as a reference for it."""
-    rd = runs(tau)
-    return q_poly(q_int_product(tuple(sorted(schedule0(rd)))), 0,
-                  maj(rd.tau))
+    return q_poly(q_int_product(tuple(sorted(schedule0(tau)))), 0, maj(tau))
 
 
 def pref_closed_form(tau: Sequence[int], l: int) -> QTPoly:
     """t^maj q^(rho_0+...+rho_{l-1}) prod_c [w^(l)(c)]_q: the sum over
     preference functions with diagonal word tau and deviation l."""
-    rd = runs(tau)
-    w = schedule_l(rd, l)
-    shift = sum(rd.rho_from_last(j) for j in range(l))
-    return q_poly(q_int_product(tuple(sorted(w.values()))), shift,
-                  maj(rd.tau))
+    w = schedule_l(tau, l)
+    rs = runs(tau)
+    return q_poly(q_int_product(tuple(sorted(w.values()))),
+                  sum(map(len, rs[len(rs) - l:])), maj(tau))
 
 
 def shift_multiset(tau: Sequence[int], l: int) -> bool:
     """Whether {w^(l)(c)} equals {w_i} with one rho_0 swapped for rho_l."""
-    rd = runs(tau)
-    r = len(rd.runs) - 1
+    rs = runs(tau)
+    r = len(rs) - 1
     if not 1 <= l <= r:
         raise ValueError(f"l must lie in 1..{r}, got {l}")
-    predicted = Counter(schedule0(rd))
-    predicted[rd.rho_from_last(l)] += 1
-    rho0 = rd.rho_from_last(0)
+    predicted = Counter(schedule0(tau))
+    predicted[len(rs[-1 - l])] += 1
+    rho0 = len(rs[-1])
     if predicted[rho0] == 0:
         return False
     predicted[rho0] -= 1
-    return +predicted == Counter(schedule_l(rd, l).values())
+    return +predicted == Counter(schedule_l(tau, l).values())
 
 
 def permutation_blocks(n: int) -> Iterator[np.ndarray]:
@@ -363,11 +312,10 @@ def insertion_order(tau: Sequence[int], l: int = 0) -> Tuple[int, ...]:
 
     At l = 0 this is just tau read backwards.
     """
-    rd = runs(tau)
-    require_deviation(rd, l)
-    nruns = len(rd.runs)
-    head = [c for run in rd.runs[:nruns - l] for c in run][::-1]
-    tail = [c for run in rd.runs[nruns - l:] for c in run]
+    rs = runs(tau)
+    require_deviation(rs, l)
+    head = [c for run in rs[:len(rs) - l] for c in run][::-1]
+    tail = [c for run in rs[len(rs) - l:] for c in run]
     return tuple(head + tail)
 
 
@@ -399,22 +347,23 @@ def generate(tau: Sequence[int],
     area (= maj tau) and dinv (= increments + cars below the main
     diagonal) must agree with the tree bookkeeping.
     """
-    rd = runs(tau)
-    nruns = len(rd.runs)
-    n = len(rd.tau)
-    weights = schedule_l(rd, l)
-    maj_tau = maj(rd.tau)
-    baseline = sum(rd.rho_from_last(j) for j in range(l))
+    tau = require_perm(tau, len(tau))
+    rs = runs(tau)
+    nruns = len(rs)
+    n = len(tau)
+    weights = schedule_l(tau, l)
+    maj_tau = maj(tau)
+    baseline = sum(map(len, rs[nruns - l:]))  # the cars of the last l runs
 
     run_of: Dict[int, int] = {}
     diag_of: Dict[int, int] = {}
-    for ri, run in enumerate(rd.runs):
+    for ri, run in enumerate(rs):
         for c in run:
             run_of[c] = ri
             diag_of[c] = (nruns - 1 - ri) - l
 
-    order = list(insertion_order(rd.tau, l))
-    n_first = n - sum(len(r) for r in rd.runs[nruns - l:])
+    order = insertion_order(tau, l)
+    n_first = n - baseline
 
     def column(word: Sequence[int], p: int) -> int:
         return p + 1 - diag_of[word[p]]
@@ -450,7 +399,7 @@ def generate(tau: Sequence[int],
                 f[c - 1] = column(word, p)
             pf = PrefFunc(tuple(f))
             rec = stats(pf)
-            _require(rec.diagword == rd.tau and rec.deviation == l, pf)
+            _require(rec.diagword == tau and rec.deviation == l, pf)
             _require(rec.area == maj_tau, pf)
             _require(rec.dinv == baseline + sum(trace), pf, trace)
             out.append((pf, tuple(trace)))
@@ -466,12 +415,12 @@ def generate(tau: Sequence[int],
                     if run_of[y] == ri:
                         slots.append(j + 1)
             else:
-                nxt = rd.runs[ri + 1]
+                nxt = rs[ri + 1]
                 for j, y in enumerate(word):
                     if run_of[y] == ri or (y in nxt and y < c):
                         slots.append(j + 1)
         else:
-            prev = rd.runs[ri - 1]
+            prev = rs[ri - 1]
             for j, y in enumerate(word):
                 if run_of[y] == ri or (y in prev and y > c):
                     slots.append(j)
@@ -491,7 +440,7 @@ def generate(tau: Sequence[int],
             trace.pop()
 
     expand(0, [], [], 0)
-    _require(len(out) == prod(weights.values()), rd.tau, l)
-    _require(len({pf.f for pf, _ in out}) == len(out), rd.tau, l)
+    _require(len(out) == prod(weights.values()), tau, l)
+    _require(len({pf.f for pf, _ in out}) == len(out), tau, l)
     out.sort(key=lambda item: item[0].f)
     return out

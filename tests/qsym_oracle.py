@@ -122,7 +122,7 @@ def total(table, n: int) -> QSymF:
 def withides_sides(table, tau: Sequence[int]) -> Tuple[QSymF, QSymF]:
     """A [k]_q and B [n]_q, where B is the deviation-0 part of A and k is
     tau's last run length."""
-    return (for_diagword(table, tau) * q_int(runs(tau).last_run_length),
+    return (for_diagword(table, tau) * q_int(len(runs(tau)[-1])),
             for_diagword(table, tau, deviation=0) * q_int(len(tau)))
 
 

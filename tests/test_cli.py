@@ -167,7 +167,7 @@ def test_table_schedules_matches_scalar_references(capsys, case):
         orders = (schedules.insertion_order(t, l), range(1, len(t) + 1), t)
         assert row == [
             cli._fmt_perm(t), str(l), str(schedules.maj(t)),
-            " ".join(str(len(run)) for run in schedules.runs(t).runs),
+            " ".join(str(len(run)) for run in schedules.runs(t)),
             *(" ".join(str(w[c]) for c in order) for order in orders)]
 
 
@@ -825,7 +825,7 @@ def withides_verdicts(table, n):
     """withides_failures over all taus of size n as one block, with the
     scalar k of each."""
     taus = np.array(list(permutations(range(1, n + 1))), dtype=np.int8)
-    ks = np.array([schedules.runs(t).last_run_length for t in taus.tolist()])
+    ks = np.array([len(schedules.runs(t)[-1]) for t in taus.tolist()])
     return withides_failures(table, taus, ks).tolist()
 
 
@@ -837,7 +837,7 @@ def test_withides_residue_agrees_with_qsym_sides(secondary_off_by_one, n):
     table = aggregate.qsym_by_diagword(n)
     differ = withides_sides_differ(table, n)
     alone = [bool(withides_failures(table, np.array([tau]), np.array(
-        [schedules.runs(tau).last_run_length]))[0])
+        [len(schedules.runs(tau)[-1])]))[0])
         for tau in permutations(range(1, n + 1))]
     assert alone == differ
     assert withides_verdicts(table, n) == differ
@@ -911,7 +911,7 @@ def test_withides_refuses_a_batch_k_the_runs_do_not_give(monkeypatch, spec,
     monkeypatch.setattr(checks, "schedule_counts", last_car_moved)
     monkeypatch.setattr(checks, "withides_failures",
                         lambda table, taus, ks: np.zeros(len(taus), bool))
-    k = schedules.runs(tau).last_run_length
+    k = len(schedules.runs(tau)[-1])
     with pytest.raises(RuntimeError, match=rf"tau = {re.escape(str(tau))}: "
                                            rf"the last run has length {k}, "
                                            rf"the batch gave {k - 1}"):
@@ -934,7 +934,7 @@ def test_withides_refuses_a_batch_k_at_the_failing_tau(monkeypatch):
                         lambda table, taus, ks: np.arange(len(taus))
                         == len(taus) - 1)
     tau = tuple(next(schedules.tau_blocks(3, None))[-1].tolist())
-    k = schedules.runs(tau).last_run_length
+    k = len(schedules.runs(tau)[-1])
     with pytest.raises(RuntimeError, match=rf"tau = {re.escape(str(tau))}: "
                                            rf"the last run has length {k}, "
                                            rf"the batch gave {k - 1}"):

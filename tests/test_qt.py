@@ -30,7 +30,7 @@ def evaluate(p, qv, tv):
 def test_construction_drops_zero_terms():
     p = QTPoly({(1, 0): 0, (0, 1): 2})
     assert p == qt(0, 1, 2)
-    assert len(p) == 1
+    assert len(list(p.terms())) == 1
 
 
 def test_zero_one_identities():
@@ -108,11 +108,11 @@ def test_exponents_must_be_integers():
 def test_product_drops_cancelled_terms():
     p = (ONE - QTPoly.q()) * (ONE + QTPoly.q())
     assert p == ONE - QTPoly.q(2)
-    assert len(p) == 2
+    assert len(list(p.terms())) == 2
     two = QTPoly.const(2)
     p = (two - QTPoly.q()) * (two + QTPoly.q())
     assert p == QTPoly.const(4) - QTPoly.q(2)
-    assert len(p) == 2
+    assert len(list(p.terms())) == 2
 
 
 def test_q_analogs():

@@ -304,7 +304,7 @@ def test_first_difference_is_the_qsym_report(n):
         code = int(table.columns[0][row])
         tau = next(t for t in permutations(range(1, n + 1))
                    if kernels.encode_perm(t, n) == code)
-        k = runs(tau).last_run_length
+        k = len(runs(tau)[-1])
         for delta in (1, -2):
             faulty = with_count(table, row, delta)
             assert_report_is_the_oracles(n, (

@@ -33,13 +33,11 @@ def brute_poly(n, tau, l):
 
 
 def test_run_decomposition():
-    rd = runs((3, 7, 1, 5, 8, 2, 6, 4))
-    assert rd.runs == ((3, 7), (1, 5, 8), (2, 6), (4,))
-    assert tuple(map(len, rd.runs)) == (2, 3, 2, 1)
-    assert rd.last_run_length == 1
-    assert rd.rho_from_last(0) == 1
-    assert rd.rho_from_last(2) == 3
-    assert rd.run_index(8) == 1
+    tau = (3, 7, 1, 5, 8, 2, 6, 4)
+    rs = runs(tau)
+    assert rs == ((3, 7), (1, 5, 8), (2, 6), (4,))
+    assert sum(rs, ()) == tau
+    assert runs([2, 1]) == ((2,), (1,))
 
 
 def test_perm_validation():
@@ -110,7 +108,7 @@ def test_insertion_order():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_forms_equal_brute_force(n):
     for tau in permutations(range(1, n + 1)):
-        nruns = len(runs(tau).runs)
+        nruns = len(runs(tau))
         for l in range(nruns):
             assert pref_closed_form(tau, l) == brute_poly(n, tau, l), (tau, l)
         assert pf_closed_form(tau) == brute_poly(n, tau, 0), tau
@@ -139,7 +137,7 @@ def test_figure_leaf_counts_and_polynomials():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_generate_equals_brute_filter(n):
     for tau in permutations(range(1, n + 1)):
-        nruns = len(runs(tau).runs)
+        nruns = len(runs(tau))
         for l in range(nruns):
             got = sorted(pf.f for pf, _ in generate(tau, l))
             want = sorted(p.f for p in enumerate_all(n)
@@ -162,7 +160,7 @@ def test_generate_bounds():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_shift_multiset_exhaustive(n):
     for tau in permutations(range(1, n + 1)):
-        r = len(runs(tau).runs) - 1
+        r = len(runs(tau)) - 1
         for l in range(1, r + 1):
             assert shift_multiset(tau, l), (tau, l)
 
@@ -199,17 +197,17 @@ def test_schedule_counts_match_definitions(n):
     perms = permutation_rows(n)
     sc = schedule_counts(perms)
     for r, tau in enumerate(map(tuple, perms.tolist())):
-        rd = runs(tau)
-        for p, c in enumerate(tau):
-            ri = rd.run_index(c)
-            own = rd.runs[ri]
-            nxt = rd.runs[ri + 1] if ri + 1 < len(rd) else ()
-            prev = rd.runs[ri - 1] if ri else ()
-            assert sc.from_last[r, p] == len(rd) - 1 - ri
-            assert sc.own_larger[r, p] == sum(y > c for y in own)
-            assert sc.own_smaller[r, p] == sum(y < c for y in own)
-            assert sc.next_smaller[r, p] == sum(y < c for y in nxt)
-            assert sc.prev_larger[r, p] == sum(y > c for y in prev)
+        rs = runs(tau)
+        for ri, own in enumerate(rs):
+            nxt = rs[ri + 1] if ri + 1 < len(rs) else ()
+            prev = rs[ri - 1] if ri else ()
+            for c in own:
+                p = tau.index(c)
+                assert sc.from_last[r, p] == len(rs) - 1 - ri
+                assert sc.own_larger[r, p] == sum(y > c for y in own)
+                assert sc.own_smaller[r, p] == sum(y < c for y in own)
+                assert sc.next_smaller[r, p] == sum(y < c for y in nxt)
+                assert sc.prev_larger[r, p] == sum(y > c for y in prev)
 
 
 def assert_batch_weights_match_scalar(perms, closed_forms=True):
