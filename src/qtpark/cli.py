@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import aggregate
+from . import aggregate, kernels
 from .checks import REGISTRY, SCOPES, CheckSpec, closed_form_report
 from .checks import run_check, scope
 from .kernels import require_perm
@@ -77,9 +77,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     def keep(b: StatBlock) -> np.ndarray:
         mask = np.ones(len(b.index), dtype=bool)
         if args.deviation is not None:
-            mask &= b.deviation == args.deviation
+            mask &= b.records[kernels.DEV] == args.deviation
         if args.touch is not None:
-            mask &= b.touch == args.touch
+            mask &= b.records[kernels.TOUCH] == args.touch
         return mask
 
     out = sys.stdout

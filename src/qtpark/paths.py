@@ -9,9 +9,9 @@ bottom, each car in the lowest still-empty row.  Rows are therefore filled
 in order 1..n, and the cars of one column occupy consecutive rows with
 labels increasing upward.
 
-The diagonal of a car in column c and row r is r - c.  Parking functions
-are exactly the preference functions in which no car falls below the main
-diagonal.  Statistics computed by ``stats``:
+The diagonal of a car in column c and row r is r - c (``place``).
+Parking functions are exactly the preference functions in which no car
+falls below the main diagonal.  Statistics computed by ``stats``:
 
 * deviation: how far below the main diagonal the drawing reaches,
   ``-min(diagonal)``.
@@ -33,17 +33,17 @@ diagonal.  Statistics computed by ``stats``:
   gaps between the points where the path returns to the main diagonal.
 
 ``stats`` and ``json_line`` work on one function.  ``qtpark enumerate``
-instead streams ``json_blocks``: ``stat_block`` gives the same
-statistics for ``BLOCK`` consecutive functions at once as numpy columns,
-reading all but word, comp and the dinv parts from ``kernels.stat_rows``,
-and ``json_block`` formats the selected rows
-with one % template, looking up the text of f, word, diagword, ides and
-comp by integer code.  Given one diagword, ``diagword_block`` reads
-only its functions, built from their row orders
-(``kernels.diagword_blocks``) and sorted by index, so the lines come in
-the order of the full enumeration.  The first function of every
-non-empty block is also run through ``json_line``, and any difference
-raises RuntimeError.
+instead streams ``json_blocks``, one ``StatBlock`` at a time: ``BLOCK``
+consecutive functions (``stat_block``), or the functions of one diagword,
+built from their row orders (``kernels.diagword_blocks``) and sorted by
+index, so the lines come in the order of the full enumeration
+(``diagword_block``).  A block keeps the ``kernels.stat_rows`` records,
+under the kernel's names, and numpy columns for f, word, the primary and
+tertiary dinv parts and comp.  ``json_block`` formats the rows a mask
+selects with one % template, looking up the text of f, word, diagword,
+ides and comp by integer code.  The first function of every non-empty
+block is also run through ``json_line``, and any difference raises
+RuntimeError.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ class PrefFunc:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Columns, rows, and diagonals indexed by car (entry i is car i+1)."""
-
-    col: Tuple[int, ...]
-    row: Tuple[int, ...]
-    diag: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class StatRecord:
     """All statistics of one preference function."""
 
@@ -122,23 +113,20 @@ class StatRecord:
         return (self.primary, self.secondary, self.tertiary)
 
 
-def place(p: PrefFunc) -> Placement:
-    """Draw p in the grid: rows 1..n assigned in (column, label) order."""
-    n = p.n
-    order = sorted(range(n), key=lambda c: (p.f[c], c))
-    row = [0] * n
+def place(p: PrefFunc) -> Tuple[int, ...]:
+    """The diagonal row - column of each car (entry i is car i+1) when p
+    is drawn in the grid, rows 1..n assigned in (column, label) order."""
+    order = sorted(range(p.n), key=lambda c: (p.f[c], c))
+    diag = [0] * p.n
     for r, c in enumerate(order, start=1):
-        row[c] = r
-    col = list(p.f)
-    diag = [row[c] - col[c] for c in range(n)]
-    return Placement(col=tuple(col), row=tuple(row), diag=tuple(diag))
+        diag[c] = r - p.f[c]
+    return tuple(diag)
 
 
 def stats(p: PrefFunc) -> StatRecord:
     """Compute every statistic of p from its placement."""
     n = p.n
-    pl = place(p)
-    col, diag = pl.col, pl.diag
+    col, diag = p.f, place(p)
 
     dev = -min(diag)
     area = sum(diag) + n * dev
@@ -262,22 +250,18 @@ BLOCK = 2048
 
 class StatBlock(NamedTuple):
     """The statistics of the functions with indices [start, stop), ranked
-    as in ``kernels.grid_block``, or of those of one diagword, as numpy
-    columns: entry r of each column belongs to index index[r].  area,
-    ides, diagword, deviation and touch are fields of the
-    ``kernels.stat_rows`` records."""
+    as in ``kernels.grid_block``, or of those of one diagword: entry r of
+    each column belongs to index index[r].  area, dinv, ides, diagword,
+    deviation and touch are only in ``records``, under their ``kernels``
+    names AREA, DINV, IDES, DWORD, DEV and TOUCH; secondary is DINV -
+    primary - tertiary."""
 
     f: np.ndarray          # (n, rows) int8; f[c] holds f(c + 1)
     index: np.ndarray
-    area: np.ndarray
+    records: np.ndarray    # the kernels.stat_rows records (kernels.STAT)
     primary: np.ndarray
-    secondary: np.ndarray  # the kernel's dinv - primary - tertiary
     tertiary: np.ndarray
     word: np.ndarray       # base-n code of word, as kernels.DWORD codes
-    ides: np.ndarray       # kernels.IDES: bit i - 1 set for each i in ides
-    diagword: np.ndarray   # kernels.DWORD: base-n code of diagword
-    deviation: np.ndarray
-    touch: np.ndarray
     main: np.ndarray       # bit c - 1 set for each main-diagonal column c
                            # of a parking function; 0 when deviation > 0
 
@@ -292,19 +276,18 @@ def stat_block(n: int, start: int, stop: int) -> StatBlock:
 def diagword_block(n: int, tau: Sequence[int]) -> StatBlock:
     """Every statistic of ``stats`` for the functions of diagword tau, in
     index order, from ``kernels.diagword_blocks``."""
-    _, F, diag, cols = zip(*kernels.diagword_blocks(n, tau))
-    F, diag, cols = np.hstack(F), np.hstack(diag), np.concatenate(cols)
+    _, F, diag, records = zip(*kernels.diagword_blocks(n, tau))
+    F, diag, records = np.hstack(F), np.hstack(diag), np.concatenate(records)
     index = np.ravel_multi_index(F - 1, (n,) * n)
     order = np.argsort(index)
     return _stat_block(F[:, order], diag[:, order], index[order],
-                       cols[order])
+                       records[order])
 
 
 def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
-                cols: np.ndarray) -> StatBlock:
+                records: np.ndarray) -> StatBlock:
     """The ``StatBlock`` of the functions with preferences F, diagonals
-    diag and ``kernels.stat_rows`` records cols, entry r at index
-    index[r]."""
+    diag and ``kernels.stat_rows`` records, entry r at index index[r]."""
     n, nrows = F.shape
 
     # wpos[c] is the place of car c + 1 in word (ties by column, right to
@@ -332,13 +315,13 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
     for c in range(n):
         word += np.take(powers, wpos[c]) * c
         main |= (diag[c] == 0).astype(np.int32) << (F[c] - 1)
-    deviation = cols[kernels.DEV]
-    main[deviation > 0] = 0
+    main[records[kernels.DEV] > 0] = 0
 
     # The maximal increasing runs of diagword must be its diagonals: a
     # descent exactly where the diagonal changes.  by_place[i] + 1 is the
     # car at place i, digit i of the kernel's diagword code.
-    by_place = np.array(np.unravel_index(cols[kernels.DWORD], (n,) * n))
+    by_place = np.array(np.unravel_index(records[kernels.DWORD],
+                                         (n,) * n))
     diag_by_place = np.take_along_axis(diag, by_place, axis=0)
     bad = np.flatnonzero(((by_place[1:] < by_place[:-1])
                           != (diag_by_place[1:] != diag_by_place[:-1])
@@ -351,15 +334,10 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
     return StatBlock(
         f=F,
         index=index,
-        area=cols[kernels.AREA],
+        records=records,
         primary=primary,
-        secondary=cols[kernels.DINV] - primary - tertiary,
         tertiary=tertiary,
         word=word,
-        ides=cols[kernels.IDES],
-        diagword=cols[kernels.DWORD],
-        deviation=deviation,
-        touch=cols[kernels.TOUCH],
         main=main,
     )
 
@@ -415,32 +393,25 @@ def _lines(b: StatBlock, text: _Text, rows: np.ndarray) -> List[str]:
         high, low = np.divmod(codes[rows], text.low_size)
         return text.f_high[high], text.f_low[low]
 
-    primary, secondary, tertiary = (b.primary[rows], b.secondary[rows],
-                                    b.tertiary[rows])
-    deviation = b.deviation[rows]
+    rec = b.records[rows]
+    primary, tertiary = b.primary[rows], b.tertiary[rows]
+    dinv, deviation = rec[kernels.DINV], rec[kernels.DEV]
     columns = (
-        *digits(b.index), b.area[rows],
-        primary.astype(np.int64) + secondary + tertiary,
-        primary, secondary, tertiary, *digits(b.word),
-        text.ides[b.ides[rows]], *digits(b.diagword),
-        deviation, b.touch[rows], text.comp[b.main[rows]],
+        *digits(b.index), rec[kernels.AREA], dinv,
+        primary, dinv - primary - tertiary, tertiary, *digits(b.word),
+        text.ides[rec[kernels.IDES]], *digits(b.records[kernels.DWORD]),
+        deviation, rec[kernels.TOUCH], text.comp[b.main[rows]],
         np.where(deviation == 0, "true", "false"),
     )
     return list(map(text.template.__mod__,
                     zip(*(col.tolist() for col in columns))))
 
 
-def json_block(n: int, start: int, stop: int,
+def json_block(n: int, b: StatBlock,
                keep: Optional[Callable[[StatBlock], np.ndarray]] = None
                ) -> str:
-    """The ``json_line`` of every index in [start, stop) that ``keep`` (a
-    boolean mask over the block's rows) selects, one line each."""
-    return _json(n, stat_block(n, start, stop), keep)
-
-
-def _json(n: int, b: StatBlock,
-          keep: Optional[Callable[[StatBlock], np.ndarray]]) -> str:
-    """The lines of the rows of b that ``keep`` selects.
+    """The ``json_line`` of every row of b that ``keep`` (a boolean mask
+    over the block's rows) selects, one line each.
 
     The block's first function is also formatted by ``json_line`` itself,
     and any difference raises RuntimeError.
@@ -469,8 +440,9 @@ def json_blocks(n: int,
     alone (at most 40,320 at n = 8), in the same order, as one block
     (``diagword_block``)."""
     if tau is not None:
-        yield _json(n, diagword_block(n, tau), keep)
+        yield json_block(n, diagword_block(n, tau), keep)
         return
     total = n ** n
     for start in range(0, total, BLOCK):
-        yield json_block(n, start, min(start + BLOCK, total), keep)
+        yield json_block(n, stat_block(n, start, min(start + BLOCK, total)),
+                         keep)

@@ -662,12 +662,12 @@ def secondary_off_by_one_block(n):
     blk = kernels.stats_block(n, 0, n ** n)
     for i, p in enumerate(enumerate_all(n)):  # in the kernel's index order
         s = stats(p)
-        pl = place(p)
+        diag = place(p)
         sec = sum(
             1
             for a in range(n)
             for b in range(n)
-            if pl.diag[a] == pl.diag[b] - 1 and pl.col[a] > pl.col[b] + 1)
+            if diag[a] == diag[b] - 1 and p.f[a] > p.f[b] + 1)
         blk[kernels.DINV][i] = s.primary + sec + s.tertiary
     return blk
 
@@ -1239,6 +1239,46 @@ def test_stretch_scope_bytes(capsys, argv):
     data = out.encode()
     assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
         expected["exit"], expected["bytes"], expected["sha256"])
+
+
+@pytest.mark.parametrize("check", ["cor-withides", "main-square-paths"])
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_n7_checks_keep_their_bytes_at_any_worker_count(capsys, check,
+                                                        threads):
+    """At n = 7 a sweep is seven kernels.CHUNK blocks, so --threads 3
+    starts the worker pool and --threads 1 sweeps in the calling thread;
+    both print the --threads 2 bytes the benchmark records."""
+    expected = json.loads(EXPECTED.read_text())["commands"][
+        f"check {check} --n 7 --threads 2"]
+    code, out, _ = run(capsys, "check", check, "--n", "7",
+                       "--threads", threads)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (
+        expected["exit"], expected["bytes"], expected["sha256"])
+
+
+# sha256 of stdout, recorded while enumerate's filter still read
+# deviation and touch from columns of their own rather than from the
+# kernel's records.
+FILTERED_DIGESTS = {
+    "enumerate --n 6 --deviation 2":
+        "b7252caacfff2be81906e12b2ac67f2da925b1f51272486d5116afddb668aad5",
+    "enumerate --n 6 --touch 3":
+        "e57fe856e4c7ffe1ea8012213821425779133e8f288ad6d1a791322748488ae7",
+    "enumerate --n 6 --deviation 0 --touch 2":
+        "619f5abe531cf2823e50a10fe8de19ae206476acbd4d10796e75abc4a1b1f939",
+    "enumerate --n 5 --diagword 54321 --deviation 0":
+        "bc66118479673ab1ecc6f2a1c5d991022d8bfb41c5a8fce54618af6019acd906",
+    "stats 1,5,1,2,1":
+        "c952ed9503585f998d7de01c96db3ffba226ee954442742ff10f3d56c69861b3",
+}
+
+
+@pytest.mark.parametrize("argv", list(FILTERED_DIGESTS))
+def test_filtered_enumerate_bytes(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FILTERED_DIGESTS[argv]
 
 
 def test_mutation_free_run_passes(capsys):

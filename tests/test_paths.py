@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import qtpark
 from qtpark import kernels, paths
-from qtpark.paths import (BLOCK, Placement, PrefFunc, enumerate_all,
-                          json_line, place, record_dict, stats)
+from qtpark.paths import (BLOCK, PrefFunc, enumerate_all, json_line, place,
+                          record_dict, stats)
 
 
 def is_parking(p):
@@ -79,11 +79,12 @@ def test_pref_func_validation():
 
 def test_place_rows_partition_grid():
     p = vec(2, 1, 1, 4)
-    pl = place(p)
-    assert sorted(pl.row) == [1, 2, 3, 4]
-    assert pl.col == (2, 1, 1, 4)
+    # a car's row is its diagonal plus its column f
+    row = [d + c for d, c in zip(place(p), p.f)]
+    assert sorted(row) == [1, 2, 3, 4]
+    assert place(p) == (1, 0, 1, 0)
     # ties in a column resolve by label, lower label lower row
-    assert pl.row[1] < pl.row[2]
+    assert row[1] < row[2]
 
 
 def test_enumeration_counts():
@@ -108,12 +109,13 @@ def test_enumerate_bound():
 @settings(max_examples=150)
 def test_statistic_invariants(p):
     s = stats(p)
-    pl = place(p)
+    diag = place(p)
     n = p.n
-    assert s.deviation == -min(min(pl.diag), 0)
-    assert s.area == sum(d + s.deviation for d in pl.diag)
+    assert sorted(d + c for d, c in zip(diag, p.f)) == list(range(1, n + 1))
+    assert s.deviation == -min(min(diag), 0)
+    assert s.area == sum(d + s.deviation for d in diag)
     assert s.dinv == sum(s.dinv_parts)
-    assert s.tertiary == sum(1 for d in pl.diag if d < 0)
+    assert s.tertiary == sum(1 for d in diag if d < 0)
     assert sorted(s.word) == list(range(1, n + 1))
     assert sorted(s.diagword) == list(range(1, n + 1))
     assert (s.deviation == 0) == is_parking(p)
@@ -124,8 +126,8 @@ def test_statistic_invariants(p):
 @settings(max_examples=150)
 def test_word_orders_by_diagonal(p):
     s = stats(p)
-    pl = place(p)
-    diag_of = {c + 1: pl.diag[c] for c in range(p.n)}
+    diag = place(p)
+    diag_of = {c + 1: diag[c] for c in range(p.n)}
     diags = [diag_of[c] for c in s.word]
     assert diags == sorted(diags, reverse=True)
     # diagword sorts each diagonal increasingly
@@ -148,9 +150,9 @@ def test_area_oracle_small():
     # diagonal, counted column by column
     for p in enumerate_all(3):
         s = stats(p)
-        pl = place(p)
+        row = [d + c for d, c in zip(place(p), p.f)]
         assert s.area == sum(r - c + s.deviation
-                             for r, c in zip(pl.row, pl.col))
+                             for r, c in zip(row, p.f))
 
 
 def test_record_dict_shape():
@@ -177,13 +179,14 @@ def test_json_block_window_matches_json_line(n):
     funcs = [PrefFunc(tuple(int(d) + 1 for d in np.base_repr(i, n).zfill(n)))
              for i in range(start, n ** n)]
     assert funcs[-1] == PrefFunc((n,) * n)
-    assert paths.json_block(n, start, n ** n) == "".join(
-        json_line(p) + "\n" for p in funcs)
+    b = paths.stat_block(n, start, n ** n)
+    assert paths.json_block(n, b) == "".join(json_line(p) + "\n"
+                                             for p in funcs)
 
 
 def test_json_block_refuses_n_above_the_bound():
     with pytest.raises(ValueError, match="enumeration bound"):
-        paths.json_block(9, 0, 1)
+        paths.json_block(9, paths.stat_block(9, 0, 1))
 
 
 @pytest.mark.parametrize("tau", [(2, 3, 1, 4, 5), (5, 4, 3, 2, 1),
@@ -218,8 +221,8 @@ def test_one_diagword_block_confirms_its_first_row(monkeypatch):
     monkeypatch.setattr(paths, "json_line", recording)
     text = "".join(paths.json_blocks(5, tau=(2, 3, 1, 4, 5)))
     assert confirmed == [json.loads(text.splitlines()[0])["f"]]
-    assert "".join(paths.json_blocks(5, lambda b: b.deviation > 4,
-                                     tau=(1, 2, 3, 4, 5))) == ""
+    assert "".join(paths.json_blocks(
+        5, lambda b: b.records[kernels.DEV] > 4, tau=(1, 2, 3, 4, 5))) == ""
     assert len(confirmed) == 2
 
 
@@ -230,8 +233,7 @@ RUNS_MESSAGE = ("diagword runs [3] disagree with diagonal sizes [1, 1, 1] "
 
 
 def test_scalar_runs_guard_raises_runtime_error(monkeypatch):
-    monkeypatch.setattr(paths, "place", lambda p: Placement(
-        col=(1, 1, 1), row=(3, 2, 1), diag=(2, 1, 0)))
+    monkeypatch.setattr(paths, "place", lambda p: (2, 1, 0))
     with pytest.raises(RuntimeError) as caught:
         stats(vec(1, 1, 1))
     assert str(caught.value) == RUNS_MESSAGE
@@ -247,7 +249,7 @@ def test_block_runs_guard_raises_runtime_error(monkeypatch):
 
     monkeypatch.setattr(kernels, "grid_block", flipped)
     with pytest.raises(RuntimeError) as caught:
-        paths.json_block(3, 0, 27)
+        paths.json_block(3, paths.stat_block(3, 0, 27))
     assert str(caught.value) == RUNS_MESSAGE
 
 
@@ -260,7 +262,7 @@ def test_block_line_guard_names_the_first_function(monkeypatch):
     with pytest.raises(RuntimeError, match=r'^block line .*"f":\[1,2,3\],'
                        r'"area":0,.* differs from the scalar statistics '
                        r'.*"f":\[1,2,3\],"area":10,'):
-        paths.json_block(3, 5, 10)
+        paths.json_block(3, paths.stat_block(3, 5, 10))
 
 
 @pytest.mark.parametrize("f,change,message", [
@@ -277,14 +279,16 @@ def test_stat_record_refuses_inconsistent_fields(f, change, message):
 
 
 SWAP_SECOND_BLOCK = """
-from qtpark import paths
+from qtpark import kernels, paths
 real = paths.stat_block
 
 def swapped(n, start, stop):
-    # primary and secondary trade places in the second block only
+    # primary and secondary trade places in the second block only: with
+    # dinv and tertiary kept, secondary becomes the old primary
     b = real(n, start, stop)
     if start == paths.BLOCK:
-        b = b._replace(primary=b.secondary, secondary=b.primary)
+        b = b._replace(
+            primary=b.records[kernels.DINV] - b.primary - b.tertiary)
     return b
 
 paths.stat_block = swapped
@@ -330,7 +334,8 @@ def test_planted_swap_fails_the_block_confirmation(flags, plant, dinv_parts):
     secondary 1; the scalar line of that f catches a swap of the two in
     the block, and a kernel dinv one too high."""
     b = paths.stat_block(5, BLOCK, BLOCK + 1)
-    assert (b.primary[0], b.secondary[0]) == (2, 1)
+    secondary = b.records[kernels.DINV] - b.primary - b.tertiary
+    assert (b.primary[0], secondary[0]) == (2, 1)
     src = os.path.dirname(os.path.dirname(qtpark.__file__))
     proc = subprocess.run([sys.executable, *flags, "-c", plant + COUNT_LINES],
                           env=dict(os.environ, PYTHONPATH=src),
