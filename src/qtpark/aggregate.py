@@ -50,8 +50,9 @@ again in the calling thread.
 
 The fold's sorted arrays are the table (``Table``): a key is the kernel's
 own integers, (diagword code, deviation) or (touch, is parking), its rows
-are one contiguous run, and a lookup is one binary search over the keys'
-codes.  A diagword code alone selects all its deviations as one run.
+are one contiguous run, and a lookup is one binary search per digit, in
+the key column itself, within the rows of the earlier digits.  A diagword
+code alone selects all its deviations as one run.
 
 A diagword table may be restricted to one diagword tau.  The kernel then
 sweeps nothing: it builds tau's functions from their row orders, one
@@ -163,52 +164,32 @@ def _fold(n: int, threads: int, columns: Tuple[str, ...],
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """One count table: the fold's rows, sorted, one run of rows per key.
+    """One count table: the fold's rows, sorted by each column in turn.
 
-    ``columns`` holds the key columns, then the value columns, one array
-    each, aligned with ``counts``.  Key i is the rows
-    ``starts[i]:starts[i + 1]``; its mixed-radix code ``codes[i]`` over the
-    key ``radices`` increases with i.  The arrays are read-only: every
+    ``columns`` holds the ``nkeys`` key columns, then the value columns,
+    one array each, aligned with ``counts``.  Each column is sorted within
+    the rows that share the earlier columns, so the rows of a key, or of
+    its leading digits, are one run.  The arrays are read-only: every
     reader of the table shares them.
     """
 
     columns: Tuple[np.ndarray, ...]
     counts: np.ndarray
-    starts: np.ndarray  # one more entry than keys: the row count last
-    codes: np.ndarray
-    radices: Tuple[int, ...]
-
-    def span(self, *key):
-        """First and past-last row of the keys whose leading columns are
-        ``key``, elementwise over arrays; equal when there is none."""
-        # Not np.ravel_multi_index: a digit outside its radix finds no rows.
-        code, ok = 0, True
-        for digit, radix in zip(key, self.radices):
-            code = code * radix + digit
-            ok = ok & (0 <= digit) & (digit < radix)
-        rest = math.prod(self.radices[len(key):])
-        lo, hi = self.starts[self.codes.searchsorted([code * rest,
-                                                      (code + 1) * rest])]
-        return lo, lo + (hi - lo) * ok
+    nkeys: int
 
     def rows(self, *key: int) -> slice:
-        """The rows of the keys whose leading columns are ``key``."""
-        lo, hi = self.span(*key)
+        """The rows of the keys whose leading columns are ``key``; empty
+        when there is none, as for a digit outside its radix."""
+        lo, hi = 0, len(self.counts)
+        for col, digit in zip(self.columns, key):
+            lo, hi = lo + col[lo:hi].searchsorted([digit, digit + 1])
         return slice(int(lo), int(hi))
-
-    def counts_at(self, *key: int) -> Dict[Tuple[int, ...], int]:
-        """{value columns: count} summed over ``rows(*key)``."""
-        where = self.rows(*key)
-        values = zip(*(col[where].tolist()
-                       for col in self.columns[len(self.radices):]))
-        out: Dict[Tuple[int, ...], int] = {}
-        for value, c in zip(values, self.counts[where].tolist()):
-            out[value] = out.get(value, 0) + c
-        return out
 
     def values(self) -> List[np.ndarray]:
         """Each key's counts, in key order."""
-        return np.split(self.counts, self.starts[1:-1])
+        change = np.any([col[1:] != col[:-1]
+                         for col in self.columns[:self.nkeys]], axis=0)
+        return np.split(self.counts, np.flatnonzero(change) + 1)
 
 
 def _table(n: int, threads: int, key_cols: Tuple[str, ...],
@@ -223,16 +204,9 @@ def _table(n: int, threads: int, key_cols: Tuple[str, ...],
         cols, counts = _fold(n, threads, key_cols[1:] + value_cols, tau)
         cols.insert(0, np.full(counts.size, kernels.encode_perm(tau, n),
                                dtype=np.int64))
-    radices = tuple(_RADIX[c](n) for c in key_cols)
-    codes = np.ravel_multi_index(cols[:len(radices)], radices)
-    # Rows come sorted by key columns first, so each key is one run.
-    starts = kernels.run_starts(codes)
-    codes = codes[starts]
-    table = Table(tuple(cols), counts, np.append(starts, counts.size),
-                  codes, radices)
-    for array in (*cols, counts, table.starts, codes):
+    for array in (*cols, counts):
         array.flags.writeable = False
-    return table
+    return Table(tuple(cols), counts, len(key_cols))
 
 
 def qt_by_diagword(n: int, threads: int = 1,

@@ -159,8 +159,11 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         nruns = hi if tau is None else len(runs(tau))
         usable = range(row.first_l, nruns)
         if not usable or (l is not None and l not in usable):
+            named = [] if tau is None else [f"tau {','.join(map(str, tau))}"]
+            if l is not None:
+                named.append(f"deviation l = {l}")
             raise ValueError(f"no case in n range {lo}..{hi} can use "
-                             f"this tau and deviation l")
+                             f"{' and '.join(named)}")
     if "touch" in given:
         # A tau fixes the touch to its last run length, and deviation l
         # leaves at most n - l cars on the lowest diagonal.
@@ -291,10 +294,11 @@ def closed_form_report(table: aggregate.Table, tau: Tuple[int, ...],
     """pref_closed_form(tau, l) and the table's brute-force sum of (tau,
     l), each rendered by qt.render, which is canonical: the two strings are
     equal exactly when the polynomials are."""
-    counts = table.counts_at(kernels.encode_perm(tau, len(tau)), l)
+    where = table.rows(kernels.encode_perm(tau, len(tau)), l)
+    area, dinv = (col[where].tolist() for col in table.columns[2:])
+    terms = zip(zip(dinv, area), table.counts[where].tolist())
     return {"closed_form": str(pref_closed_form(tau, l)),
-            "brute_force": render(sorted(
-                ((dinv, area), c) for (area, dinv), c in counts.items()))}
+            "brute_force": render(sorted(terms))}
 
 
 def _shift_multiset_misses(table: None, taus: np.ndarray, sc: ScheduleCounts,

@@ -80,7 +80,8 @@ def rows_of(table, taus: np.ndarray) -> Tuple[np.ndarray, ...]:
     table without a row of tau (another tau's or of another size) raises
     ValueError rather than read as a pass."""
     n = taus.shape[1]
-    lo, hi = table.span(np.ravel_multi_index((taus - 1).T, (n,) * n))
+    codes = np.ravel_multi_index((taus - 1).T, (n,) * n)
+    lo, hi = (table.columns[0].searchsorted(c) for c in (codes, codes + 1))
     empty = np.flatnonzero(hi == lo)
     if len(empty):
         raise ValueError(f"the table holds no function of diagword "

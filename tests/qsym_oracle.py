@@ -2,13 +2,15 @@
 
 A QSymF holds a degree-n quasisymmetric function as a dict from subsets S
 of 1..n-1 to the QTPoly coefficient of Q_S.  The readers here build one
-from ``Table.counts_at``, apart from quasisym's numpy path, and the sides
-and report of cor-withides and main-square-paths are rebuilt from them
-with QTPoly arithmetic.
+from ``table_helpers.counts_at``, apart from quasisym's numpy path, and
+the sides and report of cor-withides and main-square-paths are rebuilt
+from them with QTPoly arithmetic.
 """
 
 from itertools import permutations
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+
+from table_helpers import counts_at
 
 from qtpark import kernels
 from qtpark.qt import QTPoly, Scalar, as_poly, q_int, q_poly
@@ -105,18 +107,19 @@ def for_diagword(table, tau: Sequence[int],
                  deviation: Optional[int] = None) -> QSymF:
     """The sum over functions of diagword tau (and deviation)."""
     code = kernels.encode_perm(tau, len(tau))
-    return qsym_from_counts(len(tau), table.counts_at(code) if deviation is None
-                            else table.counts_at(code, deviation))
+    return qsym_from_counts(len(tau), counts_at(table, code)
+                            if deviation is None
+                            else counts_at(table, code, deviation))
 
 
 def for_touch(table, n: int, touch: int) -> QSymF:
     """The sum over parking functions of the given touch."""
-    return qsym_from_counts(n, table.counts_at(touch, 1))
+    return qsym_from_counts(n, counts_at(table, touch, 1))
 
 
 def total(table, n: int) -> QSymF:
     """The sum over all n^n functions."""
-    return qsym_from_counts(n, table.counts_at())
+    return qsym_from_counts(n, counts_at(table))
 
 
 def withides_sides(table, tau: Sequence[int]) -> Tuple[QSymF, QSymF]:

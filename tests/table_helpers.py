@@ -7,11 +7,23 @@ import dataclasses
 def as_dicts(table):
     """{key columns: {value columns: count}}, keyed by the table's own
     integers."""
-    nkeys = len(table.radices)
+    nkeys = table.nkeys
     out = {}
     for *row, count in zip(*(col.tolist() for col in table.columns),
                            table.counts.tolist()):
         out.setdefault(tuple(row[:nkeys]), {})[tuple(row[nkeys:])] = count
+    return out
+
+
+def counts_at(table, *key):
+    """{value columns: count} over ``table.rows(*key)``, summed: a key
+    prefix spans several keys, and a value may occur once in each."""
+    where = table.rows(*key)
+    values = zip(*(col[where].tolist()
+                   for col in table.columns[table.nkeys:]))
+    out = {}
+    for value, count in zip(values, table.counts[where].tolist()):
+        out[value] = out.get(value, 0) + count
     return out
 
 

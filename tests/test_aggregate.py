@@ -11,7 +11,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from table_helpers import as_dicts
+from table_helpers import as_dicts, counts_at
 
 import qtpark
 from qtpark import aggregate, kernels
@@ -100,7 +100,6 @@ def test_merge_consumes_its_parts():
 def test_table_iterates_in_key_order(monkeypatch):
     use_small_chunks(monkeypatch, 7)  # key order is not block order
     table = aggregate.qt_by_diagword(4)
-    assert (np.diff(table.codes) > 0).all()
     rows = list(zip(*(col.tolist() for col in table.columns)))
     assert rows == sorted(set(rows))
 
@@ -117,14 +116,17 @@ def test_table_lookups(build, n):
     rows = np.arange(nrows)
     assert sum(len(v) for v in table.values()) == nrows
     for key, counts in as_dicts(table).items():
-        assert table.counts_at(*key) == counts
-    first, second = table.radices
+        assert counts_at(table, *key) == counts
+    key_cols = ((kernels.TOUCH, kernels.PARK)
+                if build is aggregate.qsym_by_touch
+                else (kernels.DWORD, kernels.DEV))
+    first, second = (aggregate._RADIX[c](n) for c in key_cols)
     missing = [(first, 0), (0, second), (-1, 0), (0, -1)]
     if n > 1:  # touch 0, or a diagword code whose digits are all 0
         missing.append((0, 0))
     for key in missing:
         assert len(rows[table.rows(*key)]) == 0
-        assert table.counts_at(*key) == {}
+        assert counts_at(table, *key) == {}
     if build is aggregate.qsym_by_touch:
         return
     for tau in permutations(range(1, n + 1)):
@@ -133,6 +135,28 @@ def test_table_lookups(build, n):
         assert len(alone)
         assert alone.tolist() == np.concatenate(
             [rows[table.rows(code, dev)] for dev in range(n)]).tolist()
+
+
+@pytest.mark.parametrize("build,n,tau", [
+    *((build, n, None) for build in (aggregate.qt_by_diagword,
+                                     aggregate.qsym_by_diagword,
+                                     aggregate.qsym_by_touch)
+      for n in (1, 4)),
+    (aggregate.qsym_by_diagword, 5, (3, 5, 1, 4, 2))])
+def test_table_keeps_its_promises(build, n, tau):
+    """No array of a table can be written, and ``values`` splits the
+    counts into one piece per distinct key, in key order."""
+    table = build(n) if tau is None else build(n, tau=tau)
+    for array in (*table.columns, table.counts):
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+    pieces = table.values()
+    assert np.concatenate(pieces).tolist() == table.counts.tolist()
+    keys = sorted(set(zip(*(col.tolist()
+                            for col in table.columns[:table.nkeys]))))
+    assert len(pieces) == len(keys)
+    for piece, key in zip(pieces, keys):
+        assert piece.tolist() == table.counts[table.rows(*key)].tolist()
 
 
 def assert_one_tau_table_is_the_slice(build, n, tau, full=None):
@@ -274,7 +298,7 @@ def test_ides_mask_round_trips_at_n10(monkeypatch):
     monkeypatch.setattr(kernels, "iter_stat_chunks", fake_stream([row] * 3))
     table = aggregate.qsym_by_diagword(n)
     assert as_dicts(table) == {(code, 2): {(40, 18, 0b111111111): 3}}
-    assert table.counts_at(code) == {(40, 18, 0b111111111): 3}
+    assert counts_at(table, code) == {(40, 18, 0b111111111): 3}
 
 
 def test_touch_key_round_trips_at_n10_with_largest_values(monkeypatch):
@@ -289,7 +313,7 @@ def test_touch_key_round_trips_at_n10_with_largest_values(monkeypatch):
     table = aggregate.qsym_by_touch(n)
     assert as_dicts(table) == {(1, 0): {(100, 100, 511): 1},
                                (n, 1): {(100, 100, 511): 2}}
-    assert table.counts_at(n, 1) == {(100, 100, 511): 2}
+    assert counts_at(table, n, 1) == {(100, 100, 511): 2}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

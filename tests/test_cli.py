@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 import qsym_oracle
 from qsym_oracle import withides_sides_differ
-from table_helpers import TableRead, UnreadableTable, with_entry
+from table_helpers import TableRead, UnreadableTable, counts_at
+from table_helpers import with_entry
 
 import qtpark
 from qtpark import aggregate, checks, cli, kernels, quasisym, schedules
@@ -309,6 +310,39 @@ def test_refuses_unusable_input(capsys, monkeypatch, argv):
     assert_refused_up_front(capsys, monkeypatch, *argv)
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("enumerate --n 3 --deviation 5",
+     "no case in n range 3..3 can use deviation l = 5"),
+    ("check thm-schedule-closed-form --n 4 --l 7",
+     "no case in n range 4..4 can use deviation l = 7"),
+    ("check thm-shift-multiset --tau 1",
+     "no case in n range 1..8 can use tau 1"),
+])
+def test_deviation_refusal_names_the_given_options(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("check_id,l,examined", [
+    ("thm-schedule-closed-form", 2, 768),
+    ("lemma-factorlemma", 1, 867),
+    ("thm-shift-multiset", 3, 39895),
+])
+def test_one_deviation_checks_exactly_its_cases(capsys, check_id, l,
+                                                examined):
+    """--l checks the taus with more than l runs, at deviation l alone."""
+    lo, hi = SCOPES[check_id].default
+    assert examined == sum(len(schedules.runs(tau)) > l
+                           for n in range(lo, hi + 1)
+                           for tau in permutations(range(1, n + 1)))
+    code, out, _ = run(capsys, "check", check_id, "--l", str(l))
+    report = json.loads(out)
+    assert code == 0 and report["passed"]
+    assert report["parameters"]["l"] == l
+    assert report["examined"] == examined
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumerate_accepts_exactly_the_filters_some_function_passes(n):
     """Every combination of enumerate filters that its scope accepts keeps
@@ -523,8 +557,8 @@ def scalar_report(check_id, n_hi, fault):
         ce.update(schedule0=sorted(schedules.schedule0(tau)),
                   schedule_l=sorted(schedules.schedule_l(tau, l).values()))
     elif check_id == "thm-schedule-closed-form":
-        counts = aggregate.qt_by_diagword(len(tau)).counts_at(
-            kernels.encode_perm(tau, len(tau)), l)
+        counts = counts_at(aggregate.qt_by_diagword(len(tau)),
+                           kernels.encode_perm(tau, len(tau)), l)
         ce.update(closed_form=str(schedules.pref_closed_form(tau, l)),
                   brute_force=str(QTPoly({(dinv, area): c for (area, dinv), c
                                           in counts.items()})))
@@ -1166,15 +1200,16 @@ def test_square_paths_residue_agrees_with_qsym_sides(n):
     do.  A bump at a parking function of touch n changes both sides
     alike."""
     real = _real_qsym_by_touch(n)
-    touch, park = (col[real.starts[:-1]].tolist() for col in real.columns[:2])
+    keys = list(zip(*(col.tolist() for col in real.columns[:2])))
+    firsts = [row for row, key in enumerate(keys) if key not in keys[:row]]
     differ = []
-    for row in [None, *real.starts[:-1]]:
+    for row in [None, *firsts]:
         table = real if row is None else bumped(real, row)
         lhs, rhs = qsym_oracle.square_paths_sides(table, n)
         _, sums = quasisym.shifted_sums(quasisym.square_paths_sides(table, n))
         assert (not np.array_equal(*sums)) == (lhs != rhs)
         differ.append(lhs != rhs)
-    assert differ == [False] + [key != (n, 1) for key in zip(touch, park)]
+    assert differ == [False] + [keys[row] != (n, 1) for row in firsts]
 
 
 @pytest.mark.parametrize("fault", [False, True], ids=["pass", "fault"])

@@ -146,13 +146,17 @@ def test_ides_definition(p):
 
 
 def test_area_oracle_small():
-    # area from the path picture: boxes between the path and the shifted
-    # diagonal, counted column by column
-    for p in enumerate_all(3):
-        s = stats(p)
-        row = [d + c for d, c in zip(place(p), p.f)]
-        assert s.area == sum(r - c + s.deviation
-                             for r, c in zip(row, p.f))
+    # The path from the sorted f alone, not from place: its r-th north step
+    # stands in column sorted(f)[r - 1], so row r lies on diagonal
+    # r - sorted(f)[r - 1], and area counts the boxes between the path and
+    # the diagonal shifted down by the deviation, row by row.
+    for n in range(1, 6):
+        for p in enumerate_all(n):
+            diags = [r - c for r, c in enumerate(sorted(p.f), start=1)]
+            s = stats(p)
+            assert s.deviation == -min(diags)
+            assert s.area == sum(diags) + n * s.deviation
+            assert sorted(place(p)) == sorted(diags)
 
 
 def test_record_dict_shape():
