@@ -155,15 +155,15 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         if size > TAU_ROW_BUDGET:
             raise ValueError(f"tau has {size} functions, over the budget "
                              f"of {TAU_ROW_BUDGET}")
-    if "l" in row.reads and (tau is not None or l is not None):
+    if "l" in row.reads:
         nruns = hi if tau is None else len(runs(tau))
         usable = range(row.first_l, nruns)
         if not usable or (l is not None and l not in usable):
             named = [] if tau is None else [f"tau {','.join(map(str, tau))}"]
             if l is not None:
                 named.append(f"deviation l = {l}")
-            raise ValueError(f"no case in n range {lo}..{hi} can use "
-                             f"{' and '.join(named)}")
+            wanted = " and ".join(named) or f"deviation l >= {row.first_l}"
+            raise ValueError(f"no case in n range {lo}..{hi} can use {wanted}")
     if "touch" in given:
         # A tau fixes the touch to its last run length, and deviation l
         # leaves at most n - l cars on the lowest diagonal.

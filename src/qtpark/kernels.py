@@ -29,8 +29,8 @@ that holds it up to ``MAX_N``:
 
 ``stat_rows`` is the one batch definition of these statistics: the
 tables read ``stats_block`` or ``diagword_blocks``, and ``paths``
-(``qtpark enumerate``) reads its fields and adds only what no table
-folds, the reading word, the composition and the three dinv parts.
+(``qtpark enumerate``) adds only what no table folds: comp, tertiary
+dinv, and the reading word and primary dinv, both read off the diagword.
 
 The functions of one diagword tau are built, not swept
 (``diagword_blocks``, which ``iter_stat_chunks`` with a tau and

@@ -39,11 +39,13 @@ built from their row orders (``kernels.diagword_blocks``) and sorted by
 index, so the lines come in the order of the full enumeration
 (``diagword_block``).  A block keeps the ``kernels.stat_rows`` records,
 under the kernel's names, and numpy columns for f, word, the primary and
-tertiary dinv parts and comp.  ``json_block`` formats the rows a mask
-selects with one % template, looking up the text of f, word, diagword,
-ides and comp by integer code.  The first function of every non-empty
-block is also run through ``json_line``, and any difference raises
-RuntimeError.
+tertiary dinv parts and comp.  Word and primary are read off the kernel's
+diagword: word sorts the places of each diagonal by decreasing column,
+and primary counts the pairs that sort reverses.  ``json_block`` formats
+the rows a mask selects with one % template, looking up the text of f,
+word, diagword, ides and comp by integer code.  The first function of
+every non-empty block is also run through ``json_line``, and any
+difference raises RuntimeError.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ class StatBlock(NamedTuple):
     each column belongs to index index[r].  area, dinv, ides, diagword,
     deviation and touch are only in ``records``, under their ``kernels``
     names AREA, DINV, IDES, DWORD, DEV and TOUCH; secondary is DINV -
-    primary - tertiary."""
+    primary - tertiary, and word and primary are read off DWORD."""
 
     f: np.ndarray          # (n, rows) int8; f[c] holds f(c + 1)
     index: np.ndarray
@@ -290,39 +292,14 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
     diag and ``kernels.stat_rows`` records, entry r at index index[r]."""
     n, nrows = F.shape
 
-    # wpos[c] is the place of car c + 1 in word (ties by column, right to
-    # left; the cars of one diagonal stand in distinct columns), counted
-    # over the pairs a < b: a car gains a place for each car read before
-    # it.  The same loop counts the primary dinv pairs.
-    wpos = np.repeat(np.arange(n - 1, -1, -1, dtype=np.int8)[:, None], nrows,
-                     axis=1)
-    primary = np.zeros(nrows, dtype=np.int8)
-    for a in range(n):
-        for b in range(a + 1, n):
-            rise = diag[b] - diag[a]
-            level = rise == 0
-            a_right = F[a] > F[b]
-            a_first = (rise < 0) | (level & a_right)
-            wpos[a] -= a_first
-            wpos[b] += a_first
-            primary += level & ~a_right
-    tertiary = (diag < 0).sum(axis=0, dtype=np.int8)
-
-    # Not np.ravel_multi_index: wpos is indexed by car, not by place.
-    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    word = np.zeros(nrows, dtype=np.int64)
-    main = np.zeros(nrows, dtype=np.int32)
-    for c in range(n):
-        word += np.take(powers, wpos[c]) * c
-        main |= (diag[c] == 0).astype(np.int32) << (F[c] - 1)
-    main[records[kernels.DEV] > 0] = 0
-
     # The maximal increasing runs of diagword must be its diagonals: a
     # descent exactly where the diagonal changes.  by_place[i] + 1 is the
-    # car at place i, digit i of the kernel's diagword code.
+    # car at place i, digit i of the kernel's diagword code, and np.take
+    # at at_place reads a per-car (n, rows) array in diagword order.
     by_place = np.array(np.unravel_index(records[kernels.DWORD],
                                          (n,) * n))
-    diag_by_place = np.take_along_axis(diag, by_place, axis=0)
+    at_place = by_place * nrows + np.arange(nrows)
+    diag_by_place = np.take(diag, at_place)
     bad = np.flatnonzero(((by_place[1:] < by_place[:-1])
                           != (diag_by_place[1:] != diag_by_place[:-1])
                           ).any(axis=0))
@@ -330,6 +307,20 @@ def _stat_block(F: np.ndarray, diag: np.ndarray, index: np.ndarray,
         r = bad[0]
         raise _runs_error(tuple(F[:, r].tolist()), *_runs_and_sizes(
             (by_place[:, r] + 1).tolist(), diag[:, r].tolist()))
+
+    # word sorts the cars by decreasing (diagonal, column), a key no two
+    # cars share; diagword lists each diagonal's cars increasing, so the
+    # sort reverses exactly the places of the primary pairs.
+    key = -(n + 1) * diag.astype(np.int16) - F
+    word = np.ravel_multi_index(np.argsort(key, axis=0), (n,) * n)
+    place_key = np.take(key, at_place)
+    primary = ((place_key[:, None] > place_key)
+               & np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+               ).sum(axis=(0, 1), dtype=np.int8)
+    tertiary = (diag < 0).sum(axis=0, dtype=np.int8)
+    main = np.bitwise_or.reduce((diag == 0).astype(np.int32) << (F - 1),
+                                axis=0)
+    main[records[kernels.DEV] > 0] = 0
 
     return StatBlock(
         f=F,

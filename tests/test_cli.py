@@ -256,8 +256,10 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
 
 
 @pytest.mark.parametrize("argv", [
-    # a --tau or --l that no case in the n range can use
+    # a --tau or --l that no case in the n range can use, or an n range
+    # with no deviation the check reads
     ("check", "thm-schedule-closed-form", "--tau", "3142", "--n", "5..6"),
+    ("check", "thm-shift-multiset", "--n", "1"),
     ("check", "thm-shift-multiset", "--tau", "3142", "--n", "1..2"),
     ("check", "thm-schedule-closed-form", "--n", "4", "--l", "7"),
     ("check", "thm-schedule-closed-form", "--n", "4", "--l", "-1"),
@@ -317,6 +319,8 @@ def test_refuses_unusable_input(capsys, monkeypatch, argv):
      "no case in n range 4..4 can use deviation l = 7"),
     ("check thm-shift-multiset --tau 1",
      "no case in n range 1..8 can use tau 1"),
+    ("check thm-shift-multiset --n 1",
+     "no case in n range 1..1 can use deviation l >= 1"),
 ])
 def test_deviation_refusal_names_the_given_options(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())

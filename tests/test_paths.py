@@ -176,14 +176,20 @@ def test_json_line_round_trip():
     assert d["parking"] is False
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
-def test_json_block_window_matches_json_line(n):
-    start = n ** n - 300
+# 300 functions from index 0 (parking functions, many cars on a
+# diagonal), from n^n // 3, and up to the last one, (n, ..., n).
+@pytest.mark.parametrize("n,start", [
+    *(pytest.param(n, start, id=f"{n}-{start}")
+      for n in (6, 7, 8) for start in (0, n ** n // 3)),
+    *(pytest.param(n, n ** n - 300, id=str(n)) for n in (6, 7, 8)),
+])
+def test_json_block_window_matches_json_line(n, start):
     # the index is f read as base-n digits f(1) - 1, ..., f(n) - 1
     funcs = [PrefFunc(tuple(int(d) + 1 for d in np.base_repr(i, n).zfill(n)))
-             for i in range(start, n ** n)]
-    assert funcs[-1] == PrefFunc((n,) * n)
-    b = paths.stat_block(n, start, n ** n)
+             for i in range(start, start + 300)]
+    if start + 300 == n ** n:
+        assert funcs[-1] == PrefFunc((n,) * n)
+    b = paths.stat_block(n, start, start + 300)
     assert paths.json_block(n, b) == "".join(json_line(p) + "\n"
                                              for p in funcs)
 
