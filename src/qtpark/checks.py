@@ -149,7 +149,9 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
             and not options.get("allow_large")):
         raise ValueError(f"n above {row.default[1]} needs --allow-large")
     if tau is not None and not lo <= len(tau) <= hi:
-        raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}")
+        fix = (f", the default n range; give --n {len(tau)}"
+               if n is None and len(tau) <= cap else "")
+        raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}{fix}")
     if tau is not None and row.sweeps:
         size = tau_functions(tau)
         if size > TAU_ROW_BUDGET:
@@ -204,8 +206,10 @@ class CheckSpec:
             object.__setattr__(self, "tau",
                                kernels.require_perm(self.tau, len(self.tau)))
         lo, hi = SCOPES[self.id].default
-        lo, hi = scope(self.id, (lo if self.n_lo is None else self.n_lo,
-                                 hi if self.n_hi is None else self.n_hi),
+        n = None if self.n_lo is None and self.n_hi is None else (
+            lo if self.n_lo is None else self.n_lo,
+            hi if self.n_hi is None else self.n_hi)
+        lo, hi = scope(self.id, n,
                        threads=self.threads, tau=self.tau, l=self.l,
                        max_part=self.max_part, samples=self.samples)
         object.__setattr__(self, "n_lo", lo)

@@ -76,13 +76,6 @@ def maj(tau: Sequence[int]) -> int:
     return sum(i for i in range(1, len(t)) if t[i - 1] > t[i])
 
 
-def ides(pi: Sequence[int]) -> frozenset:
-    """{i : i+1 appears before i in pi}, the descent set of the inverse."""
-    t = require_perm(pi, len(pi))
-    pos = {v: i for i, v in enumerate(t)}
-    return frozenset(i for i in range(1, len(t)) if pos[i + 1] < pos[i])
-
-
 def require_deviation(rs: Tuple[Tuple[int, ...], ...], l: int) -> None:
     """Refuse a deviation l that the runs rs of a tau cannot carry."""
     if not 0 <= l < len(rs):

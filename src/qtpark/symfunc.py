@@ -214,26 +214,11 @@ def _require_degree(n: int) -> None:
         raise ValueError(f"degree must lie in 1..{DEGREE_BOUND}, got {n}")
 
 
-def _newton(n: int, signed: bool) -> PExpansion:
-    _require_degree(n)
-    return PExpansion._wrap({
-        lam: QTPoly.const(-1 if signed and (n - len(lam)) % 2 else 1)
-        for lam in partitions(n)})
-
-
 def e_in_p(n: int) -> PExpansion:
     """Elementary e_n = sum over partitions of (-1)^(n-len) p_lambda/z_lambda."""
-    return _newton(n, signed=True)
-
-
-def h_in_p(m: int) -> PExpansion:
-    """Complete homogeneous h_m = sum of p_lambda/z_lambda."""
-    return _newton(m, signed=False)
-
-
-def p_pure(n: int) -> PExpansion:
     _require_degree(n)
-    return PExpansion.p(n)
+    return PExpansion._wrap({lam: QTPoly.const((-1) ** (n - len(lam)))
+                             for lam in partitions(n)})
 
 
 def shift_factor(k: int) -> QTPoly:
@@ -380,5 +365,5 @@ def pn_identity_check(n: int) -> bool:
     acc = PExpansion.zero()
     for piece, mult in zip(e_nk(n), multipliers):
         acc = acc + piece * q_poly(mult, 0, 0)
-    return acc == p_pure(n) * (q_poly(fact, 0, 0) * (-1) ** (n - 1))
+    return acc == PExpansion.p(n) * (q_poly(fact, 0, 0) * (-1) ** (n - 1))
 

@@ -4,7 +4,8 @@ A QSymF holds a degree-n quasisymmetric function as a dict from subsets S
 of 1..n-1 to the QTPoly coefficient of Q_S.  The readers here build one
 from ``table_helpers.counts_at``, apart from quasisym's numpy path, and
 the sides and report of cor-withides and main-square-paths are rebuilt
-from them with QTPoly arithmetic.
+from them with QTPoly arithmetic.  ``ides``, the scalar descent set of a
+permutation's inverse, is the reference for quasisym.inv_ides_counts.
 """
 
 from itertools import permutations
@@ -18,6 +19,13 @@ from qtpark.qt import square_paths_multipliers
 from qtpark.schedules import runs
 
 Subset = FrozenSet[int]
+
+
+def ides(pi: Sequence[int]) -> Subset:
+    """{i : i+1 appears before i in pi}, the descent set of the inverse."""
+    t = kernels.require_perm(pi, len(pi))
+    pos = {v: i for i, v in enumerate(t)}
+    return frozenset(i for i in range(1, len(t)) if pos[i + 1] < pos[i])
 
 
 def _sort_key(s: Subset) -> Tuple[int, ...]:

@@ -259,6 +259,7 @@ def test_check_refuses_oversized_sweep(capsys, monkeypatch, command):
     # a --tau or --l that no case in the n range can use, or an n range
     # with no deviation the check reads
     ("check", "thm-schedule-closed-form", "--tau", "3142", "--n", "5..6"),
+    ("check", "cor-withides", "--tau", "1,2,3,4,5,6,7"),
     ("check", "thm-shift-multiset", "--n", "1"),
     ("check", "thm-shift-multiset", "--tau", "3142", "--n", "1..2"),
     ("check", "thm-schedule-closed-form", "--n", "4", "--l", "7"),
@@ -321,6 +322,14 @@ def test_refuses_unusable_input(capsys, monkeypatch, argv):
      "no case in n range 1..8 can use tau 1"),
     ("check thm-shift-multiset --n 1",
      "no case in n range 1..1 can use deviation l >= 1"),
+    # a tau outside the n range; without --n, the message says that range
+    # is the default and, below the cap, which --n takes the tau
+    ("check cor-withides --tau 1,2,3,4,5,6,7",
+     "tau has 7 cars, outside 1..6, the default n range; give --n 7"),
+    ("check cor-withides --tau 13,12,11,10,9,8,7,6,5,4,3,2,1",
+     "tau has 13 cars, outside 1..6"),
+    ("check thm-schedule-closed-form --tau 3142 --n 5..6",
+     "tau has 4 cars, outside 5..6"),
 ])
 def test_deviation_refusal_names_the_given_options(capsys, argv, message):
     code, out, err = run(capsys, *argv.split())

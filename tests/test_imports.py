@@ -18,7 +18,6 @@ MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 # check would flag without its entry.
 UNCALLED = {
     ("kernels", "resolve_backend"),  # perfbench calls it
-    ("symfunc", "h_in_p"),  # the tests' reference for the h_n expansions
     # The tests' reference for the sums hmz_check takes by linearity: C_alpha
     # 1 one composition alpha at a time.
     ("symfunc", "compositions"),
@@ -29,7 +28,6 @@ UNCALLED = {
     # it, and the tests hold the closed forms to it.
     ("schedules", "pf_closed_form"),
     ("schedules", "generate"),  # the tests run the insertion tree through it
-    ("schedules", "ides"),  # the tests' reference for inv_ides_counts
     ("aggregate", "Table.values"),  # perfbench's tracer reads it
 }
 

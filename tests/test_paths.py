@@ -176,6 +176,16 @@ def test_json_line_round_trip():
     assert d["parking"] is False
 
 
+def assert_same_lines(got, want):
+    """got == want, asserted at the first line where they differ, so a
+    failure prints that line's index and its two versions, not a diff of
+    the whole texts."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    assert (i, got[i:i + 1]) == (i, want[i:i + 1])
+
+
 # 300 functions from index 0 (parking functions, many cars on a
 # diagonal), from n^n // 3, and up to the last one, (n, ..., n).
 @pytest.mark.parametrize("n,start", [
@@ -190,8 +200,8 @@ def test_json_block_window_matches_json_line(n, start):
     if start + 300 == n ** n:
         assert funcs[-1] == PrefFunc((n,) * n)
     b = paths.stat_block(n, start, start + 300)
-    assert paths.json_block(n, b) == "".join(json_line(p) + "\n"
-                                             for p in funcs)
+    assert_same_lines(paths.json_block(n, b),
+                      "".join(json_line(p) + "\n" for p in funcs))
 
 
 def test_json_block_refuses_n_above_the_bound():
@@ -214,7 +224,7 @@ def test_json_blocks_of_one_diagword(monkeypatch, tau):
     monkeypatch.setattr(kernels, "stat_rows", counting)
     want = [json_line(p) + "\n" for p in enumerate_all(5)
             if stats(p).diagword == tau]
-    assert "".join(paths.json_blocks(5, tau=tau)) == "".join(want)
+    assert_same_lines("".join(paths.json_blocks(5, tau=tau)), "".join(want))
     assert sum(rows) == len(want)
 
 

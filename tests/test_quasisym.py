@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import qsym_oracle
-from qsym_oracle import QSymF, qsym_of_rows
+from qsym_oracle import QSymF, ides, qsym_of_rows
 from table_helpers import with_entry
 
 from qtpark.aggregate import qsym_by_diagword, qsym_by_touch, qt_by_diagword
@@ -21,7 +21,7 @@ from qtpark.qt import ONE, QTPoly
 from qtpark.quasisym import (closed_form_misses, factor_check,
                              inv_ides_counts, qsym_for_diagword,
                              qsym_for_touch, qsym_total, withides_failures)
-from qtpark.schedules import ides, permutation_rows, runs, schedule_counts
+from qtpark.schedules import permutation_rows, runs, schedule_counts
 
 
 def weighted_sum(family, n):

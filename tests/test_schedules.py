@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qsym_oracle import ides
 
 from qtpark import schedules
 from qtpark.paths import PrefFunc, enumerate_all, stats
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.schedules import (PartitionBox, closed_form_rows,
-                              closed_form_terms, delta_merge, generate, ides,
+                              closed_form_terms, delta_merge, generate,
                               insertion_order, maj, permutation_blocks,
                               permutation_rows, pf_closed_form,
                               pref_closed_form, runs, schedule0,

@@ -14,9 +14,9 @@ import pytest
 from qtpark import checks, cli, symfunc
 from qtpark.qt import ONE, QTPoly, q_int
 from qtpark.symfunc import (PExpansion, c_composition, c_op, compositions,
-                            e_in_p, e_nk, h_in_p, hmz_check, partitions,
-                            pn_identity_check, p_pure, shift_factor,
-                            shift_terms, z_lambda)
+                            e_in_p, e_nk, hmz_check, partitions,
+                            pn_identity_check, shift_factor, shift_terms,
+                            z_lambda)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -24,6 +24,12 @@ GOLDEN = Path(__file__).parent / "golden"
 def p_coefficients(expansion):
     """{partition: pairing <F, p_lambda>} of a PExpansion F."""
     return dict(expansion.items())
+
+
+def h_in_p(m):
+    """Complete homogeneous h_m = sum of p_lambda/z_lambda: every pairing
+    is 1."""
+    return PExpansion._wrap({lam: QTPoly.one() for lam in partitions(m)})
 
 
 def test_partitions_counts():
@@ -160,7 +166,7 @@ def test_pn_identity_shape():
     # the n = 2 case written out: [2]_q E_{2,1} + E_{2,2} = -p_2
     E = e_nk(2)
     acc = E[0] * q_int(2) + E[1]
-    assert acc == p_pure(2) * (-1)
+    assert acc == PExpansion.p(2) * (-1)
 
 
 def test_json_form():
