@@ -45,7 +45,7 @@ class Scope:
     # defaults (--threads sets no scope).
     reads: Dict[str, object] = field(default_factory=dict)
     # The largest n with one --tau, if larger; a tau of a command that
-    # sweeps must also keep its functions within TAU_ROW_BUDGET.
+    # sweeps must also keep its functions within kernels.MAX_FUNCTIONS.
     tau_cap: Optional[int] = None
     first_l: int = 0  # the smallest deviation l checked
     sweeps: bool = False  # sweeps n^n up to n = 8, where --threads pays
@@ -62,13 +62,14 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # its taus a permutation block at a time in 1-2 s more.  One --tau sweeps
 # nothing: the kernel builds its functions from their row orders, so its
 # cost follows their number, sum over l of prod_c w^(l)(c), and not n^n.
-# TAU_CAP bounds n there, and TAU_ROW_BUDGET that number (the identity
-# tau has n! functions).  It also bounds the Young subgroup of tau's block
-# mask, whose (inv, ides) counts lemma-factorlemma multiplies, prod over
-# tau's blocks B of |B|!: at l = 0 the i-th car of a block of m weighs at
-# least m - i + 1 and every car at least 1.  At the budget, the n = 12 tau
-# 8,2,4,6,7,9,11,12,5,10,3,1 (1,036,800 functions) took 1.4-1.8 s and
-# 78-81 MB in each of the three checks.  thm-shift-multiset and table
+# kernels.MAX_N bounds n there, and kernels.MAX_FUNCTIONS that number (the
+# identity tau has n! functions).  It also bounds the Young subgroup of
+# tau's block mask, whose (inv, ides) counts lemma-factorlemma multiplies,
+# prod over tau's blocks B of |B|!: at l = 0 the i-th car of a block of m
+# weighs at least m - i + 1 and every car at least 1.  At the budget, the
+# taus 8,2,4,6,7,9,11,12,5,10,3,1 and 14,3,10,1,8,5,15,4,11,12,2,6,7,9,13
+# (1,036,800 functions each) took 0.6-0.8 s at 79-80 MB and 0.9-1.1 s at
+# 64-65 MB in each of the three checks.  thm-shift-multiset and table
 # schedules read one tau's schedules alone, from one schedule_counts call;
 # SCHEDULE_TAU_CAP bounds n there.  At 2,000 cars thm-shift-multiset took
 # 0.05-0.09 s, and table schedules --tau 0.9-1.0 s for a random tau and
@@ -83,21 +84,19 @@ _TAU_L: Dict[str, object] = {"tau": None, "l": None}
 # three table-backed tau checks, the int64 bound of
 # quasisym.square_paths_sides, symfunc.DEGREE_BOUND.
 SWEEP_CAP = 8
-TAU_CAP = 12
 SCHEDULE_TAU_CAP = 2000
-TAU_ROW_BUDGET = 1 << 20
 SCOPES: Dict[str, Scope] = {
     "thm-schedule-closed-form": Scope((1, 6), SWEEP_CAP, _TAU_L,
-                                      tau_cap=TAU_CAP, sweeps=True),
+                                      tau_cap=kernels.MAX_N, sweeps=True),
     "thm-shift-multiset": Scope((1, 8), 10, _TAU_L,
                                 tau_cap=SCHEDULE_TAU_CAP, first_l=1),
     "lemma-parlem": Scope((1, 6), 11, {"max_part": 12, "samples": 1000},
                           limits={"max_part": range(1, 401),
                                   "samples": range(10001)}),
     "lemma-factorlemma": Scope((1, 6), SWEEP_CAP, _TAU_L,
-                               tau_cap=TAU_CAP, sweeps=True),
+                               tau_cap=kernels.MAX_N, sweeps=True),
     "cor-withides": Scope((1, 6), SWEEP_CAP, {"tau": None},
-                          tau_cap=TAU_CAP, sweeps=True),
+                          tau_cap=kernels.MAX_N, sweeps=True),
     "thm-hmz": Scope((1, 6), DEGREE_BOUND),
     "thm-pn-identity": Scope((1, 6), DEGREE_BOUND),
     "thm-enk-sum": Scope((1, 6), DEGREE_BOUND),
@@ -154,9 +153,9 @@ def scope(command: str, n: Optional[Tuple[int, int]] = None,
         raise ValueError(f"tau has {len(tau)} cars, outside {lo}..{hi}{fix}")
     if tau is not None and row.sweeps:
         size = tau_functions(tau)
-        if size > TAU_ROW_BUDGET:
+        if size > kernels.MAX_FUNCTIONS:
             raise ValueError(f"tau has {size} functions, over the budget "
-                             f"of {TAU_ROW_BUDGET}")
+                             f"of {kernels.MAX_FUNCTIONS}")
     if "l" in row.reads:
         nruns = hi if tau is None else len(runs(tau))
         usable = range(row.first_l, nruns)

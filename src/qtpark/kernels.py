@@ -45,7 +45,8 @@ holds a dead end, and the finished F and diag go to ``stat_rows`` like a
 swept block.  Only tau's functions are touched, n^n / n! of them on
 average: at n = 8 one tau takes 5-10 ms, where masking the 8^8 swept
 functions took about 0.4 s.  At n = 12, tau 8,2,4,6,7,9,11,12,5,10,3,1
-(1,036,800 functions) builds in about 1.1 s at a 46 MB traced peak.
+(1,036,800 functions) builds in 0.6 s at a 46 MB traced peak; at n = 15,
+tau 14,3,10,1,8,5,15,4,11,12,2,6,7,9,13 (as many) in 0.9-1.0 s at 30 MB.
 
 Costs that showed in the n = 8 sweep (16.7M rows):
 
@@ -223,10 +224,10 @@ def stat_rows(F: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return out
 
 
-# The most functions ``_row_orders`` builds for one deviation.  Its
-# frontier never holds more partial orders than that; over n = 12 taus the
-# budget-sized ones have 0.5M-1M functions.
-MAX_FUNCTIONS = 1 << 22
+# The most functions ``_row_orders`` builds for one deviation, and the
+# budget of one tau's functions over all deviations in checks.scope.  Its
+# frontier never holds more partial orders than that.
+MAX_FUNCTIONS = 1 << 20
 
 
 def diagonals(tau: Sequence[int], l: int) -> np.ndarray:

@@ -327,7 +327,9 @@ def test_refuses_unusable_input(capsys, monkeypatch, argv):
     ("check cor-withides --tau 1,2,3,4,5,6,7",
      "tau has 7 cars, outside 1..6, the default n range; give --n 7"),
     ("check cor-withides --tau 13,12,11,10,9,8,7,6,5,4,3,2,1",
-     "tau has 13 cars, outside 1..6"),
+     "tau has 13 cars, outside 1..6, the default n range; give --n 13"),
+    ("check cor-withides --tau 16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1",
+     "tau has 16 cars, outside 1..6"),
     ("check thm-schedule-closed-form --tau 3142 --n 5..6",
      "tau has 4 cars, outside 5..6"),
 ])
@@ -1075,17 +1077,37 @@ def test_a_producer_that_drops_a_function_fails_the_check(capsys,
 
 @pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
                                       "cor-withides", "lemma-factorlemma"])
-def test_one_tau_reaches_n12_and_no_further(capsys, monkeypatch, check_id):
-    tau = (7, 8, 9, 4, 1, 3, 6, 2, 5, 12, 10, 11)
-    assert checks.scope(check_id, (12, 12), tau=tau) == (12, 12)
-    assert checks.scope(check_id, (1, 12), tau=tau) == (1, 12)
+def test_one_tau_reaches_n15_and_no_further(capsys, monkeypatch, check_id):
+    """The tau has 1,036,800 functions, just under kernels.MAX_FUNCTIONS."""
+    tau = (14, 3, 10, 1, 8, 5, 15, 4, 11, 12, 2, 6, 7, 9, 13)
+    assert checks.scope(check_id, (15, 15), tau=tau) == (15, 15)
+    assert checks.scope(check_id, (1, 15), tau=tau) == (1, 15)
     with pytest.raises(ValueError, match="up to 8, got 9"):
         checks.scope(check_id, (9, 9))
     assert_refused_up_front(capsys, monkeypatch, "check", check_id,
                             "--n", "9")
     assert_refused_up_front(capsys, monkeypatch, "check", check_id,
-                            "--n", "13",
-                            "--tau", "3,1,4,10,5,9,2,6,8,7,13,11,12")
+                            "--n", "16",
+                            "--tau", "3,1,4,10,5,9,2,6,8,7,13,11,12,16,14,15")
+
+
+@pytest.mark.parametrize("tau,functions", [
+    ((1, 7, 13, 4, 2, 10, 6, 9, 12, 11, 3, 5, 8), 1248),
+    ((3, 13, 4, 11, 2, 12, 6, 7, 10, 14, 8, 1, 9, 5), 2016),
+    ((8, 10, 7, 5, 12, 3, 13, 15, 9, 11, 1, 14, 2, 6, 4), 2880),
+], ids=["n13", "n14", "n15"])
+@pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
+                                      "cor-withides", "lemma-factorlemma"])
+def test_one_tau_checks_pass_up_to_n15(capsys, check_id, tau, functions):
+    """A tau of median size at n = 13, 14 and 15 passes each check, which
+    examines one case per deviation, or one per tau for withides."""
+    assert checks.tau_functions(tau) == functions
+    code, out, _ = run(capsys, "check", check_id, "--n", str(len(tau)),
+                       "--tau", ",".join(map(str, tau)))
+    report = json.loads(out)
+    assert (code, report["passed"]) == (0, True)
+    assert report["examined"] == (1 if check_id == "cor-withides"
+                                  else len(schedules.runs(tau)))
 
 
 @pytest.mark.parametrize("check_id", ["thm-schedule-closed-form",
@@ -1129,9 +1151,10 @@ def test_factorlemma_takes_the_n9_identity_tau(capsys):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_row_budget_bounds_the_young_subgroup(n):
     """prod over tau's consecutive blocks B of |B|! never exceeds tau's
-    function count, so TAU_ROW_BUDGET bounds the Young subgroup too.  The
-    blocks are read from tau's block mask, whose bit i - 1 is set when
-    i + 1 stands right after i."""
+    function count, so kernels.MAX_FUNCTIONS, the budget of one tau's
+    functions, bounds the Young subgroup too.  The blocks are read from
+    tau's block mask, whose bit i - 1 is set when i + 1 stands right after
+    i."""
     for tau in permutations(range(1, n + 1)):
         pos = {v: i for i, v in enumerate(tau)}
         mask = sum(1 << (i - 1) for i in range(1, n)

@@ -1,6 +1,7 @@
 """Fundamental-basis sums, Young-subgroup counts, factorizations."""
 
 import dataclasses
+import json
 import re
 import types
 from collections import Counter
@@ -243,6 +244,45 @@ def test_planted_fault_fails_the_factor_lemma(capsys, monkeypatch, module,
                             copy.closed_form_rows)
     assert main(["check", "lemma-factorlemma", "--n", "1..4"]) == code
     assert capsys.readouterr().out.count('"passed":false') == code
+
+
+# An n = 15 tau of 2,160 functions.  Its one block of three cars, 4,5,6,
+# gives its Young subgroup (S_3) two ides masks at inv 1.
+TAU15 = (9, 3, 14, 1, 11, 7, 15, 10, 4, 5, 6, 2, 13, 8, 12)
+# The first weight of closed_form_terms' first row, plus one.
+WEIGHTS = "rows = np.sort(w, axis=1)"
+BUMPED = ("rows = np.sort(w + (np.arange(w.size) == 0).reshape(w.shape), "
+          "axis=1)")
+# young_counts' q-count guard, before which one count moves between two
+# ides masks at the same inv, so the guard stays quiet.
+GUARD = "    scalar = q_int_product(tuple(sorted(sizes)))"
+MOVED = """    same = (inv[:, None] == inv) & (mask[:, None] != mask)
+    i, j = np.argwhere(same)[0]
+    count[i] -= 1
+    count[j] += 1
+""" + GUARD
+
+
+@pytest.mark.parametrize("check_id,module,old,new,code", [
+    ("lemma-factorlemma", quasisym, GUARD, GUARD, 0),  # the copy passes
+    ("thm-schedule-closed-form", schedules, WEIGHTS, BUMPED, 1),
+    ("lemma-factorlemma", schedules, WEIGHTS, BUMPED, 1),
+    ("lemma-factorlemma", quasisym, GUARD, MOVED, 1),
+], ids=["unplanted", "weight-closed-form", "weight-factorlemma",
+        "young-factorlemma"])
+def test_planted_fault_fails_an_n15_tau(capsys, monkeypatch, check_id,
+                                        module, old, new, code):
+    copy = planted(module, old, new)
+    if module is quasisym:
+        monkeypatch.setattr(checks, "factor_check", copy.factor_check)
+    else:
+        monkeypatch.setattr(quasisym, "closed_form_rows",
+                            copy.closed_form_rows)
+    assert main(["check", check_id, "--n", "15",
+                 "--tau", ",".join(map(str, TAU15))]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is (code == 0)
+    assert code == 0 or report["counterexample"]["tau"] == list(TAU15)
 
 
 def test_withides_residue_refuses_a_table_without_tau():
