@@ -138,13 +138,19 @@ def cmd_table(args: argparse.Namespace) -> int:
     tau = None if args.tau is None else _parse_tau(args.tau)
     n, _ = scope(f"table {args.kind}",
                  None if args.n is None else (args.n, args.n), tau=tau)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
     columns = ["tau", "l", "maj", "rho", "w_insertion", "w_by_car",
                "w_by_tau"]
     if args.kind == "schedules":
-        writer.writerow(columns)
-        writer.writerows(row for _, _, row in _schedule_rows(n, tau))
+        # The bytes of csv.writer, which quotes only a field with a comma:
+        # a tau of more than 9 cars.  Every other field is digits and
+        # spaces.
+        sys.stdout.write(",".join(columns) + "\n")
+        for _, _, (text, *rest) in _schedule_rows(n, tau):
+            if "," in text:
+                text = f'"{text}"'
+            sys.stdout.write(",".join([text, *rest]) + "\n")
         return 0
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     if args.kind == "polynomials":
         writer.writerow(columns + ["closed_form", "brute_force", "match"])
         table = aggregate.qt_by_diagword(n)

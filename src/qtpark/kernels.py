@@ -82,6 +82,7 @@ Costs that showed in the n = 8 sweep (16.7M rows):
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import (Callable, Deque, Iterator, List, Optional, Sequence,
@@ -154,7 +155,7 @@ def grid_block(n: int, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray]:
 
 def require_perm(tau: Sequence[int], n: int) -> Tuple[int, ...]:
     """tau as a tuple; ValueError unless it is a permutation of 1..n >= 1."""
-    t = tuple(int(v) for v in tau)
+    t = tuple(map(operator.index, tau))
     if not t or sorted(t) != list(range(1, n + 1)):
         raise ValueError(f"{t} is not a permutation of 1..{n}")
     return t

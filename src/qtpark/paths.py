@@ -32,8 +32,9 @@ falls below the main diagonal.  Statistics computed by ``stats``:
 * comp: for parking functions only, the composition of n recording the
   gaps between the points where the path returns to the main diagonal.
 
-``stats`` and ``json_line`` work on one function.  ``qtpark enumerate``
-instead streams ``json_blocks``, one ``StatBlock`` at a time: ``BLOCK``
+``stats`` returns the record of one function, the dict that
+``json_line`` prints as one line of JSON.  ``qtpark enumerate`` instead
+streams ``json_blocks``, one ``StatBlock`` at a time: ``BLOCK``
 consecutive functions (``stat_block``), or the functions of one diagword,
 built from their row orders (``kernels.diagword_blocks``) and sorted by
 index, so the lines come in the order of the full enumeration
@@ -51,6 +52,7 @@ difference raises RuntimeError.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -71,7 +73,7 @@ class PrefFunc:
     f: Tuple[int, ...]
 
     def __post_init__(self):
-        f = tuple(int(v) for v in self.f)
+        f = tuple(map(operator.index, self.f))
         object.__setattr__(self, "f", f)
         n = len(f)
         if n == 0:
@@ -85,36 +87,6 @@ class PrefFunc:
         return len(self.f)
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    """All statistics of one preference function."""
-
-    area: int
-    dinv: int
-    primary: int
-    secondary: int
-    tertiary: int
-    word: Tuple[int, ...]
-    ides: frozenset
-    diagword: Tuple[int, ...]
-    deviation: int
-    touch: int
-    comp: Optional[Tuple[int, ...]]
-
-    def __post_init__(self):
-        if self.dinv != self.primary + self.secondary + self.tertiary:
-            raise ValueError("dinv must equal primary + secondary + tertiary")
-        if (self.comp is None) != (self.deviation > 0):
-            raise ValueError("comp is defined exactly when deviation is 0")
-        if self.comp is not None:
-            if sum(self.comp) != len(self.word) or len(self.comp) != self.touch:
-                raise ValueError("comp must be a composition of n with touch parts")
-
-    @property
-    def dinv_parts(self) -> Tuple[int, int, int]:
-        return (self.primary, self.secondary, self.tertiary)
-
-
 def place(p: PrefFunc) -> Tuple[int, ...]:
     """The diagonal row - column of each car (entry i is car i+1) when p
     is drawn in the grid, rows 1..n assigned in (column, label) order."""
@@ -125,8 +97,9 @@ def place(p: PrefFunc) -> Tuple[int, ...]:
     return tuple(diag)
 
 
-def stats(p: PrefFunc) -> StatRecord:
-    """Compute every statistic of p from its placement."""
+def stats(p: PrefFunc) -> dict:
+    """Every statistic of p, computed from its placement, as the record
+    ``json_line`` prints (fixed key order)."""
     n = p.n
     col, diag = p.f, place(p)
 
@@ -143,19 +116,21 @@ def stats(p: PrefFunc) -> StatRecord:
     tertiary = sum(1 for d in diag if d < 0)
 
     cars = list(range(1, n + 1))
-    word = tuple(sorted(cars, key=lambda c: (-diag[c - 1], -col[c - 1])))
+    word = sorted(cars, key=lambda c: (-diag[c - 1], -col[c - 1]))
     pos = {c: i for i, c in enumerate(word)}
-    ides = frozenset(i for i in range(1, n) if pos[i + 1] < pos[i])
-    diagword = tuple(sorted(cars, key=lambda c: (-diag[c - 1], c)))
+    ides = [i for i in range(1, n) if pos[i + 1] < pos[i]]
+    diagword = sorted(cars, key=lambda c: (-diag[c - 1], c))
 
     touch = sum(1 for d in diag if d == -dev)
 
-    comp: Optional[Tuple[int, ...]] = None
+    comp: Optional[List[int]] = None
     if dev == 0:
         main_cols = sorted(col[c] for c in range(n) if diag[c] == 0)
-        parts = [b - a for a, b in zip(main_cols, main_cols[1:])]
-        parts.append(n + 1 - main_cols[-1])
-        comp = tuple(parts)
+        comp = [b - a for a, b in zip(main_cols, main_cols[1:])]
+        comp.append(n + 1 - main_cols[-1])
+        if sum(comp) != n or len(comp) != touch:
+            raise RuntimeError(f"comp {comp} is not a composition of {n} "
+                               f"into touch={touch} parts for f={p.f}")
 
     # The maximal increasing runs of diagword list the occupied diagonals
     # from the top one down; check that the grouping by diagonal agrees.
@@ -163,19 +138,20 @@ def stats(p: PrefFunc) -> StatRecord:
     if run_lengths != diag_sizes:
         raise _runs_error(p.f, run_lengths, diag_sizes)
 
-    return StatRecord(
-        area=area,
-        dinv=primary + secondary + tertiary,
-        primary=primary,
-        secondary=secondary,
-        tertiary=tertiary,
-        word=word,
-        ides=ides,
-        diagword=diagword,
-        deviation=dev,
-        touch=touch,
-        comp=comp,
-    )
+    return {
+        "n": n,
+        "f": list(col),
+        "area": area,
+        "dinv": primary + secondary + tertiary,
+        "dinv_parts": [primary, secondary, tertiary],
+        "word": word,
+        "ides": ides,
+        "diagword": diagword,
+        "deviation": dev,
+        "touch": touch,
+        "comp": comp,
+        "parking": dev == 0,
+    }
 
 
 def _runs_and_sizes(diagword: Sequence[int], diag: Sequence[int]
@@ -209,39 +185,12 @@ def enumerate_all(n: int) -> Iterator[PrefFunc]:
     if n > DEFAULT_MAX_N:
         raise ValueError(
             f"n={n} exceeds the enumeration bound {DEFAULT_MAX_N}")
-    f = [1] * n
-    while True:
-        yield PrefFunc(tuple(f))
-        i = n - 1
-        while i >= 0 and f[i] == n:
-            f[i] = 1
-            i -= 1
-        if i < 0:
-            return
-        f[i] += 1
-
-
-def record_dict(p: PrefFunc) -> dict:
-    """The JSON-ready record for one preference function (fixed key order)."""
-    s = stats(p)
-    return {
-        "n": p.n,
-        "f": list(p.f),
-        "area": s.area,
-        "dinv": s.dinv,
-        "dinv_parts": list(s.dinv_parts),
-        "word": list(s.word),
-        "ides": sorted(s.ides),
-        "diagword": list(s.diagword),
-        "deviation": s.deviation,
-        "touch": s.touch,
-        "comp": list(s.comp) if s.comp is not None else None,
-        "parking": s.deviation == 0,
-    }
+    for f in product(range(1, n + 1), repeat=n):
+        yield PrefFunc(f)
 
 
 def json_line(p: PrefFunc) -> str:
-    return json.dumps(record_dict(p), separators=(",", ":"))
+    return json.dumps(stats(p), separators=(",", ":"))
 
 
 # Rows per block of ``json_blocks``.  At n = 6 a block's columns and text

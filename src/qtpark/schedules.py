@@ -44,6 +44,7 @@ reference.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -273,7 +274,7 @@ class PartitionBox:
     b: int
 
     def __post_init__(self):
-        lam = tuple(int(v) for v in self.lam)
+        lam = tuple(map(operator.index, self.lam))
         object.__setattr__(self, "lam", lam)
         if self.a < 1 or self.b < 1:
             raise ValueError("box dimensions must be positive")
@@ -392,9 +393,10 @@ def generate(tau: Sequence[int],
                 f[c - 1] = column(word, p)
             pf = PrefFunc(tuple(f))
             rec = stats(pf)
-            _require(rec.diagword == tau and rec.deviation == l, pf)
-            _require(rec.area == maj_tau, pf)
-            _require(rec.dinv == baseline + sum(trace), pf, trace)
+            _require(rec["diagword"] == list(tau) and rec["deviation"] == l,
+                     pf)
+            _require(rec["area"] == maj_tau, pf)
+            _require(rec["dinv"] == baseline + sum(trace), pf, trace)
             out.append((pf, tuple(trace)))
             return
         c = order[i]

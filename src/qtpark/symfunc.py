@@ -52,6 +52,7 @@ agree with sums of composition-indexed operator products, and that their
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -100,7 +101,7 @@ def z_lambda(lam: Partition) -> int:
 
 
 def _normalize_partition(lam: Sequence[int]) -> Partition:
-    parts = tuple(sorted((int(v) for v in lam if v), reverse=True))
+    parts = tuple(sorted(filter(None, map(operator.index, lam)), reverse=True))
     if any(v < 0 for v in parts):
         raise ValueError(f"negative part in {tuple(lam)}")
     return parts
@@ -284,7 +285,7 @@ def c_op(a: int, F: PExpansion) -> PExpansion:
 
 def c_composition(rho: Sequence[int]) -> PExpansion:
     """C_{rho_1} ... C_{rho_k} applied to 1, rightmost factor first."""
-    parts = tuple(int(v) for v in rho)
+    parts = tuple(map(operator.index, rho))
     if not parts or any(v < 1 for v in parts):
         raise ValueError(f"need a composition with positive parts: {parts}")
     return _c_suffix(parts)

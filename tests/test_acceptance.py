@@ -35,12 +35,13 @@ def run_registered(cid: str, **kwargs):
 
 def test_criterion_1_worked_examples():
     s = stats(PrefFunc((1, 5, 1, 2, 1)))
-    ok = (s.area, s.dinv, s.word, s.ides, s.comp, s.diagword) == (
-        5, 2, (4, 5, 3, 2, 1), frozenset({1, 2, 3}), (4, 1), (4, 5, 3, 1, 2))
+    ok = [s[k] for k in ("area", "dinv", "word", "ides", "comp",
+                         "diagword")] == [
+        5, 2, [4, 5, 3, 2, 1], [1, 2, 3], [4, 1], [4, 5, 3, 1, 2]]
     t = stats(PrefFunc((3, 5, 3, 2, 3)))
-    ok = ok and (t.deviation, t.area, t.dinv, t.dinv_parts, t.word,
-                 t.ides) == (1, 4, 3, (0, 1, 2), (5, 2, 3, 1, 4),
-                             frozenset({1, 4}))
+    ok = ok and [t[k] for k in ("deviation", "area", "dinv", "dinv_parts",
+                                "word", "ides")] == [
+        1, 4, 3, [0, 1, 2], [5, 2, 3, 1, 4], [1, 4]]
     report("criterion 1: worked-example statistics", ok)
 
 
@@ -73,7 +74,7 @@ def test_criterion_3_figure_counts():
         keep = set()
         for pf in enumerate_all(5):
             s = stats(pf)
-            if s.diagword == tau and s.deviation == l:
+            if s["diagword"] == list(tau) and s["deviation"] == l:
                 keep.add(pf.f)
         return keep
 
@@ -84,7 +85,7 @@ def test_criterion_3_figure_counts():
         out = QTPoly.zero()
         for pf, _ in leaves:
             s = stats(pf)
-            out = out + QTPoly.monomial(s.dinv, s.area, 1)
+            out = out + QTPoly.monomial(s["dinv"], s["area"], 1)
         return out
 
     t2 = QTPoly.monomial(0, 2, 1)

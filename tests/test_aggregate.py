@@ -24,13 +24,13 @@ def reference_tables(n):
     qt, qsym, touch = {}, {}, {}
     for pf in enumerate_all(n):
         s = stats(pf)
-        mask = sum(1 << (i - 1) for i in s.ides)
-        code = kernels.encode_perm(s.diagword, n)
+        mask = sum(1 << (i - 1) for i in s["ides"])
+        code = kernels.encode_perm(s["diagword"], n)
+        area, dinv, dev = s["area"], s["dinv"], s["deviation"]
         for table, key, value in (
-                (qt, (code, s.deviation), (s.area, s.dinv)),
-                (qsym, (code, s.deviation), (s.area, s.dinv, mask)),
-                (touch, (s.touch, int(s.deviation == 0)),
-                 (s.area, s.dinv, mask))):
+                (qt, (code, dev), (area, dinv)),
+                (qsym, (code, dev), (area, dinv, mask)),
+                (touch, (s["touch"], int(dev == 0)), (area, dinv, mask))):
             counts = table.setdefault(key, {})
             counts[value] = counts.get(value, 0) + 1
     return qt, qsym, touch

@@ -1,6 +1,5 @@
 """Per-function statistics: worked values, invariants, serialization."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtpark
-from qtpark import kernels, paths
+from qtpark import kernels, paths, symfunc
 from qtpark.paths import (BLOCK, PrefFunc, enumerate_all, json_line, place,
-                          record_dict, stats)
+                          stats)
+from qtpark.schedules import PartitionBox
 
 
 def is_parking(p):
@@ -40,32 +40,32 @@ small_funcs = st.integers(1, 5).flatmap(
 
 def test_parking_worked_example():
     s = stats(vec(1, 5, 1, 2, 1))
-    assert s.area == 5
-    assert s.dinv == 2
-    assert s.dinv_parts == (1, 1, 0)
-    assert s.word == (4, 5, 3, 2, 1)
-    assert s.ides == frozenset({1, 2, 3})
-    assert s.diagword == (4, 5, 3, 1, 2)
-    assert s.deviation == 0
-    assert s.touch == 2
-    assert s.comp == (4, 1)
+    assert s["area"] == 5
+    assert s["dinv"] == 2
+    assert s["dinv_parts"] == [1, 1, 0]
+    assert s["word"] == [4, 5, 3, 2, 1]
+    assert s["ides"] == [1, 2, 3]
+    assert s["diagword"] == [4, 5, 3, 1, 2]
+    assert s["deviation"] == 0
+    assert s["touch"] == 2
+    assert s["comp"] == [4, 1]
 
 
 def test_nonparking_worked_example():
     s = stats(vec(3, 5, 3, 2, 3))
-    assert s.deviation == 1
-    assert s.area == 4
-    assert s.dinv == 3
-    assert s.dinv_parts == (0, 1, 2)
-    assert s.word == (5, 2, 3, 1, 4)
-    assert s.ides == frozenset({1, 4})
-    assert s.comp is None
+    assert s["deviation"] == 1
+    assert s["area"] == 4
+    assert s["dinv"] == 3
+    assert s["dinv_parts"] == [0, 1, 2]
+    assert s["word"] == [5, 2, 3, 1, 4]
+    assert s["ides"] == [1, 4]
+    assert s["comp"] is None
 
 
 def test_trivial_function():
     s = stats(vec(1))
-    assert (s.area, s.dinv, s.deviation, s.touch) == (0, 0, 0, 1)
-    assert s.comp == (1,)
+    assert (s["area"], s["dinv"], s["deviation"], s["touch"]) == (0, 0, 0, 1)
+    assert s["comp"] == [1]
 
 
 def test_pref_func_validation():
@@ -75,6 +75,27 @@ def test_pref_func_validation():
         PrefFunc((1, 3))
     with pytest.raises(ValueError):
         PrefFunc(())
+
+
+# Every site that reads a sequence of integers from its caller, with a
+# valid input for it.  Each takes numpy integers, and refuses a float or a
+# string entry rather than truncating or parsing it.
+INTEGER_SITES = {
+    "PrefFunc": (PrefFunc, (2, 1)),
+    "require_perm": (lambda t: kernels.require_perm(t, 2), (2, 1)),
+    "PartitionBox": (lambda lam: PartitionBox(lam, 3, 2), (2, 1)),
+    "normalize_partition": (symfunc._normalize_partition, (2, 1)),
+    "c_composition": (symfunc.c_composition, (2, 1)),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_non_integer_inputs_are_refused(site):
+    build, good = INTEGER_SITES[site]
+    assert build(np.array(good, dtype=np.int8)) == build(good)
+    for bad in ((2.9, 1), (2, 1.0), ("2", "1")):
+        with pytest.raises(TypeError):
+            build(bad)
 
 
 def test_place_rows_partition_grid():
@@ -96,7 +117,7 @@ def test_enumeration_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_parking_count_is_cayley(n):
-    count = sum(1 for p in enumerate_all(n) if stats(p).deviation == 0)
+    count = sum(1 for p in enumerate_all(n) if stats(p)["deviation"] == 0)
     assert count == (n + 1) ** (n - 1)
 
 
@@ -112,14 +133,14 @@ def test_statistic_invariants(p):
     diag = place(p)
     n = p.n
     assert sorted(d + c for d, c in zip(diag, p.f)) == list(range(1, n + 1))
-    assert s.deviation == -min(min(diag), 0)
-    assert s.area == sum(d + s.deviation for d in diag)
-    assert s.dinv == sum(s.dinv_parts)
-    assert s.tertiary == sum(1 for d in diag if d < 0)
-    assert sorted(s.word) == list(range(1, n + 1))
-    assert sorted(s.diagword) == list(range(1, n + 1))
-    assert (s.deviation == 0) == is_parking(p)
-    assert 1 <= s.touch <= n
+    assert s["deviation"] == -min(min(diag), 0)
+    assert s["area"] == sum(d + s["deviation"] for d in diag)
+    assert s["dinv"] == sum(s["dinv_parts"])
+    assert s["dinv_parts"][2] == sum(1 for d in diag if d < 0)
+    assert sorted(s["word"]) == list(range(1, n + 1))
+    assert sorted(s["diagword"]) == list(range(1, n + 1))
+    assert (s["deviation"] == 0) == is_parking(p)
+    assert 1 <= s["touch"] <= n
 
 
 @given(small_funcs)
@@ -128,10 +149,10 @@ def test_word_orders_by_diagonal(p):
     s = stats(p)
     diag = place(p)
     diag_of = {c + 1: diag[c] for c in range(p.n)}
-    diags = [diag_of[c] for c in s.word]
+    diags = [diag_of[c] for c in s["word"]]
     assert diags == sorted(diags, reverse=True)
     # diagword sorts each diagonal increasingly
-    for a, b in zip(s.diagword, s.diagword[1:]):
+    for a, b in zip(s["diagword"], s["diagword"][1:]):
         if diag_of[a] == diag_of[b]:
             assert a < b
 
@@ -140,9 +161,9 @@ def test_word_orders_by_diagonal(p):
 @settings(max_examples=100)
 def test_ides_definition(p):
     s = stats(p)
-    pos = {c: i for i, c in enumerate(s.word)}
-    expected = frozenset(i for i in range(1, p.n) if pos[i + 1] < pos[i])
-    assert s.ides == expected
+    pos = {c: i for i, c in enumerate(s["word"])}
+    expected = [i for i in range(1, p.n) if pos[i + 1] < pos[i]]
+    assert s["ides"] == expected
 
 
 def test_area_oracle_small():
@@ -154,13 +175,13 @@ def test_area_oracle_small():
         for p in enumerate_all(n):
             diags = [r - c for r, c in enumerate(sorted(p.f), start=1)]
             s = stats(p)
-            assert s.deviation == -min(diags)
-            assert s.area == sum(diags) + n * s.deviation
+            assert s["deviation"] == -min(diags)
+            assert s["area"] == sum(diags) + n * s["deviation"]
             assert sorted(place(p)) == sorted(diags)
 
 
 def test_record_dict_shape():
-    d = record_dict(vec(1, 5, 1, 2, 1))
+    d = stats(vec(1, 5, 1, 2, 1))
     assert list(d) == ["n", "f", "area", "dinv", "dinv_parts", "word",
                        "ides", "diagword", "deviation", "touch", "comp",
                        "parking"]
@@ -223,7 +244,7 @@ def test_json_blocks_of_one_diagword(monkeypatch, tau):
 
     monkeypatch.setattr(kernels, "stat_rows", counting)
     want = [json_line(p) + "\n" for p in enumerate_all(5)
-            if stats(p).diagword == tau]
+            if stats(p)["diagword"] == list(tau)]
     assert_same_lines("".join(paths.json_blocks(5, tau=tau)), "".join(want))
     assert sum(rows) == len(want)
 
@@ -285,17 +306,29 @@ def test_block_line_guard_names_the_first_function(monkeypatch):
         paths.json_block(3, paths.stat_block(3, 5, 10))
 
 
-@pytest.mark.parametrize("f,change,message", [
-    ((3, 5, 3, 2, 3), {"dinv": 4}, "dinv must equal primary"),
-    ((1, 1, 2), {"comp": None}, "comp is defined exactly when deviation"),
-    ((3, 5, 3, 2, 3), {"comp": (5,)}, "comp is defined exactly when"),
-    ((1, 1, 2), {"comp": (1, 1, 1, 1)}, "comp must be a composition"),
-    ((1, 1, 2), {"touch": 3}, "comp must be a composition of n with touch"),
-])
-def test_stat_record_refuses_inconsistent_fields(f, change, message):
-    rec = stats(vec(*f))
-    with pytest.raises(ValueError, match=message):
-        dataclasses.replace(rec, **change)
+# f = (2, 1) drawn with car 2 one diagonal up: each diagonal still holds
+# one increasing run of diagword, but the only car on the main diagonal is
+# car 1, in column 2, so comp reads [1].
+PLACE_COMP_FAULT = """
+from qtpark import paths
+paths.place = lambda p: (0, 1)
+try:
+    paths.stats(paths.PrefFunc((2, 1)))
+except RuntimeError as e:
+    print(e)
+"""
+
+
+@pytest.mark.parametrize("flags", [pytest.param([], id="python"),
+                                   pytest.param(["-O"], id="python-O")])
+def test_comp_guard_catches_a_planted_place_fault(flags):
+    src = os.path.dirname(os.path.dirname(qtpark.__file__))
+    proc = subprocess.run([sys.executable, *flags, "-c", PLACE_COMP_FAULT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("comp [1] is not a composition of 2 into touch=1 "
+                           "parts for f=(2, 1)\n")
 
 
 SWAP_SECOND_BLOCK = """

@@ -33,8 +33,9 @@ def weighted_sum(family, n):
     for pf in enumerate_all(n):
         rec = stats(pf)
         if family(pf, rec):
-            term = QTPoly.monomial(rec.dinv, rec.area, 1)
-            acc[rec.ides] = acc.get(rec.ides, QTPoly.zero()) + term
+            term = QTPoly.monomial(rec["dinv"], rec["area"], 1)
+            ides = tuple(rec["ides"])
+            acc[ides] = acc.get(ides, QTPoly.zero()) + term
     return QSymF(n, acc)
 
 
@@ -76,7 +77,7 @@ def test_table_backed_diagword_sums(n):
     table = qsym_by_diagword(n)
     for tau in permutations(range(1, n + 1)):
         got = qsym_of_rows(n, qsym_for_diagword(table, tau))
-        want = weighted_sum(lambda p, s: s.diagword == tau, n)
+        want = weighted_sum(lambda p, s: s["diagword"] == list(tau), n)
         assert got == want, tau
 
 
@@ -86,7 +87,7 @@ def test_table_backed_touch_sums():
     for k in range(1, n + 1):
         got = qsym_of_rows(n, qsym_for_touch(table, n, k))
         want = weighted_sum(
-            lambda p, s: s.deviation == 0 and s.touch == k, n)
+            lambda p, s: s["deviation"] == 0 and s["touch"] == k, n)
         assert got == want, k
 
 
