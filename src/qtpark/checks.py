@@ -2,17 +2,16 @@
 
 Each check compares a closed form or algebraic identity against brute
 force at desk scale and reports the first counterexample it finds.  The
-serialized report never includes the wall time (that goes to stderr in
-the CLI) so command output stays byte-identical across runs.  SCOPES
-holds the size rule of every CLI command, checks and tables alike.
+record of a run never includes the wall time (the CLI times the run and
+writes that to stderr) so command output stays byte-identical across
+runs.  SCOPES holds the size rule of every CLI command, checks and
+tables alike.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -224,31 +223,6 @@ class CheckSpec:
         return range(self.n_lo, self.n_hi + 1)
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one check run: it fails exactly when it carries a
-    counterexample."""
-
-    id: str
-    parameters: Dict[str, object]
-    counterexample: Optional[Dict[str, object]]
-    wall_time: float
-    examined: int
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
-
-    def json(self) -> str:
-        return json.dumps({
-            "id": self.id,
-            "parameters": self.parameters,
-            "passed": self.passed,
-            "counterexample": self.counterexample,
-            "examined": self.examined,
-        }, separators=(",", ":"), sort_keys=True)
-
-
 # The first counterexample (None: every case holds) and the number of
 # cases examined.
 Outcome = Tuple[Optional[Dict[str, object]], int]
@@ -441,18 +415,18 @@ REGISTRY: Dict[str, Callable[[CheckSpec], Outcome]] = {
 }
 
 
-def run_check(spec: CheckSpec) -> CheckReport:
+def run_check(spec: CheckSpec) -> Dict[str, object]:
+    """The record ``qtpark check`` prints for spec: it passes exactly when
+    it carries no counterexample."""
     runner = REGISTRY[spec.id]
     # Parameters describe the mathematical scope only.  Execution knobs
-    # (thread count, like wall time) stay out so the serialized report is
+    # (thread count, like wall time) stay out so the serialized record is
     # byte-identical however the work was scheduled.
     params: Dict[str, object] = {"n": f"{spec.n_lo}..{spec.n_hi}"}
     for opt in SCOPES[spec.id].reads:
         if getattr(spec, opt) is not None:
             params[opt] = getattr(spec, opt)
-    start = time.perf_counter()
     counterexample, examined = runner(spec)
-    elapsed = time.perf_counter() - start
-    return CheckReport(id=spec.id, parameters=params,
-                       counterexample=counterexample, wall_time=elapsed,
-                       examined=examined)
+    return {"id": spec.id, "parameters": params,
+            "passed": counterexample is None,
+            "counterexample": counterexample, "examined": examined}

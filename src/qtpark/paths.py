@@ -128,7 +128,7 @@ def stats(p: PrefFunc) -> dict:
         main_cols = sorted(col[c] for c in range(n) if diag[c] == 0)
         comp = [b - a for a, b in zip(main_cols, main_cols[1:])]
         comp.append(n + 1 - main_cols[-1])
-        if sum(comp) != n or len(comp) != touch:
+        if sum(comp) != n or min(comp) < 1:
             raise RuntimeError(f"comp {comp} is not a composition of {n} "
                                f"into touch={touch} parts for f={p.f}")
 

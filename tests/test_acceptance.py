@@ -101,7 +101,7 @@ def test_criterion_3_figure_counts():
 def test_criterion_4_closed_forms():
     rep, elapsed = run_registered("thm-schedule-closed-form", n_lo=1, n_hi=6)
     report("criterion 4: schedule closed forms equal brute force, n <= 6",
-           rep.passed, f"{rep.examined} pairs, {elapsed:.1f}s")
+           rep["passed"], f"{rep['examined']} pairs, {elapsed:.1f}s")
 
 
 def test_criterion_5_multiset_and_staircase():
@@ -110,16 +110,16 @@ def test_criterion_5_multiset_and_staircase():
                               max_part=12, samples=1000)
     report("criterion 5: schedule multiset shift (n <= 8) and "
            "partition-staircase merge (6x6 full + 1000 random 12x12)",
-           rep1.passed and rep2.passed,
-           f"{rep1.examined}+{rep2.examined} cases, {t1 + t2:.1f}s")
+           rep1["passed"] and rep2["passed"],
+           f"{rep1['examined']}+{rep2['examined']} cases, {t1 + t2:.1f}s")
 
 
 def test_criterion_6_quasisym_factorizations():
     rep1, t1 = run_registered("lemma-factorlemma", n_lo=1, n_hi=6)
     rep2, t2 = run_registered("cor-withides", n_lo=1, n_hi=6)
     report("criterion 6: block factorization and deviation scaling, n <= 6",
-           rep1.passed and rep2.passed,
-           f"{rep1.examined}+{rep2.examined} words, {t1 + t2:.1f}s")
+           rep1["passed"] and rep2["passed"],
+           f"{rep1['examined']}+{rep2['examined']} words, {t1 + t2:.1f}s")
 
 
 def test_criterion_7_algebraic_identities():
@@ -127,7 +127,7 @@ def test_criterion_7_algebraic_identities():
     rep2, t2 = run_registered("thm-pn-identity", n_lo=1, n_hi=6)
     rep3, t3 = run_registered("thm-enk-sum", n_lo=1, n_hi=6)
     total = t1 + t2 + t3
-    ok = rep1.passed and rep2.passed and rep3.passed and total < 60
+    ok = rep1["passed"] and rep2["passed"] and rep3["passed"] and total < 60
     report("criterion 7: operator, power-sum and telescoping identities, "
            "n = 1..6", ok, f"{total:.1f}s")
 
@@ -135,8 +135,8 @@ def test_criterion_7_algebraic_identities():
 def test_criterion_8_main_identity():
     rep, elapsed = run_registered("main-square-paths", n_lo=1, n_hi=6)
     report("criterion 8: square-path sum equals touch-weighted parking sum, "
-           "n = 1..6", rep.passed,
-           f"{rep.examined} functions, {elapsed:.1f}s")
+           "n = 1..6", rep["passed"],
+           f"{rep['examined']} functions, {elapsed:.1f}s")
 
 
 def test_criterion_9_determinism():

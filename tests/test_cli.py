@@ -439,6 +439,23 @@ def test_the_counterexample_is_the_verdict(capsys, monkeypatch, outcome,
     assert report["examined"] == examined
 
 
+def test_the_record_is_the_printed_line(capsys):
+    """check prints the record run_check returns for the same spec, as one
+    compact JSON line with sorted keys, and it passes exactly when it has
+    no counterexample."""
+    for cid in sorted(checks.REGISTRY):
+        parlem = cid == "lemma-parlem"
+        code, out, _ = run(capsys, "check", cid, "--n", "1..3",
+                           *(["--max", "4", "--samples", "5"] if parlem
+                             else []))
+        record = checks.run_check(checks.CheckSpec(
+            cid, 1, 3, **({"max_part": 4, "samples": 5} if parlem else {})))
+        assert out == json.dumps(record, separators=(",", ":"),
+                                 sort_keys=True) + "\n", cid
+        assert record["passed"] is (record["counterexample"] is None), cid
+        assert code == (0 if record["passed"] else 1), cid
+
+
 def test_parlem_accepts_its_caps():
     """Both ends of each of lemma-parlem's option ranges are accepted."""
     limits = SCOPES["lemma-parlem"].limits

@@ -308,14 +308,17 @@ def test_block_line_guard_names_the_first_function(monkeypatch):
 
 # f = (2, 1) drawn with car 2 one diagonal up: each diagonal still holds
 # one increasing run of diagword, but the only car on the main diagonal is
-# car 1, in column 2, so comp reads [1].
+# car 1, in column 2, so comp reads [1].  f = (1, 1) drawn with both cars
+# on the main diagonal gives comp [0, 2]: the right sum and length, with a
+# zero part.
 PLACE_COMP_FAULT = """
 from qtpark import paths
-paths.place = lambda p: (0, 1)
-try:
-    paths.stats(paths.PrefFunc((2, 1)))
-except RuntimeError as e:
-    print(e)
+for f, diag in [((2, 1), (0, 1)), ((1, 1), (0, 0))]:
+    paths.place = lambda p: diag
+    try:
+        paths.stats(paths.PrefFunc(f))
+    except RuntimeError as e:
+        print(e)
 """
 
 
@@ -328,7 +331,9 @@ def test_comp_guard_catches_a_planted_place_fault(flags):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("comp [1] is not a composition of 2 into touch=1 "
-                           "parts for f=(2, 1)\n")
+                           "parts for f=(2, 1)\n"
+                           "comp [0, 2] is not a composition of 2 into "
+                           "touch=2 parts for f=(1, 1)\n")
 
 
 SWAP_SECOND_BLOCK = """

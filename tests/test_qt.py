@@ -130,7 +130,8 @@ def test_q_int_product_matches_explicit_products(monkeypatch):
         return q_int_product(weights)
 
     monkeypatch.setattr(schedules, "q_int_product", recording)
-    assert checks.run_check(CheckSpec("thm-schedule-closed-form", 1, 5)).passed
+    spec = CheckSpec("thm-schedule-closed-form", 1, 5)
+    assert checks.run_check(spec)["passed"]
     assert len(met) > 10
     for weights in met:
         explicit = ONE
